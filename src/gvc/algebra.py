@@ -532,9 +532,6 @@ class GradedPoly:
     def constant_term(self):
         return self.terms.get(((), ()), 0)
 
-    def coefficient(self, key):
-        return self.terms.get(key, 0)
-
     def num_terms(self):
         return len(self.terms)
 
@@ -756,11 +753,3 @@ class Registry:
 
     def const(self, c):
         return GradedPoly.constant(self, c)
-
-    def poly_map_symbols(self, kinds=None):
-        """All declared symbols, optionally filtered to a set of kinds."""
-        out = []
-        for sym in self.symbols.values():
-            if kinds is None or sym.kind in kinds:
-                out.append(sym)
-        return out

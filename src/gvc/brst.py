@@ -87,7 +87,7 @@ def check_gauge_symmetry(theory, k, alpha=None, gauge=None):
     """
     gauge = gauge or gauge_from_ni(theory)
     if alpha is None:
-        alpha = getattr(theory, "alphas", {}).get(k)
+        alpha = theory.alpha(k)
     if k == 0:
         ok = check_variational_symmetry(gauge.stages[0], theory.lagrangian)
         entries = [_entry("gauge", "u", "pass" if ok.trivial else "fail")]
@@ -111,7 +111,7 @@ def check_gauge_symmetry(theory, k, alpha=None, gauge=None):
     entries = []
     for (name, comp), ups in sorted(lower.components.items()):
         res = prolong_apply(upper, ups)
-        cert = (alpha or {}).get((name, comp))
+        cert = alpha.get((name, comp))
         if cert is not None:
             if kt is None:
                 kt = assemble_kt(theory)
@@ -188,20 +188,19 @@ def jacobi_check(gamma1):
                for ups in gamma1.components.values())
 
 
-def brst_candidate(theory, gauge=None):
+def brst_candidate(theory):
     """Assemble the theory's BRST candidate: constructed gauge stages plus
     any declared gamma components (gamma = 0 when none are declared)."""
-    return BRSTCandidate(gauge or gauge_from_ni(theory), theory.gamma)
+    return BRSTCandidate(gauge_from_ni(theory), theory.gamma)
 
 
-def check_antibracket(theory, gauge=None):
+def check_antibracket(theory):
     """Report on (u + gamma^(1))(u); confirms the commutator normalization
     [u,u] = -2 gamma(u) when the defect vanishes."""
-    gauge = gauge or gauge_from_ni(theory)
-    u = gauge.stages[0]
+    u = gauge_from_ni(theory).stages[0]
     reg = u.reg
     gamma1 = {}
-    for (name, comp), val in (theory.gamma or {}).items():
+    for (name, comp), val in theory.gamma.items():
         sym = reg.symbols[name]
         if sym.kind == KIND_GHOST and sym.stage == 0:
             gamma1[(name, comp)] = val
@@ -215,13 +214,13 @@ def check_antibracket(theory, gauge=None):
             for (n, c), v in sorted(bad.items())]
 
 
-def ghost_variation_residuals(theory, gauge=None):
+def ghost_variation_residuals(theory):
     """Variational derivatives of the pairing sum u^A E_A with respect to
     every stage-0 ghost component: zero exactly when the records hold."""
-    gauge = gauge or gauge_from_ni(theory)
+    u = gauge_from_ni(theory).stages[0]
     el = _el(theory)
     pairing = theory.registry.zero
-    for (name, comp), ups in gauge.stages[0].components.items():
+    for (name, comp), ups in u.components.items():
         pairing = pairing + ups * el.get(name, comp)
     out = {}
     for rec in theory.records:

@@ -3,9 +3,10 @@
 The report is deterministic: entries are sorted by check and target, and a
 canonical digest is printed that covers everything except the per-entry wall
 times, so two runs of the same invocation can be compared by digest even
-though their timings differ.  Exit code 0 means every selected check passed;
-1 means at least one check failed or was only verifiable on shell; 2 means
-the input could not be parsed or validated at all.
+though their timings differ.  Checks run one after another, and each entry's
+``time`` is the wall time of its own check.  Exit code 0 means every selected
+check passed; 1 means at least one check failed or was only verifiable on
+shell; 2 means the input could not be read, parsed or validated at all.
 
 Negative controls: ``--mutate sign`` flips one sign before checking (the
 leading gamma term when the theory declares gamma, otherwise the leading
@@ -22,12 +23,11 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import GradedPoly, GvcError
 from .brst import brst_candidate, check_antibracket, check_brst_nilpotent, \
-    check_gauge_symmetry
-from .noether import NoetherRecord, StageRecord, _el, check_extended, \
+    check_gauge_symmetry, gauge_from_ni
+from .noether import NoetherRecord, StageRecord, check_extended, \
     check_kt_nilpotent, comp_label, triviality_report, verify_ni, \
     verify_stage_ni
 from .parser import TheorySpec, parse_theory
@@ -46,9 +46,10 @@ def _run_stages(theory):
 
 
 def _run_gauge(theory):
+    gauge = gauge_from_ni(theory)
     entries = []
     for k in [0] + theory.stage_numbers():
-        entries.extend(check_gauge_symmetry(theory, k))
+        entries.extend(check_gauge_symmetry(theory, k, gauge=gauge))
     return entries
 
 
@@ -187,22 +188,17 @@ def _truncate_residual(text, limit):
 
 
 def run_checks(theory, selected, max_residual_terms=8):
-    _el(theory)  # warm the Euler-Lagrange cache once, not per thread
     out = []
-    with ThreadPoolExecutor(max_workers=len(selected)) as pool:
-        def one(name):
-            t0 = time.perf_counter()
-            entries = _RUNNERS[name](theory)
-            dt = time.perf_counter() - t0
-            for e in entries:
-                e["time"] = dt
-            return entries
-        for entries in pool.map(one, selected):
-            out.extend(entries)
-    for e in out:
-        if "residual" in e:
-            e["residual"] = _truncate_residual(e["residual"],
-                                               max_residual_terms)
+    for name in selected:
+        t0 = time.perf_counter()
+        entries = _RUNNERS[name](theory)
+        dt = time.perf_counter() - t0
+        for e in entries:
+            e["time"] = dt
+            if "residual" in e:
+                e["residual"] = _truncate_residual(e["residual"],
+                                                   max_residual_terms)
+        out.extend(entries)
     out.sort(key=lambda e: (e["check"], e["target"], e["status"]))
     return out
 
@@ -321,7 +317,7 @@ def _load_theory(args):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GvcError("cannot read theory file: %s" % exc)
     return parse_theory(text, jet_order=args.jet_order,
                         default_jet_order=default_jo)

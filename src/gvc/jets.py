@@ -19,7 +19,6 @@ from gvc.algebra import (
     GradedPoly,
     GradingError,
     GvcError,
-    KIND_GHOST,
 )
 
 __all__ = [
@@ -204,18 +203,6 @@ class EvolutionaryDerivation:
     def __neg__(self):
         return EvolutionaryDerivation(
             self.reg, {k: -v for k, v in self.components.items()}, right=self.right)
-
-    def restrict(self, kinds=None, names=None):
-        """A copy keeping only components on the given symbol kinds or names."""
-        comps = {}
-        for (sym_name, comp), val in self.components.items():
-            sym = self.reg.symbols[sym_name]
-            if kinds is not None and sym.kind not in kinds:
-                continue
-            if names is not None and sym_name not in names:
-                continue
-            comps[(sym_name, comp)] = val
-        return EvolutionaryDerivation(self.reg, comps, right=self.right)
 
     def __repr__(self):
         label = self.name or "derivation"

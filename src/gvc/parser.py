@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
                       GradedPoly, Registry)
-from .noether import NoetherRecord, StageRecord
+from .noether import NoetherRecord, StageRecord, delta_from_rows
 
 
 class ParseError(GvcError):
@@ -47,6 +47,10 @@ class ParseError(GvcError):
 _PUNCT = set(";,(){}[]=+-*^/:@")
 _NAME_START = set(string.ascii_letters + "_")
 _NAME_CONT = _NAME_START | set(string.digits)
+# Parentheses, unary minus and sum bodies may nest at most this deep.  The
+# parser and the evaluator recurse on every level, so deeper input would
+# exhaust the interpreter stack instead of failing with a position.
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -135,6 +139,7 @@ class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -166,6 +171,16 @@ class _Parser:
     def error(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok[2], tok[3])
+
+    def nested(self, tok, parse):
+        """Run ``parse`` one nesting level below ``tok``."""
+        if self.depth >= MAX_NESTING:
+            self.error("expression nested deeper than %d levels" % MAX_NESTING,
+                       tok)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     # -- expression grammar ----------------------------------------------------
 
@@ -203,10 +218,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "-":
             self.next()
-            return ("neg", self.parse_power())
+            return ("neg", self.nested(tok, self.parse_power))
         if tok[0] == "(":
             self.next()
-            node = self.parse_expression()
+            node = self.nested(tok, self.parse_expression)
             self.expect(")")
             return node
         if tok[0] == "INT":
@@ -236,7 +251,7 @@ class _Parser:
                 break
             self.expect(")")
             self.expect("{")
-            body = self.parse_expression()
+            body = self.nested(tok, self.parse_expression)
             self.expect("}")
             return ("sum", binders, body)
         if tok[0] == "NAME":
@@ -731,10 +746,7 @@ class _TheoryBuilder:
             if not rows:
                 raise ParseError("record %s[%s] has no rows"
                                  % (ghost, ",".join(map(str, comp))), tok[2], tok[3])
-            delta = self.reg.zero
-            for (name, c, jet), coeff in rows.items():
-                delta = delta + coeff * self.reg.var(name + "_bar", c, jet)
-            par = delta.parity()
+            par = delta_from_rows(self.reg, rows).parity()
             if par is None:
                 raise ParseError(
                     "record %s[%s] mixes Grassmann parities"

@@ -1,5 +1,5 @@
 """Variational calculus: Euler-Lagrange operators, the higher Euler (eta)
-operators, divergence testing, and Lie derivatives of densities.
+operators, divergence testing, and variational symmetries.
 
 A density is represented by its coefficient polynomial (the ``L`` in
 ``L d^n x``).  Working on a chart with polynomial coefficients and no explicit
@@ -13,11 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from gvc.algebra import GradedPoly, GvcError
-from gvc.jets import iterated_derivative, prolong_apply, total_derivative
+from gvc.algebra import GvcError
+from gvc.jets import iterated_derivative, total_derivative
 
 __all__ = [
-    "Density",
     "EulerLagrangeResult",
     "euler_lagrange",
     "variational_derivative",
@@ -25,33 +24,8 @@ __all__ = [
     "eta_pairing",
     "DivergenceTest",
     "is_total_divergence",
-    "lie_derivative",
     "check_variational_symmetry",
 ]
-
-
-class Density:
-    """A horizontal density, held as its coefficient polynomial."""
-
-    __slots__ = ("coeff",)
-
-    def __init__(self, coeff):
-        self.coeff = coeff
-
-    def __eq__(self, other):
-        if isinstance(other, Density):
-            return self.coeff == other.coeff
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("Density", self.coeff))
-
-    def __repr__(self):
-        return "Density(%r)" % (self.coeff,)
-
-
-def _coeff(L):
-    return L.coeff if isinstance(L, Density) else L
 
 
 class EulerLagrangeResult:
@@ -85,7 +59,6 @@ def euler_lagrange(L, wrt=None):
     (fields, ghosts, antifields) gets a component in the result, so that
     variational triviality can be decided from one call.
     """
-    L = _coeff(L)
     reg = L.reg
     if wrt is None:
         names = set(reg.symbols)
@@ -94,10 +67,7 @@ def euler_lagrange(L, wrt=None):
         for n in names:
             if n not in reg.symbols:
                 raise GvcError("unknown symbol %r" % n)
-    groups = {}
-    for v in L.variables():
-        if v.symbol.name in names:
-            groups.setdefault((v.symbol.name, v.component), []).append(v)
+    groups = _group_vars(L)
     components = {}
     for name in sorted(names):
         sym = reg.symbols[name]
@@ -119,7 +89,6 @@ def variational_derivative(L, sym_name, comp=(), side="left"):
     ``side='right'`` uses right partial derivatives throughout, which is the
     orientation natural to right derivations acting on antifields.
     """
-    L = _coeff(L)
     reg = L.reg
     comp = tuple(comp)
     sym = reg.symbols.get(sym_name)
@@ -127,9 +96,7 @@ def variational_derivative(L, sym_name, comp=(), side="left"):
         raise GvcError("unknown symbol %r" % sym_name)
     comp, sign = sym.canonicalize(comp)
     acc = reg.zero
-    for v in L.variables():
-        if v.symbol.name != sym_name or v.component != comp:
-            continue
+    for v in _group_vars(L).get((sym_name, comp), ()):
         part = L.derivative(v, side)
         if part.is_zero():
             continue
@@ -311,13 +278,8 @@ def _group_vars(p):
 
 
 # ---------------------------------------------------------------------------
-# Lie derivatives and symmetry checks
+# Symmetry checks
 # ---------------------------------------------------------------------------
-
-def lie_derivative(u, L):
-    """The Lie derivative of a density along an evolutionary derivation."""
-    return Density(prolong_apply(u, _coeff(L)))
-
 
 def check_variational_symmetry(u, L):
     """True iff the Euler-Lagrange pairing of u with L is variationally trivial.
@@ -326,7 +288,6 @@ def check_variational_symmetry(u, L):
     derivation the mirrored pairing sum_A E^(right)_A * upsilon^A is used.
     Either way the result differs from the Lie derivative by an exact term.
     """
-    L = _coeff(L)
     pairing = L.reg.zero
     names = {name for (name, _comp) in u.components}
     if u.right:

@@ -8,6 +8,9 @@ so sharing is safe.
 import pytest
 from hypothesis import settings
 
+import gvc.brst
+import gvc.cli
+import gvc.noether
 from gvc.parser import parse_theory
 from gvc.theories import build_fixture, load_builtin
 
@@ -83,3 +86,19 @@ def all_pass(entries):
     for e in entries:
         assert e["status"] == "pass", e
     return entries
+
+
+def count_calls(monkeypatch, name):
+    """Record every call of ``name`` made through the gvc modules that hold
+    it (its own module and each that imports it); returns the call list."""
+    calls = []
+    for mod in (gvc.noether, gvc.brst, gvc.cli):
+        fn = getattr(mod, name, None)
+        if fn is None:
+            continue
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls

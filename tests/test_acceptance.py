@@ -2,10 +2,10 @@
 
 Every identity below is decided by exact rational arithmetic -- "pass" means
 the residual is literally the zero polynomial, never a numerical tolerance.
-Each test finishes by asserting its wall-time budget, so a slow regression
-fails on the same line a wrong answer would.  Theories are built through a
-module-local cache: the first criterion that needs a fixture pays for
-parsing it inside its own timed window.
+Criteria 1-7 finish by asserting a wall-time budget, so a slow regression
+fails on the same line a wrong answer would; criteria 8 and 9 assert none.
+Theories are built through a module-local cache: the first criterion that
+needs a fixture pays for parsing it inside its own timed window.
 """
 import random
 import time

@@ -2,13 +2,15 @@
 import hashlib
 import json
 import re
+import threading
 
 import pytest
 
 from gvc import cli
 from gvc.cli import (_parse_checks, _truncate_residual, apply_sign_mutation,
-                     build_report, mutation_sites, run)
-from conftest import cached
+                     build_report, mutation_sites, run, run_checks)
+from gvc.parser import MAX_NESTING
+from conftest import all_pass, cached, count_calls
 
 MINI = """\
 theory mini;
@@ -55,6 +57,57 @@ def test_exit_two_on_parse_error(tmp_path, capsys):
     assert run(["verify", "--theory", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error: theory must declare a Lagrangian" in err
+
+
+def test_exit_two_on_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.gvc"
+    path.write_bytes(b"# \xff\xfe\n" + MINI.encode())
+    assert run(["verify", "--theory", str(path), "--check", "ni"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read theory file: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("opener,closer",
+                         [("(", ")"), ("-", ""), ("sum(i:1){", "}")])
+def test_expression_nesting_is_bounded(tmp_path, capsys, opener, closer):
+    path = tmp_path / "deep.gvc"
+
+    def verify(depth):
+        path.write_text("dim 1;\nfield s even;\nL = %ss%s;\n"
+                        % (opener * depth, closer * depth))
+        return run(["verify", "--theory", str(path), "--check", "ni"])
+
+    assert verify(MAX_NESTING) == 0
+    capsys.readouterr()
+    assert verify(3000) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nested deeper than %d levels "
+                          "(line 3, column " % MAX_NESTING)
+
+
+def test_checks_run_on_the_calling_thread(monkeypatch):
+    seen = {}
+    for name, runner in cli._RUNNERS.items():
+        def spy(theory, _name=name, _runner=runner):
+            seen[_name] = threading.get_ident()
+            return _runner(theory)
+        monkeypatch.setitem(cli._RUNNERS, name, spy)
+    run_checks(cached("ym4"), list(cli.CHECK_NAMES))
+    assert seen == dict.fromkeys(cli.CHECK_NAMES, threading.get_ident())
+
+
+def test_gauge_check_builds_the_gauge_operator_once(monkeypatch):
+    builds = count_calls(monkeypatch, "gauge_from_ni")
+    all_pass(run_checks(cached("bf4"), ["gauge"]))
+    assert len(builds) == 1  # shared by the stage-0 and stage-1 conditions
+
+
+def test_stages_check_builds_kt_only_for_certificates(monkeypatch):
+    builds = count_calls(monkeypatch, "assemble_kt")
+    all_pass(run_checks(cached("bf4"), ["stages"]))
+    assert builds == []  # no bf4 stage record carries an h certificate
+    all_pass(run_checks(cached("toy"), ["stages"]))
+    assert len(builds) == 1
 
 
 def _json_report(capsys, argv):

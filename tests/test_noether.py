@@ -20,7 +20,7 @@ from gvc.noether import (
 )
 from gvc.parser import TheorySpec, parse_theory
 from gvc.variational import check_variational_symmetry, euler_lagrange
-from conftest import TOY_TEXT, all_pass, cached
+from conftest import TOY_TEXT, all_pass, cached, count_calls
 
 
 def rebuilt(th, **over):
@@ -133,7 +133,7 @@ def test_stage_row_must_target_a_previous_record(toy):
 
 def test_extended_lagrangian_structure(toy):
     Le = extended_lagrangian(toy)
-    extra = Le.coeff - toy.lagrangian
+    extra = Le - toy.lagrangian
     assert sorted(extra.ghost_degree_parts()) == [1]
     assert extra.num_terms() == 11
     kt = assemble_kt(toy)
@@ -151,10 +151,11 @@ def _su2_eps():
             (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
 
-def test_curvature_records_are_kt_boundaries(cs3):
+def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
     """The translation identities rewritten through the curvature are trivial:
     a quadratic antifield witness H with Delta = delta_KT(H) exists."""
     reg = cs3.registry
+    builds = count_calls(monkeypatch, "assemble_kt")
 
     def a(r, lam, *jets):
         return reg.var("a", (r, lam), jets)
@@ -173,8 +174,11 @@ def test_curvature_records_are_kt_boundaries(cs3):
                 rows[("a", (r, lam), ())] = curv(r, lam, mu)
         rec = NoetherRecord("cv", (mu,), rows)
         assert rec.residual(euler_lagrange(cs3.lagrangian)).is_zero()
+        del builds[:]
         H = solve_trivial_witness(cs3, rec)
         assert H is not None
+        # the witness is checked against the delta_KT that found it
+        assert len(builds) == 1
         assert check_ni_trivial(cs3, rec, H)
         assert H.antifield_number() == 2
 

@@ -15,7 +15,6 @@ from gvc.variational import (
     eta_pairing,
     euler_lagrange,
     is_total_divergence,
-    lie_derivative,
     variational_derivative,
 )
 
@@ -153,12 +152,6 @@ def test_scaling_is_not_a_symmetry_of_the_free_density():
     L = sj(0) * sj(0)
     u = EvolutionaryDerivation(REG, {("s", ()): S})
     assert not check_variational_symmetry(u, L)
-
-
-def test_lie_derivative_wraps_prolongation():
-    L = S * S
-    u = EvolutionaryDerivation(REG, {("s", ()): sj(1)})
-    assert lie_derivative(u, L).coeff == prolong_apply(u, L)
 
 
 def _rand_poly(rng):
