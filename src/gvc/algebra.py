@@ -16,6 +16,7 @@ otherwise.  No floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = [
     "GvcError",
@@ -537,47 +538,66 @@ class GradedPoly:
 
     # -- derivatives ---------------------------------------------------------
 
-    def derivative(self, var, side="left"):
-        """Graded partial derivative with respect to a single jet variable.
+    def partials(self, side="left", only=None):
+        """Yield ``(var, dp/dvar)`` for every jet variable ``var`` of p.
 
         ``side='left'`` differentiates acting from the left, ``side='right'``
         from the right; for odd variables the two differ by the sign
-        (-1)^([v]([p]+[v])) on parity-homogeneous input.
+        (-1)^([v]([p]+[v])) on parity-homogeneous input.  ``only``, when
+        given, is a container of (symbol name, component) keys; variables of
+        other components are skipped.
+
+        One pass indexes the monomials containing each variable.  The
+        partials then come out one at a time, built only when the generator
+        reaches them, in increasing global variable order (``var.key``), so
+        all jets of one symbol component arrive together.  That order is
+        load-bearing: callers fold each partial (or each component's group of
+        partials) into their result and drop it before the next is built,
+        whereas building them all at once, or yielding them unordered so that
+        a caller must collect them before grouping, keeps every partial alive
+        together and multiplies peak memory.
+        Removing one factor of ``var`` maps distinct monomials to distinct
+        monomials, so no coefficient cancels and every partial is nonzero.
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        out = {}
-        if var.parity == 0:
-            for (evens, odds), c in self.terms.items():
-                for i, (v, e) in enumerate(evens):
-                    if v is var:
-                        if e == 1:
-                            new = evens[:i] + evens[i + 1:]
-                        else:
-                            new = evens[:i] + ((v, e - 1),) + evens[i + 1:]
-                        key = (new, odds)
-                        s = out.get(key, 0) + c * e
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
-                        break
-            return GradedPoly(self.reg, out)
-        for (evens, odds), c in self.terms.items():
-            for i, v in enumerate(odds):
-                if v is var:
-                    if side == "left":
-                        sign = -1 if i & 1 else 1
+        where = {}
+        for key in self.terms:
+            evens, odds = key
+            for v, _ in evens:
+                where.setdefault(v, []).append(key)
+            for v in odds:
+                where.setdefault(v, []).append(key)
+        terms = self.terms
+        right = side == "right"
+        for var in sorted(where, key=attrgetter("key")):
+            if only is not None and (var.symbol.name, var.component) not in only:
+                continue
+            out = {}
+            if var.parity:
+                for key in where[var]:
+                    evens, odds = key
+                    i = odds.index(var)
+                    c = terms[key]
+                    flip = len(odds) - 1 - i if right else i
+                    out[(evens, odds[:i] + odds[i + 1:])] = -c if flip & 1 else c
+            else:
+                for key in where[var]:
+                    evens, odds = key
+                    for i, (v, e) in enumerate(evens):
+                        if v is var:
+                            break
+                    if e == 1:
+                        new = evens[:i] + evens[i + 1:]
                     else:
-                        sign = -1 if (len(odds) - 1 - i) & 1 else 1
-                    key = (evens, odds[:i] + odds[i + 1:])
-                    s = out.get(key, 0) + c * sign
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-                    break
-        return GradedPoly(self.reg, out)
+                        new = evens[:i] + ((var, e - 1),) + evens[i + 1:]
+                    out[(new, odds)] = terms[key] * e
+            yield var, GradedPoly(self.reg, out)
+
+    def derivative(self, var, side="left"):
+        """The graded partial derivative by one jet variable; zero if absent."""
+        parts = self.partials(side, {(var.symbol.name, var.component)})
+        return next((d for v, d in parts if v is var), self.reg.zero)
 
     # -- printing ------------------------------------------------------------
 
@@ -630,21 +650,30 @@ class Registry:
     """
 
     DEFAULT_JET_ORDER = 4
+    MAX_JET_ORDER = 16
 
     def __init__(self, dim, jet_order=None):
         dim = int(dim)
         if not 1 <= dim <= 8:
             raise ValueError("spacetime dimension must be between 1 and 8")
         self.dim = dim
-        self.jet_order = Registry.DEFAULT_JET_ORDER if jet_order is None else int(jet_order)
-        if self.jet_order < 1:
-            raise ValueError("jet-order cap must be at least 1")
+        self.jet_order = Registry.checked_jet_order(
+            Registry.DEFAULT_JET_ORDER if jet_order is None else jet_order)
         self.symbols = {}
         self.tables = {}
         self.frozen = False
         self._vars = {}
         self.zero = GradedPoly(self, {})
         self.one = GradedPoly.constant(self, 1)
+
+    @staticmethod
+    def checked_jet_order(cap):
+        """The jet-order cap as an int; ValueError outside 1..MAX_JET_ORDER."""
+        cap = int(cap)
+        if not 1 <= cap <= Registry.MAX_JET_ORDER:
+            raise ValueError("jet-order cap must be between 1 and %d, got %d"
+                             % (Registry.MAX_JET_ORDER, cap))
+        return cap
 
     # -- declaration ---------------------------------------------------------
 

@@ -15,7 +15,7 @@ structure function is at fault.
 from __future__ import annotations
 
 from .algebra import KIND_ANTIFIELD, KIND_GHOST, GvcError
-from .jets import EvolutionaryDerivation, prolong_apply
+from .jets import EvolutionaryDerivation, nilpotency_residuals, prolong_apply
 from .noether import assemble_kt, comp_label, _el, _entry
 from .variational import check_variational_symmetry, eta, variational_derivative
 
@@ -34,14 +34,6 @@ class GaugeOperator:
     def total(self):
         """The ascent operator: the sum of all stages."""
         out = self.stages[0]
-        for u in self.stages[1:]:
-            out = out + u
-        return out
-
-    def higher(self):
-        """u^(1) + u^(2) + ...; the zero derivation when irreducible."""
-        reg = self.stages[0].reg
-        out = EvolutionaryDerivation(reg, {})
         for u in self.stages[1:]:
             out = out + u
         return out
@@ -165,27 +157,17 @@ class BRSTCandidate:
 
 def check_brst_nilpotent(candidate):
     """Apply b to each component of b; bucket any residual by ghost degree."""
-    b = candidate.operator()
     entries = []
-    ok = True
-    for (name, comp), ups in sorted(b.components.items()):
-        res = prolong_apply(b, ups)
-        if res.is_zero():
-            continue
-        ok = False
-        parts = res.ghost_degree_parts()
-        degrees = ",".join(str(d) for d in parts)
+    for (name, comp), res in nilpotency_residuals(candidate.operator()).items():
+        degrees = ",".join(str(d) for d in res.ghost_degree_parts())
         entries.append(_entry("brst", comp_label(name, comp), "fail", res,
                               note="failing ghost degrees: %s" % degrees))
-    if ok:
-        entries.append(_entry("brst", "b", "pass"))
-    return entries
+    return entries or [_entry("brst", "b", "pass")]
 
 
 def jacobi_check(gamma1):
     """True iff gamma^(1) applied to its own components vanishes."""
-    return all(prolong_apply(gamma1, ups).is_zero()
-               for ups in gamma1.components.values())
+    return not nilpotency_residuals(gamma1)
 
 
 def brst_candidate(theory):

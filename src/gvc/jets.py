@@ -218,16 +218,11 @@ def prolong_apply(u, p):
     coefficient on the right of the right derivative instead.
     """
     out = p.reg.zero
-    for v in p.variables():
-        if (v.symbol.name, v.component) not in u.components:
-            continue
+    for v, part in p.partials("right" if u.right else "left", u.components):
         coef = u.coefficient(v)
         if coef.is_zero():
             continue
-        if u.right:
-            out = out + p.derivative(v, "right") * coef
-        else:
-            out = out + coef * p.derivative(v, "left")
+        out = out + (part * coef if u.right else coef * part)
     return out
 
 

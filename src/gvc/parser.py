@@ -469,7 +469,7 @@ class _TheoryBuilder:
             self.p.expect(";")
             cap = self.jet_order
             if cap is None:
-                cap = 4 if self.default_jet_order is None else self.default_jet_order
+                cap = self.default_jet_order
             try:
                 self.reg = Registry(dim=dim, jet_order=cap)
             except (GvcError, ValueError) as exc:
@@ -478,8 +478,10 @@ class _TheoryBuilder:
             self.need_reg(tok)
             cap = self.p.expect("INT")[1]
             self.p.expect(";")
-            if cap < 1:
-                raise ParseError("jet_order must be positive", tok[2], tok[3])
+            try:
+                cap = Registry.checked_jet_order(cap)
+            except ValueError as exc:
+                raise ParseError(str(exc), tok[2], tok[3])
             if self.jet_order is None:  # an explicit override wins over the file
                 self.reg.jet_order = cap
         elif word == "table":

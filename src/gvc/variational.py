@@ -11,6 +11,7 @@ divergence test.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 
 from gvc.algebra import GvcError
@@ -37,10 +38,7 @@ class EulerLagrangeResult:
         self.components = components
 
     def get(self, sym_name, comp=()):
-        for (n, c), val in self.components.items():
-            if n == sym_name and c == tuple(comp):
-                return val
-        raise KeyError((sym_name, tuple(comp)))
+        return self.components[(sym_name, tuple(comp))]
 
     def is_zero(self):
         return all(v.is_zero() for v in self.components.values())
@@ -52,12 +50,14 @@ class EulerLagrangeResult:
         return sorted(self.components.items())
 
 
-def euler_lagrange(L, wrt=None):
+def euler_lagrange(L, wrt=None, side="left"):
     """E_A = sum over Lambda of (-1)^{|Lambda|} d_Lambda(dL/ds^A_Lambda).
 
     ``wrt`` may be a set of symbol names; by default every declared symbol
     (fields, ghosts, antifields) gets a component in the result, so that
-    variational triviality can be decided from one call.
+    variational triviality can be decided from one call.  ``side='right'``
+    uses right partial derivatives throughout, which is the orientation
+    natural to right derivations acting on antifields.
     """
     reg = L.reg
     if wrt is None:
@@ -67,42 +67,28 @@ def euler_lagrange(L, wrt=None):
         for n in names:
             if n not in reg.symbols:
                 raise GvcError("unknown symbol %r" % n)
-    groups = _group_vars(L)
-    components = {}
-    for name in sorted(names):
-        sym = reg.symbols[name]
-        for comp in sym.components():
-            acc = reg.zero
-            for v in groups.get((name, comp), ()):
-                part = L.derivative(v, "left")
-                if part.is_zero():
-                    continue
-                term = iterated_derivative(part, v.index)
-                acc = acc - term if len(v.index) & 1 else acc + term
-            components[(name, comp)] = acc
+    components = {(name, comp): reg.zero for name in sorted(names)
+                  for comp in reg.symbols[name].components()}
+    for v, part in L.partials(side, components):
+        key = (v.symbol.name, v.component)
+        term = iterated_derivative(part, v.index)
+        if len(v.index) & 1:
+            components[key] = components[key] - term
+        else:
+            components[key] = components[key] + term
     return EulerLagrangeResult(components)
 
 
 def variational_derivative(L, sym_name, comp=(), side="left"):
-    """The single variational derivative of L with respect to one component.
-
-    ``side='right'`` uses right partial derivatives throughout, which is the
-    orientation natural to right derivations acting on antifields.
-    """
-    reg = L.reg
-    comp = tuple(comp)
-    sym = reg.symbols.get(sym_name)
+    """The single variational derivative of L with respect to one component."""
+    sym = L.reg.symbols.get(sym_name)
     if sym is None:
         raise GvcError("unknown symbol %r" % sym_name)
     comp, sign = sym.canonicalize(comp)
-    acc = reg.zero
-    for v in _group_vars(L).get((sym_name, comp), ()):
-        part = L.derivative(v, side)
-        if part.is_zero():
-            continue
-        term = iterated_derivative(part, v.index)
-        acc = acc - term if len(v.index) & 1 else acc + term
-    return acc if sign == 1 else acc.scale(sign)
+    if sign == 0:
+        return L.reg.zero
+    e = euler_lagrange(L, {sym_name}, side).get(sym_name, comp)
+    return e if sign == 1 else e.scale(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +231,8 @@ def is_total_divergence(p, witness=False):
         for d, q in p.degree_parts().items():
             if d == 0:
                 continue
-            for (name, comp), group in _group_vars(q).items():
-                f = {}
-                for v in group:
-                    part = q.derivative(v, "right")
-                    if not part.is_zero():
-                        f[v.index] = part
+            for (name, comp), group in groupby(q.partials("right"), _component):
+                f = {v.index: part for v, part in group}
                 ef = eta(f, reg.dim)
                 base = reg.var(name, comp)
                 for index, coeff in ef.items():
@@ -270,11 +252,9 @@ def is_total_divergence(p, witness=False):
     return DivergenceTest(trivial, constant, sigma, el)
 
 
-def _group_vars(p):
-    groups = {}
-    for v in p.variables():
-        groups.setdefault((v.symbol.name, v.component), []).append(v)
-    return groups
+def _component(var_part):
+    v = var_part[0]
+    return v.symbol.name, v.component
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +268,11 @@ def check_variational_symmetry(u, L):
     derivation the mirrored pairing sum_A E^(right)_A * upsilon^A is used.
     Either way the result differs from the Lie derivative by an exact term.
     """
-    pairing = L.reg.zero
     names = {name for (name, _comp) in u.components}
-    if u.right:
-        for (name, comp), ups in sorted(u.components.items()):
-            e = variational_derivative(L, name, comp, side="right")
-            if not e.is_zero():
-                pairing = pairing + e * ups
-    else:
-        el = euler_lagrange(L, wrt=names)
-        for (name, comp), ups in sorted(u.components.items()):
-            e = el.components.get((name, comp), L.reg.zero)
-            if not e.is_zero():
-                pairing = pairing + ups * e
+    el = euler_lagrange(L, names, "right" if u.right else "left")
+    pairing = L.reg.zero
+    for (name, comp), ups in sorted(u.components.items()):
+        e = el.get(name, comp)
+        if not e.is_zero():
+            pairing = pairing + (e * ups if u.right else ups * e)
     return is_total_divergence(pairing)

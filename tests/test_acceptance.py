@@ -2,8 +2,8 @@
 
 Every identity below is decided by exact rational arithmetic -- "pass" means
 the residual is literally the zero polynomial, never a numerical tolerance.
-Criteria 1-7 finish by asserting a wall-time budget, so a slow regression
-fails on the same line a wrong answer would; criteria 8 and 9 assert none.
+Every criterion finishes by asserting a wall-time budget, so a slow
+regression fails on the same line a wrong answer would.
 Theories are built through a module-local cache: the first criterion that
 needs a fixture pays for parsing it inside its own timed window.
 """
@@ -354,6 +354,7 @@ def _routes(theory):
 
 
 def test_criterion_8_bookkeeping_routes_agree():
+    t0 = time.perf_counter()
     for name in FIXTURES:
         kt, direct = _routes(fix(name))
         assert kt and direct, name
@@ -384,6 +385,7 @@ def test_criterion_8_bookkeeping_routes_agree():
              for e in check_brst_nilpotent(brst_candidate(toy))
              if e["status"] == "fail"}
     assert fails == {"y[]", "z[]"}
+    _budget(t0, 150, "criterion 8")
 
 
 def _catcher(label):
@@ -419,6 +421,7 @@ def _pick_sites(sites, minimum=5):
 
 
 def test_criterion_9_every_sign_mutation_is_caught():
+    t0 = time.perf_counter()
     for name in ("bf", "bf4", "ym4", "ym4_super", "cs3"):
         th = fix(name)
         _el(th)  # mutants that keep the Lagrangian inherit this cache
@@ -443,3 +446,4 @@ def test_criterion_9_every_sign_mutation_is_caught():
     for label, build, checks in narrowed:
         entries = run_checks(build(), checks)
         assert any(e["status"] == "fail" for e in entries), label
+    _budget(t0, 240, "criterion 9")

@@ -122,6 +122,9 @@ def test_registry_dimension_and_cap_guards():
         Registry(9)
     with pytest.raises(ValueError):
         Registry(1, jet_order=0)
+    with pytest.raises(ValueError, match="between 1 and 16"):
+        Registry(1, jet_order=Registry.MAX_JET_ORDER + 1)
+    assert Registry(1, jet_order=Registry.MAX_JET_ORDER).jet_order == 16
 
 
 def test_jet_order_cap_error():
@@ -271,3 +274,51 @@ def test_negation_and_scaling(p):
     assert -(-p) == p
     assert p.scale(Fraction(1, 2)).scale(2) == p
     assert p + (-p) == REG.zero
+
+
+# -- partial derivatives -------------------------------------------------------
+
+def _var_poly(v):
+    return REG.var(v.symbol.name, v.component, v.index)
+
+
+@given(polys())
+def test_partials_satisfy_the_graded_euler_identity(p):
+    # on each homogeneous part, sum_v v * dL/dv = deg * q = sum_v dR/dv * v
+    for d, q in p.degree_parts().items():
+        left = sum((_var_poly(v) * part for v, part in q.partials("left")),
+                   REG.zero)
+        right = sum((part * _var_poly(v) for v, part in q.partials("right")),
+                    REG.zero)
+        assert left == q.scale(d)
+        assert right == q.scale(d)
+
+
+@given(polys(), st.sampled_from([0, 1]))
+def test_partials_obey_the_chain_rule_of_total_derivatives(p, lam):
+    from gvc.jets import total_derivative
+    chain = REG.zero
+    for v, part in p.partials("left"):
+        chain = chain + REG.var(v.symbol.name, v.component,
+                                v.index + (lam,)) * part
+    assert chain == total_derivative(p, lam)
+
+
+@given(polys(), st.sampled_from(["left", "right"]))
+def test_partials_are_ordered_and_agree_with_derivative(p, side):
+    pairs = list(p.partials(side))
+    assert [v.key for v, _ in pairs] == sorted(v.key for v in p.variables())
+    for v, part in pairs:
+        assert not part.is_zero()
+        assert p.derivative(v, side) == part
+    absent, _ = REG.jet_var("s", (), (1, 1))
+    assert p.derivative(absent, side).is_zero()
+
+
+def test_partials_skip_components_outside_only():
+    p = S * T0 + T * T1 + REG.var("B", (0, 1))
+    keys = [(v.symbol.name, v.component)
+            for v, _ in p.partials("left", {("t", ())})]
+    assert keys == [("t", ()), ("t", ()), ("t", ())]
+    with pytest.raises(ValueError, match="side"):
+        next(p.partials("middle"))

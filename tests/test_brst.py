@@ -45,7 +45,7 @@ def test_bf4_reducible_tower(bf4):
             assert bf4.gauge_candidate[("B", (nu, rho))] == want
     for rho in range(4):
         assert g.stages[1].components[("x", (rho,))] == reg.var("xi", (), (rho,))
-    assert not g.higher().is_zero()
+    assert any(not u.is_zero() for u in g.stages[1:])
     all_pass(check_gauge_symmetry(bf4, 0))
     all_pass(check_gauge_symmetry(bf4, 1))  # closes off shell, no alpha needed
     all_pass(check_gauge_symmetry(bf4, 2))  # vacuous

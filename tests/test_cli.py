@@ -136,6 +136,24 @@ def test_bad_env_var_is_reported(capsys, monkeypatch):
     assert "error: GVC_JET_ORDER must be an integer, got 'ten'" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "17", "99999999999999999999"])
+def test_out_of_range_jet_order_exits_2(tmp_path, capsys, monkeypatch, cap):
+    path = tmp_path / "mini.gvc"
+    path.write_text(MINI)
+    capped = tmp_path / "capped.gvc"
+    capped.write_text(MINI.replace("dim 1;\n", "dim 1;\njet_order %s;\n" % cap))
+    argv = ["verify", "--theory", str(path), "--check", "ni"]
+    # the file statement, the flag and the environment each reject it
+    assert run(["verify", "--theory", str(capped), "--check", "ni"]) == 2
+    assert run(argv + ["--jet-order", cap]) == 2
+    monkeypatch.setenv("GVC_JET_ORDER", cap)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 3
+    assert err.count("jet-order cap must be between 1 and 16") == 3
+    assert "Traceback" not in err
+
+
 def test_json_report_shape_and_entry_order(capsys):
     code, rep = _json_report(capsys, ["verify", "--builtin", "bf"])
     assert code == 0
