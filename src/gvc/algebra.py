@@ -193,10 +193,12 @@ class JetVariable:
 
     Instances are unique per registry, so identity comparison is safe.  ``key``
     is the global-order sort key used for canonical monomial form and for the
-    Koszul sign of every odd reordering.
+    Koszul sign of every odd reordering.  ``succ`` memoizes the successors
+    ``s^A_{Lambda lam}`` by direction ``lam`` (see ``jets.total_derivative``).
     """
 
-    __slots__ = ("symbol", "component", "index", "parity", "key", "order")
+    __slots__ = ("symbol", "component", "index", "parity", "key", "order",
+                 "succ")
 
     def __init__(self, symbol, component, index):
         self.symbol = symbol
@@ -205,6 +207,9 @@ class JetVariable:
         self.parity = symbol.parity(component)
         self.order = len(index)
         self.key = (symbol.kind, symbol.name, component, index)
+        # direction -> the interned d_direction of this variable, filled by
+        # total_derivative on first use
+        self.succ = {}
 
     def __repr__(self):
         return self.name()
@@ -321,14 +326,17 @@ def _merge_odd(o1, o2):
     return tuple(out), sign
 
 
-def _mul_terms(t1, t2):
-    """Multiply two term dicts {(evens, odds): coeff}."""
+def _mul_terms(t1, t2, out=None):
+    """Multiply two term dicts {(evens, odds): coeff}, adding the product
+    into ``out`` in place (a fresh dict when None); returns ``out``."""
+    if out is None:
+        out = {}
     if len(t1) > len(t2):
         t1, t2 = t2, t1
         swapped = True
     else:
         swapped = False
-    out = {}
+    get = out.get
     for (e1, o1), c1 in t1.items():
         for (e2, o2), c2 in t2.items():
             if swapped:
@@ -338,9 +346,34 @@ def _mul_terms(t1, t2):
             if sign == 0:
                 continue
             key = (_merge_even(e1, e2), odds)
-            c = out.get(key, 0) + sign * c1 * c2
+            c = get(key, 0) + sign * c1 * c2
             if c:
                 out[key] = c
+            else:
+                del out[key]
+    return out
+
+
+def _add_into(out, terms, neg=False):
+    """Add the term dict ``terms`` into ``out`` in place (subtract when
+    ``neg``); returns ``out``.
+
+    ``out`` must be a dict the caller owns: a fresh ``{}`` or a copy, never
+    the ``terms`` of a live polynomial such as ``Registry.zero``.
+    """
+    get = out.get
+    if neg:
+        for key, c in terms.items():
+            s = get(key, 0) - c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    else:
+        for key, c in terms.items():
+            s = get(key, 0) + c
+            if s:
+                out[key] = s
             else:
                 del out[key]
     return out
@@ -380,27 +413,14 @@ class GradedPoly:
         other = self._coerce(other)
         if len(self.terms) < len(other.terms):
             self, other = other, self
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return GradedPoly(self.reg, out)
+        return GradedPoly(self.reg, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) - c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return GradedPoly(self.reg, out)
+        return GradedPoly(self.reg,
+                          _add_into(dict(self.terms), other.terms, True))
 
     def __rsub__(self, other):
         return self._coerce(other) - self

@@ -14,7 +14,8 @@ structure function is at fault.
 """
 from __future__ import annotations
 
-from .algebra import KIND_ANTIFIELD, KIND_GHOST, GvcError
+from .algebra import KIND_ANTIFIELD, KIND_GHOST, GradedPoly, GvcError, \
+    _mul_terms
 from .jets import EvolutionaryDerivation, nilpotency_residuals, prolong_apply
 from .noether import assemble_kt, comp_label, _el, _entry
 from .variational import check_variational_symmetry, eta, variational_derivative
@@ -46,12 +47,11 @@ def _components_from_records(reg, records, ghost_jets_of):
         for (name, comp, index), coeff in rec.rows.items():
             per.setdefault((name, comp), {})[index] = coeff
         for (name, comp), fmap in per.items():
-            lifted = eta(fmap, reg.dim)
-            acc = comps.get((name, comp), reg.zero)
-            for index, coeff in lifted.items():
-                acc = acc + reg.var(*ghost_jets_of(rec), index) * coeff
-            comps[(name, comp)] = acc
-    return comps
+            acc = comps.setdefault((name, comp), {})
+            for index, coeff in eta(fmap, reg.dim).items():
+                _mul_terms(reg.var(*ghost_jets_of(rec), index).terms,
+                           coeff.terms, acc)
+    return {key: GradedPoly(reg, terms) for key, terms in comps.items()}
 
 
 def gauge_from_ni(theory):
@@ -201,9 +201,10 @@ def ghost_variation_residuals(theory):
     every stage-0 ghost component: zero exactly when the records hold."""
     u = gauge_from_ni(theory).stages[0]
     el = _el(theory)
-    pairing = theory.registry.zero
+    terms = {}
     for (name, comp), ups in u.components.items():
-        pairing = pairing + ups * el.get(name, comp)
+        _mul_terms(ups.terms, el.get(name, comp).terms, terms)
+    pairing = GradedPoly(theory.registry, terms)
     out = {}
     for rec in theory.records:
         res = variational_derivative(pairing, rec.ghost, rec.component)

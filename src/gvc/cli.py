@@ -24,7 +24,7 @@ import re
 import sys
 import time
 
-from .algebra import GradedPoly, GvcError
+from .algebra import GradedPoly, GvcError, Registry
 from .brst import brst_candidate, check_antibracket, check_brst_nilpotent, \
     check_gauge_symmetry, gauge_from_ni
 from .noether import NoetherRecord, StageRecord, check_extended, \
@@ -305,6 +305,17 @@ def _parse_checks(csv):
     return seen
 
 
+def _checked_cap(cap, source):
+    """A jet-order cap from the command line or the environment, validated
+    before parsing so that an error names its source, not a file position."""
+    if cap is None:
+        return None
+    try:
+        return Registry.checked_jet_order(cap)
+    except ValueError as exc:
+        raise GvcError("%s: %s" % (source, exc))
+
+
 def _load_theory(args):
     env = os.environ.get("GVC_JET_ORDER")
     default_jo = None
@@ -313,13 +324,15 @@ def _load_theory(args):
             default_jo = int(env)
         except ValueError:
             raise GvcError("GVC_JET_ORDER must be an integer, got %r" % env)
+    jet_order = _checked_cap(args.jet_order, "--jet-order")
+    default_jo = _checked_cap(default_jo, "GVC_JET_ORDER")
     path = theories.builtin_path(args.builtin) if args.builtin else args.theory
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GvcError("cannot read theory file: %s" % exc)
-    return parse_theory(text, jet_order=args.jet_order,
+    return parse_theory(text, jet_order=jet_order,
                         default_jet_order=default_jo)
 
 
@@ -327,6 +340,9 @@ def run(argv):
     """Parse arguments, verify, write the report; returns the exit code."""
     args = build_arg_parser().parse_args(argv)
     try:
+        if args.max_residual_terms < 1:
+            raise GvcError("--max-residual-terms must be at least 1, got %d"
+                           % args.max_residual_terms)
         selected = _parse_checks(args.check)
         theory = _load_theory(args)
         mutation = "none"
@@ -341,8 +357,12 @@ def run(argv):
     text = render_text(report) if args.format == "text" else \
         render_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: cannot write report: %s" % exc, file=sys.stderr)
+            return 2
         print("wrote %s (overall: %s)" % (args.out, report["overall"]))
     else:
         sys.stdout.write(text)

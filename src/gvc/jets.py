@@ -19,6 +19,7 @@ from gvc.algebra import (
     GradedPoly,
     GradingError,
     GvcError,
+    _mul_terms,
 )
 
 __all__ = [
@@ -41,7 +42,7 @@ def total_derivative(p, lam):
     out = {}
     for (evens, odds), c in p.terms.items():
         for i, (v, e) in enumerate(evens):
-            dv, _ = reg.jet_var(v.symbol, v.component, v.index + (lam,))
+            dv = v.succ.get(lam) or _successor(reg, v, lam)
             if e == 1:
                 rest = evens[:i] + evens[i + 1:]
             else:
@@ -56,7 +57,7 @@ def total_derivative(p, lam):
                 del out[key]
         n = len(odds)
         for i, v in enumerate(odds):
-            dv, _ = reg.jet_var(v.symbol, v.component, v.index + (lam,))
+            dv = v.succ.get(lam) or _successor(reg, v, lam)
             rest = odds[:i] + odds[i + 1:]
             # dv replaces v in place; moving it to the end costs (n-1-i) swaps,
             # after which sorting it back in is a standard merge.
@@ -72,6 +73,18 @@ def total_derivative(p, lam):
             else:
                 del out[key]
     return GradedPoly(reg, out)
+
+
+def _successor(reg, v, lam):
+    """Intern d_lam(v) and memoize it in ``v.succ``.
+
+    Canonicalization, sorting and the bounds and cap checks of
+    ``Registry.jet_var`` thus run once per (variable, direction).  A cap
+    overflow raises before anything is stored, so it raises on every call.
+    """
+    dv, _ = reg.jet_var(v.symbol, v.component, v.index + (lam,))
+    v.succ[lam] = dv
+    return dv
 
 
 def _insert_even(evens, v):
@@ -215,15 +228,17 @@ def prolong_apply(u, p):
 
     Left derivations: sum over jet variables v = s^A_Lambda of
     d_Lambda(upsilon^A) * left_derivative(p, v).  Right derivations put the
-    coefficient on the right of the right derivative instead.
+    coefficient on the right of the right derivative instead.  Every product
+    is accumulated in place into one fresh dict.
     """
-    out = p.reg.zero
+    out = {}
     for v, part in p.partials("right" if u.right else "left", u.components):
         coef = u.coefficient(v)
-        if coef.is_zero():
-            continue
-        out = out + (part * coef if u.right else coef * part)
-    return out
+        if u.right:
+            _mul_terms(part.terms, coef.terms, out)
+        else:
+            _mul_terms(coef.terms, part.terms, out)
+    return GradedPoly(p.reg, out)
 
 
 def commutator(u, v):

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import KIND_ANTIFIELD, KIND_FIELD, GvcError
+from .algebra import (KIND_ANTIFIELD, KIND_FIELD, GradedPoly, GvcError,
+                      _add_into, _mul_terms)
 from .jets import (EvolutionaryDerivation, iterated_derivative,
                    nilpotency_residuals, prolong_apply)
 from .variational import check_variational_symmetry, euler_lagrange
@@ -28,10 +29,10 @@ def comp_label(name, comp):
 def delta_from_rows(reg, rows):
     """sum rows[(A, comp, Lambda)] * s_bar^A_{comp, Lambda}: the antifield
     polynomial that a record's coefficient rows stand for."""
-    out = reg.zero
+    out = {}
     for (name, comp, index), coeff in sorted(rows.items()):
-        out = out + coeff * reg.var(name + "_bar", comp, index)
-    return out
+        _mul_terms(coeff.terms, reg.var(name + "_bar", comp, index).terms, out)
+    return GradedPoly(reg, out)
 
 
 class NoetherRecord:
@@ -53,11 +54,11 @@ class NoetherRecord:
 
     def residual(self, el):
         """sum rows * d_Lambda(E_A); zero exactly when the identity holds."""
-        out = None
+        out = {}
         for (name, comp, index), coeff in sorted(self.rows.items()):
-            term = coeff * iterated_derivative(el.get(name, comp), index)
-            out = term if out is None else out + term
-        return out
+            _mul_terms(coeff.terms,
+                       iterated_derivative(el.get(name, comp), index).terms, out)
+        return GradedPoly(el.reg, out)
 
 
 class StageRecord:
@@ -89,7 +90,7 @@ class StageRecord:
 
     def lhs(self, reg, previous):
         """Rows contracted with total derivatives of previous Delta polynomials."""
-        out = reg.zero
+        out = {}
         for (name, comp, index), coeff in sorted(self.rows.items()):
             prev = previous.get((name, comp))
             if prev is None:
@@ -97,8 +98,8 @@ class StageRecord:
                     raise GvcError("unknown symbol %r" % name)
                 raise GvcError("stage %d row targets %s which has no stage-%d record"
                                % (self.stage, comp_label(name, comp), self.stage - 1))
-            out = out + coeff * iterated_derivative(prev, index)
-        return out
+            _mul_terms(coeff.terms, iterated_derivative(prev, index).terms, out)
+        return GradedPoly(reg, out)
 
 
 def _el(theory):
@@ -200,10 +201,11 @@ def extended_lagrangian(theory):
     """L_e = L + sum over all records of ghost * Delta (ghosts multiply from
     the left); the KT operator is a variational symmetry of L_e."""
     reg = theory.registry
-    L = theory.lagrangian
+    out = dict(theory.lagrangian.terms)
     for rec in _all_records(theory):
-        L = L + reg.var(rec.ghost, rec.component) * rec.delta_poly(reg)
-    return L
+        _mul_terms(reg.var(rec.ghost, rec.component).terms,
+                   rec.delta_poly(reg).terms, out)
+    return GradedPoly(reg, out)
 
 
 def check_extended(theory):
@@ -297,10 +299,11 @@ def solve_trivial_witness(theory, record):
     coeffs = _solve_exact(images, target)
     if coeffs is None:
         return None
-    H = reg.zero
+    terms = {}
     for c, m in zip(coeffs, monomials):
         if c:
-            H = H + m.scale(c)
+            _add_into(terms, m.scale(c).terms)
+    H = GradedPoly(reg, terms)
     assert prolong_apply(kt, H) == target
     return H
 

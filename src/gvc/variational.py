@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import comb
 
-from gvc.algebra import GvcError
+from gvc.algebra import GradedPoly, GvcError, _add_into, _mul_terms
 from gvc.jets import iterated_derivative, total_derivative
 
 __all__ = [
@@ -32,9 +32,10 @@ __all__ = [
 class EulerLagrangeResult:
     """Euler-Lagrange derivatives per symbol component."""
 
-    __slots__ = ("components",)
+    __slots__ = ("reg", "components")
 
-    def __init__(self, components):
+    def __init__(self, reg, components):
+        self.reg = reg
         self.components = components
 
     def get(self, sym_name, comp=()):
@@ -67,16 +68,13 @@ def euler_lagrange(L, wrt=None, side="left"):
         for n in names:
             if n not in reg.symbols:
                 raise GvcError("unknown symbol %r" % n)
-    components = {(name, comp): reg.zero for name in sorted(names)
-                  for comp in reg.symbols[name].components()}
-    for v, part in L.partials(side, components):
-        key = (v.symbol.name, v.component)
-        term = iterated_derivative(part, v.index)
-        if len(v.index) & 1:
-            components[key] = components[key] - term
-        else:
-            components[key] = components[key] + term
-    return EulerLagrangeResult(components)
+    acc = {(name, comp): {} for name in sorted(names)
+           for comp in reg.symbols[name].components()}
+    for v, part in L.partials(side, acc):
+        _add_into(acc[(v.symbol.name, v.component)],
+                  iterated_derivative(part, v.index).terms, len(v.index) & 1)
+    return EulerLagrangeResult(
+        reg, {key: GradedPoly(reg, terms) for key, terms in acc.items()})
 
 
 def variational_derivative(L, sym_name, comp=(), side="left"):
@@ -129,8 +127,9 @@ def eta(f, dim=None):
     f = {tuple(sorted(k)): v for k, v in f.items() if not v.is_zero()}
     if not f:
         return {}
+    reg = next(iter(f.values())).reg
     if dim is None:
-        dim = next(iter(f.values())).reg.dim
+        dim = reg.dim
     counts = {k: _index_counts(k, dim) for k in f}
     out = {}
     # every output index is a sub-multiset of some input index
@@ -138,7 +137,7 @@ def eta(f, dim=None):
     for theta in counts.values():
         _submultisets(tuple(theta), candidates)
     for xi_counts in sorted(candidates):
-        acc = None
+        acc = {}
         for theta_key, theta in counts.items():
             if not _multiset_contains(theta, xi_counts):
                 continue
@@ -153,10 +152,9 @@ def eta(f, dim=None):
             term = iterated_derivative(f[theta_key], sigma)
             if len(theta_key) & 1:
                 weight = -weight
-            term = term.scale(weight)
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out[_counts_to_index(xi_counts)] = acc
+            _add_into(acc, term.scale(weight).terms)
+        if acc:
+            out[_counts_to_index(xi_counts)] = GradedPoly(reg, acc)
     return out
 
 
@@ -176,13 +174,10 @@ def _submultisets(counts, into):
 
 def eta_pairing(f, phi):
     """sum_Lambda f^Lambda * d_Lambda(phi), the pairing eta is adjoint for."""
-    acc = None
+    acc = {}
     for index, coeff in f.items():
-        term = coeff * iterated_derivative(phi, index)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return phi.reg.zero
-    return acc
+        _mul_terms(coeff.terms, iterated_derivative(phi, index).terms, acc)
+    return GradedPoly(phi.reg, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +222,7 @@ def is_total_divergence(p, witness=False):
     constant = p.constant_term()
     sigma = None
     if witness and trivial:
-        sigma = [reg.zero for _ in range(reg.dim)]
+        sigma = [{} for _ in range(reg.dim)]
         for d, q in p.degree_parts().items():
             if d == 0:
                 continue
@@ -241,14 +236,14 @@ def is_total_divergence(p, witness=False):
                     lam, rest = index[0], index[1:]
                     term = iterated_derivative(coeff * base, rest)
                     w = Fraction(1, d) if (len(index) & 1 == 0) else Fraction(-1, d)
-                    sigma[lam] = sigma[lam] + term.scale(w)
-        check = p - reg.const(constant)
+                    _add_into(sigma[lam], term.scale(w).terms)
+        sigma = tuple(GradedPoly(reg, terms) for terms in sigma)
+        check = (p - reg.const(constant)).terms
         for lam in range(reg.dim):
-            check = check - total_derivative(sigma[lam], lam)
-        if not check.is_zero():
+            _add_into(check, total_derivative(sigma[lam], lam).terms, True)
+        if check:
             raise GvcError(
                 "internal error: divergence witness failed to reconstruct input")
-        sigma = tuple(sigma)
     return DivergenceTest(trivial, constant, sigma, el)
 
 
@@ -270,9 +265,11 @@ def check_variational_symmetry(u, L):
     """
     names = {name for (name, _comp) in u.components}
     el = euler_lagrange(L, names, "right" if u.right else "left")
-    pairing = L.reg.zero
+    pairing = {}
     for (name, comp), ups in sorted(u.components.items()):
-        e = el.get(name, comp)
-        if not e.is_zero():
-            pairing = pairing + (e * ups if u.right else ups * e)
-    return is_total_divergence(pairing)
+        e = el.get(name, comp).terms
+        if u.right:
+            _mul_terms(e, ups.terms, pairing)
+        else:
+            _mul_terms(ups.terms, e, pairing)
+    return is_total_divergence(GradedPoly(L.reg, pairing))

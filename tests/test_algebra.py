@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from gvc.algebra import (
     GvcError,
+    GradedPoly,
     GradingError,
     JetOrderCapError,
     KIND_ANTIFIELD,
@@ -13,6 +14,7 @@ from gvc.algebra import (
     KIND_GHOST,
     Registry,
     SymbolDecl,
+    _mul_terms,
 )
 
 
@@ -274,6 +276,22 @@ def test_negation_and_scaling(p):
     assert -(-p) == p
     assert p.scale(Fraction(1, 2)).scale(2) == p
     assert p + (-p) == REG.zero
+
+
+@given(polys(), polys(), polys(), polys(), polys())
+def test_fused_multiply_accumulate_equals_the_sum_of_products(a, b, c, d, e):
+    operands = (a, b, c, d, e)
+    before = [dict(x.terms) for x in operands]
+    out = dict(e.terms)
+    assert _mul_terms(a.terms, b.terms, out) is out
+    _mul_terms(c.terms, d.terms, out)
+    assert GradedPoly(REG, out) == e + a * b + c * d
+    # the same products, negated, cancel in place and leave no zero entry
+    _mul_terms((-a).terms, b.terms, out)
+    _mul_terms(c.terms, (-d).terms, out)
+    assert out == e.terms
+    assert [x.terms for x in operands] == before
+    assert REG.zero.terms == {}
 
 
 # -- partial derivatives -------------------------------------------------------

@@ -148,10 +148,16 @@ def test_out_of_range_jet_order_exits_2(tmp_path, capsys, monkeypatch, cap):
     assert run(argv + ["--jet-order", cap]) == 2
     monkeypatch.setenv("GVC_JET_ORDER", cap)
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.count("error: ") == 3
-    assert err.count("jet-order cap must be between 1 and 16") == 3
-    assert "Traceback" not in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all("jet-order cap must be between 1 and 16" in e for e in err)
+    # the file statement keeps its position; the flag and the environment
+    # are named instead, with no position in a file that holds no bad value
+    assert err[0].startswith("error: ")
+    assert err[0].endswith("(line 3, column 1)")
+    assert err[1].startswith("error: --jet-order: ")
+    assert err[2].startswith("error: GVC_JET_ORDER: ")
+    assert "line" not in err[1] + err[2]
 
 
 def test_json_report_shape_and_entry_order(capsys):
@@ -173,6 +179,29 @@ def test_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == "wrote %s (overall: pass)\n" % dest
     rep = json.loads(dest.read_text())
     assert rep["overall"] == "pass"
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    dest = tmp_path / "missing" / "report.txt"
+    code = run(["verify", "--builtin", "bf", "--check", "ni",
+                "--out", str(dest)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report: ")
+    assert "Traceback" not in captured.err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_max_residual_terms_below_one_exits_2(capsys, limit):
+    code = run(["verify", "--builtin", "bf", "--mutate", "sign",
+                "--check", "ni", "--max-residual-terms", limit])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --max-residual-terms must be at least 1, got %s\n" % limit)
 
 
 def test_canonical_digest_is_reproducible():

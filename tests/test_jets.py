@@ -1,10 +1,15 @@
 """Total derivatives, prolongations, commutators, nilpotency residuals."""
+import gc
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gvc.algebra import GradingError, GvcError, JetOrderCapError, Registry
+from gvc.algebra import (GradedPoly, GradingError, GvcError, JetOrderCapError,
+                         JetVariable, Registry)
+from gvc.cli import CHECK_NAMES, build_report
+from gvc.theories import build_fixture, load_builtin
+from gvc.variational import euler_lagrange
 from gvc.jets import (
     EvolutionaryDerivation,
     check_odd_nilpotent,
@@ -76,11 +81,23 @@ def test_iterated_derivative_matches_composition():
 
 
 def test_derivative_beyond_cap_raises():
+    # on every call: a successor beyond the cap is never memoized
     reg = Registry(1, jet_order=1)
     reg.declare_field("s")
+    reg.declare_field("t", parities=1)
     reg.freeze()
-    with pytest.raises(JetOrderCapError):
-        total_derivative(reg.var("s", (), (0,)), 0)
+    for name in ("s", "t"):
+        base = reg.var(name)
+        top = total_derivative(base, 0)
+        (v,) = base.variables()
+        (dv,) = top.variables()
+        assert v.succ == {0: dv}
+        for _ in range(2):
+            with pytest.raises(JetOrderCapError):
+                total_derivative(top, 0)
+            with pytest.raises(JetOrderCapError):
+                total_derivative(base * top, 0)
+        assert dv.succ == {}
 
 
 def test_prolongation_reaches_jet_variables():
@@ -170,3 +187,115 @@ def test_leibniz_rule_randomized(lam, mu, seed):
     assert d == total_derivative(p, lam) * q + p * total_derivative(q, lam)
     dd = iterated_derivative(p, (lam, mu))
     assert dd == iterated_derivative(p, (mu, lam))
+
+
+# -- the successor memo --------------------------------------------------------
+
+def make_family_registry():
+    """Even and odd families, plain, symmetric and antisymmetric."""
+    reg = Registry(2, jet_order=3)
+    reg.declare_field("s")
+    reg.declare_field("psi", slots=(2,), parities=1)
+    reg.declare_field("g", slots=(2, 2), symmetry="sym")
+    reg.declare_field("B", slots=(3, 3), symmetry="antisym")
+    reg.declare_field("chi", slots=(3, 3), parities=1, symmetry="antisym")
+    reg.freeze()
+    return reg
+
+
+def rand_family_poly(rng, reg):
+    p = reg.zero
+    for _ in range(rng.randint(1, 4)):
+        term = reg.const(rng.choice((1, -1)) * rng.randint(1, 3))
+        for _ in range(rng.randint(1, 3)):
+            sym = reg.symbols[rng.choice(sorted(reg.symbols))]
+            comp = tuple(rng.randrange(n) for n in sym.slots)
+            idx = tuple(rng.randrange(reg.dim) for _ in range(rng.randint(0, 2)))
+            term = term * reg.var(sym.name, comp, idx)
+        p = p + term
+    return p
+
+
+def reference_total_derivative(p, lam):
+    """sum_v d_lam(v) * dp/dv, each d_lam(v) interned by Registry.jet_var."""
+    reg = p.reg
+    out = reg.zero
+    for v, part in p.partials("left"):
+        dv, sign = reg.jet_var(v.symbol, v.component, v.index + (lam,))
+        assert sign == 1
+        out = out + GradedPoly.from_var(reg, dv) * part
+    return out
+
+
+def test_memoized_total_derivative_matches_the_interner():
+    rng = random.Random(17)
+    reg = make_family_registry()
+    for _ in range(60):
+        p = rand_family_poly(rng, reg)
+        lam = rng.randrange(reg.dim)
+        cold = total_derivative(p, lam)
+        warm = total_derivative(p, lam)
+        assert cold == warm == reference_total_derivative(p, lam)
+        for v in p.variables():
+            assert v.succ[lam] is \
+                reg.jet_var(v.symbol, v.component, v.index + (lam,))[0]
+
+
+def _full_run(name):
+    if name == "bf4":
+        return build_fixture("bf", n=4, p=1, q=2)
+    return load_builtin(name)
+
+
+@pytest.mark.parametrize("name", ["ym4_super", "bf4"])
+def test_interned_variables_stay_unique_after_full_runs(name):
+    theory = _full_run(name)
+    assert build_report(theory, list(CHECK_NAMES))["overall"] == "pass"
+    reg = theory.registry
+    interned = reg._vars
+    memoized = 0
+    for key, v in interned.items():
+        assert key == (v.symbol.name, v.component, v.index)
+        for lam, dv in v.succ.items():
+            index = tuple(sorted(v.index + (lam,)))
+            assert interned[(v.symbol.name, v.component, index)] is dv
+            memoized += 1
+    assert memoized
+    # no key was interned twice: every live variable of this registry is
+    # the one the interner holds for its key
+    gc.collect()
+    symbols = {id(sym) for sym in reg.symbols.values()}
+    live = [o for o in gc.get_objects()
+            if type(o) is JetVariable and id(o.symbol) in symbols]
+    assert len(live) == len(interned)
+    for o in live:
+        assert interned[(o.symbol.name, o.component, o.index)] is o
+
+
+def test_accumulators_leave_operands_and_zero_unchanged():
+    reg = make_family_registry()
+    L = reg.var("s", (), (0,)) ** 2 + \
+        reg.var("s") * reg.var("psi", (0,)) * reg.var("psi", (1,), (1,)) + \
+        reg.var("B", (0, 1), (0,)) * reg.var("g", (0, 0))
+    L_terms = dict(L.terms)
+    el = euler_lagrange(L)
+    zero = [k for k, e in el.components.items() if e.is_zero()]
+    assert zero and len(zero) < len(el.components)
+    assert L.terms == L_terms
+    assert reg.zero.terms == {}
+    assert all(e.terms is not reg.zero.terms and e.terms is not L.terms
+               for e in el.components.values())
+    u = EvolutionaryDerivation(
+        reg, {("s", ()): reg.var("psi", (0,)) * reg.var("psi", (1,)),
+              ("psi", (1,)): reg.var("psi", (0,), (1,))})
+    u_terms = {k: dict(c.terms) for k, c in u.components.items()}
+    for p in [L, reg.zero, reg.one, reg.var("g", (0, 1))] + \
+            [el.get(*k) for k in zero]:
+        p_terms = dict(p.terms)
+        out = prolong_apply(u, p)
+        assert out.terms is not p.terms and out.terms is not reg.zero.terms
+        assert p.terms == p_terms
+    assert prolong_apply(u, reg.var("g", (0, 1))).is_zero()
+    assert {k: c.terms for k, c in u.components.items()} == u_terms
+    assert L.terms == L_terms
+    assert reg.zero.terms == {}
