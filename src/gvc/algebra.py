@@ -532,16 +532,6 @@ class GradedPoly:
             vs.update(odds)
         return vs
 
-    def max_jet_order(self):
-        return max((v.order for v in self.variables()), default=0)
-
-    def degree(self):
-        """Maximum total polynomial degree across terms (0 for the zero poly)."""
-        best = 0
-        for (evens, odds) in self.terms:
-            best = max(best, sum(e for _, e in evens) + len(odds))
-        return best
-
     def degree_parts(self):
         parts = {}
         for key, c in self.terms.items():

@@ -165,11 +165,6 @@ def check_brst_nilpotent(candidate):
     return entries or [_entry("brst", "b", "pass")]
 
 
-def jacobi_check(gamma1):
-    """True iff gamma^(1) applied to its own components vanishes."""
-    return not nilpotency_residuals(gamma1)
-
-
 def brst_candidate(theory):
     """Assemble the theory's BRST candidate: constructed gauge stages plus
     any declared gamma components (gamma = 0 when none are declared)."""

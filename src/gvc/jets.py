@@ -29,7 +29,6 @@ __all__ = [
     "prolong_apply",
     "commutator",
     "nilpotency_residuals",
-    "check_odd_nilpotent",
 ]
 
 
@@ -273,10 +272,3 @@ def nilpotency_residuals(u):
         if not r.is_zero():
             out[key] = r
     return out
-
-
-def check_odd_nilpotent(u):
-    """True iff the odd derivation u squares to zero (by the residual criterion)."""
-    if u.parity != 1 and not u.is_zero():
-        raise GradingError("nilpotency criterion applies to odd derivations")
-    return not nilpotency_residuals(u)

@@ -216,12 +216,6 @@ def check_extended(theory):
     return [_entry("extended", "L_e", "pass" if ok else "fail")]
 
 
-def check_ni_trivial(theory, record, H):
-    """True iff the record's Delta polynomial equals delta_KT(H) exactly."""
-    kt = assemble_kt(theory)
-    return record.delta_poly(theory.registry) == prolong_apply(kt, H)
-
-
 def _solve_exact(columns, target):
     """Solve an exact rational linear system sum x_k columns[k] = target.
 

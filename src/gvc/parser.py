@@ -22,16 +22,25 @@ inferred from where the indices sit (or written ``sum(i:4)``).  Ghosts are
 not declared directly: each ``ni``/``stage`` block introduces its ghost
 family, with Grassmann parity read off the record itself.
 
+Row and component keys are one statement form, ``( NAME[idx...] ; jets )``:
+a key's jets follow its closing bracket.  Every index is expanded by one
+enumerator, ``_assignments``, the last index varying fastest: ``sum``
+bodies, the records of a ghost family, and the free indices of a key, whose
+ranges, canonical component, sign and value come from ``_Eval.expand``.
+Rows add duplicate keys within a statement; component blocks reject
+conflicting ones.  ``+`` and ``sum`` accumulate in place.
+
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks.  Everything is exact rational arithmetic; parsing is deterministic.
 """
 from __future__ import annotations
 
+import itertools
 import string
 from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
-                      GradedPoly, Registry)
+                      GradedPoly, Registry, _add_into)
 from .noether import NoetherRecord, StageRecord, delta_from_rows
 
 
@@ -158,12 +167,6 @@ class _Parser:
                              tok[2], tok[3])
         return tok
 
-    def expect_name(self, word=None):
-        tok = self.expect("NAME")
-        if word is not None and tok[1] != word:
-            raise ParseError("expected %r, found %r" % (word, tok[1]), tok[2], tok[3])
-        return tok
-
     def at(self, kind, value=None):
         tok = self.peek()
         return tok[0] == kind and (value is None or tok[1] == value)
@@ -225,15 +228,7 @@ class _Parser:
             self.expect(")")
             return node
         if tok[0] == "INT":
-            self.next()
-            num = Fraction(tok[1])
-            if self.at("/"):
-                self.next()
-                den = self.expect("INT")
-                if den[1] == 0:
-                    self.error("division by zero", den)
-                num = num / den[1]
-            return ("num", num)
+            return ("num", self.rational())
         if tok[0] == "NAME" and tok[1] == "sum":
             self.next()
             self.expect("(")
@@ -244,7 +239,7 @@ class _Parser:
                 if self.at(":"):
                     self.next()
                     rng = self.expect("INT")[1]
-                binders.append((name[1], rng))
+                self.bind(binders, name, rng)
                 if self.at(","):
                     self.next()
                     continue
@@ -259,6 +254,23 @@ class _Parser:
             comps, jets = self.parse_index_group()
             return ("ref", tok[1], comps, jets)
         self.error("expected an expression")
+
+    def bind(self, binders, tok, rng):
+        """Append the index ``tok`` names with its range; one index binds once."""
+        if any(var == tok[1] for var, _rng in binders):
+            self.error("index %r is bound twice" % tok[1], tok)
+        binders.append((tok[1], rng))
+
+    def rational(self):
+        """``INT [/ INT]`` as a Fraction; a zero denominator is an error."""
+        num = Fraction(self.expect("INT")[1])
+        if self.at("/"):
+            self.next()
+            den = self.expect("INT")
+            if den[1] == 0:
+                self.error("division by zero", den)
+            num /= den[1]
+        return num
 
     def parse_index_group(self):
         """Optional [comps;jets] group; a bare name has no indices at all."""
@@ -292,11 +304,21 @@ class _Parser:
 # Evaluation against a registry
 
 
+def _assignments(binders, env):
+    """Yield ``env`` extended by every value of the ``(index, range)``
+    binders, a fresh dict each time, the last binder varying fastest."""
+    names = [var for var, _rng in binders]
+    for values in itertools.product(*(range(rng) for _var, rng in binders)):
+        out = dict(env)
+        out.update(zip(names, values))
+        yield out
+
+
 class _Eval:
     def __init__(self, reg):
         self.reg = reg
 
-    def atom_value(self, atom, env, tok=None):
+    def atom_value(self, atom, env):
         if atom[0] == "int":
             return atom[1]
         try:
@@ -311,27 +333,24 @@ class _Eval:
         def scan(n):
             kind = n[0]
             if kind == "ref":
-                name = n[1]
-                sym = self.reg.symbols.get(name)
-                tab = self.reg.tables.get(name)
-                for pos, atom in enumerate(n[2]):
+                sym = self.reg.symbols.get(n[1])
+                tab = self.reg.tables.get(n[1])
+                slots = sym.slots if sym is not None else \
+                    tab.shape if tab is not None else ()
+                # zip stops at the arity: evaluation reports an over-indexed
+                # reference with its position
+                for atom, rng in zip(n[2], slots):
                     if atom == ("var", var):
-                        if sym is not None:
-                            found.add(sym.slots[pos])
-                        elif tab is not None:
-                            found.add(tab.shape[pos])
-                for atom in n[3]:
-                    if atom == ("var", var):
-                        found.add(self.reg.dim)
+                        found.add(rng)
+                if ("var", var) in n[3]:
+                    found.add(self.reg.dim)
             elif kind == "add":
                 for _s, item in n[1]:
                     scan(item)
             elif kind == "mul":
                 for item in n[1]:
                     scan(item)
-            elif kind in ("neg",):
-                scan(n[1])
-            elif kind == "pow":
+            elif kind in ("neg", "pow"):
                 scan(n[1])
             elif kind == "sum":
                 if not any(b[0] == var for b in n[1]):
@@ -345,6 +364,21 @@ class _Eval:
         raise GvcError("index %r is used with conflicting ranges %s"
                        % (var, sorted(found)))
 
+    def accumulate(self, signed):
+        """The sum of ``(sign, value)`` pairs: rationals add into one
+        constant, polynomials through ``_add_into`` into one fresh dict."""
+        const, terms = Fraction(0), None
+        for sign, val in signed:
+            if isinstance(val, GradedPoly):
+                terms = _add_into({} if terms is None else terms, val.terms,
+                                  sign < 0)
+            else:
+                const = const + val if sign > 0 else const - val
+        if terms is None:
+            return const
+        return GradedPoly(self.reg,
+                          _add_into(terms, self.reg.const(const).terms))
+
     def eval(self, node, env):
         kind = node[0]
         if kind == "num":
@@ -352,11 +386,8 @@ class _Eval:
         if kind == "neg":
             return -self.eval(node[1], env)
         if kind == "add":
-            total = Fraction(0)
-            for sign, item in node[1]:
-                val = self.eval(item, env)
-                total = total + val if sign > 0 else total - val
-            return total
+            return self.accumulate((sign, self.eval(item, env))
+                                   for sign, item in node[1])
         if kind == "mul":
             total = None
             for item in node[1]:
@@ -370,23 +401,10 @@ class _Eval:
         if kind == "pow":
             return self.eval(node[1], env) ** node[2]
         if kind == "sum":
-            total = Fraction(0)
             binders = [(v, r if r is not None else self.infer_range(v, node[2]))
                        for v, r in node[1]]
-
-            def rec(depth, env2):
-                nonlocal total
-                if depth == len(binders):
-                    total = total + self.eval(node[2], env2)
-                    return
-                var, rng = binders[depth]
-                for i in range(rng):
-                    env2[var] = i
-                    rec(depth + 1, env2)
-                del env2[var]
-
-            rec(0, dict(env))
-            return total
+            return self.accumulate((1, self.eval(node[2], inner))
+                                   for inner in _assignments(binders, env))
         if kind == "ref":
             name = node[1]
             comps = tuple(self.atom_value(a, env) for a in node[2])
@@ -407,13 +425,31 @@ class _Eval:
             return val
         return self.reg.const(val)
 
-
-def _free_vars(atoms, bound):
-    out = []
-    for a in atoms:
-        if a[0] == "var" and a[1] not in bound and a[1] not in out:
-            out.append(a[1])
-    return out
+    def expand(self, sym, comps, jets, node, env):
+        """Yield ``(component, jets, value)`` for each value of the key's
+        indices not bound in ``env``.  An index runs over the first
+        component slot it sits in, otherwise over the base directions.
+        Components come out canonical and jets sorted; the value carries
+        the symmetry sign, and keys the symmetry kills are skipped."""
+        if len(comps) != len(sym.slots):
+            raise GvcError("%s expects %d component indices"
+                           % (sym.name, len(sym.slots)))
+        ranges = {}
+        for atom, rng in zip(comps + jets,
+                             sym.slots + (self.reg.dim,) * len(jets)):
+            if atom[0] == "var" and atom[1] not in env:
+                ranges.setdefault(atom[1], rng)
+        for inner in _assignments(list(ranges.items()), env):
+            canon, sign = sym.canonicalize(
+                self.atom_value(a, inner) for a in comps)
+            if sign == 0:
+                continue
+            jet = tuple(sorted(self.atom_value(a, inner) for a in jets))
+            for j in jet:
+                if j >= self.reg.dim:
+                    raise GvcError("jet index %d out of range" % j)
+            value = self.poly(node, inner)
+            yield canon, jet, value if sign == 1 else value.scale(sign)
 
 
 class _TheoryBuilder:
@@ -447,8 +483,6 @@ class _TheoryBuilder:
                           self.alphas)
 
     def freeze(self):
-        for rec in self.records:
-            _ = rec  # records already declared their ghosts
         self.reg.freeze()
         self.frozen = True
 
@@ -526,25 +560,17 @@ class _TheoryBuilder:
                 idx.append(self.p.expect("INT")[1])
             self.p.expect("]")
             self.p.expect("=")
-            entries[tuple(idx)] = self.rational()
+            sign = 1
+            while self.p.at("-") or self.p.at("+"):
+                if self.p.next()[0] == "-":
+                    sign = -sign
+            entries[tuple(idx)] = sign * self.p.rational()
             self.p.expect(";")
         self.p.next()
         try:
             self.reg.declare_table(name, tuple(shape), entries)
         except (GvcError, ValueError) as exc:
             raise ParseError(str(exc), tok[2], tok[3])
-
-    def rational(self):
-        sign = 1
-        while self.p.at("-") or self.p.at("+"):
-            if self.p.next()[0] == "-":
-                sign = -sign
-        num = self.p.expect("INT")[1]
-        if self.p.at("/"):
-            self.p.next()
-            den = self.p.expect("INT")[1]
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
 
     def field_stmt(self, tok):
         self.need_reg(tok)
@@ -611,10 +637,9 @@ class _TheoryBuilder:
         self.p.expect("[")
         binders = []
         while not self.p.at("]"):
-            var = self.p.expect("NAME")[1]
+            var = self.p.expect("NAME")
             self.p.expect(":")
-            rng = self.p.expect("INT")[1]
-            binders.append((var, rng))
+            self.p.bind(binders, var, self.p.expect("INT")[1])
             if self.p.at(","):
                 self.p.next()
         self.p.next()
@@ -650,9 +675,15 @@ class _TheoryBuilder:
         self.build_records(tok, stage, ghost, binders, rows_stmts, h_node)
 
     def row_stmt(self):
+        """``( NAME[idx,...] ; jets ) = EXPR ;``, the key statement of
+        record and component blocks; a key's jets follow its bracket."""
         tok = self.p.expect("(")
         name = self.p.expect("NAME")[1]
-        comps, jets = self.p.parse_index_group()
+        comps, jets = [], []
+        if self.p.at("["):
+            self.p.next()
+            comps = self.p.parse_index_list(stop=(";", "]"))
+            self.p.expect("]")
         if self.p.at(";"):
             self.p.next()
             jets = self.p.parse_index_list(stop=(")",))
@@ -675,62 +706,19 @@ class _TheoryBuilder:
                 raise ParseError(
                     "rows of a stage-%d block must target stage-%d ghosts"
                     % (stage, stage - 1), tok[2], tok[3])
-            if len(comps) != len(sym.slots):
-                raise ParseError("%s expects %d component indices"
-                                 % (name, len(sym.slots)), tok[2], tok[3])
-            free = _free_vars(comps + jets, ghost_env)
-            ranges = []
-            for var in free:
-                rng = None
-                for pos, atom in enumerate(comps):
-                    if atom == ("var", var):
-                        rng = sym.slots[pos]
-                        break
-                if rng is None:
-                    rng = self.reg.dim  # jets run over base directions
-                ranges.append(rng)
             statement_rows = {}
-
-            def emit(env):
-                comp = tuple(evaluator.atom_value(a, env) for a in comps)
-                jet = tuple(sorted(evaluator.atom_value(a, env) for a in jets))
-                canon, sign = sym.canonicalize(comp)
-                if sign == 0:
-                    return
-                for j in jet:
-                    if j >= self.reg.dim:
-                        raise GvcError("jet index %d out of range" % j)
-                coeff = evaluator.poly(node, env)
-                if sign != 1:
-                    coeff = coeff.scale(sign)
-                key = (name, canon, jet)
-                if key in statement_rows:
-                    if statement_rows[key] != coeff:
+            try:
+                for canon, jet, coeff in evaluator.expand(sym, comps, jets,
+                                                          node, ghost_env):
+                    if statement_rows.setdefault((name, canon, jet), coeff) != coeff:
                         raise GvcError(
                             "row (%s[%s]; %s) receives conflicting values under "
                             "component symmetry" % (name, ",".join(map(str, canon)),
                                                     ",".join(map(str, jet))))
-                else:
-                    statement_rows[key] = coeff
-
-            def rec(depth, env):
-                if depth == len(free):
-                    emit(env)
-                    return
-                for i in range(ranges[depth]):
-                    env[free[depth]] = i
-                    rec(depth + 1, env)
-                del env[free[depth]]
-
-            try:
-                rec(0, dict(ghost_env))
             except (GvcError, ValueError) as exc:
                 raise ParseError(str(exc), tok[2], tok[3])
             for key, coeff in statement_rows.items():
-                if key in rows:
-                    rows[key] = rows[key] + coeff
-                else:
-                    rows[key] = coeff
+                rows[key] = rows[key] + coeff if key in rows else coeff
         return {k: v for k, v in rows.items() if not v.is_zero()}
 
     def build_records(self, tok, stage, ghost, binders, rows_stmts, h_node):
@@ -738,11 +726,8 @@ class _TheoryBuilder:
             raise ParseError("ghost %r declared twice" % ghost, tok[2], tok[3])
         evaluator = _Eval(self.reg)
         slots = tuple(rng for _v, rng in binders)
-        produced = []  # (component, rows, parity)
-        envs = [{}]
-        for var, rng in binders:
-            envs = [dict(e, **{var: i}) for e in envs for i in range(rng)]
-        for env in envs:
+        produced = []  # (component, env, rows, parity)
+        for env in _assignments(binders, {}):
             comp = tuple(env[var] for var, _rng in binders)
             rows = self._expand_rows(stage, env, rows_stmts, evaluator)
             if not rows:
@@ -753,19 +738,18 @@ class _TheoryBuilder:
                 raise ParseError(
                     "record %s[%s] mixes Grassmann parities"
                     % (ghost, ",".join(map(str, comp))), tok[2], tok[3])
-            produced.append((comp, rows, par))
+            produced.append((comp, env, rows, par))
         parities = self._parity_spec(tok, ghost, slots, produced)
         gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
         self.reg.declare_ghost_antifield(gh)
         h_polys = {}
         if h_node is not None:
-            for comp, _rows, _par in produced:
-                env = {var: comp[i] for i, (var, _r) in enumerate(binders)}
+            for comp, env, _rows, _par in produced:
                 try:
                     h_polys[comp] = evaluator.poly(h_node, env)
                 except (GvcError, ValueError) as exc:
                     raise ParseError(str(exc), tok[2], tok[3])
-        for comp, rows, _par in produced:
+        for comp, _env, rows, _par in produced:
             if stage == 0:
                 self.records.append(NoetherRecord(ghost, comp, rows))
             else:
@@ -774,7 +758,7 @@ class _TheoryBuilder:
 
     def _parity_spec(self, tok, ghost, slots, produced):
         # the ghost inherits the parity of its record: [c^r] = [Delta_r]
-        values = {comp: par for comp, _rows, par in produced}
+        values = {comp: par for comp, _env, _rows, par in produced}
         distinct = set(values.values())
         if len(distinct) == 1:
             return distinct.pop()
@@ -803,16 +787,10 @@ class _TheoryBuilder:
         out = dict(existing or {})
         self.p.expect("{")
         while not self.p.at("}"):
-            rtok = self.p.expect("(")
-            name = self.p.expect("NAME")[1]
-            comps, jets = self.p.parse_index_group()
+            rtok, name, comps, jets, node = self.row_stmt()
             if jets:
                 raise ParseError("component keys carry no jet indices",
                                  rtok[2], rtok[3])
-            self.p.expect(")")
-            self.p.expect("=")
-            node = self.p.parse_expression()
-            self.p.expect(";")
             sym = self.reg.symbols.get(name)
             if sym is None:
                 raise ParseError("unknown component target %r" % name,
@@ -823,45 +801,13 @@ class _TheoryBuilder:
             if sym.kind == KIND_ANTIFIELD:
                 raise ParseError("component keys cannot target antifields",
                                  rtok[2], rtok[3])
-            if len(comps) != len(sym.slots):
-                raise ParseError("%s expects %d component indices"
-                                 % (name, len(sym.slots)), rtok[2], rtok[3])
-            free = _free_vars(comps, {})
-            ranges = []
-            for var in free:
-                rng = None
-                for pos, atom in enumerate(comps):
-                    if atom == ("var", var):
-                        rng = sym.slots[pos]
-                        break
-                ranges.append(rng)
-
-            def emit(env):
-                comp = tuple(evaluator.atom_value(a, env) for a in comps)
-                canon, sign = sym.canonicalize(comp)
-                if sign == 0:
-                    return
-                val = evaluator.poly(node, env)
-                if sign != 1:
-                    val = val.scale(sign)
-                key = (name, canon)
-                if key in out and out[key] != val:
-                    raise GvcError(
-                        "component %s receives conflicting values"
-                        % "%s[%s]" % (name, ",".join(map(str, canon))))
-                out[key] = val
-
-            def rec(depth, env):
-                if depth == len(free):
-                    emit(env)
-                    return
-                for i in range(ranges[depth]):
-                    env[free[depth]] = i
-                    rec(depth + 1, env)
-                del env[free[depth]]
-
             try:
-                rec(0, {})
+                for canon, _jet, val in evaluator.expand(sym, comps, jets,
+                                                         node, {}):
+                    if out.setdefault((name, canon), val) != val:
+                        raise GvcError(
+                            "component %s[%s] receives conflicting values"
+                            % (name, ",".join(map(str, canon))))
             except (GvcError, ValueError) as exc:
                 raise ParseError(str(exc), rtok[2], rtok[3])
         self.p.next()

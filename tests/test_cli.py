@@ -85,6 +85,64 @@ def test_expression_nesting_is_bounded(tmp_path, capsys, opener, closer):
                           "(line 3, column " % MAX_NESTING)
 
 
+def _verify_text(tmp_path, capsys, text):
+    """Exit code and stderr of ``gvc verify --check ni`` on ``text``."""
+    path = tmp_path / "theory.gvc"
+    path.write_text(text)
+    code = run(["verify", "--theory", str(path), "--check", "ni"])
+    return code, capsys.readouterr().err
+
+
+_DECLS = ("dim 2;\ntable k[2,2]{ [0,1]=1; }\nfield g[2,2] sym even;\n"
+          "field a[2] even;\nfield b[3] even;\nfield s even;\n")
+
+
+def _assert_positioned_error(code, err, message):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert re.search(r"\(line \d+, column \d+\)\n$", err)
+    assert "Traceback" not in err
+    if message is not None:
+        assert message in err
+
+
+# Where a message is None, only the exit code and the position are pinned.
+@pytest.mark.parametrize("body, message", [
+    ("L = s;\nni c[] { (g[m,n]) = k[m,n]; }",
+     "row (g[0,1]; ) receives conflicting values under component symmetry"),
+    ("L = s;\ngauge { (g[m,n]) = k[m,n]; }",
+     "component g[0,1] receives conflicting values"),
+    ("L = s;\ngauge { (s; 0) = 1; }", None),
+    ("L = s;\ngauge { (s[;0]) = 1; }", None),
+    ("L = sum(m){ 1 };", "cannot infer a range for index 'm'"),
+    ("L = sum(m){ a[m;] * b[m;] };",
+     "index 'm' is used with conflicting ranges [2, 3]"),
+    ("L = a[m;];", "unbound index 'm'"),
+    ("L = s;\nni c[] { (s; 3) = 1; }", "jet index 3 out of range"),
+])
+def test_key_and_index_errors_exit_2(tmp_path, capsys, body, message):
+    _assert_positioned_error(*_verify_text(tmp_path, capsys, _DECLS + body),
+                             message)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("table z[1]{ [0]=1/0; }\nL = s;",
+     "division by zero (line 7, column 19)"),
+    ("L = sum(m){ a[m,m;] };", "a expects 1 component indices"),
+    # a key's jets follow its closing bracket, never inside it
+    ("L = s;\nni c[] { (s[;0]; 1) = 1; }",
+     "expected ']', found ';' (line 8, column 13)"),
+    ("L = sum(m:2, m:2){ s };",
+     "index 'm' is bound twice (line 7, column 14)"),
+    ("L = s;\nni c[j:2, j:2] { (s) = 1; }",
+     "index 'j' is bound twice (line 8, column 11)"),
+])
+def test_malformed_rationals_keys_and_binders_exit_2(tmp_path, capsys, body,
+                                                    message):
+    _assert_positioned_error(*_verify_text(tmp_path, capsys, _DECLS + body),
+                             message)
+
+
 def test_checks_run_on_the_calling_thread(monkeypatch):
     seen = {}
     for name, runner in cli._RUNNERS.items():

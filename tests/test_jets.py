@@ -12,7 +12,6 @@ from gvc.theories import build_fixture, load_builtin
 from gvc.variational import euler_lagrange
 from gvc.jets import (
     EvolutionaryDerivation,
-    check_odd_nilpotent,
     commutator,
     iterated_derivative,
     nilpotency_residuals,
@@ -158,11 +157,9 @@ def test_nilpotency_residuals_and_certificates():
     reg.declare_ghost("e", 0, parities=1)
     reg.freeze()
     good = EvolutionaryDerivation(reg, {("A", ()): reg.var("e", (), (0,))})
-    assert check_odd_nilpotent(good)
     assert nilpotency_residuals(good) == {}
     bad = EvolutionaryDerivation(
         reg, {("A", ()): reg.var("e"), ("e", ()): reg.var("A")})
-    assert not check_odd_nilpotent(bad)
     res = nilpotency_residuals(bad)
     assert res[("A", ())] == reg.var("A")
     assert res[("e", ())] == reg.var("e")
