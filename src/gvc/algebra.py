@@ -5,9 +5,28 @@ identities, BRST algebra) reduces to arithmetic in one ring: polynomials with
 rational coefficients in jet variables ``s^A_Lambda``, where the base symbols
 ``s^A`` carry a Grassmann parity and the multi-index ``Lambda`` is a sorted
 multiset of base-coordinate directions.  Even variables commute, odd variables
-anticommute and square to zero; the sign of every reordering is determined by
-one global variable order (kind rank, symbol name, component tuple,
-multi-index), which this module owns.
+anticommute and square to zero.
+
+Monomial keys hold only ints.  Every ``JetVariable`` gets a fixed ``rank``,
+its intern index in its ``Registry``, and ``Registry.by_rank`` maps ranks back
+to variables.  A key is ``(evens, odds)``: ``evens`` is a sorted tuple of the
+ranks of the even factors with one entry per unit of exponent, ``odds`` a
+sorted tuple of the distinct ranks of the odd factors, whose product is taken
+in rank order.  An even product is then ``tuple(sorted(e1 + e2))`` and an odd
+product a sorted merge with the Koszul sign of the merge, both run in C.
+Keys must hold ints only for a second reason: CPython's cyclic garbage
+collector stops tracking a tuple of untracked objects such as ints once a
+collection has seen it, while keys holding ``JetVariable`` objects stayed
+tracked and were rescanned on every collection, which cost more than a third
+of the check time on the largest fixture.
+
+Rank order follows the order of interning, which depends on parse and check
+order, so it never reaches the output.  Output follows the global variable
+order ``JetVariable.key`` (kind rank, symbol name, component tuple,
+multi-index): ``GradedPoly.global_terms`` is the one converter, which re-sorts
+the odd factors by ``key`` and applies the sign of that permutation.  Any
+fixed total order gives a valid normal form for odd monomials, so verdicts do
+not depend on the rank order either.
 
 Coefficients are exact: Python ints where possible, ``fractions.Fraction``
 otherwise.  No floats anywhere.
@@ -15,8 +34,9 @@ otherwise.  No floats anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from operator import attrgetter
+from itertools import groupby
 
 __all__ = [
     "GvcError",
@@ -191,21 +211,25 @@ class SymbolDecl:
 class JetVariable:
     """An interned scalar jet coordinate: (symbol family, component, multi-index).
 
-    Instances are unique per registry, so identity comparison is safe.  ``key``
-    is the global-order sort key used for canonical monomial form and for the
-    Koszul sign of every odd reordering.  ``succ`` memoizes the successors
+    Instances are unique per registry, so identity comparison is safe.
+    ``rank`` is the intern index, fixed for the life of the registry; it is
+    what monomial keys hold, and their odd factors are ordered by it.  ``key``
+    is the global-order sort key, used only where output is made (see
+    ``GradedPoly.global_terms``) and for the order in which
+    ``GradedPoly.partials`` yields.  ``succ`` memoizes the successors
     ``s^A_{Lambda lam}`` by direction ``lam`` (see ``jets.total_derivative``).
     """
 
     __slots__ = ("symbol", "component", "index", "parity", "key", "order",
-                 "succ")
+                 "rank", "succ")
 
-    def __init__(self, symbol, component, index):
+    def __init__(self, symbol, component, index, rank):
         self.symbol = symbol
         self.component = component
         self.index = index
         self.parity = symbol.parity(component)
         self.order = len(index)
+        self.rank = rank
         self.key = (symbol.kind, symbol.name, component, index)
         # direction -> the interned d_direction of this variable, filled by
         # total_derivative on first use
@@ -266,64 +290,21 @@ class ConstantTable:
         return iter(sorted(self.entries.items()))
 
 
-def _merge_even(e1, e2):
-    """Merge two sorted even exponent tuples, adding exponents."""
-    if not e1:
-        return e2
-    if not e2:
-        return e1
-    out = []
-    i = j = 0
-    n1, n2 = len(e1), len(e2)
-    while i < n1 and j < n2:
-        v1, x1 = e1[i]
-        v2, x2 = e2[j]
-        if v1 is v2:
-            out.append((v1, x1 + x2))
-            i += 1
-            j += 1
-        elif v1.key < v2.key:
-            out.append(e1[i])
-            i += 1
-        else:
-            out.append(e2[j])
-            j += 1
-    out.extend(e1[i:])
-    out.extend(e2[j:])
-    return tuple(out)
-
-
 def _merge_odd(o1, o2):
-    """Merge two sorted odd factor tuples.
+    """The product of two sorted odd rank tuples, taken in rank order.
 
-    Returns (merged tuple, sign) with the Koszul sign of the sort, or
+    Returns (merged tuple, sign) with the Koszul sign of the merge, or
     (None, 0) when a factor repeats (odd squares vanish).
     """
-    if not o1:
-        return o2, 1
-    if not o2:
-        return o1, 1
-    out = []
-    sign = 1
-    i = j = 0
-    n1, n2 = len(o1), len(o2)
-    while i < n1 and j < n2:
-        v1 = o1[i]
-        v2 = o2[j]
-        if v1 is v2:
+    n1 = len(o1)
+    flips = 0
+    for r in o2:
+        # r jumps over the factors of o1 that rank above it
+        i = bisect_left(o1, r)
+        if i < n1 and o1[i] == r:
             return None, 0
-        if v1.key < v2.key:
-            out.append(v1)
-            i += 1
-        else:
-            # v2 jumps over the n1-i remaining factors of o1
-            if (n1 - i) & 1:
-                sign = -sign
-            out.append(v2)
-            j += 1
-    out.extend(o1[i:])
-    out.extend(o2[j:])
-    return tuple(out), sign
+        flips += n1 - i
+    return tuple(sorted(o1 + o2)), -1 if flips & 1 else 1
 
 
 def _mul_terms(t1, t2, out=None):
@@ -339,14 +320,19 @@ def _mul_terms(t1, t2, out=None):
     get = out.get
     for (e1, o1), c1 in t1.items():
         for (e2, o2), c2 in t2.items():
-            if swapped:
-                odds, sign = _merge_odd(o2, o1)
+            if o1 and o2:
+                if swapped:
+                    odds, sign = _merge_odd(o2, o1)
+                else:
+                    odds, sign = _merge_odd(o1, o2)
+                if not sign:
+                    continue
+                c = sign * c1 * c2
             else:
-                odds, sign = _merge_odd(o1, o2)
-            if sign == 0:
-                continue
-            key = (_merge_even(e1, e2), odds)
-            c = get(key, 0) + sign * c1 * c2
+                odds = o1 or o2
+                c = c1 * c2
+            key = (tuple(sorted(e1 + e2)) if e1 and e2 else e1 or e2, odds)
+            c += get(key, 0)
             if c:
                 out[key] = c
             else:
@@ -383,9 +369,13 @@ class GradedPoly:
     """A graded-commutative polynomial in canonical form.
 
     ``terms`` maps a monomial key to a nonzero rational coefficient.  A key is
-    ``(evens, odds)``: evens is a tuple of (JetVariable, exponent) pairs and
-    odds a tuple of JetVariables, both strictly increasing in the global
-    variable order.  Canonical form makes equality checking a dict compare.
+    ``(evens, odds)`` of variable ranks (``JetVariable.rank``): evens is a
+    sorted tuple with one entry per unit of exponent, odds a strictly
+    increasing tuple, and the odd factors multiply in that rank order.  Keys
+    hold ints only, so the garbage collector stops tracking them (see the
+    module docstring).  Canonical form makes equality checking a dict compare
+    within one registry.  Output goes through ``global_terms``, which puts
+    every term in the global variable order.
     """
 
     __slots__ = ("reg", "terms")
@@ -404,8 +394,8 @@ class GradedPoly:
     @staticmethod
     def from_var(reg, var):
         if var.parity:
-            return GradedPoly(reg, {((), (var,)): 1})
-        return GradedPoly(reg, {(((var, 1),), ()): 1})
+            return GradedPoly(reg, {((), (var.rank,)): 1})
+        return GradedPoly(reg, {((var.rank,), ()): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -494,10 +484,10 @@ class GradedPoly:
         return seen
 
     def _weight(self, attr):
+        by_rank = self.reg.by_rank
         seen = None
         for (evens, odds) in self.terms:
-            w = sum(getattr(v.symbol, attr) * e for v, e in evens)
-            w += sum(getattr(v.symbol, attr) for v in odds)
+            w = sum(getattr(by_rank[r].symbol, attr) for r in evens + odds)
             if seen is None:
                 seen = w
             elif seen != w:
@@ -513,11 +503,12 @@ class GradedPoly:
 
     def ghost_degree_parts(self):
         """Split into {ghost polynomial degree: part}; degree counts ghost factors."""
+        by_rank = self.reg.by_rank
         parts = {}
         for key, c in self.terms.items():
             evens, odds = key
-            d = sum(e for v, e in evens if v.symbol.kind == KIND_GHOST)
-            d += sum(1 for v in odds if v.symbol.kind == KIND_GHOST)
+            d = sum(1 for r in evens + odds
+                    if by_rank[r].symbol.kind == KIND_GHOST)
             parts.setdefault(d, {})[key] = c
         return {d: GradedPoly(self.reg, t) for d, t in sorted(parts.items())}
 
@@ -525,18 +516,14 @@ class GradedPoly:
 
     def variables(self):
         """The set of jet variables occurring in this polynomial."""
-        vs = set()
-        for (evens, odds) in self.terms:
-            for v, _ in evens:
-                vs.add(v)
-            vs.update(odds)
-        return vs
+        by_rank = self.reg.by_rank
+        return {by_rank[r] for evens, odds in self.terms for r in evens + odds}
 
     def degree_parts(self):
         parts = {}
         for key, c in self.terms.items():
             evens, odds = key
-            d = sum(e for _, e in evens) + len(odds)
+            d = len(evens) + len(odds)
             parts.setdefault(d, {})[key] = c
         return {d: GradedPoly(self.reg, t) for d, t in sorted(parts.items())}
 
@@ -574,34 +561,34 @@ class GradedPoly:
         where = {}
         for key in self.terms:
             evens, odds = key
-            for v, _ in evens:
-                where.setdefault(v, []).append(key)
-            for v in odds:
-                where.setdefault(v, []).append(key)
+            prev = None
+            for r in evens:
+                if r != prev:
+                    where.setdefault(r, []).append(key)
+                    prev = r
+            for r in odds:
+                where.setdefault(r, []).append(key)
         terms = self.terms
         right = side == "right"
-        for var in sorted(where, key=attrgetter("key")):
+        by_rank = self.reg.by_rank
+        for r in sorted(where, key=lambda r: by_rank[r].key):
+            var = by_rank[r]
             if only is not None and (var.symbol.name, var.component) not in only:
                 continue
             out = {}
             if var.parity:
-                for key in where[var]:
+                for key in where[r]:
                     evens, odds = key
-                    i = odds.index(var)
+                    i = odds.index(r)
                     c = terms[key]
                     flip = len(odds) - 1 - i if right else i
                     out[(evens, odds[:i] + odds[i + 1:])] = -c if flip & 1 else c
             else:
-                for key in where[var]:
+                for key in where[r]:
                     evens, odds = key
-                    for i, (v, e) in enumerate(evens):
-                        if v is var:
-                            break
-                    if e == 1:
-                        new = evens[:i] + evens[i + 1:]
-                    else:
-                        new = evens[:i] + ((var, e - 1),) + evens[i + 1:]
-                    out[(new, odds)] = terms[key] * e
+                    i = evens.index(r)
+                    out[(evens[:i] + evens[i + 1:], odds)] = \
+                        terms[key] * evens.count(r)
             yield var, GradedPoly(self.reg, out)
 
     def derivative(self, var, side="left"):
@@ -611,21 +598,42 @@ class GradedPoly:
 
     # -- printing ------------------------------------------------------------
 
-    def _sorted_keys(self):
-        return sorted(
-            self.terms,
-            key=lambda k: (tuple((v.key, e) for v, e in k[0]),
-                           tuple(v.key for v in k[1])),
-        )
+    def global_terms(self):
+        """The terms in the global variable order, for output.
+
+        Returns a list of ``(key, coeff, evens, odds)`` sorted by the global
+        order of the monomials: ``evens`` is a tuple of (JetVariable,
+        exponent) pairs and ``odds`` a tuple of JetVariables, each increasing
+        in ``JetVariable.key``, and ``coeff`` is the coefficient of that
+        product, i.e. the stored coefficient times the sign of the
+        permutation from rank order to global order of the odd factors.
+        ``key`` is the stored monomial key.  This is the one place where
+        rank order is turned into the order that output is made in.
+        """
+        by_rank = self.reg.by_rank
+        rows = []
+        for key, c in self.terms.items():
+            evens, odds = key
+            ev = sorted(((by_rank[r], len(list(run)))
+                         for r, run in groupby(evens)),
+                        key=lambda pair: pair[0].key)
+            od = [by_rank[r] for r in odds]
+            perm = sorted(range(len(od)), key=lambda i: od[i].key)
+            inversions = sum(1 for a in range(len(perm))
+                             for b in range(a) if perm[b] > perm[a])
+            od = tuple(od[i] for i in perm)
+            rows.append(((tuple((v.key, e) for v, e in ev),
+                          tuple(v.key for v in od)),
+                         key, -c if inversions & 1 else c, tuple(ev), od))
+        rows.sort(key=lambda row: row[0])
+        return [row[1:] for row in rows]
 
     def pretty(self):
         """Canonical text form; parses back to an equal polynomial."""
         if not self.terms:
             return "0"
         chunks = []
-        for key in self._sorted_keys():
-            c = self.terms[key]
-            evens, odds = key
+        for _, c, evens, odds in self.global_terms():
             factors = []
             for v, e in evens:
                 factors.append(v.name() + ("^%d" % e if e > 1 else ""))
@@ -654,8 +662,9 @@ class GradedPoly:
 class Registry:
     """Owns symbol declarations, constant tables, and the jet-variable interner.
 
-    The registry is the single source of truth for the global variable order
-    and the jet-order cap.  It starts open; a theory loader freezes it after
+    The registry is the single source of truth for the global variable order,
+    the rank of each interned variable (``by_rank[v.rank] is v``) and the
+    jet-order cap.  It starts open; a theory loader freezes it after
     the last declaration, after which registering symbols raises.
     """
 
@@ -673,6 +682,7 @@ class Registry:
         self.tables = {}
         self.frozen = False
         self._vars = {}
+        self.by_rank = []
         self.zero = GradedPoly(self, {})
         self.one = GradedPoly.constant(self, 1)
 
@@ -778,8 +788,9 @@ class Registry:
         k = (symbol.name, component, index)
         v = self._vars.get(k)
         if v is None:
-            v = JetVariable(symbol, component, index)
+            v = JetVariable(symbol, component, index, len(self.by_rank))
             self._vars[k] = v
+            self.by_rank.append(v)
         return v, sign
 
     def var(self, name, component=(), index=()):

@@ -74,7 +74,7 @@ def _flip_leading(poly):
 
     Constant monomials are skipped: flipping an additive constant changes
     no variational identity, so it would be an undetectable mutation."""
-    keys = poly._sorted_keys()
+    keys = [term[0] for term in poly.global_terms()]
     key = next((k for k in keys if k[0] or k[1]), keys[0])
     return poly + GradedPoly(poly.reg, {key: -2 * poly.terms[key]})
 

@@ -15,6 +15,8 @@ testing variational identities, and the fixtures never need more.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from gvc.algebra import (
     GradedPoly,
     GradingError,
@@ -35,38 +37,50 @@ __all__ = [
 def total_derivative(p, lam):
     """d_lam applied to p; an even derivation raising jet orders by one.
 
-    Raises JetOrderCapError when a produced jet would exceed the registry cap.
+    Each factor ``v`` of a monomial is replaced by ``d_lam(v)`` in turn.  In
+    the rank keys of ``algebra`` that is a removal and a ``bisect`` insert:
+    the even part carries the factor's exponent as a coefficient, the odd
+    part the sign of moving the new factor from the old one's slot to its
+    own.  Raises JetOrderCapError when a produced jet would exceed the
+    registry cap.
     """
     reg = p.reg
+    by_rank = reg.by_rank
+    succ = {}  # rank -> rank of its d_lam, for this call
     out = {}
+    get = out.get
     for (evens, odds), c in p.terms.items():
-        for i, (v, e) in enumerate(evens):
-            dv = v.succ.get(lam) or _successor(reg, v, lam)
-            if e == 1:
-                rest = evens[:i] + evens[i + 1:]
-            else:
-                rest = evens[:i] + ((v, e - 1),) + evens[i + 1:]
-            # insert dv into the even part (dv has v's parity: even)
-            new = _insert_even(rest, dv)
-            key = (new, odds)
-            s = out.get(key, 0) + c * e
+        prev = None
+        for i, r in enumerate(evens):
+            if r == prev:
+                continue
+            prev = r
+            dr = succ.get(r)
+            if dr is None:
+                dr = succ[r] = _successor(reg, by_rank[r], lam).rank
+            new = list(evens)
+            del new[i]
+            insort(new, dr)
+            key = (tuple(new), odds)
+            s = get(key, 0) + c * evens.count(r)
             if s:
                 out[key] = s
             else:
                 del out[key]
-        n = len(odds)
-        for i, v in enumerate(odds):
-            dv = v.succ.get(lam) or _successor(reg, v, lam)
-            rest = odds[:i] + odds[i + 1:]
-            # dv replaces v in place; moving it to the end costs (n-1-i) swaps,
-            # after which sorting it back in is a standard merge.
-            new, sign = _insert_odd(rest, dv)
-            if sign == 0:
+        for i, r in enumerate(odds):
+            dr = succ.get(r)
+            if dr is None:
+                dr = succ[r] = _successor(reg, by_rank[r], lam).rank
+            new = list(odds)
+            del new[i]
+            j = bisect_left(new, dr)
+            if j < len(new) and new[j] == dr:
                 continue
-            if (n - 1 - i) & 1:
-                sign = -sign
-            key = (evens, new)
-            s = out.get(key, 0) + c * sign
+            # d_lam(v) takes v's slot i; moving it to slot j costs |i - j|
+            # transpositions of odd factors
+            new.insert(j, dr)
+            key = (evens, tuple(new))
+            s = get(key, 0) + (-c if (i - j) & 1 else c)
             if s:
                 out[key] = s
             else:
@@ -75,42 +89,17 @@ def total_derivative(p, lam):
 
 
 def _successor(reg, v, lam):
-    """Intern d_lam(v) and memoize it in ``v.succ``.
+    """d_lam(v), interned on first use and memoized in ``v.succ``.
 
     Canonicalization, sorting and the bounds and cap checks of
     ``Registry.jet_var`` thus run once per (variable, direction).  A cap
     overflow raises before anything is stored, so it raises on every call.
     """
-    dv, _ = reg.jet_var(v.symbol, v.component, v.index + (lam,))
-    v.succ[lam] = dv
+    dv = v.succ.get(lam)
+    if dv is None:
+        dv, _ = reg.jet_var(v.symbol, v.component, v.index + (lam,))
+        v.succ[lam] = dv
     return dv
-
-
-def _insert_even(evens, v):
-    """Insert one even variable into a sorted exponent tuple."""
-    for i, (w, e) in enumerate(evens):
-        if w is v:
-            return evens[:i] + ((v, e + 1),) + evens[i + 1:]
-        if v.key < w.key:
-            return evens[:i] + ((v, 1),) + evens[i:]
-    return evens + ((v, 1),)
-
-
-def _insert_odd(odds, v):
-    """Insert one odd variable at the end of a sorted tuple, then sort.
-
-    Returns (tuple, sign) with the Koszul sign of carrying v leftward from the
-    end to its slot; (None, 0) when v already occurs.
-    """
-    n = len(odds)
-    for i in range(n - 1, -1, -1):
-        w = odds[i]
-        if w is v:
-            return None, 0
-        if w.key < v.key:
-            new = odds[: i + 1] + (v,) + odds[i + 1:]
-            return new, -1 if (n - 1 - i) & 1 else 1
-    return (v,) + odds, -1 if n & 1 else 1
 
 
 def iterated_derivative(p, index):

@@ -267,7 +267,7 @@ def solve_trivial_witness(theory, record):
     # factor, and it is an undifferentiated field antifield.  A target
     # monomial of any other shape is outside the span, so reject it before
     # building the (expensive) image system.
-    for evens, odds in target.terms:
+    for _, _, evens, odds in target.global_terms():
         anti = [(v, e) for v, e in evens if v.symbol.kind == KIND_ANTIFIELD]
         anti += [(v, 1) for v in odds if v.symbol.kind == KIND_ANTIFIELD]
         if sum(e for _, e in anti) != 1:

@@ -604,7 +604,10 @@ class _TheoryBuilder:
                 raise ParseError("parity slot %d out of range" % slot, ptok[2], ptok[3])
             vec = []
             for i in range(slots[slot]):
-                v = tab[(i,)]
+                try:
+                    v = tab[(i,)]
+                except ValueError as exc:
+                    raise ParseError(str(exc), ptok[2], ptok[3])
                 if v.denominator != 1 or v not in (0, 1):
                     raise ParseError("parity table entries must be 0 or 1",
                                      ptok[2], ptok[3])

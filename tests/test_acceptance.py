@@ -385,7 +385,7 @@ def test_criterion_8_bookkeeping_routes_agree():
              for e in check_brst_nilpotent(brst_candidate(toy))
              if e["status"] == "fail"}
     assert fails == {"y[]", "z[]"}
-    _budget(t0, 120, "criterion 8")
+    _budget(t0, 45, "criterion 8")
 
 
 def _catcher(label):
@@ -446,4 +446,4 @@ def test_criterion_9_every_sign_mutation_is_caught():
     for label, build, checks in narrowed:
         entries = run_checks(build(), checks)
         assert any(e["status"] == "fail" for e in entries), label
-    _budget(t0, 180, "criterion 9")
+    _budget(t0, 75, "criterion 9")

@@ -143,6 +143,17 @@ def test_malformed_rationals_keys_and_binders_exit_2(tmp_path, capsys, body,
                              message)
 
 
+@pytest.mark.parametrize("table, message", [
+    ("table p[2,2]{ [0,0]=1; }", "table p expects 2 indices"),
+    ("table p[1]{ [0]=1; }", "index (1,) out of bounds for table p"),
+])
+def test_parity_table_of_wrong_shape_exits_2(tmp_path, capsys, table,
+                                             message):
+    body = table + "\nfield q[2] parity p@0;\nL = s;"
+    _assert_positioned_error(*_verify_text(tmp_path, capsys, _DECLS + body),
+                             message + " (line 8, column 12)")
+
+
 def test_checks_run_on_the_calling_thread(monkeypatch):
     seen = {}
     for name, runner in cli._RUNNERS.items():
