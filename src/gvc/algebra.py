@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import groupby
+from itertools import (combinations, combinations_with_replacement, groupby,
+                       product)
 
 __all__ = [
     "GvcError",
@@ -81,6 +82,20 @@ KIND_GHOST = 1
 KIND_ANTIFIELD = 2
 
 _KIND_NAMES = {KIND_FIELD: "field", KIND_GHOST: "ghost", KIND_ANTIFIELD: "antifield"}
+
+
+def sorting_sign(items):
+    """The sign of the permutation that sorts ``items``, which are distinct:
+    -1 when it has an odd number of even-length cycles."""
+    perm = sorted(range(len(items)), key=items.__getitem__)
+    odd = len(perm)  # parity of (length - number of cycles)
+    for i in range(len(perm)):
+        if perm[i] is not None:
+            odd -= 1
+            j = i
+            while perm[j] is not None:
+                perm[j], j = None, perm[j]
+    return -1 if odd & 1 else 1
 
 
 def _rat(x):
@@ -167,41 +182,18 @@ class SymbolDecl:
             return tuple(sorted(component)), 1
         if len(set(component)) != len(component):
             return tuple(sorted(component)), 0
-        perm = sorted(range(len(component)), key=lambda i: component[i])
-        sign = 1
-        seen = [False] * len(perm)
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return tuple(sorted(component)), sign
+        return tuple(sorted(component)), sorting_sign(component)
 
     def components(self):
         """All canonical component tuples, in lexicographic order."""
         if self._components is None:
-            out = []
-            def rec(prefix):
-                if len(prefix) == len(self.slots):
-                    out.append(tuple(prefix))
-                    return
-                lo = 0
-                if self.symmetry == "sym" and prefix:
-                    lo = prefix[-1]
-                elif self.symmetry == "antisym" and prefix:
-                    lo = prefix[-1] + 1
-                for c in range(lo, self.slots[len(prefix)]):
-                    prefix.append(c)
-                    rec(prefix)
-                    prefix.pop()
-            rec([])
-            self._components = tuple(out)
+            if self.symmetry is None or len(self.slots) < 2:
+                comps = product(*(range(n) for n in self.slots))
+            else:
+                pick = combinations_with_replacement \
+                    if self.symmetry == "sym" else combinations
+                comps = pick(range(self.slots[0]), len(self.slots))
+            self._components = tuple(comps)
         return self._components
 
     def __repr__(self):
@@ -618,13 +610,11 @@ class GradedPoly:
                          for r, run in groupby(evens)),
                         key=lambda pair: pair[0].key)
             od = [by_rank[r] for r in odds]
-            perm = sorted(range(len(od)), key=lambda i: od[i].key)
-            inversions = sum(1 for a in range(len(perm))
-                             for b in range(a) if perm[b] > perm[a])
-            od = tuple(od[i] for i in perm)
+            sign = sorting_sign([v.key for v in od])
+            od = tuple(sorted(od, key=lambda v: v.key))
             rows.append(((tuple((v.key, e) for v, e in ev),
                           tuple(v.key for v in od)),
-                         key, -c if inversions & 1 else c, tuple(ev), od))
+                         key, sign * c, tuple(ev), od))
         rows.sort(key=lambda row: row[0])
         return [row[1:] for row in rows]
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from .algebra import KIND_ANTIFIELD, KIND_GHOST, GradedPoly, GvcError, \
     _mul_terms
 from .jets import EvolutionaryDerivation, nilpotency_residuals, prolong_apply
-from .noether import assemble_kt, comp_label, _el, _entry
-from .variational import check_variational_symmetry, eta, variational_derivative
+from .noether import assemble_kt, comp_label, _entry
+from .variational import check_variational_symmetry, eta
 
 
 class GaugeOperator:
@@ -40,7 +40,7 @@ class GaugeOperator:
         return out
 
 
-def _components_from_records(reg, records, ghost_jets_of):
+def _components_from_records(reg, records):
     comps = {}
     for rec in records:
         per = {}
@@ -49,7 +49,7 @@ def _components_from_records(reg, records, ghost_jets_of):
         for (name, comp), fmap in per.items():
             acc = comps.setdefault((name, comp), {})
             for index, coeff in eta(fmap, reg.dim).items():
-                _mul_terms(reg.var(*ghost_jets_of(rec), index).terms,
+                _mul_terms(reg.var(rec.ghost, rec.component, index).terms,
                            coeff.terms, acc)
     return {key: GradedPoly(reg, terms) for key, terms in comps.items()}
 
@@ -57,13 +57,11 @@ def _components_from_records(reg, records, ghost_jets_of):
 def gauge_from_ni(theory):
     """Build the gauge operator of a theory from its records via eta."""
     reg = theory.registry
-    label = lambda rec: (rec.ghost, rec.component)
-    stages = [EvolutionaryDerivation(
-        reg, _components_from_records(reg, theory.records, label), name="u")]
-    for k in theory.stage_numbers():
-        comps = _components_from_records(reg, theory.stage_records(k), label)
-        stages.append(EvolutionaryDerivation(reg, comps, name="u^(%d)" % k))
-    return GaugeOperator(stages)
+    return GaugeOperator(
+        EvolutionaryDerivation(
+            reg, _components_from_records(reg, theory.stage_records(k)),
+            name="u^(%d)" % k if k else "u")
+        for k in [0] + theory.stage_numbers())
 
 
 def check_gauge_symmetry(theory, k, alpha=None, gauge=None):
@@ -123,8 +121,6 @@ def check_gauge_symmetry(theory, k, alpha=None, gauge=None):
 
 def lie_antibracket_defect(u, gamma1):
     """Componentwise residual of (u + gamma^(1)) applied to u's components."""
-    if u.parity != 1:
-        raise GvcError("the gauge operator must be odd")
     b1 = u if gamma1 is None or gamma1.is_zero() else u + gamma1
     return {key: prolong_apply(b1, ups)
             for key, ups in sorted(u.components.items())}
@@ -189,20 +185,3 @@ def check_antibracket(theory):
                        note="commutator normalization [u,u] = -2*gamma(u) holds")]
     return [_entry("antibracket", comp_label(n, c), "fail", v)
             for (n, c), v in sorted(bad.items())]
-
-
-def ghost_variation_residuals(theory):
-    """Variational derivatives of the pairing sum u^A E_A with respect to
-    every stage-0 ghost component: zero exactly when the records hold."""
-    u = gauge_from_ni(theory).stages[0]
-    el = _el(theory)
-    terms = {}
-    for (name, comp), ups in u.components.items():
-        _mul_terms(ups.terms, el.get(name, comp).terms, terms)
-    pairing = GradedPoly(theory.registry, terms)
-    out = {}
-    for rec in theory.records:
-        res = variational_derivative(pairing, rec.ghost, rec.component)
-        if not res.is_zero():
-            out[(rec.ghost, rec.component)] = res
-    return out

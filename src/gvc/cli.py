@@ -10,7 +10,8 @@ shell; 2 means the input could not be read, parsed or validated at all.
 
 Negative controls: ``--mutate sign`` flips one sign before checking (the
 leading gamma term when the theory declares gamma, otherwise the leading
-Lagrangian term), which must turn a healthy fixture red.  The finer-grained
+non-constant Lagrangian term; a theory with neither is rejected with exit
+2), which must turn a healthy fixture red.  The finer-grained
 ``mutation_sites`` enumerates one single-sign mutation per structural
 ingredient for harness use.
 """
@@ -27,7 +28,7 @@ import time
 from .algebra import GradedPoly, GvcError, Registry
 from .brst import brst_candidate, check_antibracket, check_brst_nilpotent, \
     check_gauge_symmetry, gauge_from_ni
-from .noether import NoetherRecord, StageRecord, check_extended, \
+from .noether import NoetherRecord, check_extended, \
     check_kt_nilpotent, comp_label, triviality_report, verify_ni, \
     verify_stage_ni
 from .parser import TheorySpec, parse_theory
@@ -69,12 +70,20 @@ _RUNNERS = {
 # sign mutations (negative controls)
 
 
-def _flip_leading(poly):
-    """Flip the sign of the first monomial in canonical print order.
+def _varies(poly):
+    """Whether poly has a non-constant term.  Flipping an additive constant
+    of a Lagrangian changes no variational identity, so it would be an
+    undetectable mutation."""
+    return any(evens or odds for evens, odds in poly.terms)
 
-    Constant monomials are skipped: flipping an additive constant changes
-    no variational identity, so it would be an undetectable mutation."""
+
+def _flip_leading(poly):
+    """Flip the sign of the first monomial in canonical print order,
+    skipping a constant one unless it is the only term (a constant row
+    coefficient is an honest mutation)."""
     keys = [term[0] for term in poly.global_terms()]
+    if not keys:
+        raise GvcError("a zero polynomial has no sign to flip")
     key = next((k for k in keys if k[0] or k[1]), keys[0])
     return poly + GradedPoly(poly.reg, {key: -2 * poly.terms[key]})
 
@@ -95,9 +104,7 @@ def _flip_record(rec):
     key = sorted(rec.rows)[0]
     rows = dict(rec.rows)
     rows[key] = _flip_leading(rows[key])
-    if isinstance(rec, StageRecord):
-        return StageRecord(rec.stage, rec.ghost, rec.component, rows, rec.h)
-    return NoetherRecord(rec.ghost, rec.component, rows)
+    return NoetherRecord(rec.ghost, rec.component, rows, rec.stage, rec.h)
 
 
 def mutation_sites(theory):
@@ -110,30 +117,22 @@ def mutation_sites(theory):
     only the verified identities break.
     """
     sites = []
-    if not theory.lagrangian.is_zero():
+    if _varies(theory.lagrangian):
         sites.append(("lagrangian", lambda: _rebuild(
             theory, lagrangian=_flip_leading(theory.lagrangian))))
 
-    def record_site(i):
+    def record_site(k, i):
         def build():
-            records = list(theory.records)
-            records[i] = _flip_record(records[i])
-            return _rebuild(theory, records=records)
-        return build
-
-    for i, rec in enumerate(theory.records):
-        sites.append(("record %s" % rec.label(), record_site(i)))
-
-    def stage_site(k, i):
-        def build():
-            stages = {kk: list(v) for kk, v in theory.stages.items()}
+            stages = {0: theory.records, **theory.stages}
+            stages[k] = list(stages[k])
             stages[k][i] = _flip_record(stages[k][i])
-            return _rebuild(theory, stages=stages)
+            return _rebuild(theory, records=stages.pop(0), stages=stages)
         return build
 
-    for k in theory.stage_numbers():
+    for k in [0] + theory.stage_numbers():
+        prefix = "stage record" if k else "record"
         for i, rec in enumerate(theory.stage_records(k)):
-            sites.append(("stage record %s" % rec.label(), stage_site(k, i)))
+            sites.append(("%s %s" % (prefix, rec.label()), record_site(k, i)))
 
     def gauge_site(key):
         def build():
@@ -165,6 +164,9 @@ def apply_sign_mutation(theory):
         gamma[key] = _flip_leading(gamma[key])
         return (_rebuild(theory, gamma=gamma),
                 "sign of leading gamma term on %s" % comp_label(*key))
+    if not _varies(theory.lagrangian):
+        raise GvcError("--mutate sign needs a gamma block or a Lagrangian "
+                       "with a non-constant term")
     return (_rebuild(theory, lagrangian=_flip_leading(theory.lagrangian)),
             "sign of leading Lagrangian term")
 

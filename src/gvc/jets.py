@@ -29,7 +29,6 @@ __all__ = [
     "iterated_derivative",
     "EvolutionaryDerivation",
     "prolong_apply",
-    "commutator",
     "nilpotency_residuals",
 ]
 
@@ -115,12 +114,11 @@ class EvolutionaryDerivation:
     ``components`` maps (symbol name, component tuple) to the polynomial value
     on that zero-jet variable.  ``right=False`` gives a left derivation (the
     gauge/BRST case); ``right=True`` a right derivation (the Koszul-Tate
-    case).  Parity and ghost number are inferred from the components and must
-    be consistent across all of them.
+    case).  Parity is inferred from the components and must be consistent
+    across all of them.
     """
 
-    __slots__ = ("reg", "components", "right", "parity", "ghost_number", "name",
-                 "_coef_cache")
+    __slots__ = ("reg", "components", "right", "parity", "name", "_coef_cache")
 
     def __init__(self, reg, components, right=False, name=None):
         self.reg = reg
@@ -142,34 +140,23 @@ class EvolutionaryDerivation:
                 else:
                     comps[(sym_name, comp)] = val
         self.components = comps
-        self.parity, self.ghost_number = self._infer_grading()
+        self.parity = self._infer_parity()
         self._coef_cache = {}
 
-    def _infer_grading(self):
+    def _infer_parity(self):
         parity = None
-        gh = None
         for (sym_name, comp), val in self.components.items():
-            sym = self.reg.symbols[sym_name]
             vp = val.parity()
             if vp is None:
                 raise GradingError(
                     "component for %s%r has mixed parity" % (sym_name, comp))
-            p = (vp - sym.parity(comp)) & 1
-            vg = val.ghost_number()
-            g = None if vg is None else vg - sym.ghost_number
+            p = (vp - self.reg.symbols[sym_name].parity(comp)) & 1
             if parity is None:
-                parity, gh = p, g
-            else:
-                if p != parity:
-                    raise GradingError(
-                        "derivation parity is inconsistent at %s%r" % (sym_name, comp))
-                if gh is not None and g != gh:
-                    gh = None
-        return (0 if parity is None else parity), gh
-
-    def component(self, sym_name, comp):
-        """The zero-jet value on (symbol, component); zero when absent."""
-        return self.components.get((sym_name, tuple(comp)), self.reg.zero)
+                parity = p
+            elif p != parity:
+                raise GradingError(
+                    "derivation parity is inconsistent at %s%r" % (sym_name, comp))
+        return 0 if parity is None else parity
 
     def coefficient(self, var):
         """d_Lambda(upsilon^A) for the jet variable var = s^A_Lambda, cached."""
@@ -227,26 +214,6 @@ def prolong_apply(u, p):
         else:
             _mul_terms(coef.terms, part.terms, out)
     return GradedPoly(p.reg, out)
-
-
-def commutator(u, v):
-    """The graded commutator [u, v] as an evolutionary derivation.
-
-    Components: [u,v]^A = u(v^A) - (-1)^{[u][v]} v(u^A), where application is
-    by prolongation.  Both arguments must be on the same side.
-    """
-    if u.right != v.right:
-        raise GvcError("cannot commute a left with a right derivation")
-    sign = -1 if (u.parity & v.parity) else 1
-    comps = {}
-    keys = set(u.components) | set(v.components)
-    for key in keys:
-        a = prolong_apply(u, v.components.get(key, u.reg.zero))
-        b = prolong_apply(v, u.components.get(key, u.reg.zero))
-        w = a - b if sign == 1 else a + b
-        if not w.is_zero():
-            comps[key] = w
-    return EvolutionaryDerivation(u.reg, comps, right=u.right)
 
 
 def nilpotency_residuals(u):

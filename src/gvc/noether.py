@@ -1,15 +1,18 @@
 """Noether identities, higher-stage identities, and the Koszul-Tate operator.
 
-A Noether identity is stored as a record of coefficient rows: a map from
-(field name, component, multi-index) to a polynomial coefficient.  The
-record's antifield polynomial is
+Identities form one ladder of records, one class for every stage.  A record
+is a map of coefficient rows from (name, component, multi-index) to a
+polynomial coefficient; its antifield polynomial is
 
     Delta_r = sum rows[(A, comp, Lambda)] * s_bar^A_{comp, Lambda}
 
-with coefficients multiplying from the left, and the identity itself is the
-exact vanishing of sum rows * d_Lambda(E_A).  Stage-k records play the same
-game one level up, with rows keyed by stage-(k-1) ghost antifields and an
-optional quadratic certificate h for identities that only hold on shell.
+with coefficients multiplying from the left.  The identity itself is the
+exact vanishing of the contraction sum rows * d_Lambda(T_A), where the
+targets T_A are one rung down: the Euler-Lagrange derivatives E_A at stage
+0, where rows are keyed by fields, and the stage-(k-1) Delta polynomials at
+stage k >= 1, where rows are keyed by stage-(k-1) ghosts.  A stage-k >= 1
+record may carry a quadratic certificate h for an identity that only holds
+on shell.
 """
 from __future__ import annotations
 
@@ -36,69 +39,51 @@ def delta_from_rows(reg, rows):
 
 
 class NoetherRecord:
-    """One complete Noether identity, labelled by a ghost component."""
+    """One identity of the ladder, labelled by a ghost component.
 
-    __slots__ = ("ghost", "component", "rows")
-
-    def __init__(self, ghost, component, rows):
-        self.ghost = ghost
-        self.component = tuple(component)
-        self.rows = dict(rows)
-
-    def label(self):
-        return comp_label(self.ghost, self.component)
-
-    def delta_poly(self, reg):
-        """The antifield polynomial Delta_r carried by this record."""
-        return delta_from_rows(reg, self.rows)
-
-    def residual(self, el):
-        """sum rows * d_Lambda(E_A); zero exactly when the identity holds."""
-        out = {}
-        for (name, comp, index), coeff in sorted(self.rows.items()):
-            _mul_terms(coeff.terms,
-                       iterated_derivative(el.get(name, comp), index).terms, out)
-        return GradedPoly(el.reg, out)
-
-
-class StageRecord:
-    """A stage-k >= 1 identity-among-identities, rows over stage-(k-1) ghosts.
-
-    ``h`` is the optional on-shell certificate: the recorded identity is
-    LHS + delta_KT(h) = 0 where LHS contracts the rows with total
-    derivatives of the previous-stage Delta polynomials.
+    At stage 0 it is a Noether identity: rows keyed by fields, contracted
+    with the Euler-Lagrange derivatives.  At stage k >= 1 it is an
+    identity among identities: rows keyed by stage-(k-1) ghosts, contracted
+    with their Delta polynomials.  ``h`` is the optional on-shell
+    certificate of a stage-k >= 1 record: the identity is then
+    contract + delta_KT(h) = 0.
     """
 
-    __slots__ = ("stage", "ghost", "component", "rows", "h")
+    __slots__ = ("ghost", "component", "rows", "stage", "h")
 
-    def __init__(self, stage, ghost, component, rows, h=None):
-        if stage < 1:
-            raise GvcError("stage records start at stage 1")
-        self.stage = stage
+    def __init__(self, ghost, component, rows, stage=0, h=None):
+        if stage < 0:
+            raise GvcError("record stages start at stage 0")
+        if h is not None and stage == 0:
+            raise GvcError("h certificates belong to records of stage 1 or above")
         self.ghost = ghost
         self.component = tuple(component)
         self.rows = dict(rows)
+        self.stage = stage
         self.h = h
 
     def label(self):
         return comp_label(self.ghost, self.component)
 
     def delta_poly(self, reg):
-        """Linear part plus certificate: the full Delta_{r_k} polynomial."""
+        """Linear part plus certificate: the full Delta polynomial."""
         out = delta_from_rows(reg, self.rows)
         return out if self.h is None else out + self.h
 
-    def lhs(self, reg, previous):
-        """Rows contracted with total derivatives of previous Delta polynomials."""
+    def contract(self, reg, targets):
+        """sum rows * d_Lambda(targets[(A, comp)]); zero exactly when the
+        identity holds off shell.  ``targets`` is ``_targets(theory, stage)``."""
         out = {}
         for (name, comp, index), coeff in sorted(self.rows.items()):
-            prev = previous.get((name, comp))
-            if prev is None:
+            target = targets.get((name, comp))
+            if target is None:
                 if name not in reg.symbols:
                     raise GvcError("unknown symbol %r" % name)
-                raise GvcError("stage %d row targets %s which has no stage-%d record"
-                               % (self.stage, comp_label(name, comp), self.stage - 1))
-            _mul_terms(coeff.terms, iterated_derivative(prev, index).terms, out)
+                raise GvcError("stage %d row targets %s which has no %s" % (
+                    self.stage, comp_label(name, comp),
+                    "stage-%d record" % (self.stage - 1) if self.stage
+                    else "Euler-Lagrange component"))
+            _mul_terms(coeff.terms, iterated_derivative(target, index).terms, out)
         return GradedPoly(reg, out)
 
 
@@ -109,10 +94,19 @@ def _el(theory):
 
 
 def _all_records(theory):
-    """Every Noether record, then every stage record in stage order."""
-    yield from theory.records
-    for k in theory.stage_numbers():
+    """Every record, stage by stage."""
+    for k in [0] + theory.stage_numbers():
         yield from theory.stage_records(k)
+
+
+def _targets(theory, k):
+    """What stage-k rows contract, by (name, component): the Euler-Lagrange
+    derivatives at stage 0, the stage-(k-1) Delta polynomials above."""
+    if k == 0:
+        return _el(theory).components
+    reg = theory.registry
+    return {(r.ghost, r.component): r.delta_poly(reg)
+            for r in theory.stage_records(k - 1)}
 
 
 def _entry(check, target, status, residual=None, note=""):
@@ -126,21 +120,16 @@ def _entry(check, target, status, residual=None, note=""):
 
 def verify_ni(theory):
     """One report entry per Noether record; pass iff the residual vanishes."""
-    el = _el(theory)
+    reg = theory.registry
+    targets = _targets(theory, 0)
     entries = []
     for rec in theory.records:
-        res = rec.residual(el)
+        res = rec.contract(reg, targets)
         status = "pass" if res.is_zero() else "fail"
         entries.append(_entry("ni", rec.label(), status, res))
     if not theory.records:
         entries.append(_entry("ni", "-", "pass", note="no records declared"))
     return entries
-
-
-def _previous_deltas(theory, k):
-    reg = theory.registry
-    recs = theory.records if k == 1 else theory.stage_records(k - 1)
-    return {(r.ghost, r.component): r.delta_poly(reg) for r in recs}
 
 
 def verify_stage_ni(theory, k):
@@ -153,11 +142,12 @@ def verify_stage_ni(theory, k):
     if not recs:
         return [_entry("stages", "stage %d" % k, "pass",
                        note="no stage-%d records declared" % k)]
-    previous = _previous_deltas(theory, k)
+    reg = theory.registry
+    targets = _targets(theory, k)
     kt = None
     entries = []
     for rec in recs:
-        lhs = rec.lhs(theory.registry, previous)
+        lhs = rec.contract(reg, targets)
         if rec.h is not None:
             if kt is None:
                 kt = assemble_kt(theory)

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
                       GradedPoly, Registry, _add_into)
-from .noether import NoetherRecord, StageRecord, delta_from_rows
+from .noether import NoetherRecord, delta_from_rows
 
 
 class ParseError(GvcError):
@@ -138,7 +138,8 @@ class TheorySpec:
         return sorted(self.stages)
 
     def stage_records(self, k):
-        return self.stages.get(k, [])
+        """The stage-k records; stage 0 holds the Noether records."""
+        return self.records if k == 0 else self.stages.get(k, [])
 
     def alpha(self, k):
         return self.alphas.get(k, {})
@@ -462,8 +463,7 @@ class _TheoryBuilder:
         self.reg = None
         self.name = "theory"
         self.lagrangian = None
-        self.records = []
-        self.stages = {}
+        self.stages = {}  # stage -> records; stage 0 holds the ni blocks
         self.gauge_candidate = None
         self.gamma = {}
         self.alphas = {}
@@ -478,9 +478,9 @@ class _TheoryBuilder:
             self.p.error("theory must declare a Lagrangian")
         if not self.frozen:
             self.freeze()
-        return TheorySpec(self.name, self.reg, self.lagrangian, self.records,
-                          self.stages, self.gauge_candidate, self.gamma,
-                          self.alphas)
+        return TheorySpec(self.name, self.reg, self.lagrangian,
+                          self.stages.pop(0, []), self.stages,
+                          self.gauge_candidate, self.gamma, self.alphas)
 
     def freeze(self):
         self.reg.freeze()
@@ -534,7 +534,12 @@ class _TheoryBuilder:
         elif word == "gamma":
             self.gamma = self.component_block(tok, self.gamma, ghosts_only=True)
         elif word == "alpha":
-            k = self.p.expect("INT")[1]
+            ktok = self.p.expect("INT")
+            k = ktok[1]
+            if k < 1 or k not in self.stages:  # nothing would read it
+                raise ParseError("alpha blocks start at stage 1" if k < 1 else
+                                 "alpha %d: no stage %d block declared" % (k, k),
+                                 ktok[2], ktok[3])
             self.alphas[k] = self.component_block(tok, self.alphas.get(k))
         else:
             raise ParseError("unknown statement %r" % word, tok[2], tok[3])
@@ -752,12 +757,9 @@ class _TheoryBuilder:
                     h_polys[comp] = evaluator.poly(h_node, env)
                 except (GvcError, ValueError) as exc:
                     raise ParseError(str(exc), tok[2], tok[3])
-        for comp, _env, rows, _par in produced:
-            if stage == 0:
-                self.records.append(NoetherRecord(ghost, comp, rows))
-            else:
-                self.stages.setdefault(stage, []).append(
-                    StageRecord(stage, ghost, comp, rows, h_polys.get(comp)))
+        self.stages.setdefault(stage, []).extend(
+            NoetherRecord(ghost, comp, rows, stage, h_polys.get(comp))
+            for comp, _env, rows, _par in produced)
 
     def _parity_spec(self, tok, ghost, slots, produced):
         # the ghost inherits the parity of its record: [c^r] = [Delta_r]

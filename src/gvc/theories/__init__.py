@@ -24,31 +24,17 @@ import itertools
 import os
 from fractions import Fraction
 
-from ..algebra import GvcError
-from ..jets import EvolutionaryDerivation, prolong_apply, total_derivative
-from ..noether import (NoetherRecord, _el, _entry, assemble_kt,
-                       solve_trivial_witness, verify_ni)
+from ..algebra import GvcError, sorting_sign
 from ..parser import parse_theory
-from ..variational import check_variational_symmetry
 
 BUILTINS = ("bf", "cs3", "grav4", "ym4")
 
 _DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def _perm_sign(perm):
-    sign, p = 1, list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
-
-
 def _eps(n):
     """Entries of the rank-n Levi-Civita symbol."""
-    return {perm: _perm_sign(perm)
+    return {perm: sorting_sign(perm)
             for perm in itertools.permutations(range(n))}
 
 
@@ -397,150 +383,3 @@ def load_builtin(name, jet_order=None):
     """Parse one of the shipped fixture files."""
     with open(builtin_path(name), "r", encoding="utf-8") as fh:
         return parse_theory(fh.read(), jet_order=jet_order)
-
-
-# ---------------------------------------------------------------------------
-# worked triviality comparison on the Chern-Simons fixture
-
-
-def _cs5_text():
-    return """theory cs5;
-dim 5;
-%s
-field a[5] even;
-L = sum(m,n,r,s,t){ eps5[m,n,r,s,t] * a[m;] * a[r;n] * a[t;s] };
-ni cv[w:5] { (a[l];) = a[w;l] - a[l;w]; }
-""" % _table_text("eps5", (5,) * 5, _eps(5), per_line=5)
-
-
-def cs_triviality_demo():
-    """Worked comparison of the two symmetry presentations of ``cs3``.
-
-    The fixture declares gauge records (one per internal direction) and
-    base-translation records (one per base direction).  Contracting the
-    curvature into the translation identities gives an equivalent
-    presentation whose records are Koszul-Tate boundaries; the demo derives
-    those certificates, rewrites the declared operator through the ghost
-    shift c' = c - a.cv, and confirms that what is left over is exactly the
-    curvature contraction -- so the only symmetry surviving the rewriting is
-    the gauge one.  A five-dimensional analogue runs last: its curvature
-    identity still holds, but no quadratic certificate exists, and the
-    report says so instead of claiming triviality.
-    """
-    th = load_builtin("cs3")
-    reg = th.registry
-    sc = su2()
-    entries = list(verify_ni(th))
-    el = _el(th)
-
-    def a(r, lam, *jets):
-        return reg.var("a", (r, lam), jets)
-
-    def curv(r, lam, mu):
-        out = a(r, mu, lam) - a(r, lam, mu)
-        for (s, p, q), v in sc.c.items():
-            if s == r:
-                out = out + (a(p, lam) * a(q, mu)).scale(v)
-        return out
-
-    declared = {(rec.ghost, rec.component): rec for rec in th.records}
-    primes = []
-    for mu in range(3):
-        rows = {}
-        for r in range(3):
-            for lam in range(3):
-                coeff = curv(r, lam, mu)
-                if not coeff.is_zero():
-                    rows[("a", (r, lam), ())] = coeff
-        rec = NoetherRecord("cv'", (mu,), rows)
-        primes.append(rec)
-        res = rec.residual(el)
-        entries.append(_entry("ni", rec.label(),
-                              "pass" if res.is_zero() else "fail", res,
-                              note="curvature presentation"))
-
-    # The two presentations differ by field multiples of the gauge records,
-    # which is what makes them equivalent as identities.
-    for mu in range(3):
-        want = declared[("cv", (mu,))].delta_poly(reg)
-        for j in range(3):
-            want = want + a(j, mu) * declared[("c", (j,))].delta_poly(reg)
-        diff = primes[mu].delta_poly(reg) - want
-        entries.append(_entry(
-            "equivalence", primes[mu].label(),
-            "pass" if diff.is_zero() else "fail", diff,
-            note="equals declared record plus field multiples of gauge records"))
-
-    for rec in primes:
-        H = solve_trivial_witness(th, rec)
-        if H is None:
-            entries.append(_entry("triviality", rec.label(), "fail",
-                                  note="no quadratic certificate found"))
-        else:
-            ok = prolong_apply(assemble_kt(th), H) == rec.delta_poly(reg)
-            entries.append(_entry(
-                "triviality", rec.label(), "pass" if ok else "fail",
-                note="boundary certificate with %d terms" % H.num_terms()))
-    for j in range(3):
-        rec = declared[("c", (j,))]
-        H = solve_trivial_witness(th, rec)
-        if H is None:
-            entries.append(_entry(
-                "triviality", rec.label(), "skipped",
-                note="not certified trivial by the quadratic ansatz"))
-        else:
-            entries.append(_entry(
-                "triviality", rec.label(), "fail",
-                note="gauge record unexpectedly certified trivial"))
-
-    # Ghost shift: u on a (declared) = standard gauge transformation of the
-    # shifted ghost + curvature contracted with the translation ghost.
-    def cprime(r):
-        out = reg.var("c", (r,))
-        for mu in range(3):
-            out = out - a(r, mu) * reg.var("cv", (mu,))
-        return out
-
-    reduced = {}
-    defect = reg.zero
-    for r in range(3):
-        for lam in range(3):
-            expr = total_derivative(cprime(r), lam)
-            for (s, p, q), v in sc.c.items():
-                if s == r:
-                    expr = expr - (cprime(p) * a(q, lam)).scale(v)
-            reduced[("a", (r, lam))] = expr
-            diff = th.gauge_candidate[("a", (r, lam))] - expr
-            for mu in range(3):
-                diff = diff - reg.var("cv", (mu,)) * curv(r, lam, mu)
-            defect = defect + diff
-    entries.append(_entry(
-        "rewriting", "declared operator",
-        "pass" if defect.is_zero() else "fail", defect,
-        note="ghost shift leaves exactly the curvature contraction"))
-    u_red = EvolutionaryDerivation(reg, reduced)
-    ok = check_variational_symmetry(u_red, th.lagrangian)
-    entries.append(_entry(
-        "rewriting", "reduced operator", "pass" if ok else "fail",
-        note="shifted-ghost gauge transformation is a variational symmetry"))
-
-    five = parse_theory(_cs5_text())
-    for ent in verify_ni(five):
-        ent["note"] = "five-dimensional analogue"
-        entries.append(ent)
-    for rec in five.records:
-        H = solve_trivial_witness(five, rec)
-        if H is None:
-            entries.append(_entry(
-                "triviality", rec.label(), "skipped",
-                note="five-dimensional analogue: not certified trivial "
-                     "by the quadratic ansatz"))
-        else:
-            entries.append(_entry(
-                "triviality", rec.label(), "fail",
-                note="five-dimensional analogue unexpectedly certified"))
-
-    status = "pass"
-    if any(e["status"] == "fail" for e in entries):
-        status = "fail"
-    return {"theory": "cs3", "status": status, "entries": entries}

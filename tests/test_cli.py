@@ -9,7 +9,7 @@ import pytest
 from gvc import cli
 from gvc.cli import (_parse_checks, _truncate_residual, apply_sign_mutation,
                      build_report, mutation_sites, run, run_checks)
-from gvc.parser import MAX_NESTING
+from gvc.parser import MAX_NESTING, parse_theory
 from conftest import all_pass, cached, count_calls
 
 MINI = """\
@@ -119,6 +119,11 @@ def _assert_positioned_error(code, err, message):
      "index 'm' is used with conflicting ranges [2, 3]"),
     ("L = a[m;];", "unbound index 'm'"),
     ("L = s;\nni c[] { (s; 3) = 1; }", "jet index 3 out of range"),
+    # no check reads an alpha block without its stage block
+    ("L = s;\nni c[] { (s) = 1; }\nalpha 0 { (s) = 1; }",
+     "alpha blocks start at stage 1 (line 9, column 7)"),
+    ("L = s;\nni c[] { (s) = 1; }\nalpha 1 { (s) = 1; }",
+     "alpha 1: no stage 1 block declared (line 9, column 7)"),
 ])
 def test_key_and_index_errors_exit_2(tmp_path, capsys, body, message):
     _assert_positioned_error(*_verify_text(tmp_path, capsys, _DECLS + body),
@@ -152,6 +157,39 @@ def test_parity_table_of_wrong_shape_exits_2(tmp_path, capsys, table,
     body = table + "\nfield q[2] parity p@0;\nL = s;"
     _assert_positioned_error(*_verify_text(tmp_path, capsys, _DECLS + body),
                              message + " (line 8, column 12)")
+
+
+def test_antibracket_on_a_theory_without_records(tmp_path, capsys):
+    path = tmp_path / "mini.gvc"
+    path.write_text("dim 1; field s even; L = 1/2 * s[;0] * s[;0];\n")
+    assert run(["verify", "--theory", str(path), "--check", "antibracket"]) == 0
+    assert "[pass] antibracket: u (" in capsys.readouterr().out
+
+
+_NO_LEADING_TERM = ("error: --mutate sign needs a gamma block or a "
+                    "Lagrangian with a non-constant term\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim 1; field s even; L = 0;", _NO_LEADING_TERM),
+    ("dim 1; field s even; L = 3;", _NO_LEADING_TERM),
+    ("dim 1; field s even; L = s[;0]^2;\nni c[] { (s; 0) = 1; }\n"
+     "gamma { (c) = 0; }", "error: a zero polynomial has no sign to flip\n"),
+])
+def test_sign_mutation_without_a_sign_to_flip_exits_2(tmp_path, capsys, text,
+                                                      message):
+    path = tmp_path / "flat.gvc"
+    path.write_text(text)
+    assert run(["verify", "--theory", str(path), "--mutate", "sign"]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_mutation_sites_skip_a_constant_lagrangian_not_constant_rows():
+    th = parse_theory("dim 1; field s even; L = 3;\nni c[] { (s; 0) = 1; }")
+    ((label, build),) = mutation_sites(th)
+    assert label == "record c[]"
+    (row,) = build().records[0].rows.values()
+    assert row == -th.registry.one
 
 
 def test_checks_run_on_the_calling_thread(monkeypatch):
@@ -309,6 +347,14 @@ def test_mutation_site_labels():
     mutants = [build() for _label, build in sites]
     assert bf.lagrangian == before  # the original is never modified
     assert mutants[0].lagrangian != before
+    bf4 = cached("bf4")
+    assert [label for label, _build in mutation_sites(bf4)] == [
+        "lagrangian", "record e[]", "record x[0]", "record x[1]",
+        "record x[2]", "record x[3]", "stage record xi[]",
+        "gauge A[0]", "gauge A[1]", "gauge A[2]", "gauge A[3]",
+        "gauge B[0,1]", "gauge B[0,2]", "gauge B[0,3]", "gauge B[1,2]",
+        "gauge B[1,3]", "gauge B[2,3]",
+        "gauge x[0]", "gauge x[1]", "gauge x[2]", "gauge x[3]"]
     ym = cached("ym4")
     labels = [label for label, _build in mutation_sites(ym)]
     assert "gamma c[0]" in labels

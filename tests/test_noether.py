@@ -7,7 +7,6 @@ from gvc.algebra import GvcError
 from gvc.jets import prolong_apply
 from gvc.noether import (
     NoetherRecord,
-    StageRecord,
     assemble_kt,
     check_extended,
     check_kt_nilpotent,
@@ -119,15 +118,21 @@ def test_stage_row_must_target_a_previous_record(toy):
     # y is declared but carries no stage-0 record, so the contraction
     # has nothing to differentiate (the odd coefficient keeps the record
     # parity-consistent so the failure is the guard, not a grading error)
-    bad = StageRecord(1, "ps", (), {("y", (), ()): reg.var("ca")})
+    bad = NoetherRecord("ps", (), {("y", (), ()): reg.var("ca")}, stage=1)
     broken = rebuilt(toy, stages={1: [bad]})
     with pytest.raises(GvcError, match="no stage-0 record"):
         verify_stage_ni(broken, 1)
     # an undeclared name fails earlier, at antifield lookup
-    worse = rebuilt(toy, stages={1: [StageRecord(
-        1, "ps", (), {("nosuch", (), ()): reg.one})]})
+    worse = rebuilt(toy, stages={1: [NoetherRecord(
+        "ps", (), {("nosuch", (), ()): reg.one}, stage=1)]})
     with pytest.raises(GvcError, match="unknown symbol"):
         verify_stage_ni(worse, 1)
+    # the same contraction guards stage 0: a library-built Noether record
+    # naming an undeclared field is refused, not looked up blindly
+    stray = rebuilt(toy, records=[NoetherRecord(
+        "ca", (), {("nosuch", (), ()): reg.one})])
+    with pytest.raises(GvcError, match="unknown symbol 'nosuch'"):
+        verify_ni(stray)
 
 
 def test_extended_lagrangian_structure(toy):
@@ -172,7 +177,8 @@ def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
             for lam in range(3):
                 rows[("a", (r, lam), ())] = curv(r, lam, mu)
         rec = NoetherRecord("cv", (mu,), rows)
-        assert rec.residual(euler_lagrange(cs3.lagrangian)).is_zero()
+        el = euler_lagrange(cs3.lagrangian)
+        assert rec.contract(reg, el.components).is_zero()
         del builds[:]
         H = solve_trivial_witness(cs3, rec)
         assert H is not None
@@ -203,6 +209,12 @@ def test_triviality_report_shapes(cs3):
     assert verify_ni(mini)[0]["note"] == "no records declared"
 
 
-def test_stage_record_guard():
-    with pytest.raises(GvcError, match="start at stage 1"):
-        StageRecord(0, "ps", (), {})
+def test_stage_record_guard(toy):
+    with pytest.raises(GvcError, match="start at stage 0"):
+        NoetherRecord("ps", (), {}, stage=-1)
+    # an on-shell certificate belongs to identities among identities only
+    with pytest.raises(GvcError, match="stage 1 or above"):
+        NoetherRecord("ca", (), {}, h=toy.registry.one)
+    rec = NoetherRecord("ps", (), {}, stage=1, h=toy.registry.one)
+    assert (rec.stage, rec.h) == (1, toy.registry.one)
+    assert NoetherRecord("ca", (), {}).stage == 0
