@@ -241,6 +241,11 @@ class JetVariable:
         return self.key < other.key
 
 
+# An absent table entry: a Fraction, so that a product stops at it the way it
+# stops at any other zero rational.
+_ZERO = Fraction(0)
+
+
 class ConstantTable:
     """A named tensor of exact rationals, stored sparsely.
 
@@ -267,7 +272,7 @@ class ConstantTable:
         for i, v in zip(idx, self.shape):
             if not 0 <= i < v:
                 raise ValueError("index %r out of bounds for table %s" % (idx, self.name))
-        return self.entries.get(idx, 0)
+        return self.entries.get(idx, _ZERO)
 
     def __setitem__(self, idx, val):
         val = _rat(val)
@@ -769,12 +774,7 @@ class Registry:
         component, sign = symbol.canonicalize(component)
         if sign == 0:
             return None, 0
-        index = tuple(sorted(index))
-        for lam in index:
-            if not 0 <= lam < self.dim:
-                raise ValueError("jet direction %d out of range for dim %d" % (lam, self.dim))
-        if len(index) > self.jet_order:
-            raise JetOrderCapError(symbol.name, index, self.jet_order)
+        index = self.checked_index(symbol, index)
         k = (symbol.name, component, index)
         v = self._vars.get(k)
         if v is None:
@@ -782,6 +782,17 @@ class Registry:
             self._vars[k] = v
             self.by_rank.append(v)
         return v, sign
+
+    def checked_index(self, symbol, index):
+        """The multi-index of a ``symbol`` variable, sorted; ValueError for a
+        direction outside the base, JetOrderCapError past the cap."""
+        index = tuple(sorted(index))
+        for lam in index:
+            if not 0 <= lam < self.dim:
+                raise ValueError("jet direction %d out of range for dim %d" % (lam, self.dim))
+        if len(index) > self.jet_order:
+            raise JetOrderCapError(symbol.name, index, self.jet_order)
+        return index
 
     def var(self, name, component=(), index=()):
         """A single jet variable as a polynomial (signed for antisym components)."""

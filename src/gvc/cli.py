@@ -107,12 +107,18 @@ def _flip_record(rec):
     return NoetherRecord(rec.ghost, rec.component, rows, rec.stage, rec.h)
 
 
+def _nonzero_keys(components):
+    """The keys of a component block with a sign to flip, sorted."""
+    return [key for key in sorted(components)
+            if not components[key].is_zero()]
+
+
 def mutation_sites(theory):
     """Deterministic single-sign negative controls.
 
     Returns (label, build) pairs; each build() yields a copy of the theory
     with exactly one sign flipped -- in a Lagrangian term, one row of one
-    record, one gauge-candidate component, or one gamma component.  Flipping
+    record, one nonzero gauge-candidate or gamma component.  Flipping
     a single sign never changes parity, so the mutants stay well formed and
     only the verified identities break.
     """
@@ -141,7 +147,7 @@ def mutation_sites(theory):
             return _rebuild(theory, gauge_candidate=cand)
         return build
 
-    for key in sorted(theory.gauge_candidate or {}):
+    for key in _nonzero_keys(theory.gauge_candidate or {}):
         sites.append(("gauge %s" % comp_label(*key), gauge_site(key)))
 
     def gamma_site(key):
@@ -151,7 +157,7 @@ def mutation_sites(theory):
             return _rebuild(theory, gamma=gamma)
         return build
 
-    for key in sorted(theory.gamma):
+    for key in _nonzero_keys(theory.gamma):
         sites.append(("gamma %s" % comp_label(*key), gamma_site(key)))
     return sites
 
@@ -159,7 +165,8 @@ def mutation_sites(theory):
 def apply_sign_mutation(theory):
     """The single mutation behind ``--mutate sign``; returns (mutant, label)."""
     if theory.gamma:
-        key = sorted(theory.gamma)[0]
+        # with every component zero, _flip_leading reports the first one
+        key = (_nonzero_keys(theory.gamma) or sorted(theory.gamma))[0]
         gamma = dict(theory.gamma)
         gamma[key] = _flip_leading(gamma[key])
         return (_rebuild(theory, gamma=gamma),

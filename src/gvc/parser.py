@@ -26,9 +26,20 @@ Row and component keys are one statement form, ``( NAME[idx...] ; jets )``:
 a key's jets follow its closing bracket.  Every index is expanded by one
 enumerator, ``_assignments``, the last index varying fastest: ``sum``
 bodies, the records of a ghost family, and the free indices of a key, whose
-ranges, canonical component, sign and value come from ``_Eval.expand``.
+ranges come from ``_Eval.check_key`` and whose canonical component, sign
+and value come from ``_Eval.expand``.
 Rows add duplicate keys within a statement; component blocks reject
 conflicting ones.  ``+`` and ``sum`` accumulate in place.
+
+Each expression is evaluated in two passes.  ``_Eval.check`` walks it once,
+given the range of every index bound around it (ghost binders, the key's
+free indices, each ``sum``'s explicit or inferred range), and finds the
+first error any reference would meet under some assignment of them, zero
+factors or not.  ``_Eval.poly`` then computes the value for each
+assignment, raising that error from the assignment evaluating every factor
+would meet it at, so messages and their order are those of a full
+evaluation.  A product ends at its first zero factor: no zero hides an
+invalid reference, and none costs the factors after it.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks.  Everything is exact rational arithmetic; parsing is deterministic.
@@ -37,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import string
+from collections import defaultdict
 from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
@@ -315,17 +327,20 @@ def _assignments(binders, env):
         yield out
 
 
+def _value(atom, env):
+    return atom[1] if atom[0] == "int" else env[atom[1]]
+
+
 class _Eval:
+    """Evaluates expressions in two passes.  ``check`` walks an expression
+    once, given the range of every index bound around it, and finds the
+    first error any reference would meet; ``poly`` then computes its value
+    for one assignment of those indices, raising that error from the
+    assignment evaluation meets it at on.  A product ends at its first zero
+    factor."""
+
     def __init__(self, reg):
         self.reg = reg
-
-    def atom_value(self, atom, env):
-        if atom[0] == "int":
-            return atom[1]
-        try:
-            return env[atom[1]]
-        except KeyError:
-            raise GvcError("unbound index %r" % atom[1])
 
     def infer_range(self, var, node):
         """Scan for usages of ``var`` and return the index range it must have."""
@@ -338,8 +353,8 @@ class _Eval:
                 tab = self.reg.tables.get(n[1])
                 slots = sym.slots if sym is not None else \
                     tab.shape if tab is not None else ()
-                # zip stops at the arity: evaluation reports an over-indexed
-                # reference with its position
+                # zip stops at the arity: check reports an over-indexed
+                # reference
                 for atom, rng in zip(n[2], slots):
                     if atom == ("var", var):
                         found.add(rng)
@@ -365,6 +380,102 @@ class _Eval:
         raise GvcError("index %r is used with conflicting ranges %s"
                        % (var, sorted(found)))
 
+    def check(self, node, ranges):
+        """Check ``node`` once for every assignment of ``ranges`` (index ->
+        range, in binding order), zero factors or not.  Returns ``(node,
+        failure)``: the node with every ``sum``'s ranges resolved, and None
+        or ``(indices, values, error)``, the first error evaluation meets
+        and the values of the ``ranges`` indices it meets it at, which
+        ``poly`` raises from there on."""
+        failures = []
+        node = self._walk(node, ranges, list(ranges), failures)
+        if not failures:
+            return node, None
+        when, exc = min(failures, key=lambda failure: failure[0])
+        return node, (list(ranges), when[:len(ranges)], exc)
+
+    @staticmethod
+    def _when(path, values):
+        """When evaluation reaches ``path`` under ``values``, as a key that
+        sorts in evaluation order."""
+        return tuple(values[step] if isinstance(step, str) else step
+                     for step in path)
+
+    def _walk(self, node, ranges, path, failures):
+        """``check`` below ``path``: the indices bound so far, which stand
+        for their values, and the child positions that lead to ``node``.
+        Appends ``(when, error)`` to ``failures``."""
+        kind = node[0]
+        if kind == "num":
+            return node
+        if kind == "ref":
+            self._check_ref(node, ranges, path, failures)
+            return node
+        if kind == "neg":
+            return ("neg", self._walk(node[1], ranges, path, failures))
+        if kind == "pow":
+            return ("pow", self._walk(node[1], ranges, path, failures), node[2])
+        if kind == "add":
+            return ("add", [(sign, self._walk(item, ranges, path + [i], failures))
+                            for i, (sign, item) in enumerate(node[1])])
+        if kind == "mul":
+            return ("mul", [self._walk(item, ranges, path + [i], failures)
+                            for i, item in enumerate(node[1])])
+        if kind == "sum":
+            try:
+                binders = [(v, r if r is not None else self.infer_range(v, node[2]))
+                           for v, r in node[1]]
+            except GvcError as exc:
+                failures.append((self._when(path, defaultdict(int)), exc))
+                return node
+            # a rebound index moves to the end of the binding order, and
+            # its outer binding keeps its first value, 0, inside
+            names = [v for v, _r in binders]
+            inner = {v: r for v, r in ranges.items() if v not in names}
+            inner.update(binders)
+            path = [0 if step in names else step for step in path] + names
+            return ("sum", binders, self._walk(node[2], inner, path, failures))
+        raise GvcError("malformed expression node %r" % (kind,))
+
+    def _check_ref(self, node, ranges, path, failures):
+        """Append the first error evaluating the reference ``node`` for the
+        assignments of ``ranges`` would meet, if any."""
+        _ref, name, comps, jets = node
+        tab = self.reg.tables.get(name)
+        sym = self.reg.symbols.get(name)
+        try:
+            for atom in comps + jets:
+                if atom[0] == "var" and atom[1] not in ranges:
+                    raise GvcError("unbound index %r" % atom[1])
+            if tab is not None and jets:
+                raise GvcError("constant table %r cannot carry jet indices" % name)
+            if tab is None and sym is None:
+                raise GvcError("unknown symbol %r" % name)
+        except GvcError as exc:
+            failures.append((self._when(path, defaultdict(int)), exc))
+            return
+        # Evaluation meets the reference first with every index at 0.  An
+        # index whose range overruns a slot fails first at that slot's size,
+        # with the other indices at 0.
+        slots = tab.shape if tab is not None else sym.slots
+        assignments = [defaultdict(int)]
+        for atom, size in (list(zip(comps, slots))
+                           + [(atom, self.reg.dim) for atom in jets]):
+            if atom[0] == "var" and ranges[atom[1]] > size:
+                assignments.append(defaultdict(int, {atom[1]: size}))
+        for values in sorted(assignments, key=lambda v: self._when(path, v)):
+            comp = tuple(_value(atom, values) for atom in comps)
+            jet = tuple(_value(atom, values) for atom in jets)
+            try:
+                if tab is not None:
+                    tab[comp]
+                else:
+                    sym.canonicalize(comp)
+                    self.reg.checked_index(sym, jet)
+            except (GvcError, ValueError) as exc:
+                failures.append((self._when(path, values), exc))
+                return
+
     def accumulate(self, signed):
         """The sum of ``(sign, value)`` pairs: rationals add into one
         constant, polynomials through ``_add_into`` into one fresh dict."""
@@ -381,6 +492,7 @@ class _Eval:
                           _add_into(terms, self.reg.const(const).terms))
 
     def eval(self, node, env):
+        """The value of a checked ``node`` under ``env``."""
         kind = node[0]
         if kind == "num":
             return node[1]
@@ -402,54 +514,58 @@ class _Eval:
         if kind == "pow":
             return self.eval(node[1], env) ** node[2]
         if kind == "sum":
-            binders = [(v, r if r is not None else self.infer_range(v, node[2]))
-                       for v, r in node[1]]
             return self.accumulate((1, self.eval(node[2], inner))
-                                   for inner in _assignments(binders, env))
-        if kind == "ref":
-            name = node[1]
-            comps = tuple(self.atom_value(a, env) for a in node[2])
-            jets = tuple(self.atom_value(a, env) for a in node[3])
-            tab = self.reg.tables.get(name)
-            if tab is not None:
-                if node[3]:
-                    raise GvcError("constant table %r cannot carry jet indices" % name)
-                return tab[comps]
-            if name in self.reg.symbols:
-                return self.reg.var(name, comps, jets)
-            raise GvcError("unknown symbol %r" % name)
-        raise GvcError("malformed expression node %r" % (kind,))
+                                   for inner in _assignments(node[1], env))
+        _ref, name, comps, jets = node
+        comps = tuple(_value(atom, env) for atom in comps)
+        tab = self.reg.tables.get(name)
+        if tab is not None:
+            return tab[comps]
+        return self.reg.var(name, comps,
+                            tuple(_value(atom, env) for atom in jets))
 
-    def poly(self, node, env):
+    def poly(self, checked, env):
+        """The value under ``env`` of an expression ``check`` returned."""
+        node, failure = checked
+        if failure is not None:
+            indices, values, exc = failure
+            if tuple(env[v] for v in indices) >= values:
+                raise exc
         val = self.eval(node, env)
         if isinstance(val, GradedPoly):
             return val
         return self.reg.const(val)
 
-    def expand(self, sym, comps, jets, node, env):
-        """Yield ``(component, jets, value)`` for each value of the key's
-        indices not bound in ``env``.  An index runs over the first
-        component slot it sits in, otherwise over the base directions.
-        Components come out canonical and jets sorted; the value carries
-        the symmetry sign, and keys the symmetry kills are skipped."""
+    def check_key(self, sym, comps, jets, node, bound):
+        """Check one key statement once: the key's arity, then its value
+        with the indices of ``bound`` (index -> range) and the key's own.
+        Returns the key's free ``(index, range)`` binders, each running over
+        the first component slot it sits in, otherwise over the base
+        directions, and the checked value."""
         if len(comps) != len(sym.slots):
             raise GvcError("%s expects %d component indices"
                            % (sym.name, len(sym.slots)))
-        ranges = {}
+        free = {}
         for atom, rng in zip(comps + jets,
                              sym.slots + (self.reg.dim,) * len(jets)):
-            if atom[0] == "var" and atom[1] not in env:
-                ranges.setdefault(atom[1], rng)
-        for inner in _assignments(list(ranges.items()), env):
-            canon, sign = sym.canonicalize(
-                self.atom_value(a, inner) for a in comps)
+            if atom[0] == "var" and atom[1] not in bound:
+                free.setdefault(atom[1], rng)
+        return list(free.items()), self.check(node, {**bound, **free})
+
+    def expand(self, sym, comps, jets, free, checked, env):
+        """Yield ``(component, jets, value)`` for each value of the ``free``
+        binders of a key, with ``free`` and ``checked`` from ``check_key``.
+        Components come out canonical and jets sorted; the value carries the
+        symmetry sign, and keys the symmetry kills are skipped."""
+        for inner in _assignments(free, env):
+            canon, sign = sym.canonicalize(_value(a, inner) for a in comps)
             if sign == 0:
                 continue
-            jet = tuple(sorted(self.atom_value(a, inner) for a in jets))
+            jet = tuple(sorted(_value(a, inner) for a in jets))
             for j in jet:
                 if j >= self.reg.dim:
                     raise GvcError("jet index %d out of range" % j)
-            value = self.poly(node, inner)
+            value = self.poly(checked, inner)
             yield canon, jet, value if sign == 1 else value.scale(sign)
 
 
@@ -527,8 +643,11 @@ class _TheoryBuilder:
         elif word == "ni":
             self.record_block(tok, stage=0)
         elif word == "stage":
-            k = self.p.expect("INT")[1]
-            self.record_block(tok, stage=k)
+            ktok = self.p.expect("INT")
+            if ktok[1] < 1:
+                raise ParseError("stage blocks start at 1; stage-0 records "
+                                 "are `ni` blocks", ktok[2], ktok[3])
+            self.record_block(tok, stage=ktok[1])
         elif word == "gauge":
             self.gauge_candidate = self.component_block(tok, self.gauge_candidate)
         elif word == "gamma":
@@ -633,8 +752,9 @@ class _TheoryBuilder:
         self.p.expect("=")
         node = self.p.parse_expression()
         self.p.expect(";")
+        evaluator = _Eval(self.reg)
         try:
-            self.lagrangian = _Eval(self.reg).poly(node, {})
+            self.lagrangian = evaluator.poly(evaluator.check(node, {}), {})
         except (GvcError, ValueError) as exc:
             raise ParseError(str(exc), tok[2], tok[3])
 
@@ -701,27 +821,46 @@ class _TheoryBuilder:
         self.p.expect(";")
         return (tok, name, comps, jets, node)
 
-    def _expand_rows(self, stage, ghost_env, rows_stmts, evaluator):
+    def _row_statement(self, stage, bound, stmt, evaluator):
+        """Resolve and check one row statement for every record of a block;
+        ``bound`` holds the ranges of the block's ghost indices."""
+        tok, name, comps, jets, node = stmt
+        sym = self.reg.symbols.get(name)
+        if sym is None:
+            raise ParseError("unknown row target %r" % name, tok[2], tok[3])
+        if stage == 0 and sym.kind != KIND_FIELD:
+            raise ParseError("rows of an ni block must target fields",
+                             tok[2], tok[3])
+        if stage >= 1 and not (sym.kind == KIND_GHOST and sym.stage == stage - 1):
+            raise ParseError(
+                "rows of a stage-%d block must target stage-%d ghosts"
+                % (stage, stage - 1), tok[2], tok[3])
+        try:
+            free, checked = evaluator.check_key(sym, comps, jets, node, bound)
+        except (GvcError, ValueError) as exc:
+            raise ParseError(str(exc), tok[2], tok[3])
+        return tok, sym, comps, jets, free, checked
+
+    def _expand_rows(self, stage, bound, ghost_env, rows_stmts, statements,
+                     evaluator):
+        """The rows of one record.  ``statements`` collects each row
+        statement of the block resolved and checked, the first record
+        resolving it where it reaches it, so errors keep evaluation order."""
         rows = {}
-        for (tok, name, comps, jets, node) in rows_stmts:
-            sym = self.reg.symbols.get(name)
-            if sym is None:
-                raise ParseError("unknown row target %r" % name, tok[2], tok[3])
-            if stage == 0 and sym.kind != KIND_FIELD:
-                raise ParseError("rows of an ni block must target fields",
-                                 tok[2], tok[3])
-            if stage >= 1 and not (sym.kind == KIND_GHOST and sym.stage == stage - 1):
-                raise ParseError(
-                    "rows of a stage-%d block must target stage-%d ghosts"
-                    % (stage, stage - 1), tok[2], tok[3])
+        for i, stmt in enumerate(rows_stmts):
+            if i == len(statements):
+                statements.append(self._row_statement(stage, bound, stmt,
+                                                      evaluator))
+            tok, sym, comps, jets, free, checked = statements[i]
             statement_rows = {}
             try:
-                for canon, jet, coeff in evaluator.expand(sym, comps, jets,
-                                                          node, ghost_env):
-                    if statement_rows.setdefault((name, canon, jet), coeff) != coeff:
+                for canon, jet, coeff in evaluator.expand(sym, comps, jets, free,
+                                                          checked, ghost_env):
+                    if statement_rows.setdefault((sym.name, canon, jet),
+                                                 coeff) != coeff:
                         raise GvcError(
                             "row (%s[%s]; %s) receives conflicting values under "
-                            "component symmetry" % (name, ",".join(map(str, canon)),
+                            "component symmetry" % (sym.name, ",".join(map(str, canon)),
                                                     ",".join(map(str, jet))))
             except (GvcError, ValueError) as exc:
                 raise ParseError(str(exc), tok[2], tok[3])
@@ -733,11 +872,13 @@ class _TheoryBuilder:
         if ghost in self.reg.symbols:
             raise ParseError("ghost %r declared twice" % ghost, tok[2], tok[3])
         evaluator = _Eval(self.reg)
+        bound, statements = dict(binders), []
         slots = tuple(rng for _v, rng in binders)
         produced = []  # (component, env, rows, parity)
         for env in _assignments(binders, {}):
             comp = tuple(env[var] for var, _rng in binders)
-            rows = self._expand_rows(stage, env, rows_stmts, evaluator)
+            rows = self._expand_rows(stage, bound, env, rows_stmts, statements,
+                                     evaluator)
             if not rows:
                 raise ParseError("record %s[%s] has no rows"
                                  % (ghost, ",".join(map(str, comp))), tok[2], tok[3])
@@ -752,11 +893,12 @@ class _TheoryBuilder:
         self.reg.declare_ghost_antifield(gh)
         h_polys = {}
         if h_node is not None:
-            for comp, env, _rows, _par in produced:
-                try:
-                    h_polys[comp] = evaluator.poly(h_node, env)
-                except (GvcError, ValueError) as exc:
-                    raise ParseError(str(exc), tok[2], tok[3])
+            try:
+                checked = evaluator.check(h_node, bound)
+                for comp, env, _rows, _par in produced:
+                    h_polys[comp] = evaluator.poly(checked, env)
+            except (GvcError, ValueError) as exc:
+                raise ParseError(str(exc), tok[2], tok[3])
         self.stages.setdefault(stage, []).extend(
             NoetherRecord(ghost, comp, rows, stage, h_polys.get(comp))
             for comp, _env, rows, _par in produced)
@@ -807,8 +949,9 @@ class _TheoryBuilder:
                 raise ParseError("component keys cannot target antifields",
                                  rtok[2], rtok[3])
             try:
-                for canon, _jet, val in evaluator.expand(sym, comps, jets,
-                                                         node, {}):
+                free, checked = evaluator.check_key(sym, comps, jets, node, {})
+                for canon, _jet, val in evaluator.expand(sym, comps, jets, free,
+                                                         checked, {}):
                     if out.setdefault((name, canon), val) != val:
                         raise GvcError(
                             "component %s[%s] receives conflicting values"
@@ -835,8 +978,9 @@ def parse_expr(text, registry):
     tok = p.peek()
     if tok[0] != "EOF":
         raise ParseError("trailing input after expression", tok[2], tok[3])
+    evaluator = _Eval(registry)
     try:
-        return _Eval(registry).poly(node, {})
+        return evaluator.poly(evaluator.check(node, {}), {})
     except (GvcError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise

@@ -124,10 +124,41 @@ def _assert_positioned_error(code, err, message):
      "alpha blocks start at stage 1 (line 9, column 7)"),
     ("L = s;\nni c[] { (s) = 1; }\nalpha 1 { (s) = 1; }",
      "alpha 1: no stage 1 block declared (line 9, column 7)"),
+    ("L = s;\nstage 0 c[] { (s) = 1; }",
+     "stage blocks start at 1; stage-0 records are `ni` blocks "
+     "(line 8, column 7)"),
 ])
 def test_key_and_index_errors_exit_2(tmp_path, capsys, body, message):
     _assert_positioned_error(*_verify_text(tmp_path, capsys, _DECLS + body),
                              message)
+
+
+# A product ends at its first zero factor, but every reference in it is
+# still validated: k[0,0] is an absent table entry.
+@pytest.mark.parametrize("zero", ["k[0,0]", "0", "(1/2 - 1/2)"],
+                         ids=["table", "literal", "cancelled"])
+@pytest.mark.parametrize("bad, message", [
+    ("nosuch", "unknown symbol 'nosuch'"),
+    ("a[0,1]", "a expects 1 component indices, got (0, 1)"),
+    ("a[7]", "component index 7 out of range 2 for a"),
+    ("k[0,1;0]", "constant table 'k' cannot carry jet indices"),
+    ("s[;0,0,0,0,0]", "jet order 5 of s(0, 0, 0, 0, 0) exceeds the cap 4"),
+    ("a[m]", "unbound index 'm'"),
+    ("sum(m){ 1 }", "cannot infer a range for index 'm'"),
+], ids=["unknown", "arity", "range", "table-jets", "cap", "unbound",
+        "no-range"])
+@pytest.mark.parametrize("statement, position", [
+    ("L = s + %s;", "(line 7, column 1)"),
+    ("L = s;\nni c[] { (s) = 1 + %s; }", "(line 8, column 10)"),
+    ("L = s;\ngauge { (s) = %s; }", "(line 8, column 9)"),
+], ids=["L", "ni", "gauge"])
+def test_no_zero_factor_hides_an_invalid_reference(tmp_path, capsys, zero,
+                                                   bad, message, statement,
+                                                   position):
+    body = statement % ("%s * %s" % (zero, bad))
+    code, err = _verify_text(tmp_path, capsys, _DECLS + body)
+    _assert_positioned_error(code, err, message)
+    assert err.endswith(position + "\n")
 
 
 @pytest.mark.parametrize("body, message", [
@@ -182,6 +213,22 @@ def test_sign_mutation_without_a_sign_to_flip_exits_2(tmp_path, capsys, text,
     path.write_text(text)
     assert run(["verify", "--theory", str(path), "--mutate", "sign"]) == 2
     assert capsys.readouterr().err == message
+
+
+def test_zero_components_offer_no_sign_to_flip(capsys):
+    th = parse_theory("dim 1; field s even; L = s[;0]^2;\n"
+                      "ni c[] { (s; 0) = 1; }\nni e[] { (s; 0) = 2; }\n"
+                      "gauge { (s) = 0; (c) = 1; }\n"
+                      "gamma { (c) = 0; (e) = c; }")
+    sites = mutation_sites(th)
+    assert [label for label, _build in sites] == [
+        "lagrangian", "record c[]", "record e[]", "gauge c[]", "gamma e[]"]
+    for _label, build in sites:
+        build()
+    mutant, label = apply_sign_mutation(th)
+    assert label == "sign of leading gamma term on e[]"
+    assert mutant.gamma[("e", ())] == -th.gamma[("e", ())]
+    assert mutant.gamma[("c", ())] == th.gamma[("c", ())]
 
 
 def test_mutation_sites_skip_a_constant_lagrangian_not_constant_rows():

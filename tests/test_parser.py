@@ -1,4 +1,5 @@
 """Grammar round trips, record canonicalization, and error reporting."""
+import hashlib
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from gvc.algebra import Registry
 from gvc.parser import ParseError, parse_expr, parse_theory
+from gvc.theories import build_fixture, fixture_text, load_builtin
 from conftest import cached
 
 
@@ -23,6 +25,9 @@ def test_field_parity_is_mandatory():
         parse_theory("dim 1; field s; L = s;")
 
 
+_AB = "dim 1; field s even; field a[2] even; field b[3] even; "
+
+
 @pytest.mark.parametrize("text, message", [
     ("dim 1; field s even; L = s; L = s;", "L declared twice"),
     ("dim 1; field s even; L = q;", "unknown symbol 'q'"),
@@ -37,6 +42,18 @@ def test_field_parity_is_mandatory():
      "h certificates belong to stage blocks"),
     ("dim 1; field s even; L = s;\nni c[] { (s) = 1; }\nni c[] { (s) = 2; }",
      "ghost 'c' declared twice"),
+    # of several errors, the one evaluation meets first: a[2] is met only
+    # after every other value of the index
+    (_AB + "L = s;\nni c[j:3] { (s) = a[j;]; (s) = nosuch; }",
+     "unknown symbol 'nosuch' (line 2, column 26)"),
+    (_AB + "L = s;\nni c[j:3] { (s) = a[j;] - a[j;]; }",
+     "record c[0] has no rows (line 2, column 1)"),
+    (_AB + "L = s;\ngauge { (b[i]) = a[i;] + nosuch; }",
+     "unknown symbol 'nosuch' (line 2, column 9)"),
+    (_AB + "table k[2]{ [0]=1; } L = s;\ngauge { (b[i]) = a[i;] + k[0;0]; }",
+     "constant table 'k' cannot carry jet indices (line 2, column 9)"),
+    (_AB + "L = sum(m:3){ a[m;] } + nosuch;",
+     "component index 2 out of range 2 for a (line 1, column 56)"),
 ])
 def test_error_messages(text, message):
     with pytest.raises(ParseError) as ei:
@@ -164,6 +181,63 @@ def test_pretty_round_trip_of_fixture_objects():
         objs.extend((th.gauge_candidate or {}).values())
         for p in objs:
             assert parse_expr(p.pretty(), th.registry) == p
+
+
+def _parsed_objects(th):
+    """``(label, polynomial)`` for everything a theory file defines: L,
+    every record row and h, and every gauge, gamma and alpha component."""
+    yield "L", th.lagrangian
+    for k in [0] + th.stage_numbers():
+        for rec in th.stage_records(k):
+            for key in sorted(rec.rows):
+                yield "row %d %s %r" % (k, rec.label(), key), rec.rows[key]
+            if rec.h is not None:
+                yield "h %s" % rec.label(), rec.h
+    blocks = [("gauge", th.gauge_candidate or {}), ("gamma", th.gamma)]
+    blocks.extend(("alpha%d" % k, comps) for k, comps in sorted(th.alphas.items()))
+    for what, comps in blocks:
+        for key in sorted(comps):
+            yield "%s %r" % (what, key), comps[key]
+
+
+# sha256 of every parsed object's label and pretty() text, the same as when
+# every factor of a product was evaluated, and the number of jet variables
+# parsing interns: a variable met only under a zero factor is not interned.
+_PARSED = {
+    "bf": ("9800ed37098fdafd404d56b9633551fe0f3bb0963f7b472b3041fd9e1173c503", 21),
+    "bf4": ("ee8e107ab9cd425c8a1bad023faf01cd5254cb948caa44e9e15820561e5f1e0d", 56),
+    "cs3": ("f6b6ff502a8e433e1f6de7ec93a22c7c8d7e0f9a4a353477aaa287e3d870c653", 78),
+    "grav4": ("c1f5160cef7e23a094fcb9af0340c5600dbe0629abb9d2c079aa8ea39563d7ed", 864),
+    "ym4": ("3a954b35a0276aa5e76201bfd30ac846236ef9875b13f028387bf5adf7260e93", 99),
+    "ym4_super": ("22f802e126e0322827c270d4b8dd9a57e31b603df77c4b78772c2b3ffc85d130", 165),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARSED))
+def test_parsing_keeps_each_builtin(name):
+    th = (build_fixture("bf", n=4, p=1, q=2) if name == "bf4"
+          else load_builtin(name))
+    digest, interned = _PARSED[name]
+    assert len(th.registry.by_rank) == interned
+    lines = []
+    for label, p in _parsed_objects(th):
+        text = p.pretty()
+        assert parse_expr(text, th.registry).pretty() == text, label
+        lines.append("%s %s" % (label, text))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_parsing_grav4_resolves_few_jet_variables(monkeypatch):
+    # 87,296 calls when every factor of a product was evaluated; 12,928 now
+    calls = []
+    jet_var = Registry.jet_var
+
+    def counted(self, *args):
+        calls.append(None)
+        return jet_var(self, *args)
+    monkeypatch.setattr(Registry, "jet_var", counted)
+    parse_theory(fixture_text("grav4"))
+    assert len(calls) <= 20000
 
 
 # -- randomized round trip ----------------------------------------------------
