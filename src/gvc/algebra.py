@@ -772,9 +772,9 @@ class Registry:
             except KeyError:
                 raise GvcError("unknown symbol %r" % symbol) from None
         component, sign = symbol.canonicalize(component)
+        index = self.checked_index(symbol, index)
         if sign == 0:
             return None, 0
-        index = self.checked_index(symbol, index)
         k = (symbol.name, component, index)
         v = self._vars.get(k)
         if v is None:

@@ -31,15 +31,17 @@ and value come from ``_Eval.expand``.
 Rows add duplicate keys within a statement; component blocks reject
 conflicting ones.  ``+`` and ``sum`` accumulate in place.
 
-Each expression is evaluated in two passes.  ``_Eval.check`` walks it once,
-given the range of every index bound around it (ghost binders, the key's
-free indices, each ``sum``'s explicit or inferred range), and finds the
-first error any reference would meet under some assignment of them, zero
-factors or not.  ``_Eval.poly`` then computes the value for each
-assignment, raising that error from the assignment evaluating every factor
-would meet it at, so messages and their order are those of a full
-evaluation.  A product ends at its first zero factor: no zero hides an
-invalid reference, and none costs the factors after it.
+Errors come from evaluation itself.  ``_Eval.check`` walks each expression
+once, without evaluating it, given the range of every index bound around
+it (ghost binders, the key's free indices, each ``sum``'s explicit or
+inferred range): it resolves the ``sum`` ranges and decides whether the
+expression is clean, that is whether no reference in it can fail under any
+assignment.  A clean expression ends a product at its first zero factor,
+so no zero costs the factors after it.  Any other is evaluated in full,
+every factor of every product, so the first error it raises is the one
+that evaluating every factor meets, where it meets it.  No index range is
+empty, and the jets of a variable an antisymmetric family kills are still
+checked, so no zero hides an invalid reference.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks.  Everything is exact rational arithmetic; parsing is deterministic.
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import string
-from collections import defaultdict
 from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
@@ -245,18 +246,7 @@ class _Parser:
         if tok[0] == "NAME" and tok[1] == "sum":
             self.next()
             self.expect("(")
-            binders = []
-            while True:
-                name = self.expect("NAME")
-                rng = None
-                if self.at(":"):
-                    self.next()
-                    rng = self.expect("INT")[1]
-                self.bind(binders, name, rng)
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+            binders = self.binders(ranged=False)
             self.expect(")")
             self.expect("{")
             body = self.nested(tok, self.parse_expression)
@@ -268,11 +258,50 @@ class _Parser:
             return ("ref", tok[1], comps, jets)
         self.error("expected an expression")
 
-    def bind(self, binders, tok, rng):
-        """Append the index ``tok`` names with its range; one index binds once."""
-        if any(var == tok[1] for var, _rng in binders):
-            self.error("index %r is bound twice" % tok[1], tok)
-        binders.append((tok[1], rng))
+    def items(self, read, close=()):
+        """``read {"," read}``: what each ``read()`` returns, in a list, or
+        an empty list when the next token is one of ``close``."""
+        if self.peek()[0] in close:
+            return []
+        out = [read()]
+        while self.at(","):
+            self.next()
+            out.append(read())
+        return out
+
+    def size(self):
+        """A range, slot size or table extent: an INT of at least 1."""
+        tok = self.expect("INT")
+        if tok[1] < 1:
+            self.error("a range must be at least 1, got %d" % tok[1], tok)
+        return tok[1]
+
+    def index(self):
+        """``INT | NAME`` as ``("int", value)`` or ``("var", name)``."""
+        tok = self.next()
+        if tok[0] == "INT":
+            return ("int", tok[1])
+        if tok[0] == "NAME":
+            return ("var", tok[1])
+        raise ParseError("expected an index", tok[2], tok[3])
+
+    def binders(self, ranged, close=()):
+        """``binder {"," binder}``, each ``NAME [":" size]`` with the range
+        required when ``ranged``, as ``(index, range-or-None)`` pairs; one
+        index binds once."""
+        seen = set()
+
+        def binder():
+            tok = self.expect("NAME")
+            rng = None
+            if ranged or self.at(":"):
+                self.expect(":")
+                rng = self.size()
+            if tok[1] in seen:
+                self.error("index %r is bound twice" % tok[1], tok)
+            seen.add(tok[1])
+            return tok[1], rng
+        return self.items(binder, close)
 
     def rational(self):
         """``INT [/ INT]`` as a Fraction; a zero denominator is an error."""
@@ -290,27 +319,13 @@ class _Parser:
         if not self.at("["):
             return [], []
         self.next()
-        comps = self.parse_index_list(stop=(";", "]"))
+        comps = self.items(self.index, close=(";", "]"))
         jets = []
         if self.at(";"):
             self.next()
-            jets = self.parse_index_list(stop=("]",))
+            jets = self.items(self.index, close=("]",))
         self.expect("]")
         return comps, jets
-
-    def parse_index_list(self, stop):
-        atoms = []
-        while self.peek()[0] not in stop:
-            tok = self.next()
-            if tok[0] == "INT":
-                atoms.append(("int", tok[1]))
-            elif tok[0] == "NAME":
-                atoms.append(("var", tok[1]))
-            else:
-                raise ParseError("expected an index", tok[2], tok[3])
-            if self.at(","):
-                self.next()
-        return atoms
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +343,21 @@ def _assignments(binders, env):
 
 
 def _value(atom, env):
-    return atom[1] if atom[0] == "int" else env[atom[1]]
+    if atom[0] == "int":
+        return atom[1]
+    try:
+        return env[atom[1]]
+    except KeyError:
+        raise GvcError("unbound index %r" % atom[1]) from None
 
 
 class _Eval:
-    """Evaluates expressions in two passes.  ``check`` walks an expression
-    once, given the range of every index bound around it, and finds the
-    first error any reference would meet; ``poly`` then computes its value
-    for one assignment of those indices, raising that error from the
-    assignment evaluation meets it at on.  A product ends at its first zero
-    factor."""
+    """Evaluates expressions.  ``check`` resolves each ``sum``'s ranges once
+    and decides, without evaluating anything, whether an expression is
+    clean: no reference in it can fail under any assignment of the indices
+    bound around it.  A clean expression ends a product at its first zero
+    factor; any other is evaluated in full, so the first error it raises is
+    the one evaluating every factor meets, where it meets it."""
 
     def __init__(self, reg):
         self.reg = reg
@@ -353,7 +373,7 @@ class _Eval:
                 tab = self.reg.tables.get(n[1])
                 slots = sym.slots if sym is not None else \
                     tab.shape if tab is not None else ()
-                # zip stops at the arity: check reports an over-indexed
+                # zip stops at the arity: evaluation reports an over-indexed
                 # reference
                 for atom, rng in zip(n[2], slots):
                     if atom == ("var", var):
@@ -380,101 +400,60 @@ class _Eval:
         raise GvcError("index %r is used with conflicting ranges %s"
                        % (var, sorted(found)))
 
+    def resolve(self, binders, body):
+        """A ``sum``'s binders with each missing range inferred from its
+        ``body``."""
+        return [(v, r if r is not None else self.infer_range(v, body))
+                for v, r in binders]
+
     def check(self, node, ranges):
-        """Check ``node`` once for every assignment of ``ranges`` (index ->
-        range, in binding order), zero factors or not.  Returns ``(node,
-        failure)``: the node with every ``sum``'s ranges resolved, and None
-        or ``(indices, values, error)``, the first error evaluation meets
-        and the values of the ``ranges`` indices it meets it at, which
-        ``poly`` raises from there on."""
-        failures = []
-        node = self._walk(node, ranges, list(ranges), failures)
-        if not failures:
-            return node, None
-        when, exc = min(failures, key=lambda failure: failure[0])
-        return node, (list(ranges), when[:len(ranges)], exc)
-
-    @staticmethod
-    def _when(path, values):
-        """When evaluation reaches ``path`` under ``values``, as a key that
-        sorts in evaluation order."""
-        return tuple(values[step] if isinstance(step, str) else step
-                     for step in path)
-
-    def _walk(self, node, ranges, path, failures):
-        """``check`` below ``path``: the indices bound so far, which stand
-        for their values, and the child positions that lead to ``node``.
-        Appends ``(when, error)`` to ``failures``."""
+        """``(node, clean)``: ``node`` with each ``sum``'s ranges resolved
+        where they can be inferred, and whether it is clean, given the
+        range of every index bound around it (``ranges``, index -> range).
+        A ``sum`` whose range cannot be inferred is unclean."""
         kind = node[0]
         if kind == "num":
-            return node
+            return node, True
         if kind == "ref":
-            self._check_ref(node, ranges, path, failures)
-            return node
-        if kind == "neg":
-            return ("neg", self._walk(node[1], ranges, path, failures))
-        if kind == "pow":
-            return ("pow", self._walk(node[1], ranges, path, failures), node[2])
+            return node, self.clean_ref(node, ranges)
+        if kind in ("neg", "pow"):
+            inner, clean = self.check(node[1], ranges)
+            return (kind, inner) + node[2:], clean
         if kind == "add":
-            return ("add", [(sign, self._walk(item, ranges, path + [i], failures))
-                            for i, (sign, item) in enumerate(node[1])])
+            signs, items = zip(*node[1])
+            nodes, cleans = zip(*(self.check(item, ranges) for item in items))
+            return ("add", list(zip(signs, nodes))), all(cleans)
         if kind == "mul":
-            return ("mul", [self._walk(item, ranges, path + [i], failures)
-                            for i, item in enumerate(node[1])])
-        if kind == "sum":
-            try:
-                binders = [(v, r if r is not None else self.infer_range(v, node[2]))
-                           for v, r in node[1]]
-            except GvcError as exc:
-                failures.append((self._when(path, defaultdict(int)), exc))
-                return node
-            # a rebound index moves to the end of the binding order, and
-            # its outer binding keeps its first value, 0, inside
-            names = [v for v, _r in binders]
-            inner = {v: r for v, r in ranges.items() if v not in names}
-            inner.update(binders)
-            path = [0 if step in names else step for step in path] + names
-            return ("sum", binders, self._walk(node[2], inner, path, failures))
-        raise GvcError("malformed expression node %r" % (kind,))
+            nodes, cleans = zip(*(self.check(item, ranges) for item in node[1]))
+            return ("mul", nodes), all(cleans)
+        try:
+            binders = self.resolve(node[1], node[2])
+        except GvcError:
+            return node, False
+        body, clean = self.check(node[2], {**ranges, **dict(binders)})
+        return ("sum", binders, body), clean
 
-    def _check_ref(self, node, ranges, path, failures):
-        """Append the first error evaluating the reference ``node`` for the
-        assignments of ``ranges`` would meet, if any."""
+    def clean_ref(self, node, ranges):
+        """Whether the reference ``node`` evaluates without error under
+        every assignment of ``ranges``: a symbol, or a table with no jets,
+        with as many indices as slots and at most the cap of jets, and every
+        index bound and inside each slot it sits in (``dim`` for jets)."""
         _ref, name, comps, jets = node
         tab = self.reg.tables.get(name)
         sym = self.reg.symbols.get(name)
-        try:
-            for atom in comps + jets:
-                if atom[0] == "var" and atom[1] not in ranges:
-                    raise GvcError("unbound index %r" % atom[1])
-            if tab is not None and jets:
-                raise GvcError("constant table %r cannot carry jet indices" % name)
-            if tab is None and sym is None:
-                raise GvcError("unknown symbol %r" % name)
-        except GvcError as exc:
-            failures.append((self._when(path, defaultdict(int)), exc))
-            return
-        # Evaluation meets the reference first with every index at 0.  An
-        # index whose range overruns a slot fails first at that slot's size,
-        # with the other indices at 0.
-        slots = tab.shape if tab is not None else sym.slots
-        assignments = [defaultdict(int)]
-        for atom, size in (list(zip(comps, slots))
-                           + [(atom, self.reg.dim) for atom in jets]):
-            if atom[0] == "var" and ranges[atom[1]] > size:
-                assignments.append(defaultdict(int, {atom[1]: size}))
-        for values in sorted(assignments, key=lambda v: self._when(path, v)):
-            comp = tuple(_value(atom, values) for atom in comps)
-            jet = tuple(_value(atom, values) for atom in jets)
-            try:
-                if tab is not None:
-                    tab[comp]
-                else:
-                    sym.canonicalize(comp)
-                    self.reg.checked_index(sym, jet)
-            except (GvcError, ValueError) as exc:
-                failures.append((self._when(path, values), exc))
-                return
+        if tab is not None and not jets:
+            slots = tab.shape
+        elif sym is not None and len(jets) <= self.reg.jet_order:
+            slots = sym.slots
+        else:
+            return False
+        if len(comps) != len(slots):
+            return False
+        for atom, size in zip(comps + jets, slots + (self.reg.dim,) * len(jets)):
+            rng = atom[1] + 1 if atom[0] == "int" else ranges.get(atom[1])
+            if rng is None or rng > size:
+                return False
+        return True
 
     def accumulate(self, signed):
         """The sum of ``(sign, value)`` pairs: rationals add into one
@@ -491,47 +470,45 @@ class _Eval:
         return GradedPoly(self.reg,
                           _add_into(terms, self.reg.const(const).terms))
 
-    def eval(self, node, env):
-        """The value of a checked ``node`` under ``env``."""
+    def eval(self, node, env, clean):
+        """The value of a checked ``node`` under ``env``; a product ends at
+        its first zero factor only when ``node`` is ``clean``."""
         kind = node[0]
         if kind == "num":
             return node[1]
         if kind == "neg":
-            return -self.eval(node[1], env)
+            return -self.eval(node[1], env, clean)
         if kind == "add":
-            return self.accumulate((sign, self.eval(item, env))
+            return self.accumulate((sign, self.eval(item, env, clean))
                                    for sign, item in node[1])
         if kind == "mul":
             total = None
             for item in node[1]:
-                val = self.eval(item, env)
-                if isinstance(val, Fraction) and val == 0:
-                    return Fraction(0)
-                if isinstance(val, GradedPoly) and val.is_zero():
+                val = self.eval(item, env, clean)
+                if clean and not val:
                     return Fraction(0)
                 total = val if total is None else total * val
             return total
         if kind == "pow":
-            return self.eval(node[1], env) ** node[2]
+            return self.eval(node[1], env, clean) ** node[2]
         if kind == "sum":
-            return self.accumulate((1, self.eval(node[2], inner))
-                                   for inner in _assignments(node[1], env))
+            binders = node[1] if clean else self.resolve(node[1], node[2])
+            return self.accumulate((1, self.eval(node[2], inner, clean))
+                                   for inner in _assignments(binders, env))
         _ref, name, comps, jets = node
         comps = tuple(_value(atom, env) for atom in comps)
+        jets = tuple(_value(atom, env) for atom in jets)
         tab = self.reg.tables.get(name)
-        if tab is not None:
-            return tab[comps]
-        return self.reg.var(name, comps,
-                            tuple(_value(atom, env) for atom in jets))
+        if tab is None:
+            return self.reg.var(name, comps, jets)
+        if jets:
+            raise GvcError("constant table %r cannot carry jet indices" % name)
+        return tab[comps]
 
     def poly(self, checked, env):
         """The value under ``env`` of an expression ``check`` returned."""
-        node, failure = checked
-        if failure is not None:
-            indices, values, exc = failure
-            if tuple(env[v] for v in indices) >= values:
-                raise exc
-        val = self.eval(node, env)
+        node, clean = checked
+        val = self.eval(node, env, clean)
         if isinstance(val, GradedPoly):
             return val
         return self.reg.const(val)
@@ -555,16 +532,14 @@ class _Eval:
     def expand(self, sym, comps, jets, free, checked, env):
         """Yield ``(component, jets, value)`` for each value of the ``free``
         binders of a key, with ``free`` and ``checked`` from ``check_key``.
-        Components come out canonical and jets sorted; the value carries the
-        symmetry sign, and keys the symmetry kills are skipped."""
+        Components come out canonical and jets sorted and checked like a
+        variable's; the value carries the symmetry sign, and keys the
+        symmetry kills are skipped."""
         for inner in _assignments(free, env):
             canon, sign = sym.canonicalize(_value(a, inner) for a in comps)
+            jet = self.reg.checked_index(sym, (_value(a, inner) for a in jets))
             if sign == 0:
                 continue
-            jet = tuple(sorted(_value(a, inner) for a in jets))
-            for j in jet:
-                if j >= self.reg.dim:
-                    raise GvcError("jet index %d out of range" % j)
             value = self.poly(checked, inner)
             yield canon, jet, value if sign == 1 else value.scale(sign)
 
@@ -669,19 +644,13 @@ class _TheoryBuilder:
         self.need_reg(tok)
         name = self.p.expect("NAME")[1]
         self.p.expect("[")
-        shape = [self.p.expect("INT")[1]]
-        while self.p.at(","):
-            self.p.next()
-            shape.append(self.p.expect("INT")[1])
+        shape = self.p.items(self.p.size)
         self.p.expect("]")
         self.p.expect("{")
         entries = {}
         while not self.p.at("}"):
             self.p.expect("[")
-            idx = [self.p.expect("INT")[1]]
-            while self.p.at(","):
-                self.p.next()
-                idx.append(self.p.expect("INT")[1])
+            idx = self.p.items(lambda: self.p.expect("INT")[1])
             self.p.expect("]")
             self.p.expect("=")
             sign = 1
@@ -704,11 +673,8 @@ class _TheoryBuilder:
         slots = []
         if self.p.at("["):
             self.p.next()
-            while not self.p.at("]"):
-                slots.append(self.p.expect("INT")[1])
-                if self.p.at(","):
-                    self.p.next()
-            self.p.next()
+            slots = self.p.items(self.p.size)
+            self.p.expect("]")
         symmetry = None
         if self.p.at("NAME", "sym") or self.p.at("NAME", "antisym"):
             symmetry = self.p.next()[1]
@@ -760,19 +726,6 @@ class _TheoryBuilder:
 
     # -- record blocks ----------------------------------------------------------
 
-    def label_binders(self):
-        """``[i:RANGE, ...]`` after a ghost name; empty group for scalars."""
-        self.p.expect("[")
-        binders = []
-        while not self.p.at("]"):
-            var = self.p.expect("NAME")
-            self.p.expect(":")
-            self.p.bind(binders, var, self.p.expect("INT")[1])
-            if self.p.at(","):
-                self.p.next()
-        self.p.next()
-        return binders
-
     def record_block(self, tok, stage):
         self.need_reg(tok)
         if self.frozen:
@@ -781,7 +734,9 @@ class _TheoryBuilder:
         if self.lagrangian is None:
             raise ParseError("records must come after the Lagrangian", tok[2], tok[3])
         ghost = self.p.expect("NAME")[1]
-        binders = self.label_binders()
+        self.p.expect("[")  # [i:RANGE, ...], an empty group for scalars
+        binders = self.p.binders(ranged=True, close=("]",))
+        self.p.expect("]")
         self.p.expect("{")
         rows_stmts = []
         h_node = None
@@ -810,11 +765,11 @@ class _TheoryBuilder:
         comps, jets = [], []
         if self.p.at("["):
             self.p.next()
-            comps = self.p.parse_index_list(stop=(";", "]"))
+            comps = self.p.items(self.p.index, close=(";", "]"))
             self.p.expect("]")
         if self.p.at(";"):
             self.p.next()
-            jets = self.p.parse_index_list(stop=(")",))
+            jets = self.p.items(self.p.index, close=(")",))
         self.p.expect(")")
         self.p.expect("=")
         node = self.p.parse_expression()

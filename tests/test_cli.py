@@ -118,7 +118,11 @@ def _assert_positioned_error(code, err, message):
     ("L = sum(m){ a[m;] * b[m;] };",
      "index 'm' is used with conflicting ranges [2, 3]"),
     ("L = a[m;];", "unbound index 'm'"),
-    ("L = s;\nni c[] { (s; 3) = 1; }", "jet index 3 out of range"),
+    # key jets are checked like a variable's: direction, then the cap
+    ("L = s;\nni c[] { (s; 3) = 1; }",
+     "jet direction 3 out of range for dim 2 (line 8, column 10)"),
+    ("L = s;\nni c[] { (s; 0,0,0,0,0) = 1; }",
+     "jet order 5 of s(0, 0, 0, 0, 0) exceeds the cap 4"),
     # no check reads an alpha block without its stage block
     ("L = s;\nni c[] { (s) = 1; }\nalpha 0 { (s) = 1; }",
      "alpha blocks start at stage 1 (line 9, column 7)"),
@@ -159,6 +163,79 @@ def test_no_zero_factor_hides_an_invalid_reference(tmp_path, capsys, zero,
     code, err = _verify_text(tmp_path, capsys, _DECLS + body)
     _assert_positioned_error(code, err, message)
     assert err.endswith(position + "\n")
+
+
+_ANTISYM = _DECLS + "field B[2,2] antisym even;\n"
+
+
+# A variable or key the antisymmetry kills is zero, but its jets are checked.
+# The value of a killed key is not evaluated: the first error is the one met
+# at (i, m) = (0, 1), the first key evaluated.
+@pytest.mark.parametrize("body, message", [
+    ("L = s + k[0,0] * B[0,0;7];",
+     "jet direction 7 out of range for dim 2 (line 8, column 1)"),
+    ("L = s + 0 * B[1,1;0,0,0,0,0];",
+     "jet order 5 of B(0, 0, 0, 0, 0) exceeds the cap 4"),
+    ("L = s;\nni c[] { (B[0,0]; 7) = 1; }",
+     "jet direction 7 out of range for dim 2 (line 9, column 10)"),
+    ("L = s;\ngauge { (B[i,m]) = a[m,0]; }",
+     "a expects 1 component indices, got (1, 0) (line 9, column 9)"),
+])
+def test_antisymmetric_zeros_hide_no_invalid_jets(tmp_path, capsys, body,
+                                                  message):
+    _assert_positioned_error(*_verify_text(tmp_path, capsys, _ANTISYM + body),
+                             message)
+
+
+# No index range is empty: an empty sum or ghost family would never evaluate
+# what it holds.
+@pytest.mark.parametrize("body, position", [
+    ("L = sum(i:0){ s };", "(line 7, column 11)"),
+    ("L = s;\nni c[j:0] { (s) = 1; }", "(line 8, column 8)"),
+    ("L = s;\nni c[p:1, j:0] { (s) = 1; }", "(line 8, column 13)"),
+    ("field q[0] even;\nL = s;", "(line 7, column 9)"),
+    ("table t[2,0]{ }\nL = s;", "(line 7, column 11)"),
+], ids=["sum", "ghost", "ghost-pair", "field", "table"])
+def test_empty_ranges_exit_2(tmp_path, capsys, body, position):
+    _assert_positioned_error(*_verify_text(tmp_path, capsys, _DECLS + body),
+                             "a range must be at least 1, got 0 " + position)
+
+
+# Every comma-separated list, missing a comma and with a trailing comma.
+@pytest.mark.parametrize("body, message", [
+    ("L = sum(i:2 j:2){ s };", "expected ')', found 'j' (line 7, column 13)"),
+    ("L = sum(i:2,){ s };", "expected 'NAME', found ')' (line 7, column 13)"),
+    ("L = s;\nni c[i:2 j:2] { (s) = 1; }",
+     "expected ']', found 'j' (line 8, column 10)"),
+    ("L = s;\nni c[i:2,] { (s) = 1; }",
+     "expected 'NAME', found ']' (line 8, column 10)"),
+    ("field q[2 2] even;\nL = s;",
+     "expected ']', found 2 (line 7, column 11)"),
+    ("field q[2,] even;\nL = s;",
+     "expected 'INT', found ']' (line 7, column 11)"),
+    ("table t[2 2]{ }\nL = s;", "expected ']', found 2 (line 7, column 11)"),
+    ("table t[2,]{ }\nL = s;",
+     "expected 'INT', found ']' (line 7, column 11)"),
+    ("table t[2,2]{ [0 1]=1; }\nL = s;",
+     "expected ']', found 1 (line 7, column 18)"),
+    ("table t[2,2]{ [0,]=1; }\nL = s;",
+     "expected 'INT', found ']' (line 7, column 18)"),
+    ("L = g[0 1;];", "expected ']', found 1 (line 7, column 9)"),
+    ("L = g[0,;];", "expected an index (line 7, column 9)"),
+    ("L = s[;0 1];", "expected ']', found 1 (line 7, column 10)"),
+    ("L = s[;0,];", "expected an index (line 7, column 10)"),
+    ("L = s;\nni c[] { (g[i j]) = 1; }",
+     "expected ']', found 'j' (line 8, column 15)"),
+    ("L = s;\nni c[] { (g[i,]) = 1; }",
+     "expected an index (line 8, column 15)"),
+    ("L = s;\nni c[] { (s; 0 1) = 1; }",
+     "expected ')', found 1 (line 8, column 16)"),
+    ("L = s;\nni c[] { (s; 0,) = 1; }",
+     "expected an index (line 8, column 16)"),
+])
+def test_comma_lists_exit_2(tmp_path, capsys, body, message):
+    _assert_positioned_error(*_verify_text(tmp_path, capsys, _DECLS + body),
+                             message)
 
 
 @pytest.mark.parametrize("body, message", [
