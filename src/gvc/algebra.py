@@ -516,17 +516,6 @@ class GradedPoly:
         by_rank = self.reg.by_rank
         return {by_rank[r] for evens, odds in self.terms for r in evens + odds}
 
-    def degree_parts(self):
-        parts = {}
-        for key, c in self.terms.items():
-            evens, odds = key
-            d = len(evens) + len(odds)
-            parts.setdefault(d, {})[key] = c
-        return {d: GradedPoly(self.reg, t) for d, t in sorted(parts.items())}
-
-    def constant_term(self):
-        return self.terms.get(((), ()), 0)
-
     def num_terms(self):
         return len(self.terms)
 
@@ -541,7 +530,7 @@ class GradedPoly:
         given, is a container of (symbol name, component) keys; variables of
         other components are skipped.
 
-        One pass indexes the monomials containing each variable.  The
+        One pass indexes the monomials containing each wanted variable.  The
         partials then come out one at a time, built only when the generator
         reaches them, in increasing global variable order (``var.key``), so
         all jets of one symbol component arrive together.  That order is
@@ -555,23 +544,24 @@ class GradedPoly:
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        by_rank = self.reg.by_rank
+        wanted = {v.rank for v in by_rank
+                  if only is None or (v.symbol.name, v.component) in only}
         where = {}
         for key in self.terms:
             evens, odds = key
             prev = None
             for r in evens:
-                if r != prev:
+                if r != prev and r in wanted:
                     where.setdefault(r, []).append(key)
-                    prev = r
+                prev = r
             for r in odds:
-                where.setdefault(r, []).append(key)
+                if r in wanted:
+                    where.setdefault(r, []).append(key)
         terms = self.terms
         right = side == "right"
-        by_rank = self.reg.by_rank
         for r in sorted(where, key=lambda r: by_rank[r].key):
             var = by_rank[r]
-            if only is not None and (var.symbol.name, var.component) not in only:
-                continue
             out = {}
             if var.parity:
                 for key in where[r]:

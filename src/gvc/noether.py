@@ -202,7 +202,7 @@ def check_extended(theory):
     """Report entry: is delta_KT a variational symmetry of L_e?"""
     kt = assemble_kt(theory)
     Le = extended_lagrangian(theory)
-    ok = check_variational_symmetry(kt, Le).trivial
+    ok = check_variational_symmetry(kt, Le)
     return [_entry("extended", "L_e", "pass" if ok else "fail")]
 
 

@@ -40,8 +40,9 @@ assignment.  A clean expression ends a product at its first zero factor,
 so no zero costs the factors after it.  Any other is evaluated in full,
 every factor of every product, so the first error it raises is the one
 that evaluating every factor meets, where it meets it.  No index range is
-empty, and the jets of a variable an antisymmetric family kills are still
-checked, so no zero hides an invalid reference.
+empty, the jets of a variable an antisymmetric family kills are still
+checked, and so is the unclean value of a killed key, so no zero hides an
+invalid reference.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks.  Everything is exact rational arithmetic; parsing is deterministic.
@@ -534,14 +535,21 @@ class _Eval:
         binders of a key, with ``free`` and ``checked`` from ``check_key``.
         Components come out canonical and jets sorted and checked like a
         variable's; the value carries the symmetry sign, and keys the
-        symmetry kills are skipped."""
+        symmetry kills are skipped.  An unclean value is still evaluated
+        for each killed key, after the live ones, so that no key hides an
+        invalid reference and the first error is one a live key meets."""
+        killed = []
         for inner in _assignments(free, env):
             canon, sign = sym.canonicalize(_value(a, inner) for a in comps)
             jet = self.reg.checked_index(sym, (_value(a, inner) for a in jets))
             if sign == 0:
+                killed.append(inner)
                 continue
             value = self.poly(checked, inner)
             yield canon, jet, value if sign == 1 else value.scale(sign)
+        if not checked[1]:
+            for inner in killed:
+                self.poly(checked, inner)
 
 
 class _TheoryBuilder:

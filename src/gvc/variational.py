@@ -1,30 +1,35 @@
 """Variational calculus: Euler-Lagrange operators, the higher Euler (eta)
-operators, divergence testing, and variational symmetries.
+operators, the total-divergence test, and variational symmetries.
 
 A density is represented by its coefficient polynomial (the ``L`` in
 ``L d^n x``).  Working on a chart with polynomial coefficients and no explicit
-base-point dependence, a density is variationally trivial exactly when it is a
-total divergence plus a constant; the constant is reported separately by the
-divergence test.
+base-point dependence, a density is variationally trivial, a total divergence
+plus a constant, exactly when all its Euler-Lagrange derivatives vanish.
+
+When every non-constant monomial of p holds a variable of a symbol set S (a
+cover), the derivatives E_S of the symbols in S decide alone: split p by its
+degree d >= 1 in S, which E_S respects, and the counting operator of S gives
+d * p_d = sum_{A in S} s^A * E_A(p_d) + a total divergence (Barnich, Brandt
+and Henneaux, Phys. Rep. 338 (2000) 439; Olver, Applications of Lie Groups
+to Differential Equations, Thm 4.7).  Symmetry pairings hold a ghost in
+every term, so they are decided on the ghost sector.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import groupby
 from math import comb
 
-from gvc.algebra import GradedPoly, GvcError, _add_into, _mul_terms
-from gvc.jets import iterated_derivative, total_derivative
+from gvc.algebra import KIND_GHOST, GradedPoly, GvcError, _add_into, \
+    _mul_terms
+from gvc.jets import iterated_derivative
 
 __all__ = [
     "EulerLagrangeResult",
     "euler_lagrange",
     "variational_derivative",
     "eta",
-    "eta_pairing",
-    "DivergenceTest",
     "is_total_divergence",
+    "variational_pairing",
     "check_variational_symmetry",
 ]
 
@@ -172,104 +177,57 @@ def _submultisets(counts, into):
     rec(0, [])
 
 
-def eta_pairing(f, phi):
-    """sum_Lambda f^Lambda * d_Lambda(phi), the pairing eta is adjoint for."""
-    acc = {}
-    for index, coeff in f.items():
-        _mul_terms(coeff.terms, iterated_derivative(phi, index).terms, acc)
-    return GradedPoly(phi.reg, acc)
-
-
 # ---------------------------------------------------------------------------
-# Divergence testing
+# Divergence testing and symmetry checks
 # ---------------------------------------------------------------------------
 
-class DivergenceTest:
-    """Outcome of a variational-triviality test.
+def is_total_divergence(p, wrt=None):
+    """Whether p is a total divergence plus a constant.
 
-    ``trivial`` is the exact yes/no answer; ``constant`` the split-off
-    constant term.  When a witness was requested and the answer is yes,
-    ``sigma`` holds one polynomial per base direction with
-    p = constant + sum_lam d_lam(sigma[lam]).
+    The answer is exact: every Euler-Lagrange derivative of p for the symbols
+    in ``wrt`` vanishes.  ``wrt`` must be a cover of p, a set of symbol names
+    such that every non-constant monomial of p holds a variable of one of
+    them (see the module docstring); every declared symbol by default.
     """
-
-    __slots__ = ("trivial", "constant", "sigma", "euler")
-
-    def __init__(self, trivial, constant, sigma, euler):
-        self.trivial = trivial
-        self.constant = constant
-        self.sigma = sigma
-        self.euler = euler
-
-    def __bool__(self):
-        return self.trivial
+    return euler_lagrange(p, wrt).is_zero()
 
 
-def is_total_divergence(p, witness=False):
-    """Decide whether p is a total divergence plus a constant.
+def _every_term_holds(p, names):
+    """Whether every monomial of p has a factor of a symbol in ``names``."""
+    by_rank = p.reg.by_rank
+    return all(any(by_rank[r].symbol.name in names for r in evens + odds)
+               for evens, odds in p.terms)
 
-    The decision is by exact vanishing of every Euler-Lagrange derivative of
-    p (all declared symbols).  With ``witness=True`` an explicit divergence
-    witness is assembled degree by degree: writing the degree-d part as
-    (1/d) * sum f^Lambda_A d_Lambda(s^A) and splitting each family with the
-    eta operators leaves the boundary terms, whose zero-order coefficients
-    are exactly the (right) Euler-Lagrange derivatives and vanish here.  The
-    reconstruction p = constant + sum d_lam(sigma^lam) is re-checked exactly.
+
+def variational_pairing(u, L):
+    """``(P, S)``: the Euler-Lagrange pairing P of u with L and a cover S.
+
+    For a left derivation P = sum_A upsilon^A * E_A; for a right derivation
+    the mirrored pairing sum_A E^(right)_A * upsilon^A.  Either way P
+    differs from the Lie derivative of L by a total divergence.  S is the
+    set of ghost symbols when, for every component A, every term of
+    upsilon^A or every term of E_A holds a ghost, so that every term of P
+    does; otherwise it is every declared symbol.
     """
-    reg = p.reg
-    el = euler_lagrange(p)
-    trivial = el.is_zero()
-    constant = p.constant_term()
-    sigma = None
-    if witness and trivial:
-        sigma = [{} for _ in range(reg.dim)]
-        for d, q in p.degree_parts().items():
-            if d == 0:
-                continue
-            for (name, comp), group in groupby(q.partials("right"), _component):
-                f = {v.index: part for v, part in group}
-                ef = eta(f, reg.dim)
-                base = reg.var(name, comp)
-                for index, coeff in ef.items():
-                    if not index:
-                        continue
-                    lam, rest = index[0], index[1:]
-                    term = iterated_derivative(coeff * base, rest)
-                    w = Fraction(1, d) if (len(index) & 1 == 0) else Fraction(-1, d)
-                    _add_into(sigma[lam], term.scale(w).terms)
-        sigma = tuple(GradedPoly(reg, terms) for terms in sigma)
-        check = (p - reg.const(constant)).terms
-        for lam in range(reg.dim):
-            _add_into(check, total_derivative(sigma[lam], lam).terms, True)
-        if check:
-            raise GvcError(
-                "internal error: divergence witness failed to reconstruct input")
-    return DivergenceTest(trivial, constant, sigma, el)
-
-
-def _component(var_part):
-    v = var_part[0]
-    return v.symbol.name, v.component
-
-
-# ---------------------------------------------------------------------------
-# Symmetry checks
-# ---------------------------------------------------------------------------
-
-def check_variational_symmetry(u, L):
-    """True iff the Euler-Lagrange pairing of u with L is variationally trivial.
-
-    For a left derivation the pairing is sum_A upsilon^A * E_A; for a right
-    derivation the mirrored pairing sum_A E^(right)_A * upsilon^A is used.
-    Either way the result differs from the Lie derivative by an exact term.
-    """
+    reg = L.reg
     names = {name for (name, _comp) in u.components}
     el = euler_lagrange(L, names, "right" if u.right else "left")
+    ghosts = {name for name, sym in reg.symbols.items()
+              if sym.kind == KIND_GHOST}
+    covered = True
     pairing = {}
     for (name, comp), ups in sorted(u.components.items()):
-        e = el.get(name, comp).terms
+        e = el.get(name, comp)
+        covered = covered and (_every_term_holds(ups, ghosts)
+                               or _every_term_holds(e, ghosts))
         if u.right:
-            _mul_terms(e, ups.terms, pairing)
+            _mul_terms(e.terms, ups.terms, pairing)
         else:
-            _mul_terms(ups.terms, e, pairing)
-    return is_total_divergence(GradedPoly(L.reg, pairing))
+            _mul_terms(ups.terms, e.terms, pairing)
+    return GradedPoly(reg, pairing), ghosts if covered else set(reg.symbols)
+
+
+def check_variational_symmetry(u, L):
+    """True iff the Euler-Lagrange pairing of u with L is variationally
+    trivial, decided on the cover ``variational_pairing`` finds."""
+    return is_total_divergence(*variational_pairing(u, L))

@@ -5,14 +5,20 @@ modules exercise the same theories; everything here is parse-once.  The
 checks themselves never mutate a TheorySpec (negative controls rebuild),
 so sharing is safe.
 """
+from fractions import Fraction
+from itertools import groupby
+
 import pytest
 from hypothesis import settings
 
 import gvc.brst
 import gvc.cli
 import gvc.noether
+from gvc.algebra import GradedPoly, _add_into, _mul_terms
+from gvc.jets import iterated_derivative, total_derivative
 from gvc.parser import parse_theory
 from gvc.theories import build_fixture, load_builtin
+from gvc.variational import eta, euler_lagrange
 
 settings.register_profile("gvc", deadline=None, max_examples=60)
 settings.load_profile("gvc")
@@ -102,3 +108,73 @@ def count_calls(monkeypatch, name):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+# -- oracles of the variational layer -----------------------------------------
+
+def eta_pairing(f, phi):
+    """sum_Lambda f^Lambda * d_Lambda(phi), the pairing eta is adjoint for."""
+    acc = {}
+    for index, coeff in f.items():
+        _mul_terms(coeff.terms, iterated_derivative(phi, index).terms, acc)
+    return GradedPoly(phi.reg, acc)
+
+
+def degree_parts(p, names=None):
+    """{degree: part} of p, the degree counting the factors of the symbols
+    in ``names`` (every factor when None)."""
+    by_rank = p.reg.by_rank
+    parts = {}
+    for key, c in p.terms.items():
+        d = sum(1 for r in key[0] + key[1]
+                if names is None or by_rank[r].symbol.name in names)
+        parts.setdefault(d, {})[key] = c
+    return {d: GradedPoly(p.reg, t) for d, t in sorted(parts.items())}
+
+
+def constant_term(p):
+    return p.terms.get(((), ()), 0)
+
+
+def divergence_witness(p, wrt=None):
+    """An explicit divergence witness: ``(c, sigma)`` with
+    p = c + sum_lam d_lam(sigma[lam]), checked exactly here, or None when
+    an Euler-Lagrange derivative of p for the symbols in ``wrt`` (every
+    declared symbol by default) is nonzero.
+
+    ``wrt`` must cover p: every non-constant monomial holds a variable of
+    one of its symbols.  The witness is built degree by degree in those
+    symbols.  Writing the degree-d part as (1/d) * sum f^Lambda_A s^A_Lambda
+    over their jets, with right partials f, and splitting each family with
+    the eta operators leaves boundary terms whose zero-order coefficients
+    are the (right) Euler-Lagrange derivatives, which vanish here.  So a
+    reconstruction of p proves that the derivatives of ``wrt`` decide.
+    """
+    reg = p.reg
+    names = set(reg.symbols) if wrt is None else set(wrt)
+    if not euler_lagrange(p, names).is_zero():
+        return None
+    constant = constant_term(p)
+    only = {(name, comp) for name in names
+            for comp in reg.symbols[name].components()}
+    sigma = [{} for _ in range(reg.dim)]
+    for d, q in degree_parts(p, names).items():
+        if d == 0:
+            assert q == reg.const(constant), "wrt does not cover p"
+            continue
+        for (name, comp), group in groupby(
+                q.partials("right", only),
+                lambda vp: (vp[0].symbol.name, vp[0].component)):
+            base = reg.var(name, comp)
+            for index, coeff in eta({v.index: part for v, part in group},
+                                    reg.dim).items():
+                if index:
+                    w = Fraction(-1 if len(index) & 1 else 1, d)
+                    term = iterated_derivative(coeff * base, index[1:])
+                    _add_into(sigma[index[0]], term.scale(w).terms)
+    sigma = tuple(GradedPoly(reg, terms) for terms in sigma)
+    back = reg.const(constant)
+    for lam, s in enumerate(sigma):
+        back = back + total_derivative(s, lam)
+    assert back == p, "the divergence witness does not reconstruct p"
+    return constant, sigma

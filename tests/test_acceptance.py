@@ -24,8 +24,8 @@ from gvc.noether import (NoetherRecord, _el, assemble_kt, check_extended,
                          verify_stage_ni)
 from gvc.parser import parse_theory
 from gvc.theories import build_fixture, load_builtin, osp12, su2
-from gvc.variational import eta, eta_pairing, euler_lagrange
-from conftest import TOY_TEXT, all_pass
+from gvc.variational import eta, euler_lagrange
+from conftest import TOY_TEXT, all_pass, eta_pairing
 
 _FIX = {}
 

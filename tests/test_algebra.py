@@ -16,6 +16,7 @@ from gvc.algebra import (
     SymbolDecl,
     _mul_terms,
 )
+from conftest import constant_term, degree_parts
 
 
 def make_registry():
@@ -109,10 +110,10 @@ def test_parity_queries():
 
 def test_degree_helpers():
     p = S * S * T + T
-    assert sorted(p.degree_parts()) == [1, 3]
+    assert sorted(degree_parts(p)) == [1, 3]
     assert max(v.order for v in p.variables()) == 0
     assert max(v.order for v in (T0 * S).variables()) == 1
-    assert (S + REG.const(5)).constant_term() == 5
+    assert constant_term(S + REG.const(5)) == 5
     assert p.num_terms() == 2
 
 
@@ -302,7 +303,7 @@ def _var_poly(v):
 @given(polys())
 def test_partials_satisfy_the_graded_euler_identity(p):
     # on each homogeneous part, sum_v v * dL/dv = deg * q = sum_v dR/dv * v
-    for d, q in p.degree_parts().items():
+    for d, q in degree_parts(p).items():
         left = sum((_var_poly(v) * part for v, part in q.partials("left")),
                    REG.zero)
         right = sum((part * _var_poly(v) for v, part in q.partials("right")),
@@ -339,3 +340,14 @@ def test_partials_skip_components_outside_only():
     assert keys == [("t", ()), ("t", ()), ("t", ())]
     with pytest.raises(ValueError, match="side"):
         next(p.partials("middle"))
+
+
+@given(polys(), st.sampled_from(["left", "right"]),
+       st.sets(st.sampled_from([(v.symbol.name, v.component)
+                                for v in REG.by_rank])))
+def test_partials_only_yields_the_filtered_partials(p, side, only):
+    # ``only`` indexes the wanted components alone; what comes out must be
+    # the unfiltered sequence with the other components left out
+    want = [(v, part) for v, part in p.partials(side)
+            if (v.symbol.name, v.component) in only]
+    assert list(p.partials(side, only)) == want

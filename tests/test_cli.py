@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: exit codes, reports, negative controls."""
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import gvc
 from gvc import cli
 from gvc.cli import (_parse_checks, _truncate_residual, apply_sign_mutation,
                      build_report, mutation_sites, run, run_checks)
@@ -18,6 +22,26 @@ dim 1;
 field s even;
 L = 1/2 * s[;0] * s[;0];
 """
+
+
+def _python_m_gvc(*args):
+    """Run ``python -m gvc`` on the gvc this suite imports."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gvc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "gvc", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_gvc_runs_the_cli(tmp_path):
+    done = _python_m_gvc("verify", "--builtin", "bf")
+    assert done.returncode == 0, done.stderr
+    assert "\noverall: pass\n" in done.stdout
+    done = _python_m_gvc("verify", "--theory", str(tmp_path / "missing.gvc"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot read theory file")
+    assert "Traceback" not in done.stderr
 
 
 def test_verify_builtin_text_report(capsys):
@@ -168,9 +192,9 @@ def test_no_zero_factor_hides_an_invalid_reference(tmp_path, capsys, zero,
 _ANTISYM = _DECLS + "field B[2,2] antisym even;\n"
 
 
-# A variable or key the antisymmetry kills is zero, but its jets are checked.
-# The value of a killed key is not evaluated: the first error is the one met
-# at (i, m) = (0, 1), the first key evaluated.
+# A variable or key the antisymmetry kills is zero, but its jets are checked,
+# and so is its value, after the live keys': the first error of (B[i,m]) is
+# the one met at (i, m) = (0, 1), the first live key.
 @pytest.mark.parametrize("body, message", [
     ("L = s + k[0,0] * B[0,0;7];",
      "jet direction 7 out of range for dim 2 (line 8, column 1)"),
@@ -180,6 +204,12 @@ _ANTISYM = _DECLS + "field B[2,2] antisym even;\n"
      "jet direction 7 out of range for dim 2 (line 9, column 10)"),
     ("L = s;\ngauge { (B[i,m]) = a[m,0]; }",
      "a expects 1 component indices, got (1, 0) (line 9, column 9)"),
+    ("L = s;\ngauge { (B[0,0]) = nosuch; }",
+     "unknown symbol 'nosuch' (line 9, column 9)"),
+    ("L = s;\ngauge { (B[i,i]) = nosuch; }",
+     "unknown symbol 'nosuch' (line 9, column 9)"),
+    ("L = s;\nni c[] { (B[1,1]) = 1 + a[3]; }",
+     "component index 3 out of range 2 for a (line 9, column 10)"),
 ])
 def test_antisymmetric_zeros_hide_no_invalid_jets(tmp_path, capsys, body,
                                                   message):

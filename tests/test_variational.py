@@ -5,18 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gvc.algebra import Registry
-from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative, \
-    iterated_derivative
+from gvc import cli
+from gvc.algebra import KIND_GHOST, Registry
+from gvc.brst import gauge_from_ni
+from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
+from gvc.noether import assemble_kt, extended_lagrangian
 from gvc.parser import parse_theory
 from gvc.variational import (
     check_variational_symmetry,
     eta,
-    eta_pairing,
     euler_lagrange,
     is_total_divergence,
     variational_derivative,
+    variational_pairing,
 )
+from conftest import cached, degree_parts, divergence_witness, eta_pairing
 
 
 def make_registry():
@@ -118,26 +121,26 @@ def test_eta_binomial_weights_in_one_dimension():
 def test_divergence_witness_reconstructs():
     q = S * S * sj(1) + REG.var("t") * REG.var("t", (), (0,))
     p = total_derivative(q, 0) + REG.const(5)
-    dt = is_total_divergence(p, witness=True)
-    assert dt.trivial and bool(dt)
-    assert dt.constant == 5
-    back = REG.const(dt.constant)
-    for lam, sig in enumerate(dt.sigma):
+    assert is_total_divergence(p)
+    constant, sigma = divergence_witness(p)
+    assert constant == 5
+    back = REG.const(constant)
+    for lam, sig in enumerate(sigma):
         back = back + total_derivative(sig, lam)
     assert back == p
 
 
 def test_divergence_negative_has_euler_witness():
-    dt = is_total_divergence(S * S)
-    assert not dt.trivial
-    assert not dt.euler.is_zero()
-    assert dt.sigma is None
+    assert not is_total_divergence(S * S)
+    assert not euler_lagrange(S * S).is_zero()
+    assert divergence_witness(S * S) is None
 
 
 def test_constant_is_trivially_a_divergence():
-    dt = is_total_divergence(REG.const(5), witness=True)
-    assert dt.trivial and dt.constant == 5
-    assert all(s.is_zero() for s in dt.sigma)
+    assert is_total_divergence(REG.const(5))
+    constant, sigma = divergence_witness(REG.const(5))
+    assert constant == 5
+    assert all(s.is_zero() for s in sigma)
 
 
 def test_translation_is_a_variational_symmetry():
@@ -178,7 +181,7 @@ def test_first_variation_pairing_is_exact():
             want = (REG.symbols[name].parities + par) % 2
             q = _rand_poly(rng)
             part = {0: REG.zero, 1: REG.zero, None: REG.zero}
-            for d, piece in q.degree_parts().items():
+            for d, piece in degree_parts(q).items():
                 pp = piece.parity()
                 part[pp] = part[pp] + piece
             comps[(name, ())] = part[want]
@@ -193,9 +196,58 @@ def test_first_variation_pairing_is_exact():
 def test_divergences_are_always_recognized(lam, seed):
     rng = random.Random(seed)
     p = total_derivative(_rand_poly(rng), lam)
-    dt = is_total_divergence(p, witness=True)
-    assert dt.trivial
-    back = REG.const(dt.constant)
-    for mu, sig in enumerate(dt.sigma):
+    assert is_total_divergence(p)
+    constant, sigma = divergence_witness(p)
+    back = REG.const(constant)
+    for mu, sig in enumerate(sigma):
         back = back + total_derivative(sig, mu)
     assert back == p
+
+
+def _symmetry_pairs(theory):
+    """(label, u, L) for the two symmetry checks of a theory: the gauge
+    operator u with the Lagrangian, and delta_KT with L_e."""
+    return (("u", gauge_from_ni(theory).stages[0], theory.lagrangian),
+            ("L_e", assemble_kt(theory), extended_lagrangian(theory)))
+
+
+@pytest.mark.parametrize("name", ["bf", "bf4", "cs3", "ym4", "ym4_super"])
+def test_ghost_cover_decides_like_every_symbol(name):
+    """The pairing of u and of L_e is decided on the ghost symbols; the
+    decision over every declared symbol agrees, on the healthy theory and
+    each mutation site, and a trivial verdict has an exact witness built
+    on the ghosts alone.  Gauge and gamma sites flip only the declared
+    gauge operator or gamma, which neither pairing reads, so they repeat
+    the healthy pairings and are checked to do so instead."""
+    healthy = cached(name)
+    ghosts = {n for n, sym in healthy.registry.symbols.items()
+              if sym.kind == KIND_GHOST}
+    verdicts = set()
+    for label, build in [("healthy", lambda: healthy)] + \
+            cli.mutation_sites(healthy):
+        theory = build()
+        if label.startswith(("gauge ", "gamma ")):
+            assert theory.lagrangian is healthy.lagrangian
+            assert theory.records == healthy.records
+            assert theory.stages == healthy.stages
+            continue
+        for target, u, L in _symmetry_pairs(theory):
+            p, cover = variational_pairing(u, L)
+            assert cover == ghosts, (label, target)
+            trivial = is_total_divergence(p, cover)
+            assert is_total_divergence(p) == trivial, (label, target)
+            assert check_variational_symmetry(u, L) == trivial
+            if trivial:
+                assert divergence_witness(p, cover) is not None
+            verdicts.add((label == "healthy", trivial))
+    # the healthy theory passes both checks, and some mutant fails one
+    assert (True, False) not in verdicts
+    assert (False, False) in verdicts
+
+
+def test_a_pairing_without_a_ghost_cover_is_decided_on_every_symbol():
+    L = sj(0) * sj(0)
+    u = EvolutionaryDerivation(REG, {("s", ()): sj(0)})
+    p, cover = variational_pairing(u, L)
+    assert cover == set(REG.symbols)
+    assert p == sj(0) * euler_lagrange(L).get("s", ())
