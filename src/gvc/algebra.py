@@ -398,6 +398,8 @@ class GradedPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         if len(self.terms) < len(other.terms):
             self, other = other, self
         return GradedPoly(self.reg, _add_into(dict(self.terms), other.terms))
@@ -406,11 +408,16 @@ class GradedPoly:
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         return GradedPoly(self.reg,
                           _add_into(dict(self.terms), other.terms, True))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return other - self
 
     def __neg__(self):
         return GradedPoly(self.reg, {k: -c for k, c in self.terms.items()})
@@ -418,6 +425,8 @@ class GradedPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
         return GradedPoly(self.reg, _mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):

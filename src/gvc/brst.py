@@ -97,15 +97,14 @@ def check_gauge_symmetry(theory, k, alpha=None, gauge=None):
         return [_entry("gauge", "stage %d" % k, "pass",
                        note="no stage-%d records declared" % k)]
     upper, lower = gauge.stages[k], gauge.stages[k - 1]
-    kt = None
+    keys = sorted(lower.components)
+    lowers = prolong_apply(upper, [lower.components[key] for key in keys])
+    certs = [alpha[key] for key in keys if key in alpha]
+    images = iter(prolong_apply(assemble_kt(theory), certs) if certs else ())
     entries = []
-    for (name, comp), ups in sorted(lower.components.items()):
-        res = prolong_apply(upper, ups)
-        cert = alpha.get((name, comp))
-        if cert is not None:
-            if kt is None:
-                kt = assemble_kt(theory)
-            res = res - prolong_apply(kt, cert)
+    for (name, comp), res in zip(keys, lowers):
+        if (name, comp) in alpha:
+            res = res - next(images)
             status = "pass" if res.is_zero() else "fail"
             entries.append(_entry("gauge", comp_label(name, comp), status, res,
                                   note="stage %d, with alpha certificate" % k))
@@ -122,8 +121,8 @@ def check_gauge_symmetry(theory, k, alpha=None, gauge=None):
 def lie_antibracket_defect(u, gamma1):
     """Componentwise residual of (u + gamma^(1)) applied to u's components."""
     b1 = u if gamma1 is None or gamma1.is_zero() else u + gamma1
-    return {key: prolong_apply(b1, ups)
-            for key, ups in sorted(u.components.items())}
+    keys = sorted(u.components)
+    return dict(zip(keys, prolong_apply(b1, [u.components[k] for k in keys])))
 
 
 class BRSTCandidate:

@@ -16,6 +16,7 @@ testing variational identities, and the fixtures never need more.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from heapq import merge
 
 from gvc.algebra import (
     GradedPoly,
@@ -118,7 +119,7 @@ class EvolutionaryDerivation:
     across all of them.
     """
 
-    __slots__ = ("reg", "components", "right", "parity", "name", "_coef_cache")
+    __slots__ = ("reg", "components", "right", "parity", "name")
 
     def __init__(self, reg, components, right=False, name=None):
         self.reg = reg
@@ -141,7 +142,6 @@ class EvolutionaryDerivation:
                     comps[(sym_name, comp)] = val
         self.components = comps
         self.parity = self._infer_parity()
-        self._coef_cache = {}
 
     def _infer_parity(self):
         parity = None
@@ -158,24 +158,28 @@ class EvolutionaryDerivation:
                     "derivation parity is inconsistent at %s%r" % (sym_name, comp))
         return 0 if parity is None else parity
 
-    def coefficient(self, var):
-        """d_Lambda(upsilon^A) for the jet variable var = s^A_Lambda, cached."""
-        got = self._coef_cache.get(var)
-        if got is not None:
-            return got
-        base = self.components.get((var.symbol.name, var.component))
-        if base is None or base.is_zero():
-            val = self.reg.zero
-            self._coef_cache[var] = val
-            return val
-        if var.index:
-            # reuse the one-shorter prefix so chains share work
-            parent, _ = self.reg.jet_var(var.symbol, var.component, var.index[:-1])
-            val = total_derivative(self.coefficient(parent), var.index[-1])
-        else:
-            val = base
-        self._coef_cache[var] = val
-        return val
+    def coefficient(self, var, chain):
+        """d_Lambda(upsilon^A) for the jet variable var = s^A_Lambda.
+
+        ``chain`` is the prefix chain of one ``prolong_apply`` pass: chain[0]
+        is ((A, component), upsilon^A) and chain[k] is (Lambda'[k-1],
+        d_{Lambda'[:k]} upsilon^A) for the variable Lambda' asked for last.
+        The entries that are not prefixes of Lambda are dropped, and the rest
+        of Lambda is derived from the deepest one kept, one total derivative
+        per direction; chain then holds Lambda's own chain.
+        """
+        comp = (var.symbol.name, var.component)
+        if not chain or chain[0][0] != comp:
+            chain[:] = [(comp, self.components[comp])]
+        index = var.index
+        k = 0
+        while k < len(index) and k + 1 < len(chain) and \
+                chain[k + 1][0] == index[k]:
+            k += 1
+        del chain[k + 1:]
+        for lam in index[k:]:
+            chain.append((lam, total_derivative(chain[-1][1], lam)))
+        return chain[-1][1]
 
     def is_zero(self):
         return not self.components
@@ -198,22 +202,41 @@ class EvolutionaryDerivation:
             "right" if self.right else "left", label, len(self.components))
 
 
-def prolong_apply(u, p):
-    """Apply the jet prolongation of u to p.
+def prolong_apply(u, polys):
+    """The images of ``polys`` under the jet prolongation of u, in order.
 
     Left derivations: sum over jet variables v = s^A_Lambda of
     d_Lambda(upsilon^A) * left_derivative(p, v).  Right derivations put the
     coefficient on the right of the right derivative instead.  Every product
-    is accumulated in place into one fresh dict.
+    is accumulated in place into one fresh dict per polynomial.
+
+    One pass serves all of ``polys``: their ``partials`` streams, each in
+    ``var.key`` order, are merged, so each jet variable is met once across
+    them.  Within one component that order is the preorder of the tree of
+    multi-indices under "Lambda[:-1] is the parent of Lambda", so the walk
+    leaves each subtree for good and ``coefficient`` needs to keep only the
+    prefix chain of the current variable, at most ``jet_order + 1`` values:
+    each d_Lambda(upsilon^A) is built exactly once and dropped as soon as
+    the walk leaves its subtree.
     """
-    out = {}
-    for v, part in p.partials("right" if u.right else "left", u.components):
-        coef = u.coefficient(v)
+    side = "right" if u.right else "left"
+    outs = [{} for _ in polys]
+    chain = []
+    for _key, i, v, part in merge(*[_tagged(i, p.partials(side, u.components))
+                                    for i, p in enumerate(polys)]):
+        coef = u.coefficient(v, chain)
         if u.right:
-            _mul_terms(part.terms, coef.terms, out)
+            _mul_terms(part.terms, coef.terms, outs[i])
         else:
-            _mul_terms(coef.terms, part.terms, out)
-    return GradedPoly(p.reg, out)
+            _mul_terms(coef.terms, part.terms, outs[i])
+    return [GradedPoly(p.reg, out) for p, out in zip(polys, outs)]
+
+
+def _tagged(i, partials):
+    """The ``(var, partial)`` stream of polynomial i as merge items: ordered
+    by ``var.key``, ties (one variable in several polynomials) by i."""
+    for v, part in partials:
+        yield v.key, i, v, part
 
 
 def nilpotency_residuals(u):
@@ -222,9 +245,6 @@ def nilpotency_residuals(u):
     For odd u this is the full nilpotency certificate: the prolongation of u
     squares to zero exactly when every residual vanishes.
     """
-    out = {}
-    for key, val in sorted(u.components.items()):
-        r = prolong_apply(u, val)
-        if not r.is_zero():
-            out[key] = r
-    return out
+    keys = sorted(u.components)
+    images = prolong_apply(u, [u.components[key] for key in keys])
+    return {key: r for key, r in zip(keys, images) if not r.is_zero()}

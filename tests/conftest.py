@@ -110,6 +110,21 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+# -- oracles of the jet layer ---------------------------------------------------
+
+def prolong_oracle(u, p):
+    """u applied to p with no memo: the sum over the jet variables
+    v = s^A_Lambda of p of d_Lambda(upsilon^A) times the partial of p by v,
+    on u's side, each coefficient derived afresh from upsilon^A."""
+    out = p.reg.zero
+    for v, part in p.partials("right" if u.right else "left"):
+        base = u.components.get((v.symbol.name, v.component))
+        if base is not None:
+            coef = iterated_derivative(base, v.index)
+            out = out + (part * coef if u.right else coef * part)
+    return out
+
+
 # -- oracles of the variational layer -----------------------------------------
 
 def eta_pairing(f, phi):

@@ -230,7 +230,7 @@ def test_criterion_5_chern_simons_identities_and_triviality():
         assert rec.contract(cs.registry, full.components).is_zero(), mu
         H = solve_trivial_witness(cs, rec)
         assert H is not None and H.antifield_number() == 2
-        assert prolong_apply(assemble_kt(cs), H) == rec.delta_poly(cs.registry)
+        assert prolong_apply(assemble_kt(cs), [H])[0] == rec.delta_poly(cs.registry)
 
     # the background enters the density but not the field equations
     def el_text(theory):

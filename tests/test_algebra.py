@@ -52,6 +52,15 @@ def test_float_coefficients_rejected():
         REG.const(0.5)
 
 
+@pytest.mark.parametrize("other", [1.5, "s"])
+def test_foreign_operands_raise_type_error(other):
+    p = S + T
+    for op in (lambda: p + other, lambda: other + p, lambda: p - other,
+               lambda: other - p, lambda: p * other, lambda: other * p):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_odd_variables_square_to_zero():
     assert (T * T).is_zero()
     assert ((S * T) * (S * T)).is_zero()

@@ -5,9 +5,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import gvc.jets
 from gvc.algebra import (GradedPoly, GradingError, GvcError, JetOrderCapError,
                          JetVariable, Registry)
 from gvc.cli import CHECK_NAMES, build_report
+from gvc.noether import assemble_kt
+from gvc.parser import parse_theory
 from gvc.theories import build_fixture, load_builtin
 from gvc.variational import euler_lagrange
 from gvc.jets import (
@@ -17,6 +20,7 @@ from gvc.jets import (
     prolong_apply,
     total_derivative,
 )
+from conftest import prolong_oracle
 
 
 def make_registry():
@@ -101,12 +105,12 @@ def test_derivative_beyond_cap_raises():
 def test_prolongation_reaches_jet_variables():
     u = EvolutionaryDerivation(REG, {("s", ()): S * S})
     s0 = REG.var("s", (), (0,))
-    assert prolong_apply(u, s0) == total_derivative(S * S, 0)
-    assert prolong_apply(u, REG.var("s", (), (0, 1))) == \
+    assert prolong_apply(u, [s0])[0] == total_derivative(S * S, 0)
+    assert prolong_apply(u, [REG.var("s", (), (0, 1))])[0] == \
         iterated_derivative(S * S, (0, 1))
-    assert prolong_apply(u, REG.const(3)).is_zero()
+    assert prolong_apply(u, [REG.const(3)])[0].is_zero()
     # derivation property on a product
-    assert prolong_apply(u, S * s0) == (S * S) * s0 + S * total_derivative(S * S, 0)
+    assert prolong_apply(u, [S * s0])[0] == (S * S) * s0 + S * total_derivative(S * S, 0)
 
 
 def test_left_and_right_odd_derivations_mirror_signs():
@@ -115,12 +119,12 @@ def test_left_and_right_odd_derivations_mirror_signs():
     ur = EvolutionaryDerivation(REG, {("t", ()): S}, right=True)
     t0 = REG.var("t", (), (0,))
     s0 = REG.var("s", (), (0,))
-    left = prolong_apply(u, T * t0)
+    left = prolong_apply(u, [T * t0])[0]
     assert left == S * t0 - T * s0
-    assert prolong_apply(ur, T * t0) == -left
+    assert prolong_apply(ur, [T * t0])[0] == -left
     # on even arguments both act identically
     p = S * REG.var("s", (), (1,))
-    assert prolong_apply(u, p) == prolong_apply(ur, p)
+    assert prolong_apply(u, [p])[0] == prolong_apply(ur, [p])[0]
 
 
 def test_derivation_parity_consistency_enforced():
@@ -140,8 +144,8 @@ def commutator(u, v):
     comps = {}
     keys = set(u.components) | set(v.components)
     for key in keys:
-        a = prolong_apply(u, v.components.get(key, u.reg.zero))
-        b = prolong_apply(v, u.components.get(key, u.reg.zero))
+        a = prolong_apply(u, [v.components.get(key, u.reg.zero)])[0]
+        b = prolong_apply(v, [u.components.get(key, u.reg.zero)])[0]
         w = a - b if sign == 1 else a + b
         if not w.is_zero():
             comps[key] = w
@@ -155,8 +159,9 @@ def test_commutator_against_direct_composition():
     w = commutator(u, v)
     for _ in range(6):
         p = rand_poly(rng)
-        assert prolong_apply(w, p) == \
-            prolong_apply(u, prolong_apply(v, p)) - prolong_apply(v, prolong_apply(u, p))
+        (uv,) = prolong_apply(u, prolong_apply(v, [p]))
+        (vu,) = prolong_apply(v, prolong_apply(u, [p]))
+        assert prolong_apply(w, [p])[0] == uv - vu
 
 
 def test_commutator_of_odd_derivations_is_graded():
@@ -166,8 +171,8 @@ def test_commutator_of_odd_derivations_is_graded():
     rng = random.Random(5)
     for _ in range(6):
         p = rand_poly(rng)
-        assert prolong_apply(w, p) == \
-            prolong_apply(u, prolong_apply(u, p)).scale(2)
+        assert prolong_apply(w, [p])[0] == \
+            prolong_apply(u, prolong_apply(u, [p]))[0].scale(2)
 
 
 def test_nilpotency_residuals_and_certificates():
@@ -192,7 +197,7 @@ def test_derivation_algebra_helpers():
     assert u.parity == 0
     z = EvolutionaryDerivation(REG, {})
     assert z.is_zero()
-    assert prolong_apply(z, S * S).is_zero()
+    assert prolong_apply(z, [S * S])[0].is_zero()
 
 
 @given(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2**32 - 1))
@@ -207,9 +212,9 @@ def test_leibniz_rule_randomized(lam, mu, seed):
 
 # -- the successor memo --------------------------------------------------------
 
-def make_family_registry():
+def make_family_registry(jet_order=3):
     """Even and odd families, plain, symmetric and antisymmetric."""
-    reg = Registry(2, jet_order=3)
+    reg = Registry(2, jet_order=jet_order)
     reg.declare_field("s")
     reg.declare_field("psi", slots=(2,), parities=1)
     reg.declare_field("g", slots=(2, 2), symmetry="sym")
@@ -219,14 +224,15 @@ def make_family_registry():
     return reg
 
 
-def rand_family_poly(rng, reg):
+def rand_family_poly(rng, reg, max_order=2):
     p = reg.zero
     for _ in range(rng.randint(1, 4)):
         term = reg.const(rng.choice((1, -1)) * rng.randint(1, 3))
         for _ in range(rng.randint(1, 3)):
             sym = reg.symbols[rng.choice(sorted(reg.symbols))]
             comp = tuple(rng.randrange(n) for n in sym.slots)
-            idx = tuple(rng.randrange(reg.dim) for _ in range(rng.randint(0, 2)))
+            idx = tuple(rng.randrange(reg.dim)
+                        for _ in range(rng.randint(0, max_order)))
             term = term * reg.var(sym.name, comp, idx)
         p = p + term
     return p
@@ -308,10 +314,82 @@ def test_accumulators_leave_operands_and_zero_unchanged():
     for p in [L, reg.zero, reg.one, reg.var("g", (0, 1))] + \
             [el.get(*k) for k in zero]:
         p_terms = dict(p.terms)
-        out = prolong_apply(u, p)
+        out = prolong_apply(u, [p])[0]
         assert out.terms is not p.terms and out.terms is not reg.zero.terms
         assert p.terms == p_terms
-    assert prolong_apply(u, reg.var("g", (0, 1))).is_zero()
+    assert prolong_apply(u, [reg.var("g", (0, 1))])[0].is_zero()
     assert {k: c.terms for k, c in u.components.items()} == u_terms
     assert L.terms == L_terms
     assert reg.zero.terms == {}
+
+
+# -- the one-pass prolongation ---------------------------------------------------
+
+DEEP = make_family_registry(jet_order=4)
+
+
+def rand_derivation(rng, reg, right):
+    """A derivation of random parity; each component keeps the part of a
+    random polynomial of the parity the derivation needs there."""
+    parity = rng.randrange(2)
+    comps = {}
+    for _ in range(rng.randint(1, 4)):
+        sym = reg.symbols[rng.choice(sorted(reg.symbols))]
+        comp = tuple(rng.randrange(n) for n in sym.slots)
+        want = (parity + sym.parity(comp)) & 1
+        val = rand_family_poly(rng, reg, max_order=1)
+        comps[(sym.name, comp)] = GradedPoly(
+            reg, {k: c for k, c in val.terms.items() if len(k[1]) & 1 == want})
+    return EvolutionaryDerivation(reg, comps, right=right)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_prolong_apply_matches_the_memo_free_oracle(seed, right):
+    # left and right derivations; lists with repeats, zeros and constants;
+    # u's own components, whose images, u's nilpotency residuals, do not
+    # all vanish for about a quarter of the random u
+    rng = random.Random(seed)
+    u = rand_derivation(rng, DEEP, right)
+    ps = [rand_family_poly(rng, DEEP, max_order=3)
+          for _ in range(rng.randint(1, 4))]
+    ps += list(u.components.values())
+    ps += [DEEP.zero, DEEP.const(rng.randint(1, 3))]
+    ps += rng.choices(ps, k=2)
+    rng.shuffle(ps)
+    assert prolong_apply(u, ps) == [prolong_oracle(u, p) for p in ps]
+    assert nilpotency_residuals(u) == {
+        key: r for key, r in ((key, prolong_oracle(u, val))
+                              for key, val in u.components.items())
+        if not r.is_zero()}
+
+
+def test_one_pass_derives_each_prefix_once(monkeypatch):
+    # rows of jet order 2 that share the prefixes (0,) and (1,), spread over
+    # two records; the identities need not hold to count the work
+    th = parse_theory("""
+dim 2;
+field y even;
+field z even;
+L = 1/2 * (y[;0] - z)^2 + 1/2 * y[;1]^2;
+ni c[] { (y) = 1; (z; 0,1) = 1; (z; 0,0) = y; }
+ni k[] { (z; 0) = z[;1]; (z; 0,1) = y[;0]; (z; 1,1) = 1; (y; 1) = z; }
+""")
+    kt = assemble_kt(th)
+    prefixes = set()
+    for val in kt.components.values():
+        for v in val.variables():
+            if (v.symbol.name, v.component) in kt.components:
+                for k in range(1, v.order + 1):
+                    prefixes.add((v.symbol.name, v.component, v.index[:k]))
+    assert len(prefixes) == 6
+    calls = []
+    derive = gvc.jets.total_derivative
+
+    def counted(p, lam):
+        calls.append(lam)
+        return derive(p, lam)
+    monkeypatch.setattr(gvc.jets, "total_derivative", counted)
+    first = nilpotency_residuals(kt)
+    assert first and len(calls) == len(prefixes)
+    assert nilpotency_residuals(kt) == first
+    assert len(calls) == 2 * len(prefixes)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import gvc.noether
 from gvc.algebra import GvcError
 from gvc.jets import prolong_apply
 from gvc.noether import (
@@ -59,13 +60,13 @@ def test_kt_sends_antifields_to_their_pairings(bf):
     kt = assemble_kt(bf)
     reg = bf.registry
     for mu in range(3):
-        assert prolong_apply(kt, reg.var("A_bar", (mu,))) == el.get("A", (mu,))
-    img = prolong_apply(kt, reg.var("e_bar"))
+        assert prolong_apply(kt, [reg.var("A_bar", (mu,))])[0] == el.get("A", (mu,))
+    img = prolong_apply(kt, [reg.var("e_bar")])[0]
     assert img == bf.records[0].delta_poly(reg)
     assert img.pretty() == "-A_bar[0;0] - A_bar[1;1] - A_bar[2;2]"
     # everything outside the antifield sector is annihilated
-    assert prolong_apply(kt, reg.var("A", (0,))).is_zero()
-    assert prolong_apply(kt, reg.var("e")).is_zero()
+    assert prolong_apply(kt, [reg.var("A", (0,))])[0].is_zero()
+    assert prolong_apply(kt, [reg.var("e")])[0].is_zero()
 
 
 def test_kt_squares_to_zero_on_random_antifield_polys(bf4):
@@ -83,7 +84,7 @@ def test_kt_squares_to_zero_on_random_antifield_polys(bf4):
             for _ in range(rng.randint(1, 3)):
                 term = term * rng.choice(atoms)
             p = p + term
-        assert prolong_apply(kt, prolong_apply(kt, p)).is_zero()
+        assert prolong_apply(kt, prolong_apply(kt, [p]))[0].is_zero()
 
 
 def test_reducible_stage_records_close_off_shell(bf4):
@@ -155,11 +156,9 @@ def _su2_eps():
             (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
 
-def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
-    """The translation identities rewritten through the curvature are trivial:
-    a quadratic antifield witness H with Delta = delta_KT(H) exists."""
+def _curvature_record(cs3, mu):
+    """The mu-th translation identity of cs3 rewritten through the curvature."""
     reg = cs3.registry
-    builds = count_calls(monkeypatch, "assemble_kt")
 
     def a(r, lam, *jets):
         return reg.var("a", (r, lam), jets)
@@ -171,12 +170,18 @@ def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
                 out = out + (a(p, lam) * a(q, mu)).scale(v)
         return out
 
+    rows = {("a", (r, lam), ()): curv(r, lam, mu)
+            for r in range(3) for lam in range(3)}
+    return NoetherRecord("cv", (mu,), rows)
+
+
+def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
+    """The translation identities rewritten through the curvature are trivial:
+    a quadratic antifield witness H with Delta = delta_KT(H) exists."""
+    reg = cs3.registry
+    builds = count_calls(monkeypatch, "assemble_kt")
     for mu in range(3):
-        rows = {}
-        for r in range(3):
-            for lam in range(3):
-                rows[("a", (r, lam), ())] = curv(r, lam, mu)
-        rec = NoetherRecord("cv", (mu,), rows)
+        rec = _curvature_record(cs3, mu)
         el = euler_lagrange(cs3.lagrangian)
         assert rec.contract(reg, el.components).is_zero()
         del builds[:]
@@ -184,8 +189,24 @@ def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
         assert H is not None
         # the witness is checked against the delta_KT that found it
         assert len(builds) == 1
-        assert prolong_apply(assemble_kt(cs3), H) == rec.delta_poly(cs3.registry)
+        assert prolong_apply(assemble_kt(cs3), [H])[0] == rec.delta_poly(cs3.registry)
         assert H.antifield_number() == 2
+
+
+def test_a_witness_that_misses_its_target_is_no_certificate(cs3, monkeypatch):
+    # checked by comparison, not by assert, so it also holds under -O
+    rec = _curvature_record(cs3, 0)
+    trivial = rebuilt(cs3, records=[rec])
+    assert [e["status"] for e in triviality_report(trivial)] == ["pass"]
+    solve = gvc.noether._solve_exact
+
+    def wrong(columns, target):
+        x = solve(columns, target)
+        return None if x is None else [c + 1 for c in x]
+    monkeypatch.setattr(gvc.noether, "_solve_exact", wrong)
+    assert solve_trivial_witness(cs3, rec) is None
+    (entry,) = triviality_report(trivial)
+    assert entry["status"] == "skipped"
 
 
 def test_witness_search_rejects_out_of_span_targets(cs3, toy):

@@ -251,7 +251,7 @@ def cs_triviality_demo():
             entries.append(_entry("triviality", rec.label(), "fail",
                                   note="no quadratic certificate found"))
         else:
-            ok = prolong_apply(assemble_kt(th), H) == rec.delta_poly(reg)
+            ok = prolong_apply(assemble_kt(th), [H])[0] == rec.delta_poly(reg)
             entries.append(_entry(
                 "triviality", rec.label(), "pass" if ok else "fail",
                 note="boundary certificate with %d terms" % H.num_terms()))
