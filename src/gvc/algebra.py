@@ -9,16 +9,21 @@ anticommute and square to zero.
 
 Monomial keys hold only ints.  Every ``JetVariable`` gets a fixed ``rank``,
 its intern index in its ``Registry``, and ``Registry.by_rank`` maps ranks back
-to variables.  A key is ``(evens, odds)``: ``evens`` is a sorted tuple of the
-ranks of the even factors with one entry per unit of exponent, ``odds`` a
-sorted tuple of the distinct ranks of the odd factors, whose product is taken
-in rank order.  An even product is then ``tuple(sorted(e1 + e2))`` and an odd
-product a sorted merge with the Koszul sign of the merge, both run in C.
-Keys must hold ints only for a second reason: CPython's cyclic garbage
-collector stops tracking a tuple of untracked objects such as ints once a
-collection has seen it, while keys holding ``JetVariable`` objects stayed
-tracked and were rescanned on every collection, which cost more than a third
-of the check time on the largest fixture.
+to variables.  A key is one sorted tuple of ints: an even factor of rank ``r``
+appears as ``r``, once per unit of exponent, and an odd factor as ``~r``
+(``-r - 1``).  Sorting puts the odd factors first, in decreasing rank, and
+that is the order in which they multiply; ``bisect_left(key, 0)`` counts
+them, and the constant monomial is ``()``.  A product key is
+``tuple(sorted(k1 + k2))`` for every parity, run in C; the odd prefixes give
+its Koszul sign.
+
+The layout is chosen for CPython's cyclic garbage collector, which stops
+tracking a tuple once a collection finds that all its items are untracked.
+A flat tuple of ints goes the first time a collection sees it; a key that
+nests tuples goes one level per collection, and one that holds objects is
+rescanned at every collection.  Most keys die young in accumulators, and on
+the largest fixture such rescans cost from a sixth to over a third of the
+check time.
 
 Rank order follows the order of interning, which depends on parse and check
 order, so it never reaches the output.  Output follows the global variable
@@ -204,8 +209,11 @@ class JetVariable:
     """An interned scalar jet coordinate: (symbol family, component, multi-index).
 
     Instances are unique per registry, so identity comparison is safe.
-    ``rank`` is the intern index, fixed for the life of the registry; it is
-    what monomial keys hold, and their odd factors are ordered by it.  ``key``
+    ``rank`` is the intern index, fixed for the life of the registry, and
+    ``entry`` what a monomial key holds for one factor of the variable:
+    ``rank`` when even, ``~rank`` when odd.  Every key shares this one int
+    object, since a negative int is a fresh object each time it is
+    computed.  ``key``
     is the global-order sort key, used only where output is made (see
     ``GradedPoly.global_terms``) and for the order in which
     ``GradedPoly.partials`` yields.  ``succ`` memoizes the successors
@@ -213,7 +221,7 @@ class JetVariable:
     """
 
     __slots__ = ("symbol", "component", "index", "parity", "key", "order",
-                 "rank", "succ")
+                 "rank", "entry", "succ")
 
     def __init__(self, symbol, component, index, rank):
         self.symbol = symbol
@@ -222,6 +230,7 @@ class JetVariable:
         self.parity = symbol.parity(component)
         self.order = len(index)
         self.rank = rank
+        self.entry = ~rank if self.parity else rank
         self.key = (symbol.kind, symbol.name, component, index)
         # direction -> the interned d_direction of this variable, filled by
         # total_derivative on first use
@@ -287,26 +296,33 @@ class ConstantTable:
         return iter(sorted(self.entries.items()))
 
 
-def _merge_odd(o1, o2):
-    """The product of two sorted odd rank tuples, taken in rank order.
+def _odd_sign(left, n, right):
+    """The Koszul sign of the product of two monomial keys, ``left`` first.
 
-    Returns (merged tuple, sign) with the Koszul sign of the merge, or
-    (None, 0) when a factor repeats (odd squares vanish).
+    ``left`` has ``n`` odd factors.  Returns the sign of the permutation that
+    sorts the odd factors of ``left`` followed by those of ``right`` into key
+    order, or 0 when a factor repeats (odd squares vanish).
     """
-    n1 = len(o1)
     flips = 0
-    for r in o2:
-        # r jumps over the factors of o1 that rank above it
-        i = bisect_left(o1, r)
-        if i < n1 and o1[i] == r:
-            return None, 0
-        flips += n1 - i
-    return tuple(sorted(o1 + o2)), -1 if flips & 1 else 1
+    for r in right:
+        if r >= 0:
+            break
+        # r jumps over the odd factors of left that sort after it
+        i = bisect_left(left, r, 0, n)
+        if i < n and left[i] == r:
+            return 0
+        flips += n - i
+    return -1 if flips & 1 else 1
 
 
 def _mul_terms(t1, t2, out=None):
-    """Multiply two term dicts {(evens, odds): coeff}, adding the product
-    into ``out`` in place (a fresh dict when None); returns ``out``."""
+    """Multiply two term dicts {key: coeff}, ``t1`` on the left, adding the
+    product into ``out`` in place (a fresh dict when None); returns ``out``.
+
+    A product key is the sorted concatenation of the two keys.  Only when
+    both keys hold odd factors does the product carry a sign, from
+    ``_odd_sign``, which also kills a repeated odd factor.
+    """
     if out is None:
         out = {}
     if len(t1) > len(t2):
@@ -315,20 +331,18 @@ def _mul_terms(t1, t2, out=None):
     else:
         swapped = False
     get = out.get
-    for (e1, o1), c1 in t1.items():
-        for (e2, o2), c2 in t2.items():
-            if o1 and o2:
-                if swapped:
-                    odds, sign = _merge_odd(o2, o1)
-                else:
-                    odds, sign = _merge_odd(o1, o2)
+    for k1, c1 in t1.items():
+        n1 = bisect_left(k1, 0)
+        for k2, c2 in t2.items():
+            c = c1 * c2
+            if n1 and k2 and k2[0] < 0:
+                sign = _odd_sign(k2, bisect_left(k2, 0), k1) if swapped \
+                    else _odd_sign(k1, n1, k2)
                 if not sign:
                     continue
-                c = sign * c1 * c2
-            else:
-                odds = o1 or o2
-                c = c1 * c2
-            key = (tuple(sorted(e1 + e2)) if e1 and e2 else e1 or e2, odds)
+                if sign < 0:
+                    c = -c
+            key = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
             c += get(key, 0)
             if c:
                 out[key] = c
@@ -366,13 +380,16 @@ class GradedPoly:
     """A graded-commutative polynomial in canonical form.
 
     ``terms`` maps a monomial key to a nonzero rational coefficient.  A key is
-    ``(evens, odds)`` of variable ranks (``JetVariable.rank``): evens is a
-    sorted tuple with one entry per unit of exponent, odds a strictly
-    increasing tuple, and the odd factors multiply in that rank order.  Keys
-    hold ints only, so the garbage collector stops tracking them (see the
-    module docstring).  Canonical form makes equality checking a dict compare
-    within one registry.  Output goes through ``global_terms``, which puts
-    every term in the global variable order.
+    the sorted tuple of the ``JetVariable.entry`` of its factors: ``rank``
+    for each unit of exponent of an even factor and ``~rank`` for an odd
+    one, so the odd factors come first, each at most once, and multiply in
+    key order.
+    Keys hold ints only, so the garbage collector stops tracking them (see
+    the module docstring).  Only this module and ``jets`` read keys; other
+    code goes through ``monomials`` or ``global_terms``.  Canonical form
+    makes equality checking a dict compare within one registry.  Output goes
+    through ``global_terms``, which puts every term in the global variable
+    order.
     """
 
     __slots__ = ("reg", "terms")
@@ -386,13 +403,11 @@ class GradedPoly:
     @staticmethod
     def constant(reg, c):
         c = _rat(c)
-        return GradedPoly(reg, {((), ()): c} if c else {})
+        return GradedPoly(reg, {(): c} if c else {})
 
     @staticmethod
     def from_var(reg, var):
-        if var.parity:
-            return GradedPoly(reg, {((), (var.rank,)): 1})
-        return GradedPoly(reg, {((var.rank,), ()): 1})
+        return GradedPoly(reg, {(var.entry,): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -481,8 +496,8 @@ class GradedPoly:
     def parity(self):
         """0 or 1 for a parity-homogeneous polynomial, None when mixed or zero."""
         seen = None
-        for (_, odds) in self.terms:
-            p = len(odds) & 1
+        for key in self.terms:
+            p = bisect_left(key, 0) & 1
             if seen is None:
                 seen = p
             elif seen != p:
@@ -490,10 +505,9 @@ class GradedPoly:
         return seen
 
     def _weight(self, attr):
-        by_rank = self.reg.by_rank
         seen = None
-        for (evens, odds) in self.terms:
-            w = sum(getattr(by_rank[r].symbol, attr) for r in evens + odds)
+        for _, _, factors in self.monomials():
+            w = sum(getattr(v.symbol, attr) for v in factors)
             if seen is None:
                 seen = w
             elif seen != w:
@@ -509,21 +523,28 @@ class GradedPoly:
 
     def ghost_degree_parts(self):
         """Split into {ghost polynomial degree: part}; degree counts ghost factors."""
-        by_rank = self.reg.by_rank
         parts = {}
-        for key, c in self.terms.items():
-            evens, odds = key
-            d = sum(1 for r in evens + odds
-                    if by_rank[r].symbol.kind == KIND_GHOST)
+        for key, c, factors in self.monomials():
+            d = sum(1 for v in factors if v.symbol.kind == KIND_GHOST)
             parts.setdefault(d, {})[key] = c
         return {d: GradedPoly(self.reg, t) for d, t in sorted(parts.items())}
 
     # -- structure queries ---------------------------------------------------
 
+    def monomials(self):
+        """Yield ``(key, coeff, factors)`` for every term, in storage order.
+
+        ``factors`` lists the jet variables of the monomial, one per unit of
+        exponent.  This is the decoder for code that asks which variables a
+        term holds; output order comes from ``global_terms``.
+        """
+        by_rank = self.reg.by_rank
+        for key, c in self.terms.items():
+            yield key, c, [by_rank[r if r >= 0 else ~r] for r in key]
+
     def variables(self):
         """The set of jet variables occurring in this polynomial."""
-        by_rank = self.reg.by_rank
-        return {by_rank[r] for evens, odds in self.terms for r in evens + odds}
+        return {v for _, _, factors in self.monomials() for v in factors}
 
     def num_terms(self):
         return len(self.terms)
@@ -554,38 +575,32 @@ class GradedPoly:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         by_rank = self.reg.by_rank
-        wanted = {v.rank for v in by_rank
+        wanted = {v.entry: v for v in by_rank
                   if only is None or (v.symbol.name, v.component) in only}
         where = {}
         for key in self.terms:
-            evens, odds = key
             prev = None
-            for r in evens:
+            for r in key:
                 if r != prev and r in wanted:
                     where.setdefault(r, []).append(key)
                 prev = r
-            for r in odds:
-                if r in wanted:
-                    where.setdefault(r, []).append(key)
         terms = self.terms
         right = side == "right"
-        for r in sorted(where, key=lambda r: by_rank[r].key):
-            var = by_rank[r]
+        for r in sorted(where, key=lambda r: wanted[r].key):
             out = {}
-            if var.parity:
+            if r < 0:
+                # the odd factor at slot i moves to the front (left) or
+                # to the end of the odd prefix (right)
                 for key in where[r]:
-                    evens, odds = key
-                    i = odds.index(r)
+                    i = key.index(r)
                     c = terms[key]
-                    flip = len(odds) - 1 - i if right else i
-                    out[(evens, odds[:i] + odds[i + 1:])] = -c if flip & 1 else c
+                    flip = bisect_left(key, 0) - 1 - i if right else i
+                    out[key[:i] + key[i + 1:]] = -c if flip & 1 else c
             else:
                 for key in where[r]:
-                    evens, odds = key
-                    i = evens.index(r)
-                    out[(evens[:i] + evens[i + 1:], odds)] = \
-                        terms[key] * evens.count(r)
-            yield var, GradedPoly(self.reg, out)
+                    i = key.index(r)
+                    out[key[:i] + key[i + 1:]] = terms[key] * key.count(r)
+            yield wanted[r], GradedPoly(self.reg, out)
 
     def derivative(self, var, side="left"):
         """The graded partial derivative by one jet variable; zero if absent."""
@@ -602,18 +617,19 @@ class GradedPoly:
         exponent) pairs and ``odds`` a tuple of JetVariables, each increasing
         in ``JetVariable.key``, and ``coeff`` is the coefficient of that
         product, i.e. the stored coefficient times the sign of the
-        permutation from rank order to global order of the odd factors.
-        ``key`` is the stored monomial key.  This is the one place where
-        rank order is turned into the order that output is made in.
+        permutation from stored order (decreasing rank) to global order of
+        the odd factors.  ``key`` is the stored monomial key.  This is the one
+        place where rank order is turned into the order that output is made
+        in.
         """
         by_rank = self.reg.by_rank
         rows = []
         for key, c in self.terms.items():
-            evens, odds = key
+            n = bisect_left(key, 0)
             ev = sorted(((by_rank[r], len(list(run)))
-                         for r, run in groupby(evens)),
+                         for r, run in groupby(key[n:])),
                         key=lambda pair: pair[0].key)
-            od = [by_rank[r] for r in odds]
+            od = [by_rank[~r] for r in key[:n]]
             sign = sorting_sign([v.key for v in od])
             od = tuple(sorted(od, key=lambda v: v.key))
             rows.append(((tuple((v.key, e) for v, e in ev),

@@ -74,17 +74,17 @@ def _varies(poly):
     """Whether poly has a non-constant term.  Flipping an additive constant
     of a Lagrangian changes no variational identity, so it would be an
     undetectable mutation."""
-    return any(evens or odds for evens, odds in poly.terms)
+    return bool(poly.variables())
 
 
 def _flip_leading(poly):
     """Flip the sign of the first monomial in canonical print order,
     skipping a constant one unless it is the only term (a constant row
     coefficient is an honest mutation)."""
-    keys = [term[0] for term in poly.global_terms()]
-    if not keys:
+    rows = poly.global_terms()
+    if not rows:
         raise GvcError("a zero polynomial has no sign to flip")
-    key = next((k for k in keys if k[0] or k[1]), keys[0])
+    key = next((k for k, _, evens, odds in rows if evens or odds), rows[0][0])
     return poly + GradedPoly(poly.reg, {key: -2 * poly.terms[key]})
 
 

@@ -38,53 +38,46 @@ def total_derivative(p, lam):
     """d_lam applied to p; an even derivation raising jet orders by one.
 
     Each factor ``v`` of a monomial is replaced by ``d_lam(v)`` in turn.  In
-    the rank keys of ``algebra`` that is a removal and a ``bisect`` insert:
-    the even part carries the factor's exponent as a coefficient, the odd
-    part the sign of moving the new factor from the old one's slot to its
+    the one-tuple keys of ``algebra`` that is a removal and a ``bisect``
+    insert: an even factor carries its exponent as a coefficient, an odd
+    one the sign of moving the new factor from the old one's slot to its
     own.  Raises JetOrderCapError when a produced jet would exceed the
     registry cap.
     """
     reg = p.reg
     by_rank = reg.by_rank
-    succ = {}  # rank -> rank of its d_lam, for this call
+    succ = {}  # key entry -> the entry of its d_lam, for this call
     out = {}
     get = out.get
-    for (evens, odds), c in p.terms.items():
+    for key, c in p.terms.items():
         prev = None
-        for i, r in enumerate(evens):
+        for i, r in enumerate(key):
             if r == prev:
                 continue
             prev = r
             dr = succ.get(r)
             if dr is None:
-                dr = succ[r] = _successor(reg, by_rank[r], lam).rank
-            new = list(evens)
+                dr = succ[r] = _successor(reg, by_rank[r if r >= 0 else ~r],
+                                          lam).entry
+            new = list(key)
             del new[i]
-            insort(new, dr)
-            key = (tuple(new), odds)
-            s = get(key, 0) + c * evens.count(r)
-            if s:
-                out[key] = s
+            if r >= 0:
+                insort(new, dr)
+                s = c * key.count(r)
             else:
-                del out[key]
-        for i, r in enumerate(odds):
-            dr = succ.get(r)
-            if dr is None:
-                dr = succ[r] = _successor(reg, by_rank[r], lam).rank
-            new = list(odds)
-            del new[i]
-            j = bisect_left(new, dr)
-            if j < len(new) and new[j] == dr:
-                continue
-            # d_lam(v) takes v's slot i; moving it to slot j costs |i - j|
-            # transpositions of odd factors
-            new.insert(j, dr)
-            key = (evens, tuple(new))
-            s = get(key, 0) + (-c if (i - j) & 1 else c)
+                j = bisect_left(new, dr)
+                if j < len(new) and new[j] == dr:
+                    continue
+                # d_lam(v) takes v's slot i; moving it to slot j costs
+                # |i - j| transpositions of odd factors
+                new.insert(j, dr)
+                s = -c if (i - j) & 1 else c
+            new = tuple(new)
+            s += get(new, 0)
             if s:
-                out[key] = s
+                out[new] = s
             else:
-                del out[key]
+                del out[new]
     return GradedPoly(reg, out)
 
 

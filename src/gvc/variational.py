@@ -194,9 +194,8 @@ def is_total_divergence(p, wrt=None):
 
 def _every_term_holds(p, names):
     """Whether every monomial of p has a factor of a symbol in ``names``."""
-    by_rank = p.reg.by_rank
-    return all(any(by_rank[r].symbol.name in names for r in evens + odds)
-               for evens, odds in p.terms)
+    return all(any(v.symbol.name in names for v in factors)
+               for _, _, factors in p.monomials())
 
 
 def variational_pairing(u, L):

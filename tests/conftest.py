@@ -138,17 +138,15 @@ def eta_pairing(f, phi):
 def degree_parts(p, names=None):
     """{degree: part} of p, the degree counting the factors of the symbols
     in ``names`` (every factor when None)."""
-    by_rank = p.reg.by_rank
     parts = {}
-    for key, c in p.terms.items():
-        d = sum(1 for r in key[0] + key[1]
-                if names is None or by_rank[r].symbol.name in names)
+    for key, c, factors in p.monomials():
+        d = sum(1 for v in factors if names is None or v.symbol.name in names)
         parts.setdefault(d, {})[key] = c
     return {d: GradedPoly(p.reg, t) for d, t in sorted(parts.items())}
 
 
 def constant_term(p):
-    return p.terms.get(((), ()), 0)
+    return next((c for _, c, factors in p.monomials() if not factors), 0)
 
 
 def divergence_witness(p, wrt=None):

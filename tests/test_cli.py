@@ -63,6 +63,34 @@ def test_sign_mutation_turns_the_fixture_red(capsys):
     assert "overall: fail" in out
 
 
+# canonical_sha256 of every check, plain and with --mutate sign; a change of
+# the kernel or of its key layout must leave each of them as it is
+_PINNED_DIGESTS = {
+    ("bf", "none"):
+        "18e067b1393d70db0e9570a5b13ce1639689e2f31e2fda89e4c33c6608512b12",
+    ("bf", "sign"):
+        "f5b93ac893d35ed4d9ab5ce8650140184378730e0c05425547564634cf1752fd",
+    ("cs3", "none"):
+        "8799ea51dbc21fbd4c6cf62eb0ffa0411a39c69cd1b32c8bc872445e4caaace9",
+    ("cs3", "sign"):
+        "c63ec1e319b9cb82c5a9b195a48c47018f1ce9edfcd5cd846c28620ea1d1c5f4",
+    ("ym4", "none"):
+        "2cad62a9865cf2e6d9802f78944b0f445cc41f63c665887f01204bad8c99585f",
+    ("ym4", "sign"):
+        "a4e2b9e338e0da0056d0d109a8c003174761ab64b57f8a3ebe05595f9254271c",
+}
+
+
+@pytest.mark.parametrize("name,mutate", sorted(_PINNED_DIGESTS))
+def test_canonical_digests_are_pinned(capsys, name, mutate):
+    code = run(["verify", "--builtin", name, "--check",
+                "ni,stages,kt,extended,gauge,brst,antibracket,triviality",
+                "--format", "json", "--mutate", mutate])
+    assert code == (0 if mutate == "none" else 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["canonical_sha256"] == _PINNED_DIGESTS[name, mutate]
+
+
 def test_exit_two_on_unknown_check(capsys):
     assert run(["verify", "--builtin", "bf", "--check", "ni,bogus"]) == 2
     err = capsys.readouterr().err

@@ -339,7 +339,8 @@ def rand_derivation(rng, reg, right):
         want = (parity + sym.parity(comp)) & 1
         val = rand_family_poly(rng, reg, max_order=1)
         comps[(sym.name, comp)] = GradedPoly(
-            reg, {k: c for k, c in val.terms.items() if len(k[1]) & 1 == want})
+            reg, {k: c for k, c, factors in val.monomials()
+                  if sum(v.parity for v in factors) & 1 == want})
     return EvolutionaryDerivation(reg, comps, right=right)
 
 

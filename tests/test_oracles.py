@@ -9,10 +9,15 @@ order that follows parsing and checking.  Output must not depend on it:
 - A round trip from ``pretty`` to ``parse_expr`` with odd factors and
   antisymmetric families, in a registry whose rank order is not the global
   order.
+- The ring kernel against factor words: products, total derivatives and
+  left and right partial derivatives of random mixed-parity monomials, read
+  only through ``global_terms``, against the words sorted by
+  ``JetVariable.key`` with the sign of that permutation.
 - A sympy oracle for the even sector: ``euler_lagrange`` against
   ``sympy.calculus.euler.euler_equations`` and ``total_derivative`` against
   ``sympy.diff``.
-- Monomial keys hold ints only, so the garbage collector stops tracking them.
+- Monomial keys are flat tuples of ints, so the first collection that sees
+  one stops tracking it.
 """
 import gc
 import random
@@ -120,6 +125,8 @@ def test_output_does_not_depend_on_intern_order(monkeypatch, name, order):
 # -- pretty -> parse_expr round trip -----------------------------------------
 
 def _round_trip_registry(reverse):
+    """A registry that interns its low jets in the global order (natural) or
+    against it (reversed), before anything else."""
     reg = Registry(3)
     reg.declare_field("s")
     reg.declare_field("psi", slots=(3,), parities=1)
@@ -128,13 +135,12 @@ def _round_trip_registry(reverse):
     c = reg.declare_ghost("c", 0, slots=(3,), parities=1)
     reg.declare_ghost_antifield(c)
     reg.freeze()
-    if reverse:
-        keys = [(sym, comp, index) for sym in reg.symbols.values()
-                for comp in sym.components() for index in ((), (0,), (1, 2))]
-        keys.sort(key=lambda k: (k[0].kind, k[0].name, k[1], k[2]),
-                  reverse=True)
-        for key in keys:
-            reg.jet_var(*key)
+    keys = [(sym, comp, index) for sym in reg.symbols.values()
+            for comp in sym.components() for index in ((), (0,), (1, 2))]
+    keys.sort(key=lambda k: (k[0].kind, k[0].name, k[1], k[2]),
+              reverse=reverse)
+    for key in keys:
+        reg.jet_var(*key)
     return reg
 
 
@@ -177,14 +183,116 @@ def test_pretty_parse_round_trip_in_any_rank_order(recipe):
     assert parse_expr(text, _RT_NATURAL) == natural
 
 
-def test_reversed_registry_stores_odd_products_against_the_global_order():
-    reg = _RT_REVERSED
+def test_natural_registry_stores_odd_products_against_the_global_order():
+    # odd factors are stored in decreasing rank, which the natural registry
+    # interned in the global order: the stored product runs against it
+    reg = _RT_NATURAL
     r0 = reg.jet_var("psi", (0,))[0].rank
     r2 = reg.jet_var("psi", (2,))[0].rank
-    assert r2 < r0
+    assert r0 < r2
     p = reg.var("psi", (0,)) * reg.var("psi", (2,))
-    assert p.terms == {((), (r2, r0)): -1}
+    assert p.terms == {(~r2, ~r0): -1}
     assert p.pretty() == "psi[0;]*psi[2;]"
+    q = _RT_REVERSED.var("psi", (0,)) * _RT_REVERSED.var("psi", (2,))
+    assert list(q.terms.values()) == [1]
+    assert q.pretty() == p.pretty()
+
+
+# -- the kernel against factor words ------------------------------------------
+#
+# A monomial is a word of jet variables.  Its normal form sorts the word by
+# JetVariable.key, with the sign of the permutation of its odd factors; a
+# repeated odd factor makes it zero.  Nothing here reads a monomial key: the
+# kernel's results are read through global_terms.
+
+def _normal(terms):
+    """{sorted word: coeff} of sum c * word over ``terms``, pairs of a
+    coefficient and a list of jet variables, zeros dropped."""
+    out = {}
+    for c, word in terms:
+        odd = [v.key for v in word if v.parity]
+        if len(set(odd)) < len(odd):
+            continue
+        # one transposition per pair of odd factors out of order
+        flips = sum(1 for i, a in enumerate(odd) for b in odd[i + 1:]
+                    if a > b)
+        key = tuple(sorted(word, key=lambda v: v.key))
+        out[key] = out.get(key, 0) + (-c if flips & 1 else c)
+    return {k: c for k, c in out.items() if c}
+
+
+def _read(p):
+    """p as {sorted word: coeff}, through global_terms only."""
+    out = {}
+    for _, c, evens, odds in p.global_terms():
+        word = [v for v, e in evens for _ in range(e)] + list(odds)
+        out[tuple(sorted(word, key=lambda v: v.key))] = c
+    return out
+
+
+def _words(reg, recipe):
+    """The (coeff, word) terms of a recipe; antisymmetric components carry
+    their sign, and a vanishing one drops the term."""
+    terms = []
+    for c, atoms in recipe:
+        word = []
+        for atom in atoms:
+            v, sign = reg.jet_var(*atom)
+            if not sign:
+                break
+            c *= sign
+            word.append(v)
+        else:
+            terms.append((c, word))
+    return terms
+
+
+@st.composite
+def _word_recipes(draw):
+    """Recipes whose words often repeat a factor, odd ones included."""
+    recipe = []
+    for c, atoms in draw(_recipes):
+        atoms = list(atoms)
+        if atoms and draw(st.booleans()):
+            atoms.insert(draw(st.integers(0, len(atoms))),
+                         draw(st.sampled_from(atoms)))
+        recipe.append((c, atoms))
+    return recipe
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["natural", "reversed"]), _word_recipes(),
+       _word_recipes(), st.integers(0, 2))
+def test_kernel_matches_sorted_factor_words(order, r1, r2, lam):
+    reg = _RT_NATURAL if order == "natural" else _RT_REVERSED
+    w1, w2 = _words(reg, r1), _words(reg, r2)
+    p1, p2 = _build(reg, r1), _build(reg, r2)
+    assert _read(p1) == _normal(w1)
+    assert _read(p2) == _normal(w2)
+    # _mul_terms, through GradedPoly.__mul__
+    assert _read(p1 * p2) == _normal(
+        [(c1 * c2, a + b) for c1, a in w1 for c2, b in w2])
+    # total_derivative: d_lam replaces each factor in turn
+    dw = []
+    for c, word in w1:
+        for i, v in enumerate(word):
+            dv, _ = reg.jet_var(v.symbol, v.component, v.index + (lam,))
+            dw.append((c, word[:i] + [dv] + word[i + 1:]))
+    assert _read(total_derivative(p1, lam)) == _normal(dw)
+    # partials: a left derivative moves the factor to the front, a right
+    # one to the end, across the odd factors it passes
+    for side in ("left", "right"):
+        want = {}
+        for word, c in _normal(w1).items():
+            for i, v in enumerate(word):
+                rest = word[i + 1:] if side == "right" else word[:i]
+                passed = sum(u.parity for u in rest)
+                sign = -1 if v.parity and passed & 1 else 1
+                want.setdefault(v, []).append(
+                    (sign * c, word[:i] + word[i + 1:]))
+        want = {v: _normal(t) for v, t in want.items()}
+        assert {v: _read(d) for v, d in p1.partials(side)} == \
+            {v: t for v, t in want.items() if t}
 
 
 # -- sympy oracle for the even sector -----------------------------------------
@@ -302,15 +410,14 @@ def test_euler_lagrange_and_total_derivative_match_sympy_on_random_lagrangians(
 def test_monomial_keys_hold_only_ints_and_are_not_tracked_by_gc():
     L = cached("grav4").lagrangian
     el = euler_lagrange(L)
-    # A full collection untracks a tuple of untracked items.  It visits a
-    # freshly built key before its inner tuples when it has moved them while
-    # looking for garbage, so the key itself goes on the next collection.
-    gc.collect()
+    # A collection untracks a tuple whose items are all untracked.  A key is
+    # one flat tuple of ints, so the first collection that sees it untracks
+    # it; a key of nested tuples would need one collection per level.
     gc.collect()
     polys = [L] + list(el.components.values())
     assert sum(p.num_terms() for p in polys) > 10000
     for p in polys:
         for key in p.terms:
-            evens, odds = key
-            assert all(type(r) is int for r in evens + odds)
+            assert type(key) is tuple
+            assert all(type(r) is int for r in key)
             assert not gc.is_tracked(key)
