@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, GradedPoly, GvcError,
                       _add_into, _mul_terms)
-from .jets import (EvolutionaryDerivation, iterated_derivative,
-                   nilpotency_residuals, prolong_apply)
+from .jets import (EvolutionaryDerivation, _by_parts, _fold, _pair_into,
+                   iterated_derivative, nilpotency_residuals, prolong_apply)
 from .variational import check_variational_symmetry, euler_lagrange
 
 
@@ -72,19 +72,35 @@ class NoetherRecord:
 
     def contract(self, reg, targets):
         """sum rows * d_Lambda(targets[(A, comp)]); zero exactly when the
-        identity holds off shell.  ``targets`` is ``_targets(theory, stage)``."""
-        out = {}
+        identity holds off shell.  ``targets`` is ``_targets(theory, stage)``.
+
+        A target that ``jets._by_parts`` finds large is paired with its
+        rows by parts, so that no d_Lambda of it is built, and all of those
+        are folded together: the terms that cancel across targets cancel
+        before any total derivative is taken.  A small target is derived
+        once per row."""
+        per = {}
         for (name, comp, index), coeff in sorted(self.rows.items()):
-            target = targets.get((name, comp))
-            if target is None:
+            if (name, comp) not in targets:
                 if name not in reg.symbols:
                     raise GvcError("unknown symbol %r" % name)
                 raise GvcError("stage %d row targets %s which has no %s" % (
                     self.stage, comp_label(name, comp),
                     "stage-%d record" % (self.stage - 1) if self.stage
                     else "Euler-Lagrange component"))
-            _mul_terms(coeff.terms, iterated_derivative(target, index).terms, out)
-        return GradedPoly(reg, out)
+            f = per.setdefault((name, comp), {})
+            index = tuple(sorted(index))
+            f[index] = f[index] + coeff if index in f else coeff
+        z = {(): {}}
+        for key, f in per.items():
+            target = targets[key]
+            if _by_parts(target, f):
+                _pair_into(z, f, target)
+                continue
+            for index, coeff in f.items():
+                _mul_terms(coeff.terms, iterated_derivative(target, index).terms,
+                           z[()])
+        return GradedPoly(reg, _fold(reg, sorted(z.items())))
 
 
 def _el(theory):

@@ -1,5 +1,6 @@
-"""Variational calculus: Euler-Lagrange operators, the higher Euler (eta)
-operators, the total-divergence test, and variational symmetries.
+"""Variational calculus: Euler-Lagrange operators, the total-divergence
+test, and variational symmetries.  The higher Euler operators ``eta`` live
+in ``gvc.jets``, whose prolongation uses them, and are re-exported here.
 
 A density is represented by its coefficient polynomial (the ``L`` in
 ``L d^n x``).  Working on a chart with polynomial coefficients and no explicit
@@ -17,11 +18,10 @@ every term, so they are decided on the ghost sector.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import groupby
 
-from gvc.algebra import KIND_GHOST, GradedPoly, GvcError, _add_into, \
-    _mul_terms
-from gvc.jets import iterated_derivative
+from gvc.algebra import KIND_GHOST, GradedPoly, GvcError, _mul_terms
+from gvc.jets import _fold, eta
 
 __all__ = [
     "EulerLagrangeResult",
@@ -63,7 +63,9 @@ def euler_lagrange(L, wrt=None, side="left"):
     (fields, ghosts, antifields) gets a component in the result, so that
     variational triviality can be decided from one call.  ``side='right'``
     uses right partial derivatives throughout, which is the orientation
-    natural to right derivations acting on antifields.
+    natural to right derivations acting on antifields.  The partials of one
+    component are folded Horner-wise as they arrive (``jets._fold``), so
+    the multi-indices that share a prefix share its total derivatives.
     """
     reg = L.reg
     if wrt is None:
@@ -75,9 +77,9 @@ def euler_lagrange(L, wrt=None, side="left"):
                 raise GvcError("unknown symbol %r" % n)
     acc = {(name, comp): {} for name in sorted(names)
            for comp in reg.symbols[name].components()}
-    for v, part in L.partials(side, acc):
-        _add_into(acc[(v.symbol.name, v.component)],
-                  iterated_derivative(part, v.index).terms, len(v.index) & 1)
+    for comp, group in groupby(L.partials(side, acc),
+                               lambda vp: (vp[0].symbol.name, vp[0].component)):
+        acc[comp] = _fold(reg, ((v.index, part.terms) for v, part in group))
     return EulerLagrangeResult(
         reg, {key: GradedPoly(reg, terms) for key, terms in acc.items()})
 
@@ -92,89 +94,6 @@ def variational_derivative(L, sym_name, comp=(), side="left"):
         return L.reg.zero
     e = euler_lagrange(L, {sym_name}, side).get(sym_name, comp)
     return e if sign == 1 else e.scale(sign)
-
-
-# ---------------------------------------------------------------------------
-# Higher Euler operators
-# ---------------------------------------------------------------------------
-
-def _index_counts(index, dim):
-    counts = [0] * dim
-    for lam in index:
-        counts[lam] += 1
-    return counts
-
-
-def _multiset_contains(big, small):
-    return all(b >= s for b, s in zip(big, small))
-
-
-def _counts_to_index(counts):
-    out = []
-    for lam, m in enumerate(counts):
-        out.extend([lam] * m)
-    return tuple(out)
-
-
-def eta(f, dim=None):
-    """The higher Euler operators applied to a finite tuple of coefficients.
-
-    ``f`` maps multi-indices (sorted tuples of base directions) to
-    polynomials.  The result tuple satisfies, for every test polynomial phi,
-
-        sum_Lambda (-1)^{|Lambda|} d_Lambda(f^Lambda * phi)
-            = sum_Lambda eta(f)^Lambda * d_Lambda(phi)
-
-    and applying it twice is the identity.  The binomial weight is taken per
-    base direction; in dimension one it reduces to the factorial quotient
-    |Sigma+Lambda|! / (|Sigma|! |Lambda|!).
-    """
-    f = {tuple(sorted(k)): v for k, v in f.items() if not v.is_zero()}
-    if not f:
-        return {}
-    reg = next(iter(f.values())).reg
-    if dim is None:
-        dim = reg.dim
-    counts = {k: _index_counts(k, dim) for k in f}
-    out = {}
-    # every output index is a sub-multiset of some input index
-    candidates = set()
-    for theta in counts.values():
-        _submultisets(tuple(theta), candidates)
-    for xi_counts in sorted(candidates):
-        acc = {}
-        for theta_key, theta in counts.items():
-            if not _multiset_contains(theta, xi_counts):
-                continue
-            weight = 1
-            for m_theta, m_xi in zip(theta, xi_counts):
-                weight *= comb(m_theta, m_xi)
-            sigma = tuple(
-                lam
-                for lam, (m_theta, m_xi) in enumerate(zip(theta, xi_counts))
-                for _ in range(m_theta - m_xi)
-            )
-            term = iterated_derivative(f[theta_key], sigma)
-            if len(theta_key) & 1:
-                weight = -weight
-            _add_into(acc, term.scale(weight).terms)
-        if acc:
-            out[_counts_to_index(xi_counts)] = GradedPoly(reg, acc)
-    return out
-
-
-def _submultisets(counts, into):
-    """Add every sub-multiset of a count vector to ``into`` (as count tuples)."""
-    counts = tuple(counts)
-    def rec(pos, cur):
-        if pos == len(counts):
-            into.add(tuple(cur))
-            return
-        for m in range(counts[pos] + 1):
-            cur.append(m)
-            rec(pos + 1, cur)
-            cur.pop()
-    rec(0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,23 @@ def test_canonical_digests_are_pinned(capsys, name, mutate):
     assert report["canonical_sha256"] == _PINNED_DIGESTS[name, mutate]
 
 
+# grav4 is the builtin whose kt check takes the by-parts route of
+# jets.prolong_apply
+_PINNED_GRAV4_DIGESTS = {
+    "none": "8d80e6bcecd1e606b7955048e540427bc7f4aaafb04d16a49b757c498827dce6",
+    "sign": "2f66b216644fe7cd09680f5d6aaa12e3dd5b675bba8999c8b0638f5975e3a3b2",
+}
+
+
+@pytest.mark.parametrize("mutate", sorted(_PINNED_GRAV4_DIGESTS))
+def test_grav4_digests_are_pinned(capsys, mutate):
+    code = run(["verify", "--builtin", "grav4", "--check", "kt,gauge,brst",
+                "--format", "json", "--mutate", mutate])
+    assert code == (0 if mutate == "none" else 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["canonical_sha256"] == _PINNED_GRAV4_DIGESTS[mutate]
+
+
 def test_exit_two_on_unknown_check(capsys):
     assert run(["verify", "--builtin", "bf", "--check", "ni,bogus"]) == 2
     err = capsys.readouterr().err

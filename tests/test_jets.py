@@ -9,7 +9,7 @@ import gvc.jets
 from gvc.algebra import (GradedPoly, GradingError, GvcError, JetOrderCapError,
                          JetVariable, Registry)
 from gvc.cli import CHECK_NAMES, build_report
-from gvc.noether import assemble_kt
+from gvc.noether import NoetherRecord, assemble_kt
 from gvc.parser import parse_theory
 from gvc.theories import build_fixture, load_builtin
 from gvc.variational import euler_lagrange
@@ -325,7 +325,9 @@ def test_accumulators_leave_operands_and_zero_unchanged():
 
 # -- the one-pass prolongation ---------------------------------------------------
 
-DEEP = make_family_registry(jet_order=4)
+# a cap of 6 leaves room for the by-parts route on jets of order 3: it
+# derives a partial of order 3 up to three more times
+DEEP = make_family_registry(jet_order=6)
 
 
 def rand_derivation(rng, reg, right):
@@ -394,3 +396,62 @@ ni k[] { (z; 0) = z[;1]; (z; 0,1) = y[;0]; (z; 1,1) = 1; (y; 1) = z; }
     assert first and len(calls) == len(prefixes)
     assert nilpotency_residuals(kt) == first
     assert len(calls) == 2 * len(prefixes)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_both_prolongation_routes_match_the_memo_free_oracle(seed, right):
+    # every polynomial of the pass forced down the prefix chain, then down
+    # the by-parts route; u of random parity, so f and upsilon^A are odd or
+    # even on either side, and jets of order 3 in the polynomials
+    rng = random.Random(seed)
+    u = rand_derivation(rng, DEEP, right)
+    ps = [rand_family_poly(rng, DEEP, max_order=3)
+          for _ in range(rng.randint(1, 3))]
+    ps += list(u.components.values())
+    want = [prolong_oracle(u, p) for p in ps]
+    for route in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gvc.jets, "_by_parts", lambda phi, f, route=route: route)
+            assert prolong_apply(u, ps) == want
+
+
+def test_by_parts_stays_under_the_jet_order_cap():
+    # by parts, the partial y[;0,0] would be derived twice more, past the
+    # cap of 2; deriving upsilon needs only d_00 of an order-0 polynomial
+    reg = Registry(1, jet_order=2)
+    reg.declare_field("x")
+    reg.declare_field("y")
+    reg.freeze()
+    y, y0, y00 = (reg.var("y", (), (0,) * k) for k in range(3))
+    phi = sum((y ** k for k in range(1, 10)), reg.zero)
+    assert len(phi.terms) > gvc.jets.BY_PARTS_RATIO * 2
+    assert gvc.jets._by_parts(phi, {(0,): y, (0, 0): y})
+    assert not gvc.jets._by_parts(phi, {(0,): y0, (0, 0): y00})
+    u = EvolutionaryDerivation(reg, {("x", ()): phi}, right=True)
+    p = y00 * reg.var("x", (), (0, 0)) + y0 * reg.var("x", (), (0,))
+    (image,) = prolong_apply(u, [p])
+    assert image == prolong_oracle(u, p)
+    rec = NoetherRecord("c", (), {("x", (), (0, 0)): y00, ("x", (), (0,)): y0})
+    assert rec.contract(reg, {("x", ()): phi}) == image
+
+
+def test_grav4_kt_derives_by_parts(monkeypatch):
+    # the prefix chain alone, which derives each d_Lambda E_A, feeds 174,912
+    # terms to total_derivative and multiplies 1,313,952 pairs; by parts
+    # 26,400 and 396,672
+    theory = load_builtin("grav4")
+    terms, pairs = [], []
+    derive, mul = gvc.jets.total_derivative, gvc.jets._mul_terms
+
+    def counted_derive(p, lam):
+        terms.append(len(p.terms))
+        return derive(p, lam)
+
+    def counted_mul(t1, t2, out=None):
+        pairs.append(len(t1) * len(t2))
+        return mul(t1, t2, out)
+    monkeypatch.setattr(gvc.jets, "total_derivative", counted_derive)
+    monkeypatch.setattr(gvc.jets, "_mul_terms", counted_mul)
+    assert build_report(theory, ["kt"])["overall"] == "pass"
+    assert sum(terms) <= 60000
+    assert sum(pairs) <= 800000
