@@ -6,7 +6,8 @@ times, so two runs of the same invocation can be compared by digest even
 though their timings differ.  Checks run one after another, and each entry's
 ``time`` is the wall time of its own check.  Exit code 0 means every selected
 check passed; 1 means at least one check failed or was only verifiable on
-shell; 2 means the input could not be read, parsed or validated at all.
+shell; 2 means the input could not be read, parsed or validated at all, or
+that checking it ran out of memory.
 
 Negative controls: ``--mutate sign`` flips one sign before checking (the
 leading gamma term when the theory declares gamma, otherwise the leading
@@ -360,8 +361,9 @@ def run(argv):
             mutation = "sign (%s)" % label
         report = build_report(theory, selected, mutation,
                               args.max_residual_terms)
-    except GvcError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (GvcError, MemoryError) as exc:
+        # a MemoryError usually carries no message of its own
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
     text = render_text(report) if args.format == "text" else \
         render_json(report)

@@ -6,13 +6,15 @@ polynomial coefficient; its antifield polynomial is
 
     Delta_r = sum rows[(A, comp, Lambda)] * s_bar^A_{comp, Lambda}
 
-with coefficients multiplying from the left.  The identity itself is the
-exact vanishing of the contraction sum rows * d_Lambda(T_A), where the
-targets T_A are one rung down: the Euler-Lagrange derivatives E_A at stage
-0, where rows are keyed by fields, and the stage-(k-1) Delta polynomials at
-stage k >= 1, where rows are keyed by stage-(k-1) ghosts.  A stage-k >= 1
-record may carry a quadratic certificate h for an identity that only holds
-on shell.
+with coefficients multiplying from the left.  The Koszul-Tate operator
+delta_KT sends each field antifield to its Euler-Lagrange derivative and
+each ghost antifield to its record's Delta, and the identity of record r is
+the exact vanishing of delta_KT(Delta_r), computed by ``prolong_apply``: at
+stage 0, where rows are keyed by fields, it is sum rows * d_Lambda(E_A); at
+stage k >= 1, where rows are keyed by stage-(k-1) ghosts, it contracts the
+stage-(k-1) Delta polynomials.  A stage-k >= 1 record may carry a quadratic
+certificate h for an identity that only holds on shell; delta_KT(Delta_r)
+then includes delta_KT(h).
 """
 from __future__ import annotations
 
@@ -20,8 +22,7 @@ from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, GradedPoly, GvcError,
                       _add_into, _mul_terms)
-from .jets import (EvolutionaryDerivation, _by_parts, _fold, _pair_into,
-                   iterated_derivative, nilpotency_residuals, prolong_apply)
+from .jets import EvolutionaryDerivation, nilpotency_residuals, prolong_apply
 from .variational import check_variational_symmetry, euler_lagrange
 
 
@@ -45,8 +46,7 @@ class NoetherRecord:
     with the Euler-Lagrange derivatives.  At stage k >= 1 it is an
     identity among identities: rows keyed by stage-(k-1) ghosts, contracted
     with their Delta polynomials.  ``h`` is the optional on-shell
-    certificate of a stage-k >= 1 record: the identity is then
-    contract + delta_KT(h) = 0.
+    certificate of a stage-k >= 1 record, part of ``delta_poly``.
     """
 
     __slots__ = ("ghost", "component", "rows", "stage", "h")
@@ -70,38 +70,6 @@ class NoetherRecord:
         out = delta_from_rows(reg, self.rows)
         return out if self.h is None else out + self.h
 
-    def contract(self, reg, targets):
-        """sum rows * d_Lambda(targets[(A, comp)]); zero exactly when the
-        identity holds off shell.  ``targets`` is ``_targets(theory, stage)``.
-
-        A target that ``jets._by_parts`` finds large is paired with its
-        rows by parts, so that no d_Lambda of it is built, and all of those
-        are folded together: the terms that cancel across targets cancel
-        before any total derivative is taken.  A small target is derived
-        once per row."""
-        per = {}
-        for (name, comp, index), coeff in sorted(self.rows.items()):
-            if (name, comp) not in targets:
-                if name not in reg.symbols:
-                    raise GvcError("unknown symbol %r" % name)
-                raise GvcError("stage %d row targets %s which has no %s" % (
-                    self.stage, comp_label(name, comp),
-                    "stage-%d record" % (self.stage - 1) if self.stage
-                    else "Euler-Lagrange component"))
-            f = per.setdefault((name, comp), {})
-            index = tuple(sorted(index))
-            f[index] = f[index] + coeff if index in f else coeff
-        z = {(): {}}
-        for key, f in per.items():
-            target = targets[key]
-            if _by_parts(target, f):
-                _pair_into(z, f, target)
-                continue
-            for index, coeff in f.items():
-                _mul_terms(coeff.terms, iterated_derivative(target, index).terms,
-                           z[()])
-        return GradedPoly(reg, _fold(reg, sorted(z.items())))
-
 
 def _el(theory):
     if theory._el_cache is None:
@@ -115,16 +83,6 @@ def _all_records(theory):
         yield from theory.stage_records(k)
 
 
-def _targets(theory, k):
-    """What stage-k rows contract, by (name, component): the Euler-Lagrange
-    derivatives at stage 0, the stage-(k-1) Delta polynomials above."""
-    if k == 0:
-        return _el(theory).components
-    reg = theory.registry
-    return {(r.ghost, r.component): r.delta_poly(reg)
-            for r in theory.stage_records(k - 1)}
-
-
 def _entry(check, target, status, residual=None, note=""):
     out = {"check": check, "target": target, "status": status}
     if residual is not None and not residual.is_zero():
@@ -134,48 +92,64 @@ def _entry(check, target, status, residual=None, note=""):
     return out
 
 
+def _residuals(theory, k):
+    """delta_KT(Delta_r) for every stage-k record r, in order, from one
+    pass; zero exactly when the identity holds, its h certificate included.
+
+    Rows follow the parser's rule: stage-0 rows target field components,
+    stage-k rows the ghost components of stage-(k-1) records.  Any other
+    row would be contracted with the wrong object, or with none."""
+    reg = theory.registry
+    if k == 0:
+        targets = {(name, comp) for name, sym in reg.symbols.items()
+                   if sym.kind == KIND_FIELD for comp in sym.components()}
+    else:
+        targets = {(r.ghost, r.component) for r in theory.stage_records(k - 1)}
+    recs = theory.stage_records(k)
+    for rec in recs:
+        for name, comp, _index in sorted(rec.rows):
+            if (name, comp) not in targets:
+                if name not in reg.symbols:
+                    raise GvcError("unknown symbol %r" % name)
+                raise GvcError("stage %d row targets %s which %s" % (
+                    k, comp_label(name, comp),
+                    "has no stage-%d record" % (k - 1) if k
+                    else "is not a field component"))
+    kt = assemble_kt(theory)
+    return prolong_apply(kt, [
+        kt.components.get((rec.ghost + "_bar", rec.component), reg.zero)
+        for rec in recs])
+
+
 def verify_ni(theory):
     """One report entry per Noether record; pass iff the residual vanishes."""
-    reg = theory.registry
-    targets = _targets(theory, 0)
-    entries = []
-    for rec in theory.records:
-        res = rec.contract(reg, targets)
-        status = "pass" if res.is_zero() else "fail"
-        entries.append(_entry("ni", rec.label(), status, res))
     if not theory.records:
-        entries.append(_entry("ni", "-", "pass", note="no records declared"))
-    return entries
+        return [_entry("ni", "-", "pass", note="no records declared")]
+    return [_entry("ni", r.label(), "pass" if res.is_zero() else "fail", res)
+            for r, res in zip(theory.records, _residuals(theory, 0))]
 
 
 def verify_stage_ni(theory, k):
     """Report entries for every stage-k record.
 
-    A record passes when LHS + delta_KT(h) = 0; with no certificate it must
-    close off shell (LHS = 0), otherwise the entry is only 'unverified-on-shell'.
+    A record passes when delta_KT(Delta_r) = 0, its h certificate included;
+    a record with no certificate that does not close off shell is only
+    'unverified-on-shell'.
     """
     recs = theory.stage_records(k)
     if not recs:
         return [_entry("stages", "stage %d" % k, "pass",
                        note="no stage-%d records declared" % k)]
-    reg = theory.registry
-    targets = _targets(theory, k)
-    hs = [rec.h for rec in recs if rec.h is not None]
-    images = iter(prolong_apply(assemble_kt(theory), hs) if hs else ())
     entries = []
-    for rec in recs:
-        lhs = rec.contract(reg, targets)
+    for rec, res in zip(recs, _residuals(theory, k)):
+        status, note = "pass", ""
         if rec.h is not None:
-            res = lhs + next(images)
             status = "pass" if res.is_zero() else "fail"
-            entries.append(_entry("stages", rec.label(), status, res,
-                                  note="with h certificate"))
-        elif lhs.is_zero():
-            entries.append(_entry("stages", rec.label(), "pass", lhs))
-        else:
-            entries.append(_entry(
-                "stages", rec.label(), "unverified-on-shell", lhs,
-                note="on-shell identity unverified without certificate"))
+            note = "with h certificate"
+        elif not res.is_zero():
+            status = "unverified-on-shell"
+            note = "on-shell identity unverified without certificate"
+        entries.append(_entry("stages", rec.label(), status, res, note))
     return entries
 
 
@@ -190,7 +164,10 @@ def assemble_kt(theory):
             for comp in sym.components():
                 comps[(name + "_bar", comp)] = el.get(name, comp)
     for rec in _all_records(theory):
-        comps[(rec.ghost + "_bar", rec.component)] = rec.delta_poly(reg)
+        key = (rec.ghost + "_bar", rec.component)
+        if key in comps:
+            raise GvcError("two pairings for %s" % comp_label(*key))
+        comps[key] = rec.delta_poly(reg)
     return EvolutionaryDerivation(reg, comps, right=True, name="delta_KT")
 
 

@@ -136,6 +136,19 @@ def test_exit_two_on_non_utf8_file(tmp_path, capsys):
     assert err.startswith("error: cannot read theory file: 'utf-8' codec")
 
 
+@pytest.mark.parametrize("callee", ["parse_theory", "build_report"])
+def test_exit_two_when_memory_runs_out(capsys, monkeypatch, callee):
+    # huge index ranges can exhaust memory while parsing or checking; the
+    # error is raised here, not provoked by allocating
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(cli, callee, exhausted)
+    assert run(["verify", "--builtin", "bf", "--check", "ni"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("opener,closer",
                          [("(", ")"), ("-", ""), ("sum(i:1){", "}")])
 def test_expression_nesting_is_bounded(tmp_path, capsys, opener, closer):
@@ -408,12 +421,14 @@ def test_gauge_check_builds_the_gauge_operator_once(monkeypatch):
     assert len(builds) == 1  # shared by the stage-0 and stage-1 conditions
 
 
-def test_stages_check_builds_kt_only_for_certificates(monkeypatch):
+def test_stages_check_builds_kt_once(monkeypatch):
+    # every stage identity is delta_KT(Delta_r), one pass per stage, with or
+    # without h certificates (toy has one, bf4 none)
     builds = count_calls(monkeypatch, "assemble_kt")
     all_pass(run_checks(cached("bf4"), ["stages"]))
-    assert builds == []  # no bf4 stage record carries an h certificate
-    all_pass(run_checks(cached("toy"), ["stages"]))
     assert len(builds) == 1
+    all_pass(run_checks(cached("toy"), ["stages"]))
+    assert len(builds) == 2
 
 
 def _json_report(capsys, argv):

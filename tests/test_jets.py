@@ -9,7 +9,7 @@ import gvc.jets
 from gvc.algebra import (GradedPoly, GradingError, GvcError, JetOrderCapError,
                          JetVariable, Registry)
 from gvc.cli import CHECK_NAMES, build_report
-from gvc.noether import NoetherRecord, assemble_kt
+from gvc.noether import assemble_kt
 from gvc.parser import parse_theory
 from gvc.theories import build_fixture, load_builtin
 from gvc.variational import euler_lagrange
@@ -431,8 +431,6 @@ def test_by_parts_stays_under_the_jet_order_cap():
     p = y00 * reg.var("x", (), (0, 0)) + y0 * reg.var("x", (), (0,))
     (image,) = prolong_apply(u, [p])
     assert image == prolong_oracle(u, p)
-    rec = NoetherRecord("c", (), {("x", (), (0, 0)): y00, ("x", (), (0,)): y0})
-    assert rec.contract(reg, {("x", ()): phi}) == image
 
 
 def test_grav4_kt_derives_by_parts(monkeypatch):

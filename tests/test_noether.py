@@ -5,12 +5,14 @@ import pytest
 
 import gvc.noether
 from gvc.algebra import GvcError
+from gvc.cli import mutation_sites
 from gvc.jets import prolong_apply
 from gvc.noether import (
     NoetherRecord,
     assemble_kt,
     check_extended,
     check_kt_nilpotent,
+    comp_label,
     extended_lagrangian,
     solve_trivial_witness,
     triviality_report,
@@ -116,24 +118,72 @@ def test_stage_identity_without_certificate_is_flagged():
 
 def test_stage_row_must_target_a_previous_record(toy):
     reg = toy.registry
-    # y is declared but carries no stage-0 record, so the contraction
-    # has nothing to differentiate (the odd coefficient keeps the record
+    # y is declared but carries no stage-0 record, so delta_KT would pair
+    # the row with E_y (the odd coefficient keeps the record
     # parity-consistent so the failure is the guard, not a grading error)
     bad = NoetherRecord("ps", (), {("y", (), ()): reg.var("ca")}, stage=1)
     broken = rebuilt(toy, stages={1: [bad]})
     with pytest.raises(GvcError, match="no stage-0 record"):
         verify_stage_ni(broken, 1)
-    # an undeclared name fails earlier, at antifield lookup
+    # an undeclared name is named as an unknown symbol
     worse = rebuilt(toy, stages={1: [NoetherRecord(
         "ps", (), {("nosuch", (), ()): reg.one}, stage=1)]})
     with pytest.raises(GvcError, match="unknown symbol"):
         verify_stage_ni(worse, 1)
-    # the same contraction guards stage 0: a library-built Noether record
+    # the same guard holds at stage 0: a library-built Noether record
     # naming an undeclared field is refused, not looked up blindly
     stray = rebuilt(toy, records=[NoetherRecord(
         "ca", (), {("nosuch", (), ()): reg.one})])
     with pytest.raises(GvcError, match="unknown symbol 'nosuch'"):
         verify_ni(stray)
+    # stage-0 rows target fields: a row on a ghost or an antifield would be
+    # paired with the wrong object under delta_KT (E_ca(L) = 0, so the ghost
+    # row used to pass), and is refused as the parser refuses it
+    for name in ("ca", "y_bar"):
+        stray = rebuilt(toy, records=[NoetherRecord(
+            "ca", (), {(name, (), ()): reg.one})] + toy.records[1:])
+        with pytest.raises(GvcError, match=r"stage 0 row targets %s\[\] "
+                           "which is not a field component" % name):
+            verify_ni(stray)
+    # and stage-1 rows target stage-0 ghosts, not their antifields
+    stray = rebuilt(toy, stages={1: [NoetherRecord(
+        "ps", (), {("ca_bar", (), ()): reg.var("y")}, stage=1)]})
+    with pytest.raises(GvcError, match="no stage-0 record"):
+        verify_stage_ni(stray, 1)
+
+
+def test_each_antifield_has_one_pairing(toy):
+    # delta_KT keeps one image per antifield, so a second record under the
+    # same label, or under a field's name, would be checked against the
+    # other's Delta; both are refused
+    reg = toy.registry
+    for ghost in ("ca", "y"):
+        twin = NoetherRecord(ghost, (), {("y", (), ()): reg.one})
+        with pytest.raises(GvcError, match=r"two pairings for %s_bar\[\]"
+                           % ghost):
+            verify_ni(rebuilt(toy, records=toy.records + [twin]))
+
+
+@pytest.mark.parametrize("name", ["bf", "bf4", "toy", "cs3", "ym4", "ym4_super"])
+def test_each_identity_is_its_kt_component(name):
+    # the ni and stages entry of record r is delta_KT(Delta_r), which the kt
+    # check reports at <ghost>_bar[comp]: one fails exactly when the other
+    # does not pass, with the same residual, healthy and at every mutant
+    th = cached(name)
+    failed = 0
+    for label, build in [("plain", lambda: th)] + mutation_sites(th):
+        mt = build()
+        recs = [r for k in [0] + mt.stage_numbers() for r in mt.stage_records(k)]
+        entries = verify_ni(mt) + [e for k in mt.stage_numbers()
+                                   for e in verify_stage_ni(mt, k)]
+        assert len(entries) == len(recs)
+        ids = {comp_label(r.ghost + "_bar", r.component): e["residual"]
+               for r, e in zip(recs, entries) if e["status"] != "pass"}
+        kt = {e["target"]: e["residual"] for e in check_kt_nilpotent(mt)
+              if e["status"] != "pass"}
+        assert ids == kt, label
+        failed += bool(kt)
+    assert failed  # some mutant breaks an identity
 
 
 def test_extended_lagrangian_structure(toy):
@@ -182,8 +232,7 @@ def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
     builds = count_calls(monkeypatch, "assemble_kt")
     for mu in range(3):
         rec = _curvature_record(cs3, mu)
-        el = euler_lagrange(cs3.lagrangian)
-        assert rec.contract(reg, el.components).is_zero()
+        assert prolong_apply(assemble_kt(cs3), [rec.delta_poly(reg)])[0].is_zero()
         del builds[:]
         H = solve_trivial_witness(cs3, rec)
         assert H is not None
