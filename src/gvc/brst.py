@@ -17,8 +17,8 @@ from __future__ import annotations
 from .algebra import KIND_ANTIFIELD, KIND_GHOST, GradedPoly, GvcError, \
     _mul_terms
 from .jets import EvolutionaryDerivation, nilpotency_residuals, prolong_apply
-from .noether import assemble_kt, comp_label, _entry
-from .variational import check_variational_symmetry, eta
+from .noether import assemble_kt, comp_label, _entry, _residuals, stored
+from .variational import eta
 
 
 class GaugeOperator:
@@ -64,22 +64,28 @@ def gauge_from_ni(theory):
         for k in [0] + theory.stage_numbers())
 
 
-def check_gauge_symmetry(theory, k, alpha=None, gauge=None):
+def stored_gauge(theory):
+    """The theory's gauge operator, built once by ``gauge_from_ni``."""
+    return stored(theory, "gauge", gauge_from_ni)
+
+
+def check_gauge_symmetry(theory, k, alpha=None):
     """Stage-k gauge-symmetry condition.
 
-    Stage 0 asks whether u is a variational symmetry of the Lagrangian and,
-    when the theory declares the operator explicitly, that the declared
-    components agree with the ones rebuilt from the records via eta.  For
-    k >= 1 the residual applies u^(k) through the ghost dependence of the
-    previous stage's components; alpha maps those component keys to
-    antifield certificates subtracted as delta_KT(alpha) for identities that
-    close only on shell.
+    Stage 0 asks whether u is a variational symmetry of the Lagrangian,
+    that is whether every stage-0 delta_KT(Delta_r) vanishes (see
+    ``gvc.noether``), and, when the theory declares the operator explicitly,
+    that the declared components agree with the ones rebuilt from the
+    records via eta.  For k >= 1 the residual applies u^(k) through the
+    ghost dependence of the previous stage's components; alpha maps those
+    component keys to antifield certificates subtracted as delta_KT(alpha)
+    for identities that close only on shell.
     """
-    gauge = gauge or gauge_from_ni(theory)
+    gauge = stored_gauge(theory)
     if alpha is None:
         alpha = theory.alpha(k)
     if k == 0:
-        ok = check_variational_symmetry(gauge.stages[0], theory.lagrangian)
+        ok = all(res.is_zero() for res in _residuals(theory, 0))
         entries = [_entry("gauge", "u", "pass" if ok else "fail")]
         if theory.gauge_candidate:
             derived = {}
@@ -163,13 +169,13 @@ def check_brst_nilpotent(candidate):
 def brst_candidate(theory):
     """Assemble the theory's BRST candidate: constructed gauge stages plus
     any declared gamma components (gamma = 0 when none are declared)."""
-    return BRSTCandidate(gauge_from_ni(theory), theory.gamma)
+    return BRSTCandidate(stored_gauge(theory), theory.gamma)
 
 
 def check_antibracket(theory):
     """Report on (u + gamma^(1))(u); confirms the commutator normalization
     [u,u] = -2 gamma(u) when the defect vanishes."""
-    u = gauge_from_ni(theory).stages[0]
+    u = stored_gauge(theory).stages[0]
     reg = u.reg
     gamma1 = {}
     for (name, comp), val in theory.gamma.items():

@@ -28,7 +28,7 @@ import time
 
 from .algebra import GradedPoly, GvcError, Registry
 from .brst import brst_candidate, check_antibracket, check_brst_nilpotent, \
-    check_gauge_symmetry, gauge_from_ni
+    check_gauge_symmetry
 from .noether import NoetherRecord, check_extended, \
     check_kt_nilpotent, comp_label, triviality_report, verify_ni, \
     verify_stage_ni
@@ -40,27 +40,14 @@ CHECK_NAMES = ("ni", "stages", "kt", "extended", "gauge", "brst",
 DEFAULT_CHECKS = "ni,kt,gauge,brst"
 
 
-def _run_stages(theory):
-    entries = []
-    for k in theory.stage_numbers() or [1]:
-        entries.extend(verify_stage_ni(theory, k))
-    return entries
-
-
-def _run_gauge(theory):
-    gauge = gauge_from_ni(theory)
-    entries = []
-    for k in [0] + theory.stage_numbers():
-        entries.extend(check_gauge_symmetry(theory, k, gauge=gauge))
-    return entries
-
-
 _RUNNERS = {
     "ni": verify_ni,
-    "stages": _run_stages,
+    "stages": lambda theory: [e for k in theory.stage_numbers() or [1]
+                              for e in verify_stage_ni(theory, k)],
     "kt": check_kt_nilpotent,
     "extended": check_extended,
-    "gauge": _run_gauge,
+    "gauge": lambda theory: [e for k in [0] + theory.stage_numbers()
+                             for e in check_gauge_symmetry(theory, k)],
     "brst": lambda theory: check_brst_nilpotent(brst_candidate(theory)),
     "antibracket": check_antibracket,
     "triviality": triviality_report,
@@ -96,8 +83,8 @@ def _rebuild(theory, **over):
               gamma=theory.gamma, alphas=theory.alphas)
     kw.update(over)
     out = TheorySpec(**kw)
-    if "lagrangian" not in over:
-        out._el_cache = theory._el_cache
+    if "lagrangian" not in over and "el" in theory.derived:
+        out.derived["el"] = theory.derived["el"]
     return out
 
 

@@ -15,6 +15,15 @@ stage k >= 1, where rows are keyed by stage-(k-1) ghosts, it contracts the
 stage-(k-1) Delta polynomials.  A stage-k >= 1 record may carry a quadratic
 certificate h for an identity that only holds on shell; delta_KT(Delta_r)
 then includes delta_KT(h).
+
+Five checks read these residuals.  When L and every row coefficient hold
+only fields and no h holds a ghost (``NoetherRecord`` and ``TheorySpec``
+refuse anything else), the inverse second Noether theorem gives
+E_{c^r}(sum_A u^A E_A) = delta_KT(Delta_r) for the gauge operator u, and
+the same for delta_KT paired with the extended Lagrangian.  So ``ni``,
+``stages`` and ``kt`` (delta_KT(E_A) = 0) report them, and ``extended``
+and the stage-0 ``gauge`` verdict pass exactly when they vanish.  They are
+kept, with E_A and u, in the theory's memo of derived objects.
 """
 from __future__ import annotations
 
@@ -22,12 +31,26 @@ from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, GradedPoly, GvcError,
                       _add_into, _mul_terms)
-from .jets import EvolutionaryDerivation, nilpotency_residuals, prolong_apply
-from .variational import check_variational_symmetry, euler_lagrange
+from .jets import EvolutionaryDerivation, prolong_apply
+from .variational import euler_lagrange
 
 
 def comp_label(name, comp):
     return "%s[%s]" % (name, ",".join(str(i) for i in comp))
+
+
+def _require_kinds(poly, kinds, what):
+    """Refuse ``poly`` when it holds a variable of a kind outside ``kinds``."""
+    bad = [v for v in poly.variables() if v.symbol.kind not in kinds]
+    if bad:
+        raise GvcError("%s, not %s" % (what, min(bad).name()))
+
+
+def require_lagrangian(L):
+    """The input rule on L: even, and holding only fields."""
+    if not L.is_zero() and L.parity() != 0:
+        raise GvcError("L must be even")
+    _require_kinds(L, (KIND_FIELD,), "L must hold only fields")
 
 
 def delta_from_rows(reg, rows):
@@ -61,6 +84,12 @@ class NoetherRecord:
         self.rows = dict(rows)
         self.stage = stage
         self.h = h
+        for coeff in self.rows.values():
+            _require_kinds(coeff, (KIND_FIELD,), "record %s: row coefficients"
+                           " must hold only fields" % self.label())
+        if h is not None:
+            _require_kinds(h, (KIND_FIELD, KIND_ANTIFIELD),
+                           "record %s: h must hold no ghost" % self.label())
 
     def label(self):
         return comp_label(self.ghost, self.component)
@@ -71,16 +100,16 @@ class NoetherRecord:
         return out if self.h is None else out + self.h
 
 
+def stored(theory, key, build):
+    """``build(theory)``, built on first use and kept in the theory's memo."""
+    memo = theory.derived
+    if key not in memo:
+        memo[key] = build(theory)
+    return memo[key]
+
+
 def _el(theory):
-    if theory._el_cache is None:
-        theory._el_cache = euler_lagrange(theory.lagrangian)
-    return theory._el_cache
-
-
-def _all_records(theory):
-    """Every record, stage by stage."""
-    for k in [0] + theory.stage_numbers():
-        yield from theory.stage_records(k)
+    return stored(theory, "el", lambda th: euler_lagrange(th.lagrangian))
 
 
 def _entry(check, target, status, residual=None, note=""):
@@ -92,33 +121,45 @@ def _entry(check, target, status, residual=None, note=""):
     return out
 
 
-def _residuals(theory, k):
-    """delta_KT(Delta_r) for every stage-k record r, in order, from one
-    pass; zero exactly when the identity holds, its h certificate included.
+def _stage_residuals(theory):
+    """{k: delta_KT(Delta_r) for every stage-k record r, in order}, one
+    pass per stage; zero exactly when the identity holds, its h certificate
+    included.
 
     Rows follow the parser's rule: stage-0 rows target field components,
     stage-k rows the ghost components of stage-(k-1) records.  Any other
     row would be contracted with the wrong object, or with none."""
     reg = theory.registry
-    if k == 0:
-        targets = {(name, comp) for name, sym in reg.symbols.items()
-                   if sym.kind == KIND_FIELD for comp in sym.components()}
-    else:
-        targets = {(r.ghost, r.component) for r in theory.stage_records(k - 1)}
-    recs = theory.stage_records(k)
-    for rec in recs:
-        for name, comp, _index in sorted(rec.rows):
-            if (name, comp) not in targets:
-                if name not in reg.symbols:
-                    raise GvcError("unknown symbol %r" % name)
-                raise GvcError("stage %d row targets %s which %s" % (
-                    k, comp_label(name, comp),
-                    "has no stage-%d record" % (k - 1) if k
-                    else "is not a field component"))
+    stages = [0] + theory.stage_numbers()
+    fields = {(name, comp) for name, sym in reg.symbols.items()
+              if sym.kind == KIND_FIELD for comp in sym.components()}
+    for k in stages:
+        targets = {(r.ghost, r.component)
+                   for r in theory.stage_records(k - 1)} if k else fields
+        for rec in theory.stage_records(k):
+            for name, comp, _index in sorted(rec.rows):
+                if (name, comp) not in targets:
+                    if name not in reg.symbols:
+                        raise GvcError("unknown symbol %r" % name)
+                    raise GvcError("stage %d row targets %s which %s" % (
+                        k, comp_label(name, comp),
+                        "has no stage-%d record" % (k - 1) if k
+                        else "is not a field component"))
     kt = assemble_kt(theory)
-    return prolong_apply(kt, [
-        kt.components.get((rec.ghost + "_bar", rec.component), reg.zero)
-        for rec in recs])
+    out = {}
+    for k in stages:
+        images = prolong_apply(kt, [
+            kt.components.get((rec.ghost + "_bar", rec.component), reg.zero)
+            for rec in theory.stage_records(k)])
+        # a residual's dict keeps the table its terms grew to before they
+        # cancelled (grav4's reach ~88k terms), so keep right-sized copies
+        out[k] = [GradedPoly(reg, dict(res.terms)) for res in images]
+    return out
+
+
+def _residuals(theory, k):
+    """The stored delta_KT(Delta_r) of the stage-k records, in order."""
+    return stored(theory, "residuals", _stage_residuals).get(k, [])
 
 
 def verify_ni(theory):
@@ -163,7 +204,8 @@ def assemble_kt(theory):
         if sym.kind == KIND_FIELD:
             for comp in sym.components():
                 comps[(name + "_bar", comp)] = el.get(name, comp)
-    for rec in _all_records(theory):
+    for rec in (r for k in [0] + theory.stage_numbers()
+                for r in theory.stage_records(k)):
         key = (rec.ghost + "_bar", rec.component)
         if key in comps:
             raise GvcError("two pairings for %s" % comp_label(*key))
@@ -172,29 +214,23 @@ def assemble_kt(theory):
 
 
 def check_kt_nilpotent(theory):
-    """Apply the KT operator to each of its own components; report residuals."""
-    kt = assemble_kt(theory)
-    entries = [_entry("kt", comp_label(name, comp), "fail", res)
-               for (name, comp), res in nilpotency_residuals(kt).items()]
+    """delta_KT squared, component by component: zero on the field
+    antifields, whose images E_A hold only fields, and delta_KT(Delta_r)
+    on the antifield of each record's ghost."""
+    entries = [_entry("kt", comp_label(rec.ghost + "_bar", rec.component),
+                      "fail", res)
+               for k in [0] + theory.stage_numbers()
+               for rec, res in zip(theory.stage_records(k),
+                                   _residuals(theory, k))
+               if not res.is_zero()]
     return entries or [_entry("kt", "delta_KT", "pass")]
 
 
-def extended_lagrangian(theory):
-    """L_e = L + sum over all records of ghost * Delta (ghosts multiply from
-    the left); the KT operator is a variational symmetry of L_e."""
-    reg = theory.registry
-    out = dict(theory.lagrangian.terms)
-    for rec in _all_records(theory):
-        _mul_terms(reg.var(rec.ghost, rec.component).terms,
-                   rec.delta_poly(reg).terms, out)
-    return GradedPoly(reg, out)
-
-
 def check_extended(theory):
-    """Report entry: is delta_KT a variational symmetry of L_e?"""
-    kt = assemble_kt(theory)
-    Le = extended_lagrangian(theory)
-    ok = check_variational_symmetry(kt, Le)
+    """Report entry: is delta_KT a variational symmetry of L_e?  Exactly
+    when every stored residual vanishes."""
+    ok = all(res.is_zero() for k in [0] + theory.stage_numbers()
+             for res in _residuals(theory, k))
     return [_entry("extended", "L_e", "pass" if ok else "fail")]
 
 

@@ -45,7 +45,9 @@ checked, and so is the unclean value of a killed key, so no zero hides an
 invalid reference.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
-blocks.  Everything is exact rational arithmetic; parsing is deterministic.
+blocks.  L must be even and, like every row coefficient, hold only fields;
+no h may hold a ghost.  The error comes at the statement or block.
+Everything is exact rational arithmetic; parsing is deterministic.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
                       GradedPoly, Registry, _add_into)
-from .noether import NoetherRecord, delta_from_rows
+from .noether import NoetherRecord, delta_from_rows, require_lagrangian
 
 
 class ParseError(GvcError):
@@ -134,10 +136,11 @@ class TheorySpec:
     """A parsed theory: registry, Lagrangian, records, optional candidates."""
 
     __slots__ = ("name", "registry", "lagrangian", "records", "stages",
-                 "gauge_candidate", "gamma", "alphas", "_el_cache")
+                 "gauge_candidate", "gamma", "alphas", "derived")
 
     def __init__(self, name, registry, lagrangian, records, stages,
                  gauge_candidate=None, gamma=None, alphas=None):
+        require_lagrangian(lagrangian)
         self.name = name
         self.registry = registry
         self.lagrangian = lagrangian
@@ -146,7 +149,8 @@ class TheorySpec:
         self.gauge_candidate = gauge_candidate
         self.gamma = dict(gamma or {})
         self.alphas = {k: dict(v) for k, v in (alphas or {}).items()}
-        self._el_cache = None
+        # objects derived once per theory, by gvc.noether.stored
+        self.derived = {}
 
     def stage_numbers(self):
         return sorted(self.stages)
@@ -729,6 +733,7 @@ class _TheoryBuilder:
         evaluator = _Eval(self.reg)
         try:
             self.lagrangian = evaluator.poly(evaluator.check(node, {}), {})
+            require_lagrangian(self.lagrangian)
         except (GvcError, ValueError) as exc:
             raise ParseError(str(exc), tok[2], tok[3])
 
@@ -855,16 +860,16 @@ class _TheoryBuilder:
         gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
         self.reg.declare_ghost_antifield(gh)
         h_polys = {}
-        if h_node is not None:
-            try:
+        try:
+            if h_node is not None:
                 checked = evaluator.check(h_node, bound)
                 for comp, env, _rows, _par in produced:
                     h_polys[comp] = evaluator.poly(checked, env)
-            except (GvcError, ValueError) as exc:
-                raise ParseError(str(exc), tok[2], tok[3])
-        self.stages.setdefault(stage, []).extend(
-            NoetherRecord(ghost, comp, rows, stage, h_polys.get(comp))
-            for comp, _env, rows, _par in produced)
+            self.stages.setdefault(stage, []).extend(
+                NoetherRecord(ghost, comp, rows, stage, h_polys.get(comp))
+                for comp, _env, rows, _par in produced)
+        except (GvcError, ValueError) as exc:
+            raise ParseError(str(exc), tok[2], tok[3])
 
     def _parity_spec(self, tok, ghost, slots, produced):
         # the ghost inherits the parity of its record: [c^r] = [Delta_r]

@@ -7,20 +7,15 @@ A density is represented by its coefficient polynomial (the ``L`` in
 base-point dependence, a density is variationally trivial, a total divergence
 plus a constant, exactly when all its Euler-Lagrange derivatives vanish.
 
-When every non-constant monomial of p holds a variable of a symbol set S (a
-cover), the derivatives E_S of the symbols in S decide alone: split p by its
-degree d >= 1 in S, which E_S respects, and the counting operator of S gives
-d * p_d = sum_{A in S} s^A * E_A(p_d) + a total divergence (Barnich, Brandt
-and Henneaux, Phys. Rep. 338 (2000) 439; Olver, Applications of Lie Groups
-to Differential Equations, Thm 4.7).  Symmetry pairings hold a ghost in
-every term, so they are decided on the ghost sector.
+The ``gauge`` and ``extended`` checks need no pairing from here: the
+Koszul-Tate residuals of ``gvc.noether`` decide them.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 
-from gvc.algebra import KIND_GHOST, GradedPoly, GvcError, _mul_terms
+from gvc.algebra import GradedPoly, GvcError
 from gvc.jets import _fold, eta
 
 __all__ = [
@@ -29,7 +24,6 @@ __all__ = [
     "variational_derivative",
     "eta",
     "is_total_divergence",
-    "variational_pairing",
     "check_variational_symmetry",
 ]
 
@@ -51,9 +45,6 @@ class EulerLagrangeResult:
 
     def nonzero(self):
         return {k: v for k, v in self.components.items() if not v.is_zero()}
-
-    def items(self):
-        return sorted(self.components.items())
 
 
 def euler_lagrange(L, wrt=None, side="left"):
@@ -100,52 +91,25 @@ def variational_derivative(L, sym_name, comp=(), side="left"):
 # Divergence testing and symmetry checks
 # ---------------------------------------------------------------------------
 
-def is_total_divergence(p, wrt=None):
+def is_total_divergence(p):
     """Whether p is a total divergence plus a constant.
 
-    The answer is exact: every Euler-Lagrange derivative of p for the symbols
-    in ``wrt`` vanishes.  ``wrt`` must be a cover of p, a set of symbol names
-    such that every non-constant monomial of p holds a variable of one of
-    them (see the module docstring); every declared symbol by default.
+    The answer is exact: every Euler-Lagrange derivative of p vanishes.
     """
-    return euler_lagrange(p, wrt).is_zero()
-
-
-def _every_term_holds(p, names):
-    """Whether every monomial of p has a factor of a symbol in ``names``."""
-    return all(any(v.symbol.name in names for v in factors)
-               for _, _, factors in p.monomials())
-
-
-def variational_pairing(u, L):
-    """``(P, S)``: the Euler-Lagrange pairing P of u with L and a cover S.
-
-    For a left derivation P = sum_A upsilon^A * E_A; for a right derivation
-    the mirrored pairing sum_A E^(right)_A * upsilon^A.  Either way P
-    differs from the Lie derivative of L by a total divergence.  S is the
-    set of ghost symbols when, for every component A, every term of
-    upsilon^A or every term of E_A holds a ghost, so that every term of P
-    does; otherwise it is every declared symbol.
-    """
-    reg = L.reg
-    names = {name for (name, _comp) in u.components}
-    el = euler_lagrange(L, names, "right" if u.right else "left")
-    ghosts = {name for name, sym in reg.symbols.items()
-              if sym.kind == KIND_GHOST}
-    covered = True
-    pairing = {}
-    for (name, comp), ups in sorted(u.components.items()):
-        e = el.get(name, comp)
-        covered = covered and (_every_term_holds(ups, ghosts)
-                               or _every_term_holds(e, ghosts))
-        if u.right:
-            _mul_terms(e.terms, ups.terms, pairing)
-        else:
-            _mul_terms(ups.terms, e.terms, pairing)
-    return GradedPoly(reg, pairing), ghosts if covered else set(reg.symbols)
+    return euler_lagrange(p).is_zero()
 
 
 def check_variational_symmetry(u, L):
-    """True iff the Euler-Lagrange pairing of u with L is variationally
-    trivial, decided on the cover ``variational_pairing`` finds."""
-    return is_total_divergence(*variational_pairing(u, L))
+    """True iff the Euler-Lagrange pairing of u with L is a total divergence.
+
+    For a left derivation the pairing is sum_A upsilon^A * E_A; for a right
+    derivation the mirrored sum_A E^(right)_A * upsilon^A.  Either way it
+    differs from the Lie derivative of L by a total divergence.
+    """
+    el = euler_lagrange(L, {name for (name, _comp) in u.components},
+                        "right" if u.right else "left")
+    pairing = L.reg.zero
+    for (name, comp), ups in u.components.items():
+        e = el.get(name, comp)
+        pairing = pairing + (e * ups if u.right else ups * e)
+    return is_total_divergence(pairing)

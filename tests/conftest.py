@@ -1,9 +1,12 @@
 """Shared test fixtures: parsed theories are reused across modules.
 
 Parsing the shipped fixture files is cheap but not free, and several test
-modules exercise the same theories; everything here is parse-once.  The
-checks themselves never mutate a TheorySpec (negative controls rebuild),
-so sharing is safe.
+modules exercise the same theories; everything here is parse-once.  A
+check stores what it derives (the Euler-Lagrange result, the Koszul-Tate
+residuals, the gauge operator) in the theory's ``derived`` memo, so a
+shared theory is warm after its first check.  Nothing else of it changes
+(negative controls rebuild), so sharing is safe for verdicts; a test that
+counts how often something is built must parse a fresh theory.
 """
 from fractions import Fraction
 from itertools import groupby
@@ -45,15 +48,19 @@ alpha 1 { (y) = -ps * z_bar; (z) = ps * y_bar; }
 _CACHE = {}
 
 
+def fresh(name):
+    """A newly parsed theory, with nothing derived yet."""
+    if name == "bf4":
+        return build_fixture("bf", n=4, p=1, q=2)
+    if name == "toy":
+        return parse_theory(TOY_TEXT)
+    return load_builtin(name)
+
+
 def cached(name):
     """Parse-once accessor, also usable outside fixture contexts."""
     if name not in _CACHE:
-        if name == "bf4":
-            _CACHE[name] = build_fixture("bf", n=4, p=1, q=2)
-        elif name == "toy":
-            _CACHE[name] = parse_theory(TOY_TEXT)
-        else:
-            _CACHE[name] = load_builtin(name)
+        _CACHE[name] = fresh(name)
     return _CACHE[name]
 
 
@@ -126,6 +133,37 @@ def prolong_oracle(u, p):
 
 
 # -- oracles of the variational layer -----------------------------------------
+
+def variational_pairing(u, L):
+    """The Euler-Lagrange pairing of u with L: sum_A upsilon^A * E_A for a
+    left derivation, the mirrored sum_A E^(right)_A * upsilon^A for a right
+    one.  Either way it differs from the Lie derivative of L by a total
+    divergence, so u is a variational symmetry of L exactly when every
+    Euler-Lagrange derivative of the pairing vanishes."""
+    el = euler_lagrange(L, {name for (name, _comp) in u.components},
+                        "right" if u.right else "left")
+    out = {}
+    for (name, comp), ups in sorted(u.components.items()):
+        e = el.get(name, comp)
+        if u.right:
+            _mul_terms(e.terms, ups.terms, out)
+        else:
+            _mul_terms(ups.terms, e.terms, out)
+    return GradedPoly(L.reg, out)
+
+
+def extended_lagrangian(theory):
+    """L_e = L + sum over all records of ghost * Delta (ghosts multiply from
+    the left); delta_KT is a variational symmetry of L_e exactly when every
+    identity holds."""
+    reg = theory.registry
+    out = dict(theory.lagrangian.terms)
+    for k in [0] + theory.stage_numbers():
+        for rec in theory.stage_records(k):
+            _mul_terms(reg.var(rec.ghost, rec.component).terms,
+                       rec.delta_poly(reg).terms, out)
+    return GradedPoly(reg, out)
+
 
 def eta_pairing(f, phi):
     """sum_Lambda f^Lambda * d_Lambda(phi), the pairing eta is adjoint for."""

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from gvc import cli
 from gvc.cli import (_parse_checks, _truncate_residual, apply_sign_mutation,
                      build_report, mutation_sites, run, run_checks)
 from gvc.parser import MAX_NESTING, parse_theory
-from conftest import all_pass, cached, count_calls
+from gvc.theories import builtin_path
+from conftest import all_pass, cached, count_calls, fresh
 
 MINI = """\
 theory mini;
@@ -417,7 +419,7 @@ def test_checks_run_on_the_calling_thread(monkeypatch):
 
 def test_gauge_check_builds_the_gauge_operator_once(monkeypatch):
     builds = count_calls(monkeypatch, "gauge_from_ni")
-    all_pass(run_checks(cached("bf4"), ["gauge"]))
+    all_pass(run_checks(fresh("bf4"), ["gauge"]))
     assert len(builds) == 1  # shared by the stage-0 and stage-1 conditions
 
 
@@ -425,10 +427,61 @@ def test_stages_check_builds_kt_once(monkeypatch):
     # every stage identity is delta_KT(Delta_r), one pass per stage, with or
     # without h certificates (toy has one, bf4 none)
     builds = count_calls(monkeypatch, "assemble_kt")
-    all_pass(run_checks(cached("bf4"), ["stages"]))
+    all_pass(run_checks(fresh("bf4"), ["stages"]))
     assert len(builds) == 1
-    all_pass(run_checks(cached("toy"), ["stages"]))
+    all_pass(run_checks(fresh("toy"), ["stages"]))
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("label", ["lagrangian", "record e[]"])
+def test_mutants_of_a_warm_theory_still_fail(label):
+    # the healthy theory stores its residuals and gauge operator first; a
+    # mutant keeps at most the Euler-Lagrange result (and only when its L
+    # is unchanged), so it derives its own and fails
+    healthy = fresh("bf")
+    all_pass(run_checks(healthy, [c for c in cli.CHECK_NAMES
+                                  if c != "triviality"]))
+    (build,) = [b for lab, b in mutation_sites(healthy) if lab == label]
+    mutant = build()
+    assert set(mutant.derived) == ({"el"} if label != "lagrangian" else set())
+    for check in ("ni", "kt", "gauge", "extended"):
+        entries = run_checks(mutant, [check])
+        assert any(e["status"] == "fail" for e in entries), check
+
+
+_BF_WITH_S = pathlib.Path(builtin_path("bf")).read_text(
+    encoding="utf-8").replace("field B[3] even;",
+                              "field B[3] even;\nfield s even;")
+
+
+# The gauge and extended checks rest on E_c(sum_A u^A E_A) = delta_KT(Delta),
+# which needs L even and field-only, field-only row coefficients, and no
+# ghost in h.  Each input below breaks that rule, so that the checks could
+# disagree on it; every check refuses it the same way.
+@pytest.mark.parametrize("text, message", [
+    (_BF_WITH_S.replace("B[l;n] };", "B[l;n] } + s*s*s;").replace(
+        "(A[m]; m) = -1;", "(A[m]; m) = -1; (s) = s_bar * A_bar[0];"),
+     "record e[]: row coefficients must hold only fields, not A_bar[0;] "
+     "(line 10, column 1)"),
+    (_BF_WITH_S.replace("B[l;n] };", "B[l;n] } + s * s_bar * A_bar[0];"),
+     "L must hold only fields, not A_bar[0;] (line 9, column 1)"),
+    ("dim 1; field s even; field t even; L = s[;0] * t[;0];\n"
+     "ni c[] { (s; 0) = 1; }\nni e[] { (t[]; 0) = c[;] * s[;]; }",
+     "record e[]: row coefficients must hold only fields, not c "
+     "(line 3, column 1)"),
+    ("dim 1; field y even; field z even; L = 1/2 * (y[;0] - z)^2;\n"
+     "ni ca[] { (y) = 1; (z; 0) = -1; }\nni cb[] { (y) = 1; (z; 0) = -1; }\n"
+     "stage 1 ps[] { (ca) = 1; (cb) = -1; h { ca * y_bar }; }",
+     "record ps[]: h must hold no ghost, not ca (line 4, column 1)"),
+    ("dim 1; field s even; field p odd; L = s * p[;0];\n"
+     "ni c[] { (s; 0) = 1; }", "L must be even (line 1, column 35)"),
+])
+def test_inputs_outside_the_identity_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "theory.gvc"
+    path.write_text(text)
+    for check in ("ni", "kt", "extended", "gauge", "brst"):
+        assert run(["verify", "--theory", str(path), "--check", check]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def _json_report(capsys, argv):

@@ -4,16 +4,17 @@ import random
 import pytest
 
 import gvc.noether
-from gvc.algebra import GvcError
-from gvc.cli import mutation_sites
+from gvc.algebra import KIND_GHOST, GvcError
+from gvc.brst import check_gauge_symmetry, stored_gauge
+from gvc.cli import mutation_sites, run_checks
 from gvc.jets import prolong_apply
 from gvc.noether import (
     NoetherRecord,
+    _residuals,
     assemble_kt,
     check_extended,
     check_kt_nilpotent,
     comp_label,
-    extended_lagrangian,
     solve_trivial_witness,
     triviality_report,
     verify_ni,
@@ -21,7 +22,8 @@ from gvc.noether import (
 )
 from gvc.parser import TheorySpec, parse_theory
 from gvc.variational import check_variational_symmetry, euler_lagrange
-from conftest import TOY_TEXT, all_pass, cached, count_calls
+from conftest import (TOY_TEXT, all_pass, cached, count_calls,
+                      extended_lagrangian, fresh, variational_pairing)
 
 
 def rebuilt(th, **over):
@@ -119,9 +121,9 @@ def test_stage_identity_without_certificate_is_flagged():
 def test_stage_row_must_target_a_previous_record(toy):
     reg = toy.registry
     # y is declared but carries no stage-0 record, so delta_KT would pair
-    # the row with E_y (the odd coefficient keeps the record
-    # parity-consistent so the failure is the guard, not a grading error)
-    bad = NoetherRecord("ps", (), {("y", (), ()): reg.var("ca")}, stage=1)
+    # the row with E_y; the guard refuses the row before delta_KT is
+    # assembled, so the record's parity does not matter
+    bad = NoetherRecord("ps", (), {("y", (), ()): reg.var("z")}, stage=1)
     broken = rebuilt(toy, stages={1: [bad]})
     with pytest.raises(GvcError, match="no stage-0 record"):
         verify_stage_ni(broken, 1)
@@ -168,12 +170,20 @@ def test_each_antifield_has_one_pairing(toy):
 def test_each_identity_is_its_kt_component(name):
     # the ni and stages entry of record r is delta_KT(Delta_r), which the kt
     # check reports at <ghost>_bar[comp]: one fails exactly when the other
-    # does not pass, with the same residual, healthy and at every mutant
+    # does not pass, with the same residual, healthy and at every mutant.
+    # The stored residuals are also the ghost Euler-Lagrange components of
+    # the two pairings that gauge and extended decide (the inverse second
+    # Noether theorem): u with L, whose stage-0 ghost components they are,
+    # and delta_KT with L_e, at every stage.  On the healthy theory every
+    # other component vanishes too, so each pairing is a total divergence.
     th = cached(name)
+    ghosts = {n for n, sym in th.registry.symbols.items()
+              if sym.kind == KIND_GHOST}
     failed = 0
     for label, build in [("plain", lambda: th)] + mutation_sites(th):
         mt = build()
-        recs = [r for k in [0] + mt.stage_numbers() for r in mt.stage_records(k)]
+        stages = [0] + mt.stage_numbers()
+        recs = [r for k in stages for r in mt.stage_records(k)]
         entries = verify_ni(mt) + [e for k in mt.stage_numbers()
                                    for e in verify_stage_ni(mt, k)]
         assert len(entries) == len(recs)
@@ -183,6 +193,23 @@ def test_each_identity_is_its_kt_component(name):
               if e["status"] != "pass"}
         assert ids == kt, label
         failed += bool(kt)
+        residuals = {k: dict(zip(((r.ghost, r.component)
+                                  for r in mt.stage_records(k)),
+                                 _residuals(mt, k))) for k in stages}
+        for target, u, L, held in (
+                ("u", stored_gauge(mt).stages[0], mt.lagrangian, [0]),
+                ("L_e", assemble_kt(mt), extended_lagrangian(mt), stages)):
+            want = {key: res for k in held for key, res in residuals[k].items()}
+            el = euler_lagrange(variational_pairing(u, L),
+                                None if label == "plain" else ghosts)
+            for key, comp in el.components.items():
+                assert comp == want.get(key, mt.registry.zero), \
+                    (label, target, key)
+            ok = all(res.is_zero() for res in want.values())
+            verdict = check_gauge_symmetry(mt, 0)[0] if target == "u" \
+                else check_extended(mt)[0]
+            assert verdict["status"] == ("pass" if ok else "fail"), \
+                (label, target)
     assert failed  # some mutant breaks an identity
 
 
@@ -240,6 +267,28 @@ def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
         assert len(builds) == 1
         assert prolong_apply(assemble_kt(cs3), [H])[0] == rec.delta_poly(cs3.registry)
         assert H.antifield_number() == 2
+
+
+def test_checks_share_the_stored_residuals_and_gauge(monkeypatch):
+    # one delta_KT and one gauge operator serve every check that reads the
+    # stored residuals or the stored operator, however often they run
+    kts = count_calls(monkeypatch, "assemble_kt")
+    gauges = count_calls(monkeypatch, "gauge_from_ni")
+    bf4 = fresh("bf4")
+    checks = ["ni", "stages", "kt", "extended", "gauge", "brst",
+              "antibracket"]
+    for _ in range(2):
+        all_pass(run_checks(bf4, checks))
+        assert (len(kts), len(gauges)) == (1, 1)
+    # the triviality witness search builds its own delta_KT for each record
+    # whose Delta it cannot rule out by shape
+    cs3 = fresh("cs3")
+    trivial = rebuilt(cs3, records=[_curvature_record(cs3, mu)
+                                    for mu in range(3)])
+    all_pass(run_checks(trivial, ["ni"]))
+    del kts[:]
+    all_pass(run_checks(trivial, ["triviality"]))
+    assert len(kts) == 3
 
 
 def test_a_witness_that_misses_its_target_is_no_certificate(cs3, monkeypatch):

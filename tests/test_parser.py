@@ -54,6 +54,9 @@ _AB = "dim 1; field s even; field a[2] even; field b[3] even; "
      "constant table 'k' cannot carry jet indices (line 2, column 9)"),
     (_AB + "L = sum(m:3){ a[m;] } + nosuch;",
      "component index 2 out of range 2 for a (line 1, column 56)"),
+    # the input rule of gvc.noether: an odd L is refused at its statement
+    ("dim 1; field s even; field p odd; L = s * p[;0];\n"
+     "ni c[] { (s; 0) = 1; }", "L must be even (line 1, column 35)"),
 ])
 def test_error_messages(text, message):
     with pytest.raises(ParseError) as ei:

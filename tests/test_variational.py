@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from gvc import cli
 from gvc.algebra import KIND_GHOST, Registry
-from gvc.brst import gauge_from_ni
+from gvc.brst import check_gauge_symmetry, stored_gauge
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
-from gvc.noether import assemble_kt, extended_lagrangian
+from gvc.noether import assemble_kt, check_extended
 from gvc.parser import parse_theory
 from gvc.variational import (
     check_variational_symmetry,
@@ -17,9 +17,9 @@ from gvc.variational import (
     euler_lagrange,
     is_total_divergence,
     variational_derivative,
-    variational_pairing,
 )
-from conftest import cached, degree_parts, divergence_witness, eta_pairing
+from conftest import (cached, degree_parts, divergence_witness, eta_pairing,
+                      extended_lagrangian, variational_pairing)
 
 
 def make_registry():
@@ -205,20 +205,24 @@ def test_divergences_are_always_recognized(lam, seed):
 
 
 def _symmetry_pairs(theory):
-    """(label, u, L) for the two symmetry checks of a theory: the gauge
-    operator u with the Lagrangian, and delta_KT with L_e."""
-    return (("u", gauge_from_ni(theory).stages[0], theory.lagrangian),
-            ("L_e", assemble_kt(theory), extended_lagrangian(theory)))
+    """(label, verdict, u, L) for the two symmetry checks of a theory: the
+    gauge operator u with the Lagrangian, and delta_KT with L_e, each with
+    the verdict its check reads off the stored residuals."""
+    return (("u", check_gauge_symmetry(theory, 0)[0]["status"],
+             stored_gauge(theory).stages[0], theory.lagrangian),
+            ("L_e", check_extended(theory)[0]["status"],
+             assemble_kt(theory), extended_lagrangian(theory)))
 
 
 @pytest.mark.parametrize("name", ["bf", "bf4", "cs3", "ym4", "ym4_super"])
 def test_ghost_cover_decides_like_every_symbol(name):
-    """The pairing of u and of L_e is decided on the ghost symbols; the
-    decision over every declared symbol agrees, on the healthy theory and
-    each mutation site, and a trivial verdict has an exact witness built
-    on the ghosts alone.  Gauge and gamma sites flip only the declared
-    gauge operator or gamma, which neither pairing reads, so they repeat
-    the healthy pairings and are checked to do so instead."""
+    """The gauge and extended verdicts come from the Koszul-Tate residuals,
+    which are the ghost Euler-Lagrange components of the two pairings.
+    Deciding each pairing over every declared symbol agrees, on the healthy
+    theory and each mutation site, and a trivial pairing has an exact
+    witness built on the ghosts alone.  Gauge and gamma sites flip only the
+    declared gauge operator or gamma, which neither pairing reads, so they
+    repeat the healthy pairings and are checked to do so instead."""
     healthy = cached(name)
     ghosts = {n for n, sym in healthy.registry.symbols.items()
               if sym.kind == KIND_GHOST}
@@ -231,14 +235,12 @@ def test_ghost_cover_decides_like_every_symbol(name):
             assert theory.records == healthy.records
             assert theory.stages == healthy.stages
             continue
-        for target, u, L in _symmetry_pairs(theory):
-            p, cover = variational_pairing(u, L)
-            assert cover == ghosts, (label, target)
-            trivial = is_total_divergence(p, cover)
-            assert is_total_divergence(p) == trivial, (label, target)
-            assert check_variational_symmetry(u, L) == trivial
+        for target, status, u, L in _symmetry_pairs(theory):
+            trivial = check_variational_symmetry(u, L)
+            assert status == ("pass" if trivial else "fail"), (label, target)
             if trivial:
-                assert divergence_witness(p, cover) is not None
+                p = variational_pairing(u, L)
+                assert divergence_witness(p, ghosts) is not None
             verdicts.add((label == "healthy", trivial))
     # the healthy theory passes both checks, and some mutant fails one
     assert (True, False) not in verdicts
@@ -246,8 +248,14 @@ def test_ghost_cover_decides_like_every_symbol(name):
 
 
 def test_a_pairing_without_a_ghost_cover_is_decided_on_every_symbol():
+    # no term of this pairing holds a ghost; check_variational_symmetry
+    # decides it from the derivatives of every declared symbol
     L = sj(0) * sj(0)
     u = EvolutionaryDerivation(REG, {("s", ()): sj(0)})
-    p, cover = variational_pairing(u, L)
-    assert cover == set(REG.symbols)
+    p = variational_pairing(u, L)
     assert p == sj(0) * euler_lagrange(L).get("s", ())
+    assert is_total_divergence(p)
+    assert check_variational_symmetry(u, L)
+    scale = EvolutionaryDerivation(REG, {("s", ()): S})
+    assert not is_total_divergence(variational_pairing(scale, L))
+    assert not check_variational_symmetry(scale, L)
