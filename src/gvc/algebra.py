@@ -33,8 +33,13 @@ the odd factors by ``key`` and applies the sign of that permutation.  Any
 fixed total order gives a valid normal form for odd monomials, so verdicts do
 not depend on the rank order either.
 
-Coefficients are exact: Python ints where possible, ``fractions.Fraction``
-otherwise.  No floats anywhere.
+Coefficients are exact, and a coefficient is an ``int`` exactly when it is
+integral, a ``fractions.Fraction`` otherwise (``_rat`` states the rule).
+No floats anywhere.  The rule is kept where a ``Fraction`` is born, in
+parsing, and where one can become whole: only a ``Fraction`` operand can
+make a whole sum or product, so each kernel asks once per call whether its
+input holds one (``_holds_fraction``) and applies the rule inline only
+then.  Theories whose coefficients are all integral never pay for it.
 """
 
 from __future__ import annotations
@@ -104,12 +109,21 @@ def sorting_sign(items):
 
 
 def _rat(x):
-    """Coerce to an exact rational (int stays int)."""
+    """The coefficient rule: ``x`` as an int when it is integral, else as
+    the Fraction it is.  The kernels inline it as ``c.numerator`` when
+    ``c.denominator == 1``, which ints pass unchanged."""
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
+        return x.numerator if x.denominator == 1 else x
     raise TypeError("expected an exact rational, got %r" % (x,))
+
+
+def _holds_fraction(terms):
+    """Whether the term dict ``terms`` holds a Fraction coefficient, the one
+    kind of operand whose sums and products can be whole: exactly when the
+    sum of its coefficients is a Fraction.  A sum of ints runs in C."""
+    return type(sum(terms.values())) is Fraction
 
 
 class SymbolDecl:
@@ -250,16 +264,11 @@ class JetVariable:
         return self.key < other.key
 
 
-# An absent table entry: a Fraction, so that a product stops at it the way it
-# stops at any other zero rational.
-_ZERO = Fraction(0)
-
-
 class ConstantTable:
     """A named tensor of exact rationals, stored sparsely.
 
     Used for structure constants, metrics, Casimir forms and Levi-Civita
-    symbols; entries absent from the map are zero.
+    symbols; entries absent from the map read as the int 0.
     """
 
     __slots__ = ("name", "shape", "entries")
@@ -281,7 +290,7 @@ class ConstantTable:
         for i, v in zip(idx, self.shape):
             if not 0 <= i < v:
                 raise ValueError("index %r out of bounds for table %s" % (idx, self.name))
-        return self.entries.get(idx, _ZERO)
+        return self.entries.get(idx, 0)
 
     def __setitem__(self, idx, val):
         val = _rat(val)
@@ -321,10 +330,12 @@ def _mul_terms(t1, t2, out=None):
 
     A product key is the sorted concatenation of the two keys.  Only when
     both keys hold odd factors does the product carry a sign, from
-    ``_odd_sign``, which also kills a repeated odd factor.
+    ``_odd_sign``, which also kills a repeated odd factor.  ``out`` keeps
+    the coefficient rule of ``_rat``.
     """
     if out is None:
         out = {}
+    frac = _holds_fraction(t1) or _holds_fraction(t2)
     if len(t1) > len(t2):
         t1, t2 = t2, t1
         swapped = True
@@ -345,6 +356,8 @@ def _mul_terms(t1, t2, out=None):
             key = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
             c += get(key, 0)
             if c:
+                if frac and c.denominator == 1:
+                    c = c.numerator
                 out[key] = c
             else:
                 del out[key]
@@ -356,13 +369,18 @@ def _add_into(out, terms, neg=False):
     ``neg``); returns ``out``.
 
     ``out`` must be a dict the caller owns: a fresh ``{}`` or a copy, never
-    the ``terms`` of a live polynomial such as ``Registry.zero``.
+    the ``terms`` of a live polynomial.  ``out`` keeps the coefficient rule
+    of ``_rat``; a sum is whole only when both operands are Fractions, so
+    the rule is applied only when ``terms`` holds one.
     """
+    frac = _holds_fraction(terms)
     get = out.get
     if neg:
         for key, c in terms.items():
             s = get(key, 0) - c
             if s:
+                if frac and s.denominator == 1:
+                    s = s.numerator
                 out[key] = s
             else:
                 del out[key]
@@ -370,6 +388,8 @@ def _add_into(out, terms, neg=False):
         for key, c in terms.items():
             s = get(key, 0) + c
             if s:
+                if frac and s.denominator == 1:
+                    s = s.numerator
                 out[key] = s
             else:
                 del out[key]
@@ -379,7 +399,8 @@ def _add_into(out, terms, neg=False):
 class GradedPoly:
     """A graded-commutative polynomial in canonical form.
 
-    ``terms`` maps a monomial key to a nonzero rational coefficient.  A key is
+    ``terms`` maps a monomial key to a nonzero rational coefficient, an int
+    exactly when it is integral (see ``_rat``).  A key is
     the sorted tuple of the ``JetVariable.entry`` of its factors: ``rank``
     for each unit of exponent of an even factor and ``~rank`` for an odd
     one, so the odd factors come first, each at most once, and multiply in
@@ -466,7 +487,11 @@ class GradedPoly:
         c = _rat(c)
         if not c:
             return GradedPoly(self.reg, {})
-        return GradedPoly(self.reg, {k: v * c for k, v in self.terms.items()})
+        if type(c) is int and not _holds_fraction(self.terms):
+            return GradedPoly(self.reg,
+                              {k: v * c for k, v in self.terms.items()})
+        return GradedPoly(self.reg,
+                          {k: _rat(v * c) for k, v in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, GradedPoly):
@@ -585,6 +610,7 @@ class GradedPoly:
                     where.setdefault(r, []).append(key)
                 prev = r
         terms = self.terms
+        frac = _holds_fraction(terms)
         right = side == "right"
         for r in sorted(where, key=lambda r: wanted[r].key):
             out = {}
@@ -599,7 +625,10 @@ class GradedPoly:
             else:
                 for key in where[r]:
                     i = key.index(r)
-                    out[key[:i] + key[i + 1:]] = terms[key] * key.count(r)
+                    c = terms[key] * key.count(r)
+                    if frac and c.denominator == 1:
+                        c = c.numerator
+                    out[key[:i] + key[i + 1:]] = c
             yield wanted[r], GradedPoly(self.reg, out)
 
     def derivative(self, var, side="left"):
@@ -693,8 +722,17 @@ class Registry:
         self.frozen = False
         self._vars = {}
         self.by_rank = []
-        self.zero = GradedPoly(self, {})
-        self.one = GradedPoly.constant(self, 1)
+
+    # Built on demand: a polynomial kept here would point back at the
+    # registry, and the cycle would leave every theory to the cyclic
+    # garbage collector.
+    @property
+    def zero(self):
+        return GradedPoly(self, {})
+
+    @property
+    def one(self):
+        return GradedPoly.constant(self, 1)
 
     @staticmethod
     def checked_jet_order(cap):

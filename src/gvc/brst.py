@@ -17,7 +17,7 @@ from __future__ import annotations
 from .algebra import KIND_ANTIFIELD, KIND_GHOST, GradedPoly, GvcError, \
     _mul_terms
 from .jets import EvolutionaryDerivation, nilpotency_residuals, prolong_apply
-from .noether import assemble_kt, comp_label, _entry, _residuals, stored
+from .noether import comp_label, _entry, _residuals, stored, stored_kt
 from .variational import eta
 
 
@@ -106,7 +106,7 @@ def check_gauge_symmetry(theory, k, alpha=None):
     keys = sorted(lower.components)
     lowers = prolong_apply(upper, [lower.components[key] for key in keys])
     certs = [alpha[key] for key in keys if key in alpha]
-    images = iter(prolong_apply(assemble_kt(theory), certs) if certs else ())
+    images = iter(prolong_apply(stored_kt(theory), certs) if certs else ())
     entries = []
     for (name, comp), res in zip(keys, lowers):
         if (name, comp) in alpha:

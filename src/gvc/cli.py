@@ -73,7 +73,9 @@ def _flip_leading(poly):
     if not rows:
         raise GvcError("a zero polynomial has no sign to flip")
     key = next((k for k, _, evens, odds in rows if evens or odds), rows[0][0])
-    return poly + GradedPoly(poly.reg, {key: -2 * poly.terms[key]})
+    terms = dict(poly.terms)
+    terms[key] = -terms[key]
+    return GradedPoly(poly.reg, terms)
 
 
 def _rebuild(theory, **over):

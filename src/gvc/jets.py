@@ -29,6 +29,7 @@ from gvc.algebra import (
     GradingError,
     GvcError,
     _add_into,
+    _holds_fraction,
     _mul_terms,
 )
 
@@ -49,7 +50,12 @@ __all__ = [
 # prefix chain (0.65-0.73 s against 2.01-2.19 s).  The chain shares
 # d_Lambda upsilon^A across the polynomials of a pass, which wins when
 # upsilon^A is small: with by parts everywhere, cs3's kt and brst checks,
-# whose upsilon^A have 4 terms, were 25-80% slower in three runs.
+# whose upsilon^A have 4 terms, were 25-80% slower in three runs.  ym4's
+# pairs (36-term E_A against one-term constant rows) go by parts and are
+# still a little slower there than on the chain (medians of 15 in-process
+# alternations: kt 2.6 against 2.2 ms, ni 3.9 against 3.4 ms), but a ratio
+# of 40, which would send them down the chain, made grav4's kt twice as
+# slow (1.18 against 0.57 s), whose ratios run from 31 to 215.
 BY_PARTS_RATIO = 4
 
 
@@ -61,13 +67,15 @@ def total_derivative(p, lam):
     insert: an even factor carries its exponent as a coefficient, an odd
     one the sign of moving the new factor from the old one's slot to its
     own.  Raises JetOrderCapError when a produced jet would exceed the
-    registry cap.
+    registry cap.  The output keeps the coefficient rule of
+    ``algebra._rat``.
     """
     reg = p.reg
     by_rank = reg.by_rank
     succ = {}  # key entry -> the entry of its d_lam, for this call
     out = {}
     get = out.get
+    frac = _holds_fraction(p.terms)
     for key, c in p.terms.items():
         prev = None
         for i, r in enumerate(key):
@@ -94,6 +102,8 @@ def total_derivative(p, lam):
             new = tuple(new)
             s += get(new, 0)
             if s:
+                if frac and s.denominator == 1:
+                    s = s.numerator
                 out[new] = s
             else:
                 del out[new]

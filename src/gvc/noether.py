@@ -23,7 +23,7 @@ E_{c^r}(sum_A u^A E_A) = delta_KT(Delta_r) for the gauge operator u, and
 the same for delta_KT paired with the extended Lagrangian.  So ``ni``,
 ``stages`` and ``kt`` (delta_KT(E_A) = 0) report them, and ``extended``
 and the stage-0 ``gauge`` verdict pass exactly when they vanish.  They are
-kept, with E_A and u, in the theory's memo of derived objects.
+kept, with E_A, delta_KT and u, in the theory's memo of derived objects.
 """
 from __future__ import annotations
 
@@ -145,7 +145,7 @@ def _stage_residuals(theory):
                         k, comp_label(name, comp),
                         "has no stage-%d record" % (k - 1) if k
                         else "is not a field component"))
-    kt = assemble_kt(theory)
+    kt = stored_kt(theory)
     out = {}
     for k in stages:
         images = prolong_apply(kt, [
@@ -211,6 +211,11 @@ def assemble_kt(theory):
             raise GvcError("two pairings for %s" % comp_label(*key))
         comps[key] = rec.delta_poly(reg)
     return EvolutionaryDerivation(reg, comps, right=True, name="delta_KT")
+
+
+def stored_kt(theory):
+    """The theory's Koszul-Tate operator, built once by ``assemble_kt``."""
+    return stored(theory, "kt", assemble_kt)
 
 
 def check_kt_nilpotent(theory):

@@ -47,7 +47,11 @@ invalid reference.
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks.  L must be even and, like every row coefficient, hold only fields;
 no h may hold a ghost.  The error comes at the statement or block.
-Everything is exact rational arithmetic; parsing is deterministic.
+Everything is exact rational arithmetic.  A number is born under the
+coefficient rule of ``algebra._rat``, an int when it is integral, and a
+rational that evaluation makes whole, such as ``2 * 1/2``, enters a
+polynomial through ``GradedPoly.constant`` or ``scale``, which apply the
+rule.  Parsing is deterministic.
 """
 from __future__ import annotations
 
@@ -56,7 +60,7 @@ import string
 from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
-                      GradedPoly, Registry, _add_into)
+                      GradedPoly, Registry, _add_into, _rat)
 from .noether import NoetherRecord, delta_from_rows, require_lagrangian
 
 
@@ -125,7 +129,7 @@ def _tokenize(text):
 
 # ---------------------------------------------------------------------------
 # Expression AST: tuples tagged by kind.
-#   ("num", Fraction)                ("ref", name, comps, jets)
+#   ("num", int or Fraction)         ("ref", name, comps, jets)
 #   ("neg", node)                    ("add", [(sign, node), ...])
 #   ("mul", [node, ...])             ("pow", node, int)
 #   ("sum", [(var, range-or-None)], node)
@@ -309,14 +313,15 @@ class _Parser:
         return self.items(binder, close)
 
     def rational(self):
-        """``INT [/ INT]`` as a Fraction; a zero denominator is an error."""
-        num = Fraction(self.expect("INT")[1])
+        """``INT [/ INT]`` as an int when it is integral, else a Fraction;
+        a zero denominator is an error."""
+        num = self.expect("INT")[1]
         if self.at("/"):
             self.next()
             den = self.expect("INT")
             if den[1] == 0:
                 self.error("division by zero", den)
-            num /= den[1]
+            num = _rat(Fraction(num, den[1]))
         return num
 
     def parse_index_group(self):
@@ -370,8 +375,9 @@ class _Eval:
     def infer_range(self, var, node):
         """Scan for usages of ``var`` and return the index range it must have."""
         found = set()
-
-        def scan(n):
+        todo = [node]
+        while todo:
+            n = todo.pop()
             kind = n[0]
             if kind == "ref":
                 sym = self.reg.symbols.get(n[1])
@@ -386,18 +392,14 @@ class _Eval:
                 if ("var", var) in n[3]:
                     found.add(self.reg.dim)
             elif kind == "add":
-                for _s, item in n[1]:
-                    scan(item)
+                todo.extend(item for _s, item in n[1])
             elif kind == "mul":
-                for item in n[1]:
-                    scan(item)
+                todo.extend(n[1])
             elif kind in ("neg", "pow"):
-                scan(n[1])
+                todo.append(n[1])
             elif kind == "sum":
                 if not any(b[0] == var for b in n[1]):
-                    scan(n[2])
-
-        scan(node)
+                    todo.append(n[2])
         if len(found) == 1:
             return found.pop()
         if not found:
@@ -463,7 +465,7 @@ class _Eval:
     def accumulate(self, signed):
         """The sum of ``(sign, value)`` pairs: rationals add into one
         constant, polynomials through ``_add_into`` into one fresh dict."""
-        const, terms = Fraction(0), None
+        const, terms = 0, None
         for sign, val in signed:
             if isinstance(val, GradedPoly):
                 terms = _add_into({} if terms is None else terms, val.terms,
@@ -491,7 +493,7 @@ class _Eval:
             for item in node[1]:
                 val = self.eval(item, env, clean)
                 if clean and not val:
-                    return Fraction(0)
+                    return 0
                 total = val if total is None else total * val
             return total
         if kind == "pow":

@@ -280,6 +280,11 @@ def test_checks_share_the_stored_residuals_and_gauge(monkeypatch):
     for _ in range(2):
         all_pass(run_checks(bf4, checks))
         assert (len(kts), len(gauges)) == (1, 1)
+    # the stage-1 gauge check takes its delta_KT(alpha) images from the
+    # stored delta_KT as well (toy fails brst and antibracket: no gamma)
+    del kts[:]
+    run_checks(fresh("toy"), checks)
+    assert len(kts) == 1
     # the triviality witness search builds its own delta_KT for each record
     # whose Delta it cannot rule out by shape
     cs3 = fresh("cs3")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gvc.algebra import Registry
-from gvc.parser import ParseError, parse_expr, parse_theory
+from gvc.parser import ParseError, _Parser, parse_expr, parse_theory
 from gvc.theories import build_fixture, fixture_text, load_builtin
 from conftest import cached
 
@@ -18,6 +18,24 @@ def test_minimal_theory():
     assert th.registry.dim == 1
     assert th.records == []
     assert th.lagrangian == th.registry.var("s", (), (0,)) ** 2 * Fraction(1, 2)
+
+
+def test_numbers_are_ints_exactly_when_integral():
+    for text, value in [("4/2", 2), ("1/1", 1), ("3", 3),
+                        ("1/2", Fraction(1, 2))]:
+        num = _Parser(text).rational()
+        assert num == value and type(num) is type(value), text
+    th = parse_theory("dim 1; table k[4]{ [0]=4/2; [1]=1/1; [2]=-3; [3]=1/2; }"
+                      "\nfield s even;"
+                      "\nL = 4/2 * s + 1/1 * s^2 - 3 * s^3 + 1/2 * s^4"
+                      " + 2 * 1/2 + (1/2)^0 + 1/2 + 1/2;")
+    entries = [v for _idx, v in th.registry.tables["k"]]
+    assert entries == [2, 1, -3, Fraction(1, 2)]
+    assert [type(v) for v in entries] == [int, int, int, Fraction]
+    by_degree = {len(factors): c
+                 for _key, c, factors in th.lagrangian.monomials()}
+    assert by_degree == {0: 3, 1: 2, 2: 1, 3: -3, 4: Fraction(1, 2)}
+    assert [type(by_degree[d]) for d in range(5)] == [int] * 4 + [Fraction]
 
 
 def test_field_parity_is_mandatory():

@@ -1,17 +1,20 @@
 """The shipped fixture catalog: files, generators, validation, worked demo."""
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from gvc.algebra import GvcError
 from gvc.brst import brst_candidate, check_brst_nilpotent, check_gauge_symmetry
+from gvc.cli import DEFAULT_CHECKS, build_report, mutation_sites
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
 from gvc.noether import (NoetherRecord, _entry, assemble_kt,
                          check_kt_nilpotent, solve_trivial_witness, verify_ni)
 from gvc.parser import parse_theory
 from gvc.variational import check_variational_symmetry, euler_lagrange
 from gvc import theories as T
-from conftest import all_pass, cached
+from conftest import all_pass, cached, fresh
 
 
 def test_files_match_their_generators():
@@ -20,6 +23,26 @@ def test_files_match_their_generators():
             assert fh.read() == T.fixture_text(name), name
     with open(T.builtin_path("ym4_super"), encoding="utf-8") as fh:
         assert fh.read() == T.fixture_text("ym4", algebra="osp12")
+
+
+@pytest.mark.parametrize("name", T.BUILTINS + ("ym4_super",))
+def test_a_theory_is_freed_with_its_last_reference(name):
+    # nothing of a parsed theory, its mutants or what their checks store
+    # sits in a reference cycle, so its memory goes at the last ``del``
+    # rather than at whichever collection comes next
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        theory = fresh(name)
+        mutant = mutation_sites(theory)[0][1]()
+        for th in (theory, mutant):
+            build_report(th, DEFAULT_CHECKS.split(","))
+        registry = weakref.ref(theory.registry)
+        del theory, mutant, th
+        assert registry() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_builtin_name_guards():
