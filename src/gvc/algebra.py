@@ -145,12 +145,11 @@ class SymbolDecl:
         "ghost_number",
         "antifield_number",
         "symmetry",
-        "base",
         "_components",
     )
 
     def __init__(self, name, kind, slots=(), parities=0, ghost_number=0,
-                 antifield_number=0, symmetry=None, stage=None, base=None):
+                 antifield_number=0, symmetry=None, stage=None):
         self.name = name
         self.kind = kind
         self.stage = stage
@@ -162,7 +161,6 @@ class SymbolDecl:
         if symmetry and len(set(self.slots)) > 1:
             raise ValueError("symmetric component slots must share one range")
         self.symmetry = symmetry
-        self.base = base
         # parities: either a single 0/1 for the whole family, or a map keyed
         # by the value of one slot position: (slot_pos, (p_0, p_1, ...)).
         if isinstance(parities, tuple):
@@ -767,13 +765,13 @@ class Registry:
         bar = self._declare_antifield(name + "_bar", sym, stage=-1)
         return sym, bar
 
-    def declare_ghost(self, name, stage, slots=(), parities=0, symmetry=None, base=None):
+    def declare_ghost(self, name, stage, slots=(), parities=0, symmetry=None):
         """Declare a stage-k ghost family: ghost number k+1, antifield number -(k+1)."""
         self._check_open("ghost %s" % name)
         self._check_name(name)
         sym = SymbolDecl(name, KIND_GHOST, slots, parities,
                          ghost_number=stage + 1, antifield_number=-(stage + 1),
-                         symmetry=symmetry, stage=stage, base=base)
+                         symmetry=symmetry, stage=stage)
         self.symbols[name] = sym
         return sym
 
@@ -789,7 +787,7 @@ class Registry:
         ant = 1 if stage == -1 else stage + 2
         sym = SymbolDecl(name, KIND_ANTIFIELD, base.slots, parities,
                          ghost_number=-ant, antifield_number=ant,
-                         symmetry=base.symmetry, stage=stage, base=base)
+                         symmetry=base.symmetry, stage=stage)
         self.symbols[name] = sym
         return sym
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from .algebra import KIND_ANTIFIELD, KIND_GHOST, GradedPoly, GvcError, \
     _mul_terms
-from .jets import EvolutionaryDerivation, nilpotency_residuals, prolong_apply
+from .jets import EvolutionaryDerivation, eta, nilpotency_residuals, \
+    prolong_apply
 from .noether import comp_label, _entry, _residuals, stored, stored_kt
-from .variational import eta
 
 
 class GaugeOperator:
@@ -48,7 +48,7 @@ def _components_from_records(reg, records):
             per.setdefault((name, comp), {})[index] = coeff
         for (name, comp), fmap in per.items():
             acc = comps.setdefault((name, comp), {})
-            for index, coeff in eta(fmap, reg.dim).items():
+            for index, coeff in eta(fmap).items():
                 _mul_terms(reg.var(rec.ghost, rec.component, index).terms,
                            coeff.terms, acc)
     return {key: GradedPoly(reg, terms) for key, terms in comps.items()}

@@ -12,6 +12,17 @@ its prolongation acts on arbitrary jets through d_Lambda of those values.
 component in one of two ways: from a prefix chain of the d_Lambda(upsilon^A)
 themselves, or by parts, through the higher Euler operators ``eta`` defined
 here, so that the total derivatives act on the smaller factor.
+
+Every alternating sum sum_Lambda (-1)^{|Lambda|} d_Lambda(...) of the package
+is taken by one Horner fold, ``_fold``: the Euler-Lagrange derivatives of
+``gvc.variational``, the by-parts sum of ``prolong_apply``, and each
+component of ``eta``, through
+
+    eta(f)^Xi = (-1)^{|Xi|} sum_Sigma (-1)^{|Sigma|}
+                    d_Sigma(binom(Xi + Sigma, Xi) * f^{Xi + Sigma}),
+
+the binomial taken per base direction.
+
 Only vertical derivations are supported (no base-vector part): a derivation
 whose horizontal part matters can always be traded for its vertical part when
 testing variational identities, and the fixtures never need more.
@@ -21,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from heapq import merge
-from itertools import groupby
+from itertools import groupby, product
 from math import comb
 
 from gvc.algebra import (
@@ -215,10 +226,6 @@ class EvolutionaryDerivation:
             comps[k] = comps.get(k, self.reg.zero) + v
         return EvolutionaryDerivation(self.reg, comps, right=self.right)
 
-    def __neg__(self):
-        return EvolutionaryDerivation(
-            self.reg, {k: -v for k, v in self.components.items()}, right=self.right)
-
     def __repr__(self):
         label = self.name or "derivation"
         return "<%s %s on %d components>" % (
@@ -322,7 +329,7 @@ def _pair_into(z, f, phi, f_left=True):
     cancellations happen before any is taken.  Callers ask ``_by_parts``
     first.
     """
-    for index, g in eta(f, phi.reg.dim).items():
+    for index, g in eta(f).items():
         into = z.setdefault(index, {})
         if f_left:
             _mul_terms(g.terms, phi.terms, into)
@@ -380,25 +387,7 @@ def nilpotency_residuals(u):
 # Higher Euler operators
 # ---------------------------------------------------------------------------
 
-def _index_counts(index, dim):
-    counts = [0] * dim
-    for lam in index:
-        counts[lam] += 1
-    return counts
-
-
-def _multiset_contains(big, small):
-    return all(b >= s for b, s in zip(big, small))
-
-
-def _counts_to_index(counts):
-    out = []
-    for lam, m in enumerate(counts):
-        out.extend([lam] * m)
-    return tuple(out)
-
-
-def eta(f, dim=None):
+def eta(f):
     """The higher Euler operators applied to a finite tuple of coefficients.
 
     ``f`` maps multi-indices (sorted tuples of base directions) to
@@ -409,56 +398,36 @@ def eta(f, dim=None):
 
     and applying it twice is the identity, so the identity also reads with
     f and eta(f) swapped: that is how ``_pair_into`` moves the total
-    derivatives of a pairing off phi.  The binomial weight is taken per
-    base direction; in dimension one it reduces to the factorial quotient
-    |Sigma+Lambda|! / (|Sigma|! |Lambda|!).  A tuple holding only the empty
-    multi-index is its own image.
+    derivatives of a pairing off phi.  Each component is one ``_fold``,
+
+        eta(f)^Xi = (-1)^{|Xi|} sum_Sigma (-1)^{|Sigma|}
+                        d_Sigma(binom(Xi + Sigma, Xi) * f^{Xi + Sigma}),
+
+    over the Sigma with Xi + Sigma a key of f, the binomial taken per base
+    direction: it counts the ways Xi sits in Xi + Sigma.  In dimension one
+    it reduces to |Xi+Sigma|! / (|Xi|! |Sigma|!).
     """
     f = {tuple(sorted(k)): v for k, v in f.items() if not v.is_zero()}
-    if not f or list(f) == [()]:
+    if not f:
         return f
     reg = next(iter(f.values())).reg
-    if dim is None:
-        dim = reg.dim
-    counts = {k: _index_counts(k, dim) for k in f}
-    out = {}
-    # every output index is a sub-multiset of some input index
-    candidates = set()
-    for theta in counts.values():
-        _submultisets(tuple(theta), candidates)
-    for xi_counts in sorted(candidates):
-        acc = {}
-        for theta_key, theta in counts.items():
-            if not _multiset_contains(theta, xi_counts):
-                continue
+    folds = {}  # Xi -> the (Sigma, terms) items of its fold
+    for theta, g in f.items():
+        runs = [(lam, len(list(grp))) for lam, grp in groupby(theta)]
+        # every split of each run of theta into Xi's share and Sigma's
+        for ks in product(*[range(m + 1) for _lam, m in runs]):
+            xi = sigma = ()
             weight = 1
-            for m_theta, m_xi in zip(theta, xi_counts):
-                weight *= comb(m_theta, m_xi)
-            sigma = tuple(
-                lam
-                for lam, (m_theta, m_xi) in enumerate(zip(theta, xi_counts))
-                for _ in range(m_theta - m_xi)
-            )
-            term = iterated_derivative(f[theta_key], sigma)
-            neg = len(theta_key) & 1
-            if weight == 1:
-                _add_into(acc, term.terms, neg)
-            else:
-                _add_into(acc, term.scale(-weight if neg else weight).terms)
-        if acc:
-            out[_counts_to_index(xi_counts)] = GradedPoly(reg, acc)
+            for (lam, m), k in zip(runs, ks):
+                xi += (lam,) * k
+                sigma += (lam,) * (m - k)
+                weight *= comb(m, k)
+            # _fold consumes its items, so each is a fresh dict
+            folds.setdefault(xi, []).append(
+                (sigma, g.scale(-weight if len(xi) & 1 else weight).terms))
+    out = {}
+    for xi in sorted(folds):
+        terms = _fold(reg, sorted(folds[xi]))
+        if terms:
+            out[xi] = GradedPoly(reg, terms)
     return out
-
-
-def _submultisets(counts, into):
-    """Add every sub-multiset of a count vector to ``into`` (as count tuples)."""
-    counts = tuple(counts)
-    def rec(pos, cur):
-        if pos == len(counts):
-            into.add(tuple(cur))
-            return
-        for m in range(counts[pos] + 1):
-            cur.append(m)
-            rec(pos + 1, cur)
-            cur.pop()
-    rec(0, [])

@@ -298,7 +298,9 @@ def solve_trivial_witness(theory, record):
         v = anti[0][0]
         if v.index or v.symbol.antifield_number != 1:
             return None
-    kt = assemble_kt(theory)
+    # H holds only field antifields, whose images are the E_A that the
+    # theory's stored operator shares
+    kt = stored_kt(theory)
     bases = []
     for name, sym in sorted(reg.symbols.items()):
         if sym.kind == KIND_ANTIFIELD and sym.antifield_number == 1:

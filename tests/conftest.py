@@ -19,7 +19,8 @@ import gvc.cli
 import gvc.noether
 from gvc.algebra import GradedPoly, _add_into, _mul_terms
 from gvc.jets import iterated_derivative, total_derivative
-from gvc.parser import parse_theory
+from gvc.noether import NoetherRecord
+from gvc.parser import TheorySpec, parse_theory
 from gvc.theories import build_fixture, load_builtin
 from gvc.variational import eta, euler_lagrange
 
@@ -115,6 +116,25 @@ def count_calls(monkeypatch, name):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def _as_fractions(p):
+    return GradedPoly(p.reg, {k: Fraction(c) for k, c in p.terms.items()})
+
+
+def fraction_twin(theory):
+    """The theory with L, every row and every h stored with ``Fraction``
+    coefficients, whole ones included; it must print and digest alike."""
+    def records(recs):
+        return [NoetherRecord(r.ghost, r.component,
+                              {k: _as_fractions(c) for k, c in r.rows.items()},
+                              r.stage, r.h and _as_fractions(r.h))
+                for r in recs]
+    return TheorySpec(theory.name, theory.registry,
+                      _as_fractions(theory.lagrangian),
+                      records(theory.records),
+                      {k: records(v) for k, v in theory.stages.items()},
+                      theory.gauge_candidate, theory.gamma, theory.alphas)
 
 
 # -- oracles of the jet layer ---------------------------------------------------
@@ -217,8 +237,8 @@ def divergence_witness(p, wrt=None):
                 q.partials("right", only),
                 lambda vp: (vp[0].symbol.name, vp[0].component)):
             base = reg.var(name, comp)
-            for index, coeff in eta({v.index: part for v, part in group},
-                                    reg.dim).items():
+            for index, coeff in eta(
+                    {v.index: part for v, part in group}).items():
                 if index:
                     w = Fraction(-1 if len(index) & 1 else 1, d)
                     term = iterated_derivative(coeff * base, index[1:])

@@ -114,8 +114,8 @@ def test_criterion_1_eta_involution_and_adjunction_are_exact():
     for trial in range(200):
         reg = regs[1 + trial % 3]
         f = _rand_family(rng, reg)
-        ef = eta(f, reg.dim)
-        assert eta(ef, reg.dim) == f, trial
+        ef = eta(f)
+        assert eta(ef) == f, trial
         phi = _rand_poly(rng, reg)
         lhs = reg.zero
         for index, coeff in f.items():
@@ -300,7 +300,7 @@ def test_criterion_6_gravity_diffeomorphism_chain():
     for lam in range(4):
         want = {}
         for (name, comp), fam in _grav_gauge_rows(reg, lam).items():
-            for idx, coeff in eta(fam, 4).items():
+            for idx, coeff in eta(fam).items():
                 if not coeff.is_zero():
                     want[(name, comp, idx)] = coeff
         assert recs[lam] == want, lam

@@ -10,10 +10,8 @@ from hypothesis import given, strategies as st
 from gvc.algebra import GradedPoly, Registry
 from gvc.cli import DEFAULT_CHECKS, build_report, mutation_sites, run_checks
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
-from gvc.noether import NoetherRecord
-from gvc.parser import TheorySpec
 from gvc.variational import eta, euler_lagrange
-from conftest import fresh
+from conftest import fraction_twin, fresh
 
 CHECKS = DEFAULT_CHECKS.split(",")
 
@@ -129,26 +127,13 @@ def test_stored_objects_keep_the_rule(name):
         assert keeps_rule(stored_polys(theory)), label
 
 
-def _as_fractions(p):
-    return GradedPoly(p.reg, {k: Fraction(c) for k, c in p.terms.items()})
-
-
 @pytest.mark.parametrize("name", ["cs3", "toy", "ym4"])
 def test_fraction_storage_prints_and_digests_the_same(name):
     theory = fresh(name)
-    L = _as_fractions(theory.lagrangian)
+    twin = fraction_twin(theory)
+    L = twin.lagrangian
     assert whole_fractions(L) and L == theory.lagrangian
     assert L.pretty() == theory.lagrangian.pretty()
-
-    def records(recs):
-        return [NoetherRecord(r.ghost, r.component,
-                              {k: _as_fractions(c) for k, c in r.rows.items()},
-                              r.stage, r.h and _as_fractions(r.h))
-                for r in recs]
-    twin = TheorySpec(theory.name, theory.registry, L,
-                      records(theory.records),
-                      {k: records(v) for k, v in theory.stages.items()},
-                      theory.gauge_candidate, theory.gamma, theory.alphas)
     for check in CHECKS + ["stages", "extended"]:
         assert build_report(twin, [check])["canonical_sha256"] == \
             build_report(theory, [check])["canonical_sha256"], check

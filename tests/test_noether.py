@@ -260,13 +260,13 @@ def test_curvature_records_are_kt_boundaries(cs3, monkeypatch):
     for mu in range(3):
         rec = _curvature_record(cs3, mu)
         assert prolong_apply(assemble_kt(cs3), [rec.delta_poly(reg)])[0].is_zero()
-        del builds[:]
         H = solve_trivial_witness(cs3, rec)
         assert H is not None
-        # the witness is checked against the delta_KT that found it
-        assert len(builds) == 1
         assert prolong_apply(assemble_kt(cs3), [H])[0] == rec.delta_poly(cs3.registry)
         assert H.antifield_number() == 2
+    # the witness search reads the theory's stored delta_KT, so it is built
+    # at most once for all the records, and not at all once a check stored it
+    assert len(builds) <= 1
 
 
 def test_checks_share_the_stored_residuals_and_gauge(monkeypatch):
@@ -285,15 +285,15 @@ def test_checks_share_the_stored_residuals_and_gauge(monkeypatch):
     del kts[:]
     run_checks(fresh("toy"), checks)
     assert len(kts) == 1
-    # the triviality witness search builds its own delta_KT for each record
-    # whose Delta it cannot rule out by shape
+    # so does the triviality witness search, for each record whose Delta it
+    # cannot rule out by shape
     cs3 = fresh("cs3")
     trivial = rebuilt(cs3, records=[_curvature_record(cs3, mu)
                                     for mu in range(3)])
     all_pass(run_checks(trivial, ["ni"]))
     del kts[:]
     all_pass(run_checks(trivial, ["triviality"]))
-    assert len(kts) == 3
+    assert len(kts) == 0
 
 
 def test_a_witness_that_misses_its_target_is_no_certificate(cs3, monkeypatch):

@@ -1,0 +1,235 @@
+"""A differential oracle on random theories written in the grammar.
+
+The fixed theories are seven; here Hypothesis writes small ones: dimension
+1-3, one or two even fields and at most one odd one, a Lagrangian with
+rational coefficients and jets of order at most one, stage-0 records and
+an optional stage-1 record whose rows hold only fields, and optional ``h``,
+``gauge`` and ``gamma`` blocks.  Most of them fail ``ni``; that is fine,
+because each route is checked against the others, not against a verdict:
+
+- the stored residual delta_KT(Delta_r) of every record is the memo-free
+  prolongation of the Koszul-Tate operator, and the ``kt`` check reports
+  it at the antifield of the record's ghost;
+- the residuals are the ghost Euler-Lagrange components of both pairings:
+  the gauge operator with L (stage 0) and delta_KT with L_e (every stage);
+- ``prolong_apply`` gives the same residuals, and the same BRST residuals,
+  with every pair forced by parts and forced down the prefix chain;
+- the theory stored with ``Fraction`` coefficients digests alike;
+- ``cli.run`` exits 0, 1 or 2, healthy and under ``--mutate sign``, and
+  raises nothing.
+"""
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gvc.jets
+from gvc.algebra import KIND_GHOST, GvcError
+from gvc.brst import brst_candidate, stored_gauge
+from gvc.cli import CHECK_NAMES, build_report, run
+from gvc.jets import nilpotency_residuals
+from gvc.noether import (_residuals, _stage_residuals, assemble_kt,
+                         check_kt_nilpotent, comp_label, verify_ni,
+                         verify_stage_ni)
+from gvc.parser import parse_theory
+from gvc.variational import euler_lagrange
+from conftest import (extended_lagrangian, fraction_twin, prolong_oracle,
+                      variational_pairing)
+
+EVEN, ODD = ("x", "y"), ("p",)
+
+
+def _parity(name):
+    return 1 if name in ODD else 0
+
+
+@st.composite
+def _rational(draw):
+    num = draw(st.integers(1, 3))
+    den = draw(st.sampled_from((1, 1, 2, 3)))
+    return str(num) if den == 1 else "%d/%d" % (num, den)
+
+
+@st.composite
+def _ref(draw, names, dim, order=1):
+    """A jet variable ``name[;Lambda]`` of one of ``names``, |Lambda| <=
+    ``order``."""
+    name = draw(st.sampled_from(names))
+    index = sorted(draw(st.lists(st.integers(0, dim - 1), max_size=order)))
+    return name + ("[;%s]" % ",".join(map(str, index)) if index else "")
+
+
+@st.composite
+def _monomial(draw, fields, dim, parity):
+    """A rational times field jets, of the given parity: up to two even
+    factors and one or two odd ones as the parity asks, or None when no
+    field can make it odd."""
+    evens = [n for n in fields if not _parity(n)]
+    odds = [n for n in fields if _parity(n)]
+    if not odds:
+        if parity:
+            return None
+        n_odd = 0
+    else:
+        n_odd = 1 if parity else draw(st.sampled_from((0, 0, 2)))
+    factors = [draw(_rational())]
+    factors += [draw(_ref(evens, dim))
+                for _ in range(draw(st.integers(0, 2)))]
+    factors += [draw(_ref(odds, dim)) for _ in range(n_odd)]
+    return " * ".join(factors)
+
+
+@st.composite
+def _poly(draw, fields, dim, parity, max_terms=2):
+    """A signed sum of 1-``max_terms`` monomials of one parity, or None."""
+    text = ""
+    for _ in range(draw(st.integers(1, max_terms))):
+        mono = draw(_monomial(fields, dim, parity))
+        if mono is None:
+            return None
+        sign = draw(st.sampled_from("+-"))
+        text += ("-" if sign == "-" else "") + mono if not text \
+            else " %s %s" % (sign, mono)
+    return text
+
+
+@st.composite
+def _rows(draw, targets, dim, fields, parity_of):
+    """Row statements ``(T; Lambda) = coefficient;`` for one record: each
+    coefficient takes the parity that ``parity_of(T)`` asks, so the rows
+    agree on the record's parity."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(targets))
+        index = sorted(draw(st.lists(st.integers(0, dim - 1), max_size=1)))
+        coeff = draw(_poly(fields, dim, parity_of(target)))
+        if coeff is not None:
+            key = target + ("; %s" % ",".join(map(str, index)) if index else "")
+            rows.append("(%s) = %s;" % (key, coeff))
+    return rows
+
+
+@st.composite
+def theories(draw):
+    """The text of a small random theory."""
+    dim = draw(st.integers(1, 3))
+    fields = list(EVEN[:draw(st.integers(1, 2))]) + \
+        list(ODD[:draw(st.integers(0, 1))])
+    lines = ["theory random;", "dim %d;" % dim, "jet_order 6;"]
+    lines += ["field %s %s;" % (n, "odd" if _parity(n) else "even")
+              for n in fields]
+    lines.append("L = %s;" % (draw(_poly(fields, dim, 0, 3)) or "0"))
+    # ghost name -> parity; a record's parity t is that of its coefficient
+    # times its target, and its ghost has parity t + 1
+    ghosts = {}
+    for r in range(draw(st.integers(1, 2))):
+        t = draw(st.sampled_from((0, 0, 1))) if ODD[0] in fields else 0
+        rows = draw(_rows(fields, dim, fields, lambda n: (t + _parity(n)) & 1))
+        if rows:
+            ghosts["c%d" % r] = (t + 1) & 1
+            lines.append("ni c%d[] { %s }" % (r, " ".join(rows)))
+    if ghosts and draw(st.booleans()):
+        # Delta = coefficient * c_bar takes parity t: c_bar has parity p(c) + 1
+        t = draw(st.sampled_from((0, 0, 1))) if ODD[0] in fields else 0
+        rows = draw(_rows(sorted(ghosts), dim, fields,
+                          lambda c: (t + ghosts[c] + 1) & 1))
+        if rows:
+            if draw(st.booleans()):
+                a, b = draw(st.lists(st.sampled_from(fields), min_size=2,
+                                     max_size=2))
+                # and so does h
+                mono = draw(_monomial(
+                    fields, dim, (t + _parity(a) + _parity(b)) & 1))
+                if mono is not None:
+                    rows.append("h { %s * %s_bar * %s_bar };" % (mono, a, b))
+            lines.append("stage 1 s0[] { %s }" % " ".join(rows))
+    if ghosts and draw(st.booleans()):
+        comps = []
+        for n in draw(st.lists(st.sampled_from(fields), min_size=1,
+                               max_size=2, unique=True)):
+            c = draw(st.sampled_from(sorted(ghosts)))
+            # a ghost jet times fields: parity p(n) + 1
+            mono = draw(_monomial(fields, dim,
+                                  (_parity(n) + 1 + ghosts[c]) & 1))
+            if mono is not None:
+                comps.append("(%s) = %s * %s;" % (n, draw(_ref([c], dim)),
+                                                   mono))
+        if comps:
+            lines.append("gauge { %s }" % " ".join(comps))
+    odd_ghosts = sorted(c for c, p in ghosts.items() if p)
+    if odd_ghosts and draw(st.booleans()):
+        c = draw(st.sampled_from(odd_ghosts))
+        # two odd ghost jets make the even, ghost-number-2 gamma(c)
+        a, b = (draw(_ref(odd_ghosts, dim)) for _ in range(2))
+        lines.append("gamma { (%s) = %s * %s * %s; }" % (
+            c, draw(_rational()), a, b))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40)
+@given(theories())
+def test_random_theories_agree_across_routes(text):
+    try:
+        theory = parse_theory(text)
+    except GvcError:
+        theory = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "random.gvc")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for extra in ([], ["--mutate", "sign"]):
+            code = run(["verify", "--theory", path, "--check",
+                        ",".join(CHECK_NAMES), "--out",
+                        os.path.join(tmp, "report.txt")] + extra)
+            assert code in ((0, 1, 2) if theory is not None else (2,)), text
+    if theory is None:
+        return
+    reg = theory.registry
+    kt = assemble_kt(theory)
+    stages = [0] + theory.stage_numbers()
+    residuals = {}
+    for k in stages:
+        for rec, res in zip(theory.stage_records(k), _residuals(theory, k)):
+            delta = kt.components[(rec.ghost + "_bar", rec.component)]
+            assert res == prolong_oracle(kt, delta), text
+            residuals[(rec.ghost, rec.component)] = (k, res)
+    # the ni and stages entries are the kt check's, residual for residual
+    recs = [r for k in stages for r in theory.stage_records(k)]
+    entries = verify_ni(theory) + [e for k in theory.stage_numbers()
+                                   for e in verify_stage_ni(theory, k)]
+    ids = {comp_label(r.ghost + "_bar", r.component): e.get("residual")
+           for r, e in zip(recs, entries) if e["status"] != "pass"}
+    assert ids == {e["target"]: e.get("residual")
+                   for e in check_kt_nilpotent(theory)
+                   if e["status"] != "pass"}, text
+    ghosts = {n for n, sym in reg.symbols.items() if sym.kind == KIND_GHOST}
+    for u, L, held in ((stored_gauge(theory).stages[0], theory.lagrangian,
+                        [0]),
+                       (kt, extended_lagrangian(theory), stages)):
+        el = euler_lagrange(variational_pairing(u, L), ghosts)
+        for key, comp in el.components.items():
+            k, res = residuals.get(key, (None, reg.zero))
+            assert comp == (res if k in held else reg.zero), (text, key)
+    checks = list(CHECK_NAMES)
+    assert build_report(fraction_twin(theory), checks)["canonical_sha256"] \
+        == build_report(theory, checks)["canonical_sha256"], text
+
+
+@settings(max_examples=30)
+@given(theories())
+def test_random_theories_pair_alike_by_parts_and_on_the_chain(text):
+    try:
+        theory = parse_theory(text)
+    except GvcError:
+        return
+    b = brst_candidate(theory).operator()
+    want = {key: prolong_oracle(b, comp) for key, comp in b.components.items()}
+    want = {key: res for key, res in want.items() if not res.is_zero()}
+    routes = []
+    for route in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gvc.jets, "_by_parts", lambda phi, f, route=route: route)
+            routes.append(_stage_residuals(theory))
+            assert nilpotency_residuals(b) == want, (route, text)
+    assert routes[0] == routes[1], text

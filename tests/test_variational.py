@@ -87,9 +87,9 @@ def test_el_kernel_contains_total_derivatives():
 
 def test_eta_pins():
     f = {(0,): sj(0)}
-    ef = eta(f, 2)
+    ef = eta(f)
     assert ef == {(): -sj(0, 0), (0,): -sj(0)}
-    assert eta(ef, 2) == f
+    assert eta(ef) == f
     # adjunction on a concrete test polynomial
     phi = S
     lhs = -total_derivative(sj(0) * phi, 0)
@@ -97,11 +97,11 @@ def test_eta_pins():
 
 
 def test_eta_degenerate_inputs():
-    assert eta({}, 2) == {}
-    assert eta({(0,): REG.zero}, 2) == {}
+    assert eta({}) == {}
+    assert eta({(0,): REG.zero}) == {}
     # an order-zero family is its own eta transform
     f = {(): S * S}
-    assert eta(f, 2) == f
+    assert eta(f) == f
 
 
 def test_eta_binomial_weights_in_one_dimension():
@@ -110,12 +110,12 @@ def test_eta_binomial_weights_in_one_dimension():
     reg.freeze()
     y = reg.var("y")
     f = {(0, 0): y}
-    ef = eta(f, 1)
+    ef = eta(f)
     # eta(f)^(0) picks up the binomial factor C(2,1) = 2
     assert ef[()] == reg.var("y", (), (0, 0))
     assert ef[(0,)] == reg.var("y", (), (0,)).scale(2)
     assert ef[(0, 0)] == y
-    assert eta(ef, 1) == f
+    assert eta(ef) == f
 
 
 def test_divergence_witness_reconstructs():
