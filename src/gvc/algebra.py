@@ -567,7 +567,8 @@ class GradedPoly:
 
     def variables(self):
         """The set of jet variables occurring in this polynomial."""
-        return {v for _, _, factors in self.monomials() for v in factors}
+        by_rank = self.reg.by_rank
+        return {by_rank[r if r >= 0 else ~r] for key in self.terms for r in key}
 
     def num_terms(self):
         return len(self.terms)

@@ -7,37 +7,18 @@ ghost jets (ghosts multiply from the left):
     u^A = sum over Lambda of  c^r_Lambda * eta(Delta_r^{A,.})^Lambda
 
 Stage-k records produce the operators u^(k) acting on stage-(k-1) ghosts the
-same way.  BRST candidates add antifield-free gamma terms on ghosts; their
-nilpotency residuals are reported bucketed by ghost polynomial degree, which
-pinpoints whether the gauge symmetry, the bracket structure, or a higher
-structure function is at fault.
+same way.  The BRST operator b adds gamma to the ascent operator
+sum_k u^(k); the input rules of ``gvc.noether`` make both odd.  Its
+nilpotency residuals are reported bucketed by ghost polynomial degree,
+which pinpoints whether the gauge symmetry, the bracket structure, or a
+higher structure function is at fault.
 """
 from __future__ import annotations
 
-from .algebra import KIND_ANTIFIELD, KIND_GHOST, GradedPoly, GvcError, \
-    _mul_terms
+from .algebra import GradedPoly, _mul_terms
 from .jets import EvolutionaryDerivation, eta, nilpotency_residuals, \
     prolong_apply
 from .noether import comp_label, _entry, _residuals, stored, stored_kt
-
-
-class GaugeOperator:
-    """The stages u = u^(0), u^(1), ..., each an odd ghost-number-1 derivation."""
-
-    __slots__ = ("stages",)
-
-    def __init__(self, stages):
-        self.stages = list(stages)
-        for k, u in enumerate(self.stages):
-            if u.parity != 1 and not u.is_zero():
-                raise GvcError("stage-%d gauge operator must be odd" % k)
-
-    def total(self):
-        """The ascent operator: the sum of all stages."""
-        out = self.stages[0]
-        for u in self.stages[1:]:
-            out = out + u
-        return out
 
 
 def _components_from_records(reg, records):
@@ -55,17 +36,16 @@ def _components_from_records(reg, records):
 
 
 def gauge_from_ni(theory):
-    """Build the gauge operator of a theory from its records via eta."""
+    """The odd stages u = u^(0), u^(1), ... built from the records via eta."""
     reg = theory.registry
-    return GaugeOperator(
-        EvolutionaryDerivation(
-            reg, _components_from_records(reg, theory.stage_records(k)),
-            name="u^(%d)" % k if k else "u")
-        for k in [0] + theory.stage_numbers())
+    return [EvolutionaryDerivation(
+                reg, _components_from_records(reg, theory.stage_records(k)),
+                name="u^(%d)" % k if k else "u")
+            for k in [0] + theory.stage_numbers()]
 
 
 def stored_gauge(theory):
-    """The theory's gauge operator, built once by ``gauge_from_ni``."""
+    """The theory's gauge stages, built once by ``gauge_from_ni``."""
     return stored(theory, "gauge", gauge_from_ni)
 
 
@@ -88,9 +68,8 @@ def check_gauge_symmetry(theory, k, alpha=None):
         ok = all(res.is_zero() for res in _residuals(theory, 0))
         entries = [_entry("gauge", "u", "pass" if ok else "fail")]
         if theory.gauge_candidate:
-            derived = {}
-            for u in gauge.stages:
-                derived.update(u.components)
+            derived = {key: val for u in gauge
+                       for key, val in u.components.items()}
             reg = theory.registry
             for key, declared in sorted(theory.gauge_candidate.items()):
                 res = derived.get(key, reg.zero) - declared
@@ -99,10 +78,10 @@ def check_gauge_symmetry(theory, k, alpha=None):
                     "pass" if res.is_zero() else "fail", res,
                     note="declared operator vs records"))
         return entries
-    if k >= len(gauge.stages):
+    if k >= len(gauge):
         return [_entry("gauge", "stage %d" % k, "pass",
                        note="no stage-%d records declared" % k)]
-    upper, lower = gauge.stages[k], gauge.stages[k - 1]
+    upper, lower = gauge[k], gauge[k - 1]
     keys = sorted(lower.components)
     lowers = prolong_apply(upper, [lower.components[key] for key in keys])
     certs = [alpha[key] for key in keys if key in alpha]
@@ -126,64 +105,31 @@ def check_gauge_symmetry(theory, k, alpha=None):
 
 def lie_antibracket_defect(u, gamma1):
     """Componentwise residual of (u + gamma^(1)) applied to u's components."""
-    b1 = u if gamma1 is None or gamma1.is_zero() else u + gamma1
+    b1 = u if gamma1.is_zero() else u + gamma1
     keys = sorted(u.components)
     return dict(zip(keys, prolong_apply(b1, [u.components[k] for k in keys])))
 
 
-class BRSTCandidate:
-    """A gauge operator together with antifield-free gamma terms on ghosts."""
-
-    __slots__ = ("gauge", "gamma")
-
-    def __init__(self, gauge, gamma):
-        self.gauge = gauge
-        reg = gauge.stages[0].reg
-        comps = dict(gamma or {})
-        for (name, comp), val in comps.items():
-            sym = reg.symbols.get(name)
-            if sym is None or sym.kind != KIND_GHOST:
-                raise GvcError("gamma may only act on ghosts, not %r" % name)
-            if any(v.symbol.kind == KIND_ANTIFIELD for v in val.variables()):
-                raise GvcError("gamma component for %s contains antifields"
-                               % comp_label(name, comp))
-        self.gamma = EvolutionaryDerivation(reg, comps, name="gamma")
-
-    def operator(self):
-        b = self.gauge.total()
-        if not self.gamma.is_zero():
-            b = b + self.gamma
-        return b
-
-
-def check_brst_nilpotent(candidate):
-    """Apply b to each component of b; bucket any residual by ghost degree."""
+def check_brst_nilpotent(theory):
+    """Apply b, the ascent operator sum_k u^(k) plus gamma, to each
+    component of b; bucket any residual by ghost degree."""
+    u, *upper = stored_gauge(theory)
+    b = sum(upper, u) + EvolutionaryDerivation(theory.registry, theory.gamma)
     entries = []
-    for (name, comp), res in nilpotency_residuals(candidate.operator()).items():
+    for (name, comp), res in nilpotency_residuals(b).items():
         degrees = ",".join(str(d) for d in res.ghost_degree_parts())
         entries.append(_entry("brst", comp_label(name, comp), "fail", res,
                               note="failing ghost degrees: %s" % degrees))
     return entries or [_entry("brst", "b", "pass")]
 
 
-def brst_candidate(theory):
-    """Assemble the theory's BRST candidate: constructed gauge stages plus
-    any declared gamma components (gamma = 0 when none are declared)."""
-    return BRSTCandidate(stored_gauge(theory), theory.gamma)
-
-
 def check_antibracket(theory):
     """Report on (u + gamma^(1))(u); confirms the commutator normalization
     [u,u] = -2 gamma(u) when the defect vanishes."""
-    u = stored_gauge(theory).stages[0]
-    reg = u.reg
-    gamma1 = {}
-    for (name, comp), val in theory.gamma.items():
-        sym = reg.symbols[name]
-        if sym.kind == KIND_GHOST and sym.stage == 0:
-            gamma1[(name, comp)] = val
-    g1 = EvolutionaryDerivation(reg, gamma1) if gamma1 else None
-    defects = lie_antibracket_defect(u, g1)
+    u = stored_gauge(theory)[0]
+    defects = lie_antibracket_defect(u, EvolutionaryDerivation(u.reg, {
+        key: val for key, val in theory.gamma.items()
+        if u.reg.symbols[key[0]].stage == 0}))
     bad = {k: v for k, v in defects.items() if not v.is_zero()}
     if not bad:
         return [_entry("antibracket", "u", "pass",

@@ -27,7 +27,7 @@ import sys
 import time
 
 from .algebra import GradedPoly, GvcError, Registry
-from .brst import brst_candidate, check_antibracket, check_brst_nilpotent, \
+from .brst import check_antibracket, check_brst_nilpotent, \
     check_gauge_symmetry
 from .noether import NoetherRecord, check_extended, \
     check_kt_nilpotent, comp_label, triviality_report, verify_ni, \
@@ -48,7 +48,7 @@ _RUNNERS = {
     "extended": check_extended,
     "gauge": lambda theory: [e for k in [0] + theory.stage_numbers()
                              for e in check_gauge_symmetry(theory, k)],
-    "brst": lambda theory: check_brst_nilpotent(brst_candidate(theory)),
+    "brst": check_brst_nilpotent,
     "antibracket": check_antibracket,
     "triviality": triviality_report,
 }

@@ -16,21 +16,24 @@ stage-(k-1) Delta polynomials.  A stage-k >= 1 record may carry a quadratic
 certificate h for an identity that only holds on shell; delta_KT(Delta_r)
 then includes delta_KT(h).
 
-Five checks read these residuals.  When L and every row coefficient hold
-only fields and no h holds a ghost (``NoetherRecord`` and ``TheorySpec``
-refuse anything else), the inverse second Noether theorem gives
-E_{c^r}(sum_A u^A E_A) = delta_KT(Delta_r) for the gauge operator u, and
-the same for delta_KT paired with the extended Lagrangian.  So ``ni``,
-``stages`` and ``kt`` (delta_KT(E_A) = 0) report them, and ``extended``
-and the stage-0 ``gauge`` verdict pass exactly when they vanish.  They are
-kept, with E_A, delta_KT and u, in the theory's memo of derived objects.
+The input rules live here, each stated where it is checked; ``TheorySpec``
+checks them all through ``require_theory``, the parser at each statement,
+and the checks trust them.
+
+Five checks read the residuals.  Under these rules the inverse second
+Noether theorem gives E_{c^r}(sum_A u^A E_A) = delta_KT(Delta_r) for the
+gauge operator u, and the same for delta_KT paired with the extended
+Lagrangian.  So ``ni``, ``stages`` and ``kt`` (delta_KT(E_A) = 0) report
+them, and ``extended`` and the stage-0 ``gauge`` verdict pass exactly when
+they vanish.  They are kept, with E_A, delta_KT and u, in the theory's memo
+of derived objects.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (KIND_ANTIFIELD, KIND_FIELD, GradedPoly, GvcError,
-                      _add_into, _mul_terms)
+from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GradedPoly,
+                      GvcError, _add_into, _mul_terms)
 from .jets import EvolutionaryDerivation, prolong_apply
 from .variational import euler_lagrange
 
@@ -39,18 +42,12 @@ def comp_label(name, comp):
     return "%s[%s]" % (name, ",".join(str(i) for i in comp))
 
 
-def _require_kinds(poly, kinds, what):
-    """Refuse ``poly`` when it holds a variable of a kind outside ``kinds``."""
-    bad = [v for v in poly.variables() if v.symbol.kind not in kinds]
+def _require_kinds(polys, kinds, what):
+    """Refuse ``polys`` if one holds a variable of a kind not in ``kinds``."""
+    bad = [v for p in polys for v in p.variables()
+           if v.symbol.kind not in kinds]
     if bad:
         raise GvcError("%s, not %s" % (what, min(bad).name()))
-
-
-def require_lagrangian(L):
-    """The input rule on L: even, and holding only fields."""
-    if not L.is_zero() and L.parity() != 0:
-        raise GvcError("L must be even")
-    _require_kinds(L, (KIND_FIELD,), "L must hold only fields")
 
 
 def delta_from_rows(reg, rows):
@@ -84,12 +81,6 @@ class NoetherRecord:
         self.rows = dict(rows)
         self.stage = stage
         self.h = h
-        for coeff in self.rows.values():
-            _require_kinds(coeff, (KIND_FIELD,), "record %s: row coefficients"
-                           " must hold only fields" % self.label())
-        if h is not None:
-            _require_kinds(h, (KIND_FIELD, KIND_ANTIFIELD),
-                           "record %s: h must hold no ghost" % self.label())
 
     def label(self):
         return comp_label(self.ghost, self.component)
@@ -98,6 +89,90 @@ class NoetherRecord:
         """Linear part plus certificate: the full Delta polynomial."""
         out = delta_from_rows(reg, self.rows)
         return out if self.h is None else out + self.h
+
+
+# ---------------------------------------------------------------------------
+# the input rules
+
+
+def _require_parity(poly, parity, message):
+    """Refuse a nonzero ``poly`` not of ``parity``, named at message's %s."""
+    if poly.terms and poly.parity() != parity:
+        raise GvcError(message % ("even", "odd")[parity])
+
+
+def require_lagrangian(L):
+    """The input rule on L: even, and holding only fields."""
+    _require_parity(L, 0, "L must be %s")
+    _require_kinds([L], (KIND_FIELD,), "L must hold only fields")
+
+
+def require_record(reg, rec, k):
+    """The input rules on a stage-k record: a stage-k ghost component labels
+    it, row coefficients hold only fields, h holds no ghost, and Delta_r, h
+    included, has its ghost's parity, which makes every u^(k) odd."""
+    label = rec.label()
+    ghost = reg.symbols.get(rec.ghost)
+    if ghost is None or ghost.kind != KIND_GHOST or ghost.stage != k or \
+            rec.stage != k or rec.component not in ghost.components():
+        raise GvcError("record %s does not belong at stage %d" % (label, k))
+    _require_kinds(rec.rows.values(), (KIND_FIELD,), "record %s: row "
+                   "coefficients must hold only fields" % label)
+    parity = ghost.parity(rec.component)
+    for (name, comp, _index), coeff in rec.rows.items():
+        # coefficient * s_bar^A has parity [coefficient] + [A] + 1
+        want = parity ^ reg.symbols[name].parity(comp) ^ 1
+        if coeff.terms and coeff.parity() != want:
+            raise GvcError("record %s: the coefficient of %s must be %s, so "
+                           "that Delta has its ghost's parity" % (
+                               label, comp_label(name, comp),
+                               ("even", "odd")[want]))
+    if rec.h is not None:
+        _require_kinds([rec.h], (KIND_FIELD, KIND_ANTIFIELD),
+                       "record %s: h must hold no ghost" % label)
+        _require_parity(rec.h, parity, "record %s: h must be %%s, the "
+                        "parity of its ghost" % label)
+
+
+def require_gamma(reg, key, value):
+    """The input rules on gamma at ``key``: it acts on a ghost c, holds no
+    antifield, and has parity [c] + 1, so that b = u + gamma is odd."""
+    sym, label = reg.symbols.get(key[0]), comp_label(*key)
+    if not sym or sym.kind != KIND_GHOST or key[1] not in sym.components():
+        raise GvcError("gamma may only act on ghost components, not %s" % label)
+    _require_kinds([value], (KIND_FIELD, KIND_GHOST),
+                   "gamma component for %s must hold no antifield" % label)
+    _require_parity(value, sym.parity(key[1]) ^ 1, "gamma component for %s"
+                    " must be %%s, so that b is odd" % label)
+
+
+def require_theory(theory):
+    """Every input rule, checked once per ``TheorySpec``.  Two tie records
+    together, as delta_KT pairs them: stage-k rows target field components
+    at k = 0, else the labels of stage-(k-1) records; no label repeats."""
+    reg = theory.registry
+    require_lagrangian(theory.lagrangian)
+    fields = {(name, comp) for name, sym in reg.symbols.items()
+              if sym.kind == KIND_FIELD for comp in sym.components()}
+    seen = set()
+    for k in [0] + theory.stage_numbers():
+        targets = fields if not k else {
+            (r.ghost, r.component) for r in theory.stage_records(k - 1)}
+        for rec in theory.stage_records(k):
+            for name, comp, _index in sorted(rec.rows):
+                if (name, comp) not in targets:
+                    if name not in reg.symbols:
+                        raise GvcError("unknown symbol %r" % name)
+                    raise GvcError("stage %d row targets %s which %s" % (
+                        k, comp_label(name, comp),
+                        "has no stage-%d record" % (k - 1) if k
+                        else "is not a field component"))
+            require_record(reg, rec, k)
+            if (rec.ghost, rec.component) in seen:
+                raise GvcError("record %s is declared twice" % rec.label())
+            seen.add((rec.ghost, rec.component))
+    for key, value in theory.gamma.items():
+        require_gamma(reg, key, value)
 
 
 def stored(theory, key, build):
@@ -124,27 +199,9 @@ def _entry(check, target, status, residual=None, note=""):
 def _stage_residuals(theory):
     """{k: delta_KT(Delta_r) for every stage-k record r, in order}, one
     pass per stage; zero exactly when the identity holds, its h certificate
-    included.
-
-    Rows follow the parser's rule: stage-0 rows target field components,
-    stage-k rows the ghost components of stage-(k-1) records.  Any other
-    row would be contracted with the wrong object, or with none."""
+    included."""
     reg = theory.registry
     stages = [0] + theory.stage_numbers()
-    fields = {(name, comp) for name, sym in reg.symbols.items()
-              if sym.kind == KIND_FIELD for comp in sym.components()}
-    for k in stages:
-        targets = {(r.ghost, r.component)
-                   for r in theory.stage_records(k - 1)} if k else fields
-        for rec in theory.stage_records(k):
-            for name, comp, _index in sorted(rec.rows):
-                if (name, comp) not in targets:
-                    if name not in reg.symbols:
-                        raise GvcError("unknown symbol %r" % name)
-                    raise GvcError("stage %d row targets %s which %s" % (
-                        k, comp_label(name, comp),
-                        "has no stage-%d record" % (k - 1) if k
-                        else "is not a field component"))
     kt = stored_kt(theory)
     out = {}
     for k in stages:
@@ -206,10 +263,7 @@ def assemble_kt(theory):
                 comps[(name + "_bar", comp)] = el.get(name, comp)
     for rec in (r for k in [0] + theory.stage_numbers()
                 for r in theory.stage_records(k)):
-        key = (rec.ghost + "_bar", rec.component)
-        if key in comps:
-            raise GvcError("two pairings for %s" % comp_label(*key))
-        comps[key] = rec.delta_poly(reg)
+        comps[(rec.ghost + "_bar", rec.component)] = rec.delta_poly(reg)
     return EvolutionaryDerivation(reg, comps, right=True, name="delta_KT")
 
 

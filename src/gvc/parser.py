@@ -45,8 +45,8 @@ checked, and so is the unclean value of a killed key, so no zero hides an
 invalid reference.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
-blocks.  L must be even and, like every row coefficient, hold only fields;
-no h may hold a ghost.  The error comes at the statement or block.
+blocks.  The input rules of ``gvc.noether`` are checked at the statement
+or block that breaks them, and the error comes there.
 Everything is exact rational arithmetic.  A number is born under the
 coefficient rule of ``algebra._rat``, an int when it is integral, and a
 rational that evaluation makes whole, such as ``2 * 1/2``, enters a
@@ -61,7 +61,8 @@ from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
                       GradedPoly, Registry, _add_into, _rat)
-from .noether import NoetherRecord, delta_from_rows, require_lagrangian
+from .noether import (NoetherRecord, delta_from_rows, require_gamma,
+                      require_lagrangian, require_record, require_theory)
 
 
 class ParseError(GvcError):
@@ -137,14 +138,13 @@ def _tokenize(text):
 
 
 class TheorySpec:
-    """A parsed theory: registry, Lagrangian, records, optional candidates."""
+    """A theory under the input rules: registry, L, records, candidates."""
 
     __slots__ = ("name", "registry", "lagrangian", "records", "stages",
                  "gauge_candidate", "gamma", "alphas", "derived")
 
     def __init__(self, name, registry, lagrangian, records, stages,
                  gauge_candidate=None, gamma=None, alphas=None):
-        require_lagrangian(lagrangian)
         self.name = name
         self.registry = registry
         self.lagrangian = lagrangian
@@ -155,6 +155,7 @@ class TheorySpec:
         self.alphas = {k: dict(v) for k, v in (alphas or {}).items()}
         # objects derived once per theory, by gvc.noether.stored
         self.derived = {}
+        require_theory(self)
 
     def stage_numbers(self):
         return sorted(self.stages)
@@ -640,7 +641,7 @@ class _TheoryBuilder:
         elif word == "gauge":
             self.gauge_candidate = self.component_block(tok, self.gauge_candidate)
         elif word == "gamma":
-            self.gamma = self.component_block(tok, self.gamma, ghosts_only=True)
+            self.gamma = self.component_block(tok, self.gamma, require_gamma)
         elif word == "alpha":
             ktok = self.p.expect("INT")
             k = ktok[1]
@@ -861,15 +862,13 @@ class _TheoryBuilder:
         parities = self._parity_spec(tok, ghost, slots, produced)
         gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
         self.reg.declare_ghost_antifield(gh)
-        h_polys = {}
+        records = self.stages.setdefault(stage, [])
         try:
-            if h_node is not None:
-                checked = evaluator.check(h_node, bound)
-                for comp, env, _rows, _par in produced:
-                    h_polys[comp] = evaluator.poly(checked, env)
-            self.stages.setdefault(stage, []).extend(
-                NoetherRecord(ghost, comp, rows, stage, h_polys.get(comp))
-                for comp, _env, rows, _par in produced)
+            checked = None if h_node is None else evaluator.check(h_node, bound)
+            for comp, env, rows, _par in produced:
+                h = None if checked is None else evaluator.poly(checked, env)
+                records.append(NoetherRecord(ghost, comp, rows, stage, h))
+                require_record(self.reg, records[-1], stage)
         except (GvcError, ValueError) as exc:
             raise ParseError(str(exc), tok[2], tok[3])
 
@@ -893,7 +892,8 @@ class _TheoryBuilder:
 
     # -- component blocks (gauge / gamma / alpha) -------------------------------
 
-    def component_block(self, tok, existing, ghosts_only=False):
+    def component_block(self, tok, existing, rule=None):
+        """A gauge, gamma or alpha block, each component checked by rule."""
         self.need_reg(tok)
         if self.lagrangian is None:
             raise ParseError("component blocks must come after the Lagrangian",
@@ -912,9 +912,6 @@ class _TheoryBuilder:
             if sym is None:
                 raise ParseError("unknown component target %r" % name,
                                  rtok[2], rtok[3])
-            if ghosts_only and sym.kind != KIND_GHOST:
-                raise ParseError("gamma components must target ghosts",
-                                 rtok[2], rtok[3])
             if sym.kind == KIND_ANTIFIELD:
                 raise ParseError("component keys cannot target antifields",
                                  rtok[2], rtok[3])
@@ -926,6 +923,8 @@ class _TheoryBuilder:
                         raise GvcError(
                             "component %s[%s] receives conflicting values"
                             % (name, ",".join(map(str, canon))))
+                    if rule is not None:
+                        rule(self.reg, (name, canon), val)
             except (GvcError, ValueError) as exc:
                 raise ParseError(str(exc), rtok[2], rtok[3])
         self.p.next()

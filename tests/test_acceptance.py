@@ -14,10 +14,9 @@ from fractions import Fraction
 import pytest
 
 from gvc.algebra import GvcError, Registry
-from gvc.brst import (BRSTCandidate, brst_candidate, check_antibracket,
-                      check_brst_nilpotent, check_gauge_symmetry,
-                      gauge_from_ni)
-from gvc.cli import mutation_sites, run_checks
+from gvc.brst import (check_antibracket, check_brst_nilpotent,
+                      check_gauge_symmetry, gauge_from_ni)
+from gvc.cli import _rebuild, mutation_sites, run_checks
 from gvc.jets import iterated_derivative, prolong_apply, total_derivative
 from gvc.noether import (NoetherRecord, _el, assemble_kt, check_extended,
                          check_kt_nilpotent, solve_trivial_witness, verify_ni,
@@ -141,13 +140,12 @@ def test_criterion_3_yang_mills_su2_chain_with_sign_control():
     t0 = time.perf_counter()
     ym = fix("ym4")
     all_pass(verify_ni(ym))
-    g = gauge_from_ni(ym)
-    assert g.stages[0].components == ym.gauge_candidate
-    all_pass(check_brst_nilpotent(brst_candidate(ym)))
+    assert gauge_from_ni(ym)[0].components == ym.gauge_candidate
+    all_pass(check_brst_nilpotent(ym))
     # -1 in place of -1/2 on the ghost quadratic: only the two-ghost
     # bucket of b^2 survives, and it must be reported as such
     doubled = {key: val.scale(2) for key, val in ym.gamma.items()}
-    entries = check_brst_nilpotent(BRSTCandidate(g, doubled))
+    entries = check_brst_nilpotent(_rebuild(ym, gamma=doubled))
     fails = [e for e in entries if e["status"] == "fail"]
     assert fails
     assert all(e["note"] == "failing ghost degrees: 2" for e in fails)
@@ -169,7 +167,7 @@ def test_criterion_4_graded_gauge_algebra_instance():
 
     sup = fix("ym4_super")
     all_pass(verify_ni(sup))
-    all_pass(check_brst_nilpotent(brst_candidate(sup)))
+    all_pass(check_brst_nilpotent(sup))
     # without the sign decoration on odd directions the ghost quadratic
     # is not nilpotent
     reg = sup.registry
@@ -181,7 +179,7 @@ def test_criterion_4_graded_gauge_algebra_instance():
                 out = out + (reg.var("c", (i,)) * reg.var("c", (j,))).scale(
                     Fraction(-v, 2))
         plain[("c", (r,))] = out
-    entries = check_brst_nilpotent(BRSTCandidate(gauge_from_ni(sup), plain))
+    entries = check_brst_nilpotent(_rebuild(sup, gamma=plain))
     assert any(e["status"] == "fail" for e in entries)
     _budget(t0, 60, "criterion 4")
 
@@ -244,7 +242,7 @@ def test_criterion_5_chern_simons_identities_and_triviality():
     assert cs.lagrangian.num_terms() != free.lagrangian.num_terms()
     assert el_text(free) == el_text(other) == el_text(cs)
 
-    all_pass(check_brst_nilpotent(brst_candidate(cs)))
+    all_pass(check_brst_nilpotent(cs))
     _budget(t0, 120, "criterion 5")
 
 
@@ -311,7 +309,7 @@ def test_criterion_6_gravity_diffeomorphism_chain():
         for m in range(4):
             quad = quad + reg.var("cm", (l,), (m,)) * reg.var("cm", (m,))
         assert gt.gamma[("cm", (l,))] == quad, l
-    all_pass(check_brst_nilpotent(brst_candidate(gt)))
+    all_pass(check_brst_nilpotent(gt))
     _budget(t0, 300, "criterion 6")
 
 
@@ -323,9 +321,8 @@ def test_criterion_7_bf_chain_including_reducible_tower():
         all_pass(verify_stage_ni(bf, k))
     all_pass(check_kt_nilpotent(bf))
     all_pass(check_extended(bf))
-    cand = brst_candidate(bf)
-    assert cand.gamma.is_zero()  # b = u: nothing quadratic in the ghosts
-    all_pass(check_brst_nilpotent(cand))
+    assert not bf.gamma  # b = u: nothing quadratic in the ghosts
+    all_pass(check_brst_nilpotent(bf))
 
     bf4 = fix("bf4")
     assert bf4.stage_numbers() == [1]
@@ -336,7 +333,7 @@ def test_criterion_7_bf_chain_including_reducible_tower():
     all_pass(check_extended(bf4))
     all_pass(check_gauge_symmetry(bf4, 0))
     all_pass(check_gauge_symmetry(bf4, 1))
-    all_pass(check_brst_nilpotent(brst_candidate(bf4)))
+    all_pass(check_brst_nilpotent(bf4))
     all_pass(check_antibracket(bf4))
     _budget(t0, 60, "criterion 7")
 
@@ -373,7 +370,7 @@ def test_criterion_8_bookkeeping_routes_agree():
     # alpha certificate is ever needed for the shipped theories
     for name in FIXTURES:
         th = fix(name)
-        all_pass(check_brst_nilpotent(brst_candidate(th)))
+        all_pass(check_brst_nilpotent(th))
         for k in [0] + th.stage_numbers():
             all_pass(check_gauge_symmetry(th, k, alpha={}))
     # contrapositive: when a stage condition only closes on shell, the
@@ -382,7 +379,7 @@ def test_criterion_8_bookkeeping_routes_agree():
     bare = check_gauge_symmetry(toy, 1, alpha={})
     assert any(e["status"] == "unverified-on-shell" for e in bare)
     fails = {e["target"]
-             for e in check_brst_nilpotent(brst_candidate(toy))
+             for e in check_brst_nilpotent(toy)
              if e["status"] == "fail"}
     assert fails == {"y[]", "z[]"}
     _budget(t0, 45, "criterion 8")

@@ -3,19 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from gvc.algebra import GradedPoly, GvcError, _mul_terms
+from gvc.algebra import GradedPoly, GvcError, Registry, _mul_terms
 from gvc.brst import (
-    BRSTCandidate,
-    GaugeOperator,
     check_antibracket,
     check_brst_nilpotent,
     check_gauge_symmetry,
-    brst_candidate,
     gauge_from_ni,
     lie_antibracket_defect,
 )
+from gvc.cli import _rebuild
 from gvc.jets import EvolutionaryDerivation, nilpotency_residuals
-from gvc.noether import _el, verify_ni
+from gvc.noether import NoetherRecord, _el, verify_ni
+from gvc.parser import TheorySpec
 from gvc.theories import osp12
 from gvc.variational import variational_derivative
 from conftest import all_pass
@@ -24,7 +23,7 @@ from conftest import all_pass
 def ghost_variation_residuals(theory):
     """Variational derivatives of the pairing sum u^A E_A with respect to
     every stage-0 ghost component: zero exactly when the records hold."""
-    u = gauge_from_ni(theory).stages[0]
+    u = gauge_from_ni(theory)[0]
     el = _el(theory)
     terms = {}
     for (name, comp), ups in u.components.items():
@@ -42,11 +41,11 @@ def test_bf_operator_matches_declared_candidate(bf):
     g = gauge_from_ni(bf)
     reg = bf.registry
     for mu in range(3):
-        assert g.stages[0].components[("A", (mu,))] == reg.var("e", (), (mu,))
-        assert g.stages[0].components[("B", (mu,))] == reg.var("x", (), (mu,))
-    assert g.stages[0].components == bf.gauge_candidate
+        assert g[0].components[("A", (mu,))] == reg.var("e", (), (mu,))
+        assert g[0].components[("B", (mu,))] == reg.var("x", (), (mu,))
+    assert g[0].components == bf.gauge_candidate
     all_pass(check_gauge_symmetry(bf, 0))
-    all_pass(check_brst_nilpotent(brst_candidate(bf)))
+    all_pass(check_brst_nilpotent(bf))
     all_pass(check_antibracket(bf))
     assert not ghost_variation_residuals(bf)
 
@@ -57,15 +56,15 @@ def test_bf4_reducible_tower(bf4):
     for nu in range(4):
         for rho in range(nu + 1, 4):
             want = reg.var("x", (rho,), (nu,)) - reg.var("x", (nu,), (rho,))
-            assert g.stages[0].components[("B", (nu, rho))] == want
+            assert g[0].components[("B", (nu, rho))] == want
             assert bf4.gauge_candidate[("B", (nu, rho))] == want
     for rho in range(4):
-        assert g.stages[1].components[("x", (rho,))] == reg.var("xi", (), (rho,))
-    assert any(not u.is_zero() for u in g.stages[1:])
+        assert g[1].components[("x", (rho,))] == reg.var("xi", (), (rho,))
+    assert any(not u.is_zero() for u in g[1:])
     all_pass(check_gauge_symmetry(bf4, 0))
     all_pass(check_gauge_symmetry(bf4, 1))  # closes off shell, no alpha needed
     all_pass(check_gauge_symmetry(bf4, 2))  # vacuous
-    all_pass(check_brst_nilpotent(brst_candidate(bf4)))
+    all_pass(check_brst_nilpotent(bf4))
     all_pass(check_antibracket(bf4))
 
 
@@ -89,7 +88,7 @@ def test_alpha_certificates_close_on_shell_conditions(toy):
 
 def test_toy_ascent_operator_is_not_nilpotent(toy):
     """On-shell-only stage conditions show up as a genuine b^2 failure."""
-    entries = check_brst_nilpotent(brst_candidate(toy))
+    entries = check_brst_nilpotent(toy)
     assert {e["target"] for e in entries if e["status"] == "fail"} == \
         {"y[]", "z[]"}
 
@@ -97,20 +96,18 @@ def test_toy_ascent_operator_is_not_nilpotent(toy):
 def test_ym_brst_cube(ym4):
     all_pass(verify := check_gauge_symmetry(ym4, 0))
     assert verify[0]["target"] == "u"
-    cand = brst_candidate(ym4)
-    all_pass(check_brst_nilpotent(cand))
+    all_pass(check_brst_nilpotent(ym4))
     all_pass(check_antibracket(ym4))
     assert not ghost_variation_residuals(ym4)
     g1 = EvolutionaryDerivation(ym4.registry, ym4.gamma)
     assert not nilpotency_residuals(g1)
-    defects = lie_antibracket_defect(gauge_from_ni(ym4).stages[0], g1)
+    defects = lie_antibracket_defect(gauge_from_ni(ym4)[0], g1)
     assert all(v.is_zero() for v in defects.values())
 
 
 def test_doubled_gamma_fails_in_the_quadratic_bucket(ym4):
     bad_gamma = {k: v.scale(2) for k, v in ym4.gamma.items()}
-    bad = BRSTCandidate(gauge_from_ni(ym4), bad_gamma)
-    entries = check_brst_nilpotent(bad)
+    entries = check_brst_nilpotent(_rebuild(ym4, gamma=bad_gamma))
     fails = [e for e in entries if e["status"] == "fail"]
     assert fails
     for e in fails:
@@ -125,15 +122,30 @@ def test_antibracket_normalization_note(ym4):
 
 
 def test_gauge_operator_guards(bf):
+    # u and b are odd, and b acts on ghosts through gamma alone, because no
+    # theory is built against the input rules: a library-built record whose
+    # Delta has another parity than its ghost is refused, and so is a gamma
+    # on a field, one holding an antifield, and one that would make b even
+    reg = Registry(dim=1)
+    reg.declare_field("s")
+    reg.declare_ghost_antifield(reg.declare_ghost("c", stage=0, parities=0))
+    odd_delta = NoetherRecord("c", (), {("s", (), (0,)): reg.one})
+    with pytest.raises(GvcError, match=r"record c\[\]: the coefficient of "
+                       r"s\[\] must be odd, so that Delta has its ghost's"):
+        TheorySpec("t", reg, reg.var("s", (), (0,)) ** 2, [odd_delta], {})
     reg = bf.registry
-    even = EvolutionaryDerivation(reg, {("A", (0,)): reg.var("A", (1,))})
-    with pytest.raises(GvcError, match="must be odd"):
-        GaugeOperator([even])
-    g = gauge_from_ni(bf)
-    with pytest.raises(GvcError, match="only act on ghosts"):
-        BRSTCandidate(g, {("A", (0,)): reg.var("e", (), (0,))})
-    with pytest.raises(GvcError, match="contains antifields"):
-        BRSTCandidate(g, {("e", ()): reg.var("x") * reg.var("A_bar", (0,))})
+    with pytest.raises(GvcError, match=r"only act on ghost components, not "
+                       r"A\[0\]"):
+        _rebuild(bf, gamma={("A", (0,)): reg.var("e", (), (0,))})
+    with pytest.raises(GvcError, match=r"only act on ghost components, not "
+                       r"e\[0\]"):
+        _rebuild(bf, gamma={("e", (0,)): reg.var("x") * reg.var("e")})
+    with pytest.raises(GvcError, match=r"gamma component for e\[\] must "
+                       "hold no antifield, not A_bar"):
+        _rebuild(bf, gamma={("e", ()): reg.var("x") * reg.var("A_bar", (0,))})
+    with pytest.raises(GvcError, match=r"gamma component for e\[\] must be "
+                       "even, so that b is odd"):
+        _rebuild(bf, gamma={("e", ()): reg.var("x")})
 
 
 def test_super_instance_needs_sign_decorated_gamma(ym4_super):
@@ -143,9 +155,8 @@ def test_super_instance_needs_sign_decorated_gamma(ym4_super):
     reg = sup.registry
     entries = all_pass(verify_ni(sup))
     assert len(entries) == 5
-    g = gauge_from_ni(sup)
-    assert g.stages[0].components == sup.gauge_candidate
-    all_pass(check_brst_nilpotent(brst_candidate(sup)))
+    assert gauge_from_ni(sup)[0].components == sup.gauge_candidate
+    all_pass(check_brst_nilpotent(sup))
     all_pass(check_antibracket(sup))
     plain = {}
     for r in range(5):
@@ -155,5 +166,5 @@ def test_super_instance_needs_sign_decorated_gamma(ym4_super):
                 out = out + (reg.var("c", (i,)) * reg.var("c", (j,))).scale(
                     Fraction(-v, 2))
         plain[("c", (r,))] = out
-    entries = check_brst_nilpotent(BRSTCandidate(g, plain))
+    entries = check_brst_nilpotent(_rebuild(sup, gamma=plain))
     assert any(e["status"] == "fail" for e in entries)

@@ -100,7 +100,7 @@ def stored_polys(theory):
     yield from derived["kt"].components.values()
     for residuals in derived["residuals"].values():
         yield from residuals
-    for u in derived["gauge"].stages:
+    for u in derived["gauge"]:
         yield from u.components.values()
 
 

@@ -1,5 +1,6 @@
 """Noether records, stage identities, the Koszul-Tate operator, triviality."""
 import random
+import re
 
 import pytest
 
@@ -121,49 +122,48 @@ def test_stage_identity_without_certificate_is_flagged():
 def test_stage_row_must_target_a_previous_record(toy):
     reg = toy.registry
     # y is declared but carries no stage-0 record, so delta_KT would pair
-    # the row with E_y; the guard refuses the row before delta_KT is
-    # assembled, so the record's parity does not matter
+    # the row with E_y; the theory is refused when it is built, before any
+    # check assembles delta_KT
     bad = NoetherRecord("ps", (), {("y", (), ()): reg.var("z")}, stage=1)
-    broken = rebuilt(toy, stages={1: [bad]})
     with pytest.raises(GvcError, match="no stage-0 record"):
-        verify_stage_ni(broken, 1)
+        rebuilt(toy, stages={1: [bad]})
     # an undeclared name is named as an unknown symbol
-    worse = rebuilt(toy, stages={1: [NoetherRecord(
-        "ps", (), {("nosuch", (), ()): reg.one}, stage=1)]})
     with pytest.raises(GvcError, match="unknown symbol"):
-        verify_stage_ni(worse, 1)
-    # the same guard holds at stage 0: a library-built Noether record
+        rebuilt(toy, stages={1: [NoetherRecord(
+            "ps", (), {("nosuch", (), ()): reg.one}, stage=1)]})
+    # the same rule holds at stage 0: a library-built Noether record
     # naming an undeclared field is refused, not looked up blindly
-    stray = rebuilt(toy, records=[NoetherRecord(
-        "ca", (), {("nosuch", (), ()): reg.one})])
     with pytest.raises(GvcError, match="unknown symbol 'nosuch'"):
-        verify_ni(stray)
+        rebuilt(toy, records=[NoetherRecord(
+            "ca", (), {("nosuch", (), ()): reg.one})])
     # stage-0 rows target fields: a row on a ghost or an antifield would be
     # paired with the wrong object under delta_KT (E_ca(L) = 0, so the ghost
     # row used to pass), and is refused as the parser refuses it
     for name in ("ca", "y_bar"):
-        stray = rebuilt(toy, records=[NoetherRecord(
-            "ca", (), {(name, (), ()): reg.one})] + toy.records[1:])
         with pytest.raises(GvcError, match=r"stage 0 row targets %s\[\] "
                            "which is not a field component" % name):
-            verify_ni(stray)
+            rebuilt(toy, records=[NoetherRecord(
+                "ca", (), {(name, (), ()): reg.one})] + toy.records[1:])
     # and stage-1 rows target stage-0 ghosts, not their antifields
-    stray = rebuilt(toy, stages={1: [NoetherRecord(
-        "ps", (), {("ca_bar", (), ()): reg.var("y")}, stage=1)]})
     with pytest.raises(GvcError, match="no stage-0 record"):
-        verify_stage_ni(stray, 1)
+        rebuilt(toy, stages={1: [NoetherRecord(
+            "ps", (), {("ca_bar", (), ()): reg.var("y")}, stage=1)]})
 
 
 def test_each_antifield_has_one_pairing(toy):
     # delta_KT keeps one image per antifield, so a second record under the
     # same label, or under a field's name, would be checked against the
-    # other's Delta; both are refused
+    # other's Delta; the theory is refused when it is built
     reg = toy.registry
-    for ghost in ("ca", "y"):
-        twin = NoetherRecord(ghost, (), {("y", (), ()): reg.one})
-        with pytest.raises(GvcError, match=r"two pairings for %s_bar\[\]"
-                           % ghost):
-            verify_ni(rebuilt(toy, records=toy.records + [twin]))
+    twin = NoetherRecord("ca", (), {("y", (), ()): reg.one})
+    with pytest.raises(GvcError, match=r"record ca\[\] is declared twice"):
+        rebuilt(toy, records=toy.records + [twin])
+    # and a record is labelled by a component of a ghost of its stage
+    for ghost, comp in (("y", ()), ("ca", (5,)), ("ps", ())):
+        stray = NoetherRecord(ghost, comp, {("y", (), ()): reg.one})
+        with pytest.raises(GvcError, match=r"record %s does not belong at "
+                           "stage 0" % re.escape(comp_label(ghost, comp))):
+            rebuilt(toy, records=toy.records + [stray])
 
 
 @pytest.mark.parametrize("name", ["bf", "bf4", "toy", "cs3", "ym4", "ym4_super"])
@@ -197,7 +197,7 @@ def test_each_identity_is_its_kt_component(name):
                                   for r in mt.stage_records(k)),
                                  _residuals(mt, k))) for k in stages}
         for target, u, L, held in (
-                ("u", stored_gauge(mt).stages[0], mt.lagrangian, [0]),
+                ("u", stored_gauge(mt)[0], mt.lagrangian, [0]),
                 ("L_e", assemble_kt(mt), extended_lagrangian(mt), stages)):
             want = {key: res for k in held for key, res in residuals[k].items()}
             el = euler_lagrange(variational_pairing(u, L),

@@ -4,8 +4,11 @@ The fixed theories are seven; here Hypothesis writes small ones: dimension
 1-3, one or two even fields and at most one odd one, a Lagrangian with
 rational coefficients and jets of order at most one, stage-0 records and
 an optional stage-1 record whose rows hold only fields, and optional ``h``,
-``gauge`` and ``gamma`` blocks.  Most of them fail ``ni``; that is fine,
-because each route is checked against the others, not against a verdict:
+``gauge`` and ``gamma`` blocks.  Now and then one breaks an input rule on
+purpose, with an ``h`` of another parity than its ghost or a ``gamma``
+holding an antifield: ``parse_theory`` must refuse it with a position.
+Most of the others fail ``ni``; that is fine, because each route is checked
+against the others, not against a verdict:
 
 - the stored residual delta_KT(Delta_r) of every record is the memo-free
   prolongation of the Koszul-Tate operator, and the ``kt`` check reports
@@ -15,10 +18,12 @@ because each route is checked against the others, not against a verdict:
 - ``prolong_apply`` gives the same residuals, and the same BRST residuals,
   with every pair forced by parts and forced down the prefix chain;
 - the theory stored with ``Fraction`` coefficients digests alike;
-- ``cli.run`` exits 0, 1 or 2, healthy and under ``--mutate sign``, and
-  raises nothing.
+- ``cli.run`` exits 0 or 1 on every check of an accepted theory, and 0, 1
+  or 2 under ``--mutate sign`` (a constant L with no gamma has no sign to
+  flip), and raises nothing; no check raises an input rule's error.
 """
 import os
+import re
 import tempfile
 
 import pytest
@@ -26,13 +31,13 @@ from hypothesis import given, settings, strategies as st
 
 import gvc.jets
 from gvc.algebra import KIND_GHOST, GvcError
-from gvc.brst import brst_candidate, stored_gauge
+from gvc.brst import stored_gauge
 from gvc.cli import CHECK_NAMES, build_report, run
-from gvc.jets import nilpotency_residuals
+from gvc.jets import EvolutionaryDerivation, nilpotency_residuals
 from gvc.noether import (_residuals, _stage_residuals, assemble_kt,
                          check_kt_nilpotent, comp_label, verify_ni,
                          verify_stage_ni)
-from gvc.parser import parse_theory
+from gvc.parser import ParseError, parse_theory
 from gvc.variational import euler_lagrange
 from conftest import (extended_lagrangian, fraction_twin, prolong_oracle,
                       variational_pairing)
@@ -63,8 +68,8 @@ def _ref(draw, names, dim, order=1):
 @st.composite
 def _monomial(draw, fields, dim, parity):
     """A rational times field jets, of the given parity: up to two even
-    factors and one or two odd ones as the parity asks, or None when no
-    field can make it odd."""
+    factors and one or two distinct odd ones as the parity asks, or None
+    when no field can make it odd."""
     evens = [n for n in fields if not _parity(n)]
     odds = [n for n in fields if _parity(n)]
     if not odds:
@@ -76,7 +81,9 @@ def _monomial(draw, fields, dim, parity):
     factors = [draw(_rational())]
     factors += [draw(_ref(evens, dim))
                 for _ in range(draw(st.integers(0, 2)))]
-    factors += [draw(_ref(odds, dim)) for _ in range(n_odd)]
+    # distinct odd factors, so the monomial is not zero
+    factors += draw(st.lists(_ref(odds, dim), min_size=n_odd,
+                             max_size=n_odd, unique=True))
     return " * ".join(factors)
 
 
@@ -110,9 +117,16 @@ def _rows(draw, targets, dim, fields, parity_of):
     return rows
 
 
+def _breaks():
+    """Whether to break an input rule: false in most draws."""
+    return st.sampled_from((False, False, False, True))
+
+
 @st.composite
 def theories(draw):
-    """The text of a small random theory."""
+    """(text, broken) for a small random theory; ``broken`` names the input
+    rule that the text breaks on purpose, or is None."""
+    broken = None
     dim = draw(st.integers(1, 3))
     fields = list(EVEN[:draw(st.integers(1, 2))]) + \
         list(ODD[:draw(st.integers(0, 1))])
@@ -138,11 +152,14 @@ def theories(draw):
             if draw(st.booleans()):
                 a, b = draw(st.lists(st.sampled_from(fields), min_size=2,
                                      max_size=2))
-                # and so does h
+                # and so does h, unless it breaks the rule; it is zero
+                # when a = b is even
+                wrong = (a != b or _parity(a)) and draw(_breaks())
                 mono = draw(_monomial(
-                    fields, dim, (t + _parity(a) + _parity(b)) & 1))
+                    fields, dim, (t + _parity(a) + _parity(b) + wrong) & 1))
                 if mono is not None:
                     rows.append("h { %s * %s_bar * %s_bar };" % (mono, a, b))
+                    broken = "h" if wrong else None
             lines.append("stage 1 s0[] { %s }" % " ".join(rows))
     if ghosts and draw(st.booleans()):
         comps = []
@@ -160,29 +177,43 @@ def theories(draw):
     odd_ghosts = sorted(c for c, p in ghosts.items() if p)
     if odd_ghosts and draw(st.booleans()):
         c = draw(st.sampled_from(odd_ghosts))
-        # two odd ghost jets make the even, ghost-number-2 gamma(c)
+        # two odd ghost jets make the even, ghost-number-2 gamma(c); when
+        # they differ, the even x_bar * x_bar[;0] breaks the rule and not
+        # the parity
         a, b = (draw(_ref(odd_ghosts, dim)) for _ in range(2))
-        lines.append("gamma { (%s) = %s * %s * %s; }" % (
-            c, draw(_rational()), a, b))
-    return "\n".join(lines) + "\n"
+        bad = " * x_bar * x_bar[;0]" if a != b and draw(_breaks()) else ""
+        lines.append("gamma { (%s) = %s * %s * %s%s; }" % (
+            c, draw(_rational()), a, b, bad))
+        broken = broken or ("gamma" if bad else None)
+    return "\n".join(lines) + "\n", broken
+
+
+_RULE_ERRORS = {"h": "must be (even|odd), the parity of its ghost",
+                "gamma": "must hold no antifield"}
 
 
 @settings(max_examples=40)
 @given(theories())
-def test_random_theories_agree_across_routes(text):
+def test_random_theories_agree_across_routes(case):
+    text, broken = case
     try:
         theory = parse_theory(text)
-    except GvcError:
+    except ParseError as exc:
+        # every refusal has a position, and a broken rule gives its error
+        assert re.search(r" \(line \d+, column \d+\)$", str(exc)), text
+        assert broken is None or re.search(_RULE_ERRORS[broken], str(exc)), \
+            text
         theory = None
+    assert theory is None or broken is None, text
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "random.gvc")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        for extra in ([], ["--mutate", "sign"]):
+        for extra, codes in (([], (0, 1)), (["--mutate", "sign"], (0, 1, 2))):
             code = run(["verify", "--theory", path, "--check",
                         ",".join(CHECK_NAMES), "--out",
                         os.path.join(tmp, "report.txt")] + extra)
-            assert code in ((0, 1, 2) if theory is not None else (2,)), text
+            assert code in (codes if theory is not None else (2,)), text
     if theory is None:
         return
     reg = theory.registry
@@ -204,7 +235,7 @@ def test_random_theories_agree_across_routes(text):
                    for e in check_kt_nilpotent(theory)
                    if e["status"] != "pass"}, text
     ghosts = {n for n, sym in reg.symbols.items() if sym.kind == KIND_GHOST}
-    for u, L, held in ((stored_gauge(theory).stages[0], theory.lagrangian,
+    for u, L, held in ((stored_gauge(theory)[0], theory.lagrangian,
                         [0]),
                        (kt, extended_lagrangian(theory), stages)):
         el = euler_lagrange(variational_pairing(u, L), ghosts)
@@ -218,12 +249,14 @@ def test_random_theories_agree_across_routes(text):
 
 @settings(max_examples=30)
 @given(theories())
-def test_random_theories_pair_alike_by_parts_and_on_the_chain(text):
+def test_random_theories_pair_alike_by_parts_and_on_the_chain(case):
+    text, _broken = case
     try:
         theory = parse_theory(text)
     except GvcError:
         return
-    b = brst_candidate(theory).operator()
+    b = sum(stored_gauge(theory),
+            EvolutionaryDerivation(theory.registry, theory.gamma))
     want = {key: prolong_oracle(b, comp) for key, comp in b.components.items()}
     want = {key: res for key, res in want.items() if not res.is_zero()}
     routes = []

@@ -209,7 +209,7 @@ def _symmetry_pairs(theory):
     gauge operator u with the Lagrangian, and delta_KT with L_e, each with
     the verdict its check reads off the stored residuals."""
     return (("u", check_gauge_symmetry(theory, 0)[0]["status"],
-             stored_gauge(theory).stages[0], theory.lagrangian),
+             stored_gauge(theory)[0], theory.lagrangian),
             ("L_e", check_extended(theory)[0]["status"],
              assemble_kt(theory), extended_lagrangian(theory)))
 
