@@ -110,13 +110,19 @@ def lie_antibracket_defect(u, gamma1):
     return dict(zip(keys, prolong_apply(b1, [u.components[k] for k in keys])))
 
 
+def _brst_residuals(theory):
+    """The nonzero images of b's components under b, where b is the ascent
+    operator sum_k u^(k) plus gamma."""
+    u, *upper = stored_gauge(theory)
+    return nilpotency_residuals(
+        sum(upper, u) + EvolutionaryDerivation(theory.registry, theory.gamma))
+
+
 def check_brst_nilpotent(theory):
     """Apply b, the ascent operator sum_k u^(k) plus gamma, to each
     component of b; bucket any residual by ghost degree."""
-    u, *upper = stored_gauge(theory)
-    b = sum(upper, u) + EvolutionaryDerivation(theory.registry, theory.gamma)
     entries = []
-    for (name, comp), res in nilpotency_residuals(b).items():
+    for (name, comp), res in stored(theory, "brst", _brst_residuals).items():
         degrees = ",".join(str(d) for d in res.ghost_degree_parts())
         entries.append(_entry("brst", comp_label(name, comp), "fail", res,
                               note="failing ghost degrees: %s" % degrees))

@@ -30,8 +30,8 @@ from .algebra import GradedPoly, GvcError, Registry
 from .brst import check_antibracket, check_brst_nilpotent, \
     check_gauge_symmetry
 from .noether import NoetherRecord, check_extended, \
-    check_kt_nilpotent, comp_label, triviality_report, verify_ni, \
-    verify_stage_ni
+    check_kt_nilpotent, comp_label, inherited, triviality_report, \
+    verify_ni, verify_stage_ni
 from .parser import TheorySpec, parse_theory
 from . import theories
 
@@ -79,14 +79,16 @@ def _flip_leading(poly):
 
 
 def _rebuild(theory, **over):
+    """A copy of theory with the fields in ``over`` replaced.  It starts
+    its memo with every derived object whose inputs ``over`` leaves alone
+    (``noether.inherited``); it derives the rest on first use."""
     kw = dict(name=theory.name, registry=theory.registry,
               lagrangian=theory.lagrangian, records=theory.records,
               stages=theory.stages, gauge_candidate=theory.gauge_candidate,
               gamma=theory.gamma, alphas=theory.alphas)
     kw.update(over)
     out = TheorySpec(**kw)
-    if "lagrangian" not in over and "el" in theory.derived:
-        out.derived["el"] = theory.derived["el"]
+    out.derived.update(inherited(theory, over))
     return out
 
 
@@ -110,7 +112,11 @@ def mutation_sites(theory):
     with exactly one sign flipped -- in a Lagrangian term, one row of one
     record, one nonzero gauge-candidate or gamma component.  Flipping
     a single sign never changes parity, so the mutants stay well formed and
-    only the verified identities break.
+    only the verified identities break.  Each build goes through
+    ``_rebuild``, so a mutant of a theory whose checks have run inherits
+    what its edit leaves unchanged: a gauge or gamma mutant the residuals,
+    a record mutant E_A and the residuals of the records it shares, an L
+    mutant the gauge stages and, unless it flips gamma, the BRST residuals.
     """
     sites = []
     if _varies(theory.lagrangian):

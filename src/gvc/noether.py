@@ -26,7 +26,8 @@ gauge operator u, and the same for delta_KT paired with the extended
 Lagrangian.  So ``ni``, ``stages`` and ``kt`` (delta_KT(E_A) = 0) report
 them, and ``extended`` and the stage-0 ``gauge`` verdict pass exactly when
 they vanish.  They are kept, with E_A, delta_KT and u, in the theory's memo
-of derived objects.
+of derived objects, and ``DERIVED_FROM`` names the fields each is computed
+from, so that a copy with some fields replaced keeps the rest.
 """
 from __future__ import annotations
 
@@ -48,15 +49,6 @@ def _require_kinds(polys, kinds, what):
            if v.symbol.kind not in kinds]
     if bad:
         raise GvcError("%s, not %s" % (what, min(bad).name()))
-
-
-def delta_from_rows(reg, rows):
-    """sum rows[(A, comp, Lambda)] * s_bar^A_{comp, Lambda}: the antifield
-    polynomial that a record's coefficient rows stand for."""
-    out = {}
-    for (name, comp, index), coeff in sorted(rows.items()):
-        _mul_terms(coeff.terms, reg.var(name + "_bar", comp, index).terms, out)
-    return GradedPoly(reg, out)
 
 
 class NoetherRecord:
@@ -86,8 +78,13 @@ class NoetherRecord:
         return comp_label(self.ghost, self.component)
 
     def delta_poly(self, reg):
-        """Linear part plus certificate: the full Delta polynomial."""
-        out = delta_from_rows(reg, self.rows)
+        """The full Delta polynomial: the linear part sum rows[(A, comp,
+        Lambda)] * s_bar^A_{comp, Lambda} plus the certificate h."""
+        out = {}
+        for (name, comp, index), coeff in sorted(self.rows.items()):
+            _mul_terms(coeff.terms, reg.var(name + "_bar", comp, index).terms,
+                       out)
+        out = GradedPoly(reg, out)
         return out if self.h is None else out + self.h
 
 
@@ -107,6 +104,26 @@ def require_lagrangian(L):
     _require_kinds([L], (KIND_FIELD,), "L must hold only fields")
 
 
+def _row_parity(reg, key, coeff):
+    """The parity of a record row's term coefficient * s_bar^A of Delta,
+    [coefficient] + [A] + 1, or None when the coefficient mixes parities."""
+    par = coeff.parity()
+    if par is None:
+        return None
+    return par ^ reg.symbols[key[0]].parity(key[1]) ^ 1
+
+
+def delta_parity(reg, rows):
+    """The parity of the Delta that a record's rows stand for, read from the
+    rows alone, or None when they mix parities.  It interns Delta's
+    antifield jets in row order, so that parsing, not the first check to
+    build Delta, fixes their ranks."""
+    for name, comp, index in sorted(rows):
+        reg.jet_var(name + "_bar", comp, index)
+    parities = {_row_parity(reg, key, coeff) for key, coeff in rows.items()}
+    return parities.pop() if len(parities) == 1 else None
+
+
 def require_record(reg, rec, k):
     """The input rules on a stage-k record: a stage-k ghost component labels
     it, row coefficients hold only fields, h holds no ghost, and Delta_r, h
@@ -119,13 +136,13 @@ def require_record(reg, rec, k):
     _require_kinds(rec.rows.values(), (KIND_FIELD,), "record %s: row "
                    "coefficients must hold only fields" % label)
     parity = ghost.parity(rec.component)
-    for (name, comp, _index), coeff in rec.rows.items():
-        # coefficient * s_bar^A has parity [coefficient] + [A] + 1
-        want = parity ^ reg.symbols[name].parity(comp) ^ 1
-        if coeff.terms and coeff.parity() != want:
+    for key, coeff in rec.rows.items():
+        if coeff.terms and _row_parity(reg, key, coeff) != parity:
+            # the coefficient parity that gives the row Delta's parity
+            want = parity ^ _row_parity(reg, key, reg.one)
             raise GvcError("record %s: the coefficient of %s must be %s, so "
                            "that Delta has its ghost's parity" % (
-                               label, comp_label(name, comp),
+                               label, comp_label(*key[:2]),
                                ("even", "odd")[want]))
     if rec.h is not None:
         _require_kinds([rec.h], (KIND_FIELD, KIND_ANTIFIELD),
@@ -175,12 +192,42 @@ def require_theory(theory):
         require_gamma(reg, key, value)
 
 
+# The theory fields each object of ``TheorySpec.derived`` is computed from,
+# one entry per memo key; the registry underlies them all.  "ni" maps each
+# stage-0 record object to its residual, which reads only L and that
+# record's rows (stage-0 rows sit on fields, and no stage-0 record has an
+# h).  No object reads the name, the declared gauge operator or the alpha
+# certificates.
+DERIVED_FROM = {
+    "el": ("registry", "lagrangian"),
+    "ni": ("registry", "lagrangian"),
+    "kt": ("registry", "lagrangian", "records", "stages"),
+    "residuals": ("registry", "lagrangian", "records", "stages"),
+    "gauge": ("registry", "records", "stages"),
+    "brst": ("registry", "records", "stages", "gamma"),
+}
+_UNREAD = {"name", "gauge_candidate", "alphas"}
+
+
 def stored(theory, key, build):
-    """``build(theory)``, built on first use and kept in the theory's memo."""
+    """``build(theory)``, built on first use and kept in the theory's memo.
+    A copy of a theory with some fields replaced shares every object whose
+    ``DERIVED_FROM`` inputs it keeps (see ``inherited``)."""
     memo = theory.derived
     if key not in memo:
         memo[key] = build(theory)
     return memo[key]
+
+
+def inherited(theory, replaced):
+    """The objects of theory's memo that stay valid when the fields named in
+    ``replaced`` change: those computed from none of them.  A field the
+    table does not know invalidates them all."""
+    replaced = set(replaced)
+    if not replaced <= _UNREAD.union(*DERIVED_FROM.values()):
+        return {}
+    return {key: obj for key, obj in theory.derived.items()
+            if replaced.isdisjoint(DERIVED_FROM[key])}
 
 
 def _el(theory):
@@ -196,27 +243,41 @@ def _entry(check, target, status, residual=None, note=""):
     return out
 
 
-def _stage_residuals(theory):
+def _stage_residuals(theory, known=None):
     """{k: delta_KT(Delta_r) for every stage-k record r, in order}, one
     pass per stage; zero exactly when the identity holds, its h certificate
-    included."""
+    included.  A stage-0 record in ``known``, a map from records to their
+    residuals under the same L, keeps its residual; the pass takes the rest."""
     reg = theory.registry
-    stages = [0] + theory.stage_numbers()
     kt = stored_kt(theory)
+    known = known or {}
     out = {}
-    for k in stages:
+    for k in [0] + theory.stage_numbers():
+        recs = theory.stage_records(k)
+        todo = [rec for rec in recs if k or rec not in known]
         images = prolong_apply(kt, [
             kt.components.get((rec.ghost + "_bar", rec.component), reg.zero)
-            for rec in theory.stage_records(k)])
+            for rec in todo])
         # a residual's dict keeps the table its terms grew to before they
         # cancelled (grav4's reach ~88k terms), so keep right-sized copies
-        out[k] = [GradedPoly(reg, dict(res.terms)) for res in images]
+        found = {rec: GradedPoly(reg, dict(res.terms))
+                 for rec, res in zip(todo, images)}
+        out[k] = [found[rec] if rec in found else known[rec] for rec in recs]
+    return out
+
+
+def _stored_residuals(theory):
+    """``_stage_residuals``, reusing the "ni" map that a copy with the same
+    L inherits; "ni" then maps this theory's own stage-0 records, in a fresh
+    dict, so an inherited one stays as its theory left it."""
+    out = _stage_residuals(theory, theory.derived.get("ni"))
+    theory.derived["ni"] = dict(zip(theory.records, out[0]))
     return out
 
 
 def _residuals(theory, k):
     """The stored delta_KT(Delta_r) of the stage-k records, in order."""
-    return stored(theory, "residuals", _stage_residuals).get(k, [])
+    return stored(theory, "residuals", _stored_residuals).get(k, [])
 
 
 def verify_ni(theory):

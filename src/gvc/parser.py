@@ -61,7 +61,7 @@ from fractions import Fraction
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
                       GradedPoly, Registry, _add_into, _rat)
-from .noether import (NoetherRecord, delta_from_rows, require_gamma,
+from .noether import (NoetherRecord, delta_parity, require_gamma,
                       require_lagrangian, require_record, require_theory)
 
 
@@ -853,7 +853,7 @@ class _TheoryBuilder:
             if not rows:
                 raise ParseError("record %s[%s] has no rows"
                                  % (ghost, ",".join(map(str, comp))), tok[2], tok[3])
-            par = delta_from_rows(self.reg, rows).parity()
+            par = delta_parity(self.reg, rows)
             if par is None:
                 raise ParseError(
                     "record %s[%s] mixes Grassmann parities"

@@ -24,7 +24,7 @@ import itertools
 import os
 from fractions import Fraction
 
-from ..algebra import GvcError, sorting_sign
+from ..algebra import GvcError, _rat, sorting_sign
 from ..parser import parse_theory
 
 BUILTINS = ("bf", "cs3", "grav4", "ym4")
@@ -70,14 +70,15 @@ class StructureConstants:
     def __init__(self, dim, parities, c, casimir):
         self.dim = dim
         self.parities = tuple(parities)
-        self.c = {k: Fraction(v) for k, v in c.items() if v}
-        self.casimir = {k: Fraction(v) for k, v in casimir.items() if v}
+        # under the coefficient rule, so validate runs in int arithmetic
+        self.c = {k: _rat(Fraction(v)) for k, v in c.items() if v}
+        self.casimir = {k: _rat(Fraction(v)) for k, v in casimir.items() if v}
 
     def bracket(self, r, i, j):
-        return self.c.get((r, i, j), Fraction(0))
+        return self.c.get((r, i, j), 0)
 
     def form(self, i, j):
-        return self.casimir.get((i, j), Fraction(0))
+        return self.casimir.get((i, j), 0)
 
     def validate(self):
         n, par = self.dim, self.parities
@@ -143,7 +144,7 @@ class StructureConstants:
             m[rank], m[sel] = m[sel], m[rank]
             for r in range(n):
                 if r != rank and m[r][col]:
-                    f = m[r][col] / m[rank][col]
+                    f = Fraction(m[r][col], m[rank][col])
                     m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
             rank += 1
         if rank != n:
@@ -154,9 +155,8 @@ class StructureConstants:
 
 def su2():
     """Three even generators with the Levi-Civita bracket and unit form."""
-    c = {idx: Fraction(s) for idx, s in _eps(3).items()}
-    k = {(i, i): Fraction(1) for i in range(3)}
-    return StructureConstants(3, (0, 0, 0), c, k)
+    return StructureConstants(3, (0, 0, 0), _eps(3),
+                              {(i, i): 1 for i in range(3)})
 
 
 def osp12():

@@ -11,6 +11,9 @@ import threading
 import pytest
 
 import gvc
+import gvc.brst
+import gvc.jets
+import gvc.noether
 from gvc import cli
 from gvc.cli import (_parse_checks, _truncate_residual, apply_sign_mutation,
                      build_report, mutation_sites, run, run_checks)
@@ -436,17 +439,85 @@ def test_stages_check_builds_kt_once(monkeypatch):
 @pytest.mark.parametrize("label", ["lagrangian", "record e[]"])
 def test_mutants_of_a_warm_theory_still_fail(label):
     # the healthy theory stores its residuals and gauge operator first; a
-    # mutant keeps at most the Euler-Lagrange result (and only when its L
-    # is unchanged), so it derives its own and fails
+    # mutant keeps only what its edit leaves unchanged (an L mutant the
+    # gauge stages and BRST residuals, a record mutant E_A and the other
+    # records' residuals), so it derives its own residuals and fails
     healthy = fresh("bf")
     all_pass(run_checks(healthy, [c for c in cli.CHECK_NAMES
                                   if c != "triviality"]))
     (build,) = [b for lab, b in mutation_sites(healthy) if lab == label]
     mutant = build()
-    assert set(mutant.derived) == ({"el"} if label != "lagrangian" else set())
+    assert set(mutant.derived) == ({"el", "ni"} if label != "lagrangian"
+                                   else {"gauge", "brst"})
     for check in ("ni", "kt", "gauge", "extended"):
         entries = run_checks(mutant, [check])
         assert any(e["status"] == "fail" for e in entries), check
+
+
+# the check each kind of single sign flip must break; grav4's first record
+# flips a row on k[0,0,0], whose Euler-Lagrange derivative vanishes, so
+# only the declared gauge operator catches it
+_CATCHER = {"lagrangian": "ni", "record": "ni", "stage": "kt",
+            "gauge": "gauge", "gamma": "brst"}
+
+
+def _warm_and_cold_sites(name):
+    """(label, warm build, cold build) for every mutation site of theory
+    ``name`` (grav4: the first of each kind).  The warm parent has run every
+    check but ``triviality``; the cold one is parsed afresh and never run."""
+    warm, cold = fresh(name), fresh(name)
+    run_checks(warm, [c for c in cli.CHECK_NAMES if c != "triviality"])
+    sites = mutation_sites(warm)
+    if name == "grav4":
+        sites = list({label.split()[0]: (label, build)
+                      for label, build in reversed(sites)}.values())
+    cold_sites = dict(mutation_sites(cold))
+    return [(label, build, cold_sites[label]) for label, build in sites]
+
+
+@pytest.mark.parametrize("name", ["bf", "bf4", "toy", "cs3", "ym4",
+                                  "ym4_super", "grav4"])
+def test_warm_and_cold_mutants_agree(name):
+    # a mutant inherits from a warm parent exactly what its edit leaves
+    # unchanged, so every check digests as on a mutant with nothing stored
+    for label, warm, cold in _warm_and_cold_sites(name):
+        inherits, fresh_mutant = warm(), cold()
+        for check in cli.CHECK_NAMES:
+            assert build_report(inherits, [check])["canonical_sha256"] == \
+                build_report(fresh_mutant, [check])["canonical_sha256"], \
+                (label, check)
+        kind = label.split()[0]
+        catcher = "gauge" if (name, kind) == ("grav4", "record") \
+            else _CATCHER[kind]
+        assert build_report(inherits, [catcher])["overall"] == "fail", label
+
+
+def _polys_handed_to_prolong_apply(monkeypatch, theory, checks):
+    """The number of polynomials of each ``prolong_apply`` call the checks
+    make on theory."""
+    calls = []
+    for mod in (gvc.jets, gvc.noether, gvc.brst):
+        def counted(u, polys, _fn=mod.prolong_apply):
+            calls.append(len(polys))
+            return _fn(u, polys)
+        monkeypatch.setattr(mod, "prolong_apply", counted)
+    run_checks(theory, checks)
+    monkeypatch.undo()
+    return calls
+
+
+def test_mutants_of_a_warm_theory_recompute_only_what_their_edit_touches(
+        monkeypatch):
+    sites = {label.split()[0]: warm
+             for label, warm, _cold in reversed(_warm_and_cold_sites("ym4"))}
+    for kind in ("gauge", "gamma"):
+        assert _polys_handed_to_prolong_apply(
+            monkeypatch, sites[kind](), ["ni", "kt", "extended"]) == [], kind
+    assert _polys_handed_to_prolong_apply(
+        monkeypatch, sites["lagrangian"](), ["brst"]) == []
+    # one stage-0 record flipped: the other two keep their residuals
+    assert _polys_handed_to_prolong_apply(
+        monkeypatch, sites["record"](), ["ni"]) == [1]
 
 
 _BF_WITH_S = pathlib.Path(builtin_path("bf")).read_text(

@@ -154,6 +154,28 @@ def test_ghost_parities_infer_from_records():
     assert bf4.registry.symbols["xi"].stage == 1
 
 
+_XP = "dim 1; field x even; field p odd; L = x[;0]^2;\n"
+
+
+@pytest.mark.parametrize("rows, parities", [
+    ("(x) = p; (p; 0) = x;", 0),        # [p] + [x] + 1 = [x] + [p] + 1
+    ("(x; 0) = 1;", 1),
+    ("(p) = 1;", 0),
+    ("(x) = p + x;", "mixes"),          # a coefficient of mixed parity
+    ("(x) = p; (x; 0) = 1;", "mixes"),  # rows of two parities
+])
+def test_a_ghost_takes_the_parity_of_its_rows(rows, parities):
+    # each row's term coefficient * s_bar^A of Delta has parity
+    # [coefficient] + [A] + 1, and the ghost takes Delta's parity
+    text = _XP + "ni c[] { %s }" % rows
+    if parities == "mixes":
+        with pytest.raises(ParseError, match=re.escape(
+                "record c[] mixes Grassmann parities (line 2, column 1)")):
+            parse_theory(text)
+    else:
+        assert parse_theory(text).registry.symbols["c"].parities == parities
+
+
 def test_parity_table_indexed_by_slot():
     th = parse_theory(
         "dim 1; table p2[2]{ [1]=1; } field a[2] parity p2@0; L = a[0;]^2;")

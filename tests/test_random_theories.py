@@ -18,6 +18,10 @@ against the others, not against a verdict:
 - ``prolong_apply`` gives the same residuals, and the same BRST residuals,
   with every pair forced by parts and forced down the prefix chain;
 - the theory stored with ``Fraction`` coefficients digests alike;
+- each mutant of a theory whose checks have run, which inherits what its
+  edit leaves unchanged, digests like the same mutant of a theory parsed
+  afresh: a stage-1 record with ``h`` must not keep stage-1 residuals
+  across a record edit;
 - ``cli.run`` exits 0 or 1 on every check of an accepted theory, and 0, 1
   or 2 under ``--mutate sign`` (a constant L with no gamma has no sign to
   flip), and raises nothing; no check raises an input rule's error.
@@ -32,7 +36,8 @@ from hypothesis import given, settings, strategies as st
 import gvc.jets
 from gvc.algebra import KIND_GHOST, GvcError
 from gvc.brst import stored_gauge
-from gvc.cli import CHECK_NAMES, build_report, run
+from gvc.cli import CHECK_NAMES, build_report, mutation_sites, run, \
+    run_checks
 from gvc.jets import EvolutionaryDerivation, nilpotency_residuals
 from gvc.noether import (_residuals, _stage_residuals, assemble_kt,
                          check_kt_nilpotent, comp_label, verify_ni,
@@ -266,3 +271,21 @@ def test_random_theories_pair_alike_by_parts_and_on_the_chain(case):
             routes.append(_stage_residuals(theory))
             assert nilpotency_residuals(b) == want, (route, text)
     assert routes[0] == routes[1], text
+
+
+@settings(max_examples=30)
+@given(theories())
+def test_random_mutants_digest_alike_warm_and_cold(case):
+    text, _broken = case
+    try:
+        warm, cold = parse_theory(text), parse_theory(text)
+    except GvcError:
+        return
+    run_checks(warm, [c for c in CHECK_NAMES if c != "triviality"])
+    cold_sites = dict(mutation_sites(cold))
+    for label, build in mutation_sites(warm):
+        inherits, fresh_mutant = build(), cold_sites[label]()
+        for check in CHECK_NAMES:
+            assert build_report(inherits, [check])["canonical_sha256"] == \
+                build_report(fresh_mutant, [check])["canonical_sha256"], \
+                (label, check, text)

@@ -54,6 +54,19 @@ def test_builtin_name_guards():
         T.fixture_text("bf", n=5, p=2, q=2)
 
 
+def test_structure_constants_keep_the_coefficient_rule():
+    # ints when integral, so validate runs the Jacobi check in ints
+    for sc in (T.su2(), T.osp12()):
+        assert {type(v) for v in sc.c.values()} == {int}
+        assert {type(v) for v in sc.casimir.values()} == {int}
+        assert type(sc.bracket(0, 0, 0)) is int and sc.bracket(0, 0, 0) == 0
+        assert type(sc.form(0, 1)) is int and sc.form(0, 1) == 0
+    half = T.StructureConstants(1, (0,), {(0, 0, 0): Fraction(2, 2)},
+                                {(0, 0): Fraction(1, 2)})
+    assert type(half.c[(0, 0, 0)]) is int
+    assert half.form(0, 0) == Fraction(1, 2)
+
+
 def test_structure_constant_validation():
     T.su2().validate()
     T.osp12().validate()
