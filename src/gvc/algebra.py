@@ -584,8 +584,9 @@ class GradedPoly:
         given, is a container of (symbol name, component) keys; variables of
         other components are skipped.
 
-        One pass indexes the monomials containing each wanted variable.  The
-        partials then come out one at a time, built only when the generator
+        One pass indexes the monomials containing each variable of p, and
+        ``only`` filters those, not every variable interned.  The partials
+        then come out one at a time, built only when the generator
         reaches them, in increasing global variable order (``var.key``), so
         all jets of one symbol component arrive together.  That order is
         load-bearing: callers fold each partial (or each component's group of
@@ -599,19 +600,22 @@ class GradedPoly:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         by_rank = self.reg.by_rank
-        wanted = {v.entry: v for v in by_rank
-                  if only is None or (v.symbol.name, v.component) in only}
         where = {}
         for key in self.terms:
             prev = None
             for r in key:
-                if r != prev and r in wanted:
+                if r != prev:
                     where.setdefault(r, []).append(key)
-                prev = r
+                    prev = r
+        wanted = {}
+        for r in where:
+            v = by_rank[r if r >= 0 else ~r]
+            if only is None or (v.symbol.name, v.component) in only:
+                wanted[r] = v
         terms = self.terms
         frac = _holds_fraction(terms)
         right = side == "right"
-        for r in sorted(where, key=lambda r: wanted[r].key):
+        for r in sorted(wanted, key=lambda r: wanted[r].key):
             out = {}
             if r < 0:
                 # the odd factor at slot i moves to the front (left) or

@@ -8,16 +8,20 @@ ghost jets (ghosts multiply from the left):
 
 Stage-k records produce the operators u^(k) acting on stage-(k-1) ghosts the
 same way.  The BRST operator b adds gamma to the ascent operator
-sum_k u^(k); the input rules of ``gvc.noether`` make both odd.  Its
-nilpotency residuals are reported bucketed by ghost polynomial degree,
-which pinpoints whether the gauge symmetry, the bracket structure, or a
-higher structure function is at fault.
+sum_k u^(k); the input rules of ``gvc.noether`` make both odd.
+
+Every condition on b is a component of b^2, so one table of images P(Q^X),
+for the parts P, Q in {u, u^(1), ..., gamma} and the components X of Q,
+serves them all; the memo keeps the pairs that involve gamma apart.
+``brst`` sums the pairs at each X, b(b^X), and buckets the residuals by
+ghost degree, which pinpoints whether the gauge symmetry, the bracket
+structure, or a higher structure function is at fault; ``antibracket`` sums
+u(u^A) + gamma(u^A), and the stage-k ``gauge`` check reads u^(k)(u^(k-1)).
 """
 from __future__ import annotations
 
-from .algebra import GradedPoly, _mul_terms
-from .jets import EvolutionaryDerivation, eta, nilpotency_residuals, \
-    prolong_apply
+from .algebra import GradedPoly, _add_into, _mul_terms
+from .jets import EvolutionaryDerivation, eta, prolong_apply
 from .noether import comp_label, _entry, _residuals, stored, stored_kt
 
 
@@ -49,28 +53,71 @@ def stored_gauge(theory):
     return stored(theory, "gauge", gauge_from_ni)
 
 
-def check_gauge_symmetry(theory, k, alpha=None):
+def _images(acting, parts):
+    """{(P.name, Q.name, X): P(Q^X)} for each P of ``acting`` and each
+    component X of each Q of ``parts``, one pass per nonzero P."""
+    todo = [(q.name, key, val) for q in parts
+            for key, val in sorted(q.components.items())]
+    return {(p.name, q, key): image
+            for p in acting if todo and not p.is_zero()
+            for (q, key, _val), image in zip(todo, prolong_apply(
+                p, [val for _q, _key, val in todo]))}
+
+
+def _stage_pairs(theory):
+    gauge = stored_gauge(theory)
+    return _images(gauge, gauge)
+
+
+def _gamma_pairs(theory):
+    """gamma on every part of b, and every gauge stage on gamma."""
+    gauge = stored_gauge(theory)
+    gamma = EvolutionaryDerivation(theory.registry, theory.gamma, name="gamma")
+    return {**_images([gamma], gauge + [gamma]), **_images(gauge, [gamma])}
+
+
+def stored_pairs(theory):
+    """b's table: {(P, Q, X): P(Q^X)} for the parts P and Q of b, by name."""
+    return {**stored(theory, "pairs", _stage_pairs),
+            **stored(theory, "gamma pairs", _gamma_pairs)}
+
+
+def _sums(theory, pick):
+    """{X: the sum of the pairs P(Q^X) with pick(P, Q)}, where nonzero."""
+    sums = {}
+    for (p, q, key), image in stored_pairs(theory).items():
+        if pick(p, q):
+            _add_into(sums.setdefault(key, {}), image.terms)
+    return {key: GradedPoly(theory.registry, terms)
+            for key, terms in sorted(sums.items()) if terms}
+
+
+def _alpha_images(theory):
+    """{(k, X): delta_KT(alpha^X)} for every alpha certificate, one pass."""
+    todo = sorted((k, key) for k in theory.alphas for key in theory.alpha(k))
+    return dict(zip(todo, prolong_apply(stored_kt(theory), [
+        theory.alpha(k)[key] for k, key in todo]))) if todo else {}
+
+
+def check_gauge_symmetry(theory, k):
     """Stage-k gauge-symmetry condition.
 
     Stage 0 asks whether u is a variational symmetry of the Lagrangian,
     that is whether every stage-0 delta_KT(Delta_r) vanishes (see
     ``gvc.noether``), and, when the theory declares the operator explicitly,
     that the declared components agree with the ones rebuilt from the
-    records via eta.  For k >= 1 the residual applies u^(k) through the
-    ghost dependence of the previous stage's components; alpha maps those
-    component keys to antifield certificates subtracted as delta_KT(alpha)
-    for identities that close only on shell.
+    records via eta.  For k >= 1 the residual is the pairs u^(k)(u^(k-1))
+    of b's table, less delta_KT(alpha) for the stage-k alpha certificates of
+    identities that close only on shell.
     """
     gauge = stored_gauge(theory)
-    if alpha is None:
-        alpha = theory.alpha(k)
+    reg = theory.registry
     if k == 0:
         ok = all(res.is_zero() for res in _residuals(theory, 0))
         entries = [_entry("gauge", "u", "pass" if ok else "fail")]
         if theory.gauge_candidate:
             derived = {key: val for u in gauge
                        for key, val in u.components.items()}
-            reg = theory.registry
             for key, declared in sorted(theory.gauge_candidate.items()):
                 res = derived.get(key, reg.zero) - declared
                 entries.append(_entry(
@@ -82,47 +129,30 @@ def check_gauge_symmetry(theory, k, alpha=None):
         return [_entry("gauge", "stage %d" % k, "pass",
                        note="no stage-%d records declared" % k)]
     upper, lower = gauge[k], gauge[k - 1]
-    keys = sorted(lower.components)
-    lowers = prolong_apply(upper, [lower.components[key] for key in keys])
-    certs = [alpha[key] for key in keys if key in alpha]
-    images = iter(prolong_apply(stored_kt(theory), certs) if certs else ())
+    pairs = stored(theory, "pairs", _stage_pairs)
+    certs = stored(theory, "alpha", _alpha_images)
     entries = []
-    for (name, comp), res in zip(keys, lowers):
-        if (name, comp) in alpha:
-            res = res - next(images)
+    for key in sorted(lower.components):
+        res = pairs.get((upper.name, lower.name, key), reg.zero)
+        if (k, key) in certs:
+            res = res - certs[k, key]
             status = "pass" if res.is_zero() else "fail"
-            entries.append(_entry("gauge", comp_label(name, comp), status, res,
-                                  note="stage %d, with alpha certificate" % k))
+            note = "stage %d, with alpha certificate" % k
         elif res.is_zero():
-            entries.append(_entry("gauge", comp_label(name, comp), "pass",
-                                  note="stage %d" % k))
+            status, note = "pass", "stage %d" % k
         else:
-            entries.append(_entry(
-                "gauge", comp_label(name, comp), "unverified-on-shell", res,
-                note="stage %d: on-shell condition unverified without alpha" % k))
+            status = "unverified-on-shell"
+            note = "stage %d: on-shell condition unverified without alpha" % k
+        entries.append(_entry("gauge", comp_label(*key), status, res, note))
     return entries
 
 
-def lie_antibracket_defect(u, gamma1):
-    """Componentwise residual of (u + gamma^(1)) applied to u's components."""
-    b1 = u if gamma1.is_zero() else u + gamma1
-    keys = sorted(u.components)
-    return dict(zip(keys, prolong_apply(b1, [u.components[k] for k in keys])))
-
-
-def _brst_residuals(theory):
-    """The nonzero images of b's components under b, where b is the ascent
-    operator sum_k u^(k) plus gamma."""
-    u, *upper = stored_gauge(theory)
-    return nilpotency_residuals(
-        sum(upper, u) + EvolutionaryDerivation(theory.registry, theory.gamma))
-
-
 def check_brst_nilpotent(theory):
-    """Apply b, the ascent operator sum_k u^(k) plus gamma, to each
-    component of b; bucket any residual by ghost degree."""
+    """b(b^X) at each component X of b, the sum of the pairs P(Q^X) over
+    the parts P and Q of b; any residual is bucketed by ghost degree."""
     entries = []
-    for (name, comp), res in stored(theory, "brst", _brst_residuals).items():
+    for (name, comp), res in stored(
+            theory, "brst", lambda th: _sums(th, lambda p, q: True)).items():
         degrees = ",".join(str(d) for d in res.ghost_degree_parts())
         entries.append(_entry("brst", comp_label(name, comp), "fail", res,
                               note="failing ghost degrees: %s" % degrees))
@@ -130,15 +160,13 @@ def check_brst_nilpotent(theory):
 
 
 def check_antibracket(theory):
-    """Report on (u + gamma^(1))(u); confirms the commutator normalization
-    [u,u] = -2 gamma(u) when the defect vanishes."""
-    u = stored_gauge(theory)[0]
-    defects = lie_antibracket_defect(u, EvolutionaryDerivation(u.reg, {
-        key: val for key, val in theory.gamma.items()
-        if u.reg.symbols[key[0]].stage == 0}))
-    bad = {k: v for k, v in defects.items() if not v.is_zero()}
+    """(u + gamma)(u^A) = u(u^A) + gamma(u^A) at each component u^A of u,
+    where gamma meets only stage-0 ghosts, so acts as gamma_0; it vanishes
+    exactly when the commutator normalization [u,u] = -2 gamma(u) holds."""
+    bad = stored(theory, "antibracket", lambda th: _sums(
+        th, lambda p, q: q == "u" and p in ("u", "gamma")))
     if not bad:
         return [_entry("antibracket", "u", "pass",
                        note="commutator normalization [u,u] = -2*gamma(u) holds")]
     return [_entry("antibracket", comp_label(n, c), "fail", v)
-            for (n, c), v in sorted(bad.items())]
+            for (n, c), v in bad.items()]

@@ -16,12 +16,7 @@ here, so that the total derivatives act on the smaller factor.
 Every alternating sum sum_Lambda (-1)^{|Lambda|} d_Lambda(...) of the package
 is taken by one Horner fold, ``_fold``: the Euler-Lagrange derivatives of
 ``gvc.variational``, the by-parts sum of ``prolong_apply``, and each
-component of ``eta``, through
-
-    eta(f)^Xi = (-1)^{|Xi|} sum_Sigma (-1)^{|Sigma|}
-                    d_Sigma(binom(Xi + Sigma, Xi) * f^{Xi + Sigma}),
-
-the binomial taken per base direction.
+component of ``eta``.
 
 Only vertical derivations are supported (no base-vector part): a derivation
 whose horizontal part matters can always be traded for its vertical part when
@@ -46,10 +41,8 @@ from gvc.algebra import (
 
 __all__ = [
     "total_derivative",
-    "iterated_derivative",
     "EvolutionaryDerivation",
     "prolong_apply",
-    "nilpotency_residuals",
     "eta",
 ]
 
@@ -135,13 +128,6 @@ def _successor(reg, v, lam):
     return dv
 
 
-def iterated_derivative(p, index):
-    """d_Lambda = d_{lam1} ... d_{lamk}; the empty multi-index is the identity."""
-    for lam in index:
-        p = total_derivative(p, lam)
-    return p
-
-
 class EvolutionaryDerivation:
     """A vertical derivation determined by zero-jet components.
 
@@ -169,10 +155,8 @@ class EvolutionaryDerivation:
             if sign != 1:
                 val = val.scale(sign)
             if not val.is_zero():
-                if (sym_name, comp) in comps:
-                    comps[(sym_name, comp)] = comps[(sym_name, comp)] + val
-                else:
-                    comps[(sym_name, comp)] = val
+                key = (sym_name, comp)
+                comps[key] = comps[key] + val if key in comps else val
         self.components = comps
         self.parity = self._infer_parity()
 
@@ -217,19 +201,6 @@ class EvolutionaryDerivation:
 
     def is_zero(self):
         return not self.components
-
-    def __add__(self, other):
-        if self.right != other.right:
-            raise GvcError("cannot add left and right derivations")
-        comps = dict(self.components)
-        for k, v in other.components.items():
-            comps[k] = comps.get(k, self.reg.zero) + v
-        return EvolutionaryDerivation(self.reg, comps, right=self.right)
-
-    def __repr__(self):
-        label = self.name or "derivation"
-        return "<%s %s on %d components>" % (
-            "right" if self.right else "left", label, len(self.components))
 
 
 def prolong_apply(u, polys):
@@ -370,17 +341,6 @@ def _fold(reg, items):
     while len(chain) > 1:
         close()
     return chain[0][1]
-
-
-def nilpotency_residuals(u):
-    """{component key: u(upsilon^A)} for every component of u, zeros dropped.
-
-    For odd u this is the full nilpotency certificate: the prolongation of u
-    squares to zero exactly when every residual vanishes.
-    """
-    keys = sorted(u.components)
-    images = prolong_apply(u, [u.components[key] for key in keys])
-    return {key: r for key, r in zip(keys, images) if not r.is_zero()}
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,25 @@ then includes delta_KT(h).
 
 The input rules live here, each stated where it is checked; ``TheorySpec``
 checks them all through ``require_theory``, the parser at each statement,
-and the checks trust them.
+and the checks trust them.  A theory and its records are values, read-only
+once built; an edited theory is a new one (``cli._rebuild``).
 
-Five checks read the residuals.  Under these rules the inverse second
+Every check formats objects kept in the theory's memo, built on first use:
+here E_A, delta_KT, the residuals delta_KT(Delta_r) and the triviality
+witnesses, in ``gvc.brst`` the gauge stages and b's table.  ``DERIVED_FROM``
+names the fields each is computed from, so that a copy with some fields
+replaced keeps the rest.  Under the input rules the inverse second
 Noether theorem gives E_{c^r}(sum_A u^A E_A) = delta_KT(Delta_r) for the
 gauge operator u, and the same for delta_KT paired with the extended
-Lagrangian.  So ``ni``, ``stages`` and ``kt`` (delta_KT(E_A) = 0) report
-them, and ``extended`` and the stage-0 ``gauge`` verdict pass exactly when
-they vanish.  They are kept, with E_A, delta_KT and u, in the theory's memo
-of derived objects, and ``DERIVED_FROM`` names the fields each is computed
-from, so that a copy with some fields replaced keeps the rest.
+Lagrangian.  So ``ni``, ``stages`` and ``kt`` (delta_KT(E_A) = 0) report the
+residuals, and ``extended`` and the stage-0 ``gauge`` verdict pass exactly
+when they vanish.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GradedPoly,
                       GvcError, _add_into, _mul_terms)
@@ -51,7 +56,20 @@ def _require_kinds(polys, kinds, what):
         raise GvcError("%s, not %s" % (what, min(bad).name()))
 
 
-class NoetherRecord:
+class Frozen:
+    """Slots set once, by ``_init``; assigning one afterwards raises."""
+
+    __slots__ = ()
+
+    def _init(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is read-only" % type(self).__name__)
+
+
+class NoetherRecord(Frozen):
     """One identity of the ladder, labelled by a ghost component.
 
     At stage 0 it is a Noether identity: rows keyed by fields, contracted
@@ -68,11 +86,8 @@ class NoetherRecord:
             raise GvcError("record stages start at stage 0")
         if h is not None and stage == 0:
             raise GvcError("h certificates belong to records of stage 1 or above")
-        self.ghost = ghost
-        self.component = tuple(component)
-        self.rows = dict(rows)
-        self.stage = stage
-        self.h = h
+        self._init(ghost=ghost, component=tuple(component),
+                   rows=MappingProxyType(dict(rows)), stage=stage, h=h)
 
     def label(self):
         return comp_label(self.ghost, self.component)
@@ -196,23 +211,32 @@ def require_theory(theory):
 # one entry per memo key; the registry underlies them all.  "ni" maps each
 # stage-0 record object to its residual, which reads only L and that
 # record's rows (stage-0 rows sit on fields, and no stage-0 record has an
-# h).  No object reads the name, the declared gauge operator or the alpha
-# certificates.
+# h); so do the "triviality" witnesses, whose images under delta_KT are
+# E_A.  "pairs" holds b's table of part-on-part images without gamma,
+# "gamma pairs" the rest, "brst" and "antibracket" sums of them, and
+# "alpha" the images delta_KT(alpha) (see ``gvc.brst``).  No object reads
+# the name or the declared gauge operator.
 DERIVED_FROM = {
     "el": ("registry", "lagrangian"),
     "ni": ("registry", "lagrangian"),
     "kt": ("registry", "lagrangian", "records", "stages"),
     "residuals": ("registry", "lagrangian", "records", "stages"),
+    "triviality": ("registry", "lagrangian", "records"),
     "gauge": ("registry", "records", "stages"),
+    "pairs": ("registry", "records", "stages"),
+    "gamma pairs": ("registry", "records", "stages", "gamma"),
     "brst": ("registry", "records", "stages", "gamma"),
+    "antibracket": ("registry", "records", "stages", "gamma"),
+    "alpha": ("registry", "lagrangian", "records", "stages", "alphas"),
 }
-_UNREAD = {"name", "gauge_candidate", "alphas"}
+_UNREAD = {"name", "gauge_candidate"}
 
 
 def stored(theory, key, build):
     """``build(theory)``, built on first use and kept in the theory's memo.
     A copy of a theory with some fields replaced shares every object whose
-    ``DERIVED_FROM`` inputs it keeps (see ``inherited``)."""
+    ``DERIVED_FROM`` inputs it keeps (see ``inherited``).  Callers must not
+    mutate the ``terms`` of a stored polynomial (see ``_add_into``)."""
     memo = theory.derived
     if key not in memo:
         memo[key] = build(theory)
@@ -416,17 +440,11 @@ def solve_trivial_witness(theory, record):
     # H holds only field antifields, whose images are the E_A that the
     # theory's stored operator shares
     kt = stored_kt(theory)
-    bases = []
-    for name, sym in sorted(reg.symbols.items()):
-        if sym.kind == KIND_ANTIFIELD and sym.antifield_number == 1:
-            for comp in sym.components():
-                bases.append((name, comp))
-    monomials = []
-    for i in range(len(bases)):
-        for j in range(i, len(bases)):
-            m = reg.var(*bases[i]) * reg.var(*bases[j])
-            if not m.is_zero():
-                monomials.append(m)
+    bases = [reg.var(name, comp) for name, sym in sorted(reg.symbols.items())
+             if sym.kind == KIND_ANTIFIELD and sym.antifield_number == 1
+             for comp in sym.components()]
+    monomials = [m for x, y in combinations_with_replacement(bases, 2)
+                 if not (m := x * y).is_zero()]
     coeffs = _solve_exact(prolong_apply(kt, monomials), target)
     if coeffs is None:
         return None
@@ -445,11 +463,11 @@ def triviality_report(theory):
     A record that admits a boundary certificate is reported as trivial
     (``pass`` with the certificate size); when the search finds nothing the
     entry is ``skipped`` -- the ansatz is not exhaustive, so absence of a
-    witness is not a disproof.
+    witness is not a disproof.  The witnesses are kept in the memo.
     """
     entries = []
-    for rec in theory.records:
-        H = solve_trivial_witness(theory, rec)
+    for rec, H in zip(theory.records, stored(theory, "triviality", lambda th: [
+            solve_trivial_witness(th, r) for r in th.records])):
         if H is not None:
             entries.append(_entry(
                 "triviality", rec.label(), "pass",

@@ -58,10 +58,11 @@ from __future__ import annotations
 import itertools
 import string
 from fractions import Fraction
+from types import MappingProxyType
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
                       GradedPoly, Registry, _add_into, _rat)
-from .noether import (NoetherRecord, delta_parity, require_gamma,
+from .noether import (Frozen, NoetherRecord, delta_parity, require_gamma,
                       require_lagrangian, require_record, require_theory)
 
 
@@ -137,24 +138,27 @@ def _tokenize(text):
 # comps/jets entries: ("int", v) or ("var", name)
 
 
-class TheorySpec:
-    """A theory under the input rules: registry, L, records, candidates."""
+class TheorySpec(Frozen):
+    """A theory under the input rules: registry, L, records, candidates.
+    It is a value: its fields are read-only, and an edited theory is a new
+    one (``cli._rebuild``)."""
 
     __slots__ = ("name", "registry", "lagrangian", "records", "stages",
                  "gauge_candidate", "gamma", "alphas", "derived")
 
     def __init__(self, name, registry, lagrangian, records, stages,
                  gauge_candidate=None, gamma=None, alphas=None):
-        self.name = name
-        self.registry = registry
-        self.lagrangian = lagrangian
-        self.records = list(records)
-        self.stages = {k: list(v) for k, v in (stages or {}).items()}
-        self.gauge_candidate = gauge_candidate
-        self.gamma = dict(gamma or {})
-        self.alphas = {k: dict(v) for k, v in (alphas or {}).items()}
-        # objects derived once per theory, by gvc.noether.stored
-        self.derived = {}
+        self._init(
+            name=name, registry=registry, lagrangian=lagrangian,
+            records=tuple(records),
+            stages=MappingProxyType({k: tuple(v)
+                                     for k, v in (stages or {}).items()}),
+            gauge_candidate=MappingProxyType(dict(gauge_candidate or {})),
+            gamma=MappingProxyType(dict(gamma or {})),
+            alphas=MappingProxyType({k: MappingProxyType(dict(v))
+                                     for k, v in (alphas or {}).items()}),
+            # objects derived once per theory, by gvc.noether.stored
+            derived={})
         require_theory(self)
 
     def stage_numbers(self):
@@ -162,7 +166,7 @@ class TheorySpec:
 
     def stage_records(self, k):
         """The stage-k records; stage 0 holds the Noether records."""
-        return self.records if k == 0 else self.stages.get(k, [])
+        return self.records if k == 0 else self.stages.get(k, ())
 
     def alpha(self, k):
         return self.alphas.get(k, {})

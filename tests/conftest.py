@@ -4,7 +4,7 @@ Parsing the shipped fixture files is cheap but not free, and several test
 modules exercise the same theories; everything here is parse-once.  A
 check stores what it derives (the Euler-Lagrange result, the Koszul-Tate
 residuals, the gauge operator) in the theory's ``derived`` memo, so a
-shared theory is warm after its first check.  Nothing else of it changes
+shared theory is warm after its first check.  Its fields are read-only
 (negative controls rebuild), so sharing is safe for verdicts; a test that
 counts how often something is built must parse a fresh theory.
 """
@@ -18,7 +18,7 @@ import gvc.brst
 import gvc.cli
 import gvc.noether
 from gvc.algebra import GradedPoly, _add_into, _mul_terms
-from gvc.jets import iterated_derivative, total_derivative
+from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
 from gvc.noether import NoetherRecord
 from gvc.parser import TheorySpec, parse_theory
 from gvc.theories import build_fixture, load_builtin
@@ -139,6 +139,13 @@ def fraction_twin(theory):
 
 # -- oracles of the jet layer ---------------------------------------------------
 
+def iterated_derivative(p, index):
+    """d_Lambda = d_{lam1} ... d_{lamk}; the empty multi-index is the identity."""
+    for lam in index:
+        p = total_derivative(p, lam)
+    return p
+
+
 def prolong_oracle(u, p):
     """u applied to p with no memo: the sum over the jet variables
     v = s^A_Lambda of p of d_Lambda(upsilon^A) times the partial of p by v,
@@ -150,6 +157,31 @@ def prolong_oracle(u, p):
             coef = iterated_derivative(base, v.index)
             out = out + (part * coef if u.right else coef * part)
     return out
+
+
+def nilpotency_residuals(u):
+    """{component key: u(upsilon^A)} for every component of u, zeros
+    dropped, from one ``prolong_apply`` pass.  For odd u the prolongation
+    of u squares to zero exactly when every residual vanishes."""
+    keys = sorted(u.components)
+    images = prolong_apply(u, [u.components[key] for key in keys])
+    return {key: r for key, r in zip(keys, images) if not r.is_zero()}
+
+
+def derivation_sum(reg, parts):
+    """The left derivation whose components are the sums of the parts'."""
+    comps = {}
+    for part in parts:
+        for key, val in part.components.items():
+            comps[key] = comps[key] + val if key in comps else val
+    return EvolutionaryDerivation(reg, comps)
+
+
+def brst_operator(theory):
+    """b, the ascent operator sum_k u^(k) plus gamma, as one derivation."""
+    reg = theory.registry
+    return derivation_sum(reg, gvc.brst.stored_gauge(theory) + [
+        EvolutionaryDerivation(reg, theory.gamma)])
 
 
 # -- oracles of the variational layer -----------------------------------------

@@ -17,14 +17,14 @@ from gvc.algebra import GvcError, Registry
 from gvc.brst import (check_antibracket, check_brst_nilpotent,
                       check_gauge_symmetry, gauge_from_ni)
 from gvc.cli import _rebuild, mutation_sites, run_checks
-from gvc.jets import iterated_derivative, prolong_apply, total_derivative
+from gvc.jets import prolong_apply, total_derivative
 from gvc.noether import (NoetherRecord, _el, assemble_kt, check_extended,
                          check_kt_nilpotent, solve_trivial_witness, verify_ni,
                          verify_stage_ni)
 from gvc.parser import parse_theory
 from gvc.theories import build_fixture, load_builtin, osp12, su2
 from gvc.variational import eta, euler_lagrange
-from conftest import TOY_TEXT, all_pass, eta_pairing
+from conftest import TOY_TEXT, all_pass, eta_pairing, iterated_derivative
 
 _FIX = {}
 
@@ -372,11 +372,11 @@ def test_criterion_8_bookkeeping_routes_agree():
         th = fix(name)
         all_pass(check_brst_nilpotent(th))
         for k in [0] + th.stage_numbers():
-            all_pass(check_gauge_symmetry(th, k, alpha={}))
+            all_pass(check_gauge_symmetry(_rebuild(th, alphas={}), k))
     # contrapositive: when a stage condition only closes on shell, the
     # ascent operator fails to square to zero exactly there
     toy = fix("toy")
-    bare = check_gauge_symmetry(toy, 1, alpha={})
+    bare = check_gauge_symmetry(_rebuild(toy, alphas={}), 1)
     assert any(e["status"] == "unverified-on-shell" for e in bare)
     fails = {e["target"]
              for e in check_brst_nilpotent(toy)

@@ -17,7 +17,7 @@ import gvc.noether
 from gvc import cli
 from gvc.cli import (_parse_checks, _truncate_residual, apply_sign_mutation,
                      build_report, mutation_sites, run, run_checks)
-from gvc.parser import MAX_NESTING, parse_theory
+from gvc.parser import MAX_NESTING, TheorySpec, parse_theory
 from gvc.theories import builtin_path
 from conftest import all_pass, cached, count_calls, fresh
 
@@ -440,15 +440,16 @@ def test_stages_check_builds_kt_once(monkeypatch):
 def test_mutants_of_a_warm_theory_still_fail(label):
     # the healthy theory stores its residuals and gauge operator first; a
     # mutant keeps only what its edit leaves unchanged (an L mutant the
-    # gauge stages and BRST residuals, a record mutant E_A and the other
+    # gauge stages and b's table, a record mutant E_A and the other
     # records' residuals), so it derives its own residuals and fails
     healthy = fresh("bf")
     all_pass(run_checks(healthy, [c for c in cli.CHECK_NAMES
                                   if c != "triviality"]))
     (build,) = [b for lab, b in mutation_sites(healthy) if lab == label]
     mutant = build()
-    assert set(mutant.derived) == ({"el", "ni"} if label != "lagrangian"
-                                   else {"gauge", "brst"})
+    assert set(mutant.derived) == (
+        {"el", "ni"} if label != "lagrangian"
+        else {"gauge", "pairs", "gamma pairs", "brst", "antibracket"})
     for check in ("ni", "kt", "gauge", "extended"):
         entries = run_checks(mutant, [check])
         assert any(e["status"] == "fail" for e in entries), check
@@ -464,9 +465,9 @@ _CATCHER = {"lagrangian": "ni", "record": "ni", "stage": "kt",
 def _warm_and_cold_sites(name):
     """(label, warm build, cold build) for every mutation site of theory
     ``name`` (grav4: the first of each kind).  The warm parent has run every
-    check but ``triviality``; the cold one is parsed afresh and never run."""
+    check; the cold one is parsed afresh and never run."""
     warm, cold = fresh(name), fresh(name)
-    run_checks(warm, [c for c in cli.CHECK_NAMES if c != "triviality"])
+    run_checks(warm, cli.CHECK_NAMES)
     sites = mutation_sites(warm)
     if name == "grav4":
         sites = list({label.split()[0]: (label, build)
@@ -515,9 +516,39 @@ def test_mutants_of_a_warm_theory_recompute_only_what_their_edit_touches(
             monkeypatch, sites[kind](), ["ni", "kt", "extended"]) == [], kind
     assert _polys_handed_to_prolong_apply(
         monkeypatch, sites["lagrangian"](), ["brst"]) == []
+    assert _polys_handed_to_prolong_apply(
+        monkeypatch, sites["gauge"](), ["brst"]) == []
+    # a gamma mutant keeps the pairs of gauge stages and builds the rest:
+    # gamma on every component of b, and u on gamma's
+    mutant = sites["gamma"]()
+    (u,) = gvc.brst.stored_gauge(mutant)
+    n = len(mutant.gamma)
+    assert _polys_handed_to_prolong_apply(
+        monkeypatch, mutant, ["brst"]) == [len(u.components) + n, n]
     # one stage-0 record flipped: the other two keep their residuals
     assert _polys_handed_to_prolong_apply(
         monkeypatch, sites["record"](), ["ni"]) == [1]
+
+
+@pytest.mark.parametrize("name", ["bf4", "toy"])
+def test_every_check_of_a_warm_theory_formats_stored_objects(monkeypatch,
+                                                             name):
+    # brst, antibracket, the stage-k gauge check and triviality included
+    theory = fresh(name)
+    run_checks(theory, cli.CHECK_NAMES)
+    assert _polys_handed_to_prolong_apply(
+        monkeypatch, theory, cli.CHECK_NAMES) == []
+
+
+def test_every_memo_key_names_the_fields_it_reads():
+    # a key missing from DERIVED_FROM would make _rebuild raise, and a
+    # misspelled field would make inherited() keep nothing
+    for name in ("bf", "bf4", "toy", "cs3", "ym4", "ym4_super", "grav4"):
+        theory = cached(name)
+        run_checks(theory, cli.CHECK_NAMES)
+        assert set(theory.derived) <= set(gvc.noether.DERIVED_FROM), name
+    fields = set(gvc.noether._UNREAD).union(*gvc.noether.DERIVED_FROM.values())
+    assert fields == set(TheorySpec.__slots__) - {"derived"}
 
 
 _BF_WITH_S = pathlib.Path(builtin_path("bf")).read_text(

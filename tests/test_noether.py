@@ -7,7 +7,7 @@ import pytest
 import gvc.noether
 from gvc.algebra import KIND_GHOST, GvcError
 from gvc.brst import check_gauge_symmetry, stored_gauge
-from gvc.cli import mutation_sites, run_checks
+from gvc.cli import _rebuild, build_report, mutation_sites, run_checks
 from gvc.jets import prolong_apply
 from gvc.noether import (
     NoetherRecord,
@@ -51,7 +51,7 @@ def test_corrupted_record_fails_with_residual(bf):
     key = sorted(rows)[0]
     rows[key] = rows[key].scale(-1)
     bad = rebuilt(bf, records=[NoetherRecord(rec.ghost, rec.component, rows)]
-                  + bf.records[1:])
+                  + list(bf.records[1:]))
     entries = verify_ni(bad)
     assert entries[0]["status"] == "fail"
     assert entries[0]["residual"]  # pretty-printed, nonzero
@@ -143,11 +143,33 @@ def test_stage_row_must_target_a_previous_record(toy):
         with pytest.raises(GvcError, match=r"stage 0 row targets %s\[\] "
                            "which is not a field component" % name):
             rebuilt(toy, records=[NoetherRecord(
-                "ca", (), {(name, (), ()): reg.one})] + toy.records[1:])
+                "ca", (), {(name, (), ()): reg.one})] + list(toy.records[1:]))
     # and stage-1 rows target stage-0 ghosts, not their antifields
     with pytest.raises(GvcError, match="no stage-0 record"):
         rebuilt(toy, stages={1: [NoetherRecord(
             "ps", (), {("ca_bar", (), ()): reg.var("y")}, stage=1)]})
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("ym4", lambda th: setattr(th, "lagrangian", th.registry.zero)),
+    ("ym4", lambda th: th.records.__setitem__(0, th.records[1])),
+    ("ym4", lambda th: setattr(th.records[0], "h", th.registry.one)),
+    ("ym4", lambda th: th.records[0].rows.__setitem__(
+        sorted(th.records[0].rows)[0], th.registry.zero)),
+    ("ym4", lambda th: th.gamma.__setitem__(sorted(th.gamma)[0],
+                                            th.registry.zero)),
+    ("bf4", lambda th: th.stages[1].__setitem__(0, th.stages[1][0])),
+    ("bf4", lambda th: th.stages.__setitem__(1, ())),
+], ids=["L", "records", "record", "row", "gamma", "stage", "stages"])
+def test_a_theory_is_a_value(name, edit):
+    # the memo trusts that nothing it was derived from changes, so every
+    # in-place edit raises; an edited theory is a new one (cli._rebuild)
+    theory = cached(name)
+    checks = ["ni", "kt", "gauge", "brst"]
+    before = build_report(theory, checks)["canonical_sha256"]
+    with pytest.raises((AttributeError, TypeError)):
+        edit(theory)
+    assert build_report(theory, checks)["canonical_sha256"] == before
 
 
 def test_each_antifield_has_one_pairing(toy):
@@ -157,13 +179,13 @@ def test_each_antifield_has_one_pairing(toy):
     reg = toy.registry
     twin = NoetherRecord("ca", (), {("y", (), ()): reg.one})
     with pytest.raises(GvcError, match=r"record ca\[\] is declared twice"):
-        rebuilt(toy, records=toy.records + [twin])
+        rebuilt(toy, records=list(toy.records) + [twin])
     # and a record is labelled by a component of a ghost of its stage
     for ghost, comp in (("y", ()), ("ca", (5,)), ("ps", ())):
         stray = NoetherRecord(ghost, comp, {("y", (), ()): reg.one})
         with pytest.raises(GvcError, match=r"record %s does not belong at "
                            "stage 0" % re.escape(comp_label(ghost, comp))):
-            rebuilt(toy, records=toy.records + [stray])
+            rebuilt(toy, records=list(toy.records) + [stray])
 
 
 @pytest.mark.parametrize("name", ["bf", "bf4", "toy", "cs3", "ym4", "ym4_super"])
@@ -224,7 +246,7 @@ def test_extended_lagrangian_structure(toy):
     rec = toy.records[0]
     rows = {k: v.scale(3) for k, v in rec.rows.items()}
     bad = rebuilt(toy, records=[NoetherRecord(rec.ghost, rec.component, rows)]
-                  + toy.records[1:])
+                  + list(toy.records[1:]))
     assert check_extended(bad)[0]["status"] == "fail"
 
 
@@ -296,6 +318,17 @@ def test_checks_share_the_stored_residuals_and_gauge(monkeypatch):
     assert len(kts) == 0
 
 
+def test_a_record_edit_drops_the_stored_witnesses(cs3):
+    # the witnesses read the stage-0 records, so an edit of them is searched
+    # afresh: cs3's own gauge records are not certified trivial
+    trivial = rebuilt(cs3, records=[_curvature_record(cs3, mu)
+                                    for mu in range(3)])
+    all_pass(run_checks(trivial, ["triviality"]))
+    back = _rebuild(trivial, records=cs3.records)
+    assert [e["status"] for e in triviality_report(back)] == \
+        ["skipped"] * len(cs3.records)
+
+
 def test_a_witness_that_misses_its_target_is_no_certificate(cs3, monkeypatch):
     # checked by comparison, not by assert, so it also holds under -O
     rec = _curvature_record(cs3, 0)
@@ -308,7 +341,8 @@ def test_a_witness_that_misses_its_target_is_no_certificate(cs3, monkeypatch):
         return None if x is None else [c + 1 for c in x]
     monkeypatch.setattr(gvc.noether, "_solve_exact", wrong)
     assert solve_trivial_witness(cs3, rec) is None
-    (entry,) = triviality_report(trivial)
+    # the report keeps its witnesses, so a theory with nothing stored asks
+    (entry,) = triviality_report(rebuilt(cs3, records=[rec]))
     assert entry["status"] == "skipped"
 
 

@@ -16,7 +16,7 @@ def test_minimal_theory():
     th = parse_theory("dim 1; field s even; L = 1/2 * s[;0]^2;")
     assert th.name == "theory"  # the default when no theory statement names it
     assert th.registry.dim == 1
-    assert th.records == []
+    assert th.records == ()
     assert th.lagrangian == th.registry.var("s", (), (0,)) ** 2 * Fraction(1, 2)
 
 
