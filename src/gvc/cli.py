@@ -79,8 +79,9 @@ def _flip_leading(poly):
 
 
 def _rebuild(theory, **over):
-    """A copy of theory with the fields in ``over`` replaced.  It starts
-    its memo with every derived object whose inputs ``over`` leaves alone
+    """A copy of theory with the fields in ``over`` replaced, the one way to
+    an edited theory, since a theory is read-only.  It starts its memo with
+    every derived object whose inputs ``over`` leaves alone
     (``noether.inherited``); it derives the rest on first use."""
     kw = dict(name=theory.name, registry=theory.registry,
               lagrangian=theory.lagrangian, records=theory.records,
