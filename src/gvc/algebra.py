@@ -394,6 +394,17 @@ def _add_into(out, terms, neg=False):
     return out
 
 
+def _scale_terms(terms, c):
+    """The term dict ``terms`` times the rational ``c``, a fresh dict that
+    keeps the coefficient rule of ``_rat``."""
+    c = _rat(c)
+    if not c:
+        return {}
+    if type(c) is int and not _holds_fraction(terms):
+        return {k: v * c for k, v in terms.items()}
+    return {k: _rat(v * c) for k, v in terms.items()}
+
+
 class GradedPoly:
     """A graded-commutative polynomial in canonical form.
 
@@ -482,14 +493,7 @@ class GradedPoly:
         return out
 
     def scale(self, c):
-        c = _rat(c)
-        if not c:
-            return GradedPoly(self.reg, {})
-        if type(c) is int and not _holds_fraction(self.terms):
-            return GradedPoly(self.reg,
-                              {k: v * c for k, v in self.terms.items()})
-        return GradedPoly(self.reg,
-                          {k: _rat(v * c) for k, v in self.terms.items()})
+        return GradedPoly(self.reg, _scale_terms(self.terms, c))
 
     def _coerce(self, other):
         if isinstance(other, GradedPoly):
@@ -707,7 +711,9 @@ class Registry:
     The registry is the single source of truth for the global variable order,
     the rank of each interned variable (``by_rank[v.rank] is v``) and the
     jet-order cap.  It starts open; a theory loader freezes it after
-    the last declaration, after which registering symbols raises.
+    the last declaration, after which registering symbols raises, and so
+    does changing ``dim`` or ``jet_order``, under which every variable was
+    interned and every verdict reached.
     """
 
     DEFAULT_JET_ORDER = 4
@@ -808,8 +814,15 @@ class Registry:
         self.tables[name] = tab
         return tab
 
+    def __setattr__(self, name, value):
+        if name in ("dim", "jet_order", "frozen") and \
+                getattr(self, "frozen", False):
+            raise AttributeError("registry is frozen; %s is read-only" % name)
+        object.__setattr__(self, name, value)
+
     def freeze(self):
-        self.frozen = True
+        if not self.frozen:
+            self.frozen = True
         return self
 
     # -- jet variables ---------------------------------------------------------

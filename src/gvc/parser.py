@@ -23,26 +23,26 @@ not declared directly: each ``ni``/``stage`` block introduces its ghost
 family, with Grassmann parity read off the record itself.
 
 Row and component keys are one statement form, ``( NAME[idx...] ; jets )``:
-a key's jets follow its closing bracket.  Every index is expanded by one
-enumerator, ``_assignments``, the last index varying fastest: ``sum``
+a key's jets follow its closing bracket.  Every index runs over
+``itertools.product`` of its range, the last index varying fastest: ``sum``
 bodies, the records of a ghost family, and the free indices of a key, whose
-ranges come from ``_Eval.check_key`` and whose canonical component, sign
-and value come from ``_Eval.expand``.
+canonical component, sign and value come from ``_Eval.key``.
 Rows add duplicate keys within a statement; component blocks reject
 conflicting ones.  ``+`` and ``sum`` accumulate in place.
 
-Errors come from evaluation itself.  ``_Eval.check`` walks each expression
-once, without evaluating it, given the range of every index bound around
-it (ghost binders, the key's free indices, each ``sum``'s explicit or
-inferred range): it resolves the ``sum`` ranges and decides whether the
-expression is clean, that is whether no reference in it can fail under any
-assignment.  A clean expression ends a product at its first zero factor,
-so no zero costs the factors after it.  Any other is evaluated in full,
-every factor of every product, so the first error it raises is the one
-that evaluating every factor meets, where it meets it.  No index range is
-empty, the jets of a variable an antisymmetric family kills are still
-checked, and so is the unclean value of a killed key, so no zero hides an
-invalid reference.
+Each statement is compiled once (``_Eval``) and its closures evaluated for
+every record and key.  Errors come from evaluation itself.  ``_Eval.check``
+walks each expression once, without evaluating it, given the range of
+every index bound around it (ghost binders, the key's free indices, each
+``sum``'s explicit or inferred range): it resolves the ``sum`` ranges and
+decides whether the expression is clean, that is whether no reference in
+it can fail under any assignment.  A clean expression ends a product at
+its first zero factor, so no zero costs the factors after it.  Any other
+is evaluated in full, every factor of every product, so the first error it
+raises is the one that evaluating every factor meets, where it meets it.
+No index range is empty, the jets of a variable an antisymmetric family
+kills are still checked, and so is the unclean value of a killed key, so
+no zero hides an invalid reference.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks.  The input rules of ``gvc.noether`` are checked at the statement
@@ -58,10 +58,12 @@ from __future__ import annotations
 import itertools
 import string
 from fractions import Fraction
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
-                      GradedPoly, Registry, _add_into, _rat)
+                      GradedPoly, Registry, _add_into, _mul_terms, _rat,
+                      _scale_terms)
 from .noether import (Frozen, NoetherRecord, delta_parity, require_gamma,
                       require_lagrangian, require_record, require_theory)
 
@@ -141,13 +143,25 @@ def _tokenize(text):
 class TheorySpec(Frozen):
     """A theory under the input rules: registry, L, records, candidates.
     It is a value: its fields are read-only, and an edited theory is a new
-    one (``cli._rebuild``)."""
+    one (``cli._rebuild``).  Building one checks every input rule
+    (``require_theory``); only the parser, which checks each rule at the
+    statement that could break it, skips that second pass."""
 
     __slots__ = ("name", "registry", "lagrangian", "records", "stages",
                  "gauge_candidate", "gamma", "alphas", "derived")
 
-    def __init__(self, name, registry, lagrangian, records, stages,
-                 gauge_candidate=None, gamma=None, alphas=None):
+    def __init__(self, *fields, **named):
+        self._fill(*fields, **named)
+        require_theory(self)
+
+    @classmethod
+    def _parsed(cls, *fields):
+        theory = cls.__new__(cls)
+        theory._fill(*fields)
+        return theory
+
+    def _fill(self, name, registry, lagrangian, records, stages,
+              gauge_candidate=None, gamma=None, alphas=None):
         self._init(
             name=name, registry=registry, lagrangian=lagrangian,
             records=tuple(records),
@@ -159,7 +173,6 @@ class TheorySpec(Frozen):
                                      for k, v in (alphas or {}).items()}),
             # objects derived once per theory, by gvc.noether.stored
             derived={})
-        require_theory(self)
 
     def stage_numbers(self):
         return sorted(self.stages)
@@ -347,32 +360,71 @@ class _Parser:
 # Evaluation against a registry
 
 
-def _assignments(binders, env):
-    """Yield ``env`` extended by every value of the ``(index, range)``
-    binders, a fresh dict each time, the last binder varying fastest."""
-    names = [var for var, _rng in binders]
-    for values in itertools.product(*(range(rng) for _var, rng in binders)):
-        out = dict(env)
-        out.update(zip(names, values))
-        yield out
+def _getter(slots):
+    """A function of the slot values ``v`` that returns ``(v[s] for s in
+    slots)`` as a tuple."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        slot, = slots
+        return lambda v: (v[slot],)
+    return lambda v: ()
 
 
-def _value(atom, env):
-    if atom[0] == "int":
-        return atom[1]
-    try:
-        return env[atom[1]]
-    except KeyError:
-        raise GvcError("unbound index %r" % atom[1]) from None
+def _scaled_by(c, terms):
+    return _scale_terms(terms, c)
+
+
+def _as_terms(look):
+    """The term dict of the reference whose ``(key, sign)`` ``look``
+    returns."""
+    def ref(v):
+        key, sign = look(v)
+        return {key: sign} if sign else {}
+    return ref
+
+
+def _add_term(out, key, c):
+    """Add ``c`` times the monomial ``key`` into the term dict ``out``,
+    under the coefficient rule; ``c`` is not zero."""
+    c += out.get(key, 0)
+    if not c:
+        del out[key]
+    elif type(c) is Fraction and c.denominator == 1:
+        out[key] = c.numerator
+    else:
+        out[key] = c
+
+
+def _raiser(message):
+    """A compiled node whose evaluation raises ``GvcError(message)``."""
+    def fail(*_args):
+        raise GvcError(message)
+    return fail
 
 
 class _Eval:
-    """Evaluates expressions.  ``check`` resolves each ``sum``'s ranges once
-    and decides, without evaluating anything, whether an expression is
-    clean: no reference in it can fail under any assignment of the indices
-    bound around it.  A clean expression ends a product at its first zero
-    factor; any other is evaluated in full, so the first error it raises is
-    the one evaluating every factor meets, where it meets it."""
+    """Compiles each statement once into closures, then evaluates them.
+
+    ``check`` walks a statement's tree once, without evaluating it, given
+    the range of every index bound around it: it resolves each ``sum``'s
+    ranges where they can be inferred and decides whether the statement is
+    clean, that is whether no reference in it can fail under any
+    assignment.  ``statement`` and ``key`` then compile the checked tree
+    into closures over one list of slot values, one slot per bound index
+    and per constant index.  Table and symbol names are resolved once, and
+    so is each ``sum``'s range.  A statement interns each jet variable once
+    and then reads its ``(key, sign)`` from a map of its own, so first use,
+    and with it rank order, is the walk's.  ``+`` and ``sum`` fold their
+    operands into one term dict, a reference or a rational times one
+    without making a polynomial.  A clean statement ends a product at its
+    first zero factor, so no zero costs the factors after it.  Any other
+    evaluates every factor, and a ``sum`` whose range cannot be inferred
+    raises when it is evaluated, so the first error is the one evaluating
+    every factor meets, where it meets it.
+
+    The closures hold the registry and what they compute, never the
+    evaluator, so no statement leaves a reference cycle behind."""
 
     def __init__(self, reg):
         self.reg = reg
@@ -467,100 +519,289 @@ class _Eval:
                 return False
         return True
 
-    def accumulate(self, signed):
-        """The sum of ``(sign, value)`` pairs: rationals add into one
-        constant, polynomials through ``_add_into`` into one fresh dict."""
-        const, terms = 0, None
-        for sign, val in signed:
-            if isinstance(val, GradedPoly):
-                terms = _add_into({} if terms is None else terms, val.terms,
-                                  sign < 0)
-            else:
-                const = const + val if sign > 0 else const - val
-        if terms is None:
-            return const
-        return GradedPoly(self.reg,
-                          _add_into(terms, self.reg.const(const).terms))
+    # -- compilation -----------------------------------------------------------
 
-    def eval(self, node, env, clean):
-        """The value of a checked ``node`` under ``env``; a product ends at
-        its first zero factor only when ``node`` is ``clean``."""
-        kind = node[0]
-        if kind == "num":
-            return node[1]
-        if kind == "neg":
-            return -self.eval(node[1], env, clean)
-        if kind == "add":
-            return self.accumulate((sign, self.eval(item, env, clean))
-                                   for sign, item in node[1])
-        if kind == "mul":
-            total = None
-            for item in node[1]:
-                val = self.eval(item, env, clean)
-                if clean and not val:
-                    return 0
-                total = val if total is None else total * val
-            return total
-        if kind == "pow":
-            return self.eval(node[1], env, clean) ** node[2]
-        if kind == "sum":
-            binders = node[1] if clean else self.resolve(node[1], node[2])
-            return self.accumulate((1, self.eval(node[2], inner, clean))
-                                   for inner in _assignments(binders, env))
-        _ref, name, comps, jets = node
-        comps = tuple(_value(atom, env) for atom in comps)
-        jets = tuple(_value(atom, env) for atom in jets)
-        tab = self.reg.tables.get(name)
-        if tab is None:
-            return self.reg.var(name, comps, jets)
-        if jets:
-            raise GvcError("constant table %r cannot carry jet indices" % name)
-        return tab[comps]
+    def statement(self, node, binders):
+        """Compile ``node`` once; returns a function of the values of the
+        ``(index, range)`` binders around it, in order, that returns its
+        value as a polynomial."""
+        scope = self._start(node, binders)
+        value = self._top(scope)
+        tail = self.init[len(binders):]
+        return lambda values: value([*values, *tail])
 
-    def poly(self, checked, env):
-        """The value under ``env`` of an expression ``check`` returned."""
-        node, clean = checked
-        val = self.eval(node, env, clean)
-        if isinstance(val, GradedPoly):
-            return val
-        return self.reg.const(val)
-
-    def check_key(self, sym, comps, jets, node, bound):
-        """Check one key statement once: the key's arity, then its value
-        with the indices of ``bound`` (index -> range) and the key's own.
-        Returns the key's free ``(index, range)`` binders, each running over
-        the first component slot it sits in, otherwise over the base
-        directions, and the checked value."""
+    def key(self, sym, comps, jets, node, binders):
+        """Compile one key statement once: the key's arity, then its value
+        with the ``(index, range)`` binders around it and the key's own free
+        indices, each running over the first component slot it sits in,
+        otherwise over the base directions.  Returns a function of the
+        binders' values that yields ``(component, jets, value)`` for each
+        value of the free indices, the last varying fastest.  Components
+        come out canonical and jets sorted and checked like a variable's;
+        the value carries the symmetry sign, and keys the symmetry kills
+        are skipped.  An unclean value is still evaluated for each killed
+        key, after the live ones, so that no key hides an invalid reference
+        and the first error is one a live key meets."""
         if len(comps) != len(sym.slots):
             raise GvcError("%s expects %d component indices"
                            % (sym.name, len(sym.slots)))
-        free = {}
+        free, bound = {}, dict(binders)
         for atom, rng in zip(comps + jets,
                              sym.slots + (self.reg.dim,) * len(jets)):
             if atom[0] == "var" and atom[1] not in bound:
                 free.setdefault(atom[1], rng)
-        return list(free.items()), self.check(node, {**bound, **free})
+        first = len(binders)
+        scope = self._start(node, list(binders) + list(free.items()))
+        indices = _getter([self._slot(a, scope) for a in comps + jets])
+        value, clean = self._top(scope), self.clean
+        tail, n, seen = self.init[first:], len(comps), {}
+        end = first + len(free)
+        ranges = [range(rng) for rng in free.values()]
+        canonicalize, checked_index = sym.canonicalize, self.reg.checked_index
 
-    def expand(self, sym, comps, jets, free, checked, env):
-        """Yield ``(component, jets, value)`` for each value of the ``free``
-        binders of a key, with ``free`` and ``checked`` from ``check_key``.
-        Components come out canonical and jets sorted and checked like a
-        variable's; the value carries the symmetry sign, and keys the
-        symmetry kills are skipped.  An unclean value is still evaluated
-        for each killed key, after the live ones, so that no key hides an
-        invalid reference and the first error is one a live key meets."""
-        killed = []
-        for inner in _assignments(free, env):
-            canon, sign = sym.canonicalize(_value(a, inner) for a in comps)
-            jet = self.reg.checked_index(sym, (_value(a, inner) for a in jets))
-            if sign == 0:
-                killed.append(inner)
-                continue
-            value = self.poly(checked, inner)
-            yield canon, jet, value if sign == 1 else value.scale(sign)
-        if not checked[1]:
-            for inner in killed:
-                self.poly(checked, inner)
+        def expand(values):
+            v = [*values, *tail]
+            killed = []
+            for v[first:end] in itertools.product(*ranges):
+                at = indices(v)
+                hit = seen.get(at)
+                if hit is None:
+                    hit = seen[at] = canonicalize(at[:n]) + (
+                        checked_index(sym, at[n:]),)
+                canon, sign, jet = hit
+                if sign == 0:
+                    killed.append(v[first:end])
+                    continue
+                out = value(v)
+                yield canon, jet, out if sign == 1 else out.scale(sign)
+            if not clean:
+                for v[first:end] in killed:
+                    value(v)
+        return expand
+
+    def _start(self, node, binders):
+        """Check ``node`` under ``binders`` and lay out its slots: one per
+        binder, in order, then one per constant index and per inner binder,
+        as compiling meets them.  Returns the scope, index -> slot."""
+        self.node, self.clean = self.check(node, dict(binders))
+        self.init, self.consts, self.interned = [0] * len(binders), {}, {}
+        return {var: slot for slot, (var, _rng) in enumerate(binders)}
+
+    def _top(self, scope):
+        """The checked statement as a function of its slot values that
+        returns a polynomial."""
+        value, poly = self._value(self.node, scope)
+        reg = self.reg
+        if poly:
+            return lambda v: GradedPoly(reg, value(v))
+        return lambda v: GradedPoly.constant(reg, value(v))
+
+    def _slot(self, atom, scope):
+        """The slot that holds an index atom's value, None when unbound."""
+        if atom[0] == "var":
+            return scope.get(atom[1])
+        if atom[1] not in self.consts:
+            self.consts[atom[1]] = len(self.init)
+            self.init.append(atom[1])
+        return self.consts[atom[1]]
+
+    def _value(self, node, scope):
+        """``(fn, poly)``: fn(v) is the value of ``node`` under the slot
+        values ``v``, a term dict that no caller changes when ``poly``, else
+        a rational."""
+        kind = node[0]
+        if kind == "num":
+            return (lambda v, c=node[1]: c), False
+        if kind == "ref":
+            value, poly = self._ref(node, scope)
+            return (_as_terms(value) if poly else value), poly
+        if kind == "pow":
+            value, poly = self._value(node[1], scope)
+            n, reg = node[2], self.reg
+            if poly:
+                return (lambda v: (GradedPoly(reg, value(v)) ** n).terms), True
+            return (lambda v: value(v) ** n), False
+        fold, poly = self._fold(node, scope, 1)
+        if not poly:
+            return (lambda v: fold(v, None)), False
+
+        def total(v):
+            out = {}
+            const = fold(v, out)
+            return _add_into(out, {(): _rat(const)}) if const else out
+        return total, True
+
+    def _fold(self, node, scope, sign):
+        """``(fn, poly)``: fn(v, out) adds ``sign`` times the value of
+        ``node`` under the slot values ``v`` into the term dict ``out`` and
+        returns ``sign`` times its rational part, which the caller adds
+        last; ``poly`` as ``_value`` returns it."""
+        kind = node[0]
+        if kind == "neg":
+            return self._fold(node[1], scope, -sign)
+        if kind == "add":
+            parts = [self._fold(item, scope, sign * s) for s, item in node[1]]
+            folds = [fold for fold, _poly in parts]
+
+            def add(v, out):
+                const = 0
+                for fold in folds:
+                    const += fold(v, out)
+                return const
+            return add, any(poly for _fold, poly in parts)
+        if kind == "sum":
+            return self._sum(node[1], node[2], scope, sign)
+        if kind == "mul":
+            return self._mul(node[1], scope, sign)
+        if kind == "ref":
+            value, poly = self._ref(node, scope)
+            if poly:
+                def ref(v, out):
+                    key, s = value(v)
+                    if s:
+                        # an int added to a coefficient under the rule keeps
+                        # the rule
+                        c = out.get(key, 0) + s * sign
+                        if c:
+                            out[key] = c
+                        else:
+                            del out[key]
+                    return 0
+                return ref, True
+        else:
+            value, poly = self._value(node, scope)
+        if poly:
+            neg = sign < 0
+
+            def add(v, out):
+                _add_into(out, value(v), neg)
+                return 0
+            return add, True
+        if sign > 0:
+            return (lambda v, out: value(v)), False
+        return (lambda v, out: -value(v)), False
+
+    def _sum(self, binders, body, scope, sign):
+        """``_fold`` of ``sum(binders){body}``: each binding is written into
+        the binders' slots, the last binder varying fastest."""
+        if any(rng is None for _var, rng in binders):
+            try:
+                self.resolve(binders, body)
+            except GvcError as exc:
+                return _raiser(str(exc)), False
+        inner, first = dict(scope), len(self.init)
+        for var, _rng in binders:
+            inner[var] = len(self.init)
+            self.init.append(0)
+        end, ranges = len(self.init), [range(rng) for _v, rng in binders]
+        fold, poly = self._fold(body, inner, sign)
+
+        def total(v, out):
+            const = 0
+            for v[first:end] in itertools.product(*ranges):
+                const += fold(v, out)
+            return const
+        return total, poly
+
+    def _mul(self, nodes, scope, sign):
+        """``_fold`` of the product of ``nodes``, in order; a clean statement
+        stops at its first zero factor.  Rationals times at most one
+        reference make at most one term.  Any other product multiplies its
+        last factor straight into ``out`` when that step multiplies two
+        polynomials and ``sign`` is positive."""
+        clean, parts = self.clean, []
+        for node in nodes:
+            if node[0] == "ref":
+                value, poly = self._ref(node, scope)
+                parts.append((value, 2 if poly else 0))
+            else:
+                value, poly = self._value(node, scope)
+                parts.append((value, 1 if poly else 0))
+        kinds = [kind for _value, kind in parts]
+        if 1 not in kinds and kinds.count(2) < 2:
+            poly = 2 in kinds
+
+            def monomial(v, out):
+                c = sign
+                for value, kind in parts:
+                    val = value(v)
+                    if kind:
+                        key, val = val
+                    if clean and not val:
+                        return 0
+                    c *= val
+                if not poly:
+                    return c
+                if c:
+                    _add_term(out, key, c)
+                return 0
+            return monomial, poly
+        steps, poly = [], False
+        for value, kind in parts:
+            steps.append((_as_terms(value) if kind == 2 else value,
+                          _mul_terms if poly and kind else
+                          _scale_terms if poly else
+                          _scaled_by if kind else mul))
+            poly = poly or kind > 0
+        (first, _op), head, (last, op) = steps[0], steps[1:-1], steps[-1]
+        fused, neg = op is _mul_terms and sign > 0, sign < 0
+
+        def product(v, out):
+            total = first(v)
+            if clean and not total:
+                return 0
+            for value, step in head:
+                val = value(v)
+                if clean and not val:
+                    return 0
+                total = step(total, val)
+            val = last(v)
+            if clean and not val:
+                return 0
+            if fused:
+                _mul_terms(total, val, out)
+            else:
+                _add_into(out, op(total, val), neg)
+            return 0
+        return product, True
+
+    def _ref(self, node, scope):
+        """``(look, True)`` for a reference to a symbol, look(v) the
+        ``(key, sign)`` of its jet variable under the slot values ``v``,
+        ``(None, 0)`` when its family kills it; ``(fn, False)`` for a table,
+        fn(v) the entry.  Either raises the reference's error, as
+        ``Registry.jet_var`` and ``ConstantTable`` do; an unbound index
+        raises when it is evaluated."""
+        _ref, name, comps, jets = node
+        slots = [self._slot(atom, scope) for atom in comps + jets]
+        if None in slots:
+            return _raiser("unbound index %r"
+                           % (comps + jets)[slots.index(None)][1]), False
+        indices = _getter(slots)
+        tab = self.reg.tables.get(name)
+        if tab is not None:
+            if jets:
+                return _raiser("constant table %r cannot carry jet indices"
+                               % name), False
+            if self.clean:
+                entries = tab.entries
+                return (lambda v: entries.get(indices(v), 0)), False
+            return (lambda v: tab[indices(v)]), False
+        sym = self.reg.symbols.get(name)
+        if sym is None:
+            return _raiser("unknown symbol %r" % name), False
+        # one map per symbol and arity for the whole statement
+        jet_var, n = self.reg.jet_var, len(comps)
+        seen = self.interned.setdefault((name, n), {})
+
+        def look(v):
+            at = indices(v)
+            hit = seen.get(at)
+            if hit is None:
+                var, sign = jet_var(sym, at[:n], at[n:])
+                hit = seen[at] = ((var.entry,), sign) if sign else (None, 0)
+            return hit
+        return look, True
 
 
 class _TheoryBuilder:
@@ -588,9 +829,9 @@ class _TheoryBuilder:
             self.p.error("theory must declare a Lagrangian")
         if not self.frozen:
             self.freeze()
-        return TheorySpec(self.name, self.reg, self.lagrangian,
-                          self.stages.pop(0, []), self.stages,
-                          self.gauge_candidate, self.gamma, self.alphas)
+        return TheorySpec._parsed(self.name, self.reg, self.lagrangian,
+                                  self.stages.pop(0, []), self.stages,
+                                  self.gauge_candidate, self.gamma, self.alphas)
 
     def freeze(self):
         self.reg.freeze()
@@ -737,9 +978,8 @@ class _TheoryBuilder:
         self.p.expect("=")
         node = self.p.parse_expression()
         self.p.expect(";")
-        evaluator = _Eval(self.reg)
         try:
-            self.lagrangian = evaluator.poly(evaluator.check(node, {}), {})
+            self.lagrangian = _Eval(self.reg).statement(node, [])(())
             require_lagrangian(self.lagrangian)
         except (GvcError, ValueError) as exc:
             raise ParseError(str(exc), tok[2], tok[3])
@@ -796,9 +1036,9 @@ class _TheoryBuilder:
         self.p.expect(";")
         return (tok, name, comps, jets, node)
 
-    def _row_statement(self, stage, bound, stmt, evaluator):
-        """Resolve and check one row statement for every record of a block;
-        ``bound`` holds the ranges of the block's ghost indices."""
+    def _row_statement(self, stage, binders, stmt, evaluator):
+        """Resolve and compile one row statement for every record of a
+        block; ``binders`` are the block's ghost indices and ranges."""
         tok, name, comps, jets, node = stmt
         sym = self.reg.symbols.get(name)
         if sym is None:
@@ -811,26 +1051,24 @@ class _TheoryBuilder:
                 "rows of a stage-%d block must target stage-%d ghosts"
                 % (stage, stage - 1), tok[2], tok[3])
         try:
-            free, checked = evaluator.check_key(sym, comps, jets, node, bound)
+            return tok, sym, evaluator.key(sym, comps, jets, node, binders)
         except (GvcError, ValueError) as exc:
             raise ParseError(str(exc), tok[2], tok[3])
-        return tok, sym, comps, jets, free, checked
 
-    def _expand_rows(self, stage, bound, ghost_env, rows_stmts, statements,
+    def _expand_rows(self, stage, binders, comp, rows_stmts, statements,
                      evaluator):
-        """The rows of one record.  ``statements`` collects each row
-        statement of the block resolved and checked, the first record
-        resolving it where it reaches it, so errors keep evaluation order."""
+        """The rows of the record ``comp``.  ``statements`` collects each
+        row statement of the block resolved and compiled, the first record
+        compiling it where it reaches it, so errors keep evaluation order."""
         rows = {}
         for i, stmt in enumerate(rows_stmts):
             if i == len(statements):
-                statements.append(self._row_statement(stage, bound, stmt,
+                statements.append(self._row_statement(stage, binders, stmt,
                                                       evaluator))
-            tok, sym, comps, jets, free, checked = statements[i]
+            tok, sym, expand = statements[i]
             statement_rows = {}
             try:
-                for canon, jet, coeff in evaluator.expand(sym, comps, jets, free,
-                                                          checked, ghost_env):
+                for canon, jet, coeff in expand(comp):
                     if statement_rows.setdefault((sym.name, canon, jet),
                                                  coeff) != coeff:
                         raise GvcError(
@@ -846,14 +1084,12 @@ class _TheoryBuilder:
     def build_records(self, tok, stage, ghost, binders, rows_stmts, h_node):
         if ghost in self.reg.symbols:
             raise ParseError("ghost %r declared twice" % ghost, tok[2], tok[3])
-        evaluator = _Eval(self.reg)
-        bound, statements = dict(binders), []
+        evaluator, statements = _Eval(self.reg), []
         slots = tuple(rng for _v, rng in binders)
-        produced = []  # (component, env, rows, parity)
-        for env in _assignments(binders, {}):
-            comp = tuple(env[var] for var, _rng in binders)
-            rows = self._expand_rows(stage, bound, env, rows_stmts, statements,
-                                     evaluator)
+        produced = []  # (component, rows, parity)
+        for comp in itertools.product(*(range(rng) for rng in slots)):
+            rows = self._expand_rows(stage, binders, comp, rows_stmts,
+                                     statements, evaluator)
             if not rows:
                 raise ParseError("record %s[%s] has no rows"
                                  % (ghost, ",".join(map(str, comp))), tok[2], tok[3])
@@ -862,15 +1098,16 @@ class _TheoryBuilder:
                 raise ParseError(
                     "record %s[%s] mixes Grassmann parities"
                     % (ghost, ",".join(map(str, comp))), tok[2], tok[3])
-            produced.append((comp, env, rows, par))
+            produced.append((comp, rows, par))
         parities = self._parity_spec(tok, ghost, slots, produced)
         gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
         self.reg.declare_ghost_antifield(gh)
         records = self.stages.setdefault(stage, [])
         try:
-            checked = None if h_node is None else evaluator.check(h_node, bound)
-            for comp, env, rows, _par in produced:
-                h = None if checked is None else evaluator.poly(checked, env)
+            h_of = None if h_node is None else \
+                evaluator.statement(h_node, binders)
+            for comp, rows, _par in produced:
+                h = None if h_of is None else h_of(comp)
                 records.append(NoetherRecord(ghost, comp, rows, stage, h))
                 require_record(self.reg, records[-1], stage)
         except (GvcError, ValueError) as exc:
@@ -878,7 +1115,7 @@ class _TheoryBuilder:
 
     def _parity_spec(self, tok, ghost, slots, produced):
         # the ghost inherits the parity of its record: [c^r] = [Delta_r]
-        values = {comp: par for comp, _env, _rows, par in produced}
+        values = {comp: par for comp, _rows, par in produced}
         distinct = set(values.values())
         if len(distinct) == 1:
             return distinct.pop()
@@ -920,9 +1157,8 @@ class _TheoryBuilder:
                 raise ParseError("component keys cannot target antifields",
                                  rtok[2], rtok[3])
             try:
-                free, checked = evaluator.check_key(sym, comps, jets, node, {})
-                for canon, _jet, val in evaluator.expand(sym, comps, jets, free,
-                                                         checked, {}):
+                expand = evaluator.key(sym, comps, jets, node, [])
+                for canon, _jet, val in expand(()):
                     if out.setdefault((name, canon), val) != val:
                         raise GvcError(
                             "component %s[%s] receives conflicting values"
@@ -951,9 +1187,8 @@ def parse_expr(text, registry):
     tok = p.peek()
     if tok[0] != "EOF":
         raise ParseError("trailing input after expression", tok[2], tok[3])
-    evaluator = _Eval(registry)
     try:
-        return evaluator.poly(evaluator.check(node, {}), {})
+        return _Eval(registry).statement(node, [])(())
     except (GvcError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise

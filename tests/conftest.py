@@ -8,8 +8,9 @@ shared theory is warm after its first check.  Its fields are read-only
 (negative controls rebuild), so sharing is safe for verdicts; a test that
 counts how often something is built must parse a fresh theory.
 """
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 from hypothesis import settings
@@ -17,10 +18,11 @@ from hypothesis import settings
 import gvc.brst
 import gvc.cli
 import gvc.noether
-from gvc.algebra import GradedPoly, _add_into, _mul_terms
+import gvc.parser
+from gvc.algebra import GradedPoly, GvcError, _add_into, _mul_terms
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
 from gvc.noether import NoetherRecord
-from gvc.parser import TheorySpec, parse_theory
+from gvc.parser import TheorySpec, _Eval, parse_theory
 from gvc.theories import build_fixture, load_builtin
 from gvc.variational import eta, euler_lagrange
 
@@ -281,3 +283,133 @@ def divergence_witness(p, wrt=None):
         back = back + total_derivative(s, lam)
     assert back == p, "the divergence witness does not reconstruct p"
     return constant, sigma
+
+
+# -- the parser's tree walker, the oracle of its compiled evaluator -----------
+
+def _assignments(binders, env):
+    """Yield ``env`` extended by every value of the ``(index, range)``
+    binders, a fresh dict each time, the last binder varying fastest."""
+    names = [var for var, _rng in binders]
+    for values in product(*(range(rng) for _var, rng in binders)):
+        out = dict(env)
+        out.update(zip(names, values))
+        yield out
+
+
+def _index_value(atom, env):
+    if atom[0] == "int":
+        return atom[1]
+    try:
+        return env[atom[1]]
+    except KeyError:
+        raise GvcError("unbound index %r" % atom[1]) from None
+
+
+class WalkerEval(_Eval):
+    """The evaluator the parser had before it compiled statements: it
+    re-walks a checked statement's tree for every binding, with one env
+    dict per binding.  ``statement`` and ``key`` give it the compiled
+    evaluator's interface, so ``parse_theory`` runs on it under
+    ``walker_eval()``."""
+
+    def accumulate(self, signed):
+        """The sum of ``(sign, value)`` pairs: rationals add into one
+        constant, polynomials through ``_add_into`` into one fresh dict."""
+        const, terms = 0, None
+        for sign, val in signed:
+            if isinstance(val, GradedPoly):
+                terms = _add_into({} if terms is None else terms, val.terms,
+                                  sign < 0)
+            else:
+                const = const + val if sign > 0 else const - val
+        if terms is None:
+            return const
+        return GradedPoly(self.reg,
+                          _add_into(terms, self.reg.const(const).terms))
+
+    def eval(self, node, env, clean):
+        """The value of a checked ``node`` under ``env``; a product ends at
+        its first zero factor only when ``node`` is ``clean``."""
+        kind = node[0]
+        if kind == "num":
+            return node[1]
+        if kind == "neg":
+            return -self.eval(node[1], env, clean)
+        if kind == "add":
+            return self.accumulate((sign, self.eval(item, env, clean))
+                                   for sign, item in node[1])
+        if kind == "mul":
+            total = None
+            for item in node[1]:
+                val = self.eval(item, env, clean)
+                if clean and not val:
+                    return 0
+                total = val if total is None else total * val
+            return total
+        if kind == "pow":
+            return self.eval(node[1], env, clean) ** node[2]
+        if kind == "sum":
+            binders = node[1] if clean else self.resolve(node[1], node[2])
+            return self.accumulate((1, self.eval(node[2], inner, clean))
+                                   for inner in _assignments(binders, env))
+        _ref, name, comps, jets = node
+        comps = tuple(_index_value(atom, env) for atom in comps)
+        jets = tuple(_index_value(atom, env) for atom in jets)
+        tab = self.reg.tables.get(name)
+        if tab is None:
+            return self.reg.var(name, comps, jets)
+        if jets:
+            raise GvcError("constant table %r cannot carry jet indices" % name)
+        return tab[comps]
+
+    def poly(self, checked, env):
+        node, clean = checked
+        val = self.eval(node, env, clean)
+        return val if isinstance(val, GradedPoly) else self.reg.const(val)
+
+    def statement(self, node, binders):
+        checked = self.check(node, dict(binders))
+        names = [var for var, _rng in binders]
+        return lambda values: self.poly(checked, dict(zip(names, values)))
+
+    def key(self, sym, comps, jets, node, binders):
+        if len(comps) != len(sym.slots):
+            raise GvcError("%s expects %d component indices"
+                           % (sym.name, len(sym.slots)))
+        bound, free = dict(binders), {}
+        for atom, rng in zip(comps + jets,
+                             sym.slots + (self.reg.dim,) * len(jets)):
+            if atom[0] == "var" and atom[1] not in bound:
+                free.setdefault(atom[1], rng)
+        checked = self.check(node, {**bound, **free})
+        names = [var for var, _rng in binders]
+
+        def expand(values):
+            killed = []
+            for inner in _assignments(list(free.items()),
+                                      dict(zip(names, values))):
+                canon, sign = sym.canonicalize(
+                    _index_value(a, inner) for a in comps)
+                jet = self.reg.checked_index(
+                    sym, (_index_value(a, inner) for a in jets))
+                if sign == 0:
+                    killed.append(inner)
+                    continue
+                value = self.poly(checked, inner)
+                yield canon, jet, value if sign == 1 else value.scale(sign)
+            if not checked[1]:
+                for inner in killed:
+                    self.poly(checked, inner)
+        return expand
+
+
+@contextmanager
+def walker_eval():
+    """Parse with ``WalkerEval`` in place of the compiled evaluator."""
+    compiled = gvc.parser._Eval
+    gvc.parser._Eval = WalkerEval
+    try:
+        yield
+    finally:
+        gvc.parser._Eval = compiled

@@ -160,7 +160,10 @@ def test_stage_row_must_target_a_previous_record(toy):
                                             th.registry.zero)),
     ("bf4", lambda th: th.stages[1].__setitem__(0, th.stages[1][0])),
     ("bf4", lambda th: th.stages.__setitem__(1, ())),
-], ids=["L", "records", "record", "row", "gamma", "stage", "stages"])
+    ("ym4", lambda th: setattr(th.registry, "jet_order", 1)),
+    ("ym4", lambda th: setattr(th.registry, "dim", 2)),
+], ids=["L", "records", "record", "row", "gamma", "stage", "stages",
+        "jet_order", "dim"])
 def test_a_theory_is_a_value(name, edit):
     # the memo trusts that nothing it was derived from changes, so every
     # in-place edit raises; an edited theory is a new one (cli._rebuild)

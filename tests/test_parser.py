@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gvc import parser
 from gvc.algebra import Registry
+from gvc.noether import require_record
 from gvc.parser import ParseError, _Parser, parse_expr, parse_theory
 from gvc.theories import build_fixture, fixture_text, load_builtin
 from conftest import cached
@@ -268,6 +270,27 @@ def test_parsing_keeps_each_builtin(name):
         assert parse_expr(text, th.registry).pretty() == text, label
         lines.append("%s %s" % (label, text))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_a_parse_checks_each_record_once(monkeypatch):
+    # the parser checks every input rule at the statement that could break
+    # it, so the theory it builds skips require_theory's second pass; one
+    # built from the same fields runs it
+    checked = []
+    monkeypatch.setattr(parser, "require_record",
+                        lambda reg, rec, k: checked.append(rec) or
+                        require_record(reg, rec, k))
+    monkeypatch.setattr(parser, "require_theory",
+                        lambda th: checked.append("theory"))
+    th = build_fixture("bf", n=4, p=1, q=2)
+    records = [rec for k in [0] + th.stage_numbers()
+               for rec in th.stage_records(k)]
+    assert len(records) == 6
+    assert [id(rec) for rec in checked] == [id(rec) for rec in records]
+    checked.clear()
+    parser.TheorySpec(th.name, th.registry, th.lagrangian, th.records,
+                      th.stages, th.gauge_candidate, th.gamma, th.alphas)
+    assert checked == ["theory"]
 
 
 def test_parsing_grav4_resolves_few_jet_variables(monkeypatch):
