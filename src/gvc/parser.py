@@ -384,18 +384,6 @@ def _as_terms(look):
     return ref
 
 
-def _add_term(out, key, c):
-    """Add ``c`` times the monomial ``key`` into the term dict ``out``,
-    under the coefficient rule; ``c`` is not zero."""
-    c += out.get(key, 0)
-    if not c:
-        del out[key]
-    elif type(c) is Fraction and c.denominator == 1:
-        out[key] = c.numerator
-    else:
-        out[key] = c
-
-
 def _raiser(message):
     """A compiled node whose evaluation raises ``GvcError(message)``."""
     def fail(*_args):
@@ -411,20 +399,17 @@ class _Eval:
     ranges where they can be inferred and decides whether the statement is
     clean, that is whether no reference in it can fail under any
     assignment.  ``statement`` and ``key`` then compile the checked tree
-    into closures over one list of slot values, one slot per bound index
-    and per constant index.  Table and symbol names are resolved once, and
-    so is each ``sum``'s range.  A statement interns each jet variable once
-    and then reads its ``(key, sign)`` from a map of its own, so first use,
-    and with it rank order, is the walk's.  ``+`` and ``sum`` fold their
-    operands into one term dict, a reference or a rational times one
-    without making a polynomial.  A clean statement ends a product at its
-    first zero factor, so no zero costs the factors after it.  Any other
-    evaluates every factor, and a ``sum`` whose range cannot be inferred
-    raises when it is evaluated, so the first error is the one evaluating
-    every factor meets, where it meets it.
-
-    The closures hold the registry and what they compute, never the
-    evaluator, so no statement leaves a reference cycle behind."""
+    into closures over one list of slots, one per bound index and per
+    constant index, with table and symbol names resolved.  A statement
+    interns each jet variable once, where the tree walk first met it, and
+    reads it from a map of its own after that.  ``+`` and ``sum`` fold
+    references, and rationals times one reference, straight into one term
+    dict.  A clean statement ends a product at its first zero factor, so
+    no zero costs the factors after it.  Any other evaluates every factor,
+    and a ``sum`` whose range cannot be inferred raises where it is
+    evaluated, so the first error is the one evaluating every factor
+    meets, where it meets it.  The closures hold the registry, never the
+    evaluator, so a statement leaves no reference cycle behind."""
 
     def __init__(self, reg):
         self.reg = reg
@@ -733,7 +718,7 @@ class _Eval:
                 if not poly:
                     return c
                 if c:
-                    _add_term(out, key, c)
+                    _add_into(out, {key: _rat(c)})
                 return 0
             return monomial, poly
         steps, poly = [], False
