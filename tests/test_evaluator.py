@@ -69,7 +69,7 @@ _TEXTS.update(bf4=fixture_text("bf", n=4, p=1, q=2),
 @pytest.mark.parametrize("name", sorted(_TEXTS))
 def test_every_builtin_statement_evaluates_as_the_walker_does(name):
     objects, _order = _both(_theory(_TEXTS[name]))
-    assert isinstance(objects, dict)
+    assert isinstance(objects, dict), objects  # parsed, not an error
 
 
 # -- random statements --------------------------------------------------------
