@@ -27,26 +27,28 @@ a key's jets follow its closing bracket.  Every index runs over
 ``itertools.product`` of its range, the last index varying fastest: ``sum``
 bodies, the records of a ghost family, and the free indices of a key, whose
 canonical component, sign and value come from ``_Eval.key``.
-Rows add duplicate keys within a statement; component blocks reject
-conflicting ones.  ``+`` and ``sum`` accumulate in place.
+The rows that separate statements of a block give one key add up; within
+one statement, keys that a symmetric family maps to one canonical key count
+once and must agree, and component blocks reject conflicting values for
+one key.  ``+`` and ``sum`` accumulate in place.
 
 Each statement is compiled once (``_Eval``) and its closures evaluated for
-every record and key.  Errors come from evaluation itself.  ``_Eval.check``
-walks each expression once, without evaluating it, given the range of
-every index bound around it (ghost binders, the key's free indices, each
-``sum``'s explicit or inferred range): it resolves the ``sum`` ranges and
-decides whether the expression is clean, that is whether no reference in
-it can fail under any assignment.  A clean expression ends a product at
-its first zero factor, so no zero costs the factors after it.  Any other
-is evaluated in full, every factor of every product, so the first error it
-raises is the one that evaluating every factor meets, where it meets it.
-No index range is empty, the jets of a variable an antisymmetric family
-kills are still checked, and so is the unclean value of a killed key, so
-no zero hides an invalid reference.
+every record and key.  Errors come from evaluation itself.  Compiling
+decides, given the range of every index bound around it (ghost binders, the
+key's free indices, each ``sum``'s explicit or inferred range), whether each
+node is clean, that is whether no reference in it can fail under any
+assignment.  A product whose factors are clean stops at its first zero
+factor, so no zero costs the factors after it.  Any other evaluates every
+factor, so the first error a statement raises is the one that evaluating
+every factor meets, where it meets it: a clean node raises nothing.  No
+index range is empty, the jets of a variable an antisymmetric family kills
+are still checked, and so is the unclean value of a killed key, so no zero
+hides an invalid reference.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
-blocks.  The input rules of ``gvc.noether`` are checked at the statement
-or block that breaks them, and the error comes there.
+blocks, field and jet_order statements.  The input rules of
+``gvc.noether`` are checked at the statement or block that breaks them, and
+the error comes there.
 Everything is exact rational arithmetic.  A number is born under the
 coefficient rule of ``algebra._rat``, an int when it is integral, and a
 rational that evaluation makes whole, such as ``2 * 1/2``, enters a
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import string
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import itemgetter, mul
 from types import MappingProxyType
@@ -204,8 +207,8 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok[1] if tok[0] != "EOF" else "end of input"),
-                             tok[2], tok[3])
+            self.error("expected %r, found %r" % (
+                kind, tok[1] if tok[0] != "EOF" else "end of input"), tok)
         return tok
 
     def at(self, kind, value=None):
@@ -310,7 +313,7 @@ class _Parser:
             return ("int", tok[1])
         if tok[0] == "NAME":
             return ("var", tok[1])
-        raise ParseError("expected an index", tok[2], tok[3])
+        self.error("expected an index", tok)
 
     def binders(self, ranged, close=()):
         """``binder {"," binder}``, each ``NAME [":" size]`` with the range
@@ -394,22 +397,21 @@ def _raiser(message):
 class _Eval:
     """Compiles each statement once into closures, then evaluates them.
 
-    ``check`` walks a statement's tree once, without evaluating it, given
-    the range of every index bound around it: it resolves each ``sum``'s
-    ranges where they can be inferred and decides whether the statement is
-    clean, that is whether no reference in it can fail under any
-    assignment.  ``statement`` and ``key`` then compile the checked tree
-    into closures over one list of slots, one per bound index and per
-    constant index, with table and symbol names resolved.  A statement
-    interns each jet variable once, where the tree walk first met it, and
-    reads it from a map of its own after that.  ``+`` and ``sum`` fold
-    references, and rationals times one reference, straight into one term
-    dict.  A clean statement ends a product at its first zero factor, so
-    no zero costs the factors after it.  Any other evaluates every factor,
-    and a ``sum`` whose range cannot be inferred raises where it is
-    evaluated, so the first error is the one evaluating every factor
-    meets, where it meets it.  The closures hold the registry, never the
-    evaluator, so a statement leaves no reference cycle behind."""
+    ``statement`` and ``key`` walk a statement's tree once, into closures
+    over one list of slots, one per bound index and per constant index,
+    with table and symbol names and each ``sum``'s ranges resolved.  Beside
+    the slots' initial values (``init``) they keep each slot's bound, so
+    each compiled node also says whether it is clean, that is whether no
+    evaluation of it can fail.  A statement interns each jet variable once,
+    where the tree walk first meets it, and reads it from a map of its own
+    after that.  ``+`` and ``sum`` fold references, and rationals times one
+    reference, straight into one term dict.  A product whose factors are
+    clean stops at its first zero factor, so no zero costs the factors
+    after it.  Any other evaluates every factor, and a ``sum`` whose range
+    cannot be inferred raises where it is evaluated, so the first error is
+    the one evaluating every factor meets, where it meets it.  The closures
+    hold the registry, never the evaluator, so a statement leaves no
+    reference cycle behind."""
 
     def __init__(self, reg):
         self.reg = reg
@@ -455,63 +457,13 @@ class _Eval:
         return [(v, r if r is not None else self.infer_range(v, body))
                 for v, r in binders]
 
-    def check(self, node, ranges):
-        """``(node, clean)``: ``node`` with each ``sum``'s ranges resolved
-        where they can be inferred, and whether it is clean, given the
-        range of every index bound around it (``ranges``, index -> range).
-        A ``sum`` whose range cannot be inferred is unclean."""
-        kind = node[0]
-        if kind == "num":
-            return node, True
-        if kind == "ref":
-            return node, self.clean_ref(node, ranges)
-        if kind in ("neg", "pow"):
-            inner, clean = self.check(node[1], ranges)
-            return (kind, inner) + node[2:], clean
-        if kind == "add":
-            signs, items = zip(*node[1])
-            nodes, cleans = zip(*(self.check(item, ranges) for item in items))
-            return ("add", list(zip(signs, nodes))), all(cleans)
-        if kind == "mul":
-            nodes, cleans = zip(*(self.check(item, ranges) for item in node[1]))
-            return ("mul", nodes), all(cleans)
-        try:
-            binders = self.resolve(node[1], node[2])
-        except GvcError:
-            return node, False
-        body, clean = self.check(node[2], {**ranges, **dict(binders)})
-        return ("sum", binders, body), clean
-
-    def clean_ref(self, node, ranges):
-        """Whether the reference ``node`` evaluates without error under
-        every assignment of ``ranges``: a symbol, or a table with no jets,
-        with as many indices as slots and at most the cap of jets, and every
-        index bound and inside each slot it sits in (``dim`` for jets)."""
-        _ref, name, comps, jets = node
-        tab = self.reg.tables.get(name)
-        sym = self.reg.symbols.get(name)
-        if tab is not None and not jets:
-            slots = tab.shape
-        elif sym is not None and len(jets) <= self.reg.jet_order:
-            slots = sym.slots
-        else:
-            return False
-        if len(comps) != len(slots):
-            return False
-        for atom, size in zip(comps + jets, slots + (self.reg.dim,) * len(jets)):
-            rng = atom[1] + 1 if atom[0] == "int" else ranges.get(atom[1])
-            if rng is None or rng > size:
-                return False
-        return True
-
     # -- compilation -----------------------------------------------------------
 
     def statement(self, node, binders):
         """Compile ``node`` once; returns a function of the values of the
         ``(index, range)`` binders around it, in order, that returns its
         value as a polynomial."""
-        scope = self._start(node, binders)
-        value = self._top(scope)
+        value, _clean = self._top(node, self._start(binders))
         tail = self.init[len(binders):]
         return lambda values: value([*values, *tail])
 
@@ -536,9 +488,9 @@ class _Eval:
             if atom[0] == "var" and atom[1] not in bound:
                 free.setdefault(atom[1], rng)
         first = len(binders)
-        scope = self._start(node, list(binders) + list(free.items()))
+        scope = self._start(list(binders) + list(free.items()))
         indices = _getter([self._slot(a, scope) for a in comps + jets])
-        value, clean = self._top(scope), self.clean
+        value, clean = self._top(node, scope)
         tail, n, seen = self.init[first:], len(comps), {}
         end = first + len(free)
         ranges = [range(rng) for rng in free.values()]
@@ -564,82 +516,88 @@ class _Eval:
                     value(v)
         return expand
 
-    def _start(self, node, binders):
-        """Check ``node`` under ``binders`` and lay out its slots: one per
-        binder, in order, then one per constant index and per inner binder,
-        as compiling meets them.  Returns the scope, index -> slot."""
-        self.node, self.clean = self.check(node, dict(binders))
-        self.init, self.consts, self.interned = [0] * len(binders), {}, {}
+    def _start(self, binders):
+        """Lay out one slot per ``(index, range)`` binder, in order; the
+        constant indices and inner binders get theirs as compiling meets
+        them.  Returns the scope, index -> slot."""
+        self.init, self.bounds = [0] * len(binders), [r for _v, r in binders]
+        self.consts, self.interned = {}, {}
         return {var: slot for slot, (var, _rng) in enumerate(binders)}
 
-    def _top(self, scope):
-        """The checked statement as a function of its slot values that
-        returns a polynomial."""
-        value, poly = self._value(self.node, scope)
+    def _top(self, node, scope):
+        """``(fn, clean)``: ``node`` as a function of its slot values that
+        returns a polynomial, and whether it is clean."""
+        value, poly, clean = self._value(node, scope)
         reg = self.reg
         if poly:
-            return lambda v: GradedPoly(reg, value(v))
-        return lambda v: GradedPoly.constant(reg, value(v))
+            return (lambda v: GradedPoly(reg, value(v))), clean
+        return (lambda v: GradedPoly.constant(reg, value(v))), clean
+
+    def _new_slot(self, value, bound):
+        """A new slot, set to ``value``, whose values stay below ``bound``."""
+        self.init.append(value)
+        self.bounds.append(bound)
+        return len(self.init) - 1
 
     def _slot(self, atom, scope):
         """The slot that holds an index atom's value, None when unbound."""
         if atom[0] == "var":
             return scope.get(atom[1])
         if atom[1] not in self.consts:
-            self.consts[atom[1]] = len(self.init)
-            self.init.append(atom[1])
+            self.consts[atom[1]] = self._new_slot(atom[1], atom[1] + 1)
         return self.consts[atom[1]]
 
     def _value(self, node, scope):
-        """``(fn, poly)``: fn(v) is the value of ``node`` under the slot
-        values ``v``, a term dict that no caller changes when ``poly``, else
-        a rational."""
+        """``(fn, poly, clean)``: fn(v) is the value of ``node`` under the
+        slot values ``v``, a term dict that no caller changes when ``poly``,
+        else a rational; ``clean`` when no evaluation of it can fail."""
         kind = node[0]
         if kind == "num":
-            return (lambda v, c=node[1]: c), False
+            return (lambda v, c=node[1]: c), False, True
         if kind == "ref":
-            value, poly = self._ref(node, scope)
-            return (_as_terms(value) if poly else value), poly
+            value, poly, clean = self._ref(node, scope)
+            return (_as_terms(value) if poly else value), poly, clean
         if kind == "pow":
-            value, poly = self._value(node[1], scope)
+            value, poly, clean = self._value(node[1], scope)
             n, reg = node[2], self.reg
             if poly:
-                return (lambda v: (GradedPoly(reg, value(v)) ** n).terms), True
-            return (lambda v: value(v) ** n), False
-        fold, poly = self._fold(node, scope, 1)
+                return (lambda v: (GradedPoly(reg, value(v)) ** n).terms,
+                        True, clean)
+            return (lambda v: value(v) ** n), False, clean
+        fold, poly, clean = self._fold(node, scope, 1)
         if not poly:
-            return (lambda v: fold(v, None)), False
+            return (lambda v: fold(v, None)), False, clean
 
         def total(v):
             out = {}
             const = fold(v, out)
             return _add_into(out, {(): _rat(const)}) if const else out
-        return total, True
+        return total, True, clean
 
     def _fold(self, node, scope, sign):
-        """``(fn, poly)``: fn(v, out) adds ``sign`` times the value of
-        ``node`` under the slot values ``v`` into the term dict ``out`` and
-        returns ``sign`` times its rational part, which the caller adds
-        last; ``poly`` as ``_value`` returns it."""
+        """``(fn, poly, clean)``: fn(v, out) adds ``sign`` times the value
+        of ``node`` under the slot values ``v`` into the term dict ``out``
+        and returns ``sign`` times its rational part, which the caller adds
+        last; ``poly`` and ``clean`` as ``_value`` returns them."""
         kind = node[0]
         if kind == "neg":
             return self._fold(node[1], scope, -sign)
         if kind == "add":
-            parts = [self._fold(item, scope, sign * s) for s, item in node[1]]
-            folds = [fold for fold, _poly in parts]
+            folds, polys, cleans = zip(*(self._fold(item, scope, sign * s)
+                                         for s, item in node[1]))
 
             def add(v, out):
                 const = 0
                 for fold in folds:
                     const += fold(v, out)
                 return const
-            return add, any(poly for _fold, poly in parts)
+            return add, any(polys), all(cleans)
         if kind == "sum":
             return self._sum(node[1], node[2], scope, sign)
         if kind == "mul":
             return self._mul(node[1], scope, sign)
         if kind == "ref":
-            value, poly = self._ref(node, scope)
+            value, poly, clean = self._ref(node, scope)
             if poly:
                 def ref(v, out):
                     key, s = value(v)
@@ -652,56 +610,56 @@ class _Eval:
                         else:
                             del out[key]
                     return 0
-                return ref, True
+                return ref, True, clean
         else:
-            value, poly = self._value(node, scope)
+            value, poly, clean = self._value(node, scope)
         if poly:
             neg = sign < 0
 
             def add(v, out):
                 _add_into(out, value(v), neg)
                 return 0
-            return add, True
+            return add, True, clean
         if sign > 0:
-            return (lambda v, out: value(v)), False
-        return (lambda v, out: -value(v)), False
+            return (lambda v, out: value(v)), False, clean
+        return (lambda v, out: -value(v)), False, clean
 
     def _sum(self, binders, body, scope, sign):
         """``_fold`` of ``sum(binders){body}``: each binding is written into
-        the binders' slots, the last binder varying fastest."""
-        if any(rng is None for _var, rng in binders):
-            try:
-                self.resolve(binders, body)
-            except GvcError as exc:
-                return _raiser(str(exc)), False
+        the binders' slots, the last binder varying fastest.  A ``sum``
+        whose range cannot be inferred raises where it is evaluated."""
+        try:
+            binders = self.resolve(binders, body)
+        except GvcError as exc:
+            return _raiser(str(exc)), False, False
         inner, first = dict(scope), len(self.init)
-        for var, _rng in binders:
-            inner[var] = len(self.init)
-            self.init.append(0)
+        for var, rng in binders:
+            inner[var] = self._new_slot(0, rng)
         end, ranges = len(self.init), [range(rng) for _v, rng in binders]
-        fold, poly = self._fold(body, inner, sign)
+        fold, poly, clean = self._fold(body, inner, sign)
 
         def total(v, out):
             const = 0
             for v[first:end] in itertools.product(*ranges):
                 const += fold(v, out)
             return const
-        return total, poly
+        return total, poly, clean
 
     def _mul(self, nodes, scope, sign):
-        """``_fold`` of the product of ``nodes``, in order; a clean statement
-        stops at its first zero factor.  Rationals times at most one
-        reference make at most one term.  Any other product multiplies its
-        last factor straight into ``out`` when that step multiplies two
-        polynomials and ``sign`` is positive."""
-        clean, parts = self.clean, []
+        """``_fold`` of the product of ``nodes``, in order; a product whose
+        factors are all clean stops at its first zero factor.  Rationals
+        times at most one reference make at most one term.  Any other
+        product multiplies its last factor straight into ``out`` when that
+        step multiplies two polynomials and ``sign`` is positive."""
+        parts, clean = [], True
         for node in nodes:
             if node[0] == "ref":
-                value, poly = self._ref(node, scope)
+                value, poly, ok = self._ref(node, scope)
                 parts.append((value, 2 if poly else 0))
             else:
-                value, poly = self._value(node, scope)
+                value, poly, ok = self._value(node, scope)
                 parts.append((value, 1 if poly else 0))
+            clean = clean and ok
         kinds = [kind for _value, kind in parts]
         if 1 not in kinds and kinds.count(2) < 2:
             poly = 2 in kinds
@@ -720,7 +678,7 @@ class _Eval:
                 if c:
                     _add_into(out, {key: _rat(c)})
                 return 0
-            return monomial, poly
+            return monomial, poly, clean
         steps, poly = [], False
         for value, kind in parts:
             steps.append((_as_terms(value) if kind == 2 else value,
@@ -748,33 +706,42 @@ class _Eval:
             else:
                 _add_into(out, op(total, val), neg)
             return 0
-        return product, True
+        return product, True, clean
 
     def _ref(self, node, scope):
-        """``(look, True)`` for a reference to a symbol, look(v) the
+        """``(look, True, clean)`` for a reference to a symbol, look(v) the
         ``(key, sign)`` of its jet variable under the slot values ``v``,
-        ``(None, 0)`` when its family kills it; ``(fn, False)`` for a table,
-        fn(v) the entry.  Either raises the reference's error, as
+        ``(None, 0)`` when its family kills it; ``(fn, False, clean)`` for a
+        table, fn(v) the entry.  Either raises the reference's error, as
         ``Registry.jet_var`` and ``ConstantTable`` do; an unbound index
-        raises when it is evaluated."""
+        raises when it is evaluated.  The reference is clean when a symbol,
+        or a table with no jets, has as many indices as slots and at most
+        the cap of jets, and every index stays inside the slot it sits in
+        (``dim`` for jets)."""
         _ref, name, comps, jets = node
         slots = [self._slot(atom, scope) for atom in comps + jets]
         if None in slots:
-            return _raiser("unbound index %r"
-                           % (comps + jets)[slots.index(None)][1]), False
-        indices = _getter(slots)
+            unbound = (comps + jets)[slots.index(None)][1]
+            return _raiser("unbound index %r" % unbound), False, False
+        indices, bounds = _getter(slots), self.bounds
+
+        def within(sizes):
+            return len(slots) == len(sizes) and all(
+                bounds[slot] <= size for slot, size in zip(slots, sizes))
         tab = self.reg.tables.get(name)
         if tab is not None:
             if jets:
                 return _raiser("constant table %r cannot carry jet indices"
-                               % name), False
-            if self.clean:
+                               % name), False, False
+            if within(tab.shape):
                 entries = tab.entries
-                return (lambda v: entries.get(indices(v), 0)), False
-            return (lambda v: tab[indices(v)]), False
+                return (lambda v: entries.get(indices(v), 0)), False, True
+            return (lambda v: tab[indices(v)]), False, False
         sym = self.reg.symbols.get(name)
         if sym is None:
-            return _raiser("unknown symbol %r" % name), False
+            return _raiser("unknown symbol %r" % name), False, False
+        clean = len(jets) <= self.reg.jet_order and \
+            within(sym.slots + (self.reg.dim,) * len(jets))
         # one map per symbol and arity for the whole statement
         jet_var, n = self.reg.jet_var, len(comps)
         seen = self.interned.setdefault((name, n), {})
@@ -786,7 +753,17 @@ class _Eval:
                 var, sign = jet_var(sym, at[:n], at[n:])
                 hit = seen[at] = ((var.entry,), sign) if sign else (None, 0)
             return hit
-        return look, True
+        return look, True, clean
+
+
+@contextmanager
+def _at(tok):
+    """Re-raise a ``GvcError`` or ``ValueError`` of the body as a
+    ``ParseError`` at ``tok``."""
+    try:
+        yield
+    except (GvcError, ValueError) as exc:
+        raise ParseError(str(exc), tok[2], tok[3])
 
 
 class _TheoryBuilder:
@@ -803,7 +780,6 @@ class _TheoryBuilder:
         self.gauge_candidate = None
         self.gamma = {}
         self.alphas = {}
-        self.frozen = False
 
     def run(self):
         while not self.p.at("EOF"):
@@ -812,19 +788,14 @@ class _TheoryBuilder:
             self.p.error("theory must declare a dimension")
         if self.lagrangian is None:
             self.p.error("theory must declare a Lagrangian")
-        if not self.frozen:
-            self.freeze()
+        self.reg.freeze()
         return TheorySpec._parsed(self.name, self.reg, self.lagrangian,
                                   self.stages.pop(0, []), self.stages,
                                   self.gauge_candidate, self.gamma, self.alphas)
 
-    def freeze(self):
-        self.reg.freeze()
-        self.frozen = True
-
     def need_reg(self, tok):
         if self.reg is None:
-            raise ParseError("dim must be declared first", tok[2], tok[3])
+            self.p.error("dim must be declared first", tok)
 
     def statement(self):
         tok = self.p.expect("NAME")
@@ -834,24 +805,22 @@ class _TheoryBuilder:
             self.p.expect(";")
         elif word == "dim":
             if self.reg is not None:
-                raise ParseError("dim declared twice", tok[2], tok[3])
+                self.p.error("dim declared twice", tok)
             dim = self.p.expect("INT")[1]
             self.p.expect(";")
             cap = self.jet_order
             if cap is None:
                 cap = self.default_jet_order
-            try:
+            with _at(tok):
                 self.reg = Registry(dim=dim, jet_order=cap)
-            except (GvcError, ValueError) as exc:
-                raise ParseError(str(exc), tok[2], tok[3])
         elif word == "jet_order":
             self.need_reg(tok)
+            if self.reg.frozen:
+                self.p.error("jet_order declared after gauge/gamma/alpha", tok)
             cap = self.p.expect("INT")[1]
             self.p.expect(";")
-            try:
+            with _at(tok):
                 cap = Registry.checked_jet_order(cap)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok[2], tok[3])
             if self.jet_order is None:  # an explicit override wins over the file
                 self.reg.jet_order = cap
         elif word == "table":
@@ -865,8 +834,8 @@ class _TheoryBuilder:
         elif word == "stage":
             ktok = self.p.expect("INT")
             if ktok[1] < 1:
-                raise ParseError("stage blocks start at 1; stage-0 records "
-                                 "are `ni` blocks", ktok[2], ktok[3])
+                self.p.error("stage blocks start at 1; stage-0 records are "
+                             "`ni` blocks", ktok)
             self.record_block(tok, stage=ktok[1])
         elif word == "gauge":
             self.gauge_candidate = self.component_block(tok, self.gauge_candidate)
@@ -876,12 +845,12 @@ class _TheoryBuilder:
             ktok = self.p.expect("INT")
             k = ktok[1]
             if k < 1 or k not in self.stages:  # nothing would read it
-                raise ParseError("alpha blocks start at stage 1" if k < 1 else
-                                 "alpha %d: no stage %d block declared" % (k, k),
-                                 ktok[2], ktok[3])
+                self.p.error("alpha blocks start at stage 1" if k < 1 else
+                             "alpha %d: no stage %d block declared" % (k, k),
+                             ktok)
             self.alphas[k] = self.component_block(tok, self.alphas.get(k))
         else:
-            raise ParseError("unknown statement %r" % word, tok[2], tok[3])
+            self.p.error("unknown statement %r" % word, tok)
 
     # -- declarations ---------------------------------------------------------
 
@@ -905,15 +874,13 @@ class _TheoryBuilder:
             entries[tuple(idx)] = sign * self.p.rational()
             self.p.expect(";")
         self.p.next()
-        try:
+        with _at(tok):
             self.reg.declare_table(name, tuple(shape), entries)
-        except (GvcError, ValueError) as exc:
-            raise ParseError(str(exc), tok[2], tok[3])
 
     def field_stmt(self, tok):
         self.need_reg(tok)
-        if self.frozen:
-            raise ParseError("field declared after gauge/gamma/alpha", tok[2], tok[3])
+        if self.reg.frozen:
+            self.p.error("field declared after gauge/gamma/alpha", tok)
         name = self.p.expect("NAME")[1]
         slots = []
         if self.p.at("["):
@@ -934,50 +901,42 @@ class _TheoryBuilder:
             slot = self.p.expect("INT")[1]
             tab = self.reg.tables.get(tname)
             if tab is None:
-                raise ParseError("unknown parity table %r" % tname, ptok[2], ptok[3])
+                self.p.error("unknown parity table %r" % tname, ptok)
             if slot >= len(slots):
-                raise ParseError("parity slot %d out of range" % slot, ptok[2], ptok[3])
+                self.p.error("parity slot %d out of range" % slot, ptok)
             vec = []
-            for i in range(slots[slot]):
-                try:
-                    v = tab[(i,)]
-                except ValueError as exc:
-                    raise ParseError(str(exc), ptok[2], ptok[3])
-                if v.denominator != 1 or v not in (0, 1):
-                    raise ParseError("parity table entries must be 0 or 1",
-                                     ptok[2], ptok[3])
-                vec.append(int(v))
-            parities = (slot, tuple(vec))
+            with _at(ptok):
+                for i in range(slots[slot]):
+                    vec.append(tab[(i,)])
+                    if vec[-1] not in (0, 1):
+                        raise GvcError("parity table entries must be 0 or 1")
+            parities = (slot, tuple(map(int, vec)))
         else:
-            raise ParseError("expected even, odd or parity", ptok[2], ptok[3])
+            self.p.error("expected even, odd or parity", ptok)
         self.p.expect(";")
-        try:
+        with _at(tok):
             self.reg.declare_field(name, tuple(slots), parities, symmetry)
-        except (GvcError, ValueError) as exc:
-            raise ParseError(str(exc), tok[2], tok[3])
 
     def lagrangian_stmt(self, tok):
         self.need_reg(tok)
         if self.lagrangian is not None:
-            raise ParseError("L declared twice", tok[2], tok[3])
+            self.p.error("L declared twice", tok)
         self.p.expect("=")
         node = self.p.parse_expression()
         self.p.expect(";")
-        try:
+        with _at(tok):
             self.lagrangian = _Eval(self.reg).statement(node, [])(())
             require_lagrangian(self.lagrangian)
-        except (GvcError, ValueError) as exc:
-            raise ParseError(str(exc), tok[2], tok[3])
 
     # -- record blocks ----------------------------------------------------------
 
     def record_block(self, tok, stage):
         self.need_reg(tok)
-        if self.frozen:
-            raise ParseError("records must come before gauge/gamma/alpha blocks",
-                             tok[2], tok[3])
+        if self.reg.frozen:
+            self.p.error("records must come before gauge/gamma/alpha blocks",
+                         tok)
         if self.lagrangian is None:
-            raise ParseError("records must come after the Lagrangian", tok[2], tok[3])
+            self.p.error("records must come after the Lagrangian", tok)
         ghost = self.p.expect("NAME")[1]
         self.p.expect("[")  # [i:RANGE, ...], an empty group for scalars
         binders = self.p.binders(ranged=True, close=("]",))
@@ -989,10 +948,9 @@ class _TheoryBuilder:
             if self.p.at("NAME", "h"):
                 htok = self.p.next()
                 if stage == 0:
-                    raise ParseError("h certificates belong to stage blocks",
-                                     htok[2], htok[3])
+                    self.p.error("h certificates belong to stage blocks", htok)
                 if h_node is not None:
-                    raise ParseError("h declared twice", htok[2], htok[3])
+                    self.p.error("h declared twice", htok)
                 self.p.expect("{")
                 h_node = self.p.parse_expression()
                 self.p.expect("}")
@@ -1027,18 +985,14 @@ class _TheoryBuilder:
         tok, name, comps, jets, node = stmt
         sym = self.reg.symbols.get(name)
         if sym is None:
-            raise ParseError("unknown row target %r" % name, tok[2], tok[3])
+            self.p.error("unknown row target %r" % name, tok)
         if stage == 0 and sym.kind != KIND_FIELD:
-            raise ParseError("rows of an ni block must target fields",
-                             tok[2], tok[3])
+            self.p.error("rows of an ni block must target fields", tok)
         if stage >= 1 and not (sym.kind == KIND_GHOST and sym.stage == stage - 1):
-            raise ParseError(
-                "rows of a stage-%d block must target stage-%d ghosts"
-                % (stage, stage - 1), tok[2], tok[3])
-        try:
+            self.p.error("rows of a stage-%d block must target stage-%d ghosts"
+                         % (stage, stage - 1), tok)
+        with _at(tok):
             return tok, sym, evaluator.key(sym, comps, jets, node, binders)
-        except (GvcError, ValueError) as exc:
-            raise ParseError(str(exc), tok[2], tok[3])
 
     def _expand_rows(self, stage, binders, comp, rows_stmts, statements,
                      evaluator):
@@ -1052,7 +1006,7 @@ class _TheoryBuilder:
                                                       evaluator))
             tok, sym, expand = statements[i]
             statement_rows = {}
-            try:
+            with _at(tok):
                 for canon, jet, coeff in expand(comp):
                     if statement_rows.setdefault((sym.name, canon, jet),
                                                  coeff) != coeff:
@@ -1060,43 +1014,37 @@ class _TheoryBuilder:
                             "row (%s[%s]; %s) receives conflicting values under "
                             "component symmetry" % (sym.name, ",".join(map(str, canon)),
                                                     ",".join(map(str, jet))))
-            except (GvcError, ValueError) as exc:
-                raise ParseError(str(exc), tok[2], tok[3])
             for key, coeff in statement_rows.items():
                 rows[key] = rows[key] + coeff if key in rows else coeff
         return {k: v for k, v in rows.items() if not v.is_zero()}
 
     def build_records(self, tok, stage, ghost, binders, rows_stmts, h_node):
         if ghost in self.reg.symbols:
-            raise ParseError("ghost %r declared twice" % ghost, tok[2], tok[3])
+            self.p.error("ghost %r declared twice" % ghost, tok)
         evaluator, statements = _Eval(self.reg), []
         slots = tuple(rng for _v, rng in binders)
         produced = []  # (component, rows, parity)
         for comp in itertools.product(*(range(rng) for rng in slots)):
             rows = self._expand_rows(stage, binders, comp, rows_stmts,
                                      statements, evaluator)
-            if not rows:
-                raise ParseError("record %s[%s] has no rows"
-                                 % (ghost, ",".join(map(str, comp))), tok[2], tok[3])
-            par = delta_parity(self.reg, rows)
+            par = delta_parity(self.reg, rows) if rows else None
             if par is None:
-                raise ParseError(
-                    "record %s[%s] mixes Grassmann parities"
-                    % (ghost, ",".join(map(str, comp))), tok[2], tok[3])
+                self.p.error("record %s[%s] %s" % (
+                    ghost, ",".join(map(str, comp)),
+                    "mixes Grassmann parities" if rows else "has no rows"),
+                    tok)
             produced.append((comp, rows, par))
         parities = self._parity_spec(tok, ghost, slots, produced)
         gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
         self.reg.declare_ghost_antifield(gh)
         records = self.stages.setdefault(stage, [])
-        try:
+        with _at(tok):
             h_of = None if h_node is None else \
                 evaluator.statement(h_node, binders)
             for comp, rows, _par in produced:
                 h = None if h_of is None else h_of(comp)
                 records.append(NoetherRecord(ghost, comp, rows, stage, h))
                 require_record(self.reg, records[-1], stage)
-        except (GvcError, ValueError) as exc:
-            raise ParseError(str(exc), tok[2], tok[3])
 
     def _parity_spec(self, tok, ghost, slots, produced):
         # the ghost inherits the parity of its record: [c^r] = [Delta_r]
@@ -1113,8 +1061,8 @@ class _TheoryBuilder:
                     break
             if ok:
                 return (pos, tuple(by[i] for i in range(slots[pos])))
-        raise ParseError("ghost %r needs a parity depending on several indices"
-                         % ghost, tok[2], tok[3])
+        self.p.error("ghost %r needs a parity depending on several indices"
+                     % ghost, tok)
 
     # -- component blocks (gauge / gamma / alpha) -------------------------------
 
@@ -1122,26 +1070,22 @@ class _TheoryBuilder:
         """A gauge, gamma or alpha block, each component checked by rule."""
         self.need_reg(tok)
         if self.lagrangian is None:
-            raise ParseError("component blocks must come after the Lagrangian",
-                             tok[2], tok[3])
-        if not self.frozen:
-            self.freeze()
+            self.p.error("component blocks must come after the Lagrangian",
+                         tok)
+        self.reg.freeze()
         evaluator = _Eval(self.reg)
         out = dict(existing or {})
         self.p.expect("{")
         while not self.p.at("}"):
             rtok, name, comps, jets, node = self.row_stmt()
             if jets:
-                raise ParseError("component keys carry no jet indices",
-                                 rtok[2], rtok[3])
+                self.p.error("component keys carry no jet indices", rtok)
             sym = self.reg.symbols.get(name)
             if sym is None:
-                raise ParseError("unknown component target %r" % name,
-                                 rtok[2], rtok[3])
+                self.p.error("unknown component target %r" % name, rtok)
             if sym.kind == KIND_ANTIFIELD:
-                raise ParseError("component keys cannot target antifields",
-                                 rtok[2], rtok[3])
-            try:
+                self.p.error("component keys cannot target antifields", rtok)
+            with _at(rtok):
                 expand = evaluator.key(sym, comps, jets, node, [])
                 for canon, _jet, val in expand(()):
                     if out.setdefault((name, canon), val) != val:
@@ -1150,8 +1094,6 @@ class _TheoryBuilder:
                             % (name, ",".join(map(str, canon))))
                     if rule is not None:
                         rule(self.reg, (name, canon), val)
-            except (GvcError, ValueError) as exc:
-                raise ParseError(str(exc), rtok[2], rtok[3])
         self.p.next()
         return out
 
@@ -1169,12 +1111,7 @@ def parse_expr(text, registry):
     """Parse one expression against a frozen registry; returns a GradedPoly."""
     p = _Parser(text)
     node = p.parse_expression()
-    tok = p.peek()
-    if tok[0] != "EOF":
-        raise ParseError("trailing input after expression", tok[2], tok[3])
-    try:
+    if not p.at("EOF"):
+        p.error("trailing input after expression")
+    with _at((None, None, 1, 1)):  # evaluation errors: the start of the input
         return _Eval(registry).statement(node, [])(())
-    except (GvcError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc), 1, 1)

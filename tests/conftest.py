@@ -350,7 +350,7 @@ class WalkerEval(_Eval):
         if kind == "pow":
             return self.eval(node[1], env, clean) ** node[2]
         if kind == "sum":
-            binders = node[1] if clean else self.resolve(node[1], node[2])
+            binders = self.resolve(node[1], node[2])
             return self.accumulate((1, self.eval(node[2], inner, clean))
                                    for inner in _assignments(binders, env))
         _ref, name, comps, jets = node
@@ -368,8 +368,13 @@ class WalkerEval(_Eval):
         val = self.eval(node, env, clean)
         return val if isinstance(val, GradedPoly) else self.reg.const(val)
 
+    def checked(self, node, binders):
+        """``(node, clean)``, ``clean`` the flag of the compiled top node:
+        a clean statement ends every product at its first zero factor."""
+        return node, self._top(node, self._start(binders))[1]
+
     def statement(self, node, binders):
-        checked = self.check(node, dict(binders))
+        checked = self.checked(node, binders)
         names = [var for var, _rng in binders]
         return lambda values: self.poly(checked, dict(zip(names, values)))
 
@@ -382,7 +387,7 @@ class WalkerEval(_Eval):
                              sym.slots + (self.reg.dim,) * len(jets)):
             if atom[0] == "var" and atom[1] not in bound:
                 free.setdefault(atom[1], rng)
-        checked = self.check(node, {**bound, **free})
+        checked = self.checked(node, [*binders, *free.items()])
         names = [var for var, _rng in binders]
 
         def expand(values):

@@ -493,6 +493,39 @@ def test_warm_and_cold_mutants_agree(name):
         assert build_report(inherits, [catcher])["overall"] == "fail", label
 
 
+def _doubled_record(theory):
+    rec = theory.records[0]
+    rows = {key: row.scale(2) for key, row in rec.rows.items()}
+    return {"records": (gvc.noether.NoetherRecord(rec.ghost, rec.component,
+                                                  rows, rec.stage, rec.h),)
+            + theory.records[1:]}
+
+
+# edits that are not sign flips, each a function of the parent to the fields
+# it replaces
+_EDITS = {"L doubled": lambda th: {"lagrangian": th.lagrangian.scale(2)},
+          "record doubled": _doubled_record,
+          "gamma emptied": lambda th: {"gamma": {}},
+          "gauge emptied": lambda th: {"gauge_candidate": {}}}
+
+
+@pytest.mark.parametrize("name", ["bf", "bf4", "toy", "cs3", "ym4",
+                                  "ym4_super", "grav4"])
+def test_warm_and_cold_edits_agree(name):
+    # an edited theory inherits from a warm parent only what the edit leaves
+    # unchanged, whatever the edit; the shared parse may be warm already
+    warm, cold = cached(name), fresh(name)
+    run_checks(warm, cli.CHECK_NAMES)
+    edits = ["L doubled"] if name == "grav4" else sorted(_EDITS)
+    for edit in edits:
+        inherits = cli._rebuild(warm, **_EDITS[edit](warm))
+        fresh_edit = cli._rebuild(cold, **_EDITS[edit](cold))
+        for check in cli.CHECK_NAMES:
+            assert build_report(inherits, [check])["canonical_sha256"] == \
+                build_report(fresh_edit, [check])["canonical_sha256"], \
+                (edit, check)
+
+
 def _polys_handed_to_prolong_apply(monkeypatch, theory, checks):
     """The number of polynomials of each ``prolong_apply`` call the checks
     make on theory."""

@@ -185,6 +185,10 @@ _SHAPES = [
     "sum(i){ a[i;] * sum(i:3){ z[i] * F[i,2;] } }",  # shadowing binders
     "2 * 1/2 * a[0;] + 3/2 * -2/3 * s",  # whole products of rationals
     "F[0,1;] * F[0;1]", "S[1,0;] - 2 * S[0,1;]",  # one variable, two ways
+    # a clean zero product beside an invalid reference: the walker's
+    # statement-wide rule evaluates its factors, the compiled per-product
+    # rule stops at its zero
+    "0 * a[0;1] + nosuch", "z[0] * a[1;0] + a[2;]",
 ]
 
 

@@ -74,6 +74,12 @@ _AB = "dim 1; field s even; field a[2] even; field b[3] even; "
      "constant table 'k' cannot carry jet indices (line 2, column 9)"),
     (_AB + "L = sum(m:3){ a[m;] } + nosuch;",
      "component index 2 out of range 2 for a (line 1, column 56)"),
+    # the registry is frozen at the first gauge, gamma or alpha block
+    ("dim 1; field s even; L = 1/2*s[;0]*s[;0]; ni e[] { (s[];) = s[;0]; }\n"
+     "gauge { (s) = e[;0]; } jet_order 2;",
+     "jet_order declared after gauge/gamma/alpha (line 2, column 24)"),
+    ("dim 1; field s even; L = s; gauge { (s) = 1; }\nfield r even;",
+     "field declared after gauge/gamma/alpha (line 2, column 1)"),
     # the input rule of gvc.noether: an odd L is refused at its statement
     ("dim 1; field s even; field p odd; L = s * p[;0];\n"
      "ni c[] { (s; 0) = 1; }", "L must be even (line 1, column 35)"),
