@@ -44,6 +44,7 @@ then.  Theories whose coefficients are all integral never pay for it.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
@@ -645,22 +646,36 @@ class GradedPoly:
 
     # -- printing ------------------------------------------------------------
 
-    def global_terms(self):
-        """The terms in the global variable order, for output.
+    def global_key(self, key):
+        """The place of the stored monomial ``key`` in the global order: its
+        even factors as (``JetVariable.key``, exponent) pairs, then its odd
+        factors' ``JetVariable.key``, each increasing."""
+        by_rank = self.reg.by_rank
+        n = bisect_left(key, 0)
+        evens = key[n:]
+        return (tuple(sorted([(by_rank[r].key, evens.count(r))
+                              for r in set(evens)])),
+                tuple(sorted([by_rank[~r].key for r in key[:n]])))
 
-        Returns a list of ``(key, coeff, evens, odds)`` sorted by the global
-        order of the monomials: ``evens`` is a tuple of (JetVariable,
-        exponent) pairs and ``odds`` a tuple of JetVariables, each increasing
-        in ``JetVariable.key``, and ``coeff`` is the coefficient of that
+    def global_terms(self, limit=None):
+        """The terms in the global variable order, for output: the first
+        ``limit`` of them when a limit is given.
+
+        Returns a list of ``(key, coeff, evens, odds)`` sorted by
+        ``global_key``: ``evens`` is a tuple of (JetVariable, exponent)
+        pairs and ``odds`` a tuple of JetVariables, each increasing in
+        ``JetVariable.key``, and ``coeff`` is the coefficient of that
         product, i.e. the stored coefficient times the sign of the
         permutation from stored order (decreasing rank) to global order of
-        the odd factors.  ``key`` is the stored monomial key.  This is the one
-        place where rank order is turned into the order that output is made
-        in.
+        the odd factors.  ``key`` is the stored monomial key.  This is the
+        one place where rank order is turned into the order that output is
+        made in.
         """
+        keys = sorted(self.terms, key=self.global_key) if limit is None \
+            else heapq.nsmallest(limit, self.terms, key=self.global_key)
         by_rank = self.reg.by_rank
         rows = []
-        for key, c in self.terms.items():
+        for key in keys:
             n = bisect_left(key, 0)
             ev = sorted(((by_rank[r], len(list(run)))
                          for r, run in groupby(key[n:])),
@@ -668,18 +683,16 @@ class GradedPoly:
             od = [by_rank[~r] for r in key[:n]]
             sign = sorting_sign([v.key for v in od])
             od = tuple(sorted(od, key=lambda v: v.key))
-            rows.append(((tuple((v.key, e) for v, e in ev),
-                          tuple(v.key for v in od)),
-                         key, sign * c, tuple(ev), od))
-        rows.sort(key=lambda row: row[0])
-        return [row[1:] for row in rows]
+            rows.append((key, sign * self.terms[key], tuple(ev), od))
+        return rows
 
-    def pretty(self):
-        """Canonical text form; parses back to an equal polynomial."""
+    def pretty(self, limit=None):
+        """Canonical text form; parses back to an equal polynomial.  With
+        ``limit``, the first ``limit`` terms alone."""
         if not self.terms:
             return "0"
         chunks = []
-        for _, c, evens, odds in self.global_terms():
+        for _, c, evens, odds in self.global_terms(limit):
             factors = []
             for v, e in evens:
                 factors.append(v.name() + ("^%d" % e if e > 1 else ""))

@@ -12,7 +12,8 @@ sum_k u^(k); the input rules of ``gvc.noether`` make both odd.
 
 Every condition on b is a component of b^2, so one table of images P(Q^X),
 for the parts P, Q in {u, u^(1), ..., gamma} and the components X of Q,
-serves them all; the memo keeps the pairs that involve gamma apart.
+serves them all; the memo keeps the pairs that involve gamma apart, and an
+edited theory updates both by the difference of its parts (``_table``).
 ``brst`` sums the pairs at each X, b(b^X), and buckets the residuals by
 ghost degree, which pinpoints whether the gauge symmetry, the bracket
 structure, or a higher structure function is at fault; ``antibracket`` sums
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 from .algebra import GradedPoly, _add_into, _mul_terms
 from .jets import EvolutionaryDerivation, eta, prolong_apply
-from .noether import comp_label, _entry, _residuals, stored, stored_kt
+from .noether import EMPTY, comp_label, _changed, _entry, _minus, _plus, \
+    _residuals, stored, stored_kt
 
 
 def _components_from_records(reg, records):
@@ -39,13 +41,20 @@ def _components_from_records(reg, records):
     return {key: GradedPoly(reg, terms) for key, terms in comps.items()}
 
 
-def gauge_from_ni(theory):
-    """The odd stages u = u^(0), u^(1), ... built from the records via eta."""
+def gauge_from_ni(theory, parent=EMPTY):
+    """The odd stages u = u^(0), u^(1), ... built from the records via eta:
+    each the parent's stage plus the components of its records' changes
+    (``_changed``), u being linear in the rows."""
     reg = theory.registry
-    return [EvolutionaryDerivation(
-                reg, _components_from_records(reg, theory.stage_records(k)),
-                name="u^(%d)" % k if k else "u")
-            for k in [0] + theory.stage_numbers()]
+    old = {u.name: u for u in parent.get("gauge", ())}
+    changes = list(_changed(theory, parent).values())
+    out = []
+    for k in [0] + theory.stage_numbers():
+        name = "u^(%d)" % k if k else "u"
+        out.append(_plus(old.get(name), EvolutionaryDerivation(
+            reg, _components_from_records(
+                reg, [rec for rec in changes if rec.stage == k]), name=name)))
+    return out
 
 
 def stored_gauge(theory):
@@ -53,27 +62,61 @@ def stored_gauge(theory):
     return stored(theory, "gauge", gauge_from_ni)
 
 
-def _images(acting, parts):
-    """{(P.name, Q.name, X): P(Q^X)} for each P of ``acting`` and each
-    component X of each Q of ``parts``, one pass per nonzero P."""
-    todo = [(q.name, key, val) for q in parts
-            for key, val in sorted(q.components.items())]
-    return {(p.name, q, key): image
-            for p in acting if todo and not p.is_zero()
-            for (q, key, _val), image in zip(todo, prolong_apply(
-                p, [val for _q, _key, val in todo]))}
+def _table(table, plan, old):
+    """{(P, Q, X): P(Q^X)} for each (P, parts) of ``plan`` with P nonzero,
+    each Q of parts and each component X of Q, from the parent's ``table``
+    and parts (``old``, by name):
+
+        P'(Q'^X) = P(Q^X) + (P' - P)(Q'^X) + P(Q'^X - Q^X),
+
+    one pass of each P' - P over the Q'^X and one of each parent P over
+    the Q'^X - Q^X that the edit changed, so every pair gets a pass or a
+    parent entry.  From ``EMPTY`` that is one pass of each P over every
+    Q^X."""
+    out = {}
+    for p, parts in plan:
+        if p.is_zero():
+            continue
+        todo = [((p.name, q.name, x), val) for q in parts
+                for x, val in sorted(q.components.items())]
+        for pair, _val in todo:
+            out[pair] = table.get(pair)
+        was = old.get(p.name)
+        changed = []
+        if was is not None and not was.is_zero():
+            for pair, val in todo:
+                q = old.get(pair[1])
+                before = None if q is None else q.components.get(pair[2])
+                if val is not before:
+                    diff = _minus(val, before)
+                    if diff.terms:
+                        changed.append((pair, diff))
+        for u, items in ((_minus(p, was), todo), (was, changed)):
+            if items and not u.is_zero():
+                for (pair, _val), image in zip(items, prolong_apply(
+                        u, [val for _pair, val in items])):
+                    out[pair] = _plus(out[pair], image)
+    return out
 
 
-def _stage_pairs(theory):
+def _stage_pairs(theory, parent):
     gauge = stored_gauge(theory)
-    return _images(gauge, gauge)
+    return _table(parent.get("pairs", {}), [(u, gauge) for u in gauge],
+                  {u.name: u for u in parent.get("gauge", ())})
 
 
-def _gamma_pairs(theory):
+def _gamma_pairs(theory, parent):
     """gamma on every part of b, and every gauge stage on gamma."""
+    reg = theory.registry
     gauge = stored_gauge(theory)
-    gamma = EvolutionaryDerivation(theory.registry, theory.gamma, name="gamma")
-    return {**_images([gamma], gauge + [gamma]), **_images(gauge, [gamma])}
+    gamma = EvolutionaryDerivation(reg, theory.gamma, name="gamma")
+    old = {u.name: u for u in parent.get("gauge", ())}
+    if parent.get("gamma") is not None:
+        old["gamma"] = EvolutionaryDerivation(reg, parent.get("gamma"),
+                                              name="gamma")
+    return _table(parent.get("gamma pairs", {}),
+                  [(gamma, gauge + [gamma])] + [(u, [gamma]) for u in gauge],
+                  old)
 
 
 def stored_pairs(theory):
@@ -92,7 +135,7 @@ def _sums(theory, pick):
             for key, terms in sorted(sums.items()) if terms}
 
 
-def _alpha_images(theory):
+def _alpha_images(theory, _parent):
     """{(k, X): delta_KT(alpha^X)} for every alpha certificate, one pass."""
     todo = sorted((k, key) for k in theory.alphas for key in theory.alpha(k))
     return dict(zip(todo, prolong_apply(stored_kt(theory), [
@@ -152,7 +195,7 @@ def check_brst_nilpotent(theory):
     the parts P and Q of b; any residual is bucketed by ghost degree."""
     entries = []
     for (name, comp), res in stored(
-            theory, "brst", lambda th: _sums(th, lambda p, q: True)).items():
+            theory, "brst", lambda th, _: _sums(th, lambda p, q: True)).items():
         degrees = ",".join(str(d) for d in res.ghost_degree_parts())
         entries.append(_entry("brst", comp_label(name, comp), "fail", res,
                               note="failing ghost degrees: %s" % degrees))
@@ -163,7 +206,7 @@ def check_antibracket(theory):
     """(u + gamma)(u^A) = u(u^A) + gamma(u^A) at each component u^A of u,
     where gamma meets only stage-0 ghosts, so acts as gamma_0; it vanishes
     exactly when the commutator normalization [u,u] = -2 gamma(u) holds."""
-    bad = stored(theory, "antibracket", lambda th: _sums(
+    bad = stored(theory, "antibracket", lambda th, _: _sums(
         th, lambda p, q: q == "u" and p in ("u", "gamma")))
     if not bad:
         return [_entry("antibracket", "u", "pass",

@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import json
 import os
-import re
 import sys
 import time
 
@@ -69,10 +68,9 @@ def _flip_leading(poly):
     """Flip the sign of the first monomial in canonical print order,
     skipping a constant one unless it is the only term (a constant row
     coefficient is an honest mutation)."""
-    rows = poly.global_terms()
-    if not rows:
+    if not poly.terms:
         raise GvcError("a zero polynomial has no sign to flip")
-    key = next((k for k, _, evens, odds in rows if evens or odds), rows[0][0])
+    key = min((k for k in poly.terms if k), key=poly.global_key, default=())
     terms = dict(poly.terms)
     terms[key] = -terms[key]
     return GradedPoly(poly.reg, terms)
@@ -80,9 +78,12 @@ def _flip_leading(poly):
 
 def _rebuild(theory, **over):
     """A copy of theory with the fields in ``over`` replaced, the one way to
-    an edited theory, since a theory is read-only.  It starts its memo with
-    every derived object whose inputs ``over`` leaves alone
-    (``noether.inherited``); it derives the rest on first use."""
+    an edited theory, since a theory is read-only.  Its memo starts with
+    every derived object whose inputs ``over`` leaves alone, and, for each
+    object of ``noether.READS`` that the edit changes, what its update
+    reads of theory (``noether.inherited``).  On first use each of those
+    is derived from theory's version by the difference of the edit, the
+    rest are built afresh."""
     kw = dict(name=theory.name, registry=theory.registry,
               lagrangian=theory.lagrangian, records=theory.records,
               stages=theory.stages, gauge_candidate=theory.gauge_candidate,
@@ -116,8 +117,11 @@ def mutation_sites(theory):
     only the verified identities break.  Each build goes through
     ``_rebuild``, so a mutant of a theory whose checks have run inherits
     what its edit leaves unchanged: a gauge or gamma mutant the residuals,
-    a record mutant E_A and the residuals of the records it shares, an L
-    mutant the gauge stages and, unless it flips gamma, the BRST residuals.
+    a record mutant E_A, an L mutant the gauge stages and b's table.  It
+    derives the rest from the parent's by the flipped monomial: an L
+    mutant adds E(L' - L) to E_A and (delta' - delta)(Delta) to the
+    residuals, a record mutant the images of its one changed row, a gamma
+    mutant the pairs that hold gamma' - gamma.
     """
     sites = []
     if _varies(theory.lagrangian):
@@ -179,18 +183,15 @@ def apply_sign_mutation(theory):
 # report assembly
 
 
-_TERM_SPLIT = re.compile(r" ([+-]) ")
-
-
-def _truncate_residual(text, limit):
-    parts = _TERM_SPLIT.split(text)
-    nterms = (len(parts) + 1) // 2
-    if nterms <= limit:
+def _residual_text(poly, limit):
+    """A residual as report text: its first ``limit`` terms in canonical
+    order, then how many there are when that is not all of them.  Only the
+    terms shown are rendered."""
+    text = poly.pretty(limit)
+    if poly.num_terms() <= limit:
         return text
-    kept = "".join(
-        parts[i] if i % 2 == 0 else " %s " % parts[i]
-        for i in range(2 * limit - 1))
-    return "%s + [truncated: %d of %d terms shown]" % (kept, limit, nterms)
+    return "%s + [truncated: %d of %d terms shown]" % (text, limit,
+                                                       poly.num_terms())
 
 
 def run_checks(theory, selected, max_residual_terms=8):
@@ -202,8 +203,8 @@ def run_checks(theory, selected, max_residual_terms=8):
         for e in entries:
             e["time"] = dt
             if "residual" in e:
-                e["residual"] = _truncate_residual(e["residual"],
-                                                   max_residual_terms)
+                e["residual"] = _residual_text(e["residual"],
+                                               max_residual_terms)
         out.extend(entries)
     out.sort(key=lambda e: (e["check"], e["target"], e["status"]))
     return out

@@ -202,6 +202,40 @@ class EvolutionaryDerivation:
     def is_zero(self):
         return not self.components
 
+    def __add__(self, other):
+        """The sum of two derivations of one side, named as ``self``.  A
+        component only one of them has is shared, not copied or checked
+        again, so adding the difference of an edit costs what it changed."""
+        if not other.components:
+            return self
+        if self.components and other.parity != self.parity:
+            raise GradingError("derivation parity is inconsistent")
+        comps = dict(self.components)
+        for key, val in other.components.items():
+            if key in comps:
+                val = comps[key] + val
+            if val.terms:
+                comps[key] = val
+            else:
+                del comps[key]
+        out = EvolutionaryDerivation(self.reg, {}, self.right, self.name)
+        out.components = comps
+        out.parity = other.parity if comps else 0
+        return out
+
+    def __sub__(self, other):
+        """self - other, over the components where the two hold different
+        objects: the derivations of an edited theory share every component
+        its edit left alone, so the difference costs what the edit
+        changed."""
+        comps = {key: val if other.components.get(key) is None
+                 else val - other.components[key]
+                 for key, val in self.components.items()
+                 if val is not other.components.get(key)}
+        comps.update((key, -val) for key, val in other.components.items()
+                     if key not in self.components)
+        return EvolutionaryDerivation(self.reg, comps, self.right)
+
 
 def prolong_apply(u, polys):
     """The images of ``polys`` under the jet prolongation of u, in order.

@@ -25,7 +25,9 @@ Every check formats objects kept in the theory's memo, built on first use:
 here E_A, delta_KT, the residuals delta_KT(Delta_r) and the triviality
 witnesses, in ``gvc.brst`` the gauge stages and b's table.  ``DERIVED_FROM``
 names the fields each is computed from, so that a copy with some fields
-replaced keeps the rest.  Under the input rules the inverse second
+replaced keeps the rest, and derives each object of ``READS`` that it
+changes from the parent's by the difference of the edit: each is linear or
+bilinear in the fields.  Under the input rules the inverse second
 Noether theorem gives E_{c^r}(sum_A u^A E_A) = delta_KT(Delta_r) for the
 gauge operator u, and the same for delta_KT paired with the extended
 Lagrangian.  So ``ni``, ``stages`` and ``kt`` (delta_KT(E_A) = 0) report the
@@ -41,7 +43,7 @@ from types import MappingProxyType
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GradedPoly,
                       GvcError, _add_into, _mul_terms)
 from .jets import EvolutionaryDerivation, prolong_apply
-from .variational import euler_lagrange
+from .variational import EulerLagrangeResult, euler_lagrange
 
 
 def comp_label(name, comp):
@@ -208,17 +210,15 @@ def require_theory(theory):
 
 
 # The theory fields each object of ``TheorySpec.derived`` is computed from,
-# one entry per memo key; the registry underlies them all.  "ni" maps each
-# stage-0 record object to its residual, which reads only L and that
-# record's rows (stage-0 rows sit on fields, and no stage-0 record has an
-# h); so do the "triviality" witnesses, whose images under delta_KT are
-# E_A.  "pairs" holds b's table of part-on-part images without gamma,
-# "gamma pairs" the rest, "brst" and "antibracket" sums of them, and
-# "alpha" the images delta_KT(alpha) (see ``gvc.brst``).  No object reads
-# the name or the declared gauge operator.
+# one entry per memo key; the registry underlies them all.  The
+# "triviality" witnesses read no stage k >= 1: their images under delta_KT
+# are E_A.  "pairs" holds
+# b's table of part-on-part images without gamma, "gamma pairs" the rest,
+# "brst" and "antibracket" sums of them, and "alpha" the images
+# delta_KT(alpha) (see ``gvc.brst``).  No object reads the name or the
+# declared gauge operator.
 DERIVED_FROM = {
     "el": ("registry", "lagrangian"),
-    "ni": ("registry", "lagrangian"),
     "kt": ("registry", "lagrangian", "records", "stages"),
     "residuals": ("registry", "lagrangian", "records", "stages"),
     "triviality": ("registry", "lagrangian", "records"),
@@ -231,77 +231,218 @@ DERIVED_FROM = {
 }
 _UNREAD = {"name", "gauge_candidate"}
 
+# The objects that an edited theory derives from its parent's by the
+# difference of the edit, each being linear or bilinear in the fields, and
+# what each update reads of the parent: its own version, the parent objects
+# it adds to, and the parent fields ("records" maps the record labels of
+# every stage to their records).  Primes mark the edited theory:
+#   el:         E(L') = E(L) + E(L' - L);
+#   kt:         delta' = delta + (E'_A - E_A on the field antifields, and
+#               Delta'_r - Delta_r on each record's antifield);
+#   residuals:  delta'(Delta'_r) = delta(Delta_r) + delta'(Delta'_r - Delta_r)
+#               + (delta' - delta)(Delta_r), for each record label r;
+#   gauge:      u' = u + u(the records the edit put in)
+#               - u(the records they replaced);
+#   pairs, gamma pairs:  P'(Q'^X) = P(Q^X) + (P' - P)(Q'^X)
+#               + P(Q'^X - Q^X).
+# Updating from ``EMPTY``, the parent with nothing, is the cold build.
+READS = {
+    "el": ("el", "lagrangian"),
+    "kt": ("kt", "records"),
+    "residuals": ("residuals", "kt", "records"),
+    "gauge": ("gauge", "records"),
+    "pairs": ("pairs", "gauge"),
+    "gamma pairs": ("gamma pairs", "gauge", "gamma"),
+}
+
+
+class Parent(Frozen):
+    """What the update of one memo object of an edited theory reads of the
+    parent theory, by the names of ``READS``; never the parent itself, so
+    a chain of edits keeps no ancestor alive.  A theory's memo holds one in
+    place of an object still to be derived."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, reads):
+        self._init(reads=MappingProxyType(reads))
+
+    def get(self, name, default=None):
+        return self.reads.get(name, default)
+
+
+EMPTY = Parent({})
+
+
+def _ladder(theory):
+    """{(ghost, component): record} over every stage, in stage order."""
+    return {(rec.ghost, rec.component): rec
+            for k in [0] + theory.stage_numbers()
+            for rec in theory.stage_records(k)}
+
+
+def _bar(label):
+    """The antifield component of a record label's ghost."""
+    return label[0] + "_bar", label[1]
+
+
+def _changed(theory, parent):
+    """{label: change} for each record label whose record the edit put in,
+    replaced or removed.  A change is a record whose rows and h are the
+    new record's less the parent's: Delta and u are linear in them, and
+    an edit shares every row it leaves alone, so a change holds only the
+    rows the edit touched.  From ``EMPTY``, every record as it is."""
+    was = parent.get("records", {})
+    now = _ladder(theory)
+    out = {label: rec for label, rec in now.items() if label not in was}
+    for label, old in was.items():
+        rec = now.get(label)
+        if rec is old:
+            continue
+        rows = {} if rec is None else rec.rows
+        diff = {key: _minus(c, old.rows.get(key)) for key, c in rows.items()
+                if c is not old.rows.get(key)}
+        diff.update((key, -c) for key, c in old.rows.items() if key not in rows)
+        h = None if rec is None else rec.h
+        h = None if h is old.h else -old.h if h is None else _minus(h, old.h)
+        out[label] = NoetherRecord(old.ghost, old.component, {
+            key: c for key, c in diff.items() if c.terms}, old.stage, h)
+    return out
+
+
+def _parent(theory, key):
+    """What the update of memo object ``key`` of an edited copy of theory
+    reads: the Parent that theory's memo holds for key when it has one,
+    else what ``READS`` names; None when the memo lacks an object named."""
+    memo = theory.derived
+    if isinstance(memo[key], Parent):
+        return memo[key]
+    fields = {"lagrangian": theory.lagrangian, "gamma": theory.gamma,
+              "records": _ladder(theory)}
+    reads = {name: fields[name] if name in fields else memo.get(name)
+             for name in READS[key]}
+    if any(obj is None or isinstance(obj, Parent) for obj in reads.values()):
+        return None
+    return Parent(reads)
+
 
 def stored(theory, key, build):
-    """``build(theory)``, built on first use and kept in the theory's memo.
-    A copy of a theory with some fields replaced shares every object whose
-    ``DERIVED_FROM`` inputs it keeps (see ``inherited``).  Callers must not
-    mutate the ``terms`` of a stored polynomial (see ``_add_into``)."""
+    """``build(theory, parent)``, built on first use and kept in the
+    theory's memo.  ``parent`` is the ``Parent`` the memo holds for key
+    when the theory is an edited copy (see ``inherited``), else ``EMPTY``:
+    an object of ``READS`` is updated from it by the difference of the
+    edit, and every other object is built from the theory alone.  Callers
+    must not mutate the ``terms`` of a stored polynomial (see
+    ``_add_into``)."""
     memo = theory.derived
-    if key not in memo:
-        memo[key] = build(theory)
-    return memo[key]
+    obj = memo.get(key)
+    if obj is None or isinstance(obj, Parent):
+        obj = memo[key] = build(theory, obj or EMPTY)
+    return obj
 
 
 def inherited(theory, replaced):
-    """The objects of theory's memo that stay valid when the fields named in
-    ``replaced`` change: those computed from none of them.  A field the
-    table does not know invalidates them all."""
+    """The memo of a copy of theory whose fields named in ``replaced``
+    change: each object computed from none of them, and for each other
+    object of ``READS`` the ``Parent`` it is updated from.  A change of
+    registry, or of a field the table does not know, leaves nothing."""
     replaced = set(replaced)
-    if not replaced <= _UNREAD.union(*DERIVED_FROM.values()):
+    if "registry" in replaced or \
+            not replaced <= _UNREAD.union(*DERIVED_FROM.values()):
         return {}
-    return {key: obj for key, obj in theory.derived.items()
-            if replaced.isdisjoint(DERIVED_FROM[key])}
+    out = {}
+    for key, obj in theory.derived.items():
+        if replaced.isdisjoint(DERIVED_FROM[key]):
+            out[key] = obj
+        elif key in READS and (parent := _parent(theory, key)):
+            out[key] = parent
+    return out
+
+
+def _minus(new, old):
+    """new - old; new itself when there is no old."""
+    return new if old is None else new - old
+
+
+def _plus(old, new):
+    """old + new, sharing either one when the other is absent or zero:
+    the objects an edit leaves alone stay the parent's."""
+    if old is None or old.is_zero():
+        return new
+    return old if new.is_zero() else old + new
 
 
 def _el(theory):
-    return stored(theory, "el", lambda th: euler_lagrange(th.lagrangian))
+    return stored(theory, "el", _el_update)
+
+
+def _el_update(theory, parent):
+    """E(L), updated from the parent's by E(L - L_parent)."""
+    old = parent.get("el")
+    old = old.components if old else {}
+    diff = euler_lagrange(_minus(theory.lagrangian, parent.get("lagrangian")))
+    return EulerLagrangeResult(theory.registry, {
+        key: _plus(old.get(key), val) for key, val in diff.components.items()})
 
 
 def _entry(check, target, status, residual=None, note=""):
+    """One report entry; a nonzero residual is kept as the polynomial, and
+    the report renders the terms it shows (``cli.run_checks``)."""
     out = {"check": check, "target": target, "status": status}
     if residual is not None and not residual.is_zero():
-        out["residual"] = residual.pretty()
+        out["residual"] = residual
     if note:
         out["note"] = note
     return out
 
 
-def _stage_residuals(theory, known=None):
-    """{k: delta_KT(Delta_r) for every stage-k record r, in order}, one
-    pass per stage; zero exactly when the identity holds, its h certificate
-    included.  A stage-0 record in ``known``, a map from records to their
-    residuals under the same L, keeps its residual; the pass takes the rest."""
+def _stage_residuals(theory, parent=EMPTY):
+    """{k: delta_KT(Delta_r) for every stage-k record r, in order}; zero
+    exactly when the identity holds, its h certificate included.
+
+    Each residual is the parent's, under the record's label, plus
+    delta'(Delta'_r - Delta_r) when the edit replaced the record and
+    (delta' - delta)(Delta_r) when delta_KT changed: per stage, one pass of
+    delta' over the Delta that changed and one of delta' - delta over the
+    parent's.  From ``EMPTY`` that is one pass of delta_KT per stage over
+    every record."""
     reg = theory.registry
     kt = stored_kt(theory)
-    known = known or {}
+    old_kt = parent.get("kt")
+    was = parent.get("records", {})
+    # the parent's residuals follow its records, stage by stage
+    old = dict(zip(was, (res for stage in parent.get("residuals", {}).values()
+                         for res in stage)))
+    diff = _minus(kt, old_kt)
     out = {}
     for k in [0] + theory.stage_numbers():
         recs = theory.stage_records(k)
-        todo = [rec for rec in recs if k or rec not in known]
-        images = prolong_apply(kt, [
-            kt.components.get((rec.ghost + "_bar", rec.component), reg.zero)
-            for rec in todo])
+        labels = [(rec.ghost, rec.component) for rec in recs]
+        sums = [old.get(label) for label in labels]
+        passes = [(kt, [(i, diff.components.get(_bar(label), reg.zero))
+                        for i, (rec, label) in enumerate(zip(recs, labels))
+                        if was.get(label) is not rec])]
+        if old_kt is not None and not diff.is_zero():
+            passes.append((diff, [(i, old_kt.components.get(_bar(label),
+                                                            reg.zero))
+                                  for i, label in enumerate(labels)
+                                  if label in was]))
+        for u, items in passes:
+            if items:
+                for (i, _delta), image in zip(items, prolong_apply(
+                        u, [delta for _i, delta in items])):
+                    sums[i] = _plus(sums[i], image)
         # a residual's dict keeps the table its terms grew to before they
         # cancelled (grav4's reach ~88k terms), so keep right-sized copies
-        found = {rec: GradedPoly(reg, dict(res.terms))
-                 for rec, res in zip(todo, images)}
-        out[k] = [found[rec] if rec in found else known[rec] for rec in recs]
-    return out
-
-
-def _stored_residuals(theory):
-    """``_stage_residuals``, reusing the "ni" map that a copy with the same
-    L inherits; "ni" then maps this theory's own stage-0 records, in a fresh
-    dict, so an inherited one stays as its theory left it."""
-    out = _stage_residuals(theory, theory.derived.get("ni"))
-    theory.derived["ni"] = dict(zip(theory.records, out[0]))
+        out[k] = [res if res is old.get(label) else
+                  GradedPoly(reg, dict(res.terms))
+                  for label, res in zip(labels, sums)]
     return out
 
 
 def _residuals(theory, k):
     """The stored delta_KT(Delta_r) of the stage-k records, in order."""
-    return stored(theory, "residuals", _stored_residuals).get(k, [])
+    return stored(theory, "residuals", _stage_residuals).get(k, [])
 
 
 def verify_ni(theory):
@@ -336,20 +477,26 @@ def verify_stage_ni(theory, k):
     return entries
 
 
-def assemble_kt(theory):
+def assemble_kt(theory, parent=EMPTY):
     """The Koszul-Tate operator: the right derivation sending each antifield
-    to the object it pairs with and everything else to zero."""
+    to the object it pairs with and everything else to zero.  It is the
+    parent's plus delta' - delta: E'_A - E_A where E_A changed, and the
+    Delta of each record's change (``_changed``)."""
     reg = theory.registry
-    comps = {}
+    old = parent.get("kt")
+    was = old.components if old else {}
     el = _el(theory)
+    diff = {}
     for name, sym in reg.symbols.items():
         if sym.kind == KIND_FIELD:
             for comp in sym.components():
-                comps[(name + "_bar", comp)] = el.get(name, comp)
-    for rec in (r for k in [0] + theory.stage_numbers()
-                for r in theory.stage_records(k)):
-        comps[(rec.ghost + "_bar", rec.component)] = rec.delta_poly(reg)
-    return EvolutionaryDerivation(reg, comps, right=True, name="delta_KT")
+                key, val = (name + "_bar", comp), el.get(name, comp)
+                if val is not was.get(key):
+                    diff[key] = _minus(val, was.get(key))
+    for label, change in _changed(theory, parent).items():
+        diff[_bar(label)] = change.delta_poly(reg)
+    return _plus(old, EvolutionaryDerivation(reg, diff, right=True,
+                                             name="delta_KT"))
 
 
 def stored_kt(theory):
@@ -466,7 +613,7 @@ def triviality_report(theory):
     witness is not a disproof.  The witnesses are kept in the memo.
     """
     entries = []
-    for rec, H in zip(theory.records, stored(theory, "triviality", lambda th: [
+    for rec, H in zip(theory.records, stored(theory, "triviality", lambda th, _: [
             solve_trivial_witness(th, r) for r in th.records])):
         if H is not None:
             entries.append(_entry(

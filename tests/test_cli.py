@@ -11,11 +11,13 @@ import threading
 import pytest
 
 import gvc
+import gvc.algebra
 import gvc.brst
 import gvc.jets
 import gvc.noether
 from gvc import cli
-from gvc.cli import (_parse_checks, _truncate_residual, apply_sign_mutation,
+from gvc.algebra import Registry
+from gvc.cli import (_parse_checks, _residual_text, apply_sign_mutation,
                      build_report, mutation_sites, run, run_checks)
 from gvc.parser import MAX_NESTING, TheorySpec, parse_theory
 from gvc.theories import builtin_path
@@ -439,17 +441,29 @@ def test_stages_check_builds_kt_once(monkeypatch):
 @pytest.mark.parametrize("label", ["lagrangian", "record e[]"])
 def test_mutants_of_a_warm_theory_still_fail(label):
     # the healthy theory stores its residuals and gauge operator first; a
-    # mutant keeps only what its edit leaves unchanged (an L mutant the
-    # gauge stages and b's table, a record mutant E_A and the other
-    # records' residuals), so it derives its own residuals and fails
+    # mutant keeps what its edit leaves unchanged (an L mutant the gauge
+    # stages and b's table, a record mutant E_A) and holds, for each object
+    # the edit changes, the parent objects its update reads, never the
+    # parent; it derives its own residuals by the difference and fails
     healthy = fresh("bf")
     all_pass(run_checks(healthy, [c for c in cli.CHECK_NAMES
                                   if c != "triviality"]))
     (build,) = [b for lab, b in mutation_sites(healthy) if lab == label]
     mutant = build()
-    assert set(mutant.derived) == (
-        {"el", "ni"} if label != "lagrangian"
-        else {"gauge", "pairs", "gamma pairs", "brst", "antibracket"})
+    kept = {key for key, obj in mutant.derived.items()
+            if not isinstance(obj, gvc.noether.Parent)}
+    parents = {key: obj for key, obj in mutant.derived.items()
+               if isinstance(obj, gvc.noether.Parent)}
+    assert (kept, set(parents)) == (
+        ({"el"}, {"kt", "residuals", "gauge", "pairs", "gamma pairs"})
+        if label != "lagrangian" else
+        ({"gauge", "pairs", "gamma pairs", "brst", "antibracket"},
+         {"el", "kt", "residuals"}))
+    for key, parent in parents.items():
+        assert set(parent.reads) == set(gvc.noether.READS[key]), key
+        for name in parent.reads:
+            if name in healthy.derived:
+                assert parent.get(name) is healthy.derived[name], (key, name)
     for check in ("ni", "kt", "gauge", "extended"):
         entries = run_checks(mutant, [check])
         assert any(e["status"] == "fail" for e in entries), check
@@ -493,6 +507,25 @@ def test_warm_and_cold_mutants_agree(name):
         assert build_report(inherits, [catcher])["overall"] == "fail", label
 
 
+@pytest.mark.parametrize("name", ["bf4", "toy", "ym4"])
+def test_a_chain_of_edits_digests_as_a_cold_chain(name):
+    # each link updates from the one before, whose memo holds objects it
+    # derived, objects it kept and parents it never derived: every other
+    # check runs on each link, so all three kinds occur
+    warm, cold = fresh(name), fresh(name)
+    run_checks(warm, cli.CHECK_NAMES)
+    firsts = {}
+    for label, _build in mutation_sites(warm):
+        firsts.setdefault(label.split()[0], label)
+    for i, label in enumerate(firsts.values()):
+        warm = dict(mutation_sites(warm))[label]()
+        run_checks(warm, cli.CHECK_NAMES[i % 2::2])
+        cold = dict(mutation_sites(cold))[label]()
+    for check in cli.CHECK_NAMES:
+        assert build_report(warm, [check])["canonical_sha256"] == \
+            build_report(cold, [check])["canonical_sha256"], check
+
+
 def _doubled_record(theory):
     rec = theory.records[0]
     rows = {key: row.scale(2) for key, row in rec.rows.items()}
@@ -505,6 +538,10 @@ def _doubled_record(theory):
 # it replaces
 _EDITS = {"L doubled": lambda th: {"lagrangian": th.lagrangian.scale(2)},
           "record doubled": _doubled_record,
+          # delta' - delta meets Delta' - Delta only when both change
+          "L flipped, record doubled": lambda th: {
+              "lagrangian": cli._flip_leading(th.lagrangian),
+              **_doubled_record(th)},
           "gamma emptied": lambda th: {"gamma": {}},
           "gauge emptied": lambda th: {"gauge_candidate": {}}}
 
@@ -551,16 +588,77 @@ def test_mutants_of_a_warm_theory_recompute_only_what_their_edit_touches(
         monkeypatch, sites["lagrangian"](), ["brst"]) == []
     assert _polys_handed_to_prolong_apply(
         monkeypatch, sites["gauge"](), ["brst"]) == []
-    # a gamma mutant keeps the pairs of gauge stages and builds the rest:
-    # gamma on every component of b, and u on gamma's
+    # an L mutant passes delta' - delta, which is E(L' - L) on the field
+    # antifields, over the three parent Delta
+    assert _polys_handed_to_prolong_apply(
+        monkeypatch, sites["lagrangian"](), ["ni"]) == [3]
+    # a gamma mutant keeps the pairs of gauge stages and updates the rest:
+    # gamma' - gamma on every component of b, then the parent's gamma and u
+    # on the one gamma component the flip changed
     mutant = sites["gamma"]()
     (u,) = gvc.brst.stored_gauge(mutant)
     n = len(mutant.gamma)
     assert _polys_handed_to_prolong_apply(
-        monkeypatch, mutant, ["brst"]) == [len(u.components) + n, n]
-    # one stage-0 record flipped: the other two keep their residuals
+        monkeypatch, mutant, ["brst"]) == [len(u.components) + n, 1, 1]
+    # one stage-0 record flipped: delta' on the change of its Delta, and
+    # delta' - delta, that change, on the parent's three Delta
     assert _polys_handed_to_prolong_apply(
-        monkeypatch, sites["record"](), ["ni"]) == [1]
+        monkeypatch, sites["record"](), ["ni"]) == [1, 3]
+
+
+def _pairs_multiplied(monkeypatch, build, checks):
+    """The ``_mul_terms`` pairs that building a theory and running the
+    checks on it take."""
+    pairs = [0]
+    for mod in (gvc.algebra, gvc.jets, gvc.noether, gvc.brst):
+        def counted(t1, t2, out=None, _fn=mod._mul_terms):
+            pairs[0] += len(t1) * len(t2)
+            return _fn(t1, t2, out)
+        monkeypatch.setattr(mod, "_mul_terms", counted)
+    run_checks(build(), checks)
+    monkeypatch.undo()
+    return pairs[0]
+
+
+def test_warm_grav4_mutants_take_a_hundredth_of_the_cold_work(monkeypatch):
+    # an L or record flip changes E_A, delta_KT, the residuals and u by the
+    # images of one monomial, so its updates take a sliver of the pairs of
+    # a cold mutant, which redoes the 396,672-pair stage-0 residual pass
+    checks = cli.DEFAULT_CHECKS.split(",")
+    warm, cold = fresh("grav4"), fresh("grav4")
+    run_checks(warm, checks)
+    cold_sites = dict(mutation_sites(cold))
+    firsts = {}
+    for label, build in mutation_sites(warm):
+        firsts.setdefault(label.split()[0], (label, build))
+    for kind in ("lagrangian", "record"):
+        label, build = firsts[kind]
+        work = _pairs_multiplied(monkeypatch, build, checks)
+        cold_work = _pairs_multiplied(monkeypatch, cold_sites[label], checks)
+        assert 0 < 100 * work <= cold_work, (label, work, cold_work)
+
+
+# The work of every check on a theory with nothing stored: (the _mul_terms
+# pairs, the polynomials of each prolong_apply pass), as they were before
+# edits were derived by their difference; a cold build is the update from
+# the empty parent, and takes no more.
+_COLD_WORK = {
+    "bf": (30, [2, 6]),
+    "bf4": (116, [5, 1, 14, 14]),
+    "toy": (92, [2, 1, 4, 4, 2]),
+    "cs3": (2127, [6, 9, 15, 6]),
+    "ym4": (1530, [3, 12, 15, 3]),
+    "ym4_super": (6648, [5, 20, 25, 5]),
+    "grav4": (429852, [4, 74, 78, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLD_WORK))
+def test_a_cold_theory_takes_the_work_of_a_full_build(monkeypatch, name):
+    one, two = fresh(name), fresh(name)
+    assert (_pairs_multiplied(monkeypatch, lambda: one, cli.CHECK_NAMES),
+            _polys_handed_to_prolong_apply(monkeypatch, two, cli.CHECK_NAMES)
+            ) == _COLD_WORK[name]
 
 
 @pytest.mark.parametrize("name", ["bf4", "toy"])
@@ -582,6 +680,10 @@ def test_every_memo_key_names_the_fields_it_reads():
         assert set(theory.derived) <= set(gvc.noether.DERIVED_FROM), name
     fields = set(gvc.noether._UNREAD).union(*gvc.noether.DERIVED_FROM.values())
     assert fields == set(TheorySpec.__slots__) - {"derived"}
+    # an update reads its own key, memo objects and fields
+    for key, reads in gvc.noether.READS.items():
+        assert key in reads and set(reads) <= set(gvc.noether.DERIVED_FROM) \
+            | {"lagrangian", "records", "gamma"}, key
 
 
 _BF_WITH_S = pathlib.Path(builtin_path("bf")).read_text(
@@ -800,12 +902,45 @@ def test_mutation_site_labels():
     assert label == "sign of leading gamma term on c[0]"
 
 
+def _flipped_polys(theory):
+    """The polynomial each mutation site flips a sign of, in site order."""
+    polys = [theory.lagrangian] if theory.lagrangian.variables() else []
+    polys += [rec.rows[sorted(rec.rows)[0]]
+              for k in [0] + theory.stage_numbers()
+              for rec in theory.stage_records(k)]
+    return polys + [block[key] for block in (theory.gauge_candidate or {},
+                                             theory.gamma)
+                    for key in sorted(block) if not block[key].is_zero()]
+
+
+@pytest.mark.parametrize("name", ["bf", "bf4", "toy", "cs3", "ym4",
+                                  "ym4_super", "grav4"])
+def test_a_flip_takes_the_first_term_in_print_order(name):
+    # the first non-constant term that global_terms orders, or the constant
+    # when it is the only term
+    theory = cached(name)
+    polys = _flipped_polys(theory)
+    assert len(polys) == len(mutation_sites(theory))
+    for poly in polys:
+        rows = poly.global_terms()
+        want = next((key for key, _c, evens, odds in rows if evens or odds),
+                    rows[0][0])
+        flipped = cli._flip_leading(poly).terms
+        assert [key for key, c in poly.terms.items()
+                if flipped[key] != c] == [want]
+        assert flipped[want] == -poly.terms[want]
+
+
 def test_residual_truncation_helper():
-    text = "s + s1 + s2 - s3 + s4 + s5 + s6 - s7"
-    assert _truncate_residual(text, 3) == \
+    reg = Registry(1)
+    names = ["s"] + ["s%d" % i for i in range(1, 8)]
+    for name in names:
+        reg.declare_field(name)
+    s, s1, s2, s3, s4, s5, s6, s7 = [reg.var(name) for name in names]
+    assert _residual_text(s + s1 + s2 - s3 + s4 + s5 + s6 - s7, 3) == \
         "s + s1 + s2 + [truncated: 3 of 8 terms shown]"
-    assert _truncate_residual("s + s1", 3) == "s + s1"
-    assert _truncate_residual("-s - s1 - s2 - s3", 2) == \
+    assert _residual_text(s + s1, 3) == "s + s1"
+    assert _residual_text(-s - s1 - s2 - s3, 2) == \
         "-s - s1 + [truncated: 2 of 4 terms shown]"
 
 

@@ -118,10 +118,27 @@ def test_sum_binder_contracts_tables():
     assert th.lagrangian == want
 
 
-def test_duplicate_row_keys_accumulate_within_a_statement():
+def test_duplicate_row_keys_accumulate_across_statements():
     th = parse_theory("dim 1; field s even; L = 1/2*s[;0]^2;\n"
                       "ni c[] { (s; 0) = 1; (s; 0) = 2; }")
     assert th.records[0].rows == {("s", (), (0,)): th.registry.const(3)}
+
+
+_SYM = "dim 2; field s[2,2] sym even; L = sum(i,j){ s[i,j;0] * s[i,j;0] };\n"
+
+
+def test_duplicate_row_keys_count_once_within_a_statement():
+    # (0,1) and (1,0) name one canonical key of the sym family
+    th = parse_theory(_SYM + "ni c[] { (s[i,j];) = s[0,1;0]; }")
+    assert th.records[0].rows[("s", (0, 1), ())] == \
+        th.registry.var("s", (0, 1), (0,))
+
+
+def test_duplicate_row_keys_must_agree_within_a_statement():
+    with pytest.raises(ParseError, match=re.escape(
+            "row (s[0,1]; ) receives conflicting values under component "
+            "symmetry (line 2, column 10)")):
+        parse_theory(_SYM + "ni c[] { (s[i,j];) = s[i,i;0]; }")
 
 
 def test_zero_rows_are_dropped():
