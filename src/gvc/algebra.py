@@ -406,6 +406,86 @@ def _scale_terms(terms, c):
     return {k: _rat(v * c) for k, v in terms.items()}
 
 
+def direction_swap(reg, lam):
+    """The transposition of base directions ``lam`` and ``lam + 1`` as a
+    ``DirectionSwap``, or None when it changes some variable's parity,
+    which a family whose parity is read from a slot of range ``dim`` can."""
+    for sym in reg.symbols.values():
+        if isinstance(sym.parities, tuple):
+            pos, vec = sym.parities
+            if sym.slots[pos] == reg.dim and vec[lam] != vec[lam + 1]:
+                return None
+    return DirectionSwap(reg, lam)
+
+
+class DirectionSwap:
+    """A parity-preserving transposition sigma of two base directions,
+    acting on every component slot of range ``dim`` and on multi-indices:
+    an automorphism of the jet algebra that sends each variable to +- a
+    variable, with sigma d_lam = d_{sigma lam} sigma.  ``key`` maps a
+    monomial key rank by rank and interns nothing: a variable whose image
+    is not interned is a miss."""
+
+    __slots__ = ("reg", "lam", "images")
+
+    def __init__(self, reg, lam):
+        self.reg, self.lam = reg, lam
+        self.images = {}  # key entry -> (image entry, sign), None on a miss
+
+    def direction(self, d):
+        return 2 * self.lam + 1 - d if 0 <= d - self.lam <= 1 else d
+
+    def component(self, sym, comp):
+        """(The canonical image of ``sym``'s component ``comp``, its
+        ``sym``/``antisym`` sign)."""
+        dim = self.reg.dim
+        return sym.canonicalize([self.direction(c) if n == dim else c
+                                 for c, n in zip(comp, sym.slots)])
+
+    def _image(self, entry):
+        v = self.reg.by_rank[entry if entry >= 0 else ~entry]
+        comp, sign = self.component(v.symbol, v.component)
+        w = self.reg._vars.get((v.symbol.name, comp, tuple(sorted(
+            map(self.direction, v.index)))))
+        return None if w is None else (w.entry, sign)
+
+    def key(self, key):
+        """(The image of a monomial key, its sign), or None on a miss.  The
+        sign is the product of the factors' canonicalization signs, one per
+        unit of exponent, times the Koszul sign of re-sorting the images of
+        the odd factors."""
+        images, out, sign = self.images, [], 1
+        for entry in key:
+            img = images.get(entry, False)
+            if img is False:
+                img = images[entry] = self._image(entry)
+            if img is None:
+                return None
+            out.append(img[0])
+            sign *= img[1]
+        n = bisect_left(key, 0)
+        if n > 1:
+            sign *= sorting_sign(out[:n])
+        return tuple(sorted(out)), sign
+
+    def maps_to(self, terms, target):
+        """Whether sigma carries the term dict ``terms`` to +-``target``
+        exactly, one sign for every term; False at the first term whose
+        image misses."""
+        if len(terms) != len(target):
+            return False
+        signs = set()
+        for key, c in terms.items():
+            img = self.key(key)
+            d = None if img is None else target.get(img[0])
+            if d is None or abs(d) != abs(c):
+                return False
+            signs.add(d == img[1] * c)
+            if len(signs) > 1:
+                return False
+        return True
+
+
 class GradedPoly:
     """A graded-commutative polynomial in canonical form.
 

@@ -14,7 +14,10 @@ stage 0, where rows are keyed by fields, it is sum rows * d_Lambda(E_A); at
 stage k >= 1, where rows are keyed by stage-(k-1) ghosts, it contracts the
 stage-(k-1) Delta polynomials.  A stage-k >= 1 record may carry a quadratic
 certificate h for an identity that only holds on shell; delta_KT(Delta_r)
-then includes delta_KT(h).
+then includes delta_KT(h).  A cold build takes the stage-0 pass over one
+record per orbit (``_orbits``): a transposition of base directions that
+maps L to +-L and each record's Delta to +- another's maps their residuals
+alike, so a residual is zero exactly when its orbit's first one is.
 
 The input rules live here, each stated where it is checked; ``TheorySpec``
 checks them all through ``require_theory``, the parser at each statement,
@@ -41,7 +44,7 @@ from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GradedPoly,
-                      GvcError, _add_into, _mul_terms)
+                      GvcError, _add_into, _mul_terms, direction_swap)
 from .jets import EvolutionaryDerivation, prolong_apply
 from .variational import EulerLagrangeResult, euler_lagrange
 
@@ -396,6 +399,62 @@ def _entry(check, target, status, residual=None, note=""):
     return out
 
 
+def _symmetries(theory, recs, deltas):
+    """For each transposition sigma of base directions that maps every
+    stage-0 record's Delta to +- the Delta at its image label and L to
+    +-L, the list sending record i to the index of that image.  The tests
+    run cheapest first and stop at the first miss: sigma moves some label
+    and keeps every label a record's, then the Deltas, then L."""
+    reg, lag = theory.registry, theory.lagrangian
+    if not any(reg.dim in reg.symbols[rec.ghost].slots for rec in recs):
+        return []  # no label has a slot that a swap acts on
+    where = {(rec.ghost, rec.component): i for i, rec in enumerate(recs)}
+    out = []
+    for lam in range(reg.dim - 1):
+        swap = direction_swap(reg, lam)
+        if swap is None:
+            continue
+        moved = [where.get((rec.ghost, swap.component(
+            reg.symbols[rec.ghost], rec.component)[0])) for rec in recs]
+        if None in moved or moved == list(range(len(recs))):
+            continue
+        if all(swap.maps_to(delta.terms, deltas[j].terms)
+               for delta, j in zip(deltas, moved)) and \
+                swap.maps_to(lag.terms, lag.terms):
+            out.append(moved)
+    return out
+
+
+def _orbits(theory, recs, deltas):
+    """{i: j} for each stage-0 record i whose orbit under ``_symmetries``
+    holds an earlier record, j the orbit's first; by union-find.
+
+    Such a sigma is an automorphism of the jet algebra with sigma d_lam =
+    d_{sigma lam} sigma, so sigma L = +-L gives E_{sigma A} = +-sigma(E_A)
+    and delta_KT sigma = +-sigma delta_KT on fields and their antifields,
+    which is all a stage-0 Delta holds: delta_KT(Delta_{sigma r}) =
+    +-sigma(delta_KT(Delta_r)), zero exactly when delta_KT(Delta_r) is."""
+    root = list(range(len(recs)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i] = root[root[i]]
+        return i
+    for moved in _symmetries(theory, recs, deltas):
+        for i, j in enumerate(moved):
+            a, b = sorted((find(i), find(j)))
+            root[b] = a
+    return {i: find(i) for i in range(len(recs)) if find(i) != i}
+
+
+def _add_images(sums, u, items):
+    """sums[i] += u(delta) for each (i, delta) of items, in one pass."""
+    if items:
+        for (i, _delta), image in zip(items, prolong_apply(
+                u, [delta for _i, delta in items])):
+            sums[i] = _plus(sums[i], image)
+
+
 def _stage_residuals(theory, parent=EMPTY):
     """{k: delta_KT(Delta_r) for every stage-k record r, in order}; zero
     exactly when the identity holds, its h certificate included.
@@ -405,7 +464,9 @@ def _stage_residuals(theory, parent=EMPTY):
     (delta' - delta)(Delta_r) when delta_KT changed: per stage, one pass of
     delta' over the Delta that changed and one of delta' - delta over the
     parent's.  From ``EMPTY`` that is one pass of delta_KT per stage over
-    every record."""
+    every record, except that at stage 0 it takes one record per orbit
+    (``_orbits``): the others' residuals are zero with their first's, else
+    computed in a second pass."""
     reg = theory.registry
     kt = stored_kt(theory)
     old_kt = parent.get("kt")
@@ -419,19 +480,21 @@ def _stage_residuals(theory, parent=EMPTY):
         recs = theory.stage_records(k)
         labels = [(rec.ghost, rec.component) for rec in recs]
         sums = [old.get(label) for label in labels]
-        passes = [(kt, [(i, diff.components.get(_bar(label), reg.zero))
-                        for i, (rec, label) in enumerate(zip(recs, labels))
-                        if was.get(label) is not rec])]
+        items = [(i, diff.components.get(_bar(label), reg.zero))
+                 for i, (rec, label) in enumerate(zip(recs, labels))
+                 if was.get(label) is not rec]
+        orbit = _orbits(theory, recs, [delta for _i, delta in items]) \
+            if parent is EMPTY and not k else {}
+        _add_images(sums, kt, [item for item in items if item[0] not in orbit])
         if old_kt is not None and not diff.is_zero():
-            passes.append((diff, [(i, old_kt.components.get(_bar(label),
-                                                            reg.zero))
-                                  for i, label in enumerate(labels)
-                                  if label in was]))
-        for u, items in passes:
-            if items:
-                for (i, _delta), image in zip(items, prolong_apply(
-                        u, [delta for _i, delta in items])):
-                    sums[i] = _plus(sums[i], image)
+            _add_images(sums, diff, [(i, old_kt.components.get(
+                _bar(label), reg.zero)) for i, label in enumerate(labels)
+                if label in was])
+        _add_images(sums, kt, [(i, delta) for i, delta in items
+                               if i in orbit and not sums[orbit[i]].is_zero()])
+        for i, j in orbit.items():
+            if sums[j].is_zero():
+                sums[i] = reg.zero
         # a residual's dict keeps the table its terms grew to before they
         # cancelled (grav4's reach ~88k terms), so keep right-sized copies
         out[k] = [res if res is old.get(label) else

@@ -136,7 +136,7 @@ def _tokenize(text):
 
 # ---------------------------------------------------------------------------
 # Expression AST: tuples tagged by kind.
-#   ("num", int or Fraction)         ("ref", name, comps, jets)
+#   ("num", int or Fraction)         ("ref", name, comps, jets, token)
 #   ("neg", node)                    ("add", [(sign, node), ...])
 #   ("mul", [node, ...])             ("pow", node, int)
 #   ("sum", [(var, range-or-None)], node)
@@ -285,7 +285,7 @@ class _Parser:
         if tok[0] == "NAME":
             self.next()
             comps, jets = self.parse_index_group()
-            return ("ref", tok[1], comps, jets)
+            return ("ref", tok[1], comps, jets, tok)
         self.error("expected an expression")
 
     def items(self, read, close=()):
@@ -387,11 +387,21 @@ def _as_terms(look):
     return ref
 
 
-def _raiser(message):
-    """A compiled node whose evaluation raises ``GvcError(message)``."""
+def _raiser(message, tok=None):
+    """A compiled node whose evaluation raises ``GvcError(message)``,
+    placed at ``tok`` (``_placed``)."""
     def fail(*_args):
-        raise GvcError(message)
+        raise _placed(GvcError(message), tok)
     return fail
+
+
+def _placed(exc, tok):
+    """exc, carrying the token of the reference that raised it, unless it
+    carries one: ``parse_expr`` reports it there, a theory statement at its
+    own start."""
+    if tok is not None and not hasattr(exc, "tok"):
+        exc.tok = tok
+    return exc
 
 
 class _Eval:
@@ -718,11 +728,11 @@ class _Eval:
         or a table with no jets, has as many indices as slots and at most
         the cap of jets, and every index stays inside the slot it sits in
         (``dim`` for jets)."""
-        _ref, name, comps, jets = node
+        _ref, name, comps, jets, tok = node
         slots = [self._slot(atom, scope) for atom in comps + jets]
         if None in slots:
             unbound = (comps + jets)[slots.index(None)][1]
-            return _raiser("unbound index %r" % unbound), False, False
+            return _raiser("unbound index %r" % unbound, tok), False, False
         indices, bounds = _getter(slots), self.bounds
 
         def within(sizes):
@@ -732,14 +742,20 @@ class _Eval:
         if tab is not None:
             if jets:
                 return _raiser("constant table %r cannot carry jet indices"
-                               % name), False, False
+                               % name, tok), False, False
             if within(tab.shape):
                 entries = tab.entries
                 return (lambda v: entries.get(indices(v), 0)), False, True
-            return (lambda v: tab[indices(v)]), False, False
+
+            def entry(v):
+                try:
+                    return tab[indices(v)]
+                except ValueError as exc:
+                    raise _placed(exc, tok)
+            return entry, False, False
         sym = self.reg.symbols.get(name)
         if sym is None:
-            return _raiser("unknown symbol %r" % name), False, False
+            return _raiser("unknown symbol %r" % name, tok), False, False
         clean = len(jets) <= self.reg.jet_order and \
             within(sym.slots + (self.reg.dim,) * len(jets))
         # one map per symbol and arity for the whole statement
@@ -750,7 +766,10 @@ class _Eval:
             at = indices(v)
             hit = seen.get(at)
             if hit is None:
-                var, sign = jet_var(sym, at[:n], at[n:])
+                try:
+                    var, sign = jet_var(sym, at[:n], at[n:])
+                except (GvcError, ValueError) as exc:
+                    raise _placed(exc, tok)
                 hit = seen[at] = ((var.entry,), sign) if sign else (None, 0)
             return hit
         return look, True, clean
@@ -1113,5 +1132,9 @@ def parse_expr(text, registry):
     node = p.parse_expression()
     if not p.at("EOF"):
         p.error("trailing input after expression")
-    with _at((None, None, 1, 1)):  # evaluation errors: the start of the input
+    try:
         return _Eval(registry).statement(node, [])(())
+    except (GvcError, ValueError) as exc:
+        # at the reference that raised it, else the start of the input
+        tok = getattr(exc, "tok", (None, None, 1, 1))
+        raise ParseError(str(exc), tok[2], tok[3]) from None

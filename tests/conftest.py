@@ -120,6 +120,33 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def stage_deltas(theory):
+    """The Delta of each stage-0 record, in order, as ``_orbits`` takes
+    them."""
+    kt = gvc.noether.stored_kt(theory)
+    return [kt.components.get((rec.ghost + "_bar", rec.component),
+                              theory.registry.zero) for rec in theory.records]
+
+
+def by_orbit_and_full_pass(build, checks=("ni", "kt", "extended")):
+    """(residuals, ni verdicts, report digest) of the checks on a theory
+    that ``build()`` returns cold, twice: with the stage-0 residuals taken
+    by orbit, and for reference on a copy with one registry and nothing
+    derived, with ``_symmetries`` finding none, which takes every record's
+    pass."""
+    theory = build()
+    out = []
+    for full, th in ((False, theory), (True, gvc.cli._rebuild(theory))):
+        with pytest.MonkeyPatch.context() as mp:
+            if full:
+                mp.setattr(gvc.noether, "_symmetries", lambda *args: [])
+            report = gvc.cli.build_report(th, list(checks))
+        out.append((th.derived.get("residuals"),
+                    [(e["target"], e["status"]) for e in report["entries"]
+                     if e["check"] == "ni"], report["canonical_sha256"]))
+    return out
+
+
 def _as_fractions(p):
     return GradedPoly(p.reg, {k: Fraction(c) for k, c in p.terms.items()})
 
@@ -353,7 +380,14 @@ class WalkerEval(_Eval):
             binders = self.resolve(node[1], node[2])
             return self.accumulate((1, self.eval(node[2], inner, clean))
                                    for inner in _assignments(binders, env))
-        _ref, name, comps, jets = node
+        _ref, name, comps, jets, tok = node
+        try:
+            return self.ref(name, comps, jets, env)
+        except (GvcError, ValueError) as exc:
+            # parse_expr reports where the reference is
+            raise gvc.parser._placed(exc, tok)
+
+    def ref(self, name, comps, jets, env):
         comps = tuple(_index_value(atom, env) for atom in comps)
         jets = tuple(_index_value(atom, env) for atom in jets)
         tab = self.reg.tables.get(name)

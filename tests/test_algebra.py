@@ -1,5 +1,6 @@
 """Canonical form, grading, and sign bookkeeping of the polynomial ring."""
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from gvc.algebra import (
     Registry,
     SymbolDecl,
     _mul_terms,
+    direction_swap,
 )
 from conftest import constant_term, degree_parts
 
@@ -359,3 +361,82 @@ def test_partials_only_yields_the_filtered_partials(p, side, only):
     want = [(v, part) for v, part in p.partials(side)
             if (v.symbol.name, v.component) in only]
     assert list(p.partials(side, only)) == want
+
+
+# -- the direction-swap key map -----------------------------------------------
+
+# dim 3 with a family of each kind the map signs: odd vectors, a sym and an
+# antisym two-slot family (odd and even), one slot of another range, and an
+# odd scalar; every variable to jet order 2 is interned, so no image misses
+_SW = Registry(3)
+_SW.declare_field("p", slots=(3,), parities=1)
+_SW.declare_field("g", slots=(3, 3), symmetry="sym")
+_SW.declare_field("W", slots=(3, 3), symmetry="antisym", parities=1)
+_SW.declare_field("B", slots=(3, 3), symmetry="antisym")
+_SW.declare_field("b", slots=(2, 3))
+_SW.declare_field("q", parities=1)
+_SW.freeze()
+for _sym in list(_SW.symbols.values()):
+    for _comp in _sym.components():
+        for _order in range(3):
+            for _index in combinations_with_replacement(range(3), _order):
+                _SW.jet_var(_sym, _comp, _index)
+
+
+@st.composite
+def _factors(draw):
+    """A few (name, component, multi-index) factors, the components not
+    always canonical and the antisym ones never killed."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        name = draw(st.sampled_from(sorted(_SW.symbols)))
+        slots = _SW.symbols[name].slots
+        comp = draw(st.permutations(range(3)))[:len(slots)] \
+            if name in ("W", "W_bar", "B", "B_bar") else \
+            tuple(draw(st.integers(0, n - 1)) for n in slots)
+        index = draw(st.lists(st.integers(0, 2), max_size=2))
+        out.append((name, tuple(comp), tuple(index)))
+    return out
+
+
+@given(_factors(), st.integers(0, 1))
+def test_a_swapped_key_is_the_product_of_the_swapped_variables(factors, lam):
+    # the oracle multiplies the images through GradedPoly, in the order the
+    # monomial was built in
+    def swapped(d):
+        return {lam: lam + 1, lam + 1: lam}.get(d, d)
+    mono = image = _SW.one
+    for name, comp, index in factors:
+        slots = _SW.symbols[name].slots
+        mono = mono * _SW.var(name, comp, index)
+        image = image * _SW.var(name, [swapped(c) if n == 3 else c
+                                       for c, n in zip(comp, slots)],
+                                [swapped(d) for d in index])
+    interned = len(_SW.by_rank)
+    swap = direction_swap(_SW, lam)
+    for key, c in mono.terms.items():
+        new, sign = swap.key(key)
+        assert image.terms == {new: sign * c}
+    assert image.is_zero() == mono.is_zero()
+    assert len(_SW.by_rank) == interned
+
+
+def test_a_swap_misses_a_variable_it_would_have_to_intern():
+    reg = Registry(2)
+    reg.declare_field("s")
+    reg.freeze()
+    var, _sign = reg.jet_var("s", (), (0,))
+    reg.jet_var("s", (), (0, 0))
+    swap = direction_swap(reg, 0)
+    assert swap.key((var.rank,)) is None
+    assert len(reg.by_rank) == 2
+    assert not swap.maps_to({(var.rank,): 1}, {(var.rank,): 1})
+
+
+def test_a_swap_that_changes_a_parity_is_refused():
+    reg = Registry(3)
+    reg.declare_field("f", slots=(3,), parities=(0, (1, 0, 0)))
+    reg.declare_field("h", slots=(2,), parities=(0, (1, 0)))
+    reg.freeze()
+    assert direction_swap(reg, 0) is None
+    assert direction_swap(reg, 1) is not None

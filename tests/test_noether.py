@@ -1,13 +1,15 @@
 """Noether records, stage identities, the Koszul-Tate operator, triviality."""
+import pathlib
 import random
 import re
 
 import pytest
 
 import gvc.noether
-from gvc.algebra import KIND_GHOST, GvcError
+from gvc.algebra import KIND_GHOST, GvcError, direction_swap
 from gvc.brst import check_gauge_symmetry, stored_gauge
-from gvc.cli import _rebuild, build_report, mutation_sites, run_checks
+from gvc.cli import (_flip_leading, _rebuild, build_report, mutation_sites,
+                     run_checks)
 from gvc.jets import prolong_apply
 from gvc.noether import (
     NoetherRecord,
@@ -22,9 +24,11 @@ from gvc.noether import (
     verify_stage_ni,
 )
 from gvc.parser import TheorySpec, parse_theory
+from gvc.theories import builtin_path, fixture_text
 from gvc.variational import check_variational_symmetry, euler_lagrange
-from conftest import (TOY_TEXT, all_pass, cached, count_calls,
-                      extended_lagrangian, fresh, variational_pairing)
+from conftest import (TOY_TEXT, all_pass, by_orbit_and_full_pass, cached,
+                      count_calls, extended_lagrangian, fresh, stage_deltas,
+                      variational_pairing)
 
 
 def rebuilt(th, **over):
@@ -379,3 +383,80 @@ def test_stage_record_guard(toy):
     rec = NoetherRecord("ps", (), {}, stage=1, h=toy.registry.one)
     assert (rec.stage, rec.h) == (1, toy.registry.one)
     assert NoetherRecord("ca", (), {}).stage == 0
+
+
+# -- stage-0 residuals by orbit -----------------------------------------------
+
+# The orbits of each builtin's stage-0 records under the transpositions of
+# base directions: {record: the first record of its orbit}, by index.
+_ORBITS = {"bf": {}, "bf4": {2: 1, 3: 1, 4: 1}, "toy": {}, "cs3": {},
+           "ym4": {}, "ym4_super": {}, "grav4": {1: 0, 2: 0, 3: 0}}
+
+
+@pytest.mark.parametrize("name", sorted(_ORBITS))
+def test_the_candidate_test_finds_each_builtins_orbits_and_interns_nothing(
+        name):
+    theory = fresh(name)
+    deltas = stage_deltas(theory)
+    interned = len(theory.registry.by_rank)
+    assert gvc.noether._orbits(theory, theory.records, deltas) == _ORBITS[name]
+    assert len(theory.registry.by_rank) == interned
+
+
+def test_a_parity_read_from_a_direction_slot_refuses_its_swaps():
+    # f[0] is odd and f[1], f[2], f[3] even: swapping directions 0 and 1
+    # would change a parity, so only x[1], x[2], x[3] stay one orbit
+    text = fixture_text("bf", n=4, p=1, q=2).replace(
+        "field A[4] even;", "table pf[4]{ [0]=1; }\nfield f[4] parity pf@0;\n"
+        "field A[4] even;")
+    theory = parse_theory(text)
+    assert direction_swap(theory.registry, 0) is None
+    assert gvc.noether._orbits(theory, theory.records,
+                               stage_deltas(theory)) == {3: 2, 4: 2}
+
+
+def test_a_record_flipped_cold_breaks_grav4s_orbit_and_alone_turns_red():
+    # the row of k[0,0,1] of cm[1], whose E_A is not zero
+    recs = list(fresh("grav4").records)
+    rows = dict(recs[1].rows)
+    key = ("k", (0, 0, 1), ())
+    rows[key] = _flip_leading(rows[key])
+    recs[1] = NoetherRecord("cm", (1,), rows)
+    (residuals, verdicts, digest), full = by_orbit_and_full_pass(
+        lambda: _rebuild(fresh("grav4"), records=recs), ("ni",))
+    assert (residuals, verdicts, digest) == full
+    assert verdicts == [("cm[%d]" % w, "fail" if w == 1 else "pass")
+                        for w in range(4)]
+
+
+def test_a_sign_flipped_in_grav4s_family_keeps_its_orbit_all_red():
+    # one row of ni cm[w:4] changes sign in every record alike, so the
+    # orbit holds and its first record's residual is not zero: the other
+    # three are computed in a second pass
+    text = pathlib.Path(builtin_path("grav4")).read_text(encoding="utf-8")
+    text = text.replace("+ k[w,a,b;m];",
+                        "- k[w,a,b;m];")
+    theory = parse_theory(text)
+    assert gvc.noether._orbits(theory, theory.records,
+                               stage_deltas(theory)) == {1: 0, 2: 0, 3: 0}
+    (residuals, verdicts, digest), full = by_orbit_and_full_pass(
+        lambda: parse_theory(text), ("ni",))
+    assert (residuals, verdicts, digest) == full
+    assert verdicts == [("cm[%d]" % w, "fail") for w in range(4)]
+
+
+def test_an_l_that_breaks_a_swap_alone_keeps_its_records_apart():
+    # the records map to one another under every swap, but the mass term
+    # of B[1,2] maps to one of B[0,2] under (0 1), which L lacks: c[0]
+    # holds its gauge identity and c[1], c[2], on which the term acts, do
+    # not, and only (1 2) joins them
+    text = ("dim 3; field B[3,3] antisym even;\n"
+            "L = sum(i:3, j:3, l:3){ (B[i,j;l] + B[j,l;i] + B[l,i;j])^2 }"
+            " + B[1,2;] * B[1,2;];\nni c[g:3] { (B[k,g]; k) = -1; }\n")
+    theory = parse_theory(text)
+    assert gvc.noether._orbits(theory, theory.records,
+                               stage_deltas(theory)) == {2: 1}
+    (residuals, verdicts, digest), full = by_orbit_and_full_pass(
+        lambda: parse_theory(text))
+    assert (residuals, verdicts, digest) == full
+    assert verdicts == [("c[0]", "pass"), ("c[1]", "fail"), ("c[2]", "fail")]

@@ -240,6 +240,28 @@ def test_parse_expr_reports_location():
         parse_expr("s +", reg)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("s + s[;0] +\n  nope", "unknown symbol 'nope' (line 2, column 3)"),
+    ("s\n+ s[;0]\n  - s[;0,0,0,0,0]", "jet order 5 of s(0, 0, 0, 0, 0) "
+     "exceeds the cap 4; raise the cap via Registry(jet_order=...) or the "
+     "--jet-order flag / GVC_JET_ORDER (line 3, column 5)"),
+    ("s +\n s[;1]", "jet direction 1 out of range for dim 1 (line 2, "
+     "column 2)"),
+    ("s * k[2]", "index (2,) out of bounds for table k (line 1, column 5)"),
+    ("1 +\n\n k[0;0]", "constant table 'k' cannot carry jet indices "
+     "(line 3, column 2)"),
+    ("s + s[m]", "unbound index 'm' (line 1, column 5)"),
+])
+def test_parse_expr_places_each_error_at_its_reference(text, message):
+    reg = Registry(1)
+    reg.declare_field("s")
+    reg.declare_table("k", (2,))
+    reg.freeze()
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, reg)
+    assert str(err.value) == message
+
+
 def test_pretty_round_trip_of_fixture_objects():
     for name in ("bf", "bf4", "toy", "ym4"):
         th = cached(name)

@@ -36,6 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gvc.jets
+import gvc.noether
 from gvc.algebra import KIND_GHOST, GvcError
 from gvc.brst import check_antibracket, check_brst_nilpotent, stored_gauge, \
     stored_pairs
@@ -47,9 +48,9 @@ from gvc.noether import (_residuals, _stage_residuals, assemble_kt,
                          verify_stage_ni)
 from gvc.parser import ParseError, parse_theory
 from gvc.variational import euler_lagrange
-from conftest import (brst_operator, derivation_sum, extended_lagrangian,
-                      fraction_twin, nilpotency_residuals, prolong_oracle,
-                      variational_pairing)
+from conftest import (brst_operator, by_orbit_and_full_pass, derivation_sum,
+                      extended_lagrangian, fraction_twin, nilpotency_residuals,
+                      prolong_oracle, stage_deltas, variational_pairing)
 
 EVEN, ODD = ("x", "y"), ("p",)
 
@@ -319,3 +320,112 @@ def test_random_mutants_digest_alike_warm_and_cold(case):
             assert build_report(inherits, [check])["canonical_sha256"] == \
                 build_report(fresh_mutant, [check])["canonical_sha256"], \
                 (label, check, text)
+
+
+# -- planted symmetries -------------------------------------------------------
+
+
+@st.composite
+def _covariant(draw, letters, parity, signed):
+    """A rational times field references and ``w`` entries whose every index
+    is one of ``letters``, with one odd factor when ``parity`` is odd and
+    none or two otherwise, and one ``e`` entry when ``signed``.  No index
+    names a direction, so the transposition (0 1) of base directions maps
+    its sum over the letters to itself, times -1 for an ``e``, when w[0] =
+    w[1]."""
+    letter = st.sampled_from(letters)
+
+    def ref(name, slots, jet=None):
+        comps = ",".join(draw(letter) for _ in range(slots))
+        jets = draw(st.lists(letter, max_size=1)) if jet is None else [jet]
+        return "%s[%s;%s]" % (name, comps, ",".join(jets))
+    factors = [draw(_rational())]
+    for _ in range(draw(st.integers(0, 2))):
+        factors.append(ref(*draw(st.sampled_from((("x", 1), ("y", 0),
+                                                  ("B", 2))))))
+    odd = 1 if parity else draw(st.sampled_from((0, 0, 2)))
+    # the second odd factor carries a jet, so the two differ
+    factors += [ref("p", 1, draw(letter) if n else None) for n in range(odd)]
+    if draw(st.booleans()):
+        factors.append("w[%s]" % draw(letter))
+    if signed:
+        factors.append("e[%s]" % ",".join(draw(st.lists(
+            letter, min_size=2, max_size=2, unique=True))))
+    return " * ".join(factors)
+
+
+@st.composite
+def _planted(draw):
+    """(text, near_miss): a theory built symmetric under the transposition
+    (0 1) of base directions, with an odd field ``p`` and an antisymmetric
+    ``B``; L maps to +-L, and each record family c[g], d[g] to +- itself.
+    Either L and the rows are random, so most records are red, or L is a
+    function of the field strength of B and the record c[g] its gauge
+    identity, which holds.  A near miss flips the sign of w[1], which
+    breaks the symmetry wherever ``w`` occurs."""
+    dim = draw(st.integers(2, 3))
+    near = draw(st.booleans())
+    w = [draw(_rational()), draw(_rational())]
+    w.insert(1, ("-" if near else "") + w[0])
+    lines = ["theory planted;", "dim %d;" % dim, "jet_order 6;",
+             "table w[%d]{ %s }" % (dim, " ".join(
+                 "[%d]=%s;" % pair for pair in enumerate(w[:dim]))),
+             # e[1,0] = -e[0,1], e[1,2] = -e[0,2] and e[2,1] = -e[2,0]
+             "table e[%d,%d]{ [0,1]=1; [1,0]=-1; %s}" % (dim, dim, "" if
+                                                         dim < 3 else
+                 "[0,2]=1; [1,2]=-1; [2,0]=1; [2,1]=-1; "),
+             "field x[%d] even;" % dim, "field y even;",
+             "field p[%d] odd;" % dim,
+             "field B[%d,%d] antisym even;" % (dim, dim)]
+    over = "sum(%s){ %%s }" % ", ".join("%s:%d" % (i, dim) for i in "ijl")
+    if draw(st.booleans()):
+        h = "(B[i,j;l] + B[j,l;i] + B[l,i;j])"
+        lines.append("L = %s;" % over % ("%s * w[l] * %s * %s" % (
+            draw(_rational()), h, h)))
+        lines.append("ni c[g:%d] { (B[k,g]; k) = -1; }" % dim)
+        return "\n".join(lines) + "\n", near
+    signed = draw(st.booleans())
+    lines.append("L = %s;" % " + ".join(
+        over % draw(_covariant("ijl", 0, signed))
+        for _ in range(draw(st.integers(1, 3)))))
+    for ghost in ("c", "d")[:draw(st.integers(1, 2))]:
+        t, signed = draw(st.integers(0, 1)), draw(st.booleans())
+        rows = []
+        for _ in range(draw(st.integers(1, 2))):
+            target, slots = draw(st.sampled_from((("x", 1), ("y", 0),
+                                                  ("p", 1), ("B", 2))))
+            # B[g,g] is zero, so B's components are g and k in some order
+            comps = draw(st.permutations("gk") if slots == 2 else
+                         st.lists(st.sampled_from("gk"), min_size=slots,
+                                  max_size=slots))
+            jets = draw(st.lists(st.sampled_from("gk"), max_size=1))
+            letters = sorted({"g", "i", *comps, *jets})
+            coeff = draw(_covariant(letters, (t + (target == "p")) & 1,
+                                    signed))
+            rows.append("(%s[%s]%s) = sum(i:%d){ %s };" % (
+                target, ",".join(comps), "; " + jets[0] if jets else "",
+                dim, coeff))
+        lines.append("ni %s[g:%d] { %s }" % (ghost, dim, " ".join(rows)))
+    return "\n".join(lines) + "\n", near
+
+
+@settings(max_examples=30)
+@given(_planted())
+def test_planted_symmetries_give_every_record_the_full_pass_verdict(case):
+    text, near = case
+    try:
+        theory = parse_theory(text)
+    except GvcError:
+        return
+    if not near:
+        # the planted transposition is found: c[0] goes to c[1]
+        assert 1 in [moved[0] for moved in gvc.noether._symmetries(
+            theory, theory.records, stage_deltas(theory))], text
+    orbit, full = by_orbit_and_full_pass(lambda: parse_theory(text))
+    assert orbit == full, text
+    # a record flipped on a cold theory breaks its orbit
+    for label, build in mutation_sites(parse_theory(text)):
+        if label.startswith("record"):
+            orbit, full = by_orbit_and_full_pass(build)
+            assert orbit == full, (label, text)
+            break
