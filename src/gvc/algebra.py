@@ -435,6 +435,10 @@ class DirectionSwap:
     def direction(self, d):
         return 2 * self.lam + 1 - d if 0 <= d - self.lam <= 1 else d
 
+    def index(self, index):
+        """The image of the multi-index ``index``, sorted."""
+        return tuple(sorted(map(self.direction, index)))
+
     def component(self, sym, comp):
         """(The canonical image of ``sym``'s component ``comp``, its
         ``sym``/``antisym`` sign)."""
@@ -445,8 +449,7 @@ class DirectionSwap:
     def _image(self, entry):
         v = self.reg.by_rank[entry if entry >= 0 else ~entry]
         comp, sign = self.component(v.symbol, v.component)
-        w = self.reg._vars.get((v.symbol.name, comp, tuple(sorted(
-            map(self.direction, v.index)))))
+        w = self.reg._vars.get((v.symbol.name, comp, self.index(v.index)))
         return None if w is None else (w.entry, sign)
 
     def key(self, key):
@@ -469,21 +472,23 @@ class DirectionSwap:
         return tuple(sorted(out)), sign
 
     def maps_to(self, terms, target):
-        """Whether sigma carries the term dict ``terms`` to +-``target``
-        exactly, one sign for every term; False at the first term whose
-        image misses."""
+        """The sign e with sigma(``terms``) = e * ``target`` exactly, one
+        sign for every term (1 for two empty dicts), or 0 when there is
+        none; it stops at the first term whose image misses."""
         if len(terms) != len(target):
-            return False
-        signs = set()
+            return 0
+        sign = 0
         for key, c in terms.items():
             img = self.key(key)
             d = None if img is None else target.get(img[0])
             if d is None or abs(d) != abs(c):
-                return False
-            signs.add(d == img[1] * c)
-            if len(signs) > 1:
-                return False
-        return True
+                return 0
+            e = 1 if d == img[1] * c else -1
+            if sign != e:
+                if sign:
+                    return 0
+                sign = e
+        return sign or 1
 
 
 class GradedPoly:

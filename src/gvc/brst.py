@@ -13,18 +13,23 @@ sum_k u^(k); the input rules of ``gvc.noether`` make both odd.
 Every condition on b is a component of b^2, so one table of images P(Q^X),
 for the parts P, Q in {u, u^(1), ..., gamma} and the components X of Q,
 serves them all; the memo keeps the pairs that involve gamma apart, and an
-edited theory updates both by the difference of its parts (``_table``).
+edited theory adds the difference of its parts to both (``_table``).
 ``brst`` sums the pairs at each X, b(b^X), and buckets the residuals by
 ghost degree, which pinpoints whether the gauge symmetry, the bracket
 structure, or a higher structure function is at fault; ``antibracket`` sums
 u(u^A) + gamma(u^A), and the stage-k ``gauge`` check reads u^(k)(u^(k-1)).
+A cold build takes the pairs at one component X per orbit of the
+transpositions of base directions that map every part of b to one sign
+times itself (``_orbits``), and owes the rest: ``brst`` and
+``antibracket`` pass when their sums there are zero, and a nonzero sum, or
+anything else that reads another pair, takes the rest first.
 """
 from __future__ import annotations
 
 from .algebra import GradedPoly, _add_into, _mul_terms
 from .jets import EvolutionaryDerivation, eta, prolong_apply
-from .noether import EMPTY, comp_label, _changed, _entry, _minus, _plus, \
-    _residuals, stored, stored_kt
+from .noether import EMPTY, comp_label, _candidates, _changed, _entry, \
+    _first_of_orbits, _minus, _plus, _residuals, stored, stored_kt
 
 
 def _components_from_records(reg, records):
@@ -62,25 +67,92 @@ def stored_gauge(theory):
     return stored(theory, "gauge", gauge_from_ni)
 
 
-def _table(table, plan, old):
-    """{(P, Q, X): P(Q^X)} for each (P, parts) of ``plan`` with P nonzero,
-    each Q of parts and each component X of Q, from the parent's ``table``
-    and parts (``old``, by name):
+class _Cold(dict):
+    """Pairs {(P, Q, X): P(Q^X)} of b's table, by name, built with nothing
+    to inherit.  Pruned by ``orbits`` ({X: its orbit's first key}, see
+    ``_orbits``), it holds the pairs at the first keys and owes the rest,
+    each with its P: ``complete`` takes them, one pass of each P over its
+    members, and stores them."""
 
-        P'(Q'^X) = P(Q^X) + (P' - P)(Q'^X) + P(Q'^X - Q^X),
+    __slots__ = ("orbits", "owed")
 
-    one pass of each P' - P over the Q'^X and one of each parent P over
-    the Q'^X - Q^X that the edit changed, so every pair gets a pass or a
-    parent entry.  From ``EMPTY`` that is one pass of each P over every
-    Q^X."""
-    out = {}
-    for p, parts in plan:
-        if p.is_zero():
-            continue
-        todo = [((p.name, q.name, x), val) for q in parts
-                for x, val in sorted(q.components.items())]
-        for pair, _val in todo:
-            out[pair] = table.get(pair)
+    def __init__(self, orbits=None):
+        super().__init__()
+        self.orbits, self.owed = orbits or {}, []
+
+    def take(self, p, items):
+        """Store p(val) at each (pair, val) of items, from one pass."""
+        if items:
+            for (pair, _val), image in zip(items, prolong_apply(
+                    p, [val for _pair, val in items])):
+                self[pair] = image
+
+    def complete(self):
+        for p, items in self.owed:
+            self.take(p, items)
+        self.orbits, self.owed = {}, []
+        return self
+
+    def pairs(self):
+        return set(self).union(pair for _p, items in self.owed
+                               for pair, _val in items)
+
+
+class _Table:
+    """b's table {(P, Q, X): P(Q^X)}, by name, as the sum of the pairs
+    ``cold``, a ``_Cold``, and ``edits``, what the edits since the cold
+    build added to them.  Every pair of ``cold`` is one of the table's, so
+    an edit reads no pair that its cold build owes."""
+
+    __slots__ = ("cold", "edits")
+
+    def __init__(self, cold, edits):
+        self.cold, self.edits = cold, edits
+
+    def entries(self):
+        """Every pair, the cold build completed first."""
+        out = dict(self.cold.complete())
+        for pair, diff in self.edits.items():
+            out[pair] = _plus(out.get(pair), diff)
+        return out
+
+
+def _table(table, plan, old, orbits=None):
+    """b's table of P(Q^X) for each (P, parts) of ``plan`` with P nonzero,
+    each Q of parts and each component X of Q, as a ``_Table``.
+
+    With no parent ``table`` it is built cold: one pass of each P over
+    every Q^X, or, with ``orbits``, over the Q^X at the first key of each
+    orbit, the rest owed.  An edited theory adds to the parent's edits the
+    difference at each pair,
+
+        P'(Q'^X) - P(Q^X) = (P' - P)(Q'^X) + P(Q'^X - Q^X),
+
+    from the parent's parts (``old``, by name): one pass of each P' - P
+    over the Q'^X and one of each parent P over the Q'^X - Q^X that the
+    edit changed.  An edit that drops a pair of the cold build (a part or
+    a component gone) makes the parent's whole table, completed, its new
+    cold build, so every pair of a cold build stays the table's."""
+    todos = [(p, [((p.name, q.name, x), val) for q in parts
+                  for x, val in sorted(q.components.items())])
+             for p, parts in plan if not p.is_zero()]
+    if table is None:
+        cold = _Cold(orbits)
+        for p, todo in todos:
+            owed = [item for item in todo if item[0][2] in cold.orbits]
+            if owed:
+                cold.owed.append((p, owed))
+            cold.take(p, [item for item in todo
+                          if item[0][2] not in cold.orbits])
+        return _Table(cold, {})
+    pairs = {pair for _p, todo in todos for pair, _val in todo}
+    cold, edits = table.cold, table.edits
+    if not cold.pairs() <= pairs:
+        cold, edits = _Cold(), {}
+        cold.update((pair, entry) for pair, entry in table.entries().items()
+                    if pair in pairs)
+    edits = {pair: diff for pair, diff in edits.items() if pair in pairs}
+    for p, todo in todos:
         was = old.get(p.name)
         changed = []
         if was is not None and not was.is_zero():
@@ -95,42 +167,123 @@ def _table(table, plan, old):
             if items and not u.is_zero():
                 for (pair, _val), image in zip(items, prolong_apply(
                         u, [val for _pair, val in items])):
-                    out[pair] = _plus(out[pair], image)
+                    edits[pair] = _plus(edits.get(pair), image)
+    return _Table(cold, edits)
+
+
+def _gamma(theory):
+    return EvolutionaryDerivation(theory.registry, theory.gamma, name="gamma")
+
+
+def _symmetries(reg, parts, labels):
+    """The moved lists of the ``_candidates`` sigma of b's component keys
+    ``labels`` that map every part P of b to e P, one sign e for all:
+    P^{sigma X} = e s sigma(P^X) at each component X of each P, s the sign
+    of canonicalizing sigma X.  The components are tested smallest first,
+    and the test stops at the first miss.  sigma is an involution, so a
+    component whose image key sorts before it was tested from there."""
+    items = sorted((len(val.terms), i, x) for i, p in enumerate(parts)
+                   for x, val in p.components.items())
+    out = []
+    for swap, moved in _candidates(reg, labels):
+        sign = 0
+        for _n, i, x in items:
+            comps = parts[i].components
+            comp, s = swap.component(reg.symbols[x[0]], x[1])
+            image = comps.get((x[0], comp))
+            if image is not None and (x[0], comp) < x:
+                continue
+            e = image is not None and s * swap.maps_to(comps[x].terms,
+                                                       image.terms)
+            if not e or sign not in (0, e):
+                break
+            sign = e
+        else:
+            out.append(moved)
     return out
 
 
-def _stage_pairs(theory, parent):
+def _orbits(theory):
+    """{X: the first key of X's orbit} for each component key X of b's
+    parts whose orbit under ``_symmetries`` holds an earlier key.
+
+    Such a sigma is an automorphism of the jet algebra with sigma d_lam =
+    d_{sigma lam} sigma, and sigma P sigma = e P on the generators, so on
+    every jet: P(sigma F) = e sigma(P(F)) for each part P and polynomial F.
+    With Q^{sigma X} = e s sigma(Q^X), each pair has P(Q^{sigma X}) =
+    e^2 s sigma(P(Q^X)) = s sigma(P(Q^X)), and so has every sum of pairs at
+    sigma X: b(b^{sigma X}), and u(u^{sigma A}) + gamma(u^{sigma A}), are
+    zero exactly when they are at X.  One e for all parts is what makes
+    the signs of a sum's pairs agree."""
+    parts = stored_gauge(theory) + [_gamma(theory)]
+    labels = sorted({x for p in parts for x in p.components})
+    orbit = _first_of_orbits(len(labels), _symmetries(
+        theory.registry, parts, labels))
+    return {labels[i]: labels[j] for i, j in orbit.items()}
+
+
+def _stage_pairs(theory, parent, orbits=None):
     gauge = stored_gauge(theory)
-    return _table(parent.get("pairs", {}), [(u, gauge) for u in gauge],
-                  {u.name: u for u in parent.get("gauge", ())})
+    return _table(parent.get("pairs"), [(u, gauge) for u in gauge],
+                  {u.name: u for u in parent.get("gauge", ())}, orbits)
 
 
-def _gamma_pairs(theory, parent):
+def _gamma_pairs(theory, parent, orbits=None):
     """gamma on every part of b, and every gauge stage on gamma."""
     reg = theory.registry
     gauge = stored_gauge(theory)
-    gamma = EvolutionaryDerivation(reg, theory.gamma, name="gamma")
+    gamma = _gamma(theory)
     old = {u.name: u for u in parent.get("gauge", ())}
     if parent.get("gamma") is not None:
         old["gamma"] = EvolutionaryDerivation(reg, parent.get("gamma"),
                                               name="gamma")
-    return _table(parent.get("gamma pairs", {}),
+    return _table(parent.get("gamma pairs"),
                   [(gamma, gauge + [gamma])] + [(u, [gamma]) for u in gauge],
-                  old)
+                  old, orbits)
 
 
-def stored_pairs(theory):
-    """b's table: {(P, Q, X): P(Q^X)} for the parts P and Q of b, by name."""
-    return {**stored(theory, "pairs", _stage_pairs),
-            **stored(theory, "gamma pairs", _gamma_pairs)}
+def _tables(theory):
+    """b's two tables, the pairs of gauge stages and those with gamma.
+    When both are built cold, one ``_orbits`` test prunes them alike."""
+    orbits = None
+    if all(theory.derived.get(key) is None
+           for key in ("pairs", "gamma pairs")):
+        orbits = _orbits(theory)
+    return [stored(theory, "pairs",
+                   lambda th, parent: _stage_pairs(th, parent, orbits)),
+            stored(theory, "gamma pairs",
+                   lambda th, parent: _gamma_pairs(th, parent, orbits))]
+
+
+def _sum_into(sums, pairs, pick):
+    for (p, q, key), image in pairs.items():
+        if pick(p, q):
+            _add_into(sums.setdefault(key, {}), image.terms)
+    return sums
 
 
 def _sums(theory, pick):
-    """{X: the sum of the pairs P(Q^X) with pick(P, Q)}, where nonzero."""
+    """{X: the sum of the pairs P(Q^X) with pick(P, Q)}, where nonzero.
+
+    The cold builds of the two tables count only when pruned alike, by one
+    ``_orbits`` test: then their sums at the first keys of the orbits
+    decide, for when every one is zero, so is every other.  Otherwise, or
+    when one is not zero, they are completed and summed in full, so a sum
+    reported is never a mapped one.  The edits' differences add to that."""
+    tables = _tables(theory)
+    colds = [table.cold for table in tables]
+    if colds[0].orbits is not colds[1].orbits:
+        for cold in colds:
+            cold.complete()
     sums = {}
-    for (p, q, key), image in stored_pairs(theory).items():
-        if pick(p, q):
-            _add_into(sums.setdefault(key, {}), image.terms)
+    for cold in colds:
+        _sum_into(sums, cold, pick)
+    if colds[0].orbits and any(sums.values()):
+        sums = {}
+        for cold in colds:
+            _sum_into(sums, cold.complete(), pick)
+    for table in tables:
+        _sum_into(sums, table.edits, pick)
     return {key: GradedPoly(theory.registry, terms)
             for key, terms in sorted(sums.items()) if terms}
 
@@ -172,7 +325,7 @@ def check_gauge_symmetry(theory, k):
         return [_entry("gauge", "stage %d" % k, "pass",
                        note="no stage-%d records declared" % k)]
     upper, lower = gauge[k], gauge[k - 1]
-    pairs = stored(theory, "pairs", _stage_pairs)
+    pairs = stored(theory, "pairs", _stage_pairs).entries()
     certs = stored(theory, "alpha", _alpha_images)
     entries = []
     for key in sorted(lower.components):

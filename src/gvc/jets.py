@@ -237,7 +237,7 @@ class EvolutionaryDerivation:
         return EvolutionaryDerivation(self.reg, comps, self.right)
 
 
-def prolong_apply(u, polys):
+def prolong_apply(u, polys, symmetries=None):
     """The images of ``polys`` under the jet prolongation of u, in order.
 
     Left derivations: sum over jet variables v = s^A_Lambda of
@@ -264,10 +264,21 @@ def prolong_apply(u, polys):
       the prefix chain of the current variable, at most ``jet_order + 1``
       values: each d_Lambda(upsilon^A) is built once and dropped as soon as
       the walk leaves its subtree.
+
+    ``symmetries``, when given, lists for each polynomial p the
+    ``DirectionSwap``s sigma with sigma(p) = +-p and sigma u = +-u sigma,
+    under which its by-parts sums have z[sigma Lambda] = +-sigma(z[Lambda])
+    (the proof is at ``gvc.noether._orbits``).  The pass then accumulates
+    z[Lambda] for the least Lambda of each orbit of the group they
+    generate, and the rest of an orbit, after the components, only when
+    that sum is not zero.
     """
     side = "right" if u.right else "left"
     outs = [{} for _ in polys]
     zs = {}  # i -> the by-parts sums of polynomial i, folded at the end
+    firsts = [_orbit_first(swaps) if swaps else None
+              for swaps in symmetries or [None] * len(polys)]
+    owed = {}  # i -> the (Lambda, eta(f)^Lambda, phi) it has yet to pair
     chain = []
     stream = merge(*[_tagged(i, p.partials(side, u.components))
                      for i, p in enumerate(polys)])
@@ -279,7 +290,12 @@ def prolong_apply(u, polys):
             rows.setdefault(i, {})[v.index] = part
         by_parts = {i for i, f in rows.items() if _by_parts(phi, f)}
         for i in by_parts:
-            _pair_into(zs.setdefault(i, {(): outs[i]}), rows[i], phi, u.right)
+            z = zs.setdefault(i, {(): outs[i]})
+            for index, g in eta(rows[i]).items():
+                if firsts[i] and firsts[i](index) != index:
+                    owed.setdefault(i, []).append((index, g, phi))
+                else:
+                    _pair_into(z.setdefault(index, {}), g, phi, u.right)
         for _key, i, v, part in group:
             if i in by_parts:
                 continue
@@ -288,9 +304,36 @@ def prolong_apply(u, polys):
                 _mul_terms(part.terms, coef.terms, outs[i])
             else:
                 _mul_terms(coef.terms, part.terms, outs[i])
+    for i, items in owed.items():
+        z = zs[i]
+        for index, g, phi in items:
+            if z.get(firsts[i](index)):
+                _pair_into(z.setdefault(index, {}), g, phi, u.right)
     for z in zs.values():
         _fold(u.reg, sorted(z.items()))
     return [GradedPoly(p.reg, out) for p, out in zip(polys, outs)]
+
+
+def _orbit_first(swaps):
+    """The map from a multi-index to the least one of its orbit under the
+    group that the ``DirectionSwap``s ``swaps`` generate, memoized."""
+    memo = {}
+
+    def first(index):
+        out = memo.get(index)
+        if out is None:
+            orbit, todo = {index}, [index]
+            while todo:
+                lam = todo.pop()
+                for swap in swaps:
+                    img = swap.index(lam)
+                    if img not in orbit:
+                        orbit.add(img)
+                        todo.append(img)
+            out = min(orbit)
+            memo.update(dict.fromkeys(orbit, out))
+        return out
+    return first
 
 
 def _tagged(i, partials):
@@ -318,28 +361,26 @@ def _by_parts(phi, f):
                <= reg.jet_order for index, g in f.items())
 
 
-def _pair_into(z, f, phi, f_left=True):
-    """Add sum_Lambda f^Lambda * d_Lambda(phi), or sum_Lambda d_Lambda(phi)
-    * f^Lambda when not ``f_left``, into ``z`` by parts; ``_fold`` sums it.
+def _pair_into(into, g, phi, f_left=True):
+    """Add g * phi, or phi * g when not ``f_left``, into the term dict
+    ``into``: one term of the by-parts sum z[Lambda], g = eta(f)^Lambda.
 
-    ``f`` maps sorted multi-indices to polynomials and ``z`` multi-indices
-    to term dicts.  The sum is taken through the adjunction of ``eta``,
+    ``prolong_apply`` takes sum_Lambda f^Lambda * d_Lambda(phi), or
+    sum_Lambda d_Lambda(phi) * f^Lambda, through the adjunction of ``eta``,
 
         sum_Lambda f^Lambda d_Lambda(phi)
             = sum_Lambda (-1)^{|Lambda|} d_Lambda(eta(f)^Lambda * phi),
 
     whose mirror, with phi on the left, holds because d_Lambda is an even
-    derivation: eta(f)^Lambda * phi is added into z[Lambda].  Sums over
-    several (f, phi) into one z share their total derivatives, and their
-    cancellations happen before any is taken.  Callers ask ``_by_parts``
-    first.
+    derivation: eta(f)^Lambda * phi is added into z[Lambda], and ``_fold``
+    sums z.  Sums over several (f, phi) into one z share their total
+    derivatives, and their cancellations happen before any is taken.
+    Callers ask ``_by_parts`` first.
     """
-    for index, g in eta(f).items():
-        into = z.setdefault(index, {})
-        if f_left:
-            _mul_terms(g.terms, phi.terms, into)
-        else:
-            _mul_terms(phi.terms, g.terms, into)
+    if f_left:
+        _mul_terms(g.terms, phi.terms, into)
+    else:
+        _mul_terms(phi.terms, g.terms, into)
 
 
 def _fold(reg, items):

@@ -17,7 +17,9 @@ certificate h for an identity that only holds on shell; delta_KT(Delta_r)
 then includes delta_KT(h).  A cold build takes the stage-0 pass over one
 record per orbit (``_orbits``): a transposition of base directions that
 maps L to +-L and each record's Delta to +- another's maps their residuals
-alike, so a residual is zero exactly when its orbit's first one is.
+alike, so a residual is zero exactly when its orbit's first one is.  The
+transpositions that fix a first record prune its pass the same way, one
+sum by parts per orbit of multi-indices.
 
 The input rules live here, each stated where it is checked; ``TheorySpec``
 checks them all through ``require_theory``, the parser at each statement,
@@ -399,59 +401,96 @@ def _entry(check, target, status, residual=None, note=""):
     return out
 
 
-def _symmetries(theory, recs, deltas):
-    """For each transposition sigma of base directions that maps every
-    stage-0 record's Delta to +- the Delta at its image label and L to
-    +-L, the list sending record i to the index of that image.  The tests
-    run cheapest first and stop at the first miss: sigma moves some label
-    and keeps every label a record's, then the Deltas, then L."""
-    reg, lag = theory.registry, theory.lagrangian
-    if not any(reg.dim in reg.symbols[rec.ghost].slots for rec in recs):
-        return []  # no label has a slot that a swap acts on
-    where = {(rec.ghost, rec.component): i for i, rec in enumerate(recs)}
-    out = []
+def _candidates(reg, labels):
+    """(sigma, moved) for each transposition sigma of two adjacent base
+    directions that keeps every parity, moves some of the component
+    ``labels`` (name, component) and maps each to one of them: moved[i] is
+    the index of the image of label i.  The cheapest tests of a symmetry,
+    which ``_symmetries`` and ``gvc.brst`` run first."""
+    if not any(reg.dim in reg.symbols[name].slots for name, _comp in labels):
+        return  # no label has a slot that a swap acts on
+    where = {label: i for i, label in enumerate(labels)}
     for lam in range(reg.dim - 1):
         swap = direction_swap(reg, lam)
         if swap is None:
             continue
-        moved = [where.get((rec.ghost, swap.component(
-            reg.symbols[rec.ghost], rec.component)[0])) for rec in recs]
-        if None in moved or moved == list(range(len(recs))):
-            continue
+        moved = [where.get((name, swap.component(reg.symbols[name], comp)[0]))
+                 for name, comp in labels]
+        if None not in moved and moved != list(range(len(labels))):
+            yield swap, moved
+
+
+def _first_of_orbits(n, perms):
+    """{i: j} for each i < n whose orbit under the permutations ``perms``
+    holds an earlier index, j the orbit's first; by union-find."""
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+    for moved in perms:
+        for i, j in enumerate(moved):
+            a, b = sorted((find(i), find(j)))
+            root[b] = a
+    return {i: find(i) for i in range(n) if find(i) != i}
+
+
+def _symmetries(theory, recs, deltas):
+    """(sigma, moved) for each ``_candidates`` sigma of the stage-0 record
+    labels that maps every record's Delta to +- the Delta at its image
+    label and L to +-L.  The tests run cheapest first and stop at the
+    first miss: the labels, then the Deltas, then L.  sigma is an
+    involution, so it maps Delta_i as it maps Delta_j when it swaps i and
+    j, and the test takes one of the two."""
+    reg, lag = theory.registry, theory.lagrangian
+    return [(swap, moved) for swap, moved in _candidates(
+        reg, [(rec.ghost, rec.component) for rec in recs])
         if all(swap.maps_to(delta.terms, deltas[j].terms)
-               for delta, j in zip(deltas, moved)) and \
-                swap.maps_to(lag.terms, lag.terms):
-            out.append(moved)
-    return out
+               for i, (delta, j) in enumerate(zip(deltas, moved)) if j >= i)
+        and swap.maps_to(lag.terms, lag.terms)]
 
 
 def _orbits(theory, recs, deltas):
-    """{i: j} for each stage-0 record i whose orbit under ``_symmetries``
-    holds an earlier record, j the orbit's first; by union-find.
+    """({i: j} for each stage-0 record i whose orbit under ``_symmetries``
+    holds an earlier record, j the orbit's first; {i: the stabilizer of
+    each first record i, the accepted sigma that fix its label}).
 
     Such a sigma is an automorphism of the jet algebra with sigma d_lam =
     d_{sigma lam} sigma, so sigma L = +-L gives E_{sigma A} = +-sigma(E_A)
     and delta_KT sigma = +-sigma delta_KT on fields and their antifields,
     which is all a stage-0 Delta holds: delta_KT(Delta_{sigma r}) =
-    +-sigma(delta_KT(Delta_r)), zero exactly when delta_KT(Delta_r) is."""
-    root = list(range(len(recs)))
+    +-sigma(delta_KT(Delta_r)), zero exactly when delta_KT(Delta_r) is.
 
-    def find(i):
-        while root[i] != i:
-            i = root[i] = root[root[i]]
-        return i
-    for moved in _symmetries(theory, recs, deltas):
-        for i, j in enumerate(moved):
-            a, b = sorted((find(i), find(j)))
-            root[b] = a
-    return {i: find(i) for i in range(len(recs)) if find(i) != i}
+    A sigma of the stabilizer of r maps Delta_r to +-Delta_r, so it also
+    prunes r's own pass (``prolong_apply``'s ``symmetries``): there each
+    by-parts sum z[Lambda] = sum over the by-parts components A of
+    eta(f_A)^Lambda * E_A, with f_A^Lambda the coefficient of
+    s_bar^A_Lambda in Delta_r, has z[sigma Lambda] = +-sigma(z[Lambda]).
+    For sigma(s_bar^A_Lambda) = s_A s_bar^{sigma A}_{sigma Lambda}, with
+    s_A the sign of canonicalizing sigma A, Delta_r = e sigma(Delta_r)
+    gives f_{sigma A}^{sigma Lambda} = e s_A sigma(f_A^Lambda), so
+    eta(f_{sigma A})^{sigma Xi} = e s_A sigma(eta(f_A)^Xi) (sigma permutes
+    the directions of d_Lambda and of eta's binomials alike), and E_{sigma
+    A} = e' s_A sigma(E_A); their product is e e' sigma(eta(f_A)^Xi * E_A).
+    The by-parts route is chosen from term counts and jet orders, which
+    sigma keeps, so sigma maps the by-parts components to themselves, and
+    the sum over them gives the identity: z[Lambda] is zero exactly when
+    z[sigma Lambda] is."""
+    found = _symmetries(theory, recs, deltas)
+    orbit = _first_of_orbits(len(recs), [moved for _swap, moved in found])
+    return orbit, {i: [swap for swap, moved in found if moved[i] == i]
+                   for i in range(len(recs)) if i not in orbit}
 
 
-def _add_images(sums, u, items):
-    """sums[i] += u(delta) for each (i, delta) of items, in one pass."""
+def _add_images(sums, u, items, symmetries=None):
+    """sums[i] += u(delta) for each (i, delta) of items, in one pass, with
+    the swaps ``symmetries[i]`` that fix delta and u (``prolong_apply``)."""
     if items:
         for (i, _delta), image in zip(items, prolong_apply(
-                u, [delta for _i, delta in items])):
+                u, [delta for _i, delta in items],
+                symmetries and [symmetries[i] for i, _delta in items])):
             sums[i] = _plus(sums[i], image)
 
 
@@ -465,7 +504,8 @@ def _stage_residuals(theory, parent=EMPTY):
     delta' over the Delta that changed and one of delta' - delta over the
     parent's.  From ``EMPTY`` that is one pass of delta_KT per stage over
     every record, except that at stage 0 it takes one record per orbit
-    (``_orbits``): the others' residuals are zero with their first's, else
+    (``_orbits``), each with the swaps that fix it to prune its sums by
+    parts: the others' residuals are zero with their first's, else
     computed in a second pass."""
     reg = theory.registry
     kt = stored_kt(theory)
@@ -483,9 +523,10 @@ def _stage_residuals(theory, parent=EMPTY):
         items = [(i, diff.components.get(_bar(label), reg.zero))
                  for i, (rec, label) in enumerate(zip(recs, labels))
                  if was.get(label) is not rec]
-        orbit = _orbits(theory, recs, [delta for _i, delta in items]) \
-            if parent is EMPTY and not k else {}
-        _add_images(sums, kt, [item for item in items if item[0] not in orbit])
+        orbit, fixing = _orbits(theory, recs, [delta for _i, delta in items]) \
+            if parent is EMPTY and not k else ({}, None)
+        _add_images(sums, kt, [item for item in items if item[0] not in orbit],
+                    fixing)
         if old_kt is not None and not diff.is_zero():
             _add_images(sums, diff, [(i, old_kt.components.get(
                 _bar(label), reg.zero)) for i, label in enumerate(labels)

@@ -139,7 +139,7 @@ def _tokenize(text):
 #   ("num", int or Fraction)         ("ref", name, comps, jets, token)
 #   ("neg", node)                    ("add", [(sign, node), ...])
 #   ("mul", [node, ...])             ("pow", node, int)
-#   ("sum", [(var, range-or-None)], node)
+#   ("sum", [(var, range-or-None)], node, token)
 # comps/jets entries: ("int", v) or ("var", name)
 
 
@@ -281,7 +281,7 @@ class _Parser:
             self.expect("{")
             body = self.nested(tok, self.parse_expression)
             self.expect("}")
-            return ("sum", binders, body)
+            return ("sum", binders, body, tok)
         if tok[0] == "NAME":
             self.next()
             comps, jets = self.parse_index_group()
@@ -396,9 +396,9 @@ def _raiser(message, tok=None):
 
 
 def _placed(exc, tok):
-    """exc, carrying the token of the reference that raised it, unless it
-    carries one: ``parse_expr`` reports it there, a theory statement at its
-    own start."""
+    """exc, carrying the token of the reference or ``sum`` that raised it,
+    unless it carries one: ``parse_expr`` reports it there, a theory
+    statement at its own start."""
     if tok is not None and not hasattr(exc, "tok"):
         exc.tok = tok
     return exc
@@ -603,7 +603,7 @@ class _Eval:
                 return const
             return add, any(polys), all(cleans)
         if kind == "sum":
-            return self._sum(node[1], node[2], scope, sign)
+            return self._sum(node[1], node[2], node[3], scope, sign)
         if kind == "mul":
             return self._mul(node[1], scope, sign)
         if kind == "ref":
@@ -634,14 +634,15 @@ class _Eval:
             return (lambda v, out: value(v)), False, clean
         return (lambda v, out: -value(v)), False, clean
 
-    def _sum(self, binders, body, scope, sign):
+    def _sum(self, binders, body, tok, scope, sign):
         """``_fold`` of ``sum(binders){body}``: each binding is written into
         the binders' slots, the last binder varying fastest.  A ``sum``
-        whose range cannot be inferred raises where it is evaluated."""
+        whose range cannot be inferred raises where it is evaluated, placed
+        at its token ``tok``."""
         try:
             binders = self.resolve(binders, body)
         except GvcError as exc:
-            return _raiser(str(exc)), False, False
+            return _raiser(str(exc), tok), False, False
         inner, first = dict(scope), len(self.init)
         for var, rng in binders:
             inner[var] = self._new_slot(0, rng)
@@ -1135,6 +1136,6 @@ def parse_expr(text, registry):
     try:
         return _Eval(registry).statement(node, [])(())
     except (GvcError, ValueError) as exc:
-        # at the reference that raised it, else the start of the input
+        # at the reference or sum that raised it, else the start of the input
         tok = getattr(exc, "tok", (None, None, 1, 1))
         raise ParseError(str(exc), tok[2], tok[3]) from None

@@ -128,23 +128,46 @@ def stage_deltas(theory):
                               theory.registry.zero) for rec in theory.records]
 
 
-def by_orbit_and_full_pass(build, checks=("ni", "kt", "extended")):
-    """(residuals, ni verdicts, report digest) of the checks on a theory
-    that ``build()`` returns cold, twice: with the stage-0 residuals taken
-    by orbit, and for reference on a copy with one registry and nothing
-    derived, with ``_symmetries`` finding none, which takes every record's
-    pass."""
+def two_routes(build, checks):
+    """({memo key: object}, entries, report digest) of the checks on a
+    theory that ``build()`` returns cold, twice: as built, with the stage-0
+    residuals taken by orbit, the representative's sums by parts pruned and
+    b's tables taken per component orbit, and for reference on a copy with
+    one registry and nothing derived, with both symmetry tests
+    (``gvc.noether._symmetries`` and ``gvc.brst._symmetries``) finding
+    none, which takes every pass in full.  The memo objects are the
+    residuals and the ``brst`` and ``antibracket`` sums; the entries are
+    each check's own, unrendered, in the order of ``checks``."""
     theory = build()
     out = []
     for full, th in ((False, theory), (True, gvc.cli._rebuild(theory))):
         with pytest.MonkeyPatch.context() as mp:
             if full:
                 mp.setattr(gvc.noether, "_symmetries", lambda *args: [])
-            report = gvc.cli.build_report(th, list(checks))
-        out.append((th.derived.get("residuals"),
-                    [(e["target"], e["status"]) for e in report["entries"]
-                     if e["check"] == "ni"], report["canonical_sha256"]))
+                mp.setattr(gvc.brst, "_symmetries", lambda *args: [])
+            entries = [e for check in checks
+                       for e in gvc.cli._RUNNERS[check](th)]
+            digest = gvc.cli.build_report(th, list(checks))["canonical_sha256"]
+        out.append(({key: th.derived.get(key) for key in
+                     ("residuals", "brst", "antibracket")}, entries, digest))
     return out
+
+
+def stored_pairs(theory):
+    """b's table: {(P, Q, X): P(Q^X)} for the parts P and Q of b, by name,
+    every pair taken."""
+    out = {}
+    for table in gvc.brst._tables(theory):
+        out.update(table.entries())
+    return out
+
+
+def by_orbit_and_full_pass(build, checks=("ni", "kt", "extended")):
+    """(residuals, ni verdicts, report digest) of each route of
+    ``two_routes``."""
+    return [(memo["residuals"], [(e["target"], e["status"]) for e in entries
+                                 if e["check"] == "ni"], digest)
+            for memo, entries, digest in two_routes(build, checks)]
 
 
 def _as_fractions(p):
@@ -377,7 +400,11 @@ class WalkerEval(_Eval):
         if kind == "pow":
             return self.eval(node[1], env, clean) ** node[2]
         if kind == "sum":
-            binders = self.resolve(node[1], node[2])
+            try:
+                binders = self.resolve(node[1], node[2])
+            except GvcError as exc:
+                # parse_expr reports where the sum is
+                raise gvc.parser._placed(exc, node[3])
             return self.accumulate((1, self.eval(node[2], inner, clean))
                                    for inner in _assignments(binders, env))
         _ref, name, comps, jets, tok = node

@@ -1,23 +1,28 @@
 """Gauge operators from records, stage conditions, BRST nilpotency."""
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from gvc.algebra import GradedPoly, GvcError, Registry, _mul_terms
+import gvc.brst
+import gvc.cli
+from gvc.algebra import DirectionSwap, GradedPoly, GvcError, Registry, \
+    _mul_terms
 from gvc.brst import (
     check_antibracket,
     check_brst_nilpotent,
     check_gauge_symmetry,
     gauge_from_ni,
+    stored_gauge,
 )
 from gvc.cli import _rebuild
 from gvc.jets import EvolutionaryDerivation
 from gvc.noether import NoetherRecord, _el, verify_ni
-from gvc.parser import TheorySpec
-from gvc.theories import osp12
+from gvc.parser import TheorySpec, parse_theory
+from gvc.theories import builtin_path, osp12
 from gvc.variational import variational_derivative
-from conftest import all_pass, derivation_sum, nilpotency_residuals, \
-    prolong_oracle
+from conftest import all_pass, derivation_sum, fresh, nilpotency_residuals, \
+    prolong_oracle, two_routes
 
 
 def ghost_variation_residuals(theory):
@@ -168,3 +173,114 @@ def test_super_instance_needs_sign_decorated_gamma(ym4_super):
         plain[("c", (r,))] = out
     entries = check_brst_nilpotent(_rebuild(sup, gamma=plain))
     assert any(e["status"] == "fail" for e in entries)
+
+
+# -- b's tables per component orbit -------------------------------------------
+
+# (the component keys of b's parts, the first keys of their orbits under the
+# swaps that map every part of b to one sign times itself)
+_B_ORBITS = {"bf": (6, 2), "bf4": (14, 3), "toy": (4, 4), "cs3": (15, 15),
+             "ym4": (15, 6), "ym4_super": (25, 10), "grav4": (78, 8)}
+
+
+@pytest.mark.parametrize("name", sorted(_B_ORBITS))
+def test_the_b_symmetry_test_finds_each_builtins_component_orbits(name):
+    theory = fresh(name)
+    parts = stored_gauge(theory) + [gvc.brst._gamma(theory)]
+    keys = {key for part in parts for key in part.components}
+    interned = len(theory.registry.by_rank)
+    orbits = gvc.brst._orbits(theory)
+    assert (len(keys), len(keys) - len(orbits)) == _B_ORBITS[name]
+    assert set(orbits.values()) <= keys - set(orbits)
+    assert all(key > first for key, first in orbits.items())
+    assert len(theory.registry.by_rank) == interned
+
+
+def test_the_b_symmetry_test_refuses_cs3_after_a_few_dozen_keys(monkeypatch):
+    # cs3's variants are parsed afresh, so each of them pays for the test:
+    # both swaps move some component key and miss on an early one
+    mapped = []
+    key = DirectionSwap.key
+    monkeypatch.setattr(DirectionSwap, "key",
+                        lambda swap, k: mapped.append(k) or key(swap, k))
+    theory = fresh("cs3")
+    stored_gauge(theory)
+    assert gvc.brst._orbits(theory) == {}
+    assert 0 < len(mapped) <= 36
+
+
+def test_a_swap_must_map_every_part_by_one_sign_onto_components():
+    # q maps to -q under (0 1) and p to +p, so a sum of their pairs at
+    # x[1] need not be +- the image of the sum at x[0]; and h has no x[0]
+    # component for its x[1] to map to
+    reg = Registry(2)
+    reg.declare_field("x", slots=(2,))
+    reg.declare_field("y")
+    reg.freeze()
+    y0, y1 = reg.var("y", (), (0,)), reg.var("y", (), (1,))
+    x0, x1 = ("x", (0,)), ("x", (1,))
+    p = EvolutionaryDerivation(reg, {x0: y0, x1: y1}, name="p")
+    q = EvolutionaryDerivation(reg, {x0: y0, x1: -y1}, name="q")
+    h = EvolutionaryDerivation(reg, {x1: y1}, name="h")
+
+    def accepted(parts):
+        return gvc.brst._symmetries(reg, parts, [x0, x1])
+    assert accepted([p]) == accepted([q]) == accepted([q, q]) == [[1, 0]]
+    assert accepted([p, q]) == accepted([p, h]) == []
+
+
+def test_b_sums_over_tables_pruned_apart_take_them_whole():
+    # the stage-k gauge check completes the table of gauge stages alone;
+    # grav4 has no stage, so complete it by hand: u(u^A) is not zero at
+    # the other keys, and only with gamma(u^A) there does it cancel
+    theory = fresh("grav4")
+    all_pass(check_brst_nilpotent(theory))
+    stages, with_gamma = gvc.brst._tables(theory)
+    stages.cold.complete()
+    assert with_gamma.cold.owed
+    all_pass(check_antibracket(theory))
+    assert not with_gamma.cold.owed
+
+
+def _passes(monkeypatch, theory, checks):
+    """The number of polynomials of each ``prolong_apply`` pass of b's
+    tables that the checks make on theory."""
+    calls = []
+    apply = gvc.brst.prolong_apply
+
+    def counted(u, polys, *symmetries):
+        calls.append(len(polys))
+        return apply(u, polys, *symmetries)
+    with monkeypatch.context() as mp:
+        mp.setattr(gvc.brst, "prolong_apply", counted)
+        for check in checks:
+            gvc.cli._RUNNERS[check](theory)
+    return calls
+
+
+def test_a_healthy_grav4_takes_b_squared_at_its_first_keys(monkeypatch):
+    # u on the 7 first keys of u, gamma on those and the one of gamma, and
+    # u on that one; every sum there is zero, so nothing more is taken
+    theory = fresh("grav4")
+    assert _passes(monkeypatch, theory, ["brst", "antibracket"]) == \
+        [7, 8, 1]
+    all_pass(check_brst_nilpotent(theory))
+
+
+def test_a_gamma_that_breaks_b_squared_alike_completes_the_tables(
+        monkeypatch):
+    # gamma negated maps to +gamma under every swap, as u does, so the
+    # orbits hold; b squared is not zero at their first keys, and brst
+    # completes both tables by one pass of each part over the members
+    text = pathlib.Path(builtin_path("grav4")).read_text(
+        encoding="utf-8").replace("= sum(m){ cm[l;m]", "= -sum(m){ cm[l;m]")
+    theory = parse_theory(text)
+    assert len(gvc.brst._orbits(theory)) == 70
+    assert _passes(monkeypatch, theory, ["brst"]) == [7, 8, 1, 67, 70, 3]
+    assert _passes(monkeypatch, theory, ["antibracket", "brst"]) == []
+    checks = ("brst", "antibracket")
+    (memo, entries, digest), reference = two_routes(
+        lambda: parse_theory(text), checks)
+    assert (memo, entries, digest) == reference
+    assert {e["check"] for e in entries if e["status"] == "fail"} == \
+        set(checks)

@@ -507,6 +507,49 @@ def test_warm_and_cold_mutants_agree(name):
         assert build_report(inherits, [catcher])["overall"] == "fail", label
 
 
+def test_every_grav4_site_stays_red_warm_and_cold():
+    # a warm mutant derives b's tables from a parent that took them at the
+    # first keys of its component orbits; a cold one finds its own orbits
+    warm, cold = fresh("grav4"), fresh("grav4")
+    run_checks(warm, cli.DEFAULT_CHECKS.split(","))
+    cold_sites = dict(mutation_sites(cold))
+    sites = mutation_sites(warm)
+    assert len(sites) == 83
+    for label, build in sites:
+        kind = label.split()[0]
+        catcher = "gauge" if kind == "record" else _CATCHER[kind]
+        inherits, fresh_mutant = [build_report(mutant(), [catcher, "brst"])
+                                  for mutant in (build, cold_sites[label])]
+        assert inherits["canonical_sha256"] == \
+            fresh_mutant["canonical_sha256"], label
+        assert any(e["check"] == catcher and e["status"] == "fail"
+                   for e in inherits["entries"]), label
+
+
+def test_a_cold_grav4_with_one_gamma_sign_flipped_fails_as_the_warm_mutant():
+    # the warm gamma mutant adds the difference of its flip to the tables
+    # of a parent that took b squared at the first keys of its orbits; the
+    # same theory parsed keeps the swaps that fix cm[0], the sums at some of
+    # its first keys are not zero, and it completes its tables
+    warm = fresh("grav4")
+    run_checks(warm, cli.DEFAULT_CHECKS.split(","))
+    mutant = next(build for label, build in mutation_sites(warm)
+                  if label.startswith("gamma "))()
+    block = "gamma { %s }" % " ".join(
+        "(%s) = %s;" % (gvc.noether.comp_label(*key), value.pretty())
+        for key, value in sorted(mutant.gamma.items()))
+    text = pathlib.Path(builtin_path("grav4")).read_text(encoding="utf-8")
+    text = re.sub(r"gamma \{.*", block, text, flags=re.S)
+    cold = parse_theory(text)
+    assert gvc.brst._orbits(cold)
+    reports = [build_report(theory, ["brst"]) for theory in (mutant, cold)]
+    assert reports[0]["canonical_sha256"] == reports[1]["canonical_sha256"]
+    fails = [[e["target"] for e in report["entries"] if e["status"] == "fail"]
+             for report in reports]
+    assert fails[0] and fails[0] == fails[1]
+    assert not gvc.brst._tables(cold)[0].cold.owed
+
+
 @pytest.mark.parametrize("name", ["bf4", "toy", "ym4"])
 def test_a_chain_of_edits_digests_as_a_cold_chain(name):
     # each link updates from the one before, whose memo holds objects it
@@ -568,9 +611,9 @@ def _polys_handed_to_prolong_apply(monkeypatch, theory, checks):
     make on theory."""
     calls = []
     for mod in (gvc.jets, gvc.noether, gvc.brst):
-        def counted(u, polys, _fn=mod.prolong_apply):
+        def counted(u, polys, *symmetries, _fn=mod.prolong_apply):
             calls.append(len(polys))
-            return _fn(u, polys)
+            return _fn(u, polys, *symmetries)
         monkeypatch.setattr(mod, "prolong_apply", counted)
     run_checks(theory, checks)
     monkeypatch.undo()
@@ -642,15 +685,19 @@ def test_warm_grav4_mutants_take_a_hundredth_of_the_cold_work(monkeypatch):
 # pairs, the polynomials of each prolong_apply pass), as they were before
 # edits were derived by their difference; a cold build is the update from
 # the empty parent, and takes no more.  bf4 and grav4 take less: their
-# stage-0 pass takes one record per orbit of the direction swaps.
+# stage-0 pass takes one record per orbit of the direction swaps, and
+# grav4's sums by parts one multi-index per orbit of the swaps that fix its
+# record.  bf, ym4, ym4_super and grav4 take b's tables over one component
+# per orbit; bf4 and toy run the stage-1 gauge check first, which reads
+# every pair, and cs3 has no such orbit.
 _COLD_WORK = {
-    "bf": (30, [2, 6]),
+    "bf": (30, [2, 2]),
     "bf4": (98, [2, 1, 14, 14]),
     "toy": (92, [2, 1, 4, 4, 2]),
     "cs3": (2127, [6, 9, 15, 6]),
-    "ym4": (1530, [3, 12, 15, 3]),
-    "ym4_super": (6648, [5, 20, 25, 5]),
-    "grav4": (132348, [1, 74, 78, 4]),
+    "ym4": (1440, [3, 3, 6, 3]),
+    "ym4_super": (6234, [5, 5, 10, 5]),
+    "grav4": (64174, [1, 7, 8, 1]),
 }
 
 

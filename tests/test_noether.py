@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import gvc.jets
 import gvc.noether
 from gvc.algebra import KIND_GHOST, GvcError, direction_swap
 from gvc.brst import check_gauge_symmetry, stored_gauge
@@ -28,7 +29,7 @@ from gvc.theories import builtin_path, fixture_text
 from gvc.variational import check_variational_symmetry, euler_lagrange
 from conftest import (TOY_TEXT, all_pass, by_orbit_and_full_pass, cached,
                       count_calls, extended_lagrangian, fresh, stage_deltas,
-                      variational_pairing)
+                      two_routes, variational_pairing)
 
 
 def rebuilt(th, **over):
@@ -399,7 +400,8 @@ def test_the_candidate_test_finds_each_builtins_orbits_and_interns_nothing(
     theory = fresh(name)
     deltas = stage_deltas(theory)
     interned = len(theory.registry.by_rank)
-    assert gvc.noether._orbits(theory, theory.records, deltas) == _ORBITS[name]
+    assert gvc.noether._orbits(theory, theory.records,
+                               deltas)[0] == _ORBITS[name]
     assert len(theory.registry.by_rank) == interned
 
 
@@ -412,7 +414,7 @@ def test_a_parity_read_from_a_direction_slot_refuses_its_swaps():
     theory = parse_theory(text)
     assert direction_swap(theory.registry, 0) is None
     assert gvc.noether._orbits(theory, theory.records,
-                               stage_deltas(theory)) == {3: 2, 4: 2}
+                               stage_deltas(theory))[0] == {3: 2, 4: 2}
 
 
 def test_a_record_flipped_cold_breaks_grav4s_orbit_and_alone_turns_red():
@@ -438,7 +440,7 @@ def test_a_sign_flipped_in_grav4s_family_keeps_its_orbit_all_red():
                         "- k[w,a,b;m];")
     theory = parse_theory(text)
     assert gvc.noether._orbits(theory, theory.records,
-                               stage_deltas(theory)) == {1: 0, 2: 0, 3: 0}
+                               stage_deltas(theory))[0] == {1: 0, 2: 0, 3: 0}
     (residuals, verdicts, digest), full = by_orbit_and_full_pass(
         lambda: parse_theory(text), ("ni",))
     assert (residuals, verdicts, digest) == full
@@ -455,8 +457,79 @@ def test_an_l_that_breaks_a_swap_alone_keeps_its_records_apart():
             " + B[1,2;] * B[1,2;];\nni c[g:3] { (B[k,g]; k) = -1; }\n")
     theory = parse_theory(text)
     assert gvc.noether._orbits(theory, theory.records,
-                               stage_deltas(theory)) == {2: 1}
+                               stage_deltas(theory))[0] == {2: 1}
     (residuals, verdicts, digest), full = by_orbit_and_full_pass(
         lambda: parse_theory(text))
     assert (residuals, verdicts, digest) == full
     assert verdicts == [("c[0]", "pass"), ("c[1]", "fail"), ("c[2]", "fail")]
+
+
+def _by_parts_pairs(text, pruned):
+    """(the ``_mul_terms`` pairs of the by-parts sums of the stage-0
+    residual passes of a cold theory parsed from ``text``, its stage-0
+    residuals), with the representatives' sums pruned by their stabilizers
+    or, when not ``pruned``, every multi-index taken."""
+    theory = parse_theory(text)
+    pairs = [0]
+    pair_into = gvc.jets._pair_into
+
+    def counted(into, g, phi, f_left=True):
+        pairs[0] += len(g.terms) * len(phi.terms)
+        return pair_into(into, g, phi, f_left)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gvc.jets, "_pair_into", counted)
+        if not pruned:
+            mp.setattr(gvc.jets, "_orbit_first",
+                       lambda swaps: lambda index: index)
+        residuals = _residuals(theory, 0)
+    return pairs[0], residuals
+
+
+def test_grav4s_stabilizer_prunes_its_representatives_sums_by_parts():
+    # (1 2) and (2 3) fix cm[0]: of the sums z[Lambda], each of which
+    # cancels before the fold, those of (2,), (3,), (0,2), (0,3), (1,3) and
+    # (2,3) are never taken
+    theory = fresh("grav4")
+    _orbit, fixing = gvc.noether._orbits(theory, theory.records,
+                                         stage_deltas(theory))
+    assert [[swap.lam for swap in fixing[i]] for i in sorted(fixing)] == \
+        [[1, 2]]
+    text = pathlib.Path(builtin_path("grav4")).read_text(encoding="utf-8")
+    (pruned, residuals), (full, same) = (_by_parts_pairs(text, True),
+                                         _by_parts_pairs(text, False))
+    assert (pruned, full) == (57248, 99168) and residuals == same
+
+
+def test_a_nonzero_representative_sum_by_parts_takes_its_orbit():
+    # a first-order row of the family flips alike in every record, so the
+    # orbit and the stabilizer hold and z[(1,)] is no longer zero: the
+    # pass takes z[(2,)] and z[(3,)] too, and skips only the second-order
+    # sums that still cancel
+    text = pathlib.Path(builtin_path("grav4")).read_text(
+        encoding="utf-8").replace("+ kd[n,b]*k[m,a,w;]",
+                                  "- kd[n,b]*k[m,a,w;]")
+    theory = parse_theory(text)
+    assert gvc.noether._orbits(theory, theory.records,
+                               stage_deltas(theory))[0] == {1: 0, 2: 0, 3: 0}
+    (pruned, residuals), (full, same) = (_by_parts_pairs(text, True),
+                                         _by_parts_pairs(text, False))
+    assert full - pruned == 2 * 1288 + 2 * 808 and residuals == same
+    assert all(not res.is_zero() for res in residuals)
+
+
+# every check, b's sums before the stage-k gauge check, which reads every
+# pair of b's table
+_ALL_CHECKS = ("ni", "stages", "kt", "extended", "brst", "antibracket",
+               "gauge", "triviality")
+
+
+@pytest.mark.parametrize("name", ["bf", "bf4", "toy", "cs3", "ym4",
+                                  "ym4_super", "grav4"])
+def test_both_symmetry_steps_leave_every_builtins_report_alone(name):
+    # the stage-0 residuals by orbit with pruned sums by parts, and b's
+    # tables per component orbit, against every pass in full
+    (memo, entries, digest), reference = two_routes(lambda: fresh(name),
+                                                    _ALL_CHECKS)
+    assert (memo, entries, digest) == reference
+    # toy's b squares to zero only on shell
+    assert ("fail" in {e["status"] for e in entries}) == (name == "toy")

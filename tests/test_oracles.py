@@ -32,7 +32,7 @@ from gvc.jets import total_derivative
 from gvc.parser import parse_expr
 from gvc.theories import load_builtin
 from gvc.variational import euler_lagrange
-from conftest import cached
+from conftest import cached, fresh
 
 
 # -- order independence -------------------------------------------------------
@@ -69,9 +69,12 @@ _REFERENCE = {}
 
 def _reference(name):
     """The fingerprint of a theory interned in its natural order, with the
-    keys of every variable that run interned, in rank order."""
+    keys of every variable that run interned, in rank order.  The theory is
+    parsed afresh, so that it runs the checks the reordered one runs, cold:
+    a shared parse may be warm, and a warm mutant derives its tables by the
+    difference of its edit, which takes other pairs than a cold build."""
     if name not in _REFERENCE:
-        theory = cached(name)
+        theory = fresh(name)
         fingerprint = _fingerprint(theory, *_ORDER_CASES[name])
         keys = [(v.symbol.name, v.component, v.index)
                 for v in theory.registry.by_rank]

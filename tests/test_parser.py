@@ -251,6 +251,8 @@ def test_parse_expr_reports_location():
     ("1 +\n\n k[0;0]", "constant table 'k' cannot carry jet indices "
      "(line 3, column 2)"),
     ("s + s[m]", "unbound index 'm' (line 1, column 5)"),
+    ("s +\n sum(m){ 1 }", "cannot infer a range for index 'm' "
+     "(line 2, column 2)"),
 ])
 def test_parse_expr_places_each_error_at_its_reference(text, message):
     reg = Registry(1)
