@@ -10,26 +10,24 @@ Stage-k records produce the operators u^(k) acting on stage-(k-1) ghosts the
 same way.  The BRST operator b adds gamma to the ascent operator
 sum_k u^(k); the input rules of ``gvc.noether`` make both odd.
 
-Every condition on b is a component of b^2, so one table of images P(Q^X),
-for the parts P, Q in {u, u^(1), ..., gamma} and the components X of Q,
-serves them all; the memo keeps the pairs that involve gamma apart, and an
-edited theory adds the difference of its parts to both (``_table``).
-``brst`` sums the pairs at each X, b(b^X), and buckets the residuals by
-ghost degree, which pinpoints whether the gauge symmetry, the bracket
-structure, or a higher structure function is at fault; ``antibracket`` sums
-u(u^A) + gamma(u^A), and the stage-k ``gauge`` check reads u^(k)(u^(k-1)).
-A cold build takes the pairs at one component X per orbit of the
-transpositions of base directions that map every part of b to one sign
-times itself (``_orbits``), and owes the rest: ``brst`` and
-``antibracket`` pass when their sums there are zero, and a nonzero sum, or
-anything else that reads another pair, takes the rest first.
+Every condition on b is a component of b^2, and prolongation is linear in
+the derivation, so the sum of the parts' images sum_{P,Q} P(Q^X) is one
+image b(b^X) of b, itself one derivation, the sum of its parts.  ``brst``
+stores one ``update_images`` of b over its components and buckets each
+nonzero image by ghost degree, which pinpoints whether the gauge symmetry,
+the bracket structure, or a higher structure function is at fault; the
+stage-k ``gauge`` check reads one of u^(k) over the components of
+u^(k-1); ``antibracket`` reads both (``_antibracket``).  A cold build takes
+both at one component X per orbit of the transpositions of base directions
+that map every part of b to one sign times itself (``_orbits``): the image
+at another key is zero with its first key's, and else computed.
 """
 from __future__ import annotations
 
-from .algebra import GradedPoly, _add_into, _mul_terms
-from .jets import EvolutionaryDerivation, eta, prolong_apply
+from .algebra import GradedPoly, _mul_terms
+from .jets import EvolutionaryDerivation, eta, update_images
 from .noether import EMPTY, comp_label, _candidates, _changed, _entry, \
-    _first_of_orbits, _minus, _plus, _residuals, stored, stored_kt
+    _minus, _orbit_maps, _plus, _residuals, stored, stored_kt
 
 
 def _components_from_records(reg, records):
@@ -67,117 +65,13 @@ def stored_gauge(theory):
     return stored(theory, "gauge", gauge_from_ni)
 
 
-class _Cold(dict):
-    """Pairs {(P, Q, X): P(Q^X)} of b's table, by name, built with nothing
-    to inherit.  Pruned by ``orbits`` ({X: its orbit's first key}, see
-    ``_orbits``), it holds the pairs at the first keys and owes the rest,
-    each with its P: ``complete`` takes them, one pass of each P over its
-    members, and stores them."""
-
-    __slots__ = ("orbits", "owed")
-
-    def __init__(self, orbits=None):
-        super().__init__()
-        self.orbits, self.owed = orbits or {}, []
-
-    def take(self, p, items):
-        """Store p(val) at each (pair, val) of items, from one pass."""
-        if items:
-            for (pair, _val), image in zip(items, prolong_apply(
-                    p, [val for _pair, val in items])):
-                self[pair] = image
-
-    def complete(self):
-        for p, items in self.owed:
-            self.take(p, items)
-        self.orbits, self.owed = {}, []
-        return self
-
-    def pairs(self):
-        return set(self).union(pair for _p, items in self.owed
-                               for pair, _val in items)
-
-
-class _Table:
-    """b's table {(P, Q, X): P(Q^X)}, by name, as the sum of the pairs
-    ``cold``, a ``_Cold``, and ``edits``, what the edits since the cold
-    build added to them.  Every pair of ``cold`` is one of the table's, so
-    an edit reads no pair that its cold build owes."""
-
-    __slots__ = ("cold", "edits")
-
-    def __init__(self, cold, edits):
-        self.cold, self.edits = cold, edits
-
-    def entries(self):
-        """Every pair, the cold build completed first."""
-        out = dict(self.cold.complete())
-        for pair, diff in self.edits.items():
-            out[pair] = _plus(out.get(pair), diff)
-        return out
-
-
-def _table(table, plan, old, orbits=None):
-    """b's table of P(Q^X) for each (P, parts) of ``plan`` with P nonzero,
-    each Q of parts and each component X of Q, as a ``_Table``.
-
-    With no parent ``table`` it is built cold: one pass of each P over
-    every Q^X, or, with ``orbits``, over the Q^X at the first key of each
-    orbit, the rest owed.  An edited theory adds to the parent's edits the
-    difference at each pair,
-
-        P'(Q'^X) - P(Q^X) = (P' - P)(Q'^X) + P(Q'^X - Q^X),
-
-    from the parent's parts (``old``, by name): one pass of each P' - P
-    over the Q'^X and one of each parent P over the Q'^X - Q^X that the
-    edit changed.  An edit that drops a pair of the cold build (a part or
-    a component gone) makes the parent's whole table, completed, its new
-    cold build, so every pair of a cold build stays the table's."""
-    todos = [(p, [((p.name, q.name, x), val) for q in parts
-                  for x, val in sorted(q.components.items())])
-             for p, parts in plan if not p.is_zero()]
-    if table is None:
-        cold = _Cold(orbits)
-        for p, todo in todos:
-            owed = [item for item in todo if item[0][2] in cold.orbits]
-            if owed:
-                cold.owed.append((p, owed))
-            cold.take(p, [item for item in todo
-                          if item[0][2] not in cold.orbits])
-        return _Table(cold, {})
-    pairs = {pair for _p, todo in todos for pair, _val in todo}
-    cold, edits = table.cold, table.edits
-    if not cold.pairs() <= pairs:
-        cold, edits = _Cold(), {}
-        cold.update((pair, entry) for pair, entry in table.entries().items()
-                    if pair in pairs)
-    edits = {pair: diff for pair, diff in edits.items() if pair in pairs}
-    for p, todo in todos:
-        was = old.get(p.name)
-        changed = []
-        if was is not None and not was.is_zero():
-            for pair, val in todo:
-                q = old.get(pair[1])
-                before = None if q is None else q.components.get(pair[2])
-                if val is not before:
-                    diff = _minus(val, before)
-                    if diff.terms:
-                        changed.append((pair, diff))
-        for u, items in ((_minus(p, was), todo), (was, changed)):
-            if items and not u.is_zero():
-                for (pair, _val), image in zip(items, prolong_apply(
-                        u, [val for _pair, val in items])):
-                    edits[pair] = _plus(edits.get(pair), image)
-    return _Table(cold, edits)
-
-
 def _gamma(theory):
     return EvolutionaryDerivation(theory.registry, theory.gamma, name="gamma")
 
 
 def _symmetries(reg, parts, labels):
-    """The moved lists of the ``_candidates`` sigma of b's component keys
-    ``labels`` that map every part P of b to e P, one sign e for all:
+    """(sigma, moved) for each ``_candidates`` sigma of b's component keys
+    ``labels`` that maps every part P of b to e P, one sign e for all:
     P^{sigma X} = e s sigma(P^X) at each component X of each P, s the sign
     of canonicalizing sigma X.  The components are tested smallest first,
     and the test stops at the first miss.  sigma is an involution, so a
@@ -199,100 +93,108 @@ def _symmetries(reg, parts, labels):
                 break
             sign = e
         else:
-            out.append(moved)
+            out.append((swap, moved))
     return out
 
 
 def _orbits(theory):
-    """{X: the first key of X's orbit} for each component key X of b's
-    parts whose orbit under ``_symmetries`` holds an earlier key.
+    """({X: the first key of X's orbit} for each component key X of b's
+    parts whose orbit under ``_symmetries`` holds an earlier key, {X: the
+    sigma that fix X} for each first key X), the ``orbits`` of
+    ``update_images``.
 
     Such a sigma is an automorphism of the jet algebra with sigma d_lam =
     d_{sigma lam} sigma, and sigma P sigma = e P on the generators, so on
-    every jet: P(sigma F) = e sigma(P(F)) for each part P and polynomial F.
-    With Q^{sigma X} = e s sigma(Q^X), each pair has P(Q^{sigma X}) =
-    e^2 s sigma(P(Q^X)) = s sigma(P(Q^X)), and so has every sum of pairs at
-    sigma X: b(b^{sigma X}), and u(u^{sigma A}) + gamma(u^{sigma A}), are
-    zero exactly when they are at X.  One e for all parts is what makes
-    the signs of a sum's pairs agree."""
+    every jet: P(sigma F) = e sigma(P(F)) for each part P and polynomial F,
+    and for every sum of parts, b and each u^(k) among them.  With
+    Q^{sigma X} = e s sigma(Q^X) for each part Q, so for b^{sigma X} too,
+    b(b^{sigma X}) = e^2 s sigma(b(b^X)) = s sigma(b(b^X)), and likewise
+    u^(k)(u^(k-1)^{sigma X}): each image is zero exactly when the one at X
+    is.  A sigma that fixes X maps b^X to +-b^X, so it also prunes the sums
+    by parts of b's pass over b^X, as at ``gvc.noether._orbits``.  One e for
+    all parts is what makes it one for their sum b."""
     parts = stored_gauge(theory) + [_gamma(theory)]
     labels = sorted({x for p in parts for x in p.components})
-    orbit = _first_of_orbits(len(labels), _symmetries(
+    orbit, fixing = _orbit_maps(len(labels), _symmetries(
         theory.registry, parts, labels))
-    return {labels[i]: labels[j] for i, j in orbit.items()}
+    return ({labels[i]: labels[j] for i, j in orbit.items()},
+            {labels[i]: swaps for i, swaps in fixing.items()})
 
 
-def _stage_pairs(theory, parent, orbits=None):
-    gauge = stored_gauge(theory)
-    return _table(parent.get("pairs"), [(u, gauge) for u in gauge],
-                  {u.name: u for u in parent.get("gauge", ())}, orbits)
+def _b(reg, gauge, gamma):
+    """b = gamma + u + u^(1) + ..., one derivation; a component that one
+    part alone has is that part's own object."""
+    return sum(gauge, EvolutionaryDerivation(reg, gamma, name="b"))
 
 
-def _gamma_pairs(theory, parent, orbits=None):
-    """gamma on every part of b, and every gauge stage on gamma."""
+def _over(op, target, was, was_target, old, orbits):
+    """``update_images`` of op over the components of the derivation
+    ``target``, from the parent's ``was`` and ``was_target``."""
+    return update_images(op, [
+        (x, val, was_target and was_target.components.get(x))
+        for x, val in sorted(target.components.items())], was, old, orbits)
+
+
+def _b_images(theory, parent, orbits=({}, {})):
+    """{X: b(b^X)} for each component X of b, updated from the parent's:
+    b(b^X) = sum over the parts P, Q of b of P(Q^X), prolongation being
+    linear in the derivation."""
     reg = theory.registry
+    b = _b(reg, stored_gauge(theory), theory.gamma)
+    was = None if parent is EMPTY else _b(reg, parent.get("gauge"),
+                                          parent.get("gamma"))
+    return _over(b, b, was, was, parent.get("brst"), orbits)
+
+
+def _stage_images(theory, parent, orbits=({}, {})):
+    """{u^(k) by name: {X: u^(k)(u^(k-1)^X)} for each component X of
+    u^(k-1)} for each stage k >= 1, updated from the parent's."""
     gauge = stored_gauge(theory)
-    gamma = _gamma(theory)
-    old = {u.name: u for u in parent.get("gauge", ())}
-    if parent.get("gamma") is not None:
-        old["gamma"] = EvolutionaryDerivation(reg, parent.get("gamma"),
-                                              name="gamma")
-    return _table(parent.get("gamma pairs"),
-                  [(gamma, gauge + [gamma])] + [(u, [gamma]) for u in gauge],
-                  old, orbits)
+    was = {u.name: u for u in parent.get("gauge", ())}
+    old = parent.get("stage images", {})
+    return {upper.name: _over(upper, lower, was.get(upper.name),
+                              was.get(lower.name), old.get(upper.name), orbits)
+            for upper, lower in zip(gauge[1:], gauge)}
 
 
-def _tables(theory):
-    """b's two tables, the pairs of gauge stages and those with gamma.
-    When both are built cold, one ``_orbits`` test prunes them alike."""
-    orbits = None
+def _images(theory):
+    """[b's images, the stage images], each stored.  Both are built at
+    once, so that when they are built cold one ``_orbits`` map prunes
+    them."""
+    orbits = ({}, {})
     if all(theory.derived.get(key) is None
-           for key in ("pairs", "gamma pairs")):
+           for key in ("brst", "stage images")):
         orbits = _orbits(theory)
-    return [stored(theory, "pairs",
-                   lambda th, parent: _stage_pairs(th, parent, orbits)),
-            stored(theory, "gamma pairs",
-                   lambda th, parent: _gamma_pairs(th, parent, orbits))]
+    return [stored(theory, key, lambda th, parent, build=build:
+                   build(th, parent, orbits))
+            for key, build in (("brst", _b_images),
+                               ("stage images", _stage_images))]
 
 
-def _sum_into(sums, pairs, pick):
-    for (p, q, key), image in pairs.items():
-        if pick(p, q):
-            _add_into(sums.setdefault(key, {}), image.terms)
-    return sums
+def _antibracket(theory, _parent):
+    """{A: (u + gamma)(u^A)} at each component A of u where it is not zero.
 
-
-def _sums(theory, pick):
-    """{X: the sum of the pairs P(Q^X) with pick(P, Q)}, where nonzero.
-
-    The cold builds of the two tables count only when pruned alike, by one
-    ``_orbits`` test: then their sums at the first keys of the orbits
-    decide, for when every one is zero, so is every other.  Otherwise, or
-    when one is not zero, they are completed and summed in full, so a sum
-    reported is never a mapped one.  The edits' differences add to that."""
-    tables = _tables(theory)
-    colds = [table.cold for table in tables]
-    if colds[0].orbits is not colds[1].orbits:
-        for cold in colds:
-            cold.complete()
-    sums = {}
-    for cold in colds:
-        _sum_into(sums, cold, pick)
-    if colds[0].orbits and any(sums.values()):
-        sums = {}
-        for cold in colds:
-            _sum_into(sums, cold.complete(), pick)
-    for table in tables:
-        _sum_into(sums, table.edits, pick)
-    return {key: GradedPoly(theory.registry, terms)
-            for key, terms in sorted(sums.items()) if terms}
+    b^A = u^A, because gamma acts only on ghosts (``require_gamma``) and
+    u^(k) for k >= 1 only on stage-(k-1) ghosts.  u^A holds no ghost of
+    stage 1 or above, so u^(k) for k >= 2 does not act on it, and b(u^A) =
+    u(u^A) + gamma(u^A) + u^(1)(u^A): the antibracket is b(b^A) less the
+    stage-1 image u^(1)(u^A), and takes no pass of its own."""
+    u, *higher = stored_gauge(theory)
+    brst, stages = _images(theory)
+    ascent = stages[higher[0].name] if higher else {}
+    out = {}
+    for key in sorted(u.components):
+        res = _minus(brst[key], ascent.get(key))
+        if res.terms:
+            out[key] = res
+    return out
 
 
 def _alpha_images(theory, _parent):
     """{(k, X): delta_KT(alpha^X)} for every alpha certificate, one pass."""
-    todo = sorted((k, key) for k in theory.alphas for key in theory.alpha(k))
-    return dict(zip(todo, prolong_apply(stored_kt(theory), [
-        theory.alpha(k)[key] for k, key in todo]))) if todo else {}
+    return update_images(stored_kt(theory), [
+        ((k, key), val, None) for k in theory.alphas
+        for key, val in sorted(theory.alpha(k).items())])
 
 
 def check_gauge_symmetry(theory, k):
@@ -302,9 +204,9 @@ def check_gauge_symmetry(theory, k):
     that is whether every stage-0 delta_KT(Delta_r) vanishes (see
     ``gvc.noether``), and, when the theory declares the operator explicitly,
     that the declared components agree with the ones rebuilt from the
-    records via eta.  For k >= 1 the residual is the pairs u^(k)(u^(k-1))
-    of b's table, less delta_KT(alpha) for the stage-k alpha certificates of
-    identities that close only on shell.
+    records via eta.  For k >= 1 the residual at each component X of
+    u^(k-1) is the stage image u^(k)(u^(k-1)^X), less delta_KT(alpha^X) for
+    the stage-k alpha certificates of identities that close only on shell.
     """
     gauge = stored_gauge(theory)
     reg = theory.registry
@@ -324,12 +226,10 @@ def check_gauge_symmetry(theory, k):
     if k >= len(gauge):
         return [_entry("gauge", "stage %d" % k, "pass",
                        note="no stage-%d records declared" % k)]
-    upper, lower = gauge[k], gauge[k - 1]
-    pairs = stored(theory, "pairs", _stage_pairs).entries()
+    images = _images(theory)[1][gauge[k].name]
     certs = stored(theory, "alpha", _alpha_images)
     entries = []
-    for key in sorted(lower.components):
-        res = pairs.get((upper.name, lower.name, key), reg.zero)
+    for key, res in images.items():
         if (k, key) in certs:
             res = res - certs[k, key]
             status = "pass" if res.is_zero() else "fail"
@@ -344,14 +244,14 @@ def check_gauge_symmetry(theory, k):
 
 
 def check_brst_nilpotent(theory):
-    """b(b^X) at each component X of b, the sum of the pairs P(Q^X) over
-    the parts P and Q of b; any residual is bucketed by ghost degree."""
+    """b(b^X) at each component X of b; any residual is bucketed by ghost
+    degree."""
     entries = []
-    for (name, comp), res in stored(
-            theory, "brst", lambda th, _: _sums(th, lambda p, q: True)).items():
-        degrees = ",".join(str(d) for d in res.ghost_degree_parts())
-        entries.append(_entry("brst", comp_label(name, comp), "fail", res,
-                              note="failing ghost degrees: %s" % degrees))
+    for (name, comp), res in _images(theory)[0].items():
+        if res.terms:
+            degrees = ",".join(str(d) for d in res.ghost_degree_parts())
+            entries.append(_entry("brst", comp_label(name, comp), "fail", res,
+                                  note="failing ghost degrees: %s" % degrees))
     return entries or [_entry("brst", "b", "pass")]
 
 
@@ -359,8 +259,7 @@ def check_antibracket(theory):
     """(u + gamma)(u^A) = u(u^A) + gamma(u^A) at each component u^A of u,
     where gamma meets only stage-0 ghosts, so acts as gamma_0; it vanishes
     exactly when the commutator normalization [u,u] = -2 gamma(u) holds."""
-    bad = stored(theory, "antibracket", lambda th, _: _sums(
-        th, lambda p, q: q == "u" and p in ("u", "gamma")))
+    bad = stored(theory, "antibracket", _antibracket)
     if not bad:
         return [_entry("antibracket", "u", "pass",
                        note="commutator normalization [u,u] = -2*gamma(u) holds")]

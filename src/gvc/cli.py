@@ -117,11 +117,11 @@ def mutation_sites(theory):
     only the verified identities break.  Each build goes through
     ``_rebuild``, so a mutant of a theory whose checks have run inherits
     what its edit leaves unchanged: a gauge or gamma mutant the residuals,
-    a record mutant E_A, an L mutant the gauge stages and b's table.  It
-    derives the rest from the parent's by the flipped monomial: an L
+    a record mutant E_A, an L mutant the gauge stages and their images.
+    It derives the rest from the parent's by the flipped monomial: an L
     mutant adds E(L' - L) to E_A and (delta' - delta)(Delta) to the
     residuals, a record mutant the images of its one changed row, a gamma
-    mutant the pairs that hold gamma' - gamma.
+    mutant the images (gamma' - gamma)(b^X) and b'(gamma'^c - gamma^c).
     """
     sites = []
     if _varies(theory.lagrangian):

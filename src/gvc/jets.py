@@ -12,6 +12,8 @@ its prolongation acts on arbitrary jets through d_Lambda of those values.
 component in one of two ways: from a prefix chain of the d_Lambda(upsilon^A)
 themselves, or by parts, through the higher Euler operators ``eta`` defined
 here, so that the total derivatives act on the smaller factor.
+``update_images`` keeps every image that the package stores, one
+derivation's on keyed polynomials, and updates it across an edit.
 
 Every alternating sum sum_Lambda (-1)^{|Lambda|} d_Lambda(...) of the package
 is taken by one Horner fold, ``_fold``: the Euler-Lagrange derivatives of
@@ -43,6 +45,7 @@ __all__ = [
     "total_derivative",
     "EvolutionaryDerivation",
     "prolong_apply",
+    "update_images",
     "eta",
 ]
 
@@ -312,6 +315,57 @@ def prolong_apply(u, polys, symmetries=None):
     for z in zs.values():
         _fold(u.reg, sorted(z.items()))
     return [GradedPoly(p.reg, out) for p, out in zip(polys, outs)]
+
+
+def update_images(op, items, was=None, old=None, orbits=({}, {})):
+    """{key: op(x)} for each ``(key, x, x_was)`` of ``items``, updated
+    from the images ``old`` = {key: was(x_was)} of the parent's operator
+    ``was`` by the split of the bilinear form
+
+        op(x) = was(x_was) + (op - was)(x_was) + op(x - x_was):
+
+    one ``prolong_apply`` pass of op - was over every x_was, then one of op
+    over the x - x_was that are not zero, so an edit costs what it changed.
+    A ``was``, an x_was or an image of ``old`` that is None is zero; with
+    none of them this is the cold build, one pass of op over every x.
+
+    ``orbits`` = ({key: the first key of its orbit}, {first key: the swaps
+    that fix it}) prunes a cold build by a group of ``DirectionSwap``s
+    under which each image at a key is +- sigma of the image at its first
+    key: the pass takes the x at the first keys, each with its swaps
+    (``prolong_apply``'s ``symmetries``), and a second pass the other x
+    whose first key's image is not zero; the rest are zero with it.
+
+    An image's dict keeps the table its terms grew to before they
+    cancelled (grav4's residuals reach ~88k terms), so each image not
+    shared with ``old`` is a right-sized copy."""
+    old = old or {}
+    orbit, fixing = orbits
+    sums = {key: [old[key]] if key in old else [] for key, _x, _was in items}
+
+    def add(u, todo):
+        if todo:
+            for (key, _x), image in zip(todo, prolong_apply(
+                    u, [x for _key, x in todo],
+                    fixing and [fixing.get(key) for key, _x in todo])):
+                sums[key].append(image)
+    diff = op if was is None else op - was
+    if not diff.is_zero():
+        add(diff, [(key, x_was) for key, _x, x_was in items
+                   if x_was is not None])
+    changed = [(key, x if x_was is None else x - x_was)
+               for key, x, x_was in items if x is not x_was]
+    add(op, [(key, d) for key, d in changed if d.terms and key not in orbit])
+    add(op, [(key, x) for key, x, _was in items
+             if key in orbit and any(p.terms for p in sums[orbit[key]])])
+    zero = op.reg.zero
+    out = {}
+    for key, images in sums.items():
+        images = [p for p in images if p.terms]
+        p = sum(images[1:], images[0]) if images else zero
+        out[key] = zero if not p.terms else p if p is old.get(key) else \
+            GradedPoly(p.reg, dict(p.terms))
+    return out
 
 
 def _orbit_first(swaps):

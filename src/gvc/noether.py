@@ -9,17 +9,17 @@ polynomial coefficient; its antifield polynomial is
 with coefficients multiplying from the left.  The Koszul-Tate operator
 delta_KT sends each field antifield to its Euler-Lagrange derivative and
 each ghost antifield to its record's Delta, and the identity of record r is
-the exact vanishing of delta_KT(Delta_r), computed by ``prolong_apply``: at
-stage 0, where rows are keyed by fields, it is sum rows * d_Lambda(E_A); at
-stage k >= 1, where rows are keyed by stage-(k-1) ghosts, it contracts the
-stage-(k-1) Delta polynomials.  A stage-k >= 1 record may carry a quadratic
-certificate h for an identity that only holds on shell; delta_KT(Delta_r)
-then includes delta_KT(h).  A cold build takes the stage-0 pass over one
-record per orbit (``_orbits``): a transposition of base directions that
-maps L to +-L and each record's Delta to +- another's maps their residuals
-alike, so a residual is zero exactly when its orbit's first one is.  The
-transpositions that fix a first record prune its pass the same way, one
-sum by parts per orbit of multi-indices.
+the exact vanishing of delta_KT(Delta_r), one ``jets.update_images`` per
+stage: at stage 0, where rows are keyed by fields, it is sum rows *
+d_Lambda(E_A); at stage k >= 1, where rows are keyed by stage-(k-1) ghosts,
+it contracts the stage-(k-1) Delta polynomials.  A stage-k >= 1 record may
+carry a quadratic certificate h for an identity that only holds on shell;
+delta_KT(Delta_r) then includes delta_KT(h).  A cold build takes the
+stage-0 pass over one record per orbit (``_orbits``): a transposition of
+base directions that maps L to +-L and each record's Delta to +- another's
+maps their residuals alike, so a residual is zero exactly when its orbit's
+first one is.  The transpositions that fix a first record prune its pass
+the same way, one sum by parts per orbit of multi-indices.
 
 The input rules live here, each stated where it is checked; ``TheorySpec``
 checks them all through ``require_theory``, the parser at each statement,
@@ -28,16 +28,16 @@ once built; an edited theory is a new one (``cli._rebuild``).
 
 Every check formats objects kept in the theory's memo, built on first use:
 here E_A, delta_KT, the residuals delta_KT(Delta_r) and the triviality
-witnesses, in ``gvc.brst`` the gauge stages and b's table.  ``DERIVED_FROM``
-names the fields each is computed from, so that a copy with some fields
-replaced keeps the rest, and derives each object of ``READS`` that it
-changes from the parent's by the difference of the edit: each is linear or
-bilinear in the fields.  Under the input rules the inverse second
-Noether theorem gives E_{c^r}(sum_A u^A E_A) = delta_KT(Delta_r) for the
-gauge operator u, and the same for delta_KT paired with the extended
-Lagrangian.  So ``ni``, ``stages`` and ``kt`` (delta_KT(E_A) = 0) report the
-residuals, and ``extended`` and the stage-0 ``gauge`` verdict pass exactly
-when they vanish.
+witnesses, in ``gvc.brst`` the gauge stages and their images.
+``DERIVED_FROM`` names the fields each is computed from, so that a copy
+with some fields replaced keeps the rest, and derives each object of
+``READS`` that it changes from the parent's by the difference of the edit:
+each is linear or bilinear in the fields.  Under the input rules the
+inverse second Noether theorem gives E_{c^r}(sum_A u^A E_A) =
+delta_KT(Delta_r) for the gauge operator u, and the same for delta_KT
+paired with the extended Lagrangian.  So ``ni``, ``stages`` and ``kt``
+(delta_KT(E_A) = 0) report the residuals, and ``extended`` and the stage-0
+``gauge`` verdict pass exactly when they vanish.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from types import MappingProxyType
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GradedPoly,
                       GvcError, _add_into, _mul_terms, direction_swap)
-from .jets import EvolutionaryDerivation, prolong_apply
+from .jets import EvolutionaryDerivation, prolong_apply, update_images
 from .variational import EulerLagrangeResult, euler_lagrange
 
 
@@ -217,20 +217,19 @@ def require_theory(theory):
 # The theory fields each object of ``TheorySpec.derived`` is computed from,
 # one entry per memo key; the registry underlies them all.  The
 # "triviality" witnesses read no stage k >= 1: their images under delta_KT
-# are E_A.  "pairs" holds
-# b's table of part-on-part images without gamma, "gamma pairs" the rest,
-# "brst" and "antibracket" sums of them, and "alpha" the images
-# delta_KT(alpha) (see ``gvc.brst``).  No object reads the name or the
-# declared gauge operator.
+# are E_A.  "brst" holds the images b(b^X) of the BRST operator on its
+# components, "stage images" those of each u^(k) on the components of
+# u^(k-1), "antibracket" the difference of the two at the components of u,
+# and "alpha" the images delta_KT(alpha) (see ``gvc.brst``).  No object
+# reads the name or the declared gauge operator.
 DERIVED_FROM = {
     "el": ("registry", "lagrangian"),
     "kt": ("registry", "lagrangian", "records", "stages"),
     "residuals": ("registry", "lagrangian", "records", "stages"),
     "triviality": ("registry", "lagrangian", "records"),
     "gauge": ("registry", "records", "stages"),
-    "pairs": ("registry", "records", "stages"),
-    "gamma pairs": ("registry", "records", "stages", "gamma"),
     "brst": ("registry", "records", "stages", "gamma"),
+    "stage images": ("registry", "records", "stages"),
     "antibracket": ("registry", "records", "stages", "gamma"),
     "alpha": ("registry", "lagrangian", "records", "stages", "alphas"),
 }
@@ -244,20 +243,20 @@ _UNREAD = {"name", "gauge_candidate"}
 #   el:         E(L') = E(L) + E(L' - L);
 #   kt:         delta' = delta + (E'_A - E_A on the field antifields, and
 #               Delta'_r - Delta_r on each record's antifield);
-#   residuals:  delta'(Delta'_r) = delta(Delta_r) + delta'(Delta'_r - Delta_r)
-#               + (delta' - delta)(Delta_r), for each record label r;
 #   gauge:      u' = u + u(the records the edit put in)
 #               - u(the records they replaced);
-#   pairs, gamma pairs:  P'(Q'^X) = P(Q^X) + (P' - P)(Q'^X)
-#               + P(Q'^X - Q^X).
+#   residuals, brst, stage images:  the images of one operator on keyed
+#               polynomials, op'(x') = op(x) + (op' - op)(x) + op'(x' - x)
+#               (``jets.update_images``): delta_KT on each record label's
+#               Delta_r, b on its components b^X, u^(k) on those of u^(k-1).
 # Updating from ``EMPTY``, the parent with nothing, is the cold build.
 READS = {
     "el": ("el", "lagrangian"),
     "kt": ("kt", "records"),
     "residuals": ("residuals", "kt", "records"),
     "gauge": ("gauge", "records"),
-    "pairs": ("pairs", "gauge"),
-    "gamma pairs": ("gamma pairs", "gauge", "gamma"),
+    "brst": ("brst", "gauge", "gamma"),
+    "stage images": ("stage images", "gauge"),
 }
 
 
@@ -420,9 +419,10 @@ def _candidates(reg, labels):
             yield swap, moved
 
 
-def _first_of_orbits(n, perms):
-    """{i: j} for each i < n whose orbit under the permutations ``perms``
-    holds an earlier index, j the orbit's first; by union-find."""
+def _orbit_maps(n, found):
+    """({i: j} for each i < n whose orbit under the ``(sigma, moved)`` of
+    ``found`` holds an earlier index, j the orbit's first; {i: the stabilizer
+    of each first index i, the sigma that fix it}), by union-find."""
     root = list(range(n))
 
     def find(i):
@@ -430,11 +430,13 @@ def _first_of_orbits(n, perms):
             root[i] = root[root[i]]
             i = root[i]
         return i
-    for moved in perms:
+    for _swap, moved in found:
         for i, j in enumerate(moved):
             a, b = sorted((find(i), find(j)))
             root[b] = a
-    return {i: find(i) for i in range(n) if find(i) != i}
+    orbit = {i: find(i) for i in range(n) if find(i) != i}
+    return orbit, {i: [swap for swap, moved in found if moved[i] == i]
+                   for i in range(n) if i not in orbit}
 
 
 def _symmetries(theory, recs, deltas):
@@ -478,69 +480,36 @@ def _orbits(theory, recs, deltas):
     sigma keeps, so sigma maps the by-parts components to themselves, and
     the sum over them gives the identity: z[Lambda] is zero exactly when
     z[sigma Lambda] is."""
-    found = _symmetries(theory, recs, deltas)
-    orbit = _first_of_orbits(len(recs), [moved for _swap, moved in found])
-    return orbit, {i: [swap for swap, moved in found if moved[i] == i]
-                   for i in range(len(recs)) if i not in orbit}
-
-
-def _add_images(sums, u, items, symmetries=None):
-    """sums[i] += u(delta) for each (i, delta) of items, in one pass, with
-    the swaps ``symmetries[i]`` that fix delta and u (``prolong_apply``)."""
-    if items:
-        for (i, _delta), image in zip(items, prolong_apply(
-                u, [delta for _i, delta in items],
-                symmetries and [symmetries[i] for i, _delta in items])):
-            sums[i] = _plus(sums[i], image)
+    return _orbit_maps(len(recs), _symmetries(theory, recs, deltas))
 
 
 def _stage_residuals(theory, parent=EMPTY):
     """{k: delta_KT(Delta_r) for every stage-k record r, in order}; zero
     exactly when the identity holds, its h certificate included.
 
-    Each residual is the parent's, under the record's label, plus
-    delta'(Delta'_r - Delta_r) when the edit replaced the record and
-    (delta' - delta)(Delta_r) when delta_KT changed: per stage, one pass of
-    delta' over the Delta that changed and one of delta' - delta over the
-    parent's.  From ``EMPTY`` that is one pass of delta_KT per stage over
-    every record, except that at stage 0 it takes one record per orbit
-    (``_orbits``), each with the swaps that fix it to prune its sums by
-    parts: the others' residuals are zero with their first's, else
-    computed in a second pass."""
+    Per stage, ``update_images`` of delta_KT over the records' Delta, from
+    the parent's residuals by the difference of the edit.  From ``EMPTY``
+    the stage-0 pass takes one record per orbit (``_orbits``), each with
+    the swaps that fix it to prune its sums by parts."""
     reg = theory.registry
     kt = stored_kt(theory)
     old_kt = parent.get("kt")
-    was = parent.get("records", {})
     # the parent's residuals follow its records, stage by stage
-    old = dict(zip(was, (res for stage in parent.get("residuals", {}).values()
-                         for res in stage)))
-    diff = _minus(kt, old_kt)
+    old = dict(zip(parent.get("records", {}), (
+        res for stage in parent.get("residuals", {}).values()
+        for res in stage)))
     out = {}
     for k in [0] + theory.stage_numbers():
         recs = theory.stage_records(k)
         labels = [(rec.ghost, rec.component) for rec in recs]
-        sums = [old.get(label) for label in labels]
-        items = [(i, diff.components.get(_bar(label), reg.zero))
-                 for i, (rec, label) in enumerate(zip(recs, labels))
-                 if was.get(label) is not rec]
-        orbit, fixing = _orbits(theory, recs, [delta for _i, delta in items]) \
-            if parent is EMPTY and not k else ({}, None)
-        _add_images(sums, kt, [item for item in items if item[0] not in orbit],
-                    fixing)
-        if old_kt is not None and not diff.is_zero():
-            _add_images(sums, diff, [(i, old_kt.components.get(
-                _bar(label), reg.zero)) for i, label in enumerate(labels)
-                if label in was])
-        _add_images(sums, kt, [(i, delta) for i, delta in items
-                               if i in orbit and not sums[orbit[i]].is_zero()])
-        for i, j in orbit.items():
-            if sums[j].is_zero():
-                sums[i] = reg.zero
-        # a residual's dict keeps the table its terms grew to before they
-        # cancelled (grav4's reach ~88k terms), so keep right-sized copies
-        out[k] = [res if res is old.get(label) else
-                  GradedPoly(reg, dict(res.terms))
-                  for label, res in zip(labels, sums)]
+        items = [(i, kt.components.get(_bar(label), reg.zero),
+                  old_kt and old_kt.components.get(_bar(label)))
+                 for i, label in enumerate(labels)]
+        orbits = _orbits(theory, recs, [x for _i, x, _was in items]) \
+            if old_kt is None and not k else ({}, {})
+        out[k] = list(update_images(kt, items, old_kt, {
+            i: old[label] for i, label in enumerate(labels) if label in old},
+            orbits).values())
     return out
 
 

@@ -131,13 +131,14 @@ def stage_deltas(theory):
 def two_routes(build, checks):
     """({memo key: object}, entries, report digest) of the checks on a
     theory that ``build()`` returns cold, twice: as built, with the stage-0
-    residuals taken by orbit, the representative's sums by parts pruned and
-    b's tables taken per component orbit, and for reference on a copy with
+    residuals taken by orbit, the representatives' sums by parts pruned and
+    b's images taken per component orbit, and for reference on a copy with
     one registry and nothing derived, with both symmetry tests
     (``gvc.noether._symmetries`` and ``gvc.brst._symmetries``) finding
     none, which takes every pass in full.  The memo objects are the
-    residuals and the ``brst`` and ``antibracket`` sums; the entries are
-    each check's own, unrendered, in the order of ``checks``."""
+    residuals, the images of b and of the stages and the ``antibracket``;
+    the entries are each check's own, unrendered, in the order of
+    ``checks``."""
     theory = build()
     out = []
     for full, th in ((False, theory), (True, gvc.cli._rebuild(theory))):
@@ -149,17 +150,24 @@ def two_routes(build, checks):
                        for e in gvc.cli._RUNNERS[check](th)]
             digest = gvc.cli.build_report(th, list(checks))["canonical_sha256"]
         out.append(({key: th.derived.get(key) for key in
-                     ("residuals", "brst", "antibracket")}, entries, digest))
+                     ("residuals", "brst", "stage images", "antibracket")},
+                    entries, digest))
     return out
 
 
-def stored_pairs(theory):
-    """b's table: {(P, Q, X): P(Q^X)} for the parts P and Q of b, by name,
-    every pair taken."""
-    out = {}
-    for table in gvc.brst._tables(theory):
-        out.update(table.entries())
-    return out
+def count_passes(monkeypatch, theory, checks):
+    """The number of polynomials of each ``prolong_apply`` pass that the
+    checks make on theory: those of ``gvc.jets.update_images``, which takes
+    every stored image, and those of the triviality search."""
+    calls = []
+    with monkeypatch.context() as mp:
+        for mod in (gvc.jets, gvc.noether):
+            def counted(u, polys, *symmetries, _fn=mod.prolong_apply):
+                calls.append(len(polys))
+                return _fn(u, polys, *symmetries)
+            mp.setattr(mod, "prolong_apply", counted)
+        gvc.cli.run_checks(theory, list(checks))
+    return calls
 
 
 def by_orbit_and_full_pass(build, checks=("ni", "kt", "extended")):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gvc.brst
-import gvc.cli
+import gvc.jets
 from gvc.algebra import DirectionSwap, GradedPoly, GvcError, Registry, \
     _mul_terms
 from gvc.brst import (
@@ -21,8 +21,8 @@ from gvc.noether import NoetherRecord, _el, verify_ni
 from gvc.parser import TheorySpec, parse_theory
 from gvc.theories import builtin_path, osp12
 from gvc.variational import variational_derivative
-from conftest import all_pass, derivation_sum, fresh, nilpotency_residuals, \
-    prolong_oracle, two_routes
+from conftest import all_pass, count_passes, derivation_sum, fresh, \
+    nilpotency_residuals, prolong_oracle, two_routes
 
 
 def ghost_variation_residuals(theory):
@@ -175,7 +175,7 @@ def test_super_instance_needs_sign_decorated_gamma(ym4_super):
     assert any(e["status"] == "fail" for e in entries)
 
 
-# -- b's tables per component orbit -------------------------------------------
+# -- b's images per component orbit -------------------------------------------
 
 # (the component keys of b's parts, the first keys of their orbits under the
 # swaps that map every part of b to one sign times itself)
@@ -189,9 +189,9 @@ def test_the_b_symmetry_test_finds_each_builtins_component_orbits(name):
     parts = stored_gauge(theory) + [gvc.brst._gamma(theory)]
     keys = {key for part in parts for key in part.components}
     interned = len(theory.registry.by_rank)
-    orbits = gvc.brst._orbits(theory)
+    orbits, fixing = gvc.brst._orbits(theory)
     assert (len(keys), len(keys) - len(orbits)) == _B_ORBITS[name]
-    assert set(orbits.values()) <= keys - set(orbits)
+    assert set(orbits.values()) <= keys - set(orbits) == set(fixing)
     assert all(key > first for key, first in orbits.items())
     assert len(theory.registry.by_rank) == interned
 
@@ -205,7 +205,7 @@ def test_the_b_symmetry_test_refuses_cs3_after_a_few_dozen_keys(monkeypatch):
                         lambda swap, k: mapped.append(k) or key(swap, k))
     theory = fresh("cs3")
     stored_gauge(theory)
-    assert gvc.brst._orbits(theory) == {}
+    assert gvc.brst._orbits(theory)[0] == {}
     assert 0 < len(mapped) <= 36
 
 
@@ -224,60 +224,66 @@ def test_a_swap_must_map_every_part_by_one_sign_onto_components():
     h = EvolutionaryDerivation(reg, {x1: y1}, name="h")
 
     def accepted(parts):
-        return gvc.brst._symmetries(reg, parts, [x0, x1])
+        return [moved for _swap, moved in gvc.brst._symmetries(
+            reg, parts, [x0, x1])]
     assert accepted([p]) == accepted([q]) == accepted([q, q]) == [[1, 0]]
     assert accepted([p, q]) == accepted([p, h]) == []
 
 
-def test_b_sums_over_tables_pruned_apart_take_them_whole():
-    # the stage-k gauge check completes the table of gauge stages alone;
-    # grav4 has no stage, so complete it by hand: u(u^A) is not zero at
-    # the other keys, and only with gamma(u^A) there does it cancel
-    theory = fresh("grav4")
-    all_pass(check_brst_nilpotent(theory))
-    stages, with_gamma = gvc.brst._tables(theory)
-    stages.cold.complete()
-    assert with_gamma.cold.owed
-    all_pass(check_antibracket(theory))
-    assert not with_gamma.cold.owed
+@pytest.mark.parametrize("name", sorted(_B_ORBITS))
+def test_the_stored_antibracket_is_u_plus_gamma_on_each_component_of_u(name):
+    # b(b^A) less the stage-1 image u^(1)(u^A), on the builtin, red only on
+    # toy, whose stage conditions hold on shell, and on it with c * c'
+    # added to gamma at c, for its first two odd stage-0 ghost components c
+    # and c', which turns it red
+    theory = fresh(name)
+    reg = theory.registry
+    c, c2 = [(rec.ghost, rec.component) for rec in theory.records
+             if reg.symbols[rec.ghost].parity(rec.component)][:2]
+    gamma = dict(theory.gamma)
+    gamma[c] = gamma.get(c, reg.zero) + reg.var(*c) * reg.var(*c2)
+    for th, red in ((theory, name == "toy"),
+                    (_rebuild(theory, gamma=gamma), True)):
+        check_antibracket(th)
+        u = stored_gauge(th)[0]
+        b1 = derivation_sum(reg, [u, EvolutionaryDerivation(reg, th.gamma)])
+        want = {key: res for key, comp in sorted(u.components.items())
+                if (res := prolong_oracle(b1, comp)).terms}
+        assert th.derived["antibracket"] == want and bool(want) == red
 
 
-def _passes(monkeypatch, theory, checks):
-    """The number of polynomials of each ``prolong_apply`` pass of b's
-    tables that the checks make on theory."""
-    calls = []
-    apply = gvc.brst.prolong_apply
-
-    def counted(u, polys, *symmetries):
-        calls.append(len(polys))
-        return apply(u, polys, *symmetries)
-    with monkeypatch.context() as mp:
-        mp.setattr(gvc.brst, "prolong_apply", counted)
-        for check in checks:
-            gvc.cli._RUNNERS[check](theory)
-    return calls
+@pytest.mark.parametrize("name", ["bf4", "ym4", "ym4_super", "grav4"])
+def test_b_images_by_parts_with_their_stabilizers_match_the_full_pass(
+        monkeypatch, name):
+    # b's passes never go by parts on the builtins; forced to, each first
+    # key's stabilizer defers the sums of all but the least multi-index of
+    # each orbit, which are then taken, their first sums not being zero
+    monkeypatch.setattr(gvc.jets, "_by_parts", lambda phi, f: True)
+    (memo, entries, digest), reference = two_routes(
+        lambda: fresh(name), ("brst", "antibracket", "gauge"))
+    assert (memo, entries, digest) == reference
+    assert any(gvc.brst._orbits(fresh(name))[1].values())
 
 
 def test_a_healthy_grav4_takes_b_squared_at_its_first_keys(monkeypatch):
-    # u on the 7 first keys of u, gamma on those and the one of gamma, and
-    # u on that one; every sum there is zero, so nothing more is taken
+    # b on its 8 first keys, 7 of u and the one of gamma; every image there
+    # is zero, so nothing more is taken, and the antibracket takes no pass
     theory = fresh("grav4")
-    assert _passes(monkeypatch, theory, ["brst", "antibracket"]) == \
-        [7, 8, 1]
+    assert count_passes(monkeypatch, theory, ["brst", "antibracket"]) == [8]
     all_pass(check_brst_nilpotent(theory))
 
 
 def test_a_gamma_that_breaks_b_squared_alike_completes_the_tables(
         monkeypatch):
     # gamma negated maps to +gamma under every swap, as u does, so the
-    # orbits hold; b squared is not zero at their first keys, and brst
-    # completes both tables by one pass of each part over the members
+    # orbits hold; b squared is not zero at most of their first keys, and
+    # brst takes the 67 other keys of those orbits in a second pass of b
     text = pathlib.Path(builtin_path("grav4")).read_text(
         encoding="utf-8").replace("= sum(m){ cm[l;m]", "= -sum(m){ cm[l;m]")
     theory = parse_theory(text)
-    assert len(gvc.brst._orbits(theory)) == 70
-    assert _passes(monkeypatch, theory, ["brst"]) == [7, 8, 1, 67, 70, 3]
-    assert _passes(monkeypatch, theory, ["antibracket", "brst"]) == []
+    assert len(gvc.brst._orbits(theory)[0]) == 70
+    assert count_passes(monkeypatch, theory, ["brst"]) == [8, 67]
+    assert count_passes(monkeypatch, theory, ["antibracket", "brst"]) == []
     checks = ("brst", "antibracket")
     (memo, entries, digest), reference = two_routes(
         lambda: parse_theory(text), checks)

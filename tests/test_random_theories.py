@@ -16,9 +16,9 @@ against the others, not against a verdict:
 - the residuals are the ghost Euler-Lagrange components of both pairings:
   the gauge operator with L (stage 0) and delta_KT with L_e (every stage);
 - ``prolong_apply`` gives the same residuals, and the same BRST residuals,
-  with every pair forced by parts and forced down the prefix chain; so
-  does b's stored table of part-on-part images, summed at each component,
-  in its antibracket slice and in its stage-k slices;
+  with every pair forced by parts and forced down the prefix chain; so do
+  b's stored images on its components, the antibracket they give, and the
+  stage images u^(k)(u^(k-1)^X);
 - the theory stored with ``Fraction`` coefficients digests alike;
 - each mutant of a theory whose checks have run, which inherits what its
   edit leaves unchanged, digests like the same mutant of a theory parsed
@@ -49,7 +49,7 @@ from gvc.parser import ParseError, parse_theory
 from gvc.variational import euler_lagrange
 from conftest import (brst_operator, derivation_sum, extended_lagrangian,
                       fraction_twin, nilpotency_residuals, prolong_oracle,
-                      stage_deltas, stored_pairs, two_routes,
+                      stage_deltas, two_routes,
                       variational_pairing)
 
 EVEN, ODD = ("x", "y"), ("p",)
@@ -262,16 +262,16 @@ def _nonzero(images):
 
 
 def _check_table(theory, text):
-    """b's stored table against the memo-free prolongation: its pair sums
-    are b(b^X), its antibracket slice (u + gamma)(u^A), and its stage-k
-    slices u^(k)(u^(k-1)^X)."""
+    """b's stored images against the memo-free prolongation: b(b^X) at each
+    component X of b, the antibracket (u + gamma)(u^A) at each component A
+    of u, green or red, and the stage images u^(k)(u^(k-1)^X)."""
     reg = theory.registry
     b = brst_operator(theory)
     want = _nonzero({key: prolong_oracle(b, comp)
                      for key, comp in b.components.items()})
     assert nilpotency_residuals(b) == want, text
     check_brst_nilpotent(theory)
-    assert theory.derived["brst"] == want, text
+    assert _nonzero(theory.derived["brst"]) == want, text
     gauge = stored_gauge(theory)
     u = gauge[0]
     b1 = derivation_sum(reg, [u, EvolutionaryDerivation(reg, theory.gamma)])
@@ -279,11 +279,11 @@ def _check_table(theory, text):
     assert theory.derived["antibracket"] == _nonzero(
         {key: prolong_oracle(b1, comp)
          for key, comp in u.components.items()}), text
-    pairs = stored_pairs(theory)
+    images = theory.derived["stage images"]
     for upper, lower in zip(gauge[1:], gauge):
         for key, comp in lower.components.items():
-            assert pairs.get((upper.name, lower.name, key), reg.zero) == \
-                prolong_oracle(upper, comp), (upper.name, key, text)
+            assert images[upper.name][key] == prolong_oracle(upper, comp), \
+                (upper.name, key, text)
 
 
 @settings(max_examples=30)
