@@ -7,8 +7,10 @@ ghost jets (ghosts multiply from the left):
     u^A = sum over Lambda of  c^r_Lambda * eta(Delta_r^{A,.})^Lambda
 
 Stage-k records produce the operators u^(k) acting on stage-(k-1) ghosts the
-same way.  The BRST operator b adds gamma to the ascent operator
-sum_k u^(k); the input rules of ``gvc.noether`` make both odd.
+same way.  A cold build runs eta on the first record of each stage-0 orbit
+alone and maps its components onto the other members
+(``gvc.noether._orbits``).  The BRST operator b adds gamma to the ascent
+operator sum_k u^(k); the input rules of ``gvc.noether`` make both odd.
 
 Every condition on b is a component of b^2, and prolongation is linear in
 the derivation, so the sum of the parts' images sum_{P,Q} P(Q^X) is one
@@ -24,39 +26,65 @@ at another key is zero with its first key's, and else computed.
 """
 from __future__ import annotations
 
-from .algebra import GradedPoly, _mul_terms
+from .algebra import GradedPoly, _add_into, _mul_terms
 from .jets import EvolutionaryDerivation, eta, update_images
 from .noether import EMPTY, comp_label, _candidates, _changed, _entry, \
-    _minus, _orbit_maps, _plus, _residuals, stored, stored_kt
+    _minus, _orbit_map, _plus, _residuals, stored, stored_kt
+from .noether import _orbits as _record_orbits
 
 
-def _components_from_records(reg, records):
-    comps = {}
-    for rec in records:
-        per = {}
-        for (name, comp, index), coeff in rec.rows.items():
-            per.setdefault((name, comp), {})[index] = coeff
-        for (name, comp), fmap in per.items():
-            acc = comps.setdefault((name, comp), {})
-            for index, coeff in eta(fmap).items():
-                _mul_terms(reg.var(rec.ghost, rec.component, index).terms,
-                           coeff.terms, acc)
-    return {key: GradedPoly(reg, terms) for key, terms in comps.items()}
+def _record_components(reg, rec):
+    """{(name, component): the term dict of rec's part of u^A} for each
+    field or ghost A that rec's rows target, by eta."""
+    per, comps = {}, {}
+    for (name, comp, index), coeff in rec.rows.items():
+        per.setdefault((name, comp), {})[index] = coeff
+    for key, fmap in per.items():
+        acc = comps[key] = {}
+        for index, coeff in eta(fmap).items():
+            _mul_terms(reg.var(rec.ghost, rec.component, index).terms,
+                       coeff.terms, acc)
+    return comps
+
+
+def _orbit_components(theory):
+    """``_record_components`` of every stage-0 record, eta run on the
+    first record of each orbit alone: a member i with step (j, sigma, e)
+    of ``gvc.noether._orbits`` gets u_i^{sigma A} = e s_A sigma(u_j^A),
+    s_A the sign of canonicalizing sigma A (the proof is there)."""
+    reg, recs = theory.registry, theory.records
+    orbit, _fixing, steps = _record_orbits(theory)
+    out = {i: _record_components(reg, rec) for i, rec in enumerate(recs)
+           if i not in orbit}
+    for i, (j, swap, e) in steps.items():
+        out[i] = {}
+        for (name, comp), terms in out[j].items():
+            image, s = swap.component(reg.symbols[name], comp)
+            out[i][name, image] = swap.image(terms, e * s)
+    return [out[i] for i in range(len(recs))]
 
 
 def gauge_from_ni(theory, parent=EMPTY):
     """The odd stages u = u^(0), u^(1), ... built from the records via eta:
     each the parent's stage plus the components of its records' changes
-    (``_changed``), u being linear in the rows."""
+    (``_changed``), u being linear in the rows.  Built cold, u takes its
+    records by orbit (``_orbit_components``)."""
     reg = theory.registry
     old = {u.name: u for u in parent.get("gauge", ())}
     changes = list(_changed(theory, parent).values())
     out = []
     for k in [0] + theory.stage_numbers():
         name = "u^(%d)" % k if k else "u"
-        out.append(_plus(old.get(name), EvolutionaryDerivation(
-            reg, _components_from_records(
-                reg, [rec for rec in changes if rec.stage == k]), name=name)))
+        parts = _orbit_components(theory) if parent is EMPTY and not k \
+            else [_record_components(reg, rec) for rec in changes
+                  if rec.stage == k]
+        comps = {}
+        for part in parts:
+            for key, terms in part.items():
+                _add_into(comps.setdefault(key, {}), terms)
+        out.append(_plus(old.get(name), EvolutionaryDerivation(reg, {
+            key: GradedPoly(reg, terms) for key, terms in comps.items()},
+            name=name)))
     return out
 
 
@@ -98,10 +126,9 @@ def _symmetries(reg, parts, labels):
 
 
 def _orbits(theory):
-    """({X: the first key of X's orbit} for each component key X of b's
-    parts whose orbit under ``_symmetries`` holds an earlier key, {X: the
-    sigma that fix X} for each first key X), the ``orbits`` of
-    ``update_images``.
+    """{X: the first key of X's orbit} for each component key X of b's
+    parts whose orbit under ``_symmetries`` holds an earlier key, the
+    orbit map of ``update_images``.
 
     Such a sigma is an automorphism of the jet algebra with sigma d_lam =
     d_{sigma lam} sigma, and sigma P sigma = e P on the generators, so on
@@ -110,15 +137,12 @@ def _orbits(theory):
     Q^{sigma X} = e s sigma(Q^X) for each part Q, so for b^{sigma X} too,
     b(b^{sigma X}) = e^2 s sigma(b(b^X)) = s sigma(b(b^X)), and likewise
     u^(k)(u^(k-1)^{sigma X}): each image is zero exactly when the one at X
-    is.  A sigma that fixes X maps b^X to +-b^X, so it also prunes the sums
-    by parts of b's pass over b^X, as at ``gvc.noether._orbits``.  One e for
-    all parts is what makes it one for their sum b."""
+    is.  One e for all parts is what makes it one for their sum b."""
     parts = stored_gauge(theory) + [_gamma(theory)]
     labels = sorted({x for p in parts for x in p.components})
-    orbit, fixing = _orbit_maps(len(labels), _symmetries(
-        theory.registry, parts, labels))
-    return ({labels[i]: labels[j] for i, j in orbit.items()},
-            {labels[i]: swaps for i, swaps in fixing.items()})
+    orbit = _orbit_map(len(labels), [moved for _swap, moved in _symmetries(
+        theory.registry, parts, labels)])
+    return {labels[i]: labels[j] for i, j in orbit.items()}
 
 
 def _b(reg, gauge, gamma):
@@ -127,15 +151,17 @@ def _b(reg, gauge, gamma):
     return sum(gauge, EvolutionaryDerivation(reg, gamma, name="b"))
 
 
-def _over(op, target, was, was_target, old, orbits):
+def _over(op, target, was, was_target, old, orbit):
     """``update_images`` of op over the components of the derivation
-    ``target``, from the parent's ``was`` and ``was_target``."""
+    ``target``, from the parent's ``was`` and ``was_target``, pruned by the
+    ``orbit`` map of a cold build."""
     return update_images(op, [
         (x, val, was_target and was_target.components.get(x))
-        for x, val in sorted(target.components.items())], was, old, orbits)
+        for x, val in sorted(target.components.items())], was, old,
+        (orbit or {}, {}))
 
 
-def _b_images(theory, parent, orbits=({}, {})):
+def _b_images(theory, parent, orbit=None):
     """{X: b(b^X)} for each component X of b, updated from the parent's:
     b(b^X) = sum over the parts P, Q of b of P(Q^X), prolongation being
     linear in the derivation."""
@@ -143,17 +169,17 @@ def _b_images(theory, parent, orbits=({}, {})):
     b = _b(reg, stored_gauge(theory), theory.gamma)
     was = None if parent is EMPTY else _b(reg, parent.get("gauge"),
                                           parent.get("gamma"))
-    return _over(b, b, was, was, parent.get("brst"), orbits)
+    return _over(b, b, was, was, parent.get("brst"), orbit)
 
 
-def _stage_images(theory, parent, orbits=({}, {})):
+def _stage_images(theory, parent, orbit=None):
     """{u^(k) by name: {X: u^(k)(u^(k-1)^X)} for each component X of
     u^(k-1)} for each stage k >= 1, updated from the parent's."""
     gauge = stored_gauge(theory)
     was = {u.name: u for u in parent.get("gauge", ())}
     old = parent.get("stage images", {})
     return {upper.name: _over(upper, lower, was.get(upper.name),
-                              was.get(lower.name), old.get(upper.name), orbits)
+                              was.get(lower.name), old.get(upper.name), orbit)
             for upper, lower in zip(gauge[1:], gauge)}
 
 
@@ -161,12 +187,12 @@ def _images(theory):
     """[b's images, the stage images], each stored.  Both are built at
     once, so that when they are built cold one ``_orbits`` map prunes
     them."""
-    orbits = ({}, {})
+    orbit = None
     if all(theory.derived.get(key) is None
            for key in ("brst", "stage images")):
-        orbits = _orbits(theory)
+        orbit = _orbits(theory)
     return [stored(theory, key, lambda th, parent, build=build:
-                   build(th, parent, orbits))
+                   build(th, parent, orbit))
             for key, build in (("brst", _b_images),
                                ("stage images", _stage_images))]
 

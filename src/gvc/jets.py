@@ -36,7 +36,6 @@ from gvc.algebra import (
     GradedPoly,
     GradingError,
     GvcError,
-    _add_into,
     _holds_fraction,
     _mul_terms,
 )
@@ -66,7 +65,7 @@ __all__ = [
 BY_PARTS_RATIO = 4
 
 
-def total_derivative(p, lam):
+def total_derivative(p, lam, out=None, neg=False):
     """d_lam applied to p; an even derivation raising jet orders by one.
 
     Each factor ``v`` of a monomial is replaced by ``d_lam(v)`` in turn.  In
@@ -74,16 +73,25 @@ def total_derivative(p, lam):
     insert: an even factor carries its exponent as a coefficient, an odd
     one the sign of moving the new factor from the old one's slot to its
     own.  Raises JetOrderCapError when a produced jet would exceed the
-    registry cap.  The output keeps the coefficient rule of
-    ``algebra._rat``.
+    registry cap.
+
+    As ``algebra._mul_terms`` does, it adds the result into the term dict
+    ``out`` in place (subtracts it when ``neg``), a fresh dict when None,
+    and returns ``out`` as a polynomial; ``out`` must be a dict the caller
+    owns (see ``algebra._add_into``).  It keeps the coefficient rule of
+    ``algebra._rat``: a sum is whole only when both operands are
+    Fractions, so the rule is applied only when ``p`` holds one.
     """
     reg = p.reg
     by_rank = reg.by_rank
     succ = {}  # key entry -> the entry of its d_lam, for this call
-    out = {}
+    if out is None:
+        out = {}
     get = out.get
     frac = _holds_fraction(p.terms)
     for key, c in p.terms.items():
+        if neg:
+            c = -c
         prev = None
         for i, r in enumerate(key):
             if r == prev:
@@ -446,16 +454,17 @@ def _fold(reg, items):
     preorder of the tree under "Lambda[:-1] is the parent of Lambda"; the
     term dicts are handed over and consumed.  The sum is folded Horner-wise:
     when the walk leaves the subtree of Lambda, terms[Lambda[:-1]] -=
-    d_{Lambda[-1]} terms[Lambda], so the multi-indices that share a prefix
-    share its total derivatives, and only the chain of open prefixes, at
-    most ``jet_order + 1`` dicts, is held.
+    d_{Lambda[-1]} terms[Lambda], taken by ``total_derivative`` straight
+    into the parent's dict, so the multi-indices that share a prefix share
+    its total derivatives, and only the chain of open prefixes, at most
+    ``jet_order + 1`` dicts, is held.
     """
     chain = [((), {})]
 
     def close():
         index, terms = chain.pop()
-        d = total_derivative(GradedPoly(reg, terms), index[-1])
-        _add_into(chain[-1][1], d.terms, True)
+        total_derivative(GradedPoly(reg, terms), index[-1], chain[-1][1],
+                         True)
 
     for index, terms in items:
         while index[:len(chain[-1][0])] != chain[-1][0]:

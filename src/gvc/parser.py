@@ -43,7 +43,10 @@ factor, so the first error a statement raises is the one that evaluating
 every factor meets, where it meets it: a clean node raises nothing.  No
 index range is empty, the jets of a variable an antisymmetric family kills
 are still checked, and so is the unclean value of a killed key, so no zero
-hides an invalid reference.
+hides an invalid reference.  The same walk proves which transpositions of
+two adjacent base directions map L to +-L and each stage-0 record family
+onto itself; a parsed theory's memo starts with them, its "certificate",
+which ``gvc.noether._symmetries`` accepts without testing the expansions.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks, field and jet_order statements.  The input rules of
@@ -378,6 +381,43 @@ def _scaled_by(c, terms):
     return _scale_terms(terms, c)
 
 
+def _times(a, b):
+    """The signs of a product of two nodes."""
+    return a[0] & b[0], a[1] ^ b[1]
+
+
+def _agree(signs):
+    """The signs of a sum of nodes: the one sign they share for each swap,
+    refused where two differ."""
+    ok, neg = signs[0]
+    for other_ok, other_neg in signs[1:]:
+        ok &= other_ok & ~(other_neg ^ neg)
+    return ok, neg
+
+
+def _table_signs(tab, dim):
+    """The signs of the table t: for each swap sigma of directions lam and
+    lam + 1, acting on each of its slots of extent ``dim``, the sign e with
+    t[sigma x] = e t[x] for every index x, refused when there is none.  A
+    zero maps to a zero, since sigma is an involution that maps every
+    nonzero entry to one."""
+    moved = [n == dim for n in tab.shape]
+    ok = neg = 0
+    for lam in range(dim - 1):
+        sign = 1
+        for n, (idx, c) in enumerate(tab.entries.items()):
+            img = tuple(2 * lam + 1 - i if m and 0 <= i - lam <= 1 else i
+                        for i, m in zip(idx, moved))
+            d = tab.entries.get(img)
+            if d is None or abs(d) != abs(c) or n and d != sign * c:
+                break
+            sign = 1 if d == c else -1
+        else:
+            ok |= 1 << lam
+            neg |= (sign < 0) << lam
+    return ok, neg
+
+
 def _as_terms(look):
     """The term dict of the reference whose ``(key, sign)`` ``look``
     returns."""
@@ -421,10 +461,32 @@ class _Eval:
     cannot be inferred raises where it is evaluated, so the first error is
     the one evaluating every factor meets, where it meets it.  The closures
     hold the registry, never the evaluator, so a statement leaves no
-    reference cycle behind."""
+    reference cycle behind.
 
-    def __init__(self, reg):
+    The same walk proves the direction symmetries that the statement
+    states: for each swap sigma of base directions lam and lam + 1, that
+    sigma(N(v)) = e N(sigma v) at every node N, where v are the values of
+    the indices bound around N and sigma v applies sigma to those of range
+    ``dim``.  The proof reindexes each ``sum`` and each binder: a binder
+    of range ``dim`` runs over the directions, which sigma permutes.  An
+    index in a slot of range ``dim``, or in a jet, must be a binder of
+    range ``dim`` or a constant that sigma fixes, and a binder of range
+    ``dim`` may sit only there; then a symbol reference has e = 1, as
+    sigma and canonicalizing a component commute, a table t the sign e_t
+    with t[sigma x] = e_t t[x] for every x (``_table_signs``), a product the
+    product of its factors' signs, a power its base's sign to its
+    exponent, and ``-`` and ``sum`` their child's.  A sum of items needs
+    one sign across them.  A node's signs are two bit masks over lam, ok
+    where the walk has not refused lam at a miss and neg where the sign is
+    -1, and ``statement`` and ``key`` leave the top one's in ``signs``.
+    ``table_signs`` keeps each table's signs, and the evaluators of one
+    theory share it."""
+
+    def __init__(self, reg, table_signs=None):
         self.reg = reg
+        self.unit = ((1 << (reg.dim - 1)) - 1, 0)
+        self.refused = self.signs = (0, 0)
+        self.table_signs = {} if table_signs is None else table_signs
 
     def infer_range(self, var, node):
         """Scan for usages of ``var`` and return the index range it must have."""
@@ -473,7 +535,7 @@ class _Eval:
         """Compile ``node`` once; returns a function of the values of the
         ``(index, range)`` binders around it, in order, that returns its
         value as a polynomial."""
-        value, _clean = self._top(node, self._start(binders))
+        value, _clean, self.signs = self._top(node, self._start(binders))
         tail = self.init[len(binders):]
         return lambda values: value([*values, *tail])
 
@@ -488,7 +550,11 @@ class _Eval:
         the value carries the symmetry sign, and keys the symmetry kills
         are skipped.  An unclean value is still evaluated for each killed
         key, after the live ones, so that no key hides an invalid reference
-        and the first error is one a live key meets."""
+        and the first error is one a live key meets.  ``signs`` is then the
+        value's, refused where the key's own indices break the rules of a
+        symmetry: sigma maps the rows at the binders' values v to e times
+        those at sigma v, the free indices being reindexed like a ``sum``'s
+        binders."""
         if len(comps) != len(sym.slots):
             raise GvcError("%s expects %d component indices"
                            % (sym.name, len(sym.slots)))
@@ -500,7 +566,9 @@ class _Eval:
         first = len(binders)
         scope = self._start(list(binders) + list(free.items()))
         indices = _getter([self._slot(a, scope) for a in comps + jets])
-        value, clean = self._top(node, scope)
+        value, clean, signs = self._top(node, scope)
+        self.signs = _times(signs, self._moves(
+            comps + jets, sym.slots + (self.reg.dim,) * len(jets), scope))
         tail, n, seen = self.init[first:], len(comps), {}
         end = first + len(free)
         ranges = [range(rng) for rng in free.values()]
@@ -535,13 +603,13 @@ class _Eval:
         return {var: slot for slot, (var, _rng) in enumerate(binders)}
 
     def _top(self, node, scope):
-        """``(fn, clean)``: ``node`` as a function of its slot values that
-        returns a polynomial, and whether it is clean."""
-        value, poly, clean = self._value(node, scope)
+        """``(fn, clean, signs)``: ``node`` as a function of its slot values
+        that returns a polynomial, whether it is clean, and its signs."""
+        value, poly, clean, signs = self._value(node, scope)
         reg = self.reg
         if poly:
-            return (lambda v: GradedPoly(reg, value(v))), clean
-        return (lambda v: GradedPoly.constant(reg, value(v))), clean
+            return (lambda v: GradedPoly(reg, value(v))), clean, signs
+        return (lambda v: GradedPoly.constant(reg, value(v))), clean, signs
 
     def _new_slot(self, value, bound):
         """A new slot, set to ``value``, whose values stay below ``bound``."""
@@ -557,57 +625,78 @@ class _Eval:
             self.consts[atom[1]] = self._new_slot(atom[1], atom[1] + 1)
         return self.consts[atom[1]]
 
+    def _moves(self, atoms, sizes, scope):
+        """The signs of the index ``atoms`` that sit in slots of the range
+        ``sizes``: +1 for each swap under which they keep the rules of a
+        symmetry (see the class), refused for the others."""
+        dim = self.reg.dim
+        if len(atoms) != len(sizes):
+            return self.refused
+        ok = self.unit[0]
+        for atom, size in zip(atoms, sizes):
+            if atom[0] == "var":
+                if (self.bounds[scope[atom[1]]] == dim) != (size == dim):
+                    return self.refused
+            elif size == dim and atom[1] < dim:
+                # sigma moves a direction c when lam is c or c - 1; a larger
+                # constant raises where it is evaluated
+                ok &= ~(3 << atom[1] >> 1)
+        return ok, 0
+
     def _value(self, node, scope):
-        """``(fn, poly, clean)``: fn(v) is the value of ``node`` under the
-        slot values ``v``, a term dict that no caller changes when ``poly``,
-        else a rational; ``clean`` when no evaluation of it can fail."""
+        """``(fn, poly, clean, signs)``: fn(v) is the value of ``node`` under
+        the slot values ``v``, a term dict that no caller changes when
+        ``poly``, else a rational; ``clean`` when no evaluation of it can
+        fail; ``signs`` its sign under each swap (see the class)."""
         kind = node[0]
         if kind == "num":
-            return (lambda v, c=node[1]: c), False, True
+            return (lambda v, c=node[1]: c), False, True, self.unit
         if kind == "ref":
-            value, poly, clean = self._ref(node, scope)
-            return (_as_terms(value) if poly else value), poly, clean
+            value, poly, clean, signs = self._ref(node, scope)
+            return (_as_terms(value) if poly else value), poly, clean, signs
         if kind == "pow":
-            value, poly, clean = self._value(node[1], scope)
+            value, poly, clean, signs = self._value(node[1], scope)
             n, reg = node[2], self.reg
+            signs = signs if n & 1 else (signs[0], 0)
             if poly:
                 return (lambda v: (GradedPoly(reg, value(v)) ** n).terms,
-                        True, clean)
-            return (lambda v: value(v) ** n), False, clean
-        fold, poly, clean = self._fold(node, scope, 1)
+                        True, clean, signs)
+            return (lambda v: value(v) ** n), False, clean, signs
+        fold, poly, clean, signs = self._fold(node, scope, 1)
         if not poly:
-            return (lambda v: fold(v, None)), False, clean
+            return (lambda v: fold(v, None)), False, clean, signs
 
         def total(v):
             out = {}
             const = fold(v, out)
             return _add_into(out, {(): _rat(const)}) if const else out
-        return total, True, clean
+        return total, True, clean, signs
 
     def _fold(self, node, scope, sign):
-        """``(fn, poly, clean)``: fn(v, out) adds ``sign`` times the value
-        of ``node`` under the slot values ``v`` into the term dict ``out``
-        and returns ``sign`` times its rational part, which the caller adds
-        last; ``poly`` and ``clean`` as ``_value`` returns them."""
+        """``(fn, poly, clean, signs)``: fn(v, out) adds ``sign`` times the
+        value of ``node`` under the slot values ``v`` into the term dict
+        ``out`` and returns ``sign`` times its rational part, which the
+        caller adds last; ``poly``, ``clean`` and ``signs`` as ``_value``
+        returns them."""
         kind = node[0]
         if kind == "neg":
             return self._fold(node[1], scope, -sign)
         if kind == "add":
-            folds, polys, cleans = zip(*(self._fold(item, scope, sign * s)
-                                         for s, item in node[1]))
+            folds, polys, cleans, signs = zip(*(
+                self._fold(item, scope, sign * s) for s, item in node[1]))
 
             def add(v, out):
                 const = 0
                 for fold in folds:
                     const += fold(v, out)
                 return const
-            return add, any(polys), all(cleans)
+            return add, any(polys), all(cleans), _agree(signs)
         if kind == "sum":
             return self._sum(node[1], node[2], node[3], scope, sign)
         if kind == "mul":
             return self._mul(node[1], scope, sign)
         if kind == "ref":
-            value, poly, clean = self._ref(node, scope)
+            value, poly, clean, signs = self._ref(node, scope)
             if poly:
                 def ref(v, out):
                     key, s = value(v)
@@ -620,19 +709,19 @@ class _Eval:
                         else:
                             del out[key]
                     return 0
-                return ref, True, clean
+                return ref, True, clean, signs
         else:
-            value, poly, clean = self._value(node, scope)
+            value, poly, clean, signs = self._value(node, scope)
         if poly:
             neg = sign < 0
 
             def add(v, out):
                 _add_into(out, value(v), neg)
                 return 0
-            return add, True, clean
+            return add, True, clean, signs
         if sign > 0:
-            return (lambda v, out: value(v)), False, clean
-        return (lambda v, out: -value(v)), False, clean
+            return (lambda v, out: value(v)), False, clean, signs
+        return (lambda v, out: -value(v)), False, clean, signs
 
     def _sum(self, binders, body, tok, scope, sign):
         """``_fold`` of ``sum(binders){body}``: each binding is written into
@@ -642,19 +731,19 @@ class _Eval:
         try:
             binders = self.resolve(binders, body)
         except GvcError as exc:
-            return _raiser(str(exc), tok), False, False
+            return _raiser(str(exc), tok), False, False, self.refused
         inner, first = dict(scope), len(self.init)
         for var, rng in binders:
             inner[var] = self._new_slot(0, rng)
         end, ranges = len(self.init), [range(rng) for _v, rng in binders]
-        fold, poly, clean = self._fold(body, inner, sign)
+        fold, poly, clean, signs = self._fold(body, inner, sign)
 
         def total(v, out):
             const = 0
             for v[first:end] in itertools.product(*ranges):
                 const += fold(v, out)
             return const
-        return total, poly, clean
+        return total, poly, clean, signs
 
     def _mul(self, nodes, scope, sign):
         """``_fold`` of the product of ``nodes``, in order; a product whose
@@ -662,15 +751,15 @@ class _Eval:
         times at most one reference make at most one term.  Any other
         product multiplies its last factor straight into ``out`` when that
         step multiplies two polynomials and ``sign`` is positive."""
-        parts, clean = [], True
+        parts, clean, signs = [], True, self.unit
         for node in nodes:
             if node[0] == "ref":
-                value, poly, ok = self._ref(node, scope)
+                value, poly, ok, node_signs = self._ref(node, scope)
                 parts.append((value, 2 if poly else 0))
             else:
-                value, poly, ok = self._value(node, scope)
+                value, poly, ok, node_signs = self._value(node, scope)
                 parts.append((value, 1 if poly else 0))
-            clean = clean and ok
+            clean, signs = clean and ok, _times(signs, node_signs)
         kinds = [kind for _value, kind in parts]
         if 1 not in kinds and kinds.count(2) < 2:
             poly = 2 in kinds
@@ -689,7 +778,7 @@ class _Eval:
                 if c:
                     _add_into(out, {key: _rat(c)})
                 return 0
-            return monomial, poly, clean
+            return monomial, poly, clean, signs
         steps, poly = [], False
         for value, kind in parts:
             steps.append((_as_terms(value) if kind == 2 else value,
@@ -717,24 +806,25 @@ class _Eval:
             else:
                 _add_into(out, op(total, val), neg)
             return 0
-        return product, True, clean
+        return product, True, clean, signs
 
     def _ref(self, node, scope):
-        """``(look, True, clean)`` for a reference to a symbol, look(v) the
-        ``(key, sign)`` of its jet variable under the slot values ``v``,
-        ``(None, 0)`` when its family kills it; ``(fn, False, clean)`` for a
-        table, fn(v) the entry.  Either raises the reference's error, as
-        ``Registry.jet_var`` and ``ConstantTable`` do; an unbound index
-        raises when it is evaluated.  The reference is clean when a symbol,
-        or a table with no jets, has as many indices as slots and at most
-        the cap of jets, and every index stays inside the slot it sits in
-        (``dim`` for jets)."""
+        """``(look, True, clean, signs)`` for a reference to a symbol,
+        look(v) the ``(key, sign)`` of its jet variable under the slot
+        values ``v``, ``(None, 0)`` when its family kills it; ``(fn, False,
+        clean, signs)`` for a table, fn(v) the entry.  Either raises the
+        reference's error, as ``Registry.jet_var`` and ``ConstantTable``
+        do; an unbound index raises when it is evaluated.  The reference is
+        clean when a symbol, or a table with no jets, has as many indices
+        as slots and at most the cap of jets, and every index stays inside
+        the slot it sits in (``dim`` for jets)."""
         _ref, name, comps, jets, tok = node
         slots = [self._slot(atom, scope) for atom in comps + jets]
         if None in slots:
             unbound = (comps + jets)[slots.index(None)][1]
-            return _raiser("unbound index %r" % unbound, tok), False, False
-        indices, bounds = _getter(slots), self.bounds
+            return (_raiser("unbound index %r" % unbound, tok), False, False,
+                    self.refused)
+        indices, bounds, dim = _getter(slots), self.bounds, self.reg.dim
 
         def within(sizes):
             return len(slots) == len(sizes) and all(
@@ -743,22 +833,28 @@ class _Eval:
         if tab is not None:
             if jets:
                 return _raiser("constant table %r cannot carry jet indices"
-                               % name, tok), False, False
+                               % name, tok), False, False, self.refused
+            signs = self.table_signs.get(name)
+            if signs is None:
+                signs = self.table_signs[name] = _table_signs(tab, dim)
+            signs = _times(self._moves(comps, tab.shape, scope), signs)
             if within(tab.shape):
                 entries = tab.entries
-                return (lambda v: entries.get(indices(v), 0)), False, True
+                return ((lambda v: entries.get(indices(v), 0)), False, True,
+                        signs)
 
             def entry(v):
                 try:
                     return tab[indices(v)]
                 except ValueError as exc:
                     raise _placed(exc, tok)
-            return entry, False, False
+            return entry, False, False, signs
         sym = self.reg.symbols.get(name)
         if sym is None:
-            return _raiser("unknown symbol %r" % name, tok), False, False
-        clean = len(jets) <= self.reg.jet_order and \
-            within(sym.slots + (self.reg.dim,) * len(jets))
+            return (_raiser("unknown symbol %r" % name, tok), False, False,
+                    self.refused)
+        sizes = sym.slots + (dim,) * len(jets)
+        clean = len(jets) <= self.reg.jet_order and within(sizes)
         # one map per symbol and arity for the whole statement
         jet_var, n = self.reg.jet_var, len(comps)
         seen = self.interned.setdefault((name, n), {})
@@ -773,7 +869,7 @@ class _Eval:
                     raise _placed(exc, tok)
                 hit = seen[at] = ((var.entry,), sign) if sign else (None, 0)
             return hit
-        return look, True, clean
+        return look, True, clean, self._moves(comps + jets, sizes, scope)
 
 
 @contextmanager
@@ -800,6 +896,9 @@ class _TheoryBuilder:
         self.gauge_candidate = None
         self.gamma = {}
         self.alphas = {}
+        # the signs (``_Eval``) of L, under None, and of each stage-0 record
+        # family, under its ghost, and those of each table
+        self.signs, self.table_signs = {}, {}
 
     def run(self):
         while not self.p.at("EOF"):
@@ -809,9 +908,25 @@ class _TheoryBuilder:
         if self.lagrangian is None:
             self.p.error("theory must declare a Lagrangian")
         self.reg.freeze()
-        return TheorySpec._parsed(self.name, self.reg, self.lagrangian,
-                                  self.stages.pop(0, []), self.stages,
-                                  self.gauge_candidate, self.gamma, self.alphas)
+        theory = TheorySpec._parsed(
+            self.name, self.reg, self.lagrangian, self.stages.pop(0, []),
+            self.stages, self.gauge_candidate, self.gamma, self.alphas)
+        theory.derived["certificate"] = self.certificate()
+        return theory
+
+    def certificate(self):
+        """{lam: {ghost: e}} for each swap sigma of base directions lam and
+        lam + 1 that the source proves a symmetry of L and of every stage-0
+        record family: sigma L = +-L, and sigma Delta_b = e Delta_{sigma b}
+        for each record b of the family of ``ghost``, sigma b its label's
+        image.  ``gvc.noether._symmetries`` accepts these swaps untested."""
+        ok = -1  # every swap
+        for family_ok, _neg in self.signs.values():
+            ok &= family_ok
+        return {lam: {ghost: -1 if neg >> lam & 1 else 1
+                      for ghost, (_ok, neg) in self.signs.items()
+                      if ghost is not None}
+                for lam in range(self.reg.dim - 1) if ok >> lam & 1}
 
     def need_reg(self, tok):
         if self.reg is None:
@@ -945,8 +1060,10 @@ class _TheoryBuilder:
         node = self.p.parse_expression()
         self.p.expect(";")
         with _at(tok):
-            self.lagrangian = _Eval(self.reg).statement(node, [])(())
+            evaluator = _Eval(self.reg, self.table_signs)
+            self.lagrangian = evaluator.statement(node, [])(())
             require_lagrangian(self.lagrangian)
+        self.signs[None] = evaluator.signs
 
     # -- record blocks ----------------------------------------------------------
 
@@ -1012,7 +1129,8 @@ class _TheoryBuilder:
             self.p.error("rows of a stage-%d block must target stage-%d ghosts"
                          % (stage, stage - 1), tok)
         with _at(tok):
-            return tok, sym, evaluator.key(sym, comps, jets, node, binders)
+            expand = evaluator.key(sym, comps, jets, node, binders)
+            return tok, sym, expand, evaluator.signs
 
     def _expand_rows(self, stage, binders, comp, rows_stmts, statements,
                      evaluator):
@@ -1024,7 +1142,7 @@ class _TheoryBuilder:
             if i == len(statements):
                 statements.append(self._row_statement(stage, binders, stmt,
                                                       evaluator))
-            tok, sym, expand = statements[i]
+            tok, sym, expand, _signs = statements[i]
             statement_rows = {}
             with _at(tok):
                 for canon, jet, coeff in expand(comp):
@@ -1041,7 +1159,7 @@ class _TheoryBuilder:
     def build_records(self, tok, stage, ghost, binders, rows_stmts, h_node):
         if ghost in self.reg.symbols:
             self.p.error("ghost %r declared twice" % ghost, tok)
-        evaluator, statements = _Eval(self.reg), []
+        evaluator, statements = _Eval(self.reg, self.table_signs), []
         slots = tuple(rng for _v, rng in binders)
         produced = []  # (component, rows, parity)
         for comp in itertools.product(*(range(rng) for rng in slots)):
@@ -1054,6 +1172,8 @@ class _TheoryBuilder:
                     "mixes Grassmann parities" if rows else "has no rows"),
                     tok)
             produced.append((comp, rows, par))
+        if not stage:
+            self.signs[ghost] = _agree([signs for *_x, signs in statements])
         parities = self._parity_spec(tok, ghost, slots, produced)
         gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
         self.reg.declare_ghost_antifield(gh)
@@ -1093,7 +1213,7 @@ class _TheoryBuilder:
             self.p.error("component blocks must come after the Lagrangian",
                          tok)
         self.reg.freeze()
-        evaluator = _Eval(self.reg)
+        evaluator = _Eval(self.reg, self.table_signs)
         out = dict(existing or {})
         self.p.expect("{")
         while not self.p.at("}"):

@@ -19,7 +19,8 @@ import gvc.brst
 import gvc.cli
 import gvc.noether
 import gvc.parser
-from gvc.algebra import GradedPoly, GvcError, _add_into, _mul_terms
+from gvc.algebra import GradedPoly, GvcError, _add_into, _mul_terms, \
+    direction_swap
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
 from gvc.noether import NoetherRecord
 from gvc.parser import TheorySpec, _Eval, parse_theory
@@ -120,25 +121,42 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def stage_deltas(theory):
-    """The Delta of each stage-0 record, in order, as ``_orbits`` takes
-    them."""
-    kt = gvc.noether.stored_kt(theory)
-    return [kt.components.get((rec.ghost + "_bar", rec.component),
-                              theory.registry.zero) for rec in theory.records]
+def certified_swaps_hold(theory):
+    """The lams of the swaps that the parser proved from theory's source
+    (its "certificate"), each checked here by the exact maps: it maps L to
+    +-L and every stage-0 record's Delta to the sign the source gives its
+    family times the Delta at the image label.  A swap that changes a
+    parity is never a candidate, and is not checked."""
+    reg = theory.registry
+    deltas = {(rec.ghost, rec.component): rec.delta_poly(reg)
+              for rec in theory.records}
+    certificate = theory.derived["certificate"]
+    for lam, signs in certificate.items():
+        swap = direction_swap(reg, lam)
+        if swap is None:
+            continue
+        lag = theory.lagrangian.terms
+        assert swap.maps_to(lag, lag), lam
+        for (ghost, comp), delta in deltas.items():
+            image = deltas[ghost, swap.component(reg.symbols[ghost], comp)[0]]
+            assert swap.maps_to(delta.terms, image.terms) == signs[ghost], \
+                (lam, ghost, comp)
+    return set(certificate)
 
 
 def two_routes(build, checks):
     """({memo key: object}, entries, report digest) of the checks on a
     theory that ``build()`` returns cold, twice: as built, with the stage-0
-    residuals taken by orbit, the representatives' sums by parts pruned and
-    b's images taken per component orbit, and for reference on a copy with
-    one registry and nothing derived, with both symmetry tests
-    (``gvc.noether._symmetries`` and ``gvc.brst._symmetries``) finding
-    none, which takes every pass in full.  The memo objects are the
-    residuals, the images of b and of the stages and the ``antibracket``;
-    the entries are each check's own, unrendered, in the order of
-    ``checks``."""
+    residuals taken by orbit, the representatives' sums by parts pruned, u
+    built by orbit and b's images taken per component orbit, and for
+    reference on a copy with one registry and nothing derived, with both
+    symmetry steps (``gvc.noether._symmetries``, which reads the parser's
+    certificate and runs the exact tests, and ``gvc.brst._symmetries``)
+    finding none, which takes every pass in full and runs eta on every
+    record.  The memo objects are the residuals, the components of each
+    gauge stage, the images of b and of the stages and the
+    ``antibracket``; the entries are each check's own, unrendered, in the
+    order of ``checks``."""
     theory = build()
     out = []
     for full, th in ((False, theory), (True, gvc.cli._rebuild(theory))):
@@ -149,9 +167,10 @@ def two_routes(build, checks):
             entries = [e for check in checks
                        for e in gvc.cli._RUNNERS[check](th)]
             digest = gvc.cli.build_report(th, list(checks))["canonical_sha256"]
-        out.append(({key: th.derived.get(key) for key in
-                     ("residuals", "brst", "stage images", "antibracket")},
-                    entries, digest))
+        memo = {key: th.derived.get(key) for key in
+                ("residuals", "brst", "stage images", "antibracket")}
+        memo["gauge"] = [u.components for u in th.derived.get("gauge", ())]
+        out.append((memo, entries, digest))
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gvc.algebra import (
+    DirectionSwap,
     GvcError,
     GradedPoly,
     GradingError,
@@ -431,6 +432,30 @@ def test_a_swap_misses_a_variable_it_would_have_to_intern():
     assert swap.key((var.rank,)) is None
     assert len(reg.by_rank) == 2
     assert not swap.maps_to({(var.rank,): 1}, {(var.rank,): 1})
+
+
+def test_a_self_map_tests_each_pair_once_and_still_sees_one_altered(
+        monkeypatch):
+    # sigma = (0 1) maps x[0]^2 + x[1]^2 + x[0] x[1] to itself; the test
+    # maps one key of the pair {x[0]^2, x[1]^2} and the fixed x[0] x[1],
+    # and still refuses an L with one coefficient of the pair altered, or
+    # the pair mapped by a sign that the fixed key does not share
+    reg = Registry(2)
+    reg.declare_field("x", slots=(2,))
+    reg.freeze()
+    x0, x1 = reg.var("x", (0,)), reg.var("x", (1,))
+    swap = direction_swap(reg, 0)
+    mapped = []
+    key = DirectionSwap.key
+    monkeypatch.setattr(DirectionSwap, "key", lambda swap, k, *args: (
+        mapped.append(k) or key(swap, k, *args)))
+    lag = x0 * x0 + x1 * x1 + x0 * x1
+    assert swap.maps_to(lag.terms, lag.terms) == 1 and len(mapped) == 2
+    odd = x0 * x0 - x1 * x1
+    assert swap.maps_to(odd.terms, odd.terms) == -1
+    for bad in (x0 * x0 + x1 * x1 * 2 + x0 * x1, x1 * x1 * 2 + x0 * x0,
+                x0 * x0 - x1 * x1 + x0 * x1):
+        assert swap.maps_to(bad.terms, bad.terms) == 0
 
 
 def test_a_swap_that_changes_a_parity_is_refused():

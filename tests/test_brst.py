@@ -6,6 +6,7 @@ import pytest
 
 import gvc.brst
 import gvc.jets
+import gvc.noether
 from gvc.algebra import DirectionSwap, GradedPoly, GvcError, Registry, \
     _mul_terms
 from gvc.brst import (
@@ -15,14 +16,14 @@ from gvc.brst import (
     gauge_from_ni,
     stored_gauge,
 )
-from gvc.cli import _rebuild
+from gvc.cli import _rebuild, run_checks
 from gvc.jets import EvolutionaryDerivation
 from gvc.noether import NoetherRecord, _el, verify_ni
 from gvc.parser import TheorySpec, parse_theory
 from gvc.theories import builtin_path, osp12
 from gvc.variational import variational_derivative
-from conftest import all_pass, count_passes, derivation_sum, fresh, \
-    nilpotency_residuals, prolong_oracle, two_routes
+from conftest import all_pass, count_calls, count_passes, derivation_sum, \
+    fresh, nilpotency_residuals, prolong_oracle, two_routes
 
 
 def ghost_variation_residuals(theory):
@@ -189,9 +190,9 @@ def test_the_b_symmetry_test_finds_each_builtins_component_orbits(name):
     parts = stored_gauge(theory) + [gvc.brst._gamma(theory)]
     keys = {key for part in parts for key in part.components}
     interned = len(theory.registry.by_rank)
-    orbits, fixing = gvc.brst._orbits(theory)
+    orbits = gvc.brst._orbits(theory)
     assert (len(keys), len(keys) - len(orbits)) == _B_ORBITS[name]
-    assert set(orbits.values()) <= keys - set(orbits) == set(fixing)
+    assert set(orbits.values()) <= keys - set(orbits)
     assert all(key > first for key, first in orbits.items())
     assert len(theory.registry.by_rank) == interned
 
@@ -199,13 +200,14 @@ def test_the_b_symmetry_test_finds_each_builtins_component_orbits(name):
 def test_the_b_symmetry_test_refuses_cs3_after_a_few_dozen_keys(monkeypatch):
     # cs3's variants are parsed afresh, so each of them pays for the test:
     # both swaps move some component key and miss on an early one
+    # (u is built first: its record orbits run the exact tests on cs3)
+    theory = fresh("cs3")
+    stored_gauge(theory)
     mapped = []
     key = DirectionSwap.key
     monkeypatch.setattr(DirectionSwap, "key",
                         lambda swap, k: mapped.append(k) or key(swap, k))
-    theory = fresh("cs3")
-    stored_gauge(theory)
-    assert gvc.brst._orbits(theory)[0] == {}
+    assert gvc.brst._orbits(theory) == {}
     assert 0 < len(mapped) <= 36
 
 
@@ -255,14 +257,54 @@ def test_the_stored_antibracket_is_u_plus_gamma_on_each_component_of_u(name):
 @pytest.mark.parametrize("name", ["bf4", "ym4", "ym4_super", "grav4"])
 def test_b_images_by_parts_with_their_stabilizers_match_the_full_pass(
         monkeypatch, name):
-    # b's passes never go by parts on the builtins; forced to, each first
-    # key's stabilizer defers the sums of all but the least multi-index of
-    # each orbit, which are then taken, their first sums not being zero
+    # b's passes never go by parts on the builtins; forced to, they take
+    # b at the first key of each component orbit, as the full pass does at
+    # every key, with no stabilizer: one never pruned a builtin's sums
     monkeypatch.setattr(gvc.jets, "_by_parts", lambda phi, f: True)
     (memo, entries, digest), reference = two_routes(
         lambda: fresh(name), ("brst", "antibracket", "gauge"))
     assert (memo, entries, digest) == reference
-    assert any(gvc.brst._orbits(fresh(name))[1].values())
+    assert gvc.brst._orbits(fresh(name))
+
+
+def test_a_cold_grav4_runs_eta_on_one_record_per_orbit(monkeypatch):
+    # cm[1], cm[2] and cm[3] take cm[0]'s 74 components of u mapped along
+    # the swaps; with no symmetry found, eta runs on all 296
+    calls = []
+    eta = gvc.brst.eta
+    monkeypatch.setattr(gvc.brst, "eta", lambda f: calls.append(f) or eta(f))
+    stored_gauge(fresh("grav4"))
+    assert len(calls) == 74
+    monkeypatch.setattr(gvc.noether, "_symmetries", lambda theory: [])
+    stored_gauge(fresh("grav4"))
+    assert len(calls) == 74 + 296
+
+
+def test_a_cold_grav4_maps_no_key_of_l_or_of_a_delta(monkeypatch):
+    # the source proves grav4's three swaps, so no exact test runs; the
+    # keys mapped are those of u's images and of b's symmetry test
+    mapped = []
+    key = DirectionSwap.key
+    monkeypatch.setattr(DirectionSwap, "key", lambda swap, k, *args: (
+        mapped.append(k) or key(swap, k, *args)))
+    theory = fresh("grav4")
+    for check in ("kt", "gauge", "brst"):
+        all_pass(run_checks(theory, [check]))
+    reg = theory.registry
+    forbidden = set(theory.lagrangian.terms).union(
+        *(rec.delta_poly(reg).terms for rec in theory.records))
+    assert mapped and forbidden.isdisjoint(mapped)
+
+
+@pytest.mark.parametrize("name", ["cs3", "grav4"])
+def test_brst_alone_on_a_cold_theory_builds_no_euler_lagrange_derivative(
+        monkeypatch, name):
+    # u's orbits read each Delta from its record, with or without the
+    # certificate; cs3's exact tests run on its Deltas and L
+    calls = count_calls(monkeypatch, "euler_lagrange")
+    theory = fresh(name)
+    all_pass(run_checks(theory, ["brst"]))
+    assert not calls and "el" not in theory.derived
 
 
 def test_a_healthy_grav4_takes_b_squared_at_its_first_keys(monkeypatch):
@@ -281,7 +323,7 @@ def test_a_gamma_that_breaks_b_squared_alike_completes_the_tables(
     text = pathlib.Path(builtin_path("grav4")).read_text(
         encoding="utf-8").replace("= sum(m){ cm[l;m]", "= -sum(m){ cm[l;m]")
     theory = parse_theory(text)
-    assert len(gvc.brst._orbits(theory)[0]) == 70
+    assert len(gvc.brst._orbits(theory)) == 70
     assert count_passes(monkeypatch, theory, ["brst"]) == [8, 67]
     assert count_passes(monkeypatch, theory, ["antibracket", "brst"]) == []
     checks = ("brst", "antibracket")

@@ -28,7 +28,8 @@ from gvc.parser import TheorySpec, parse_theory
 from gvc.theories import builtin_path, fixture_text
 from gvc.variational import check_variational_symmetry, euler_lagrange
 from conftest import (TOY_TEXT, all_pass, by_orbit_and_full_pass, cached,
-                      count_calls, extended_lagrangian, fresh, stage_deltas,
+                      certified_swaps_hold,
+                      count_calls, extended_lagrangian, fresh,
                       two_routes, variational_pairing)
 
 
@@ -398,10 +399,8 @@ _ORBITS = {"bf": {}, "bf4": {2: 1, 3: 1, 4: 1}, "toy": {}, "cs3": {},
 def test_the_candidate_test_finds_each_builtins_orbits_and_interns_nothing(
         name):
     theory = fresh(name)
-    deltas = stage_deltas(theory)
     interned = len(theory.registry.by_rank)
-    assert gvc.noether._orbits(theory, theory.records,
-                               deltas)[0] == _ORBITS[name]
+    assert gvc.noether._orbits(theory)[0] == _ORBITS[name]
     assert len(theory.registry.by_rank) == interned
 
 
@@ -413,8 +412,7 @@ def test_a_parity_read_from_a_direction_slot_refuses_its_swaps():
         "field A[4] even;")
     theory = parse_theory(text)
     assert direction_swap(theory.registry, 0) is None
-    assert gvc.noether._orbits(theory, theory.records,
-                               stage_deltas(theory))[0] == {3: 2, 4: 2}
+    assert gvc.noether._orbits(theory)[0] == {3: 2, 4: 2}
 
 
 def test_a_record_flipped_cold_breaks_grav4s_orbit_and_alone_turns_red():
@@ -439,12 +437,48 @@ def test_a_sign_flipped_in_grav4s_family_keeps_its_orbit_all_red():
     text = text.replace("+ k[w,a,b;m];",
                         "- k[w,a,b;m];")
     theory = parse_theory(text)
-    assert gvc.noether._orbits(theory, theory.records,
-                               stage_deltas(theory))[0] == {1: 0, 2: 0, 3: 0}
+    # the source still states every swap, so none is tested
+    assert certified_swaps_hold(theory) == {0, 1, 2}
+    assert gvc.noether._orbits(theory)[0] == {1: 0, 2: 0, 3: 0}
     (residuals, verdicts, digest), full = by_orbit_and_full_pass(
         lambda: parse_theory(text), ("ni",))
     assert (residuals, verdicts, digest) == full
     assert verdicts == [("cm[%d]" % w, "fail") for w in range(4)]
+
+
+# The swaps (lam, lam + 1) of base directions that each builtin's source
+# proves symmetries of L and of every stage-0 record family
+_CERTIFIED = {"bf": {0, 1}, "bf4": {0, 1, 2}, "toy": set(), "cs3": set(),
+              "ym4": {1, 2}, "ym4_super": {1, 2}, "grav4": {0, 1, 2}}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED))
+def test_each_swap_a_builtins_source_proves_passes_the_exact_maps(name):
+    # cs3's tables f and bg refuse every swap, ym4's metric g the swap
+    # (0 1); toy has one base direction
+    assert certified_swaps_hold(fresh(name)) == _CERTIFIED[name]
+
+
+@pytest.mark.parametrize("term, orbit", [
+    # a term that cancels: L is grav4's, and the exact test accepts every
+    # swap, as it does on grav4
+    ("+ k[0,0,0;] * k[0,0,0;] - k[0,0,0;] * k[0,0,0;]", {1: 0, 2: 0, 3: 0}),
+    # (2 3) maps this term to minus itself, as it does L, and (0 1) and
+    # (1 2) map it to terms that L lacks
+    ("+ k[0,0,2;] * k[0,0,2;] - k[0,0,3;] * k[0,0,3;]", {3: 2}),
+])
+def test_a_constant_index_term_of_l_leaves_its_swaps_to_the_exact_test(
+        term, orbit):
+    # the source refuses every swap here, each moving a constant index
+    text = pathlib.Path(builtin_path("grav4")).read_text(encoding="utf-8")
+    assert text.count("k[b,d,t;]) } };") == 1
+    text = text.replace("k[b,d,t;]) } };", "k[b,d,t;]) } } %s;" % term)
+    theory = parse_theory(text)
+    assert certified_swaps_hold(theory) == set()
+    assert gvc.noether._orbits(theory)[0] == orbit
+    (residuals, verdicts, digest), full = by_orbit_and_full_pass(
+        lambda: parse_theory(text), ("ni",))
+    assert (residuals, verdicts, digest) == full
 
 
 def test_an_l_that_breaks_a_swap_alone_keeps_its_records_apart():
@@ -456,8 +490,7 @@ def test_an_l_that_breaks_a_swap_alone_keeps_its_records_apart():
             "L = sum(i:3, j:3, l:3){ (B[i,j;l] + B[j,l;i] + B[l,i;j])^2 }"
             " + B[1,2;] * B[1,2;];\nni c[g:3] { (B[k,g]; k) = -1; }\n")
     theory = parse_theory(text)
-    assert gvc.noether._orbits(theory, theory.records,
-                               stage_deltas(theory))[0] == {2: 1}
+    assert gvc.noether._orbits(theory)[0] == {2: 1}
     (residuals, verdicts, digest), full = by_orbit_and_full_pass(
         lambda: parse_theory(text))
     assert (residuals, verdicts, digest) == full
@@ -490,8 +523,7 @@ def test_grav4s_stabilizer_prunes_its_representatives_sums_by_parts():
     # cancels before the fold, those of (2,), (3,), (0,2), (0,3), (1,3) and
     # (2,3) are never taken
     theory = fresh("grav4")
-    _orbit, fixing = gvc.noether._orbits(theory, theory.records,
-                                         stage_deltas(theory))
+    _orbit, fixing, _steps = gvc.noether._orbits(theory)
     assert [[swap.lam for swap in fixing[i]] for i in sorted(fixing)] == \
         [[1, 2]]
     text = pathlib.Path(builtin_path("grav4")).read_text(encoding="utf-8")
@@ -509,8 +541,7 @@ def test_a_nonzero_representative_sum_by_parts_takes_its_orbit():
         encoding="utf-8").replace("+ kd[n,b]*k[m,a,w;]",
                                   "- kd[n,b]*k[m,a,w;]")
     theory = parse_theory(text)
-    assert gvc.noether._orbits(theory, theory.records,
-                               stage_deltas(theory))[0] == {1: 0, 2: 0, 3: 0}
+    assert gvc.noether._orbits(theory)[0] == {1: 0, 2: 0, 3: 0}
     (pruned, residuals), (full, same) = (_by_parts_pairs(text, True),
                                          _by_parts_pairs(text, False))
     assert full - pruned == 2 * 1288 + 2 * 808 and residuals == same

@@ -11,7 +11,7 @@ from gvc.algebra import Registry
 from gvc.noether import require_record
 from gvc.parser import ParseError, _Parser, parse_expr, parse_theory
 from gvc.theories import build_fixture, fixture_text, load_builtin
-from conftest import cached
+from conftest import cached, certified_swaps_hold
 
 
 def test_minimal_theory():
@@ -385,3 +385,42 @@ def round_trip_polys(draw):
 @given(round_trip_polys())
 def test_pretty_parse_round_trip(p):
     assert parse_expr(p.pretty(), _REG) == p
+
+
+_X = "field x[3] even;\n"
+_EPS3 = ("table e[3,3,3]{ [0,1,2]=1; [1,2,0]=1; [2,0,1]=1; [0,2,1]=-1; "
+         "[2,1,0]=-1; [1,0,2]=-1; }\n" + _X)
+_CURL = "sum(i, j, k){ e[i,j,k] * x[i;j] * x[k;] }"
+# (the statements of a theory of dimension 3, the swaps (lam, lam + 1) its
+# source proves for L and every stage-0 record family)
+_SOURCES = [
+    # binders of range dim in slots of range dim and in jets: every swap
+    (_X + "L = sum(i, j){ x[i;j] * x[j;i] };", {0, 1}),
+    # a constant index keeps only the swaps that fix it
+    (_X + "L = x[2;] * x[2;];", {0}),
+    (_X + "L = x[2;] * x[2;0];", set()),
+    # a binder of another range may not sit in a slot of range dim, nor a
+    # binder of range dim in another slot: (1 2) maps neither L to +-L
+    (_X + "L = sum(i:2){ x[i;] * x[i;] };", set()),
+    (_X + "field y[4] even;\nL = sum(i:3){ y[i;] * x[i;] };", set()),
+    # a table's sign is read from its entries: t is no symmetry, e flips
+    # under every swap, and so does _CURL, but not its square
+    ("table t[3]{ [0]=1; [1]=2; }\n" + _X + "L = sum(i){ t[i] * x[i;] };",
+     set()),
+    (_EPS3 + "L = %s;" % _CURL, {0, 1}),
+    (_EPS3 + "L = (%s)^2 + sum(i){ x[i;] * x[i;] };" % _CURL, {0, 1}),
+    # a sum needs one sign across its items
+    (_EPS3 + "L = (%s)^2 + %s;" % (_CURL, _CURL), set()),
+    # a record key's own indices keep the same rules: the constant 0 refuses
+    # (0 1), and the record family's sign must hold for every row
+    (_X + "L = sum(i){ x[i;] * x[i;] };\nni c[g:3] { (x[0]; g) = 1; }",
+     {1}),
+    (_EPS3 + "L = sum(i){ x[i;] * x[i;] };\n"
+     "ni c[g:3] { (x[g];) = 1; (x[k]; l) = e[g,k,l]; }", set()),
+]
+
+
+@pytest.mark.parametrize("text, proved", _SOURCES)
+def test_the_source_proves_only_the_swaps_its_indices_allow(text, proved):
+    theory = parse_theory("dim 3;\n%s\n" % text)
+    assert certified_swaps_hold(theory) == proved
