@@ -406,112 +406,6 @@ def _scale_terms(terms, c):
     return {k: _rat(v * c) for k, v in terms.items()}
 
 
-def direction_swap(reg, lam):
-    """The transposition of base directions ``lam`` and ``lam + 1`` as a
-    ``DirectionSwap``, or None when it changes some variable's parity,
-    which a family whose parity is read from a slot of range ``dim`` can."""
-    for sym in reg.symbols.values():
-        if isinstance(sym.parities, tuple):
-            pos, vec = sym.parities
-            if sym.slots[pos] == reg.dim and vec[lam] != vec[lam + 1]:
-                return None
-    return DirectionSwap(reg, lam)
-
-
-class DirectionSwap:
-    """A parity-preserving transposition sigma of two base directions,
-    acting on every component slot of range ``dim`` and on multi-indices:
-    an automorphism of the jet algebra that sends each variable to +- a
-    variable, with sigma d_lam = d_{sigma lam} sigma.  ``key`` maps a
-    monomial key rank by rank and interns nothing: a variable whose image
-    is not interned is a miss.  ``image`` interns the images it makes."""
-
-    __slots__ = ("reg", "lam", "images")
-
-    def __init__(self, reg, lam):
-        self.reg, self.lam = reg, lam
-        self.images = {}  # key entry -> (image entry, sign)
-
-    def direction(self, d):
-        return 2 * self.lam + 1 - d if 0 <= d - self.lam <= 1 else d
-
-    def index(self, index):
-        """The image of the multi-index ``index``, sorted."""
-        return tuple(sorted(map(self.direction, index)))
-
-    def component(self, sym, comp):
-        """(The canonical image of ``sym``'s component ``comp``, its
-        ``sym``/``antisym`` sign)."""
-        dim = self.reg.dim
-        return sym.canonicalize([self.direction(c) if n == dim else c
-                                 for c, n in zip(comp, sym.slots)])
-
-    def _image(self, entry, intern):
-        v = self.reg.by_rank[entry if entry >= 0 else ~entry]
-        comp, sign = self.component(v.symbol, v.component)
-        index = self.index(v.index)
-        w = self.reg._vars.get((v.symbol.name, comp, index))
-        if w is None and intern:
-            w = self.reg.jet_var(v.symbol, comp, index)[0]
-        return None if w is None else (w.entry, sign)
-
-    def key(self, key, intern=False):
-        """(The image of a monomial key, its sign), or None on a miss, which
-        ``intern`` rules out.  The sign is the product of the factors'
-        canonicalization signs, one per unit of exponent, times the Koszul
-        sign of re-sorting the images of the odd factors."""
-        images, out, sign = self.images, [], 1
-        for entry in key:
-            img = images.get(entry)
-            if img is None:
-                img = self._image(entry, intern)
-                if img is None:
-                    return None
-                images[entry] = img
-            out.append(img[0])
-            sign *= img[1]
-        n = bisect_left(key, 0)
-        if n > 1:
-            sign *= sorting_sign(out[:n])
-        return tuple(sorted(out)), sign
-
-    def image(self, terms, sign=1):
-        """``sign`` times sigma(``terms``), a fresh term dict; the variables
-        of the image are interned where they are not yet."""
-        out = {}
-        for key, c in terms.items():
-            img, s = self.key(key, True)
-            out[img] = c if s == sign else -c
-        return out
-
-    def maps_to(self, terms, target):
-        """The sign e with sigma(``terms``) = e * ``target`` exactly, one
-        sign for every term (1 for two empty dicts), or 0 when there is
-        none; it stops at the first term whose image misses.  When
-        ``terms`` is ``target`` it tests each pair {k, sigma k} of keys
-        once: sigma is an involution, and the test at k, which reads the
-        coefficient at sigma k, is the test at sigma k."""
-        if len(terms) != len(target):
-            return 0
-        done = set() if terms is target else None
-        sign = 0
-        for key, c in terms.items():
-            if done is not None and key in done:
-                continue
-            img = self.key(key)
-            d = None if img is None else target.get(img[0])
-            if d is None or abs(d) != abs(c):
-                return 0
-            e = 1 if d == img[1] * c else -1
-            if sign != e:
-                if sign:
-                    return 0
-                sign = e
-            if done is not None:
-                done.add(img[0])
-        return sign or 1
-
-
 class GradedPoly:
     """A graded-commutative polynomial in canonical form.
 

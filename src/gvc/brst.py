@@ -21,16 +21,18 @@ the bracket structure, or a higher structure function is at fault; the
 stage-k ``gauge`` check reads one of u^(k) over the components of
 u^(k-1); ``antibracket`` reads both (``_antibracket``).  A cold build takes
 both at one component X per orbit of the transpositions of base directions
-that map every part of b to one sign times itself (``_orbits``): the image
-at another key is zero with its first key's, and else computed.
+that the parser proves map every part of b to one sign times itself
+(``_orbits``): the image at another key is zero with its first key's, and
+else computed.
 """
 from __future__ import annotations
 
 from .algebra import GradedPoly, _add_into, _mul_terms
 from .jets import EvolutionaryDerivation, eta, update_images
-from .noether import EMPTY, comp_label, _candidates, _changed, _entry, \
-    _minus, _orbit_map, _plus, _residuals, stored, stored_kt
+from .noether import EMPTY, comp_label, _changed, _entry, _minus, _plus, \
+    _residuals, stored, stored_kt
 from .noether import _orbits as _record_orbits
+from .symmetry import b_orbits
 
 
 def _record_components(reg, rec):
@@ -51,7 +53,8 @@ def _orbit_components(theory):
     """``_record_components`` of every stage-0 record, eta run on the
     first record of each orbit alone: a member i with step (j, sigma, e)
     of ``gvc.noether._orbits`` gets u_i^{sigma A} = e s_A sigma(u_j^A),
-    s_A the sign of canonicalizing sigma A (the proof is there)."""
+    s_A the sign of canonicalizing sigma A (the proof is in
+    ``gvc.symmetry``)."""
     reg, recs = theory.registry, theory.records
     orbit, _fixing, steps = _record_orbits(theory)
     out = {i: _record_components(reg, rec) for i, rec in enumerate(recs)
@@ -97,52 +100,15 @@ def _gamma(theory):
     return EvolutionaryDerivation(theory.registry, theory.gamma, name="gamma")
 
 
-def _symmetries(reg, parts, labels):
-    """(sigma, moved) for each ``_candidates`` sigma of b's component keys
-    ``labels`` that maps every part P of b to e P, one sign e for all:
-    P^{sigma X} = e s sigma(P^X) at each component X of each P, s the sign
-    of canonicalizing sigma X.  The components are tested smallest first,
-    and the test stops at the first miss.  sigma is an involution, so a
-    component whose image key sorts before it was tested from there."""
-    items = sorted((len(val.terms), i, x) for i, p in enumerate(parts)
-                   for x, val in p.components.items())
-    out = []
-    for swap, moved in _candidates(reg, labels):
-        sign = 0
-        for _n, i, x in items:
-            comps = parts[i].components
-            comp, s = swap.component(reg.symbols[x[0]], x[1])
-            image = comps.get((x[0], comp))
-            if image is not None and (x[0], comp) < x:
-                continue
-            e = image is not None and s * swap.maps_to(comps[x].terms,
-                                                       image.terms)
-            if not e or sign not in (0, e):
-                break
-            sign = e
-        else:
-            out.append((swap, moved))
-    return out
-
-
 def _orbits(theory):
     """{X: the first key of X's orbit} for each component key X of b's
-    parts whose orbit under ``_symmetries`` holds an earlier key, the
-    orbit map of ``update_images``.
-
-    Such a sigma is an automorphism of the jet algebra with sigma d_lam =
-    d_{sigma lam} sigma, and sigma P sigma = e P on the generators, so on
-    every jet: P(sigma F) = e sigma(P(F)) for each part P and polynomial F,
-    and for every sum of parts, b and each u^(k) among them.  With
-    Q^{sigma X} = e s sigma(Q^X) for each part Q, so for b^{sigma X} too,
-    b(b^{sigma X}) = e^2 s sigma(b(b^X)) = s sigma(b(b^X)), and likewise
-    u^(k)(u^(k-1)^{sigma X}): each image is zero exactly when the one at X
-    is.  One e for all parts is what makes it one for their sum b."""
-    parts = stored_gauge(theory) + [_gamma(theory)]
-    labels = sorted({x for p in parts for x in p.components})
-    orbit = _orbit_map(len(labels), [moved for _swap, moved in _symmetries(
-        theory.registry, parts, labels)])
-    return {labels[i]: labels[j] for i, j in orbit.items()}
+    parts whose orbit holds an earlier key, the orbit map of
+    ``update_images``, from the parser's "b certificate" by
+    ``gvc.symmetry.b_orbits``; the proof is in ``gvc.symmetry``."""
+    labels = sorted({x for p in stored_gauge(theory) + [_gamma(theory)]
+                     for x in p.components})
+    return b_orbits(theory.registry, labels,
+                    theory.derived.get("b certificate", {}))
 
 
 def _b(reg, gauge, gamma):

@@ -130,10 +130,11 @@ def mutation_sites(theory):
 
     def record_site(k, i):
         def build():
-            stages = {0: theory.records, **theory.stages}
-            stages[k] = list(stages[k])
-            stages[k][i] = _flip_record(stages[k][i])
-            return _rebuild(theory, records=stages.pop(0), stages=stages)
+            recs = list(theory.stage_records(k))
+            recs[i] = _flip_record(recs[i])
+            if k:
+                return _rebuild(theory, stages={**theory.stages, k: recs})
+            return _rebuild(theory, records=recs)
         return build
 
     for k in [0] + theory.stage_numbers():

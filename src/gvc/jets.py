@@ -39,6 +39,7 @@ from gvc.algebra import (
     _holds_fraction,
     _mul_terms,
 )
+from gvc.symmetry import _orbit_first
 
 __all__ = [
     "total_derivative",
@@ -279,7 +280,7 @@ def prolong_apply(u, polys, symmetries=None):
     ``symmetries``, when given, lists for each polynomial p the
     ``DirectionSwap``s sigma with sigma(p) = +-p and sigma u = +-u sigma,
     under which its by-parts sums have z[sigma Lambda] = +-sigma(z[Lambda])
-    (the proof is at ``gvc.noether._orbits``).  The pass then accumulates
+    (the proof is in ``gvc.symmetry``).  The pass then accumulates
     z[Lambda] for the least Lambda of each orbit of the group they
     generate, and the rest of an orbit, after the components, only when
     that sum is not zero.
@@ -374,28 +375,6 @@ def update_images(op, items, was=None, old=None, orbits=({}, {})):
         out[key] = zero if not p.terms else p if p is old.get(key) else \
             GradedPoly(p.reg, dict(p.terms))
     return out
-
-
-def _orbit_first(swaps):
-    """The map from a multi-index to the least one of its orbit under the
-    group that the ``DirectionSwap``s ``swaps`` generate, memoized."""
-    memo = {}
-
-    def first(index):
-        out = memo.get(index)
-        if out is None:
-            orbit, todo = {index}, [index]
-            while todo:
-                lam = todo.pop()
-                for swap in swaps:
-                    img = swap.index(lam)
-                    if img not in orbit:
-                        orbit.add(img)
-                        todo.append(img)
-            out = min(orbit)
-            memo.update(dict.fromkeys(orbit, out))
-        return out
-    return first
 
 
 def _tagged(i, partials):

@@ -21,10 +21,8 @@ maps their residuals alike, so a residual is zero exactly when its orbit's
 first one is.  The transpositions that fix a first record prune its pass
 the same way, one sum by parts per orbit of multi-indices, and
 ``gvc.brst`` maps the first record's gauge components onto the other
-members.  A transposition that the theory's source states, L and every
-record family being written over indices that it permutes, is proved
-where the parser compiles them (``gvc.parser._Eval``) and accepted
-untested; any other is tested exactly on L and the Deltas.
+members.  Only the transpositions that the parser proves from the source
+count (its "certificate"); the proofs are in ``gvc.symmetry``.
 
 The input rules live here, each stated where it is checked; ``TheorySpec``
 checks them all through ``require_theory``, the parser at each statement,
@@ -51,8 +49,9 @@ from itertools import combinations_with_replacement
 from types import MappingProxyType
 
 from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GradedPoly,
-                      GvcError, _add_into, _mul_terms, direction_swap)
+                      GvcError, _add_into, _mul_terms)
 from .jets import EvolutionaryDerivation, prolong_apply, update_images
+from .symmetry import record_orbits
 from .variational import EulerLagrangeResult, euler_lagrange
 
 
@@ -220,19 +219,22 @@ def require_theory(theory):
 
 
 # The theory fields each object of ``TheorySpec.derived`` is computed from,
-# one entry per memo key; the registry underlies them all.  The
-# "certificate" holds the direction swaps that the parser proved from the
-# source (``gvc.parser._TheoryBuilder.certificate``), and "orbits" the
-# stage-0 record orbits (``_orbits``); an edit of L or of the records drops
-# both.  The "triviality" witnesses read no stage k >= 1: their images
-# under delta_KT are E_A.  "brst" holds the images b(b^X) of the BRST
-# operator on its components, "stage images" those of each u^(k) on the
-# components of u^(k-1), "antibracket" the difference of the two at the
-# components of u, and "alpha" the images delta_KT(alpha) (see
-# ``gvc.brst``).  No object reads the name or the declared gauge operator.
+# one entry per memo key; the registry underlies them all.  The parser's
+# two certificates (``gvc.parser._TheoryBuilder.certificates``) each read
+# the fields of the statements they prove: "certificate" L and the stage-0
+# records, as "orbits", the stage-0 record orbits (``_orbits``) built from
+# it, do; "b certificate" the records of every stage and gamma, which b's
+# orbits read (``gvc.brst._orbits``).  The "triviality" witnesses read no
+# stage k >= 1: their images under delta_KT are E_A.  "brst" holds the
+# images b(b^X) of the BRST operator on its components, "stage images"
+# those of each u^(k) on the components of u^(k-1), "antibracket" the
+# difference of the two at the components of u, and "alpha" the images
+# delta_KT(alpha) (see ``gvc.brst``).  No object reads the name or the
+# declared gauge operator.
 DERIVED_FROM = {
     "certificate": ("registry", "lagrangian", "records"),
     "orbits": ("registry", "lagrangian", "records"),
+    "b certificate": ("registry", "records", "stages", "gamma"),
     "el": ("registry", "lagrangian"),
     "kt": ("registry", "lagrangian", "records", "stages"),
     "residuals": ("registry", "lagrangian", "records", "stages"),
@@ -410,154 +412,13 @@ def _entry(check, target, status, residual=None, note=""):
     return out
 
 
-def _candidates(reg, labels):
-    """(sigma, moved) for each transposition sigma of two adjacent base
-    directions that keeps every parity, moves some of the component
-    ``labels`` (name, component) and maps each to one of them: moved[i] is
-    the index of the image of label i.  The cheapest tests of a symmetry,
-    which ``_symmetries`` and ``gvc.brst`` run first."""
-    if not any(reg.dim in reg.symbols[name].slots for name, _comp in labels):
-        return  # no label has a slot that a swap acts on
-    where = {label: i for i, label in enumerate(labels)}
-    for lam in range(reg.dim - 1):
-        swap = direction_swap(reg, lam)
-        if swap is None:
-            continue
-        moved = [where.get((name, swap.component(reg.symbols[name], comp)[0]))
-                 for name, comp in labels]
-        if None not in moved and moved != list(range(len(labels))):
-            yield swap, moved
-
-
-def _orbit_map(n, moves):
-    """{i: j} for each i < n whose orbit under the permutations ``moves``
-    of range(n) holds an earlier index, j the orbit's first, by
-    union-find."""
-    root = list(range(n))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-    for moved in moves:
-        for i, j in enumerate(moved):
-            a, b = sorted((find(i), find(j)))
-            root[b] = a
-    return {i: find(i) for i in range(n) if find(i) != i}
-
-
-def _mapped(swap, moved, deltas, lag):
-    """[e_i] with sigma(Delta_i) = e_i Delta_{moved[i]} for every record i,
-    when sigma also maps L to +-L; else None.  The tests run cheapest first
-    and stop at the first miss: the Deltas, then L.  sigma is an
-    involution, so it maps Delta_j to e Delta_i when it maps Delta_i to e
-    Delta_j, and the test takes one of the two."""
-    signs = [0] * len(deltas)
-    for i, j in enumerate(moved):
-        if j >= i:
-            signs[i] = signs[j] = swap.maps_to(deltas[i].terms,
-                                               deltas[j].terms)
-            if not signs[i]:
-                return None
-    return signs if swap.maps_to(lag.terms, lag.terms) else None
-
-
-def _deltas(theory):
-    """The Delta of each stage-0 record: delta_KT's image of its antifield
-    when the theory stores delta_KT, else built from its rows, so that no
-    E_A is built for it."""
-    reg, kt = theory.registry, theory.derived.get("kt")
-    if kt is None or isinstance(kt, Parent):
-        return [rec.delta_poly(reg) for rec in theory.records]
-    return [kt.components.get(_bar((rec.ghost, rec.component)), reg.zero)
-            for rec in theory.records]
-
-
-def _symmetries(theory):
-    """(sigma, moved, signs) for each ``_candidates`` sigma of the stage-0
-    record labels that maps L to +-L and each record i's Delta to signs[i]
-    times the Delta at its image label moved[i].  A sigma of the parser's
-    "certificate" is accepted with the signs the source proves; any other
-    is tested exactly (``_mapped``) on the Deltas (``_deltas``).  A theory
-    built through the API, or by ``cli._rebuild`` with new L or records,
-    has no certificate."""
-    reg, recs = theory.registry, theory.records
-    proved = theory.derived.get("certificate", {})
-    deltas, out = None, []
-    for swap, moved in _candidates(
-            reg, [(rec.ghost, rec.component) for rec in recs]):
-        signs = proved.get(swap.lam)
-        if signs is not None:
-            signs = [signs[rec.ghost] for rec in recs]
-        else:
-            deltas = deltas or _deltas(theory)
-            signs = _mapped(swap, moved, deltas, theory.lagrangian)
-        if signs:
-            out.append((swap, moved, signs))
-    return out
-
-
 def _orbits(theory):
-    """(orbit, fixing, steps) of the stage-0 records under ``_symmetries``,
-    built once per theory: orbit = {i: j} for each record i whose orbit
-    holds an earlier record, j the orbit's first; fixing = {i: the
-    stabilizer of each first record i, the accepted sigma that fix its
-    label}; steps = {i: (j, sigma, e)} for each record i of orbit, with
-    sigma(Delta_j) = e Delta_i and j a first record or a step before i.
-
-    Such a sigma is an automorphism of the jet algebra with sigma d_lam =
-    d_{sigma lam} sigma, so sigma L = +-L gives E_{sigma A} = +-sigma(E_A)
-    and delta_KT sigma = +-sigma delta_KT on fields and their antifields,
-    which is all a stage-0 Delta holds: delta_KT(Delta_{sigma r}) =
-    +-sigma(delta_KT(Delta_r)), zero exactly when delta_KT(Delta_r) is.
-    The parser proves sigma L = +-L on the source statement of L
-    (``gvc.parser._Eval``), or the exact test on its expansion.
-
-    A sigma of the stabilizer of r maps Delta_r to +-Delta_r, so it also
-    prunes r's own pass (``prolong_apply``'s ``symmetries``): there each
-    by-parts sum z[Lambda] = sum over the by-parts components A of
-    eta(f_A)^Lambda * E_A, with f_A^Lambda the coefficient of
-    s_bar^A_Lambda in Delta_r, has z[sigma Lambda] = +-sigma(z[Lambda]).
-    For sigma(s_bar^A_Lambda) = s_A s_bar^{sigma A}_{sigma Lambda}, with
-    s_A the sign of canonicalizing sigma A, Delta_r = e sigma(Delta_r)
-    gives f_{sigma A}^{sigma Lambda} = e s_A sigma(f_A^Lambda), so
-    eta(f_{sigma A})^{sigma Xi} = e s_A sigma(eta(f_A)^Xi) (sigma permutes
-    the directions of d_Lambda and of eta's binomials alike), and E_{sigma
-    A} = e' s_A sigma(E_A); their product is e e' sigma(eta(f_A)^Xi * E_A).
-    The by-parts route is chosen from term counts and jet orders, which
-    sigma keeps, so sigma maps the by-parts components to themselves, and
-    the sum over them gives the identity: z[Lambda] is zero exactly when
-    z[sigma Lambda] is.
-
-    The same identity maps gauge components (``gvc.brst.gauge_from_ni``).
-    Record r contributes u_r^A = sum over Xi of c^r_Xi eta(f_A)^Xi to u^A.
-    For sigma(Delta_r) = e Delta_{sigma r}, f_{sigma r, sigma A}^{sigma
-    Lambda} = e s_A sigma(f_{r, A}^Lambda), so eta(f_{sigma r, sigma
-    A})^{sigma Xi} = e s_A sigma(eta(f_{r, A})^Xi), and sigma(c^r_Xi) =
-    c^{sigma r}_{sigma Xi}, a ghost family having no component symmetry.
-    Summing over sigma Xi, which runs over every multi-index as Xi does,
-    u_{sigma r}^{sigma A} = e s_A sigma(u_r^A): the member's components
-    are its step's images, exactly."""
-    return stored(theory, "orbits", _orbit_build)
-
-
-def _orbit_build(theory, _parent):
-    """``_orbits``' maps, from the accepted swaps; the steps go breadth
-    first from each first record."""
-    found = _symmetries(theory)
-    n = len(theory.records)
-    orbit = _orbit_map(n, [moved for _swap, moved, _signs in found])
-    fixing = {i: [swap for swap, moved, _signs in found if moved[i] == i]
-              for i in range(n) if i not in orbit}
-    steps, todo = {}, list(fixing)
-    for j in todo:
-        for swap, moved, signs in found:
-            i = moved[j]
-            if i in orbit and i not in steps:
-                steps[i] = (j, swap, signs[j])
-                todo.append(i)
-    return orbit, fixing, steps
+    """(orbit, fixing, steps) of the stage-0 records, built once per theory
+    from the parser's "certificate" by ``gvc.symmetry.record_orbits``; the
+    proofs are in ``gvc.symmetry``."""
+    return stored(theory, "orbits", lambda th, _parent: record_orbits(
+        th.registry, [(rec.ghost, rec.component) for rec in th.records],
+        th.derived.get("certificate", {})))
 
 
 def _stage_residuals(theory, parent=EMPTY):

@@ -44,9 +44,10 @@ every factor meets, where it meets it: a clean node raises nothing.  No
 index range is empty, the jets of a variable an antisymmetric family kills
 are still checked, and so is the unclean value of a killed key, so no zero
 hides an invalid reference.  The same walk proves which transpositions of
-two adjacent base directions map L to +-L and each stage-0 record family
-onto itself; a parsed theory's memo starts with them, its "certificate",
-which ``gvc.noether._symmetries`` accepts without testing the expansions.
+two adjacent base directions map L to +-L and each record family and the
+gamma block onto themselves; a parsed theory's memo starts with them, its
+two certificates (``_TheoryBuilder.certificates``), the only proof of a
+symmetry that ``gvc.symmetry`` accepts.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks, field and jet_order statements.  The input rules of
@@ -393,6 +394,11 @@ def _agree(signs):
     for other_ok, other_neg in signs[1:]:
         ok &= other_ok & ~(other_neg ^ neg)
     return ok, neg
+
+
+def _sign(neg, lam):
+    """The sign under the swap lam of a node whose -1 mask is ``neg``."""
+    return -1 if neg >> lam & 1 else 1
 
 
 def _table_signs(tab, dim):
@@ -896,9 +902,10 @@ class _TheoryBuilder:
         self.gauge_candidate = None
         self.gamma = {}
         self.alphas = {}
-        # the signs (``_Eval``) of L, under None, and of each stage-0 record
-        # family, under its ghost, and those of each table
-        self.signs, self.table_signs = {}, {}
+        # the signs (``_Eval``) of L, of each record family by its ghost, of
+        # each statement of the gamma blocks and of each table
+        self.lagrangian_signs, self.family_signs = None, {}
+        self.gamma_signs, self.table_signs = [], {}
 
     def run(self):
         while not self.p.at("EOF"):
@@ -911,22 +918,30 @@ class _TheoryBuilder:
         theory = TheorySpec._parsed(
             self.name, self.reg, self.lagrangian, self.stages.pop(0, []),
             self.stages, self.gauge_candidate, self.gamma, self.alphas)
-        theory.derived["certificate"] = self.certificate()
+        theory.derived.update(self.certificates())
         return theory
 
-    def certificate(self):
-        """{lam: {ghost: e}} for each swap sigma of base directions lam and
-        lam + 1 that the source proves a symmetry of L and of every stage-0
-        record family: sigma L = +-L, and sigma Delta_b = e Delta_{sigma b}
-        for each record b of the family of ``ghost``, sigma b its label's
-        image.  ``gvc.noether._symmetries`` accepts these swaps untested."""
-        ok = -1  # every swap
-        for family_ok, _neg in self.signs.values():
+    def certificates(self):
+        """The swaps sigma of base directions lam and lam + 1 that the
+        source proves, as the two memo entries that ``gvc.symmetry`` reads:
+        "certificate", {lam: {ghost: e}} for each sigma with sigma L = +-L
+        and sigma Delta_b = e Delta_{sigma b} for each record b of every
+        stage-0 family ``ghost``, sigma b its label's image; and "b
+        certificate", {lam: e} for each sigma that maps the rows of every
+        record family of every stage, and gamma, by one sign e."""
+        stage0 = {ghost: signs for ghost, signs in self.family_signs.items()
+                  if not self.reg.symbols[ghost].stage}
+        ok = self.lagrangian_signs[0]
+        for family_ok, _neg in stage0.values():
             ok &= family_ok
-        return {lam: {ghost: -1 if neg >> lam & 1 else 1
-                      for ghost, (_ok, neg) in self.signs.items()
-                      if ghost is not None}
-                for lam in range(self.reg.dim - 1) if ok >> lam & 1}
+        b_ok, b_neg = _agree([*self.family_signs.values(), *self.gamma_signs]
+                             or [(-1, 0)])
+        swaps = range(self.reg.dim - 1)
+        records = {lam: {ghost: _sign(neg, lam)
+                         for ghost, (_ok, neg) in stage0.items()}
+                   for lam in swaps if ok >> lam & 1}
+        return {"certificate": records, "b certificate": {
+            lam: _sign(b_neg, lam) for lam in swaps if b_ok >> lam & 1}}
 
     def need_reg(self, tok):
         if self.reg is None:
@@ -973,9 +988,12 @@ class _TheoryBuilder:
                              "`ni` blocks", ktok)
             self.record_block(tok, stage=ktok[1])
         elif word == "gauge":
-            self.gauge_candidate = self.component_block(tok, self.gauge_candidate)
+            self.gauge_candidate = self.component_block(
+                tok, self.gauge_candidate)[0]
         elif word == "gamma":
-            self.gamma = self.component_block(tok, self.gamma, require_gamma)
+            self.gamma, signs = self.component_block(tok, self.gamma,
+                                                     require_gamma)
+            self.gamma_signs += signs
         elif word == "alpha":
             ktok = self.p.expect("INT")
             k = ktok[1]
@@ -983,7 +1001,7 @@ class _TheoryBuilder:
                 self.p.error("alpha blocks start at stage 1" if k < 1 else
                              "alpha %d: no stage %d block declared" % (k, k),
                              ktok)
-            self.alphas[k] = self.component_block(tok, self.alphas.get(k))
+            self.alphas[k] = self.component_block(tok, self.alphas.get(k))[0]
         else:
             self.p.error("unknown statement %r" % word, tok)
 
@@ -1063,7 +1081,7 @@ class _TheoryBuilder:
             evaluator = _Eval(self.reg, self.table_signs)
             self.lagrangian = evaluator.statement(node, [])(())
             require_lagrangian(self.lagrangian)
-        self.signs[None] = evaluator.signs
+        self.lagrangian_signs = evaluator.signs
 
     # -- record blocks ----------------------------------------------------------
 
@@ -1172,8 +1190,7 @@ class _TheoryBuilder:
                     "mixes Grassmann parities" if rows else "has no rows"),
                     tok)
             produced.append((comp, rows, par))
-        if not stage:
-            self.signs[ghost] = _agree([signs for *_x, signs in statements])
+        self.family_signs[ghost] = _agree([signs for *_x, signs in statements])
         parities = self._parity_spec(tok, ghost, slots, produced)
         gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
         self.reg.declare_ghost_antifield(gh)
@@ -1207,14 +1224,16 @@ class _TheoryBuilder:
     # -- component blocks (gauge / gamma / alpha) -------------------------------
 
     def component_block(self, tok, existing, rule=None):
-        """A gauge, gamma or alpha block, each component checked by rule."""
+        """(The components of a gauge, gamma or alpha block added to those
+        of ``existing``, each checked by rule; the signs of each of its
+        statements.)"""
         self.need_reg(tok)
         if self.lagrangian is None:
             self.p.error("component blocks must come after the Lagrangian",
                          tok)
         self.reg.freeze()
         evaluator = _Eval(self.reg, self.table_signs)
-        out = dict(existing or {})
+        out, signs = dict(existing or {}), []
         self.p.expect("{")
         while not self.p.at("}"):
             rtok, name, comps, jets, node = self.row_stmt()
@@ -1227,6 +1246,7 @@ class _TheoryBuilder:
                 self.p.error("component keys cannot target antifields", rtok)
             with _at(rtok):
                 expand = evaluator.key(sym, comps, jets, node, [])
+                signs.append(evaluator.signs)
                 for canon, _jet, val in expand(()):
                     if out.setdefault((name, canon), val) != val:
                         raise GvcError(
@@ -1235,7 +1255,7 @@ class _TheoryBuilder:
                     if rule is not None:
                         rule(self.reg, (name, canon), val)
         self.p.next()
-        return out
+        return out, signs
 
 
 def parse_theory(text, jet_order=None, default_jet_order=None):

@@ -8,6 +8,7 @@ shared theory is warm after its first check.  Its fields are read-only
 (negative controls rebuild), so sharing is safe for verdicts; a test that
 counts how often something is built must parse a fresh theory.
 """
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import groupby, product
@@ -20,10 +21,11 @@ import gvc.cli
 import gvc.noether
 import gvc.parser
 from gvc.algebra import GradedPoly, GvcError, _add_into, _mul_terms, \
-    direction_swap
+    sorting_sign
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
 from gvc.noether import NoetherRecord
 from gvc.parser import TheorySpec, _Eval, parse_theory
+from gvc.symmetry import direction_swap
 from gvc.theories import build_fixture, load_builtin
 from gvc.variational import eta, euler_lagrange
 
@@ -121,27 +123,124 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+# -- the exact maps, the oracle of the parser's certificates ------------------
+
+def swapped_key(swap, key):
+    """(sigma's image of a monomial key, its sign), as ``DirectionSwap.key``
+    gives it, or None on a miss: this map interns nothing, so a variable
+    whose image was never interned misses."""
+    reg, out, sign = swap.reg, [], 1
+    for entry in key:
+        v = reg.by_rank[entry if entry >= 0 else ~entry]
+        comp, s = swap.component(v.symbol, v.component)
+        w = reg._vars.get((v.symbol.name, comp, swap.index(v.index)))
+        if w is None:
+            return None
+        out.append(w.entry)
+        sign *= s
+    n = bisect_left(key, 0)
+    if n > 1:
+        sign *= sorting_sign(out[:n])
+    return tuple(sorted(out)), sign
+
+
+def maps_to(swap, terms, target):
+    """The sign e with sigma(``terms``) = e * ``target`` exactly, one sign
+    for every term (1 for two empty dicts), or 0 when there is none; it
+    stops at the first term whose image misses.  When ``terms`` is
+    ``target`` it tests each pair {k, sigma k} of keys once: sigma is an
+    involution, and the test at k, which reads the coefficient at sigma k,
+    is the test at sigma k."""
+    if len(terms) != len(target):
+        return 0
+    done = set() if terms is target else None
+    sign = 0
+    for key, c in terms.items():
+        if done is not None and key in done:
+            continue
+        img = swapped_key(swap, key)
+        d = None if img is None else target.get(img[0])
+        if d is None or abs(d) != abs(c):
+            return 0
+        e = 1 if d == img[1] * c else -1
+        if sign != e:
+            if sign:
+                return 0
+            sign = e
+        if done is not None:
+            done.add(img[0])
+    return sign or 1
+
+
+def part_sign(swap, parts):
+    """The one sign e with P^{sigma X} = e s sigma(P^X) at every component X
+    of every derivation P of ``parts``, s the sign of canonicalizing sigma
+    X, 0 when there is none, and None when they have no component."""
+    reg, sign = swap.reg, 0
+    for part in parts:
+        comps = part.components
+        for (name, comp), val in comps.items():
+            image, s = swap.component(reg.symbols[name], comp)
+            image = comps.get((name, image))
+            e = image is not None and s * maps_to(swap, val.terms, image.terms)
+            if not e or sign not in (0, e):
+                return 0
+            sign = e
+    return sign or None
+
+
+def label_signs(swap, polys):
+    """{label: the sign e with sigma(polys[label]) = e polys[sigma label],
+    0 when there is none} over the record labels of ``polys``."""
+    reg = swap.reg
+    return {(ghost, comp): maps_to(swap, poly.terms, polys[
+        ghost, swap.component(reg.symbols[ghost], comp)[0]].terms)
+        for (ghost, comp), poly in polys.items()}
+
+
+def uncertified(theory):
+    """A copy of theory, on its registry, with nothing derived and so no
+    certificate: a theory built through the API, whose cold builds take
+    every pass in full."""
+    out = gvc.cli._rebuild(theory)
+    out.derived.clear()
+    return out
+
+
 def certified_swaps_hold(theory):
-    """The lams of the swaps that the parser proved from theory's source
-    (its "certificate"), each checked here by the exact maps: it maps L to
-    +-L and every stage-0 record's Delta to the sign the source gives its
-    family times the Delta at the image label.  A swap that changes a
-    parity is never a candidate, and is not checked."""
-    reg = theory.registry
+    """The lams of the swaps of theory's record "certificate", once both
+    of the parser's certificates are checked by the exact maps:
+
+    - each swap of "certificate" maps L to +-L and every stage-0 record's
+      Delta to the sign the source gives its family times the Delta at
+      the image label;
+    - each swap of "b certificate", with its sign e, maps the rows of
+      every record of every stage to e times those at the image label,
+      and every part of b, gamma and each u^(k) built without orbits, by
+      the one sign e onto its components (``part_sign``).
+
+    A swap that changes a parity is never a candidate, and is not checked."""
+    reg, lag = theory.registry, theory.lagrangian.terms
     deltas = {(rec.ghost, rec.component): rec.delta_poly(reg)
               for rec in theory.records}
-    certificate = theory.derived["certificate"]
-    for lam, signs in certificate.items():
+    for lam, signs in theory.derived["certificate"].items():
         swap = direction_swap(reg, lam)
-        if swap is None:
-            continue
-        lag = theory.lagrangian.terms
-        assert swap.maps_to(lag, lag), lam
-        for (ghost, comp), delta in deltas.items():
-            image = deltas[ghost, swap.component(reg.symbols[ghost], comp)[0]]
-            assert swap.maps_to(delta.terms, image.terms) == signs[ghost], \
-                (lam, ghost, comp)
-    return set(certificate)
+        if swap is not None:
+            assert maps_to(swap, lag, lag), lam
+            assert label_signs(swap, deltas) == {
+                label: signs[label[0]] for label in deltas}, lam
+    rows = {(rec.ghost, rec.component): NoetherRecord(
+        rec.ghost, rec.component, rec.rows, rec.stage).delta_poly(reg)
+        for k in [0] + theory.stage_numbers()
+        for rec in theory.stage_records(k)}
+    parts = gvc.brst.stored_gauge(uncertified(theory)) + [
+        gvc.brst._gamma(theory)]
+    for lam, e in theory.derived["b certificate"].items():
+        swap = direction_swap(reg, lam)
+        if swap is not None:
+            assert label_signs(swap, rows) == dict.fromkeys(rows, e), lam
+            assert part_sign(swap, parts) in (e, None), lam
+    return set(theory.derived["certificate"])
 
 
 def two_routes(build, checks):
@@ -149,24 +248,17 @@ def two_routes(build, checks):
     theory that ``build()`` returns cold, twice: as built, with the stage-0
     residuals taken by orbit, the representatives' sums by parts pruned, u
     built by orbit and b's images taken per component orbit, and for
-    reference on a copy with one registry and nothing derived, with both
-    symmetry steps (``gvc.noether._symmetries``, which reads the parser's
-    certificate and runs the exact tests, and ``gvc.brst._symmetries``)
-    finding none, which takes every pass in full and runs eta on every
-    record.  The memo objects are the residuals, the components of each
-    gauge stage, the images of b and of the stages and the
-    ``antibracket``; the entries are each check's own, unrendered, in the
-    order of ``checks``."""
+    reference on its copy with no certificate (``uncertified``), which
+    takes every pass in full and runs eta on every record.  The memo
+    objects are the residuals, the components of each gauge stage, the
+    images of b and of the stages and the ``antibracket``; the entries are
+    each check's own, unrendered, in the order of ``checks``."""
     theory = build()
     out = []
-    for full, th in ((False, theory), (True, gvc.cli._rebuild(theory))):
-        with pytest.MonkeyPatch.context() as mp:
-            if full:
-                mp.setattr(gvc.noether, "_symmetries", lambda *args: [])
-                mp.setattr(gvc.brst, "_symmetries", lambda *args: [])
-            entries = [e for check in checks
-                       for e in gvc.cli._RUNNERS[check](th)]
-            digest = gvc.cli.build_report(th, list(checks))["canonical_sha256"]
+    for th in (theory, uncertified(theory)):
+        entries = [e for check in checks
+                   for e in gvc.cli._RUNNERS[check](th)]
+        digest = gvc.cli.build_report(th, list(checks))["canonical_sha256"]
         memo = {key: th.derived.get(key) for key in
                 ("residuals", "brst", "stage images", "antibracket")}
         memo["gauge"] = [u.components for u in th.derived.get("gauge", ())]

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gvc.algebra import (
-    DirectionSwap,
     GvcError,
     GradedPoly,
     GradingError,
@@ -17,9 +16,10 @@ from gvc.algebra import (
     Registry,
     SymbolDecl,
     _mul_terms,
-    direction_swap,
 )
-from conftest import constant_term, degree_parts
+from gvc.symmetry import direction_swap
+import conftest
+from conftest import constant_term, degree_parts, maps_to, swapped_key
 
 
 def make_registry():
@@ -402,8 +402,9 @@ def _factors(draw):
 
 @given(_factors(), st.integers(0, 1))
 def test_a_swapped_key_is_the_product_of_the_swapped_variables(factors, lam):
-    # the oracle multiplies the images through GradedPoly, in the order the
-    # monomial was built in
+    # the product of the images through GradedPoly, in the order the
+    # monomial was built in, is the image that the swap and the exact key
+    # map of the tests' oracle give
     def swapped(d):
         return {lam: lam + 1, lam + 1: lam}.get(d, d)
     mono = image = _SW.one
@@ -418,20 +419,27 @@ def test_a_swapped_key_is_the_product_of_the_swapped_variables(factors, lam):
     for key, c in mono.terms.items():
         new, sign = swap.key(key)
         assert image.terms == {new: sign * c}
+        assert swapped_key(swap, key) == (new, sign)
+    assert swap.image(mono.terms) == image.terms
     assert image.is_zero() == mono.is_zero()
     assert len(_SW.by_rank) == interned
 
 
 def test_a_swap_misses_a_variable_it_would_have_to_intern():
+    # the oracle's key map misses the image s[;1] that was never interned;
+    # the swap's own map interns it
     reg = Registry(2)
     reg.declare_field("s")
     reg.freeze()
     var, _sign = reg.jet_var("s", (), (0,))
     reg.jet_var("s", (), (0, 0))
     swap = direction_swap(reg, 0)
-    assert swap.key((var.rank,)) is None
+    assert swapped_key(swap, (var.rank,)) is None
     assert len(reg.by_rank) == 2
-    assert not swap.maps_to({(var.rank,): 1}, {(var.rank,): 1})
+    assert not maps_to(swap, {(var.rank,): 1}, {(var.rank,): 1})
+    assert swap.image({(var.rank,): 1}) == {
+        (reg.jet_var("s", (), (1,))[0].rank,): 1}
+    assert len(reg.by_rank) == 3
 
 
 def test_a_self_map_tests_each_pair_once_and_still_sees_one_altered(
@@ -446,16 +454,15 @@ def test_a_self_map_tests_each_pair_once_and_still_sees_one_altered(
     x0, x1 = reg.var("x", (0,)), reg.var("x", (1,))
     swap = direction_swap(reg, 0)
     mapped = []
-    key = DirectionSwap.key
-    monkeypatch.setattr(DirectionSwap, "key", lambda swap, k, *args: (
-        mapped.append(k) or key(swap, k, *args)))
+    monkeypatch.setattr(conftest, "swapped_key", lambda swap, k: (
+        mapped.append(k) or swapped_key(swap, k)))
     lag = x0 * x0 + x1 * x1 + x0 * x1
-    assert swap.maps_to(lag.terms, lag.terms) == 1 and len(mapped) == 2
+    assert maps_to(swap, lag.terms, lag.terms) == 1 and len(mapped) == 2
     odd = x0 * x0 - x1 * x1
-    assert swap.maps_to(odd.terms, odd.terms) == -1
+    assert maps_to(swap, odd.terms, odd.terms) == -1
     for bad in (x0 * x0 + x1 * x1 * 2 + x0 * x1, x1 * x1 * 2 + x0 * x0,
                 x0 * x0 - x1 * x1 + x0 * x1):
-        assert swap.maps_to(bad.terms, bad.terms) == 0
+        assert maps_to(swap, bad.terms, bad.terms) == 0
 
 
 def test_a_swap_that_changes_a_parity_is_refused():

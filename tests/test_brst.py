@@ -7,8 +7,7 @@ import pytest
 import gvc.brst
 import gvc.jets
 import gvc.noether
-from gvc.algebra import DirectionSwap, GradedPoly, GvcError, Registry, \
-    _mul_terms
+from gvc.algebra import GradedPoly, GvcError, Registry, _mul_terms
 from gvc.brst import (
     check_antibracket,
     check_brst_nilpotent,
@@ -20,10 +19,12 @@ from gvc.cli import _rebuild, run_checks
 from gvc.jets import EvolutionaryDerivation
 from gvc.noether import NoetherRecord, _el, verify_ni
 from gvc.parser import TheorySpec, parse_theory
+from gvc.symmetry import DirectionSwap, direction_swap
 from gvc.theories import builtin_path, osp12
 from gvc.variational import variational_derivative
-from conftest import all_pass, count_calls, count_passes, derivation_sum, \
-    fresh, nilpotency_residuals, prolong_oracle, two_routes
+from conftest import all_pass, certified_swaps_hold, count_calls, \
+    count_passes, derivation_sum, fresh, nilpotency_residuals, part_sign, \
+    prolong_oracle, two_routes, uncertified
 
 
 def ghost_variation_residuals(theory):
@@ -179,7 +180,7 @@ def test_super_instance_needs_sign_decorated_gamma(ym4_super):
 # -- b's images per component orbit -------------------------------------------
 
 # (the component keys of b's parts, the first keys of their orbits under the
-# swaps that map every part of b to one sign times itself)
+# swaps that the source proves map every part of b to one sign times itself)
 _B_ORBITS = {"bf": (6, 2), "bf4": (14, 3), "toy": (4, 4), "cs3": (15, 15),
              "ym4": (15, 6), "ym4_super": (25, 10), "grav4": (78, 8)}
 
@@ -197,39 +198,53 @@ def test_the_b_symmetry_test_finds_each_builtins_component_orbits(name):
     assert len(theory.registry.by_rank) == interned
 
 
-def test_the_b_symmetry_test_refuses_cs3_after_a_few_dozen_keys(monkeypatch):
-    # cs3's variants are parsed afresh, so each of them pays for the test:
-    # both swaps move some component key and miss on an early one
-    # (u is built first: its record orbits run the exact tests on cs3)
+def test_cs3s_b_orbit_map_is_empty_and_maps_no_key(monkeypatch):
+    # cs3's variants are parsed afresh, so each of them builds b's orbit
+    # map: its tables f and bg refuse both swaps in the family c, so the
+    # map is empty, read from the certificate without mapping a key
     theory = fresh("cs3")
+    assert theory.derived["b certificate"] == {}
     stored_gauge(theory)
     mapped = []
     key = DirectionSwap.key
     monkeypatch.setattr(DirectionSwap, "key",
                         lambda swap, k: mapped.append(k) or key(swap, k))
     assert gvc.brst._orbits(theory) == {}
-    assert 0 < len(mapped) <= 36
+    assert not mapped
+
+
+# a stage-0 family c[g] of one sign under (0 1), with a stage-0 or stage-1
+# family or a gamma block of the other sign: (0 1) maps u to +u and the
+# other part to -itself, so b's table has no orbit although each part maps
+# onto its components; with the signs alike it has one
+_MIXED = ("dim 2; field x[2] even; field y odd;\n"
+          "table e[2]{ [0]=1; [1]=-1; }\nL = y * y[;0];\n"
+          "ni c[g:2] { (x[g]) = y; }\n%s\n")
 
 
 def test_a_swap_must_map_every_part_by_one_sign_onto_components():
-    # q maps to -q under (0 1) and p to +p, so a sum of their pairs at
-    # x[1] need not be +- the image of the sum at x[0]; and h has no x[0]
-    # component for its x[1] to map to
-    reg = Registry(2)
-    reg.declare_field("x", slots=(2,))
-    reg.declare_field("y")
-    reg.freeze()
-    y0, y1 = reg.var("y", (), (0,)), reg.var("y", (), (1,))
-    x0, x1 = ("x", (0,)), ("x", (1,))
-    p = EvolutionaryDerivation(reg, {x0: y0, x1: y1}, name="p")
-    q = EvolutionaryDerivation(reg, {x0: y0, x1: -y1}, name="q")
-    h = EvolutionaryDerivation(reg, {x1: y1}, name="h")
-
-    def accepted(parts):
-        return [moved for _swap, moved in gvc.brst._symmetries(
-            reg, parts, [x0, x1])]
-    assert accepted([p]) == accepted([q]) == accepted([q, q]) == [[1, 0]]
-    assert accepted([p, q]) == accepted([p, h]) == []
+    for block, signs in [
+            ("", {0: 1}),
+            ("ni d[g:2] { (x[g]) = e[g] * y; }", {}),
+            ("ni d[g:2] { (x[g]) = y; }", {0: 1}),
+            ("gamma { (c[g]) = e[g] * y * c[g;]; }", {}),
+            ("gamma { (c[g]) = y * c[g;]; }", {0: 1}),
+            ("stage 1 s[g:2] { (c[g]) = e[g]; }", {}),
+            ("stage 1 s[g:2] { (c[g]) = 1; }", {0: 1})]:
+        text = _MIXED % block
+        theory = parse_theory(text)
+        assert theory.derived["b certificate"] == signs, block
+        certified_swaps_hold(theory)
+        # the exact test agrees
+        parts = stored_gauge(theory) + [gvc.brst._gamma(theory)]
+        assert part_sign(direction_swap(theory.registry, 0), parts) == \
+            signs.get(0, 0), block
+        orbits = {("c", (1,)): ("c", (0,))} if "{ (c[g])" in block else {}
+        orbits.update({("x", (1,)): ("x", (0,))})
+        assert gvc.brst._orbits(theory) == (orbits if signs else {}), block
+        (memo, entries, digest), reference = two_routes(
+            lambda: parse_theory(text), ("brst", "antibracket"))
+        assert (memo, entries, digest) == reference, block
 
 
 @pytest.mark.parametrize("name", sorted(_B_ORBITS))
@@ -275,18 +290,17 @@ def test_a_cold_grav4_runs_eta_on_one_record_per_orbit(monkeypatch):
     monkeypatch.setattr(gvc.brst, "eta", lambda f: calls.append(f) or eta(f))
     stored_gauge(fresh("grav4"))
     assert len(calls) == 74
-    monkeypatch.setattr(gvc.noether, "_symmetries", lambda theory: [])
-    stored_gauge(fresh("grav4"))
+    stored_gauge(uncertified(fresh("grav4")))
     assert len(calls) == 74 + 296
 
 
 def test_a_cold_grav4_maps_no_key_of_l_or_of_a_delta(monkeypatch):
-    # the source proves grav4's three swaps, so no exact test runs; the
-    # keys mapped are those of u's images and of b's symmetry test
+    # the source proves grav4's swaps, so the keys mapped are those of u's
+    # images alone
     mapped = []
     key = DirectionSwap.key
-    monkeypatch.setattr(DirectionSwap, "key", lambda swap, k, *args: (
-        mapped.append(k) or key(swap, k, *args)))
+    monkeypatch.setattr(DirectionSwap, "key", lambda swap, k: (
+        mapped.append(k) or key(swap, k)))
     theory = fresh("grav4")
     for check in ("kt", "gauge", "brst"):
         all_pass(run_checks(theory, [check]))

@@ -463,7 +463,7 @@ def test_mutants_of_a_warm_theory_still_fail(label):
     assert (kept, set(parents)) == (
         ({"el"}, {"kt", "residuals", "gauge", "brst", "stage images"})
         if label != "lagrangian" else
-        ({"gauge", "brst", "stage images", "antibracket"},
+        ({"gauge", "brst", "stage images", "antibracket", "b certificate"},
          {"el", "kt", "residuals"}))
     for key, parent in parents.items():
         assert set(parent.reads) == set(gvc.noether.READS[key]), key
@@ -535,18 +535,22 @@ def test_every_grav4_site_stays_red_warm_and_cold():
 def test_a_cold_grav4_with_one_gamma_sign_flipped_fails_as_the_warm_mutant():
     # the warm gamma mutant adds the difference of its flip to the images
     # of a parent that took b squared at the first keys of its orbits; the
-    # same theory parsed keeps the swaps that fix cm[0], the images at some
-    # of its first keys are not zero, and it takes their orbits too
+    # same theory parsed, the flip of cm[0;0]*cm[0;] written through a
+    # table d that the swaps fixing cm[0] map to itself, keeps those swaps,
+    # the images at some of its first keys are not zero, and it takes their
+    # orbits too
     warm = fresh("grav4")
     run_checks(warm, cli.DEFAULT_CHECKS.split(","))
     mutant = next(build for label, build in mutation_sites(warm)
                   if label.startswith("gamma "))()
-    block = "gamma { %s }" % " ".join(
-        "(%s) = %s;" % (gvc.noether.comp_label(*key), value.pretty())
-        for key, value in sorted(mutant.gamma.items()))
     text = pathlib.Path(builtin_path("grav4")).read_text(encoding="utf-8")
-    text = re.sub(r"gamma \{.*", block, text, flags=re.S)
-    cold = parse_theory(text)
+    gamma = "gamma { (cm[l]) = sum(m){ cm[l;m]*cm[m;] }; }"
+    assert text.count(gamma) == 1
+    cold = parse_theory(text.replace("dim 4;", "dim 4;\ntable d[4]{ [0]=1; }")
+                        .replace(gamma, "gamma { (cm[l]) = sum(m){ cm[l;m]*"
+                                 "cm[m;] } - 2 * d[l] * cm[l;l]*cm[l;]; }"))
+    assert cold.gamma == mutant.gamma
+    assert cold.derived["b certificate"] == {1: 1, 2: 1}
     assert gvc.brst._orbits(cold)
     reports = [build_report(theory, ["brst"]) for theory in (mutant, cold)]
     assert reports[0]["canonical_sha256"] == reports[1]["canonical_sha256"]

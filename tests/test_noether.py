@@ -7,7 +7,7 @@ import pytest
 
 import gvc.jets
 import gvc.noether
-from gvc.algebra import KIND_GHOST, GvcError, direction_swap
+from gvc.algebra import KIND_GHOST, GvcError
 from gvc.brst import check_gauge_symmetry, stored_gauge
 from gvc.cli import (_flip_leading, _rebuild, build_report, mutation_sites,
                      run_checks)
@@ -25,11 +25,12 @@ from gvc.noether import (
     verify_stage_ni,
 )
 from gvc.parser import TheorySpec, parse_theory
+from gvc.symmetry import direction_swap
 from gvc.theories import builtin_path, fixture_text
 from gvc.variational import check_variational_symmetry, euler_lagrange
 from conftest import (TOY_TEXT, all_pass, by_orbit_and_full_pass, cached,
                       certified_swaps_hold,
-                      count_calls, extended_lagrangian, fresh,
+                      count_calls, extended_lagrangian, fresh, maps_to,
                       two_routes, variational_pairing)
 
 
@@ -452,30 +453,70 @@ _CERTIFIED = {"bf": {0, 1}, "bf4": {0, 1, 2}, "toy": set(), "cs3": set(),
               "ym4": {1, 2}, "ym4_super": {1, 2}, "grav4": {0, 1, 2}}
 
 
+# and those it proves map the records of every stage and gamma by one sign,
+# which b's orbits read: L, which refuses ym4's (0 1), is not among them
+_B_CERTIFIED = {"bf": {0, 1}, "bf4": {0, 1, 2}, "toy": set(), "cs3": set(),
+                "ym4": {0, 1, 2}, "ym4_super": {0, 1, 2},
+                "grav4": {0, 1, 2}}
+
+
 @pytest.mark.parametrize("name", sorted(_CERTIFIED))
 def test_each_swap_a_builtins_source_proves_passes_the_exact_maps(name):
     # cs3's tables f and bg refuse every swap, ym4's metric g the swap
     # (0 1); toy has one base direction
-    assert certified_swaps_hold(fresh(name)) == _CERTIFIED[name]
+    theory = fresh(name)
+    assert certified_swaps_hold(theory) == _CERTIFIED[name]
+    assert set(theory.derived["b certificate"]) == _B_CERTIFIED[name]
 
 
-@pytest.mark.parametrize("term, orbit", [
-    # a term that cancels: L is grav4's, and the exact test accepts every
-    # swap, as it does on grav4
-    ("+ k[0,0,0;] * k[0,0,0;] - k[0,0,0;] * k[0,0,0;]", {1: 0, 2: 0, 3: 0}),
+_CERTIFICATES = {"certificate", "b certificate"}
+
+
+@pytest.mark.parametrize("name, site, dropped", [
+    ("bf4", "lagrangian", {"certificate"}),
+    ("ym4", "lagrangian", {"certificate"}),
+    ("bf4", "record x[0]", _CERTIFICATES),
+    ("bf4", "stage record xi[]", {"b certificate"}),
+    ("ym4", "gamma c[0]", {"b certificate"}),
+])
+def test_each_edit_drops_only_the_certificate_that_reads_its_field(
+        name, site, dropped):
+    # the record certificate reads L and the stage-0 records, b's the
+    # records of every stage and gamma; an edit keeps the other as it is,
+    # and the edit built cold gives the verdicts and digest of the full pass
+    parent = fresh(name)
+    build = dict(mutation_sites(parent))[site]
+    edited, kept = build(), _CERTIFICATES - dropped
+    assert _CERTIFICATES & set(edited.derived) == kept
+    assert all(edited.derived[key] is parent.derived[key] for key in kept)
+    (memo, entries, digest), reference = two_routes(
+        build, ("ni", "stages", "kt", "extended", "brst", "antibracket",
+                "gauge"))
+    assert (memo, entries, digest) == reference
+
+
+@pytest.mark.parametrize("term, exact", [
+    # a term that cancels: L is grav4's, and the exact maps accept every
+    # swap, as they do on grav4
+    ("+ k[0,0,0;] * k[0,0,0;] - k[0,0,0;] * k[0,0,0;]", [0, 1, 2]),
     # (2 3) maps this term to minus itself, as it does L, and (0 1) and
     # (1 2) map it to terms that L lacks
-    ("+ k[0,0,2;] * k[0,0,2;] - k[0,0,3;] * k[0,0,3;]", {3: 2}),
+    ("+ k[0,0,2;] * k[0,0,2;] - k[0,0,3;] * k[0,0,3;]", [2]),
 ])
-def test_a_constant_index_term_of_l_leaves_its_swaps_to_the_exact_test(
-        term, orbit):
-    # the source refuses every swap here, each moving a constant index
+def test_a_constant_index_term_of_l_refuses_the_swaps_it_moves(term, exact):
+    # the source refuses every swap here, each moving a constant index, so
+    # the records take their passes in full, although the exact maps of the
+    # tests accept some swaps; b does not read L, and keeps its orbits
     text = pathlib.Path(builtin_path("grav4")).read_text(encoding="utf-8")
     assert text.count("k[b,d,t;]) } };") == 1
     text = text.replace("k[b,d,t;]) } };", "k[b,d,t;]) } } %s;" % term)
     theory = parse_theory(text)
+    reg, lag = theory.registry, theory.lagrangian.terms
     assert certified_swaps_hold(theory) == set()
-    assert gvc.noether._orbits(theory)[0] == orbit
+    assert [lam for lam in range(3)
+            if maps_to(direction_swap(reg, lam), lag, lag)] == exact
+    assert gvc.noether._orbits(theory)[0] == {}
+    assert theory.derived["b certificate"] == {0: 1, 1: 1, 2: 1}
     (residuals, verdicts, digest), full = by_orbit_and_full_pass(
         lambda: parse_theory(text), ("ni",))
     assert (residuals, verdicts, digest) == full
@@ -485,12 +526,17 @@ def test_an_l_that_breaks_a_swap_alone_keeps_its_records_apart():
     # the records map to one another under every swap, but the mass term
     # of B[1,2] maps to one of B[0,2] under (0 1), which L lacks: c[0]
     # holds its gauge identity and c[1], c[2], on which the term acts, do
-    # not, and only (1 2) joins them
+    # not.  (1 2) maps L to itself, but the source refuses it with (0 1),
+    # each moving a constant index of the term, so no records join
     text = ("dim 3; field B[3,3] antisym even;\n"
             "L = sum(i:3, j:3, l:3){ (B[i,j;l] + B[j,l;i] + B[l,i;j])^2 }"
             " + B[1,2;] * B[1,2;];\nni c[g:3] { (B[k,g]; k) = -1; }\n")
     theory = parse_theory(text)
-    assert gvc.noether._orbits(theory)[0] == {2: 1}
+    reg, lag = theory.registry, theory.lagrangian.terms
+    assert certified_swaps_hold(theory) == set()
+    assert [lam for lam in range(2)
+            if maps_to(direction_swap(reg, lam), lag, lag)] == [1]
+    assert gvc.noether._orbits(theory)[0] == {}
     (residuals, verdicts, digest), full = by_orbit_and_full_pass(
         lambda: parse_theory(text))
     assert (residuals, verdicts, digest) == full

@@ -46,10 +46,12 @@ from gvc.noether import (_residuals, _stage_residuals, assemble_kt,
                          check_kt_nilpotent, comp_label, verify_ni,
                          verify_stage_ni)
 from gvc.parser import ParseError, parse_theory
+from gvc.symmetry import direction_swap
 from gvc.variational import euler_lagrange
 from conftest import (brst_operator, certified_swaps_hold, derivation_sum,
-                      extended_lagrangian, fraction_twin, nilpotency_residuals,
-                      prolong_oracle, two_routes, variational_pairing)
+                      extended_lagrangian, fraction_twin, label_signs,
+                      maps_to, nilpotency_residuals, prolong_oracle,
+                      two_routes, variational_pairing)
 
 EVEN, ODD = ("x", "y"), ("p",)
 
@@ -433,9 +435,15 @@ def test_planted_symmetries_give_every_record_the_full_pass_verdict(case):
     except GvcError:
         return
     if not near:
-        # the planted transposition is found: c[0] goes to c[1]
-        assert 1 in [moved[0] for _swap, moved, _signs in
-                     gvc.noether._symmetries(theory)], text
+        # the planted transposition holds, by the exact maps of the tests,
+        # and c[0] goes to c[1] exactly when the source proves it
+        swap, lag = direction_swap(theory.registry, 0), theory.lagrangian.terms
+        deltas = {(rec.ghost, rec.component): rec.delta_poly(theory.registry)
+                  for rec in theory.records}
+        assert maps_to(swap, lag, lag), text
+        assert all(label_signs(swap, deltas).values()), text
+        assert (gvc.noether._orbits(theory)[0].get(1) == 0) == \
+            (0 in theory.derived["certificate"]), text
     orbit, full = two_routes(lambda: parse_theory(text), _PLANTED_CHECKS)
     assert orbit == full, text
     # a record flipped on a cold theory breaks its orbit
