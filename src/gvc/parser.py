@@ -23,10 +23,15 @@ not declared directly: each ``ni``/``stage`` block introduces its ghost
 family, with Grassmann parity read off the record itself.
 
 Row and component keys are one statement form, ``( NAME[idx...] ; jets )``:
-a key's jets follow its closing bracket.  Every index runs over
-``itertools.product`` of its range, the last index varying fastest: ``sum``
-bodies, the records of a ghost family, and the free indices of a key, whose
-canonical component, sign and value come from ``_Eval.key``.
+a key's jets follow its closing bracket.  A ``sum``, the records of a ghost
+family and the free indices of a key, whose canonical component, sign and
+value come from ``_Eval.key``, mean every value of their indices, in the
+order of ``itertools.product`` of the ranges, the last index varying
+fastest.  Evaluation may take fewer: a factor of a ``sum``'s body that
+computes a polynomial, or a rational beside one, is evaluated once per
+value of the binders it reads, and a value that the symmetry proof below
+maps from an earlier one is that value's image (``_Eval``); the keys and
+records still come in that order.
 The rows that separate statements of a block give one key add up; within
 one statement, keys that a symmetric family maps to one canonical key count
 once and must agree, and component blocks reject conflicting values for
@@ -73,6 +78,7 @@ from .algebra import (KIND_ANTIFIELD, KIND_FIELD, KIND_GHOST, GvcError,
                       _scale_terms)
 from .noether import (Frozen, NoetherRecord, delta_parity, require_gamma,
                       require_lagrangian, require_record, require_theory)
+from .symmetry import direction_swap, orbit_step
 
 
 class ParseError(GvcError):
@@ -433,6 +439,43 @@ def _as_terms(look):
     return ref
 
 
+def _valued(fold, poly):
+    """fn(v), the value of the ``_fold`` function ``fold``: a fresh term
+    dict when ``poly``, else a rational."""
+    if not poly:
+        return lambda v: fold(v, None)
+
+    def total(v):
+        out = {}
+        const = fold(v, out)
+        return _add_into(out, {(): _rat(const)}) if const else out
+    return total
+
+
+def _multiply(vals, kinds, sign, out):
+    """Add ``sign`` times the product of ``vals``, in order, into the term
+    dict ``out``: term dicts where ``kinds`` is nonzero, else rationals;
+    nothing when one is zero, as the last of a list cut at its first zero
+    is."""
+    c, dicts = sign, []
+    for val, kind in zip(vals, kinds):
+        if not val:
+            return
+        if kind:
+            dicts.append(val)
+        else:
+            c *= val
+    total = dicts[0]
+    for val in dicts[1:-1]:
+        total = _mul_terms(total, val)
+    if len(dicts) > 1 and c == 1:
+        _mul_terms(total, dicts[-1], out)
+        return
+    if len(dicts) > 1:
+        total = _mul_terms(total, dicts[-1])
+    _add_into(out, total if c == 1 else _scale_terms(total, c))
+
+
 def _raiser(message, tok=None):
     """A compiled node whose evaluation raises ``GvcError(message)``,
     placed at ``tok`` (``_placed``)."""
@@ -469,6 +512,18 @@ class _Eval:
     hold the registry, never the evaluator, so a statement leaves no
     reference cycle behind.
 
+    Two routes spare work, both exact and both taken by clean nodes alone,
+    so no error can move.  A factor of a product in a ``sum`` that
+    computes a polynomial, and a rational beside one, is evaluated in the
+    scope of the binders it reads (``_levels``): by distributivity the sum
+    over the binders is the sum over the leading ones of that factor times
+    the sum over the rest.
+    And a value that the walk below proves sigma to map to e times
+    another's is taken as that image (``gvc.symmetry`` states the proof):
+    a ``sum`` with no index of range ``dim`` bound around it, over its
+    binders (``_by_orbit``), the keys of a component block, over their
+    free indices, and the records of a family (``_TheoryBuilder``).
+
     The same walk proves the direction symmetries that the statement
     states: for each swap sigma of base directions lam and lam + 1, that
     sigma(N(v)) = e N(sigma v) at every node N, where v are the values of
@@ -484,22 +539,26 @@ class _Eval:
     exponent, and ``-`` and ``sum`` their child's.  A sum of items needs
     one sign across them.  A node's signs are two bit masks over lam, ok
     where the walk has not refused lam at a miss and neg where the sign is
-    -1, and ``statement`` and ``key`` leave the top one's in ``signs``.
-    ``table_signs`` keeps each table's signs, and the evaluators of one
-    theory share it."""
+    -1, and ``statement`` and ``key`` leave the top one's in ``signs``,
+    beside ``clean`` and the number ``sums`` of its sums.  The evaluators
+    of one theory share ``table_signs``, each table's signs, and ``swaps``,
+    the ``DirectionSwap`` of each lam."""
 
-    def __init__(self, reg, table_signs=None):
+    def __init__(self, reg, table_signs=None, swaps=None):
         self.reg = reg
         self.unit = ((1 << (reg.dim - 1)) - 1, 0)
         self.refused = self.signs = (0, 0)
         self.table_signs = {} if table_signs is None else table_signs
+        self.swaps = {} if swaps is None else swaps
 
-    def infer_range(self, var, node):
-        """Scan for usages of ``var`` and return the index range it must have."""
-        found = set()
-        todo = [node]
+    def resolve(self, binders, body):
+        """A ``sum``'s binders with each missing range inferred from the
+        slots its index sits in within ``body``, where no inner ``sum``
+        binds it again, in one scan."""
+        found = {var: set() for var, rng in binders if rng is None}
+        todo = [(body, ())] if found else []
         while todo:
-            n = todo.pop()
+            n, hidden = todo.pop()
             kind = n[0]
             if kind == "ref":
                 sym = self.reg.symbols.get(n[1])
@@ -509,31 +568,30 @@ class _Eval:
                 # zip stops at the arity: evaluation reports an over-indexed
                 # reference
                 for atom, rng in zip(n[2], slots):
-                    if atom == ("var", var):
-                        found.add(rng)
-                if ("var", var) in n[3]:
-                    found.add(self.reg.dim)
+                    if atom[1] in found and atom[1] not in hidden:
+                        found[atom[1]].add(rng)
+                for atom in n[3]:
+                    if atom[1] in found and atom[1] not in hidden:
+                        found[atom[1]].add(self.reg.dim)
             elif kind == "add":
-                todo.extend(item for _s, item in n[1])
+                todo.extend((item, hidden) for _s, item in n[1])
             elif kind == "mul":
-                todo.extend(n[1])
+                todo.extend((item, hidden) for item in n[1])
             elif kind in ("neg", "pow"):
-                todo.append(n[1])
+                todo.append((n[1], hidden))
             elif kind == "sum":
-                if not any(b[0] == var for b in n[1]):
-                    todo.append(n[2])
-        if len(found) == 1:
-            return found.pop()
-        if not found:
-            raise GvcError("cannot infer a range for index %r" % var)
-        raise GvcError("index %r is used with conflicting ranges %s"
-                       % (var, sorted(found)))
-
-    def resolve(self, binders, body):
-        """A ``sum``'s binders with each missing range inferred from its
-        ``body``."""
-        return [(v, r if r is not None else self.infer_range(v, body))
-                for v, r in binders]
+                todo.append((n[2], (*hidden, *(var for var, _rng in n[1]))))
+        out = []
+        for var, rng in binders:
+            if rng is None:
+                if not found[var]:
+                    raise GvcError("cannot infer a range for index %r" % var)
+                if len(found[var]) > 1:
+                    raise GvcError("index %r is used with conflicting ranges "
+                                   "%s" % (var, sorted(found[var])))
+                rng, = found[var]
+            out.append((var, rng))
+        return out
 
     # -- compilation -----------------------------------------------------------
 
@@ -541,7 +599,8 @@ class _Eval:
         """Compile ``node`` once; returns a function of the values of the
         ``(index, range)`` binders around it, in order, that returns its
         value as a polynomial."""
-        value, _clean, self.signs = self._top(node, self._start(binders))
+        value, self.clean, self.signs = self._top(node,
+                                                  self._start(binders))
         tail = self.init[len(binders):]
         return lambda values: value([*values, *tail])
 
@@ -560,7 +619,10 @@ class _Eval:
         value's, refused where the key's own indices break the rules of a
         symmetry: sigma maps the rows at the binders' values v to e times
         those at sigma v, the free indices being reindexed like a ``sum``'s
-        binders."""
+        binders.  With no binders, a clean value that holds a sum is taken
+        at the first value of the free indices in each orbit of the swaps
+        it proves, and at any other value as e sigma of its step's: the
+        same keys, in the same order, with the same values."""
         if len(comps) != len(sym.slots):
             raise GvcError("%s expects %d component indices"
                            % (sym.name, len(sym.slots)))
@@ -573,12 +635,16 @@ class _Eval:
         scope = self._start(list(binders) + list(free.items()))
         indices = _getter([self._slot(a, scope) for a in comps + jets])
         value, clean, signs = self._top(node, scope)
-        self.signs = _times(signs, self._moves(
+        self.clean, self.signs = clean, _times(signs, self._moves(
             comps + jets, sym.slots + (self.reg.dim,) * len(jets), scope))
         tail, n, seen = self.init[first:], len(comps), {}
         end = first + len(free)
         ranges = [range(rng) for rng in free.values()]
         canonicalize, checked_index = sym.canonicalize, self.reg.checked_index
+        # a record block takes whole records by orbit (``build_records``)
+        orbit = not binders and clean and self.sums and self.orbit(
+            list(free.items()), self.signs)
+        reg, done = self.reg, {}
 
         def expand(values):
             v = [*values, *tail]
@@ -593,7 +659,14 @@ class _Eval:
                 if sign == 0:
                     killed.append(v[first:end])
                     continue
-                out = value(v)
+                if not orbit:
+                    out = value(v)
+                elif (step := orbit_step(at := tuple(v[:end]), *orbit)):
+                    src, swap, e = step
+                    out = done[at] = GradedPoly(
+                        reg, swap.image(done[src].terms, e))
+                else:
+                    out = done[at] = value(v)
                 yield canon, jet, out if sign == 1 else out.scale(sign)
             if not clean:
                 for v[first:end] in killed:
@@ -605,7 +678,8 @@ class _Eval:
         constant indices and inner binders get theirs as compiling meets
         them.  Returns the scope, index -> slot."""
         self.init, self.bounds = [0] * len(binders), [r for _v, r in binders]
-        self.consts, self.interned = {}, {}
+        self.consts, self.interned, self.read = {}, {}, []
+        self.sums = 0
         return {var: slot for slot, (var, _rng) in enumerate(binders)}
 
     def _top(self, node, scope):
@@ -669,14 +743,7 @@ class _Eval:
                         True, clean, signs)
             return (lambda v: value(v) ** n), False, clean, signs
         fold, poly, clean, signs = self._fold(node, scope, 1)
-        if not poly:
-            return (lambda v: fold(v, None)), False, clean, signs
-
-        def total(v):
-            out = {}
-            const = fold(v, out)
-            return _add_into(out, {(): _rat(const)}) if const else out
-        return total, True, clean, signs
+        return _valued(fold, poly), poly, clean, signs
 
     def _fold(self, node, scope, sign):
         """``(fn, poly, clean, signs)``: fn(v, out) adds ``sign`` times the
@@ -700,7 +767,8 @@ class _Eval:
         if kind == "sum":
             return self._sum(node[1], node[2], node[3], scope, sign)
         if kind == "mul":
-            return self._mul(node[1], scope, sign)
+            return self._product([self._factor(item, scope)
+                                  for item in node[1]], sign)
         if kind == "ref":
             value, poly, clean, signs = self._ref(node, scope)
             if poly:
@@ -738,33 +806,171 @@ class _Eval:
             binders = self.resolve(binders, body)
         except GvcError as exc:
             return _raiser(str(exc), tok), False, False, self.refused
+        k, sums = len(binders), self.sums
         inner, first = dict(scope), len(self.init)
         for var, rng in binders:
             inner[var] = self._new_slot(0, rng)
-        end, ranges = len(self.init), [range(rng) for _v, rng in binders]
-        fold, poly, clean, signs = self._fold(body, inner, sign)
+        ranges, cut, outer = [range(rng) for _v, rng in binders], [k], sign
+        if body[0] != "mul":
+            # the fold holds the sign
+            fold, poly, clean, signs = self._fold(body, inner, sign)
+            factors, sign = None, 1
+        else:
+            parts, marks = [], []
+            for node in body[1]:
+                marks.append(len(self.read))
+                parts.append(self._factor(node, inner))
+            levels = any(kind == 1 and ok for _v, kind, ok, _s in parts) \
+                and self._levels(parts, marks, first, k)
+            if levels:
+                cut, sign = sorted({*levels, k}), 1
+            factors = [p for p, n in zip(parts, levels) if n == k] if levels \
+                else parts
+            fold, poly, clean, signs = self._product(factors, sign)
+        self.sums += 1
+        # a clean polynomial body that holds a sum, whose orbits run over
+        # the binders alone, as sigma fixes every index bound around them
+        nested = clean and (len(cut) > 1 or poly and self.sums > sums + 1) \
+            and all(self.bounds[slot] != self.reg.dim
+                    for slot in scope.values())
+        # each factor in the scope of the binders it reads: the sum over
+        # the binders below cut[i] of the factors at cut[i] times the sum
+        # over those below the next cut
+        for lo, hi in reversed(list(zip(cut, cut[1:]))):
+            orbit = nested and not lo and self.orbit(binders[:hi], signs)
+            loop = self._by_orbit(first, ranges[:hi], factors, sign, orbit) \
+                if orbit else self._loop(first + lo, ranges[lo:hi], fold)
+            factors = [p for p, n in zip(parts, levels) if n == lo] + [
+                (_valued(loop, poly), int(poly), clean, signs)]
+            sign = outer if lo == cut[0] else 1
+            fold, poly, clean, signs = self._product(factors, sign)
+        if cut[0]:
+            orbit = nested and self.orbit(binders[:cut[0]], signs)
+            fold = self._by_orbit(first, ranges[:cut[0]], factors or [
+                (_valued(fold, poly), 1, clean, signs)], sign, orbit) \
+                if orbit else self._loop(first, ranges[:cut[0]], fold)
+        return fold, poly, clean, signs
+
+    def _levels(self, parts, marks, first, k):
+        """The scope of each factor ``parts`` of a product in a sum over k
+        binders, a product that holds a clean factor that computes a
+        polynomial (a sum, a power or a parenthesized expression), given
+        their reads from ``marks`` on: the number of leading binders that
+        hold the indices it reads, for such a factor or a clean rational,
+        else k.  A reference costs one lookup wherever it is evaluated; a
+        rational taken out ends the inner sum at its zero and scales it
+        once.  A polynomial factor takes no smaller scope than one before
+        it, so the factors keep their order, and the deepest take all k;
+        None when every factor does."""
+        out, top = [], 0
+        for (_value, kind, clean, _signs), mark, end in zip(
+                parts, marks, marks[1:] + [len(self.read)]):
+            level = k
+            if clean and kind != 2:
+                level = max((slot - first + 1 for slot in self.read[mark:end]
+                             if 0 <= slot - first < k), default=0)
+            if kind:
+                level = top = max(top, level)
+            out.append(level)
+        top = max(out)
+        return [k if n == top else n for n in out] if min(out) < top else \
+            None
+
+    def _loop(self, first, ranges, fold):
+        """fn(v, out) that folds ``fold`` for every value of the slots from
+        ``first`` on over ``ranges``, the last varying fastest, and returns
+        the sum of its rational parts."""
+        end = first + len(ranges)
 
         def total(v, out):
             const = 0
             for v[first:end] in itertools.product(*ranges):
                 const += fold(v, out)
             return const
-        return total, poly, clean, signs
+        return total
 
-    def _mul(self, nodes, scope, sign):
-        """``_fold`` of the product of ``nodes``, in order; a product whose
-        factors are all clean stops at its first zero factor.  Rationals
-        times at most one reference make at most one term.  Any other
-        product multiplies its last factor straight into ``out`` when that
-        step multiplies two polynomials and ``sign`` is positive."""
+    def _by_orbit(self, first, ranges, factors, sign, orbit):
+        """``_loop`` of ``sign`` times the product of the ``_factor``s
+        ``factors``, a clean polynomial, by ``orbit`` (moved, swaps): at the
+        first value of each orbit (``gvc.symmetry.orbit_step``) each factor
+        is evaluated, up to its first zero, and at any other each is e_F
+        sigma of its value at the step's, e_F its sign, and multiplied."""
+        end, (moved, swaps) = first + len(ranges), orbit
+        kinds = [kind for _value, kind, _clean, _signs in factors]
+        signs = [{lam: _sign(neg, lam) for lam, _swap, _e in swaps}
+                 for _value, _kind, _clean, (_ok, neg) in factors]
+
+        def by_orbit(v, out):
+            done = {}
+            for at in itertools.product(*ranges):
+                step = orbit_step(at, moved, swaps)
+                if step is None:
+                    v[first:end], vals = at, []
+                    for value, kind, _clean, _signs in factors:
+                        val = value(v)
+                        if kind == 2:
+                            val = {val[0]: val[1]} if val[1] else {}
+                        vals.append(val)
+                        if not val:
+                            break
+                else:
+                    src, swap, _e = step
+                    vals = [swap.image(val, e[swap.lam]) if kind else
+                            e[swap.lam] * val
+                            for val, kind, e in zip(done[src], kinds, signs)]
+                done[at] = vals
+                _multiply(vals, kinds, sign, out)
+            return 0
+        return by_orbit
+
+    def orbit(self, binders, signs):
+        """(moved, swaps) for a loop over ``binders`` whose body has
+        ``signs``: the positions of the binders of range ``dim``, and (lam,
+        sigma, e) for each swap sigma that the signs prove and that keeps
+        every parity; None when there is no such position or swap.  The
+        callers ask only for a body that is clean, a polynomial and holds
+        a ``sum``: one that holds none is a few products of references,
+        which cost no more to evaluate than to map."""
+        dim = self.reg.dim
+        moved = [i for i, (_v, rng) in enumerate(binders) if rng == dim]
+        if not moved:
+            return None
+        ok, neg = signs
+        swaps = [(lam, swap, _sign(neg, lam)) for lam in range(dim - 1)
+                 if ok >> lam & 1 and (swap := self._swap(lam)) is not None]
+        return (moved, swaps) if swaps else None
+
+    def _swap(self, lam):
+        """The ``DirectionSwap`` of lam, one for the evaluators of a theory
+        so that they share its images, or None when it changes a parity of
+        a family declared by now (``gvc.symmetry.direction_swap``), which
+        a family declared later can."""
+        known = lam, len(self.reg.symbols)
+        if known not in self.swaps:
+            swap = direction_swap(self.reg, lam)
+            self.swaps[known] = swap and self.swaps.setdefault(lam, swap)
+        return self.swaps[known]
+
+    def _factor(self, node, scope):
+        """``(value, kind, clean, signs)`` of one factor of a product:
+        kind 2 for a reference to a symbol, whose value is ``(key,
+        sign)``, 1 for a term dict, 0 for a rational."""
+        if node[0] == "ref":
+            value, poly, clean, signs = self._ref(node, scope)
+            return value, 2 if poly else 0, clean, signs
+        value, poly, clean, signs = self._value(node, scope)
+        return value, int(poly), clean, signs
+
+    def _product(self, factors, sign):
+        """``_fold`` of the product of the ``_factor``s ``factors``, in
+        order; a product whose factors are all clean stops at its first
+        zero factor.  Rationals times at most one reference make at most
+        one term.  Any other product multiplies its last factor straight
+        into ``out`` when that step multiplies two polynomials and ``sign``
+        is positive."""
         parts, clean, signs = [], True, self.unit
-        for node in nodes:
-            if node[0] == "ref":
-                value, poly, ok, node_signs = self._ref(node, scope)
-                parts.append((value, 2 if poly else 0))
-            else:
-                value, poly, ok, node_signs = self._value(node, scope)
-                parts.append((value, 1 if poly else 0))
+        for value, kind, ok, node_signs in factors:
+            parts.append((value, kind))
             clean, signs = clean and ok, _times(signs, node_signs)
         kinds = [kind for _value, kind in parts]
         if 1 not in kinds and kinds.count(2) < 2:
@@ -785,6 +991,13 @@ class _Eval:
                     _add_into(out, {key: _rat(c)})
                 return 0
             return monomial, poly, clean, signs
+        if len(parts) == 1:
+            (value, _kind), neg = parts[0], sign < 0
+
+            def add(v, out):
+                _add_into(out, value(v), neg)
+                return 0
+            return add, True, clean, signs
         steps, poly = [], False
         for value, kind in parts:
             steps.append((_as_terms(value) if kind == 2 else value,
@@ -831,6 +1044,7 @@ class _Eval:
             return (_raiser("unbound index %r" % unbound, tok), False, False,
                     self.refused)
         indices, bounds, dim = _getter(slots), self.bounds, self.reg.dim
+        self.read += slots
 
         def within(sizes):
             return len(slots) == len(sizes) and all(
@@ -903,9 +1117,10 @@ class _TheoryBuilder:
         self.gamma = {}
         self.alphas = {}
         # the signs (``_Eval``) of L, of each record family by its ghost, of
-        # each statement of the gamma blocks and of each table
+        # each statement of the gamma blocks and of each table, and the
+        # direction swaps that its evaluators share
         self.lagrangian_signs, self.family_signs = None, {}
-        self.gamma_signs, self.table_signs = [], {}
+        self.gamma_signs, self.table_signs, self.swaps = [], {}, {}
 
     def run(self):
         while not self.p.at("EOF"):
@@ -942,6 +1157,11 @@ class _TheoryBuilder:
                    for lam in swaps if ok >> lam & 1}
         return {"certificate": records, "b certificate": {
             lam: _sign(b_neg, lam) for lam in swaps if b_ok >> lam & 1}}
+
+    def evaluator(self):
+        """A statement evaluator that shares the theory's table signs and
+        direction swaps."""
+        return _Eval(self.reg, self.table_signs, self.swaps)
 
     def need_reg(self, tok):
         if self.reg is None:
@@ -1078,7 +1298,7 @@ class _TheoryBuilder:
         node = self.p.parse_expression()
         self.p.expect(";")
         with _at(tok):
-            evaluator = _Eval(self.reg, self.table_signs)
+            evaluator = self.evaluator()
             self.lagrangian = evaluator.statement(node, [])(())
             require_lagrangian(self.lagrangian)
         self.lagrangian_signs = evaluator.signs
@@ -1148,7 +1368,8 @@ class _TheoryBuilder:
                          % (stage, stage - 1), tok)
         with _at(tok):
             expand = evaluator.key(sym, comps, jets, node, binders)
-            return tok, sym, expand, evaluator.signs
+            return (tok, sym, expand, evaluator.clean, evaluator.sums,
+                    evaluator.signs)
 
     def _expand_rows(self, stage, binders, comp, rows_stmts, statements,
                      evaluator):
@@ -1160,7 +1381,7 @@ class _TheoryBuilder:
             if i == len(statements):
                 statements.append(self._row_statement(stage, binders, stmt,
                                                       evaluator))
-            tok, sym, expand, _signs = statements[i]
+            tok, sym, expand, *_proof = statements[i]
             statement_rows = {}
             with _at(tok):
                 for canon, jet, coeff in expand(comp):
@@ -1174,23 +1395,52 @@ class _TheoryBuilder:
                 rows[key] = rows[key] + coeff if key in rows else coeff
         return {k: v for k, v in rows.items() if not v.is_zero()}
 
+    def _image_rows(self, rows, swap, e):
+        """The rows of the record sigma b from the ``rows`` of b, sigma
+        Delta_b = e Delta_{sigma b}: e s_A sigma(coefficient) at (sigma A,
+        sigma Lambda), s_A the sign of canonicalizing sigma A."""
+        reg, out, comps, indices = self.reg, {}, {}, {}
+        for (name, comp, index), coeff in rows.items():
+            if (name, comp) not in comps:
+                comps[name, comp] = swap.component(reg.symbols[name], comp)
+            if index not in indices:
+                indices[index] = swap.index(index)
+            image, s = comps[name, comp]
+            out[name, image, indices[index]] = GradedPoly(
+                reg, swap.image(coeff.terms, e * s))
+        return out
+
     def build_records(self, tok, stage, ghost, binders, rows_stmts, h_node):
         if ghost in self.reg.symbols:
             self.p.error("ghost %r declared twice" % ghost, tok)
-        evaluator, statements = _Eval(self.reg, self.table_signs), []
+        evaluator, statements = self.evaluator(), []
         slots = tuple(rng for _v, rng in binders)
-        produced = []  # (component, rows, parity)
+        produced, done, orbit = [], {}, None  # (component, rows, parity)
         for comp in itertools.product(*(range(rng) for rng in slots)):
-            rows = self._expand_rows(stage, binders, comp, rows_stmts,
-                                     statements, evaluator)
+            step = orbit and orbit_step(comp, *orbit)
+            if step:
+                src, swap, e = step
+                rows = self._image_rows(done[src], swap, e)
+            else:
+                rows = self._expand_rows(stage, binders, comp, rows_stmts,
+                                         statements, evaluator)
             par = delta_parity(self.reg, rows) if rows else None
             if par is None:
                 self.p.error("record %s[%s] %s" % (
                     ghost, ",".join(map(str, comp)),
                     "mixes Grassmann parities" if rows else "has no rows"),
                     tok)
+            if not produced:
+                # the first record compiles every statement; a clean family
+                # that holds a sum takes every record past the first of its
+                # orbit as the image of an earlier one (``gvc.symmetry``)
+                signs = self.family_signs[ghost] = _agree(
+                    [signs for *_x, signs in statements])
+                cleans, sums = zip(*(stmt[3:5] for stmt in statements))
+                orbit = all(cleans) and any(sums) and evaluator.orbit(
+                    binders, signs)
+            done[comp] = rows
             produced.append((comp, rows, par))
-        self.family_signs[ghost] = _agree([signs for *_x, signs in statements])
         parities = self._parity_spec(tok, ghost, slots, produced)
         gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
         self.reg.declare_ghost_antifield(gh)
@@ -1232,7 +1482,7 @@ class _TheoryBuilder:
             self.p.error("component blocks must come after the Lagrangian",
                          tok)
         self.reg.freeze()
-        evaluator = _Eval(self.reg, self.table_signs)
+        evaluator = self.evaluator()
         out, signs = dict(existing or {}), []
         self.p.expect("{")
         while not self.p.at("}"):

@@ -16,7 +16,8 @@ statements that no expansion is needed for:
   sigma(gamma^X) at each of its components X, one e for all, with s_X the
   sign of canonicalizing sigma X.
 
-A theory without them, built through the API or edited in the fields they
+The parser takes its own values by the per-node proofs behind them.  A
+theory without them, built through the API or edited in the fields they
 read, takes every pass in full: correct, only unpruned.  The proofs:
 
 Residuals (``record_orbits``).  sigma L = +-L gives E_{sigma A} =
@@ -49,6 +50,23 @@ ghost family having no component symmetry.  Summing over sigma Xi, which
 runs over every multi-index as Xi does, u_{sigma r}^{sigma A} = e s_A
 sigma(u_r^A): a member's components are its step's images, exactly.  The
 rows alone make u, so this holds at every stage, for u^(k) too.
+
+Statement values (``gvc.parser``).  For each swap sigma and each clean
+node N of a statement the parser's walk proves sigma(N(v)) = e N(sigma v),
+v the values of the indices bound around N, sigma acting on those of range
+``dim``; so N(sigma v) = e sigma(N(v)).  Where sigma fixes every index
+bound outside a loop, the loop needs its body only at the first value of
+each orbit of its binders (``orbit_step``): the body at any other value is
+e sigma of the body at its step's, an earlier value.  sigma is an
+automorphism, so sigma(F_1 ... F_n) = sigma(F_1) ... sigma(F_n), and each
+factor F of a product body, proved with its own e_F, may be mapped alone
+and the images multiplied.  A key statement's free indices are such a
+loop's binders, and its canonical key at sigma v is computed as at any
+value.  A record family whose rows give sigma Delta_b = e Delta_{sigma b}
+has at (sigma A, sigma Lambda) the rows e s_A sigma of b's at (A,
+Lambda), s_A the sign of canonicalizing sigma A, as for u below.  A node
+that can fail is evaluated at every value, so its first error stays where
+it was.
 
 b's images (``b_orbits``).  With one e for the rows of every family of
 stage k, summing the last identity over the records gives P^{sigma X} = e
@@ -103,9 +121,12 @@ class DirectionSwap:
     def component(self, sym, comp):
         """(The canonical image of ``sym``'s component ``comp``, its
         ``sym``/``antisym`` sign)."""
-        dim = self.reg.dim
-        return sym.canonicalize([self.direction(c) if n == dim else c
-                                 for c, n in zip(comp, sym.slots)])
+        dim, lam = self.reg.dim, self.lam
+        image = [2 * lam + 1 - c if n == dim and 0 <= c - lam <= 1 else c
+                 for c, n in zip(comp, sym.slots)]
+        # sigma keeps every index in its slot's range
+        return (tuple(image), 1) if sym.symmetry is None else \
+            sym.canonicalize(image)
 
     def key(self, key):
         """(The image of a monomial key, its sign).  The sign is the product
@@ -192,6 +213,28 @@ def _orbit_first(swaps):
             memo.update(dict.fromkeys(orbit, out))
         return out
     return first
+
+
+def orbit_step(values, moved, swaps):
+    """(sigma values, sigma, e) for the first of the ``swaps`` (lam,
+    sigma, e) that maps the assignment ``values``, a tuple whose positions
+    ``moved`` hold directions, to an earlier one, or None when ``values``
+    is the first of its orbit.  sigma moves it earlier exactly when, of
+    the positions ``moved`` that hold lam or lam + 1, the first holds
+    lam + 1.  When none does, the directions in each block of the group's
+    consecutive swaps first appear in increasing order and leave no gap,
+    so no element of the group moves ``values`` earlier."""
+    first = {}
+    for i in moved:
+        first.setdefault(values[i], i)
+    for lam, swap, e in swaps:
+        hi = first.get(lam + 1)
+        if hi is not None and hi < first.get(lam, hi + 1):
+            out = list(values)
+            for i in moved:
+                out[i] = swap.direction(out[i])
+            return tuple(out), swap, e
+    return None
 
 
 def record_orbits(reg, labels, certificate):

@@ -55,6 +55,18 @@ def _table_text(name, shape, entries, per_line=6):
         name, ",".join(str(n) for n in shape), "\n".join(lines))
 
 
+def _accumulate(sums, key, v):
+    sums[key] = sums.get(key, 0) + v
+
+
+def _first_failing(message, failing):
+    """Raise ``GvcError(message % index)`` at the least of the ``failing``
+    indices, if there is one."""
+    first = min(failing, default=None)
+    if first is not None:
+        raise GvcError(message % (first,))
+
+
 class StructureConstants:
     """A finite graded Lie algebra presented by tables.
 
@@ -81,6 +93,10 @@ class StructureConstants:
         return self.casimir.get((i, j), 0)
 
     def validate(self):
+        """Check every rule, each over the nonzero entries alone: an index
+        where a rule fails holds a nonzero entry or a nonzero sum of
+        products of entries.  The error names the least failing index, as
+        a check over every index in order would."""
         n, par = self.dim, self.parities
         if len(par) != n or any(p not in (0, 1) for p in par):
             raise GvcError("parities must be a Z2 vector of length %d" % n)
@@ -91,50 +107,47 @@ class StructureConstants:
             if par[r] != (par[i] + par[j]) % 2:
                 raise GvcError("bracket entry %r violates the grading"
                                % ((r, i, j),))
-        for r in rng:
-            for i in rng:
-                for j in rng:
-                    sgn = -1 if par[i] and par[j] else 1
-                    if self.bracket(r, i, j) != -sgn * self.bracket(r, j, i):
-                        raise GvcError(
-                            "bracket not graded-antisymmetric at %r"
-                            % ((r, i, j),))
-        for r in rng:
-            for i in rng:
-                for j in rng:
-                    for k in rng:
-                        lhs = sum(self.bracket(s, j, k) * self.bracket(r, i, s)
-                                  for s in rng)
-                        rhs = sum(self.bracket(s, i, j) * self.bracket(r, s, k)
-                                  for s in rng)
-                        sgn = -1 if par[i] and par[j] else 1
-                        rhs += sgn * sum(
-                            self.bracket(s, i, k) * self.bracket(r, j, s)
-                            for s in rng)
-                        if lhs != rhs:
-                            raise GvcError(
-                                "graded Jacobi identity fails at %r"
-                                % ((r, i, j, k),))
+
+        def sgn(i, j):
+            return -1 if par[i] and par[j] else 1
+        _first_failing(
+            "bracket not graded-antisymmetric at %r",
+            ((r, i, j) for (r, a, b) in self.c for i, j in ((a, b), (b, a))
+             if self.bracket(r, i, j) != -sgn(i, j) * self.bracket(r, j, i)))
+        # lhs - rhs of the graded Jacobi identity at every (r, i, j, k)
+        by_first, by_mid, by_last = {}, {}, {}
+        for (r, i, j), v in self.c.items():
+            by_first.setdefault(r, []).append((i, j, v))
+            by_mid.setdefault(i, []).append((r, j, v))
+            by_last.setdefault(j, []).append((r, i, v))
+        jacobi = {}
+        for (s, a, b), v in self.c.items():
+            for r, i, w in by_last.get(s, ()):
+                _accumulate(jacobi, (r, i, a, b), v * w)
+            for r, k, w in by_mid.get(s, ()):
+                _accumulate(jacobi, (r, a, b, k), -v * w)
+            for r, j, w in by_last.get(s, ()):
+                _accumulate(jacobi, (r, a, j, b), -sgn(a, j) * v * w)
+        _first_failing("graded Jacobi identity fails at %r",
+                       (key for key, v in jacobi.items() if v))
         for (i, j), v in self.casimir.items():
             if par[i] != par[j]:
                 raise GvcError("Casimir form pairs opposite parities at %r"
                                % ((i, j),))
-        for i in rng:
-            for j in rng:
-                sgn = -1 if par[i] and par[j] else 1
-                if self.form(j, i) != sgn * self.form(i, j):
-                    raise GvcError("Casimir form not graded-symmetric at %r"
-                                   % ((i, j),))
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    lhs = sum(self.bracket(s, i, j) * self.form(s, k)
-                              for s in rng)
-                    rhs = sum(self.form(i, s) * self.bracket(s, j, k)
-                              for s in rng)
-                    if lhs != rhs:
-                        raise GvcError("Casimir form not invariant at %r"
-                                       % ((i, j, k),))
+        _first_failing(
+            "Casimir form not graded-symmetric at %r",
+            ((i, j) for (a, b) in self.casimir for i, j in ((a, b), (b, a))
+             if self.form(j, i) != sgn(i, j) * self.form(i, j)))
+        invariant = {}
+        for (s, i, j), v in self.c.items():
+            for (t, k), w in self.casimir.items():
+                if t == s:
+                    _accumulate(invariant, (i, j, k), v * w)
+        for (i, s), w in self.casimir.items():
+            for j, k, v in by_first.get(s, ()):
+                _accumulate(invariant, (i, j, k), -w * v)
+        _first_failing("Casimir form not invariant at %r",
+                       (key for key, v in invariant.items() if v))
         m = [[self.form(i, j) for j in rng] for i in rng]
         rank = 0
         for col in rng:

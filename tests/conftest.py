@@ -477,10 +477,16 @@ def _index_value(atom, env):
 
 class WalkerEval(_Eval):
     """The evaluator the parser had before it compiled statements: it
-    re-walks a checked statement's tree for every binding, with one env
-    dict per binding.  ``statement`` and ``key`` give it the compiled
-    evaluator's interface, so ``parse_theory`` runs on it under
-    ``walker_eval()``."""
+    re-walks a statement's tree for every binding, with one env dict per
+    binding, every ``sum`` in source order and every record and key on its
+    own: no factor hoisted, no value taken by orbit.  ``statement`` and
+    ``key`` give it the compiled evaluator's interface, and compile the
+    statement as the parser does only for its clean flag and signs, so
+    ``parse_theory`` runs on it under ``walker_eval()`` and makes the same
+    certificates."""
+
+    def orbit(self, *_args):
+        return None
 
     def accumulate(self, signed):
         """The sum of ``(sign, value)`` pairs: rationals add into one
@@ -543,31 +549,22 @@ class WalkerEval(_Eval):
             raise GvcError("constant table %r cannot carry jet indices" % name)
         return tab[comps]
 
-    def poly(self, checked, env):
-        node, clean = checked
+    def poly(self, node, env, clean):
         val = self.eval(node, env, clean)
         return val if isinstance(val, GradedPoly) else self.reg.const(val)
 
-    def checked(self, node, binders):
-        """``(node, clean)``, ``clean`` the flag of the compiled top node:
-        a clean statement ends every product at its first zero factor."""
-        return node, self._top(node, self._start(binders))[1]
-
     def statement(self, node, binders):
-        checked = self.checked(node, binders)
-        names = [var for var, _rng in binders]
-        return lambda values: self.poly(checked, dict(zip(names, values)))
+        _Eval.statement(self, node, binders)
+        names, clean = [var for var, _rng in binders], self.clean
+        return lambda values: self.poly(node, dict(zip(names, values)), clean)
 
     def key(self, sym, comps, jets, node, binders):
-        if len(comps) != len(sym.slots):
-            raise GvcError("%s expects %d component indices"
-                           % (sym.name, len(sym.slots)))
-        bound, free = dict(binders), {}
+        _Eval.key(self, sym, comps, jets, node, binders)
+        bound, free, clean = dict(binders), {}, self.clean
         for atom, rng in zip(comps + jets,
                              sym.slots + (self.reg.dim,) * len(jets)):
             if atom[0] == "var" and atom[1] not in bound:
                 free.setdefault(atom[1], rng)
-        checked = self.checked(node, [*binders, *free.items()])
         names = [var for var, _rng in binders]
 
         def expand(values):
@@ -581,11 +578,11 @@ class WalkerEval(_Eval):
                 if sign == 0:
                     killed.append(inner)
                     continue
-                value = self.poly(checked, inner)
+                value = self.poly(node, inner, clean)
                 yield canon, jet, value if sign == 1 else value.scale(sign)
-            if not checked[1]:
+            if not clean:
                 for inner in killed:
-                    self.poly(checked, inner)
+                    self.eval(node, inner, clean)
         return expand
 
 
@@ -598,3 +595,54 @@ def walker_eval():
         yield
     finally:
         gvc.parser._Eval = compiled
+
+
+def in_global_order(p):
+    """The terms of ``p`` in the global variable order, each coefficient
+    with its type, which the coefficient rule fixes: nothing of the rank
+    order that interning left."""
+    return [(tuple((v.key, n) for v, n in evens), tuple(v.key for v in odds),
+             c, type(c)) for _key, c, evens, odds in p.global_terms()]
+
+
+def parsed_objects(th):
+    """Every polynomial a parse makes, by label, as ``in_global_order``,
+    and the two certificates."""
+    out = {"L": in_global_order(th.lagrangian), "certificates": (
+        th.derived["certificate"], th.derived["b certificate"])}
+    for k in [0] + th.stage_numbers():
+        for rec in th.stage_records(k):
+            for key, row in rec.rows.items():
+                out[rec.label(), key] = in_global_order(row)
+            if rec.h is not None:
+                out[rec.label(), "h"] = in_global_order(rec.h)
+    blocks = [("gauge", th.gauge_candidate), ("gamma", th.gamma)]
+    blocks += [("alpha%d" % k, comps) for k, comps in th.alphas.items()]
+    for what, comps in blocks:
+        for key, value in comps.items():
+            out[what, key] = in_global_order(value)
+    return out
+
+
+def _outcome(parse):
+    """What ``parse()`` gives: its objects, or the error it raises."""
+    try:
+        return parse()
+    except Exception as exc:  # noqa: BLE001 (any error must match)
+        return type(exc).__name__, str(exc)
+
+
+def both_routes(parse):
+    """``parse()``'s outcome, asserted equal to its outcome under
+    ``walker_eval()``: the compiled evaluator hoists factors and takes
+    values by orbit, the walker neither."""
+    compiled = _outcome(parse)
+    with walker_eval():
+        walked = _outcome(parse)
+    assert compiled == walked
+    return compiled
+
+
+def parsed_text(text):
+    """A ``both_routes`` parse of the theory ``text``."""
+    return lambda: parsed_objects(parse_theory(text))

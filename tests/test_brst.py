@@ -295,13 +295,13 @@ def test_a_cold_grav4_runs_eta_on_one_record_per_orbit(monkeypatch):
 
 
 def test_a_cold_grav4_maps_no_key_of_l_or_of_a_delta(monkeypatch):
-    # the source proves grav4's swaps, so the keys mapped are those of u's
-    # images alone
+    # the source proves grav4's swaps, so the keys the checks map are those
+    # of u's images alone (parsing maps L's and the records' own)
     mapped = []
     key = DirectionSwap.key
+    theory = fresh("grav4")
     monkeypatch.setattr(DirectionSwap, "key", lambda swap, k: (
         mapped.append(k) or key(swap, k)))
-    theory = fresh("grav4")
     for check in ("kt", "gauge", "brst"):
         all_pass(run_checks(theory, [check]))
     reg = theory.registry

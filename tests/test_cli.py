@@ -666,7 +666,7 @@ def _pairs_multiplied(monkeypatch, build, checks):
     """The ``_mul_terms`` pairs that building a theory and running the
     checks on it take."""
     pairs = [0]
-    for mod in (gvc.algebra, gvc.jets, gvc.noether, gvc.brst):
+    for mod in (gvc.algebra, gvc.jets, gvc.noether, gvc.brst, gvc.parser):
         def counted(t1, t2, out=None, _fn=mod._mul_terms):
             pairs[0] += len(t1) * len(t2)
             return _fn(t1, t2, out)
@@ -722,6 +722,27 @@ def test_a_cold_theory_takes_the_work_of_a_full_build(monkeypatch, name):
     assert (_pairs_multiplied(monkeypatch, lambda: one, cli.CHECK_NAMES),
             count_passes(monkeypatch, two, cli.CHECK_NAMES)
             ) == _COLD_WORK[name]
+
+
+# The _mul_terms pairs of a parse, powers included.  A factor of a
+# product in a sum that computes a polynomial, and a rational beside one,
+# is evaluated in the scope of the binders it reads, so grav4's L
+# multiplies its factor of the outer direction once per value of it, and
+# its contraction over b, c and d the factor of b and c once per value of
+# them.  A sum with no direction bound around it is taken at the first
+# value of each orbit of its directions, and any other value multiplies
+# its factors' images: grav4's L at m = 0, ym4's at m = 0 and 1 for each
+# i; gauge components once per orbit of their indices.  When every factor
+# was evaluated at every binding: bf 6, bf4 24, toy 15, cs3 204, ym4 1062,
+# ym4_super 2490, grav4 40064.
+_PARSE_WORK = {"bf": 6, "bf4": 24, "toy": 15, "cs3": 198, "ym4": 528,
+               "ym4_super": 2436, "grav4": 11544}
+
+
+@pytest.mark.parametrize("name", sorted(_PARSE_WORK))
+def test_a_parse_takes_its_pinned_pairs(monkeypatch, name):
+    assert _pairs_multiplied(monkeypatch, lambda: fresh(name), ()) == \
+        _PARSE_WORK[name]
 
 
 @pytest.mark.parametrize("name", ["bf4", "toy"])

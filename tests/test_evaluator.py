@@ -1,64 +1,20 @@
 """The parser's compiled evaluator against the tree walker it replaced.
 
 ``WalkerEval`` (tests/conftest.py) re-walks each statement's tree for every
-binding.  Parsing under it and under the compiled evaluator must give the
-same term dicts, intern the same jet variables in the same order, and
-raise the same first error, on every builtin and on random statements.
+binding, with no factor hoisted and no value taken by orbit.  Parsing under
+it and under the compiled evaluator must give the same objects in the
+global variable order, coefficient types included, the same certificates,
+and raise the same first error, on every builtin and on random statements.
+The order in which they intern jet variables may differ: the compiled one
+interns a value's images as it maps them, and rank order never reaches the
+output (``gvc.algebra``).
 """
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvc.parser import parse_expr, parse_theory
 from gvc.theories import BUILTINS, fixture_text
-from conftest import TOY_TEXT, walker_eval
-
-
-def _terms(p):
-    """The term dict of ``p``, each coefficient with its type, which the
-    coefficient rule fixes."""
-    return {key: (c, type(c)) for key, c in p.terms.items()}
-
-
-def _objects(th):
-    """Every polynomial a parse makes, by label, as ``_terms``."""
-    out = {"L": _terms(th.lagrangian)}
-    for k in [0] + th.stage_numbers():
-        for rec in th.stage_records(k):
-            for key, row in rec.rows.items():
-                out[rec.label(), key] = _terms(row)
-            if rec.h is not None:
-                out[rec.label(), "h"] = _terms(rec.h)
-    blocks = [("gauge", th.gauge_candidate), ("gamma", th.gamma)]
-    blocks += [("alpha%d" % k, comps) for k, comps in th.alphas.items()]
-    for what, comps in blocks:
-        for key, value in comps.items():
-            out[what, key] = _terms(value)
-    return out
-
-
-def _outcome(parse):
-    """What ``parse()`` gives: its objects and the order in which it
-    interned its jet variables, or the error it raises."""
-    try:
-        objects, reg = parse()
-    except Exception as exc:  # noqa: BLE001 (any error must match)
-        return type(exc).__name__, str(exc)
-    return objects, [v.key for v in reg.by_rank]
-
-
-def _both(parse):
-    compiled = _outcome(parse)
-    with walker_eval():
-        walked = _outcome(parse)
-    assert compiled == walked
-    return compiled
-
-
-def _theory(text):
-    def parse():
-        th = parse_theory(text)
-        return _objects(th), th.registry
-    return parse
+from conftest import TOY_TEXT, both_routes, in_global_order, parsed_text
 
 
 _TEXTS = {name: fixture_text(name) for name in BUILTINS}
@@ -68,7 +24,7 @@ _TEXTS.update(bf4=fixture_text("bf", n=4, p=1, q=2),
 
 @pytest.mark.parametrize("name", sorted(_TEXTS))
 def test_every_builtin_statement_evaluates_as_the_walker_does(name):
-    objects, _order = _both(_theory(_TEXTS[name]))
+    objects = both_routes(parsed_text(_TEXTS[name]))
     assert isinstance(objects, dict), objects  # parsed, not an error
 
 
@@ -189,13 +145,42 @@ _SHAPES = [
     # statement-wide rule evaluates its factors, the compiled per-product
     # rule stops at its zero
     "0 * a[0;1] + nosuch", "z[0] * a[1;0] + a[2;]",
+    # a factor that computes a polynomial is evaluated in the scope of the
+    # binders it reads only when it is clean, and after no odd factor it
+    # would have to pass
+    "sum(i, j){ (s + s) * g[j,3] * (a[i;5] + s) }",
+    "sum(i, j){ g[i,j] * (p[j;] + p[j;i]) * (p[i;] + a[i;] * p[i;i]) }",
 ]
 
 
 def test_each_shape_evaluates_as_the_walker_does():
     for context, _bound in _CONTEXTS[1:]:
         for expr in _SHAPES:
-            _both(_theory(_DECLS + context % expr))
+            both_routes(parsed_text(_DECLS + context % expr))
+
+
+# sums with no direction bound around them, gauge components and record
+# families, each taken by orbit of the swap (0 1): every factor of a sum's
+# body is mapped by its own sign, a table's -1 and an odd field's included
+_ORBIT_DECLS = """dim 2; jet_order 2;
+table h[2]{ [0]=1; [1]=-1; }
+field a[2] even; field p[2] odd;
+"""
+_ORBIT_TEXTS = [
+    "L = sum(i){ h[i] * a[i;] * sum(j){ a[j;] * a[j;i] } };",
+    "L = sum(i){ p[i;] * sum(j){ h[j] * p[j;i] } } + a[0;] * a[1;];",
+    "L = a[0;] - sum(i){ a[i;] * sum(j){ a[j;i] } + a[i;i] };",
+    "L = a[0;] - sum(i, j){ (a[i;] + a[i;i]) * h[j] * p[j;] * p[j;i] };",
+    "L = a[0;] * a[1;];\nni c[w:2] { (a[w]) = h[w] * sum(j){ a[j;w] }; "
+    "(p[w]; w) = h[w] * sum(j){ p[j;] }; }\n"
+    "gauge { (a[i]) = sum(j){ c[j;i] * h[j] * a[j;] }; }",
+]
+
+
+@pytest.mark.parametrize("text", _ORBIT_TEXTS)
+def test_each_value_taken_by_orbit_evaluates_as_the_walker_does(text):
+    objects = both_routes(parsed_text(_ORBIT_DECLS + text))
+    assert isinstance(objects, dict), objects
 
 
 @settings(max_examples=150)
@@ -204,9 +189,7 @@ def test_random_statements_evaluate_as_the_walker_does(data):
     context, bound = data.draw(st.sampled_from(_CONTEXTS))
     expr = data.draw(_expressions(bound))
     if context == "%s":
-        def parse():
-            reg = parse_theory(_DECLS).registry
-            return _terms(parse_expr(expr, reg)), reg
-        _both(parse)
+        both_routes(lambda: in_global_order(parse_expr(
+            expr, parse_theory(_DECLS).registry)))
     else:
-        _both(_theory(_DECLS + context % expr))
+        both_routes(parsed_text(_DECLS + context % expr))

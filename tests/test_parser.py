@@ -98,6 +98,30 @@ def test_errors_carry_line_and_column():
     assert re.search(r"\(line 3, column \d+\)", msg)
 
 
+_XY = "theory t;\ndim 4;\nfield x[4] even;\nfield y[3] even;\n"
+_XX = "L = sum(m){ x[m;] * x[m;] };\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_XY + "L = sum(m:4){ x[m;] * x[m;] * y[m;] };",
+     "component index 3 out of range 3 for y (line 5, column 1)"),
+    (_XY + _XX + "ni c[w:4] { (x[w]; w) = x[w;] * y[w;]; }",
+     "component index 3 out of range 3 for y (line 6, column 13)"),
+    (_XY + _XX + "ni c[w:4] { (x[w]; w) = -1; }\n"
+     "gauge { (x[m]) = c[m;m] + y[m;] * c[m;]; }",
+     "component index 3 out of range 3 for y (line 7, column 9)"),
+])
+def test_an_error_at_the_last_member_of_an_orbit_is_raised_there(text,
+                                                                  message):
+    # every swap maps x[0] to x[3], but y[m] leaves its range at m = 3
+    # alone: a node that can fail is no statement's proof, so L's sum, the
+    # records c[w] and the gauge components are all evaluated, and the error
+    # is the one every assignment in order meets, where it meets it
+    with pytest.raises(ParseError) as ei:
+        parse_theory(text)
+    assert str(ei.value) == message
+
+
 def test_jet_order_precedence():
     with_stmt = "dim 1; jet_order 3; field s even; L = s;"
     without = "dim 1; field s even; L = s;"
@@ -294,13 +318,16 @@ def _parsed_objects(th):
 
 # sha256 of every parsed object's label and pretty() text, the same as when
 # every factor of a product was evaluated, and the number of jet variables
-# parsing interns: a variable met only under a zero factor is not interned.
+# parsing interns: a variable met only under a zero factor is not interned,
+# nor one that cancels in a value mapped from its orbit's first: ym4's L
+# at a[i,m;m] for m = 2, 3, which interned 99 when every value was
+# evaluated.
 _PARSED = {
     "bf": ("9800ed37098fdafd404d56b9633551fe0f3bb0963f7b472b3041fd9e1173c503", 21),
     "bf4": ("ee8e107ab9cd425c8a1bad023faf01cd5254cb948caa44e9e15820561e5f1e0d", 56),
     "cs3": ("f6b6ff502a8e433e1f6de7ec93a22c7c8d7e0f9a4a353477aaa287e3d870c653", 78),
     "grav4": ("c1f5160cef7e23a094fcb9af0340c5600dbe0629abb9d2c079aa8ea39563d7ed", 864),
-    "ym4": ("3a954b35a0276aa5e76201bfd30ac846236ef9875b13f028387bf5adf7260e93", 99),
+    "ym4": ("3a954b35a0276aa5e76201bfd30ac846236ef9875b13f028387bf5adf7260e93", 93),
     "ym4_super": ("22f802e126e0322827c270d4b8dd9a57e31b603df77c4b78772c2b3ffc85d130", 165),
 }
 

@@ -48,10 +48,11 @@ from gvc.noether import (_residuals, _stage_residuals, assemble_kt,
 from gvc.parser import ParseError, parse_theory
 from gvc.symmetry import direction_swap
 from gvc.variational import euler_lagrange
-from conftest import (brst_operator, certified_swaps_hold, derivation_sum,
-                      extended_lagrangian, fraction_twin, label_signs,
-                      maps_to, nilpotency_residuals, prolong_oracle,
-                      two_routes, variational_pairing)
+from conftest import (both_routes, brst_operator, certified_swaps_hold,
+                      derivation_sum, extended_lagrangian, fraction_twin,
+                      label_signs, maps_to, nilpotency_residuals,
+                      parsed_text, prolong_oracle, two_routes,
+                      variational_pairing)
 
 EVEN, ODD = ("x", "y"), ("p",)
 
@@ -465,3 +466,12 @@ def test_every_swap_a_random_source_proves_passes_the_exact_maps(case):
     except GvcError:
         return
     certified_swaps_hold(theory)
+
+
+@settings(max_examples=40)
+@given(st.one_of(theories(), _planted()))
+def test_a_random_source_parses_as_the_tree_walker_parses_it(case):
+    # the compiled evaluator hoists factors and takes values by orbit, the
+    # walker neither: planted sources, their near misses and random ones
+    # with odd fields give the same objects, certificates and errors
+    both_routes(parsed_text(case[0]))

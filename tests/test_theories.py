@@ -1,9 +1,11 @@
 """The shipped fixture catalog: files, generators, validation, worked demo."""
 import gc
+import itertools
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gvc.algebra import GvcError
 from gvc.brst import check_brst_nilpotent, check_gauge_symmetry
@@ -90,6 +92,76 @@ def test_structure_constant_validation():
 
     with pytest.raises(GvcError, match="degenerate"):
         T.StructureConstants(2, (0, 0), {}, {(0, 0): 1}).validate()
+
+
+def _dense_validate(sc):
+    """The message of the first rule ``sc`` breaks, each checked over every
+    index in order as ``validate`` once did, or None: the reference for
+    the sparse checks."""
+    n, par, c, k = sc.dim, sc.parities, sc.bracket, sc.form
+    rng = range(n)
+    for (r, i, j) in sc.c:
+        if not (0 <= r < n and 0 <= i < n and 0 <= j < n):
+            return "bracket index %r out of range" % ((r, i, j),)
+        if par[r] != (par[i] + par[j]) % 2:
+            return "bracket entry %r violates the grading" % ((r, i, j),)
+
+    def sgn(i, j):
+        return -1 if par[i] and par[j] else 1
+    for r, i, j in itertools.product(rng, repeat=3):
+        if c(r, i, j) != -sgn(i, j) * c(r, j, i):
+            return "bracket not graded-antisymmetric at %r" % ((r, i, j),)
+    for r, i, j, l in itertools.product(rng, repeat=4):
+        lhs = sum(c(s, j, l) * c(r, i, s) for s in rng)
+        rhs = sum(c(s, i, j) * c(r, s, l) for s in rng) + sgn(i, j) * sum(
+            c(s, i, l) * c(r, j, s) for s in rng)
+        if lhs != rhs:
+            return "graded Jacobi identity fails at %r" % ((r, i, j, l),)
+    for (i, j) in sc.casimir:
+        if par[i] != par[j]:
+            return "Casimir form pairs opposite parities at %r" % ((i, j),)
+    for i, j in itertools.product(rng, repeat=2):
+        if k(j, i) != sgn(i, j) * k(i, j):
+            return "Casimir form not graded-symmetric at %r" % ((i, j),)
+    for i, j, l in itertools.product(rng, repeat=3):
+        if sum(c(s, i, j) * k(s, l) for s in rng) != \
+                sum(k(i, s) * c(s, j, l) for s in rng):
+            return "Casimir form not invariant at %r" % ((i, j, l),)
+    return None
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_validation_names_the_first_failing_index_of_a_dense_scan(data):
+    # entries planted into su2 or osp12, mostly within the grading and often
+    # in graded-antisymmetric pairs, so that each later check is reached
+    sc = data.draw(st.sampled_from([T.su2, T.osp12]))()
+    n, par = sc.dim, sc.parities
+    index = st.integers(0, n - 1)
+    value = st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.integers(0, 2)):
+            r, i, j = (data.draw(index) for _ in range(3))
+            if data.draw(st.integers(0, 5)):
+                r = next((r2 for r2 in range(n)
+                          if par[r2] == (par[i] + par[j]) % 2), r)
+            sc.c[r, i, j] = v = data.draw(value)
+            if data.draw(st.booleans()):
+                sc.c[r, j, i] = -v if not (par[i] and par[j]) else v
+        else:
+            i, j = data.draw(index), data.draw(index)
+            sc.casimir[i, j] = data.draw(value)
+    for table in (sc.c, sc.casimir):
+        for key in [key for key, v in table.items() if not v]:
+            del table[key]
+    try:
+        sc.validate()
+        got = None
+    except GvcError as exc:
+        got = str(exc)
+    want = _dense_validate(sc)
+    assert got == want or want is None and got.startswith("Casimir form is "
+                                                          "degenerate")
 
 
 def test_bracket_and_form_lookup():
