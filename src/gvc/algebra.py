@@ -123,8 +123,12 @@ def _rat(x):
 def _holds_fraction(terms):
     """Whether the term dict ``terms`` holds a Fraction coefficient, the one
     kind of operand whose sums and products can be whole: exactly when the
-    sum of its coefficients is a Fraction.  A sum of ints runs in C."""
-    return type(sum(terms.values())) is Fraction
+    sum of its coefficients is a Fraction.  A sum of ints runs in C; the
+    first coefficient, when a Fraction, answers before any Fraction is
+    added in Python."""
+    values = terms.values()
+    return type(next(iter(values), 0)) is Fraction or \
+        type(sum(values)) is Fraction
 
 
 class SymbolDecl:
@@ -134,7 +138,10 @@ class SymbolDecl:
     concrete component; the declaration records parity per component, the
     ghost/antifield numbers shared by the family, and an optional symmetry of
     the component tuple (``sym`` sorts components, ``antisym`` sorts with a
-    sign and kills repeated indices).
+    sign and kills repeated indices).  ``directions`` says of each slot
+    whether it carries a base direction, which a ``DirectionSwap`` permutes
+    (``gvc.symmetry``); ``Registry`` defaults it to the slots of range
+    ``dim``.
     """
 
     __slots__ = (
@@ -146,11 +153,13 @@ class SymbolDecl:
         "ghost_number",
         "antifield_number",
         "symmetry",
+        "directions",
         "_components",
     )
 
     def __init__(self, name, kind, slots=(), parities=0, ghost_number=0,
-                 antifield_number=0, symmetry=None, stage=None):
+                 antifield_number=0, symmetry=None, stage=None,
+                 directions=None):
         self.name = name
         self.kind = kind
         self.stage = stage
@@ -162,6 +171,11 @@ class SymbolDecl:
         if symmetry and len(set(self.slots)) > 1:
             raise ValueError("symmetric component slots must share one range")
         self.symmetry = symmetry
+        self.directions = (False,) * len(self.slots) if directions is None \
+            else tuple(map(bool, directions))
+        if symmetry and len(set(self.directions)) > 1:
+            raise ValueError("symmetric component slots must all carry "
+                             "directions or none")
         # parities: either a single 0/1 for the whole family, or a map keyed
         # by the value of one slot position: (slot_pos, (p_0, p_1, ...)).
         if isinstance(parities, tuple):
@@ -267,14 +281,17 @@ class ConstantTable:
     """A named tensor of exact rationals, stored sparsely.
 
     Used for structure constants, metrics, Casimir forms and Levi-Civita
-    symbols; entries absent from the map read as the int 0.
+    symbols; entries absent from the map read as the int 0.  ``directions``
+    is as a ``SymbolDecl``'s.
     """
 
-    __slots__ = ("name", "shape", "entries")
+    __slots__ = ("name", "shape", "entries", "directions")
 
-    def __init__(self, name, shape, entries=None):
+    def __init__(self, name, shape, entries=None, directions=None):
         self.name = name
         self.shape = tuple(int(s) for s in shape)
+        self.directions = (False,) * len(self.shape) if directions is None \
+            else tuple(map(bool, directions))
         self.entries = {}
         for idx, val in (entries or {}).items():
             self[idx]  # bounds check
@@ -775,27 +792,43 @@ class Registry:
         if name in self.symbols or name in self.tables:
             raise GvcError("name %r is already declared" % name)
 
-    def declare_field(self, name, slots=(), parities=0, symmetry=None):
+    def typed(self, shape, directions=None):
+        """``directions`` of a family or table of the slot ranges ``shape``:
+        by default, the slots of range ``dim``.  A slot that carries a
+        direction has range ``dim``, which ``gvc.symmetry``'s proofs
+        assume."""
+        if directions is None:
+            return tuple(n == self.dim for n in shape)
+        if len(directions) != len(shape) or any(
+                moved and n != self.dim for n, moved in zip(shape, directions)):
+            raise ValueError("a slot that carries a direction has range dim")
+        return tuple(directions)
+
+    def declare_field(self, name, slots=(), parities=0, symmetry=None,
+                      directions=None):
         """Declare a field family and, implicitly, its antifield family ``<name>_bar``.
 
-        The antifield copies the component slots and symmetry, flips the
-        parity of every component, and carries antifield number 1 and ghost
-        number -1.
+        The antifield copies the component slots, their ``directions`` and
+        the symmetry, flips the parity of every component, and carries
+        antifield number 1 and ghost number -1.
         """
         self._check_open("field %s" % name)
         self._check_name(name)
-        sym = SymbolDecl(name, KIND_FIELD, slots, parities, 0, 0, symmetry)
+        sym = SymbolDecl(name, KIND_FIELD, slots, parities, 0, 0, symmetry,
+                         directions=self.typed(slots, directions))
         self.symbols[name] = sym
         bar = self._declare_antifield(name + "_bar", sym, stage=-1)
         return sym, bar
 
-    def declare_ghost(self, name, stage, slots=(), parities=0, symmetry=None):
+    def declare_ghost(self, name, stage, slots=(), parities=0, symmetry=None,
+                      directions=None):
         """Declare a stage-k ghost family: ghost number k+1, antifield number -(k+1)."""
         self._check_open("ghost %s" % name)
         self._check_name(name)
         sym = SymbolDecl(name, KIND_GHOST, slots, parities,
                          ghost_number=stage + 1, antifield_number=-(stage + 1),
-                         symmetry=symmetry, stage=stage)
+                         symmetry=symmetry, stage=stage,
+                         directions=self.typed(slots, directions))
         self.symbols[name] = sym
         return sym
 
@@ -811,7 +844,8 @@ class Registry:
         ant = 1 if stage == -1 else stage + 2
         sym = SymbolDecl(name, KIND_ANTIFIELD, base.slots, parities,
                          ghost_number=-ant, antifield_number=ant,
-                         symmetry=base.symmetry, stage=stage)
+                         symmetry=base.symmetry, stage=stage,
+                         directions=base.directions)
         self.symbols[name] = sym
         return sym
 
@@ -820,10 +854,11 @@ class Registry:
         self._check_open("antifield for %s" % ghost.name)
         return self._declare_antifield(ghost.name + "_bar", ghost, stage=ghost.stage)
 
-    def declare_table(self, name, shape, entries=None):
+    def declare_table(self, name, shape, entries=None, directions=None):
         self._check_open("table %s" % name)
         self._check_name(name)
-        tab = ConstantTable(name, shape, entries)
+        tab = ConstantTable(name, shape, entries,
+                            self.typed(shape, directions))
         self.tables[name] = tab
         return tab
 

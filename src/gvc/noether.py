@@ -141,11 +141,7 @@ def _row_parity(reg, key, coeff):
 
 def delta_parity(reg, rows):
     """The parity of the Delta that a record's rows stand for, read from the
-    rows alone, or None when they mix parities.  It interns Delta's
-    antifield jets in row order, so that parsing, not the first check to
-    build Delta, fixes their ranks."""
-    for name, comp, index in sorted(rows):
-        reg.jet_var(name + "_bar", comp, index)
+    rows alone, or None when they mix parities."""
     parities = {_row_parity(reg, key, coeff) for key, coeff in rows.items()}
     return parities.pop() if len(parities) == 1 else None
 

@@ -52,7 +52,10 @@ hides an invalid reference.  The same walk proves which transpositions of
 two adjacent base directions map L to +-L and each record family and the
 gamma block onto themselves; a parsed theory's memo starts with them, its
 two certificates (``_TheoryBuilder.certificates``), the only proof of a
-symmetry that ``gvc.symmetry`` accepts.
+symmetry that ``gvc.symmetry`` accepts.  Those transpositions act on the
+slots that carry a direction, which one pass over the whole source decides
+before the first statement is evaluated (``_directions``); it raises
+nothing, so every error comes where it did.
 
 Blocks that mention ghosts (gauge, gamma, alpha) must come after all record
 blocks, field and jet_order statements.  The input rules of
@@ -203,6 +206,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.read = {}  # (reader, token position) -> (tree, end position)
 
     # -- token plumbing ------------------------------------------------------
 
@@ -253,6 +257,22 @@ class _Parser:
         if len(items) == 1 and items[0][0] == 1:
             return items[0][1]
         return ("add", items)
+
+    def once(self, read):
+        """What ``read()`` reads from here, read once however often the
+        tokens are read (``_directions`` reads them before the builder): it
+        depends on the tokens alone, and what fails to read is read again,
+        to fail there."""
+        at = read.__name__, self.pos
+        hit = self.read.get(at)
+        if hit is None:
+            hit = self.read[at] = read(), self.pos
+        out, self.pos = hit
+        return out
+
+    def expression(self):
+        """A statement's expression (``once``)."""
+        return self.once(self.parse_expression)
 
     def parse_term(self):
         factors = [self.parse_power()]
@@ -368,6 +388,219 @@ class _Parser:
         self.expect("]")
         return comps, jets
 
+    # -- statement grammar: what a statement reads, its checks aside ---------
+
+    def table(self):
+        """``NAME[sizes] { [INT,...] = RAT ; ... }`` as (name, shape,
+        entries)."""
+        name = self.expect("NAME")[1]
+        self.expect("[")
+        shape = self.items(self.size)
+        self.expect("]")
+        self.expect("{")
+        entries = {}
+        while not self.at("}"):
+            self.expect("[")
+            idx = self.items(lambda: self.expect("INT")[1])
+            self.expect("]")
+            self.expect("=")
+            sign = 1
+            while self.at("-") or self.at("+"):
+                if self.next()[0] == "-":
+                    sign = -sign
+            entries[tuple(idx)] = sign * self.rational()
+            self.expect(";")
+        self.next()
+        return name, tuple(shape), entries
+
+    def field(self):
+        """``NAME [[sizes]] [sym|antisym] PARITY``, a field statement up to
+        its ``;``, as (name, slots, symmetry, the parity token, (table
+        name, slot) when it is ``parity TBL@SLOT``)."""
+        name = self.expect("NAME")[1]
+        slots = []
+        if self.at("["):
+            self.next()
+            slots = self.items(self.size)
+            self.expect("]")
+        symmetry = None
+        if self.at("NAME", "sym") or self.at("NAME", "antisym"):
+            symmetry = self.next()[1]
+        ptok, table = self.expect("NAME"), None
+        if ptok[1] == "parity":
+            tname = self.expect("NAME")[1]
+            self.expect("@")
+            table = tname, self.expect("INT")[1]
+        return name, slots, symmetry, ptok, table
+
+    def records(self, stage):
+        """``GHOST[binders] { rows and h }``, a stage-``stage`` record
+        block, as (ghost, binders, row statements, h or None)."""
+        ghost = self.expect("NAME")[1]
+        self.expect("[")  # [i:RANGE, ...], an empty group for scalars
+        binders = self.binders(ranged=True, close=("]",))
+        self.expect("]")
+        self.expect("{")
+        rows, h_node = [], None
+        while not self.at("}"):
+            if self.at("NAME", "h"):
+                htok = self.next()
+                if stage == 0:
+                    self.error("h certificates belong to stage blocks", htok)
+                if h_node is not None:
+                    self.error("h declared twice", htok)
+                self.expect("{")
+                h_node = self.expression()
+                self.expect("}")
+                self.expect(";")
+                continue
+            rows.append(self.row())
+        self.next()
+        return ghost, binders, rows, h_node
+
+    def row(self):
+        """``( NAME[idx,...] ; jets ) = EXPR ;``, the key statement of
+        record and component blocks; a key's jets follow its bracket
+        (``once``)."""
+        return self.once(self._row)
+
+    def _row(self):
+        tok = self.expect("(")
+        name = self.expect("NAME")[1]
+        comps, jets = [], []
+        if self.at("["):
+            self.next()
+            comps = self.items(self.index, close=(";", "]"))
+            self.expect("]")
+        if self.at(";"):
+            self.next()
+            jets = self.items(self.index, close=(")",))
+        self.expect(")")
+        self.expect("=")
+        node = self.parse_expression()
+        self.expect(";")
+        return (tok, name, comps, jets, node)
+
+
+def _directions(p):
+    """{family or table: whether each of its slots carries a base
+    direction}, read from the whole source of the parser ``p`` at its
+    start, before any statement is evaluated; None when it cannot be read,
+    and never an error: the builder meets any error where it did before.
+
+    A union-find joins each slot (family, position) with every index that
+    sits in it, and every index that sits in a jet with the jets.  Indices
+    are scoped as the statements bind them: each ``sum``'s binders, a
+    record block's binders (its ghost's slots), a key statement's free
+    indices.  A symmetric family joins its slots, and an antifield
+    ``X_bar`` reads X's.  A slot of range ``dim`` joined with the jets
+    carries a direction; no other does.  A name or ``dim`` declared twice is
+    read at its first declaration, as the builder reads it.  Any such choice is sound (see
+    ``gvc.symmetry``): this one makes sigma fix the slots that no
+    direction reaches, such as an internal index of range ``dim``."""
+    root, shapes, bases, binder = {}, {}, set(), itertools.count()
+    refs, in_jets, dim = set(), set(), None  # (index, name, position), index
+
+    def find(x):
+        while (up := root.get(x, x)) != x:
+            root[x] = up = root.get(up, up)
+            x = up
+        return x
+
+    def join(a, b):
+        root[find(a)] = find(b)
+
+    def walk(node, scope):
+        todo = [(node, scope)]
+        while todo:
+            n, scope = todo.pop()
+            kind = n[0]
+            if kind == "ref":
+                refs.update((scope[a[1]], n[1], i) for i, a in enumerate(n[2])
+                            if a[1] in scope)
+                in_jets.update(scope[a[1]] for a in n[3] if a[1] in scope)
+            elif kind == "add":
+                todo.extend((item, scope) for _s, item in n[1])
+            elif kind == "mul":
+                todo.extend((item, scope) for item in n[1])
+            elif kind in ("neg", "pow"):
+                todo.append((n[1], scope))
+            elif kind == "sum":
+                inner = dict(scope)
+                inner.update((var, next(binder)) for var, _rng in n[1])
+                todo.append((n[2], inner))
+
+    def key(row, scope):
+        _tok, name, comps, jets, node = row
+        inner = dict(scope)
+        for a in comps + jets:
+            if a[0] == "var" and a[1] not in inner:
+                inner[a[1]] = next(binder)
+        walk(("ref", name, comps, jets, None), inner)
+        walk(node, inner)
+    try:
+        while not p.at("EOF"):
+            word = p.expect("NAME")[1]
+            if word == "theory":
+                p.expect("NAME")
+            elif word in ("dim", "jet_order"):
+                n = p.expect("INT")[1]
+                if word == "dim" and dim is None:
+                    dim = n
+            elif word == "table":
+                name = p.expect("NAME")[1]
+                p.expect("[")
+                shapes.setdefault(name, p.items(p.size))
+                while p.toks[p.pos][0] not in ("}", "EOF"):  # the entries
+                    p.pos += 1
+                p.expect("}")
+                continue
+            elif word == "field":
+                name, slots, symmetry, _ptok, _table = p.field()
+                shapes.setdefault(name, slots)
+                bases.add(name)
+                for i in range(1, len(slots) if symmetry else 0):
+                    join((name, i), (name, 0))
+            elif word == "L":
+                p.expect("=")
+                walk(p.expression(), {})
+            elif word in ("ni", "stage"):
+                stage = p.expect("INT")[1] if word == "stage" else 0
+                ghost, binders, rows, h_node = p.records(stage)
+                shapes.setdefault(ghost, [rng for _var, rng in binders])
+                bases.add(ghost)
+                scope = {var: (ghost, i) for i, (var, _r) in enumerate(binders)}
+                for row in rows:
+                    key(row, scope)
+                if h_node is not None:
+                    walk(h_node, scope)
+                continue
+            elif word in ("gauge", "gamma", "alpha"):
+                if word == "alpha":
+                    p.expect("INT")
+                p.expect("{")
+                while not p.at("}"):
+                    key(p.row(), {})
+                p.next()
+                continue
+            else:
+                return None
+            p.expect(";")
+    except ParseError:
+        return None
+    for index, name, i in refs:
+        if name not in shapes and name.endswith("_bar") and \
+                name[:-4] in bases:
+            name = name[:-4]
+        join(index, (name, i))
+    jet = ("jet",)
+    for index in in_jets:
+        join(index, jet)
+    jet = find(jet)
+    return {name: tuple(n == dim and find((name, i)) == jet
+                        for i, n in enumerate(shape))
+            for name, shape in shapes.items()}
+
 
 # ---------------------------------------------------------------------------
 # Evaluation against a registry
@@ -409,11 +642,11 @@ def _sign(neg, lam):
 
 def _table_signs(tab, dim):
     """The signs of the table t: for each swap sigma of directions lam and
-    lam + 1, acting on each of its slots of extent ``dim``, the sign e with
-    t[sigma x] = e t[x] for every index x, refused when there is none.  A
-    zero maps to a zero, since sigma is an involution that maps every
-    nonzero entry to one."""
-    moved = [n == dim for n in tab.shape]
+    lam + 1, acting on each of its direction slots, the sign e with t[sigma
+    x] = e t[x] for every index x, refused when there is none.  A zero maps
+    to a zero, since sigma is an involution that maps every nonzero entry
+    to one."""
+    moved = tab.directions
     ok = neg = 0
     for lam in range(dim - 1):
         sign = 1
@@ -520,19 +753,22 @@ class _Eval:
     the sum over the rest.
     And a value that the walk below proves sigma to map to e times
     another's is taken as that image (``gvc.symmetry`` states the proof):
-    a ``sum`` with no index of range ``dim`` bound around it, over its
-    binders (``_by_orbit``), the keys of a component block, over their
-    free indices, and the records of a family (``_TheoryBuilder``).
+    a ``sum`` with no direction bound around it, over its binders
+    (``_by_orbit``), the keys of a component block, over their free
+    indices, and the records of a family (``_TheoryBuilder``).
 
     The same walk proves the direction symmetries that the statement
     states: for each swap sigma of base directions lam and lam + 1, that
     sigma(N(v)) = e N(sigma v) at every node N, where v are the values of
-    the indices bound around N and sigma v applies sigma to those of range
-    ``dim``.  The proof reindexes each ``sum`` and each binder: a binder
-    of range ``dim`` runs over the directions, which sigma permutes.  An
-    index in a slot of range ``dim``, or in a jet, must be a binder of
-    range ``dim`` or a constant that sigma fixes, and a binder of range
-    ``dim`` may sit only there; then a symbol reference has e = 1, as
+    the indices bound around N and sigma v applies sigma to those that are
+    directions.  Each slot says whether it is one (``directed``): a
+    ``sum``'s binder or a key's free index when it has range ``dim`` and
+    sits in a jet or a direction slot (the ``directions`` of a family or
+    table), a record block's binder as its ghost's slot does.  The proof
+    reindexes each ``sum`` and each binder: a direction runs over the
+    directions, which sigma permutes.  An index in a direction slot, or in
+    a jet, must be a direction or a constant that sigma fixes, and a
+    direction may sit only there; then a symbol reference has e = 1, as
     sigma and canonicalizing a component commute, a table t the sign e_t
     with t[sigma x] = e_t t[x] for every x (``_table_signs``), a product the
     product of its factors' signs, a power its base's sign to its
@@ -552,35 +788,12 @@ class _Eval:
         self.swaps = {} if swaps is None else swaps
 
     def resolve(self, binders, body):
-        """A ``sum``'s binders with each missing range inferred from the
-        slots its index sits in within ``body``, where no inner ``sum``
-        binds it again, in one scan."""
-        found = {var: set() for var, rng in binders if rng is None}
-        todo = [(body, ())] if found else []
-        while todo:
-            n, hidden = todo.pop()
-            kind = n[0]
-            if kind == "ref":
-                sym = self.reg.symbols.get(n[1])
-                tab = self.reg.tables.get(n[1])
-                slots = sym.slots if sym is not None else \
-                    tab.shape if tab is not None else ()
-                # zip stops at the arity: evaluation reports an over-indexed
-                # reference
-                for atom, rng in zip(n[2], slots):
-                    if atom[1] in found and atom[1] not in hidden:
-                        found[atom[1]].add(rng)
-                for atom in n[3]:
-                    if atom[1] in found and atom[1] not in hidden:
-                        found[atom[1]].add(self.reg.dim)
-            elif kind == "add":
-                todo.extend((item, hidden) for _s, item in n[1])
-            elif kind == "mul":
-                todo.extend((item, hidden) for item in n[1])
-            elif kind in ("neg", "pow"):
-                todo.append((n[1], hidden))
-            elif kind == "sum":
-                todo.append((n[2], (*hidden, *(var for var, _rng in n[1]))))
+        """(binders, directed) of a ``sum``: its binders with each missing
+        range inferred from the slots its index sits in within ``body``,
+        where no inner ``sum`` binds it again, and whether each is a
+        direction: of range ``dim`` and in some jet or direction slot
+        there."""
+        found, directed = self._reads([var for var, _rng in binders], body)
         out = []
         for var, rng in binders:
             if rng is None:
@@ -591,24 +804,64 @@ class _Eval:
                                    "%s" % (var, sorted(found[var])))
                 rng, = found[var]
             out.append((var, rng))
-        return out
+        dim = self.reg.dim
+        return out, [rng == dim and var in directed for var, rng in out]
+
+    def _reads(self, names, body):
+        """({index: the ranges of the slots it sits in}, the indices that
+        sit in a jet or a direction slot) for the indices ``names`` within
+        ``body``, where no inner ``sum`` binds them again, in one scan."""
+        found, directed = {var: set() for var in names}, set()
+        todo, dim = [(body, ())], self.reg.dim
+        while todo:
+            n, hidden = todo.pop()
+            kind = n[0]
+            if kind == "ref":
+                sym = self.reg.symbols.get(n[1])
+                tab = self.reg.tables.get(n[1])
+                slots, moves = (sym.slots, sym.directions) \
+                    if sym is not None else (tab.shape, tab.directions) \
+                    if tab is not None else ((), ())
+                # zip stops at the arity: evaluation reports an over-indexed
+                # reference
+                for atom, rng, moved in zip(n[2], slots, moves):
+                    if atom[1] in found and atom[1] not in hidden:
+                        found[atom[1]].add(rng)
+                        if moved:
+                            directed.add(atom[1])
+                for atom in n[3]:
+                    if atom[1] in found and atom[1] not in hidden:
+                        found[atom[1]].add(dim)
+                        directed.add(atom[1])
+            elif kind == "add":
+                todo.extend((item, hidden) for _s, item in n[1])
+            elif kind == "mul":
+                todo.extend((item, hidden) for item in n[1])
+            elif kind in ("neg", "pow"):
+                todo.append((n[1], hidden))
+            elif kind == "sum":
+                todo.append((n[2], (*hidden, *(var for var, _rng in n[1]))))
+        return found, directed
 
     # -- compilation -----------------------------------------------------------
 
-    def statement(self, node, binders):
+    def statement(self, node, binders, directed=()):
         """Compile ``node`` once; returns a function of the values of the
         ``(index, range)`` binders around it, in order, that returns its
-        value as a polynomial."""
-        value, self.clean, self.signs = self._top(node,
-                                                  self._start(binders))
+        value as a polynomial.  ``directed`` says which binders are
+        directions."""
+        value, self.clean, self.signs = self._top(
+            node, self._start(binders, directed))
         tail = self.init[len(binders):]
         return lambda values: value([*values, *tail])
 
-    def key(self, sym, comps, jets, node, binders):
+    def key(self, sym, comps, jets, node, binders, directed=()):
         """Compile one key statement once: the key's arity, then its value
-        with the ``(index, range)`` binders around it and the key's own free
-        indices, each running over the first component slot it sits in,
-        otherwise over the base directions.  Returns a function of the
+        with the ``(index, range)`` binders around it, ``directed`` saying
+        which are directions, and the key's own free indices, each running
+        over the first component slot it sits in, otherwise over the base
+        directions, and a direction when of range ``dim`` and in a jet or a
+        direction slot of the key or its value.  Returns a function of the
         binders' values that yields ``(component, jets, value)`` for each
         value of the free indices, the last varying fastest.  Components
         come out canonical and jets sorted and checked like a variable's;
@@ -626,24 +879,31 @@ class _Eval:
         if len(comps) != len(sym.slots):
             raise GvcError("%s expects %d component indices"
                            % (sym.name, len(sym.slots)))
-        free, bound = {}, dict(binders)
-        for atom, rng in zip(comps + jets,
-                             sym.slots + (self.reg.dim,) * len(jets)):
+        free, bound, dim = {}, dict(binders), self.reg.dim
+        moves, moved = sym.directions + (True,) * len(jets), set()
+        for atom, rng, move in zip(comps + jets, sym.slots + (dim,) * len(
+                jets), moves):
             if atom[0] == "var" and atom[1] not in bound:
                 free.setdefault(atom[1], rng)
+                if move:
+                    moved.add(atom[1])
+        moved |= self._reads(list(free), node)[1]
+        free_directed = [rng == dim and var in moved
+                         for var, rng in free.items()]
         first = len(binders)
-        scope = self._start(list(binders) + list(free.items()))
+        scope = self._start(list(binders) + list(free.items()),
+                            [*directed, *free_directed])
         indices = _getter([self._slot(a, scope) for a in comps + jets])
         value, clean, signs = self._top(node, scope)
         self.clean, self.signs = clean, _times(signs, self._moves(
-            comps + jets, sym.slots + (self.reg.dim,) * len(jets), scope))
+            comps + jets, moves, scope))
         tail, n, seen = self.init[first:], len(comps), {}
         end = first + len(free)
         ranges = [range(rng) for rng in free.values()]
         canonicalize, checked_index = sym.canonicalize, self.reg.checked_index
         # a record block takes whole records by orbit (``build_records``)
         orbit = not binders and clean and self.sums and self.orbit(
-            list(free.items()), self.signs)
+            free_directed, self.signs)
         reg, done = self.reg, {}
 
         def expand(values):
@@ -673,11 +933,13 @@ class _Eval:
                     value(v)
         return expand
 
-    def _start(self, binders):
-        """Lay out one slot per ``(index, range)`` binder, in order; the
-        constant indices and inner binders get theirs as compiling meets
-        them.  Returns the scope, index -> slot."""
+    def _start(self, binders, directed):
+        """Lay out one slot per ``(index, range)`` binder, in order, each a
+        direction where ``directed`` says so; the constant indices and inner
+        binders get theirs as compiling meets them.  Returns the scope,
+        index -> slot."""
         self.init, self.bounds = [0] * len(binders), [r for _v, r in binders]
+        self.directed = [*directed] if directed else [False] * len(binders)
         self.consts, self.interned, self.read = {}, {}, []
         self.sums = 0
         return {var: slot for slot, (var, _rng) in enumerate(binders)}
@@ -691,10 +953,12 @@ class _Eval:
             return (lambda v: GradedPoly(reg, value(v))), clean, signs
         return (lambda v: GradedPoly.constant(reg, value(v))), clean, signs
 
-    def _new_slot(self, value, bound):
-        """A new slot, set to ``value``, whose values stay below ``bound``."""
+    def _new_slot(self, value, bound, directed=False):
+        """A new slot, set to ``value``, whose values stay below ``bound``,
+        a direction when ``directed``."""
         self.init.append(value)
         self.bounds.append(bound)
+        self.directed.append(directed)
         return len(self.init) - 1
 
     def _slot(self, atom, scope):
@@ -705,19 +969,20 @@ class _Eval:
             self.consts[atom[1]] = self._new_slot(atom[1], atom[1] + 1)
         return self.consts[atom[1]]
 
-    def _moves(self, atoms, sizes, scope):
-        """The signs of the index ``atoms`` that sit in slots of the range
-        ``sizes``: +1 for each swap under which they keep the rules of a
-        symmetry (see the class), refused for the others."""
+    def _moves(self, atoms, moves, scope):
+        """The signs of the index ``atoms`` that sit in slots that ``moves``
+        says are directions (jets are): +1 for each swap under which they
+        keep the rules of a symmetry (see the class), refused for the
+        others."""
         dim = self.reg.dim
-        if len(atoms) != len(sizes):
+        if len(atoms) != len(moves):
             return self.refused
         ok = self.unit[0]
-        for atom, size in zip(atoms, sizes):
+        for atom, moved in zip(atoms, moves):
             if atom[0] == "var":
-                if (self.bounds[scope[atom[1]]] == dim) != (size == dim):
+                if self.directed[scope[atom[1]]] != moved:
                     return self.refused
-            elif size == dim and atom[1] < dim:
+            elif moved and atom[1] < dim:
                 # sigma moves a direction c when lam is c or c - 1; a larger
                 # constant raises where it is evaluated
                 ok &= ~(3 << atom[1] >> 1)
@@ -803,13 +1068,13 @@ class _Eval:
         whose range cannot be inferred raises where it is evaluated, placed
         at its token ``tok``."""
         try:
-            binders = self.resolve(binders, body)
+            binders, directed = self.resolve(binders, body)
         except GvcError as exc:
             return _raiser(str(exc), tok), False, False, self.refused
         k, sums = len(binders), self.sums
         inner, first = dict(scope), len(self.init)
-        for var, rng in binders:
-            inner[var] = self._new_slot(0, rng)
+        for (var, rng), moved in zip(binders, directed):
+            inner[var] = self._new_slot(0, rng, moved)
         ranges, cut, outer = [range(rng) for _v, rng in binders], [k], sign
         if body[0] != "mul":
             # the fold holds the sign
@@ -831,13 +1096,12 @@ class _Eval:
         # a clean polynomial body that holds a sum, whose orbits run over
         # the binders alone, as sigma fixes every index bound around them
         nested = clean and (len(cut) > 1 or poly and self.sums > sums + 1) \
-            and all(self.bounds[slot] != self.reg.dim
-                    for slot in scope.values())
+            and not any(self.directed[slot] for slot in scope.values())
         # each factor in the scope of the binders it reads: the sum over
         # the binders below cut[i] of the factors at cut[i] times the sum
         # over those below the next cut
         for lo, hi in reversed(list(zip(cut, cut[1:]))):
-            orbit = nested and not lo and self.orbit(binders[:hi], signs)
+            orbit = nested and not lo and self.orbit(directed[:hi], signs)
             loop = self._by_orbit(first, ranges[:hi], factors, sign, orbit) \
                 if orbit else self._loop(first + lo, ranges[lo:hi], fold)
             factors = [p for p, n in zip(parts, levels) if n == lo] + [
@@ -845,7 +1109,7 @@ class _Eval:
             sign = outer if lo == cut[0] else 1
             fold, poly, clean, signs = self._product(factors, sign)
         if cut[0]:
-            orbit = nested and self.orbit(binders[:cut[0]], signs)
+            orbit = nested and self.orbit(directed[:cut[0]], signs)
             fold = self._by_orbit(first, ranges[:cut[0]], factors or [
                 (_valued(fold, poly), 1, clean, signs)], sign, orbit) \
                 if orbit else self._loop(first, ranges[:cut[0]], fold)
@@ -923,16 +1187,16 @@ class _Eval:
             return 0
         return by_orbit
 
-    def orbit(self, binders, signs):
-        """(moved, swaps) for a loop over ``binders`` whose body has
-        ``signs``: the positions of the binders of range ``dim``, and (lam,
-        sigma, e) for each swap sigma that the signs prove and that keeps
-        every parity; None when there is no such position or swap.  The
+    def orbit(self, directed, signs):
+        """(moved, swaps) for a loop over binders whose body has ``signs``:
+        the positions of the binders that ``directed`` says are directions,
+        and (lam, sigma, e) for each swap sigma that the signs prove and that
+        keeps every parity; None when there is no such position or swap.  The
         callers ask only for a body that is clean, a polynomial and holds
         a ``sum``: one that holds none is a few products of references,
         which cost no more to evaluate than to map."""
         dim = self.reg.dim
-        moved = [i for i, (_v, rng) in enumerate(binders) if rng == dim]
+        moved = [i for i, d in enumerate(directed) if d]
         if not moved:
             return None
         ok, neg = signs
@@ -1057,7 +1321,7 @@ class _Eval:
             signs = self.table_signs.get(name)
             if signs is None:
                 signs = self.table_signs[name] = _table_signs(tab, dim)
-            signs = _times(self._moves(comps, tab.shape, scope), signs)
+            signs = _times(self._moves(comps, tab.directions, scope), signs)
             if within(tab.shape):
                 entries = tab.entries
                 return ((lambda v: entries.get(indices(v), 0)), False, True,
@@ -1089,7 +1353,8 @@ class _Eval:
                     raise _placed(exc, tok)
                 hit = seen[at] = ((var.entry,), sign) if sign else (None, 0)
             return hit
-        return look, True, clean, self._moves(comps + jets, sizes, scope)
+        return look, True, clean, self._moves(
+            comps + jets, sym.directions + (True,) * len(jets), scope)
 
 
 @contextmanager
@@ -1107,6 +1372,10 @@ class _TheoryBuilder:
 
     def __init__(self, text, jet_order=None, default_jet_order=None):
         self.p = _Parser(text)
+        # the direction slots of each family and table, then the statements
+        # from the start
+        self.directions = _directions(self.p) or {}
+        self.p.pos = self.p.depth = 0
         self.jet_order = jet_order
         self.default_jet_order = default_jet_order
         self.reg = None
@@ -1162,6 +1431,15 @@ class _TheoryBuilder:
         """A statement evaluator that shares the theory's table signs and
         direction swaps."""
         return _Eval(self.reg, self.table_signs, self.swaps)
+
+    def typed(self, name, shape):
+        """Whether each slot of the family or table ``name`` carries a base
+        direction, as ``_directions`` found at its first declaration, or by
+        default (a source it could not read, or a name declared again,
+        which fails where it did) each slot of range ``dim``."""
+        again = name in self.reg.symbols or name in self.reg.tables
+        return self.reg.typed(shape, None if again else
+                              self.directions.get(name))
 
     def need_reg(self, tok):
         if self.reg is None:
@@ -1229,49 +1507,22 @@ class _TheoryBuilder:
 
     def table_stmt(self, tok):
         self.need_reg(tok)
-        name = self.p.expect("NAME")[1]
-        self.p.expect("[")
-        shape = self.p.items(self.p.size)
-        self.p.expect("]")
-        self.p.expect("{")
-        entries = {}
-        while not self.p.at("}"):
-            self.p.expect("[")
-            idx = self.p.items(lambda: self.p.expect("INT")[1])
-            self.p.expect("]")
-            self.p.expect("=")
-            sign = 1
-            while self.p.at("-") or self.p.at("+"):
-                if self.p.next()[0] == "-":
-                    sign = -sign
-            entries[tuple(idx)] = sign * self.p.rational()
-            self.p.expect(";")
-        self.p.next()
+        name, shape, entries = self.p.table()
         with _at(tok):
-            self.reg.declare_table(name, tuple(shape), entries)
+            self.reg.declare_table(name, shape, entries,
+                                   self.typed(name, shape))
 
     def field_stmt(self, tok):
         self.need_reg(tok)
         if self.reg.frozen:
             self.p.error("field declared after gauge/gamma/alpha", tok)
-        name = self.p.expect("NAME")[1]
-        slots = []
-        if self.p.at("["):
-            self.p.next()
-            slots = self.p.items(self.p.size)
-            self.p.expect("]")
-        symmetry = None
-        if self.p.at("NAME", "sym") or self.p.at("NAME", "antisym"):
-            symmetry = self.p.next()[1]
-        ptok = self.p.expect("NAME")
+        name, slots, symmetry, ptok, table = self.p.field()
         if ptok[1] == "even":
             parities = 0
         elif ptok[1] == "odd":
             parities = 1
         elif ptok[1] == "parity":
-            tname = self.p.expect("NAME")[1]
-            self.p.expect("@")
-            slot = self.p.expect("INT")[1]
+            tname, slot = table
             tab = self.reg.tables.get(tname)
             if tab is None:
                 self.p.error("unknown parity table %r" % tname, ptok)
@@ -1288,14 +1539,15 @@ class _TheoryBuilder:
             self.p.error("expected even, odd or parity", ptok)
         self.p.expect(";")
         with _at(tok):
-            self.reg.declare_field(name, tuple(slots), parities, symmetry)
+            self.reg.declare_field(name, tuple(slots), parities, symmetry,
+                                   self.typed(name, slots))
 
     def lagrangian_stmt(self, tok):
         self.need_reg(tok)
         if self.lagrangian is not None:
             self.p.error("L declared twice", tok)
         self.p.expect("=")
-        node = self.p.parse_expression()
+        node = self.p.expression()
         self.p.expect(";")
         with _at(tok):
             evaluator = self.evaluator()
@@ -1312,51 +1564,12 @@ class _TheoryBuilder:
                          tok)
         if self.lagrangian is None:
             self.p.error("records must come after the Lagrangian", tok)
-        ghost = self.p.expect("NAME")[1]
-        self.p.expect("[")  # [i:RANGE, ...], an empty group for scalars
-        binders = self.p.binders(ranged=True, close=("]",))
-        self.p.expect("]")
-        self.p.expect("{")
-        rows_stmts = []
-        h_node = None
-        while not self.p.at("}"):
-            if self.p.at("NAME", "h"):
-                htok = self.p.next()
-                if stage == 0:
-                    self.p.error("h certificates belong to stage blocks", htok)
-                if h_node is not None:
-                    self.p.error("h declared twice", htok)
-                self.p.expect("{")
-                h_node = self.p.parse_expression()
-                self.p.expect("}")
-                self.p.expect(";")
-                continue
-            rows_stmts.append(self.row_stmt())
-        self.p.next()
-        self.build_records(tok, stage, ghost, binders, rows_stmts, h_node)
-
-    def row_stmt(self):
-        """``( NAME[idx,...] ; jets ) = EXPR ;``, the key statement of
-        record and component blocks; a key's jets follow its bracket."""
-        tok = self.p.expect("(")
-        name = self.p.expect("NAME")[1]
-        comps, jets = [], []
-        if self.p.at("["):
-            self.p.next()
-            comps = self.p.items(self.p.index, close=(";", "]"))
-            self.p.expect("]")
-        if self.p.at(";"):
-            self.p.next()
-            jets = self.p.items(self.p.index, close=(")",))
-        self.p.expect(")")
-        self.p.expect("=")
-        node = self.p.parse_expression()
-        self.p.expect(";")
-        return (tok, name, comps, jets, node)
+        self.build_records(tok, stage, *self.p.records(stage))
 
     def _row_statement(self, stage, binders, stmt, evaluator):
         """Resolve and compile one row statement for every record of a
-        block; ``binders`` are the block's ghost indices and ranges."""
+        block; ``binders`` is (the block's ghost indices and ranges, whether
+        each is a direction)."""
         tok, name, comps, jets, node = stmt
         sym = self.reg.symbols.get(name)
         if sym is None:
@@ -1367,7 +1580,7 @@ class _TheoryBuilder:
             self.p.error("rows of a stage-%d block must target stage-%d ghosts"
                          % (stage, stage - 1), tok)
         with _at(tok):
-            expand = evaluator.key(sym, comps, jets, node, binders)
+            expand = evaluator.key(sym, comps, jets, node, *binders)
             return (tok, sym, expand, evaluator.clean, evaluator.sums,
                     evaluator.signs)
 
@@ -1413,18 +1626,25 @@ class _TheoryBuilder:
     def build_records(self, tok, stage, ghost, binders, rows_stmts, h_node):
         if ghost in self.reg.symbols:
             self.p.error("ghost %r declared twice" % ghost, tok)
-        evaluator, statements = self.evaluator(), []
+        evaluator, statements, reg = self.evaluator(), [], self.reg
         slots = tuple(rng for _v, rng in binders)
+        directed = self.typed(ghost, slots)
         produced, done, orbit = [], {}, None  # (component, rows, parity)
         for comp in itertools.product(*(range(rng) for rng in slots)):
             step = orbit and orbit_step(comp, *orbit)
             if step:
                 src, swap, e = step
-                rows = self._image_rows(done[src], swap, e)
+                rows = self._image_rows(done[src][0], swap, e)
+                # an image has its source's parity
+                par = done[src][1]
             else:
-                rows = self._expand_rows(stage, binders, comp, rows_stmts,
-                                         statements, evaluator)
-            par = delta_parity(self.reg, rows) if rows else None
+                rows = self._expand_rows(stage, (binders, directed), comp,
+                                         rows_stmts, statements, evaluator)
+                par = delta_parity(reg, rows) if rows else None
+            # parsing, not the first check to build Delta, fixes the ranks
+            # of its antifield jets
+            for name, comp_, index in sorted(rows):
+                reg.jet_var(name + "_bar", comp_, index)
             if par is None:
                 self.p.error("record %s[%s] %s" % (
                     ghost, ",".join(map(str, comp)),
@@ -1438,16 +1658,17 @@ class _TheoryBuilder:
                     [signs for *_x, signs in statements])
                 cleans, sums = zip(*(stmt[3:5] for stmt in statements))
                 orbit = all(cleans) and any(sums) and evaluator.orbit(
-                    binders, signs)
-            done[comp] = rows
+                    directed, signs)
+            done[comp] = rows, par
             produced.append((comp, rows, par))
         parities = self._parity_spec(tok, ghost, slots, produced)
-        gh = self.reg.declare_ghost(ghost, stage=stage, slots=slots, parities=parities)
-        self.reg.declare_ghost_antifield(gh)
+        gh = reg.declare_ghost(ghost, stage=stage, slots=slots,
+                               parities=parities, directions=directed)
+        reg.declare_ghost_antifield(gh)
         records = self.stages.setdefault(stage, [])
         with _at(tok):
             h_of = None if h_node is None else \
-                evaluator.statement(h_node, binders)
+                evaluator.statement(h_node, binders, directed)
             for comp, rows, _par in produced:
                 h = None if h_of is None else h_of(comp)
                 records.append(NoetherRecord(ghost, comp, rows, stage, h))
@@ -1486,7 +1707,7 @@ class _TheoryBuilder:
         out, signs = dict(existing or {}), []
         self.p.expect("{")
         while not self.p.at("}"):
-            rtok, name, comps, jets, node = self.row_stmt()
+            rtok, name, comps, jets, node = self.p.row()
             if jets:
                 self.p.error("component keys carry no jet indices", rtok)
             sym = self.reg.symbols.get(name)

@@ -1,13 +1,23 @@
 """Direction symmetries: transpositions of base directions and their orbits.
 
 A transposition sigma of two adjacent base directions lam and lam + 1 acts
-on every component slot of range ``dim`` and on every multi-index
-(``DirectionSwap``).  When it keeps every parity it is an automorphism of
-the jet algebra that sends each variable to +- a variable, with sigma d_lam
-= d_{sigma lam} sigma.  A cold build prunes its passes by such sigma, and
-decides which ones hold only from the parser's two certificates
-(``gvc.parser._TheoryBuilder.certificates``), each a proof on the source
-statements that no expansion is needed for:
+on every multi-index and on every component slot that carries a base
+direction (``DirectionSwap``), as the family's ``directions`` say; no other
+slot moves.  The parser types the slots (``gvc.parser._directions``); a
+family declared through the API has the slots of range ``dim``.  The typing
+has one proof obligation: it is consistent, that is each slot that carries
+a direction has range ``dim`` (``Registry.typed`` refuses any other), a
+symmetric family's slots all carry one or none (``SymbolDecl``), and an
+antifield's are its base's.  Then sigma permutes the values of every such
+slot and commutes with canonicalizing a component, so when it keeps every
+parity it is an automorphism of the jet algebra that sends each variable
+to +- a variable, with sigma d_lam = d_{sigma lam} sigma.  Every proof
+below is relative to that sigma, whichever consistent typing gave it; a
+typing that moves fewer slots only proves other swaps, such as those of a
+theory whose internal index has range ``dim``.  A cold build prunes its
+passes by such sigma, and decides which ones hold only from the parser's
+two certificates (``gvc.parser._TheoryBuilder.certificates``), each a
+proof on the source statements that no expansion is needed for:
 
 - "certificate", {lam: {ghost: e}}: sigma L = +-L, and sigma(Delta_r) = e
   Delta_{sigma r} for every record r of each stage-0 family ``ghost``;
@@ -53,8 +63,10 @@ rows alone make u, so this holds at every stage, for u^(k) too.
 
 Statement values (``gvc.parser``).  For each swap sigma and each clean
 node N of a statement the parser's walk proves sigma(N(v)) = e N(sigma v),
-v the values of the indices bound around N, sigma acting on those of range
-``dim``; so N(sigma v) = e sigma(N(v)).  Where sigma fixes every index
+v the values of the indices bound around N, sigma acting on those that are
+directions: a direction sits only in jets and direction slots, of range
+``dim``, and only a direction or a constant that sigma fixes sits there;
+so N(sigma v) = e sigma(N(v)).  Where sigma fixes every index
 bound outside a loop, the loop needs its body only at the first value of
 each orbit of its binders (``orbit_step``): the body at any other value is
 e sigma of the body at its step's, an earlier value.  sigma is an
@@ -89,18 +101,18 @@ from .algebra import sorting_sign
 def direction_swap(reg, lam):
     """The transposition of base directions ``lam`` and ``lam + 1`` as a
     ``DirectionSwap``, or None when it changes some variable's parity,
-    which a family whose parity is read from a slot of range ``dim`` can."""
+    which a family whose parity is read from a direction slot can."""
     for sym in reg.symbols.values():
         if isinstance(sym.parities, tuple):
             pos, vec = sym.parities
-            if sym.slots[pos] == reg.dim and vec[lam] != vec[lam + 1]:
+            if sym.directions[pos] and vec[lam] != vec[lam + 1]:
                 return None
     return DirectionSwap(reg, lam)
 
 
 class DirectionSwap:
     """A parity-preserving transposition sigma of two base directions,
-    acting on every component slot of range ``dim`` and on multi-indices:
+    acting on every direction slot of a family and on multi-indices:
     an automorphism of the jet algebra that sends each variable to +- a
     variable, with sigma d_lam = d_{sigma lam} sigma.  ``image`` maps a
     term dict and interns the images it makes."""
@@ -121,9 +133,9 @@ class DirectionSwap:
     def component(self, sym, comp):
         """(The canonical image of ``sym``'s component ``comp``, its
         ``sym``/``antisym`` sign)."""
-        dim, lam = self.reg.dim, self.lam
-        image = [2 * lam + 1 - c if n == dim and 0 <= c - lam <= 1 else c
-                 for c, n in zip(comp, sym.slots)]
+        lam = self.lam
+        image = [2 * lam + 1 - c if moved and 0 <= c - lam <= 1 else c
+                 for c, moved in zip(comp, sym.directions)]
         # sigma keeps every index in its slot's range
         return (tuple(image), 1) if sym.symmetry is None else \
             sym.canonicalize(image)
@@ -162,7 +174,7 @@ def _candidates(reg, labels):
     directions that keeps every parity, moves some of the component
     ``labels`` (name, component) and maps each to one of them: moved[i] is
     the index of the image of label i."""
-    if not any(reg.dim in reg.symbols[name].slots for name, _comp in labels):
+    if not any(True in reg.symbols[name].directions for name, _comp in labels):
         return  # no label has a slot that a swap acts on
     where = {label: i for i, label in enumerate(labels)}
     for lam in range(reg.dim - 1):

@@ -198,6 +198,28 @@ def label_signs(swap, polys):
         for (ghost, comp), poly in polys.items()}
 
 
+def typed_swap_holds(swap):
+    """That sigma, acting on the slots that carry a direction, is the
+    automorphism the certificates' proofs assume: each such slot has range
+    dim, a symmetric family moves all its slots or none, an antifield moves
+    its base's, and on every interned variable sigma keeps the parity and
+    is an involution up to the one sign of canonicalizing."""
+    reg = swap.reg
+    for sym in reg.symbols.values():
+        assert all(n == reg.dim for n, moved in
+                   zip(sym.slots, sym.directions) if moved), sym
+        assert not sym.symmetry or len(set(sym.directions)) < 2, sym
+        if sym.name.endswith("_bar"):
+            assert sym.directions == \
+                reg.symbols[sym.name[:-4]].directions, sym
+    for v in list(reg.by_rank):
+        image, s = swap.component(v.symbol, v.component)
+        back, t = swap.component(v.symbol, image)
+        assert (back, s * t, v.symbol.parity(image)) == \
+            (v.component, 1, v.parity), v
+    return True
+
+
 def uncertified(theory):
     """A copy of theory, on its registry, with nothing derived and so no
     certificate: a theory built through the API, whose cold builds take
@@ -219,13 +241,16 @@ def certified_swaps_hold(theory):
       and every part of b, gamma and each u^(k) built without orbits, by
       the one sign e onto its components (``part_sign``).
 
-    A swap that changes a parity is never a candidate, and is not checked."""
+    Each swap checked is first checked to be an automorphism
+    (``typed_swap_holds``); a swap that changes a parity is never a
+    candidate, and is not checked."""
     reg, lag = theory.registry, theory.lagrangian.terms
     deltas = {(rec.ghost, rec.component): rec.delta_poly(reg)
               for rec in theory.records}
     for lam, signs in theory.derived["certificate"].items():
         swap = direction_swap(reg, lam)
         if swap is not None:
+            assert typed_swap_holds(swap)
             assert maps_to(swap, lag, lag), lam
             assert label_signs(swap, deltas) == {
                 label: signs[label[0]] for label in deltas}, lam
@@ -238,6 +263,7 @@ def certified_swaps_hold(theory):
     for lam, e in theory.derived["b certificate"].items():
         swap = direction_swap(reg, lam)
         if swap is not None:
+            assert typed_swap_holds(swap)
             assert label_signs(swap, rows) == dict.fromkeys(rows, e), lam
             assert part_sign(swap, parts) in (e, None), lam
     return set(theory.derived["certificate"])
@@ -526,7 +552,7 @@ class WalkerEval(_Eval):
             return self.eval(node[1], env, clean) ** node[2]
         if kind == "sum":
             try:
-                binders = self.resolve(node[1], node[2])
+                binders, _directed = self.resolve(node[1], node[2])
             except GvcError as exc:
                 # parse_expr reports where the sum is
                 raise gvc.parser._placed(exc, node[3])
@@ -553,13 +579,13 @@ class WalkerEval(_Eval):
         val = self.eval(node, env, clean)
         return val if isinstance(val, GradedPoly) else self.reg.const(val)
 
-    def statement(self, node, binders):
-        _Eval.statement(self, node, binders)
+    def statement(self, node, binders, directed=()):
+        _Eval.statement(self, node, binders, directed)
         names, clean = [var for var, _rng in binders], self.clean
         return lambda values: self.poly(node, dict(zip(names, values)), clean)
 
-    def key(self, sym, comps, jets, node, binders):
-        _Eval.key(self, sym, comps, jets, node, binders)
+    def key(self, sym, comps, jets, node, binders, directed=()):
+        _Eval.key(self, sym, comps, jets, node, binders, directed)
         bound, free, clean = dict(binders), {}, self.clean
         for atom, rng in zip(comps + jets,
                              sym.slots + (self.reg.dim,) * len(jets)):

@@ -177,6 +177,22 @@ def test_component_validation():
         SymbolDecl("x", KIND_FIELD, (2,), symmetry="weird")
 
 
+def test_a_typing_of_the_direction_slots_is_consistent():
+    # by default the slots of range dim carry a direction; one given must
+    # have range dim, and a symmetric family's slots carry one or none
+    reg = Registry(2)
+    assert reg.declare_field("a", (3, 2))[0].directions == (False, True)
+    assert reg.declare_field("b", (2, 2), directions=(False, True))[
+        1].directions == (False, True)
+    assert reg.declare_table("t", (2,), directions=(False,)).directions == \
+        (False,)
+    for slots, directions in [((3,), (True,)), ((2,), ()),
+                              ((2, 2), (True, False))]:
+        with pytest.raises(ValueError):
+            reg.declare_field("c", slots, symmetry="sym",
+                              directions=directions)
+
+
 def test_antifields_are_declared_with_fields():
     reg = Registry(1)
     reg.declare_field("y", parities=0)

@@ -1,4 +1,5 @@
 """Gauge operators from records, stage conditions, BRST nilpotency."""
+import importlib.util
 import pathlib
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from gvc.jets import EvolutionaryDerivation
 from gvc.noether import NoetherRecord, _el, verify_ni
 from gvc.parser import TheorySpec, parse_theory
 from gvc.symmetry import DirectionSwap, direction_swap
-from gvc.theories import builtin_path, osp12
+from gvc.theories import builtin_path, fixture_text, osp12
 from gvc.variational import variational_derivative
 from conftest import all_pass, certified_swaps_hold, count_calls, \
     count_passes, derivation_sum, fresh, nilpotency_residuals, part_sign, \
@@ -181,7 +182,7 @@ def test_super_instance_needs_sign_decorated_gamma(ym4_super):
 
 # (the component keys of b's parts, the first keys of their orbits under the
 # swaps that the source proves map every part of b to one sign times itself)
-_B_ORBITS = {"bf": (6, 2), "bf4": (14, 3), "toy": (4, 4), "cs3": (15, 15),
+_B_ORBITS = {"bf": (6, 2), "bf4": (14, 3), "toy": (4, 4), "cs3": (15, 7),
              "ym4": (15, 6), "ym4_super": (25, 10), "grav4": (78, 8)}
 
 
@@ -198,27 +199,55 @@ def test_the_b_symmetry_test_finds_each_builtins_component_orbits(name):
     assert len(theory.registry.by_rank) == interned
 
 
-def test_cs3s_b_orbit_map_is_empty_and_maps_no_key(monkeypatch):
+_CS3_B_ORBITS = {("a", (r, l)): ("a", (r, 0)) for r in range(3)
+                 for l in (1, 2)}
+_CS3_B_ORBITS.update({("cv", (1,)): ("cv", (0,)), ("cv", (2,)): ("cv", (0,))})
+
+
+def _variant_backgrounds():
+    """The ten backgrounds of a seed-0 round of the benchmark's variants."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / \
+        "bench_workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.variant_backgrounds(0)
+
+
+def test_cs3s_b_orbit_map_comes_from_its_certificate_and_maps_no_key(
+        monkeypatch):
     # cs3's variants are parsed afresh, so each of them builds b's orbit
-    # map: its tables f and bg refuse both swaps in the family c, so the
-    # map is empty, read from the certificate without mapping a key
-    theory = fresh("cs3")
-    assert theory.derived["b certificate"] == {}
-    stored_gauge(theory)
-    mapped = []
-    key = DirectionSwap.key
-    monkeypatch.setattr(DirectionSwap, "key",
-                        lambda swap, k: mapped.append(k) or key(swap, k))
-    assert gvc.brst._orbits(theory) == {}
-    assert not mapped
+    # map.  Its su(2) index r and the table f carry no direction, so both
+    # swaps map the records c, cv and gamma by +1, and the swaps act on
+    # a's second slot and on cv: b's 15 keys fall into 7 orbits, a[r,l]
+    # joining a[r,0] and cv[l] cv[0], read from the certificate without
+    # mapping a key.  So on the ten variants of a benchmark round, whose
+    # backgrounds bg refuse every swap of L.
+    theories = [fresh("cs3")] + [
+        parse_theory(fixture_text("cs3", background=bg))
+        for bg in _variant_backgrounds()]
+    assert len(theories) == 11
+    for theory in theories:
+        assert theory.derived == {"certificate": {},
+                                  "b certificate": {0: 1, 1: 1}}
+        assert theory.registry.symbols["c"].directions == (False,)
+        stored_gauge(theory)
+        mapped = []
+        key = DirectionSwap.key
+        with monkeypatch.context() as mp:
+            mp.setattr(DirectionSwap, "key",
+                       lambda swap, k: mapped.append(k) or key(swap, k))
+            assert gvc.brst._orbits(theory) == _CS3_B_ORBITS
+        assert not mapped
 
 
 # a stage-0 family c[g] of one sign under (0 1), with a stage-0 or stage-1
 # family or a gamma block of the other sign: (0 1) maps u to +u and the
 # other part to -itself, so b's table has no orbit although each part maps
-# onto its components; with the signs alike it has one
+# onto its components; with the signs alike it has one.  L's x[g;g] puts
+# x's slot, and so c's, with the jets, so that they carry a direction.
 _MIXED = ("dim 2; field x[2] even; field y odd;\n"
-          "table e[2]{ [0]=1; [1]=-1; }\nL = y * y[;0];\n"
+          "table e[2]{ [0]=1; [1]=-1; }\nL = y * y[;0] + sum(g){ x[g;g] };\n"
           "ni c[g:2] { (x[g]) = y; }\n%s\n")
 
 

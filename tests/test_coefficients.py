@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gvc.algebra import GradedPoly, Registry
+from gvc.algebra import GradedPoly, Registry, _holds_fraction
 from gvc.cli import DEFAULT_CHECKS, build_report, mutation_sites, run_checks
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
 from gvc.variational import eta, euler_lagrange
@@ -87,6 +87,15 @@ def test_whole_sums_and_products_become_ints():
               total_derivative(half * s * s, 0),
               euler_lagrange(half * s0 * s0).get("s")]:
         assert {type(c) for c in p.terms.values()} == {int}, p
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9).filter(bool),
+                          st.fractions(max_denominator=4).filter(
+                              lambda q: q.denominator > 1))))
+def test_each_kernel_asks_whether_any_coefficient_is_a_fraction(coeffs):
+    # a Fraction first answers before the sum; one anywhere else, by it
+    terms = dict(enumerate(coeffs))
+    assert _holds_fraction(terms) == any(type(c) is Fraction for c in coeffs)
 
 
 # -- the fixtures --------------------------------------------------------------

@@ -406,14 +406,23 @@ def test_the_candidate_test_finds_each_builtins_orbits_and_interns_nothing(
 
 
 def test_a_parity_read_from_a_direction_slot_refuses_its_swaps():
-    # f[0] is odd and f[1], f[2], f[3] even: swapping directions 0 and 1
-    # would change a parity, so only x[1], x[2], x[3] stay one orbit
+    # f[0] is odd and f[1], f[2], f[3] even.  Where f's slot carries a
+    # direction, as the zero row (f[g]; g) of x puts it with the jets,
+    # swapping directions 0 and 1 would change a parity, so only x[1],
+    # x[2], x[3] stay one orbit; where f meets no jet, its slot carries
+    # none, the swaps keep every parity and bf4's orbits stand
     text = fixture_text("bf", n=4, p=1, q=2).replace(
         "field A[4] even;", "table pf[4]{ [0]=1; }\nfield f[4] parity pf@0;\n"
         "field A[4] even;")
-    theory = parse_theory(text)
-    assert direction_swap(theory.registry, 0) is None
-    assert gvc.noether._orbits(theory)[0] == {3: 2, 4: 2}
+    joined = text.replace("(B[n,g]; n) = -1;", "(B[n,g]; n) = -1; (f[g]; g) = 0;")
+    for source, directions, swap, orbits in [
+            (joined, (True,), None, {3: 2, 4: 2}),
+            (text, (False,), 0, {2: 1, 3: 1, 4: 1})]:
+        theory = parse_theory(source)
+        reg = theory.registry
+        assert reg.symbols["f"].directions == directions
+        assert getattr(direction_swap(reg, 0), "lam", None) == swap
+        assert gvc.noether._orbits(theory)[0] == orbits
 
 
 def test_a_record_flipped_cold_breaks_grav4s_orbit_and_alone_turns_red():
@@ -455,15 +464,16 @@ _CERTIFIED = {"bf": {0, 1}, "bf4": {0, 1, 2}, "toy": set(), "cs3": set(),
 
 # and those it proves map the records of every stage and gamma by one sign,
 # which b's orbits read: L, which refuses ym4's (0 1), is not among them
-_B_CERTIFIED = {"bf": {0, 1}, "bf4": {0, 1, 2}, "toy": set(), "cs3": set(),
+_B_CERTIFIED = {"bf": {0, 1}, "bf4": {0, 1, 2}, "toy": set(), "cs3": {0, 1},
                 "ym4": {0, 1, 2}, "ym4_super": {0, 1, 2},
                 "grav4": {0, 1, 2}}
 
 
 @pytest.mark.parametrize("name", sorted(_CERTIFIED))
 def test_each_swap_a_builtins_source_proves_passes_the_exact_maps(name):
-    # cs3's tables f and bg refuse every swap, ym4's metric g the swap
-    # (0 1); toy has one base direction
+    # cs3's table bg refuses every swap of L; its records and gamma keep
+    # both, as its su(2) index and f carry no direction; ym4's metric g
+    # refuses the swap (0 1); toy has one base direction
     theory = fresh(name)
     assert certified_swaps_hold(theory) == _CERTIFIED[name]
     assert set(theory.derived["b certificate"]) == _B_CERTIFIED[name]

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gvc import parser
-from gvc.algebra import Registry
+from gvc.algebra import GvcError, Registry
 from gvc.noether import require_record
 from gvc.parser import ParseError, _Parser, parse_expr, parse_theory
 from gvc.theories import build_fixture, fixture_text, load_builtin
-from conftest import cached, certified_swaps_hold
+from conftest import cached, certified_swaps_hold, fresh
 
 
 def test_minimal_theory():
@@ -418,33 +418,128 @@ _X = "field x[3] even;\n"
 _EPS3 = ("table e[3,3,3]{ [0,1,2]=1; [1,2,0]=1; [2,0,1]=1; [0,2,1]=-1; "
          "[2,1,0]=-1; [1,0,2]=-1; }\n" + _X)
 _CURL = "sum(i, j, k){ e[i,j,k] * x[i;j] * x[k;] }"
+# a record family that puts x's slot with the jets, so that it carries a
+# direction; it maps to itself under every swap
+_D = "\nni d[g:3] { (x[g]; g) = 1; }"
 # (the statements of a theory of dimension 3, the swaps (lam, lam + 1) its
 # source proves for L and every stage-0 record family)
 _SOURCES = [
     # binders of range dim in slots of range dim and in jets: every swap
     (_X + "L = sum(i, j){ x[i;j] * x[j;i] };", {0, 1}),
-    # a constant index keeps only the swaps that fix it
-    (_X + "L = x[2;] * x[2;];", {0}),
-    (_X + "L = x[2;] * x[2;0];", set()),
-    # a binder of another range may not sit in a slot of range dim, nor a
-    # binder of range dim in another slot: (1 2) maps neither L to +-L
-    (_X + "L = sum(i:2){ x[i;] * x[i;] };", set()),
-    (_X + "field y[4] even;\nL = sum(i:3){ y[i;] * x[i;] };", set()),
+    # a constant index in a direction slot keeps only the swaps that fix it
+    (_X + "L = x[2;] * x[2;];" + _D, {0}),
+    (_X + "L = x[2;] * x[2;0];" + _D, set()),
+    # a binder of another range may not sit in a direction slot, nor a
+    # direction in another slot: (1 2) maps neither L to +-L
+    (_X + "L = sum(i:2){ x[i;] * x[i;] };" + _D, set()),
+    (_X + "field y[4] even;\nL = sum(i:3){ y[i;] * x[i;] };" + _D, set()),
     # a table's sign is read from its entries: t is no symmetry, e flips
     # under every swap, and so does _CURL, but not its square
-    ("table t[3]{ [0]=1; [1]=2; }\n" + _X + "L = sum(i){ t[i] * x[i;] };",
-     set()),
-    (_EPS3 + "L = %s;" % _CURL, {0, 1}),
-    (_EPS3 + "L = (%s)^2 + sum(i){ x[i;] * x[i;] };" % _CURL, {0, 1}),
+    ("table t[3]{ [0]=1; [1]=2; }\n" + _X + "L = sum(i){ t[i] * x[i;] };" +
+     _D, set()),
+    (_EPS3 + "L = %s;" % _CURL + _D, {0, 1}),
+    (_EPS3 + "L = (%s)^2 + sum(i){ x[i;] * x[i;] };" % _CURL + _D, {0, 1}),
     # a sum needs one sign across its items
-    (_EPS3 + "L = (%s)^2 + %s;" % (_CURL, _CURL), set()),
+    (_EPS3 + "L = (%s)^2 + %s;" % (_CURL, _CURL) + _D, set()),
     # a record key's own indices keep the same rules: the constant 0 refuses
     # (0 1), and the record family's sign must hold for every row
-    (_X + "L = sum(i){ x[i;] * x[i;] };\nni c[g:3] { (x[0]; g) = 1; }",
+    (_X + "L = sum(i){ x[i;] * x[i;] };\nni c[g:3] { (x[0]; g) = 1; }" + _D,
      {1}),
     (_EPS3 + "L = sum(i){ x[i;] * x[i;] };\n"
      "ni c[g:3] { (x[g];) = 1; (x[k]; l) = e[g,k,l]; }", set()),
+    # the same sources where x meets no jet: its slot carries no direction,
+    # so sigma fixes x, and only the indices that reach a jet move.  An
+    # internal index of range dim no longer refuses a swap; a jet's
+    # constant still does
+    (_X + "L = x[2;] * x[2;0];", {1}),
+    (_X + "L = sum(i:2){ x[i;] * x[i;] };", {0, 1}),
+    (_X + "field y[4] even;\nL = sum(i:3){ y[i;] * x[i;] };", {0, 1}),
+    ("table t[3]{ [0]=1; [1]=2; }\n" + _X + "L = sum(i){ t[i] * x[i;] };",
+     {0, 1}),
+    (_X + "L = sum(i){ x[i;] * x[i;] };\nni c[g:3] { (x[0]; g) = 1; }",
+     {0, 1}),
+    # a missed direction only costs a swap: _CURL's x[k;] leaves x, and e's
+    # first and last slots, apart from the jets, and e has no sign under a
+    # swap of its middle slot alone
+    (_EPS3 + "L = %s;" % _CURL, set()),
+    # an index used both ways types as a direction everywhere: t's slot
+    # meets a jet through j, so sigma moves t[i] too, which refuses
+    ("table t[3]{ [0]=1; [1]=2; }\nfield y even;\n" + _X +
+     "L = sum(i){ t[i] * x[i;] } + sum(j){ t[j] * y[;j] };", set()),
+    # a symmetric family moves all its slots or none: i reaches a jet, so
+    # g's second slot carries a direction too, and sigma keeps the sorting
+    ("field g[3,3] sym even;\nL = sum(i, j){ g[i,j;i] * g[i,j;] };",
+     {0, 1}),
 ]
+
+
+# Each builtin's direction slots: a family's or table's slot carries a
+# direction where an index joins it with a jet.  cs3's and ym4's su(2)
+# index, f and ym4_super's parity tables carry none; grav4's and bf's
+# every slot of range dim does.
+_DIRECTIONS = {
+    "bf": {"A": (True,), "B": (True,), "e": (), "x": (),
+           "eps3": (True, True, True)},
+    "bf4": {"A": (True,), "B": (True, True), "e": (), "x": (True,),
+            "xi": (), "eps4": (True,) * 4},
+    "toy": {"y": (), "z": (), "ca": (), "cb": (), "ps": ()},
+    "cs3": {"a": (False, True), "c": (False,), "cv": (True,),
+            "f": (False,) * 3, "eps3": (True,) * 3, "bg": (False, True)},
+    "ym4": {"a": (False, True), "c": (False,), "f": (False,) * 3,
+            "g": (True, True)},
+    "ym4_super": {"a": (False, True), "c": (False,), "f": (False,) * 3,
+                  "kf": (False, False), "g": (True, True), "par": (False,),
+                  "sg": (False,)},
+    "grav4": {"sigma": (True, True), "k": (True,) * 3, "cm": (True,),
+              "eps4": (True,) * 4, "kd": (True, True)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECTIONS))
+def test_each_builtin_types_the_slots_that_carry_a_direction(name):
+    reg = fresh(name).registry
+    found = {sym.name: sym.directions for sym in reg.symbols.values()
+             if not sym.name.endswith("_bar")}
+    found.update((tab.name, tab.directions) for tab in reg.tables.values())
+    assert found == _DIRECTIONS[name]
+    for sym in reg.symbols.values():
+        if sym.name.endswith("_bar"):
+            base = reg.symbols[sym.name[:-4]]
+            assert sym.directions == base.directions
+        assert all(n == reg.dim for n, moved in
+                   zip(sym.slots, sym.directions) if moved)
+
+
+def test_a_source_the_typing_cannot_read_keeps_the_slots_of_range_dim():
+    # the typing pass reads the whole source first and never raises: a
+    # syntax error past the first statements leaves every slot of range
+    # dim a direction, and the parse fails where it did
+    text = (_EPS3 + "L = %s;\n" % _CURL) + "ni c[g:3] { (x[g]) = ; }"
+    assert parser._directions(parser._Parser(text)) is None
+    with pytest.raises(ParseError) as err:
+        parse_theory("dim 3;\n" + text)
+    assert (err.value.line, err.value.col) == (5, 22)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    # read at their first declarations, as the builder reads them, a field
+    # and a dim declared twice type no slot that the builder refuses: the
+    # parse fails at the second declaration, as it did
+    ("dim 3;\nfield x[2] even;\nfield x[3] even;\nL = sum(i){ x[i;i] };",
+     "already declared", 3),
+    ("dim 4;\nfield x[3] even;\ndim 3;\nL = sum(i){ x[i;i] };",
+     "dim declared twice", 3),
+    # and a ghost named as a table fails where the registry declares it,
+    # after its rows, with no position, not at the table's typing of
+    # another shape
+    ("dim 3;\nfield x[3] even;\ntable c[2]{ [0]=1; }\nL = sum(i){ x[i;i] };"
+     "\nni c[g:3, h:3] { (x[g]; h) = 1; }", "already declared", None),
+])
+def test_a_name_declared_twice_is_typed_as_the_builder_reads_it(
+        text, message, line):
+    with pytest.raises(GvcError, match=message) as err:
+        parse_theory(text)
+    assert getattr(err.value, "line", None) == line
 
 
 @pytest.mark.parametrize("text, proved", _SOURCES)

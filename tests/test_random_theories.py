@@ -437,14 +437,16 @@ def test_planted_symmetries_give_every_record_the_full_pass_verdict(case):
         return
     if not near:
         # the planted transposition holds, by the exact maps of the tests,
-        # and c[0] goes to c[1] exactly when the source proves it
+        # on the slots that carry a direction, and c[0] goes to c[1]
+        # exactly when the source proves it and c's slot carries one
         swap, lag = direction_swap(theory.registry, 0), theory.lagrangian.terms
         deltas = {(rec.ghost, rec.component): rec.delta_poly(theory.registry)
                   for rec in theory.records}
         assert maps_to(swap, lag, lag), text
         assert all(label_signs(swap, deltas).values()), text
-        assert (gvc.noether._orbits(theory)[0].get(1) == 0) == \
-            (0 in theory.derived["certificate"]), text
+        assert (gvc.noether._orbits(theory)[0].get(1) == 0) == (
+            0 in theory.derived["certificate"] and
+            theory.registry.symbols["c"].directions == (True,)), text
     orbit, full = two_routes(lambda: parse_theory(text), _PLANTED_CHECKS)
     assert orbit == full, text
     # a record flipped on a cold theory breaks its orbit
