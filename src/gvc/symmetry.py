@@ -3,7 +3,7 @@
 A transposition sigma of two adjacent base directions lam and lam + 1 acts
 on every multi-index and on every component slot that carries a base
 direction (``DirectionSwap``), as the family's ``directions`` say; no other
-slot moves.  The parser types the slots (``gvc.parser._directions``); a
+slot moves.  The parser types the slots (``gvc.grammar._directions``); a
 family declared through the API has the slots of range ``dim``.  The typing
 has one proof obligation: it is consistent, that is each slot that carries
 a direction has range ``dim`` (``Registry.typed`` refuses any other), a
@@ -61,7 +61,7 @@ runs over every multi-index as Xi does, u_{sigma r}^{sigma A} = e s_A
 sigma(u_r^A): a member's components are its step's images, exactly.  The
 rows alone make u, so this holds at every stage, for u^(k) too.
 
-Statement values (``gvc.parser``).  For each swap sigma and each clean
+Statement values (``gvc.evaluator``).  For each swap sigma and each clean
 node N of a statement the parser's walk proves sigma(N(v)) = e N(sigma v),
 v the values of the indices bound around N, sigma acting on those that are
 directions: a direction sits only in jets and direction slots, of range

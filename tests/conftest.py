@@ -8,6 +8,7 @@ shared theory is warm after its first check.  Its fields are read-only
 (negative controls rebuild), so sharing is safe for verdicts; a test that
 counts how often something is built must parse a fresh theory.
 """
+import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,13 +19,14 @@ from hypothesis import settings
 
 import gvc.brst
 import gvc.cli
-import gvc.noether
+import gvc.evaluator
 import gvc.parser
 from gvc.algebra import GradedPoly, GvcError, _add_into, _mul_terms, \
     sorting_sign
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
 from gvc.noether import NoetherRecord
-from gvc.parser import TheorySpec, _Eval, parse_theory
+from gvc.evaluator import _Eval
+from gvc.parser import TheorySpec, parse_theory
 from gvc.symmetry import direction_swap
 from gvc.theories import build_fixture, load_builtin
 from gvc.variational import eta, euler_lagrange
@@ -107,16 +109,20 @@ def all_pass(entries):
     return entries
 
 
+def binding(name):
+    """The loaded ``gvc`` modules that bind ``name``, its own and each that
+    imports it, so that a counter patched into each sees every call,
+    however the package is split into modules."""
+    return [mod for key, mod in sorted(sys.modules.items())
+            if key.split(".")[0] == "gvc" and name in vars(mod)]
+
+
 def count_calls(monkeypatch, name):
     """Record every call of ``name`` made through the gvc modules that hold
-    it (its own module and each that imports it); returns the call list."""
+    it (``binding``); returns the call list."""
     calls = []
-    for mod in (gvc.noether, gvc.brst, gvc.cli):
-        fn = getattr(mod, name, None)
-        if fn is None:
-            continue
-
-        def counted(*args, _fn=fn, **kwargs):
+    for mod in binding(name):
+        def counted(*args, _fn=getattr(mod, name), **kwargs):
             calls.append(args)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
@@ -298,7 +304,7 @@ def count_passes(monkeypatch, theory, checks):
     every stored image, and those of the triviality search."""
     calls = []
     with monkeypatch.context() as mp:
-        for mod in (gvc.jets, gvc.noether):
+        for mod in binding("prolong_apply"):
             def counted(u, polys, *symmetries, _fn=mod.prolong_apply):
                 calls.append(len(polys))
                 return _fn(u, polys, *symmetries)
@@ -555,7 +561,7 @@ class WalkerEval(_Eval):
                 binders, _directed = self.resolve(node[1], node[2])
             except GvcError as exc:
                 # parse_expr reports where the sum is
-                raise gvc.parser._placed(exc, node[3])
+                raise gvc.evaluator._placed(exc, node[3])
             return self.accumulate((1, self.eval(node[2], inner, clean))
                                    for inner in _assignments(binders, env))
         _ref, name, comps, jets, tok = node
@@ -563,7 +569,7 @@ class WalkerEval(_Eval):
             return self.ref(name, comps, jets, env)
         except (GvcError, ValueError) as exc:
             # parse_expr reports where the reference is
-            raise gvc.parser._placed(exc, tok)
+            raise gvc.evaluator._placed(exc, tok)
 
     def ref(self, name, comps, jets, env):
         comps = tuple(_index_value(atom, env) for atom in comps)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, reports, negative controls."""
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -9,11 +10,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gvc
-import gvc.algebra
 import gvc.brst
-import gvc.jets
 import gvc.noether
 from gvc import cli
 from gvc.algebra import Registry
@@ -21,7 +21,8 @@ from gvc.cli import (_parse_checks, _residual_text, apply_sign_mutation,
                      build_report, mutation_sites, run, run_checks)
 from gvc.parser import MAX_NESTING, TheorySpec, parse_theory
 from gvc.theories import builtin_path
-from conftest import all_pass, cached, count_calls, count_passes, fresh
+from conftest import all_pass, binding, cached, count_calls, count_passes, \
+    fresh
 
 MINI = """\
 theory mini;
@@ -31,14 +32,19 @@ L = 1/2 * s[;0] * s[;0];
 """
 
 
-def _python_m_gvc(*args):
-    """Run ``python -m gvc`` on the gvc this suite imports."""
+def _python(*args):
+    """Run a fresh ``python`` on the gvc this suite imports."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(gvc.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-m", "gvc", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _python_m_gvc(*args):
+    """Run ``python -m gvc`` on the gvc this suite imports."""
+    return _python("-m", "gvc", *args)
 
 
 def test_python_m_gvc_runs_the_cli(tmp_path):
@@ -96,6 +102,27 @@ def test_canonical_digests_are_pinned(capsys, name, mutate):
     assert code == (0 if mutate == "none" else 1)
     report = json.loads(capsys.readouterr().out)
     assert report["canonical_sha256"] == _PINNED_DIGESTS[name, mutate]
+
+
+def test_a_report_loads_no_openssl():
+    # the digest takes the interpreter's own SHA-256 where it has one, so
+    # neither importing the CLI nor building a report loads OpenSSL
+    builtin = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    if importlib.util.find_spec(builtin) is None:
+        pytest.skip("this interpreter has no built-in %s" % builtin)
+    done = _python("-c", "import sys, gvc.cli\n"
+                   "from gvc.theories import load_builtin\n"
+                   "gvc.cli.build_report(load_builtin('bf'), ['ni'])\n"
+                   "print(sorted(m for m in ('_hashlib', 'hashlib', %r)\n"
+                   "             if m in sys.modules))" % builtin)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == str([builtin])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=9000))
+def test_the_digest_is_hashlibs_sha256(blob):
+    assert cli.sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
 
 
 # grav4 is the builtin whose kt check takes the by-parts route of
@@ -666,7 +693,7 @@ def _pairs_multiplied(monkeypatch, build, checks):
     """The ``_mul_terms`` pairs that building a theory and running the
     checks on it take."""
     pairs = [0]
-    for mod in (gvc.algebra, gvc.jets, gvc.noether, gvc.brst, gvc.parser):
+    for mod in binding("_mul_terms"):
         def counted(t1, t2, out=None, _fn=mod._mul_terms):
             pairs[0] += len(t1) * len(t2)
             return _fn(t1, t2, out)

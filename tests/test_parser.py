@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gvc import parser
+from gvc import grammar, parser
 from gvc.algebra import GvcError, Registry
 from gvc.noether import require_record
-from gvc.parser import ParseError, _Parser, parse_expr, parse_theory
+from gvc.grammar import _Parser
+from gvc.parser import ParseError, parse_expr, parse_theory
 from gvc.theories import build_fixture, fixture_text, load_builtin
 from conftest import cached, certified_swaps_hold, fresh
 
@@ -515,7 +516,7 @@ def test_a_source_the_typing_cannot_read_keeps_the_slots_of_range_dim():
     # syntax error past the first statements leaves every slot of range
     # dim a direction, and the parse fails where it did
     text = (_EPS3 + "L = %s;\n" % _CURL) + "ni c[g:3] { (x[g]) = ; }"
-    assert parser._directions(parser._Parser(text)) is None
+    assert grammar._directions(_Parser(text)) is None
     with pytest.raises(ParseError) as err:
         parse_theory("dim 3;\n" + text)
     assert (err.value.line, err.value.col) == (5, 22)
@@ -529,17 +530,30 @@ def test_a_source_the_typing_cannot_read_keeps_the_slots_of_range_dim():
      "already declared", 3),
     ("dim 4;\nfield x[3] even;\ndim 3;\nL = sum(i){ x[i;i] };",
      "dim declared twice", 3),
-    # and a ghost named as a table fails where the registry declares it,
-    # after its rows, with no position, not at the table's typing of
-    # another shape
+    # and a ghost named as a table fails at its name, before its rows,
+    # not at the table's typing of another shape
     ("dim 3;\nfield x[3] even;\ntable c[2]{ [0]=1; }\nL = sum(i){ x[i;i] };"
-     "\nni c[g:3, h:3] { (x[g]; h) = 1; }", "already declared", None),
+     "\nni c[g:3, h:3] { (x[g]; h) = 1; }", "already declared", 5),
 ])
 def test_a_name_declared_twice_is_typed_as_the_builder_reads_it(
         text, message, line):
     with pytest.raises(GvcError, match=message) as err:
         parse_theory(text)
     assert getattr(err.value, "line", None) == line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim 2;\ntable q[2]{ [0]=1; }\nfield x[2] even;\nL = x[0];\n"
+     "ni q[w:2] { (x[w]) = nosuch; }", "name 'q' is already declared"),
+    ("dim 2;\nfield c_bar even;\nfield x[2] even;\nL = x[0];\n"
+     "ni c[w:2] { (x[w]) = nosuch; }", "name 'c_bar' is already declared"),
+])
+def test_a_ghost_named_as_a_declared_name_fails_at_its_name(text, message):
+    # the names a record block declares, its ghost and the ghost's
+    # antifield, are checked before any row is evaluated, at the ghost
+    with pytest.raises(ParseError, match=message) as err:
+        parse_theory(text)
+    assert (err.value.line, err.value.col) == (5, 4)
 
 
 @pytest.mark.parametrize("text, proved", _SOURCES)
