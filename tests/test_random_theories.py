@@ -331,7 +331,8 @@ def test_random_mutants_digest_alike_warm_and_cold(case):
 def _covariant(draw, letters, parity, signed):
     """A rational times field references and ``w`` entries whose every index
     is one of ``letters``, with one odd factor when ``parity`` is odd and
-    none or two otherwise, and one ``e`` entry when ``signed``.  No index
+    none or two otherwise, and one ``e`` entry when ``signed``, whose two
+    indices also sit in jets of even factors.  No index
     names a direction, so the transposition (0 1) of base directions maps
     its sum over the letters to itself, times -1 for an ``e``, when w[0] =
     w[1]."""
@@ -351,8 +352,11 @@ def _covariant(draw, letters, parity, signed):
     if draw(st.booleans()):
         factors.append("w[%s]" % draw(letter))
     if signed:
-        factors.append("e[%s]" % ",".join(draw(st.lists(
-            letter, min_size=2, max_size=2, unique=True))))
+        a, b = draw(st.lists(letter, min_size=2, max_size=2, unique=True))
+        # y[;a] * x[a;b] puts both of e's indices in jets, so the typing
+        # moves both of e's slots: sigma does not act on a table's entries,
+        # and e[sigma a, b] is not +-e[a, b]
+        factors += ["e[%s,%s]" % (a, b), "y[;%s]" % a, "x[%s;%s]" % (a, b)]
     return " * ".join(factors)
 
 
