@@ -120,6 +120,20 @@ def _rat(x):
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 
+def _decimal(c):
+    """``str(c)`` of a coefficient of any size.  ``str`` refuses an int past
+    ``sys.get_int_max_str_digits()`` digits, a limit the whole process
+    shares, so such an int is printed as halves that it takes."""
+    try:
+        return str(c)
+    except ValueError:
+        if isinstance(c, Fraction):
+            return "%s/%s" % (_decimal(c.numerator), _decimal(c.denominator))
+        k = c.bit_length() * 3 // 20  # about half its digits
+        hi, lo = divmod(abs(c), 10 ** k)
+        return ("-" if c < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def _holds_fraction(terms):
     """Whether the term dict ``terms`` holds a Fraction coefficient, the one
     kind of operand whose sums and products can be whole: exactly when the
@@ -433,8 +447,11 @@ class GradedPoly:
     one, so the odd factors come first, each at most once, and multiply in
     key order.
     Keys hold ints only, so the garbage collector stops tracking them (see
-    the module docstring).  Only this module and ``jets`` read keys; other
-    code goes through ``monomials`` or ``global_terms``.  Canonical form
+    the module docstring).  Only this module, ``jets`` and
+    ``gvc.symmetry`` (``DirectionSwap.key`` and ``image``) read the entries
+    of a key, and ``gvc.evaluator`` builds the key ``(var.entry,)`` of one
+    variable and the empty key ``()`` of a constant; other code takes keys
+    whole or goes through ``monomials`` or ``global_terms``.  Canonical form
     makes equality checking a dict compare within one registry.  Output goes
     through ``global_terms``, which puts every term in the global variable
     order.
@@ -719,11 +736,11 @@ class GradedPoly:
             c = -c if neg else c
             body = "*".join(factors)
             if not factors:
-                coeff = str(c)
+                coeff = _decimal(c)
             elif c == 1:
                 coeff = body
             else:
-                coeff = "%s*%s" % (c, body)
+                coeff = "%s*%s" % (_decimal(c), body)
             if not chunks:
                 chunks.append("-" + coeff if neg else coeff)
             else:

@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 try:
     # the interpreter's own SHA-256: hashlib's would load OpenSSL
@@ -102,6 +103,18 @@ def _rebuild(theory, **over):
     return out
 
 
+def _flipped(theory, field, key=None):
+    """A copy of theory with one leading sign flipped (``_flip_leading``):
+    that of the polynomial ``field``, or with ``key`` that of the component
+    ``key`` of the block ``field``."""
+    value = getattr(theory, field)
+    if key is None:
+        return _rebuild(theory, **{field: _flip_leading(value)})
+    block = dict(value)
+    block[key] = _flip_leading(block[key])
+    return _rebuild(theory, **{field: block})
+
+
 def _flip_record(rec):
     key = sorted(rec.rows)[0]
     rows = dict(rec.rows)
@@ -133,8 +146,7 @@ def mutation_sites(theory):
     """
     sites = []
     if _varies(theory.lagrangian):
-        sites.append(("lagrangian", lambda: _rebuild(
-            theory, lagrangian=_flip_leading(theory.lagrangian))))
+        sites.append(("lagrangian", partial(_flipped, theory, "lagrangian")))
 
     def record_site(k, i):
         def build():
@@ -149,26 +161,10 @@ def mutation_sites(theory):
         prefix = "stage record" if k else "record"
         for i, rec in enumerate(theory.stage_records(k)):
             sites.append(("%s %s" % (prefix, rec.label()), record_site(k, i)))
-
-    def gauge_site(key):
-        def build():
-            cand = dict(theory.gauge_candidate)
-            cand[key] = _flip_leading(cand[key])
-            return _rebuild(theory, gauge_candidate=cand)
-        return build
-
-    for key in _nonzero_keys(theory.gauge_candidate or {}):
-        sites.append(("gauge %s" % comp_label(*key), gauge_site(key)))
-
-    def gamma_site(key):
-        def build():
-            gamma = dict(theory.gamma)
-            gamma[key] = _flip_leading(gamma[key])
-            return _rebuild(theory, gamma=gamma)
-        return build
-
-    for key in _nonzero_keys(theory.gamma):
-        sites.append(("gamma %s" % comp_label(*key), gamma_site(key)))
+    for field, name in (("gauge_candidate", "gauge"), ("gamma", "gamma")):
+        for key in _nonzero_keys(getattr(theory, field) or {}):
+            sites.append(("%s %s" % (name, comp_label(*key)),
+                          partial(_flipped, theory, field, key)))
     return sites
 
 
@@ -177,15 +173,12 @@ def apply_sign_mutation(theory):
     if theory.gamma:
         # with every component zero, _flip_leading reports the first one
         key = (_nonzero_keys(theory.gamma) or sorted(theory.gamma))[0]
-        gamma = dict(theory.gamma)
-        gamma[key] = _flip_leading(gamma[key])
-        return (_rebuild(theory, gamma=gamma),
+        return (_flipped(theory, "gamma", key),
                 "sign of leading gamma term on %s" % comp_label(*key))
     if not _varies(theory.lagrangian):
         raise GvcError("--mutate sign needs a gamma block or a Lagrangian "
                        "with a non-constant term")
-    return (_rebuild(theory, lagrangian=_flip_leading(theory.lagrangian)),
-            "sign of leading Lagrangian term")
+    return _flipped(theory, "lagrangian"), "sign of leading Lagrangian term"
 
 
 # ---------------------------------------------------------------------------

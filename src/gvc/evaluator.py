@@ -126,28 +126,15 @@ def _valued(fold, poly):
     return total
 
 
-def _multiply(vals, kinds, sign, out):
-    """Add ``sign`` times the product of ``vals``, in order, into the term
-    dict ``out``: term dicts where ``kinds`` is nonzero, else rationals;
-    nothing when one is zero, as the last of a list cut at its first zero
-    is."""
-    c, dicts = sign, []
-    for val, kind in zip(vals, kinds):
-        if not val:
-            return
-        if kind:
-            dicts.append(val)
-        else:
-            c *= val
-    total = dicts[0]
-    for val in dicts[1:-1]:
-        total = _mul_terms(total, val)
-    if len(dicts) > 1 and c == 1:
-        _mul_terms(total, dicts[-1], out)
-        return
-    if len(dicts) > 1:
-        total = _mul_terms(total, dicts[-1])
-    _add_into(out, total if c == 1 else _scale_terms(total, c))
+def _added(folds):
+    """fn(v, out) that runs each ``_fold`` function of ``folds`` in turn and
+    returns the sum of their rational parts."""
+    def add(v, out):
+        const = 0
+        for fold in folds:
+            const += fold(v, out)
+        return const
+    return add
 
 
 def _raiser(message, tok=None):
@@ -178,13 +165,15 @@ class _Eval:
     evaluation of it can fail.  A statement interns each jet variable once,
     where the tree walk first meets it, and reads it from a map of its own
     after that.  ``+`` and ``sum`` fold references, and rationals times one
-    reference, straight into one term dict.  A product whose factors are
-    clean stops at its first zero factor, so no zero costs the factors
-    after it.  Any other evaluates every factor, and a ``sum`` whose range
-    cannot be inferred raises where it is evaluated, so the first error is
-    the one evaluating every factor meets, where it meets it.  The closures
-    hold the registry, never the evaluator, so a statement leaves no
-    reference cycle behind.
+    reference, straight into one term dict.  One compiler of products,
+    ``_product``, multiplies every factor: a product's, a lone node's as a
+    product of one, and the values that ``_by_orbit`` takes or maps.  A
+    product whose factors are clean stops at its first zero factor, so no
+    zero costs the factors after it.  Any other evaluates every factor, and
+    a ``sum`` whose range cannot be inferred raises where it is evaluated,
+    so the first error is the one evaluating every factor meets, where it
+    meets it.  The closures hold the registry, never the evaluator, so a
+    statement leaves no reference cycle behind.
 
     Two routes spare work, both exact and both taken by clean nodes alone,
     so no error can move.  A factor of a product in a ``sum`` that
@@ -463,45 +452,26 @@ class _Eval:
         if kind == "add":
             folds, polys, cleans, signs = zip(*(
                 self._fold(item, scope, sign * s) for s, item in node[1]))
-
-            def add(v, out):
-                const = 0
-                for fold in folds:
-                    const += fold(v, out)
-                return const
-            return add, any(polys), all(cleans), _agree(signs)
+            return _added(folds), any(polys), all(cleans), _agree(signs)
         if kind == "sum":
             return self._sum(node[1], node[2], node[3], scope, sign)
-        if kind == "mul":
-            return self._product([self._factor(item, scope)
-                                  for item in node[1]], sign)
-        if kind == "ref":
-            value, poly, clean, signs = self._ref(node, scope)
-            if poly:
-                def ref(v, out):
-                    key, s = value(v)
-                    if s:
-                        # an int added to a coefficient under the rule keeps
-                        # the rule
-                        c = out.get(key, 0) + s * sign
-                        if c:
-                            out[key] = c
-                        else:
-                            del out[key]
-                    return 0
-                return ref, True, clean, signs
-        else:
-            value, poly, clean, signs = self._value(node, scope)
-        if poly:
-            neg = sign < 0
+        parts = [self._factor(item, scope)
+                 for item in (node[1] if kind == "mul" else [node])]
+        if kind == "mul" or parts[0][1] != 2:
+            return self._product(parts, sign)
+        value, _kind, clean, signs = parts[0]
 
-            def add(v, out):
-                _add_into(out, value(v), neg)
-                return 0
-            return add, True, clean, signs
-        if sign > 0:
-            return (lambda v, out: value(v)), False, clean, signs
-        return (lambda v, out: -value(v)), False, clean, signs
+        def ref(v, out):
+            key, s = value(v)
+            if s:
+                # an int added to a coefficient under the rule keeps the rule
+                c = out.get(key, 0) + s * sign
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+            return 0
+        return ref, True, clean, signs
 
     def _sum(self, binders, body, tok, scope, sign):
         """``_fold`` of ``sum(binders){body}``: each binding is written into
@@ -599,11 +569,18 @@ class _Eval:
         ``factors``, a clean polynomial, by ``orbit`` (moved, swaps): at the
         first value of each orbit (``gvc.symmetry.orbit_step``) each factor
         is evaluated, up to its first zero, and at any other each is e_F
-        sigma of its value at the step's, e_F its sign, and multiplied."""
+        sigma of its value at the step's, e_F its sign.  One ``_product``
+        multiplies the values of each, a reference's as a term dict, and
+        adds nothing for a list cut at its zero."""
         end, (moved, swaps) = first + len(ranges), orbit
         kinds = [kind for _value, kind, _clean, _signs in factors]
+        values = [_as_terms(value) if kind == 2 else value
+                  for value, kind, _clean, _signs in factors]
         signs = [{lam: _sign(neg, lam) for lam, _swap, _e in swaps}
                  for _value, _kind, _clean, (_ok, neg) in factors]
+        product = self._product([
+            (itemgetter(i), min(kind, 1), True, self.unit)
+            for i, kind in enumerate(kinds)], sign)[0]
 
         def by_orbit(v, out):
             done = {}
@@ -611,10 +588,8 @@ class _Eval:
                 step = orbit_step(at, moved, swaps)
                 if step is None:
                     v[first:end], vals = at, []
-                    for value, kind, _clean, _signs in factors:
+                    for value in values:
                         val = value(v)
-                        if kind == 2:
-                            val = {val[0]: val[1]} if val[1] else {}
                         vals.append(val)
                         if not val:
                             break
@@ -624,7 +599,7 @@ class _Eval:
                             e[swap.lam] * val
                             for val, kind, e in zip(done[src], kinds, signs)]
                 done[at] = vals
-                _multiply(vals, kinds, sign, out)
+                product(vals, out)
             return 0
         return by_orbit
 

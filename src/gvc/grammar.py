@@ -37,6 +37,7 @@ comes where it did.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 from .algebra import GvcError, _rat
@@ -89,7 +90,13 @@ def _tokenize(text):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            toks.append(("INT", int(text[i:j]), line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                # str -> int refuses a literal past the interpreter's limit
+                raise ParseError("integer literal longer than %d digits"
+                                 % sys.get_int_max_str_digits(), line, col)
+            toks.append(("INT", value, line, col))
             col += j - i
             i = j
             continue

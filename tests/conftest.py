@@ -56,6 +56,17 @@ alpha 1 { (y) = -ps * z_bar; (z) = ps * y_bar; }
 _CACHE = {}
 
 
+def unlimited_str(c):
+    """``str(c)`` with the interpreter's str-to-int digit limit lifted for
+    the call alone."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(c)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def fresh(name):
     """A newly parsed theory, with nothing derived yet."""
     if name == "bf4":

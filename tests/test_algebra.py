@@ -1,4 +1,5 @@
 """Canonical form, grading, and sign bookkeeping of the polynomial ring."""
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -19,7 +20,8 @@ from gvc.algebra import (
 )
 from gvc.symmetry import direction_swap
 import conftest
-from conftest import constant_term, degree_parts, maps_to, swapped_key
+from conftest import constant_term, degree_parts, maps_to, swapped_key, \
+    unlimited_str
 
 
 def make_registry():
@@ -109,6 +111,19 @@ def test_pretty_pins():
     assert REG.zero.pretty() == "0"
     assert REG.const(Fraction(-7, 3)).pretty() == "-7/3"
     assert (REG.const(3) - S + S * S).pretty() == "3 - s + s^2"
+
+
+@pytest.mark.parametrize("c", [2 ** 15000, -(3 ** 9100),
+                               Fraction(-1, 3 ** 9100),
+                               Fraction(7 ** 6000, 3 ** 9100)],
+                         ids=["int", "negative", "fraction", "both long"])
+def test_pretty_prints_coefficients_past_the_str_limit_exactly(c):
+    # str refuses an int past sys.get_int_max_str_digits() digits
+    limit = sys.get_int_max_str_digits()
+    digits = unlimited_str(c)
+    assert REG.const(c).pretty() == digits
+    assert (REG.const(c) * S).pretty() == digits + "*s"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_parity_queries():

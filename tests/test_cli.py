@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from gvc.cli import (_parse_checks, _residual_text, apply_sign_mutation,
 from gvc.parser import MAX_NESTING, TheorySpec, parse_theory
 from gvc.theories import builtin_path
 from conftest import all_pass, binding, cached, count_calls, count_passes, \
-    fresh
+    fresh, unlimited_str
 
 MINI = """\
 theory mini;
@@ -168,6 +169,42 @@ def test_exit_two_on_non_utf8_file(tmp_path, capsys):
     assert run(["verify", "--theory", str(path), "--check", "ni"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read theory file: 'utf-8' codec")
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_LONG = "1" * (_LIMIT + 1)
+
+
+@pytest.mark.skipif(not _LIMIT, reason="str -> int has no digit limit")
+@pytest.mark.parametrize("text, position", [
+    ("dim %s;\nfield y even;\nL = y;\n" % _LONG, "line 1, column 5"),
+    ("field y even;\nL = %s * y;\n" % _LONG, "line 2, column 5"),
+    ("field y even;\nL = y^%s;\n" % _LONG, "line 2, column 7"),
+], ids=["dim", "coefficient", "exponent"])
+def test_integer_literal_past_the_str_limit_exits_2(tmp_path, text,
+                                                    position):
+    path = tmp_path / "theory.gvc"
+    path.write_text(text)
+    done = _python_m_gvc("verify", "--theory", str(path), "--check", "ni")
+    assert done.returncode == 2
+    assert done.stderr == "error: integer literal longer than %d digits " \
+        "(%s)\n" % (_LIMIT, position)
+
+
+@pytest.mark.parametrize("lagrangian, residual", [
+    ("(2*y)^15000", "%s*y^14999" % unlimited_str(15000 * 2 ** 15000)),
+    ("1/3^9100 * y^2", "%s*y" % unlimited_str(Fraction(2, 3 ** 9100))),
+], ids=["int", "fraction"])
+def test_coefficients_past_the_str_limit_print_in_a_fail_report(
+        tmp_path, capsys, lagrangian, residual):
+    path = tmp_path / "theory.gvc"
+    path.write_text("dim 1;\nfield y even;\nL = %s;\nni e[] { (y;) = 1; }\n"
+                    % lagrangian)
+    assert run(["verify", "--theory", str(path), "--check", "ni"]) == 1
+    out = capsys.readouterr().out
+    assert "\n[fail] ni: e[] (" in out
+    assert "\n    residual: %s\n" % residual in out
+    assert "\noverall: fail\n" in out
 
 
 @pytest.mark.parametrize("callee", ["parse_theory", "build_report"])

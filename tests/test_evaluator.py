@@ -171,6 +171,10 @@ _ORBIT_TEXTS = [
     "L = sum(i){ p[i;] * sum(j){ h[j] * p[j;i] } } + a[0;] * a[1;];",
     "L = a[0;] - sum(i){ a[i;] * sum(j){ a[j;i] } + a[i;i] };",
     "L = a[0;] - sum(i, j){ (a[i;] + a[i;i]) * h[j] * p[j;] * p[j;i] };",
+    # a product that is zero at its orbit's first member, cut there, and
+    # whose image adds nothing
+    "L = sum(i){ (a[i;] - a[i;]) * sum(j){ a[j;] * a[j;i] } } + a[0;] * "
+    "a[1;];",
     "L = a[0;] * a[1;];\nni c[w:2] { (a[w]) = h[w] * sum(j){ a[j;w] }; "
     "(p[w]; w) = h[w] * sum(j){ p[j;] }; }\n"
     "gauge { (a[i]) = sum(j){ c[j;i] * h[j] * a[j;] }; }",
