@@ -27,7 +27,8 @@ two adjacent base directions map L to +-L and each record family and the
 gamma block onto themselves; a parsed theory's memo starts with them, its
 two certificates (``gvc.parser._TheoryBuilder.certificates``), the only
 proof of a symmetry that ``gvc.symmetry`` accepts.  Those transpositions
-act on the slots that carry a direction (``gvc.grammar._directions``).
+act on the slots that carry a direction, which ``gvc.grammar._directions``
+types from the statements the parser read.
 
 Everything is exact rational arithmetic.  A number is born under the
 coefficient rule of ``algebra._rat``, an int when it is integral, and a

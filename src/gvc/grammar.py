@@ -24,15 +24,13 @@ not declared directly: each ``ni``/``stage`` block introduces its ghost
 family, with Grassmann parity read off the record itself.
 
 Row and component keys are one statement form, ``( NAME[idx...] ; jets )``:
-a key's jets follow its closing bracket.  ``_Parser`` reads what each
-statement says, its checks aside, for the builder (``gvc.parser``) and for
-the typing pass, and each statement's expression and key once for both
-(``_Parser.once``).
+a key's jets follow its closing bracket.  ``_Parser.statements`` reads the
+source once, each statement whole with every check that depends on its
+tokens alone, for the builder (``gvc.parser``) and for the typing pass.
 
 The direction swaps of ``gvc.symmetry`` act on the slots that carry a
-direction, which one pass over the whole source decides before the first
-statement is evaluated (``_directions``); it raises nothing, so every error
-comes where it did.
+direction, which one pass over the statements read decides before the first
+of them is evaluated (``_directions``).
 """
 from __future__ import annotations
 
@@ -127,7 +125,6 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.read = {}  # (reader, token position) -> (tree, end position)
 
     # -- token plumbing ------------------------------------------------------
 
@@ -178,22 +175,6 @@ class _Parser:
         if len(items) == 1 and items[0][0] == 1:
             return items[0][1]
         return ("add", items)
-
-    def once(self, read):
-        """What ``read()`` reads from here, read once however often the
-        tokens are read (``_directions`` reads them before the builder): it
-        depends on the tokens alone, and what fails to read is read again,
-        to fail there."""
-        at = read.__name__, self.pos
-        hit = self.read.get(at)
-        if hit is None:
-            hit = self.read[at] = read(), self.pos
-        out, self.pos = hit
-        return out
-
-    def expression(self):
-        """A statement's expression (``once``)."""
-        return self.once(self.parse_expression)
 
     def parse_term(self):
         factors = [self.parse_power()]
@@ -309,11 +290,61 @@ class _Parser:
         self.expect("]")
         return comps, jets
 
-    # -- statement grammar: what a statement reads, its checks aside ---------
+    # -- statement grammar: each statement read whole -----------------------
+
+    def statements(self):
+        """The source read from start to end, one whole statement at a time:
+        the list of ``(first token, parts)`` of each statement read, and the
+        ParseError that stopped the reading, or None."""
+        out = []
+        try:
+            while not self.at("EOF"):
+                out.append(self.statement())
+        except ParseError as exc:
+            return out, exc
+        return out, None
+
+    def statement(self):
+        """One statement up to its ``;`` or ``}`` as (its first token,
+        parts): a NAME or INT value, the tree of ``L``, the rows of
+        ``gauge``/``gamma``, (K's token, rows) of ``alpha K``, or what
+        ``table``, ``field`` or ``records`` reads."""
+        tok = self.expect("NAME")
+        word = tok[1]
+        if word in ("theory", "dim", "jet_order"):
+            parts = self.expect("NAME" if word == "theory" else "INT")[1]
+        elif word == "table":
+            return tok, self.table()
+        elif word == "field":
+            parts = self.field()
+        elif word == "L":
+            self.expect("=")
+            parts = self.parse_expression()
+        elif word == "ni":
+            return tok, self.records(0)
+        elif word == "stage":
+            return tok, self.records(self.order(
+                "stage blocks start at 1; stage-0 records are `ni` blocks")[1])
+        elif word in ("gauge", "gamma"):
+            return tok, self.rows()
+        elif word == "alpha":
+            return tok, (self.order("alpha blocks start at stage 1"),
+                         self.rows())
+        else:
+            self.error("unknown statement %r" % word, tok)
+        self.expect(";")
+        return tok, parts
+
+    def order(self, message):
+        """The token of K in ``stage K`` or ``alpha K``, at least 1."""
+        tok = self.expect("INT")
+        if tok[1] < 1:
+            self.error(message, tok)
+        return tok
 
     def table(self):
         """``NAME[sizes] { [INT,...] = RAT ; ... }`` as (name, shape,
-        entries)."""
+        entries); an entry is given once."""
         name = self.expect("NAME")[1]
         self.expect("[")
         shape = self.items(self.size)
@@ -321,23 +352,26 @@ class _Parser:
         self.expect("{")
         entries = {}
         while not self.at("}"):
-            self.expect("[")
-            idx = self.items(lambda: self.expect("INT")[1])
+            at = self.expect("[")
+            idx = tuple(self.items(lambda: self.expect("INT")[1]))
             self.expect("]")
+            if idx in entries:
+                self.error("table entry %s[%s] given twice" % (
+                    name, ",".join(map(str, idx))), at)
             self.expect("=")
             sign = 1
             while self.at("-") or self.at("+"):
                 if self.next()[0] == "-":
                     sign = -sign
-            entries[tuple(idx)] = sign * self.rational()
+            entries[idx] = sign * self.rational()
             self.expect(";")
         self.next()
         return name, tuple(shape), entries
 
     def field(self):
-        """``NAME [[sizes]] [sym|antisym] PARITY``, a field statement up to
-        its ``;``, as (name, slots, symmetry, the parity token, (table
-        name, slot) when it is ``parity TBL@SLOT``)."""
+        """``NAME [[sizes]] [sym|antisym] (even|odd|parity TBL@SLOT)`` as
+        (name, slots, symmetry, the parity word's token, 0 for even, 1 for
+        odd, or (table name, slot))."""
         name = self.expect("NAME")[1]
         slots = []
         if self.at("["):
@@ -347,16 +381,20 @@ class _Parser:
         symmetry = None
         if self.at("NAME", "sym") or self.at("NAME", "antisym"):
             symmetry = self.next()[1]
-        ptok, table = self.expect("NAME"), None
+        ptok = self.expect("NAME")
         if ptok[1] == "parity":
             tname = self.expect("NAME")[1]
             self.expect("@")
-            table = tname, self.expect("INT")[1]
-        return name, slots, symmetry, ptok, table
+            parity = tname, self.expect("INT")[1]
+        elif ptok[1] in ("even", "odd"):
+            parity = int(ptok[1] == "odd")
+        else:
+            self.error("expected even, odd or parity", ptok)
+        return name, slots, symmetry, ptok, parity
 
     def records(self, stage):
         """``GHOST[binders] { rows and h }``, a stage-``stage`` record
-        block, as (the ghost's token, binders, row statements, h or
+        block, as (stage, the ghost's token, binders, row statements, h or
         None)."""
         ghost = self.expect("NAME")
         self.expect("[")  # [i:RANGE, ...], an empty group for scalars
@@ -372,21 +410,26 @@ class _Parser:
                 if h_node is not None:
                     self.error("h declared twice", htok)
                 self.expect("{")
-                h_node = self.expression()
+                h_node = self.parse_expression()
                 self.expect("}")
                 self.expect(";")
                 continue
             rows.append(self.row())
         self.next()
-        return ghost, binders, rows, h_node
+        return stage, ghost, binders, rows, h_node
+
+    def rows(self):
+        """``{ row ... }``, the key statements of a component block."""
+        self.expect("{")
+        rows = []
+        while not self.at("}"):
+            rows.append(self.row())
+        self.next()
+        return rows
 
     def row(self):
         """``( NAME[idx,...] ; jets ) = EXPR ;``, the key statement of
-        record and component blocks; a key's jets follow its bracket
-        (``once``)."""
-        return self.once(self._row)
-
-    def _row(self):
+        record and component blocks; a key's jets follow its bracket."""
         tok = self.expect("(")
         name = self.expect("NAME")[1]
         comps, jets = [], []
@@ -404,11 +447,11 @@ class _Parser:
         return (tok, name, comps, jets, node)
 
 
-def _directions(p):
+def _directions(statements):
     """{family or table: whether each of its slots carries a base
-    direction}, read from the whole source of the parser ``p`` at its
-    start, before any statement is evaluated; None when it cannot be read,
-    and never an error: the builder meets any error where it did before.
+    direction}, read from ``statements`` (``_Parser.statements``) before
+    any of them is evaluated; a source that stops reading is typed from the
+    statements before its error.
 
     A union-find joins each slot (family, position) with every index that
     sits in it, and every index that sits in a jet with the jets.  Indices
@@ -417,9 +460,10 @@ def _directions(p):
     indices.  A symmetric family joins its slots, and an antifield
     ``X_bar`` reads X's.  A slot of range ``dim`` joined with the jets
     carries a direction; no other does.  A name or ``dim`` declared twice is
-    read at its first declaration, as the builder reads it.  Any such choice is sound (see
-    ``gvc.symmetry``): this one makes sigma fix the slots that no
-    direction reaches, such as an internal index of range ``dim``."""
+    read at its first declaration, as the builder reads it.  Any such
+    choice is sound (see ``gvc.symmetry``): this one makes sigma fix the
+    slots that no direction reaches, such as an internal index of range
+    ``dim``."""
     root, shapes, bases, binder = {}, {}, set(), itertools.count()
     refs, in_jets, dim = set(), set(), None  # (index, name, position), index
 
@@ -460,57 +504,33 @@ def _directions(p):
                 inner[a[1]] = next(binder)
         walk(("ref", name, comps, jets, None), inner)
         walk(node, inner)
-    try:
-        while not p.at("EOF"):
-            word = p.expect("NAME")[1]
-            if word == "theory":
-                p.expect("NAME")
-            elif word in ("dim", "jet_order"):
-                n = p.expect("INT")[1]
-                if word == "dim" and dim is None:
-                    dim = n
-            elif word == "table":
-                name = p.expect("NAME")[1]
-                p.expect("[")
-                shapes.setdefault(name, p.items(p.size))
-                while p.toks[p.pos][0] not in ("}", "EOF"):  # the entries
-                    p.pos += 1
-                p.expect("}")
-                continue
-            elif word == "field":
-                name, slots, symmetry, _ptok, _table = p.field()
-                shapes.setdefault(name, slots)
-                bases.add(name)
-                for i in range(1, len(slots) if symmetry else 0):
-                    join((name, i), (name, 0))
-            elif word == "L":
-                p.expect("=")
-                walk(p.expression(), {})
-            elif word in ("ni", "stage"):
-                stage = p.expect("INT")[1] if word == "stage" else 0
-                gtok, binders, rows, h_node = p.records(stage)
-                ghost = gtok[1]
-                shapes.setdefault(ghost, [rng for _var, rng in binders])
-                bases.add(ghost)
-                scope = {var: (ghost, i) for i, (var, _r) in enumerate(binders)}
-                for row in rows:
-                    key(row, scope)
-                if h_node is not None:
-                    walk(h_node, scope)
-                continue
-            elif word in ("gauge", "gamma", "alpha"):
-                if word == "alpha":
-                    p.expect("INT")
-                p.expect("{")
-                while not p.at("}"):
-                    key(p.row(), {})
-                p.next()
-                continue
-            else:
-                return None
-            p.expect(";")
-    except ParseError:
-        return None
+    for tok, parts in statements:
+        word = tok[1]
+        if word == "dim" and dim is None:
+            dim = parts
+        elif word == "table":
+            shapes.setdefault(parts[0], parts[1])
+        elif word == "field":
+            name, slots, symmetry, _ptok, _parity = parts
+            shapes.setdefault(name, slots)
+            bases.add(name)
+            for i in range(1, len(slots) if symmetry else 0):
+                join((name, i), (name, 0))
+        elif word == "L":
+            walk(parts, {})
+        elif word in ("ni", "stage"):
+            _stage, gtok, binders, rows, h_node = parts
+            ghost = gtok[1]
+            shapes.setdefault(ghost, [rng for _var, rng in binders])
+            bases.add(ghost)
+            scope = {var: (ghost, i) for i, (var, _r) in enumerate(binders)}
+            for row in rows:
+                key(row, scope)
+            if h_node is not None:
+                walk(h_node, scope)
+        elif word in ("gauge", "gamma", "alpha"):
+            for row in parts[1] if word == "alpha" else parts:
+                key(row, {})
     for index, name, i in refs:
         if name not in shapes and name.endswith("_bar") and \
                 name[:-4] in bases:

@@ -1,8 +1,11 @@
 """Theory-spec parsing: a theory built statement by statement.
 
-``parse_theory`` reads a source with the grammar of ``gvc.grammar`` and
-evaluates each statement with the compiled evaluator of ``gvc.evaluator``
-(``_Eval``), as it comes.  The rows that separate statements of a block
+``parse_theory`` reads each statement of a source whole, once
+(``gvc.grammar``), and checks and evaluates the statements in turn with the
+compiled evaluator of ``gvc.evaluator`` (``_Eval``): a syntax error wins
+over a rule error of its own statement alone, and a source that stops
+reading fails at its syntax error once the statements before it are
+evaluated.  The rows that separate statements of a block
 give one key add up; within one statement, keys that a symmetric family
 maps to one canonical key count once and must agree, and component blocks
 reject conflicting values for one key.  A clean record family that holds a
@@ -82,10 +85,10 @@ class _TheoryBuilder:
 
     def __init__(self, text, jet_order=None, default_jet_order=None):
         self.p = _Parser(text)
-        # the direction slots of each family and table, then the statements
-        # from the start
-        self.directions = _directions(self.p) or {}
-        self.p.pos = self.p.depth = 0
+        # every statement read whole, the error that stopped the reading,
+        # and the direction slots of each family and table
+        self.statements, self.unread = self.p.statements()
+        self.directions = _directions(self.statements)
         self.jet_order = jet_order
         self.default_jet_order = default_jet_order
         self.reg = None
@@ -102,8 +105,10 @@ class _TheoryBuilder:
         self.gamma_signs, self.table_signs, self.swaps = [], {}, {}
 
     def run(self):
-        while not self.p.at("EOF"):
-            self.statement()
+        for tok, parts in self.statements:
+            self.statement(tok, parts)
+        if self.unread is not None:
+            raise self.unread
         if self.reg is None:
             self.p.error("theory must declare a dimension")
         if self.lagrangian is None:
@@ -142,97 +147,69 @@ class _TheoryBuilder:
         direction swaps."""
         return _Eval(self.reg, self.table_signs, self.swaps)
 
-    def typed(self, name, shape):
-        """Whether each slot of the family or table ``name`` carries a base
-        direction, as ``_directions`` found at its first declaration, or by
-        default (a source it could not read, or a name declared again,
-        which fails where it did) each slot of range ``dim``."""
-        again = name in self.reg.symbols or name in self.reg.tables
-        return self.reg.typed(shape, None if again else
-                              self.directions.get(name))
-
     def need_reg(self, tok):
         if self.reg is None:
             self.p.error("dim must be declared first", tok)
 
-    def statement(self):
-        tok = self.p.expect("NAME")
+    def statement(self, tok, parts):
+        """Check and evaluate one statement ``_Parser.statements`` read."""
         word = tok[1]
         if word == "theory":
-            self.name = self.p.expect("NAME")[1]
-            self.p.expect(";")
+            self.name = parts
         elif word == "dim":
             if self.reg is not None:
                 self.p.error("dim declared twice", tok)
-            dim = self.p.expect("INT")[1]
-            self.p.expect(";")
             cap = self.jet_order
             if cap is None:
                 cap = self.default_jet_order
             with _at(tok):
-                self.reg = Registry(dim=dim, jet_order=cap)
+                self.reg = Registry(dim=parts, jet_order=cap)
         elif word == "jet_order":
             self.need_reg(tok)
             if self.reg.frozen:
                 self.p.error("jet_order declared after gauge/gamma/alpha", tok)
-            cap = self.p.expect("INT")[1]
-            self.p.expect(";")
             with _at(tok):
-                cap = Registry.checked_jet_order(cap)
+                cap = Registry.checked_jet_order(parts)
             if self.jet_order is None:  # an explicit override wins over the file
                 self.reg.jet_order = cap
         elif word == "table":
-            self.table_stmt(tok)
+            self.table_stmt(tok, *parts)
         elif word == "field":
-            self.field_stmt(tok)
+            self.field_stmt(tok, *parts)
         elif word == "L":
-            self.lagrangian_stmt(tok)
-        elif word == "ni":
-            self.record_block(tok, stage=0)
-        elif word == "stage":
-            ktok = self.p.expect("INT")
-            if ktok[1] < 1:
-                self.p.error("stage blocks start at 1; stage-0 records are "
-                             "`ni` blocks", ktok)
-            self.record_block(tok, stage=ktok[1])
+            self.lagrangian_stmt(tok, parts)
+        elif word in ("ni", "stage"):
+            self.build_records(tok, *parts)
         elif word == "gauge":
             self.gauge_candidate = self.component_block(
-                tok, self.gauge_candidate)[0]
+                tok, parts, self.gauge_candidate)[0]
         elif word == "gamma":
-            self.gamma, signs = self.component_block(tok, self.gamma,
+            self.gamma, signs = self.component_block(tok, parts, self.gamma,
                                                      require_gamma)
             self.gamma_signs += signs
-        elif word == "alpha":
-            ktok = self.p.expect("INT")
+        else:  # alpha
+            ktok, rows = parts
             k = ktok[1]
-            if k < 1 or k not in self.stages:  # nothing would read it
-                self.p.error("alpha blocks start at stage 1" if k < 1 else
-                             "alpha %d: no stage %d block declared" % (k, k),
+            if k not in self.stages:  # nothing would read it
+                self.p.error("alpha %d: no stage %d block declared" % (k, k),
                              ktok)
-            self.alphas[k] = self.component_block(tok, self.alphas.get(k))[0]
-        else:
-            self.p.error("unknown statement %r" % word, tok)
+            self.alphas[k] = self.component_block(tok, rows,
+                                                  self.alphas.get(k))[0]
 
     # -- declarations ---------------------------------------------------------
 
-    def table_stmt(self, tok):
+    def table_stmt(self, tok, name, shape, entries):
         self.need_reg(tok)
-        name, shape, entries = self.p.table()
         with _at(tok):
             self.reg.declare_table(name, shape, entries,
-                                   self.typed(name, shape))
+                                   self.directions.get(name))
 
-    def field_stmt(self, tok):
+    def field_stmt(self, tok, name, slots, symmetry, ptok, parities):
         self.need_reg(tok)
         if self.reg.frozen:
             self.p.error("field declared after gauge/gamma/alpha", tok)
-        name, slots, symmetry, ptok, table = self.p.field()
-        if ptok[1] == "even":
-            parities = 0
-        elif ptok[1] == "odd":
-            parities = 1
-        elif ptok[1] == "parity":
-            tname, slot = table
+        if ptok[1] == "parity":
+            tname, slot = parities
             tab = self.reg.tables.get(tname)
             if tab is None:
                 self.p.error("unknown parity table %r" % tname, ptok)
@@ -245,20 +222,14 @@ class _TheoryBuilder:
                     if vec[-1] not in (0, 1):
                         raise GvcError("parity table entries must be 0 or 1")
             parities = (slot, tuple(map(int, vec)))
-        else:
-            self.p.error("expected even, odd or parity", ptok)
-        self.p.expect(";")
         with _at(tok):
             self.reg.declare_field(name, tuple(slots), parities, symmetry,
-                                   self.typed(name, slots))
+                                   self.directions.get(name))
 
-    def lagrangian_stmt(self, tok):
+    def lagrangian_stmt(self, tok, node):
         self.need_reg(tok)
         if self.lagrangian is not None:
             self.p.error("L declared twice", tok)
-        self.p.expect("=")
-        node = self.p.expression()
-        self.p.expect(";")
         with _at(tok):
             evaluator = self.evaluator()
             self.lagrangian = evaluator.statement(node, [])(())
@@ -266,15 +237,6 @@ class _TheoryBuilder:
         self.lagrangian_signs = evaluator.signs
 
     # -- record blocks ----------------------------------------------------------
-
-    def record_block(self, tok, stage):
-        self.need_reg(tok)
-        if self.reg.frozen:
-            self.p.error("records must come before gauge/gamma/alpha blocks",
-                         tok)
-        if self.lagrangian is None:
-            self.p.error("records must come after the Lagrangian", tok)
-        self.build_records(tok, stage, *self.p.records(stage))
 
     def _row_statement(self, stage, binders, stmt, evaluator):
         """Resolve and compile one row statement for every record of a
@@ -334,8 +296,15 @@ class _TheoryBuilder:
         return out
 
     def build_records(self, tok, stage, gtok, binders, rows_stmts, h_node):
+        self.need_reg(tok)
+        if self.reg.frozen:
+            self.p.error("records must come before gauge/gamma/alpha blocks",
+                         tok)
+        if self.lagrangian is None:
+            self.p.error("records must come after the Lagrangian", tok)
         ghost, reg = gtok[1], self.reg
-        if ghost in reg.symbols:
+        sym = reg.symbols.get(ghost)
+        if sym is not None and sym.kind == KIND_GHOST:
             self.p.error("ghost %r declared twice" % ghost, tok)
         # the names the registry declares for the family, checked before
         # any row is evaluated
@@ -344,7 +313,7 @@ class _TheoryBuilder:
                 self.p.error("name %r is already declared" % name, gtok)
         evaluator, statements = self.evaluator(), []
         slots = tuple(rng for _v, rng in binders)
-        directed = self.typed(ghost, slots)
+        directed = reg.typed(slots, self.directions.get(ghost))
         produced, done, orbit = [], {}, None  # (component, rows, parity)
         for comp in itertools.product(*(range(rng) for rng in slots)):
             step = orbit and orbit_step(comp, *orbit)
@@ -410,10 +379,10 @@ class _TheoryBuilder:
 
     # -- component blocks (gauge / gamma / alpha) -------------------------------
 
-    def component_block(self, tok, existing, rule=None):
-        """(The components of a gauge, gamma or alpha block added to those
-        of ``existing``, each checked by rule; the signs of each of its
-        statements.)"""
+    def component_block(self, tok, rows, existing, rule=None):
+        """(The components of the ``rows`` of a gauge, gamma or alpha block
+        added to those of ``existing``, each checked by rule; the signs of
+        each of its statements.)"""
         self.need_reg(tok)
         if self.lagrangian is None:
             self.p.error("component blocks must come after the Lagrangian",
@@ -421,9 +390,7 @@ class _TheoryBuilder:
         self.reg.freeze()
         evaluator = self.evaluator()
         out, signs = dict(existing or {}), []
-        self.p.expect("{")
-        while not self.p.at("}"):
-            rtok, name, comps, jets, node = self.p.row()
+        for rtok, name, comps, jets, node in rows:
             if jets:
                 self.p.error("component keys carry no jet indices", rtok)
             sym = self.reg.symbols.get(name)
@@ -441,7 +408,6 @@ class _TheoryBuilder:
                             % (name, ",".join(map(str, canon))))
                     if rule is not None:
                         rule(self.reg, (name, canon), val)
-        self.p.next()
         return out, signs
 
 

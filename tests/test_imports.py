@@ -133,6 +133,29 @@ def test_the_import_graph_of_the_package_is_acyclic():
         order += ready
 
 
+def test_the_builder_reads_the_source_only_through_the_grammar():
+    # statement syntax lives in gvc.grammar alone: _TheoryBuilder makes its
+    # _Parser once and reaches it only through statements() and error()
+    with open(os.path.join(SRC, "parser.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    builder, = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "_TheoryBuilder"]
+
+    def is_parser(node):
+        return isinstance(node, ast.Attribute) and node.attr == "p" and \
+            isinstance(node.value, ast.Name) and node.value.id == "self"
+    nodes = list(ast.walk(builder))
+    made = [node for node in nodes
+            if isinstance(node, ast.Name) and node.id == "_Parser"]
+    read = [node for node in nodes
+            if is_parser(node) and isinstance(node.ctx, ast.Load)]
+    reached = [node.attr for node in nodes
+               if isinstance(node, ast.Attribute) and is_parser(node.value)]
+    assert len(made) == 1
+    assert len(reached) == len(read)
+    assert set(reached) == {"statements", "error"}
+
+
 def test_no_module_compiles_past_a_bounded_memory_peak():
     # a process that imports gvc from source peaks while it compiles the
     # largest module: each stays under 2.5 MB of that transient (on

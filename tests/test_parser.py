@@ -11,7 +11,8 @@ from gvc.algebra import GvcError, Registry
 from gvc.noether import require_record
 from gvc.grammar import _Parser
 from gvc.parser import ParseError, parse_expr, parse_theory
-from gvc.theories import build_fixture, fixture_text, load_builtin
+from gvc.theories import (build_fixture, builtin_path, fixture_text,
+                          load_builtin)
 from conftest import cached, certified_swaps_hold, fresh
 
 
@@ -58,6 +59,8 @@ _AB = "dim 1; field s even; field a[2] even; field b[3] even; "
      "component keys cannot target antifields"),
     ("dim 2; table k[2,2]{ [0,3]=1; } field s even; L = s;",
      "index (0, 3) out of bounds for table k"),
+    ("dim 1;\ntable t[2]{[0]=1;[0]=2;}\nfield s even;\nL = s;",
+     "table entry t[0] given twice (line 2, column 18)"),
     ("dim 1; field s even;", "theory must declare a Lagrangian"),
     ("dim 1; field s even; L = s;\nni c[] { (s) = 1; h { s_bar }; }",
      "h certificates belong to stage blocks"),
@@ -89,6 +92,24 @@ def test_error_messages(text, message):
     with pytest.raises(ParseError) as ei:
         parse_theory(text)
     assert message in str(ei.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    # a statement is read whole before any of its rules is checked: of a
+    # rule error and a syntax error in one statement, the syntax error
+    ("dim 1; dim x;", "expected 'INT', found 'x' (line 1, column 12)"),
+    ("dim 1; field s even; L = s; L = ;",
+     "expected an expression (line 1, column 33)"),
+    ("dim 1; field s even; L = s; gauge { (q) = 1; (s) = ; }",
+     "expected an expression (line 1, column 52)"),
+    # and of errors in two statements, the earlier one
+    ("dim 1; field s even; L = q; L = ;",
+     "unknown symbol 'q' (line 1, column 22)"),
+])
+def test_a_syntax_error_wins_only_within_its_statement(text, message):
+    with pytest.raises(ParseError) as ei:
+        parse_theory(text)
+    assert str(ei.value) == message
 
 
 def test_errors_carry_line_and_column():
@@ -511,15 +532,39 @@ def test_each_builtin_types_the_slots_that_carry_a_direction(name):
                    zip(sym.slots, sym.directions) if moved)
 
 
-def test_a_source_the_typing_cannot_read_keeps_the_slots_of_range_dim():
-    # the typing pass reads the whole source first and never raises: a
-    # syntax error past the first statements leaves every slot of range
-    # dim a direction, and the parse fails where it did
-    text = (_EPS3 + "L = %s;\n" % _CURL) + "ni c[g:3] { (x[g]) = ; }"
-    assert grammar._directions(_Parser(text)) is None
+def test_a_source_that_stops_reading_is_typed_from_the_statements_before_it():
+    # the statements read before a syntax error are typed as they are in a
+    # whole source (the curl alone leaves x without a direction), and the
+    # parse fails at the error
+    text = "dim 3;\n" + _EPS3 + "L = %s;\n" % _CURL + \
+        "ni c[g:3] { (x[g]) = ; }"
+    statements, error = _Parser(text).statements()
+    assert [tok[1] for tok, _parts in statements] == [
+        "dim", "table", "field", "L"]
+    assert grammar._directions(statements) == {"e": (False, True, False),
+                                               "x": (False,)}
+    assert (error.line, error.col) == (5, 22)
     with pytest.raises(ParseError) as err:
-        parse_theory("dim 3;\n" + text)
+        parse_theory(text)
     assert (err.value.line, err.value.col) == (5, 22)
+
+
+@pytest.mark.parametrize("name", ["bf", "cs3", "ym4"])
+def test_typing_the_statements_before_an_error_moves_no_error(
+        name, monkeypatch):
+    # a source cut anywhere and followed by an unknown statement fails with
+    # the error it fails with when no slot is typed from the source
+    with open(builtin_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    cuts = range(len(text) * 7 % 31, len(text), len(text) // 40)
+
+    def failure(source):
+        with pytest.raises(GvcError) as err:
+            parse_theory(source)
+        return str(err.value), err.value.line, err.value.col
+    typed = [failure(text[:cut] + "\nbogus;") for cut in cuts]
+    monkeypatch.setattr(parser, "_directions", lambda statements: {})
+    assert typed == [failure(text[:cut] + "\nbogus;") for cut in cuts]
 
 
 @pytest.mark.parametrize("text, message, line", [
@@ -547,6 +592,12 @@ def test_a_name_declared_twice_is_typed_as_the_builder_reads_it(
      "ni q[w:2] { (x[w]) = nosuch; }", "name 'q' is already declared"),
     ("dim 2;\nfield c_bar even;\nfield x[2] even;\nL = x[0];\n"
      "ni c[w:2] { (x[w]) = nosuch; }", "name 'c_bar' is already declared"),
+    # a ghost named as a field, or as the antifield of another ghost, is no
+    # second ghost block
+    ("dim 2;\nfield s even;\nfield x[2] even;\nL = x[0];\n"
+     "ni s[w:2] { (x[w]) = nosuch; }", "name 's' is already declared"),
+    ("dim 2;\nfield x[2] even;\nL = x[0];\nni c[] { (x[0]) = 1; }\n"
+     "ni c_bar[w:2] { (x[w]) = nosuch; }", "name 'c_bar' is already declared"),
 ])
 def test_a_ghost_named_as_a_declared_name_fails_at_its_name(text, message):
     # the names a record block declares, its ghost and the ghost's
