@@ -76,11 +76,14 @@ class GradingError(GvcError):
 class JetOrderCapError(GvcError):
     """A requested jet variable exceeds the configured jet-order cap."""
 
-    def __init__(self, symbol, index, cap):
+    def __init__(self, symbol, component, index, cap):
+        # the variable as a theory writes it; a file's own jet_order
+        # statement overrides GVC_JET_ORDER, so only these always raise it
         super().__init__(
-            "jet order %d of %s%r exceeds the cap %d; raise the cap via "
-            "Registry(jet_order=...) or the --jet-order flag / GVC_JET_ORDER"
-            % (len(index), symbol, tuple(index), cap)
+            "jet order %d of %s[%s;%s] exceeds the cap %d; raise the cap via "
+            "Registry(jet_order=...) or --jet-order"
+            % (len(index), symbol, ",".join(map(str, component)),
+               ",".join(map(str, index)), cap)
         )
         self.symbol = symbol
         self.index = tuple(index)
@@ -906,7 +909,7 @@ class Registry:
             except KeyError:
                 raise GvcError("unknown symbol %r" % symbol) from None
         component, sign = symbol.canonicalize(component)
-        index = self.checked_index(symbol, index)
+        index = self.checked_index(symbol, component, index)
         if sign == 0:
             return None, 0
         k = (symbol.name, component, index)
@@ -917,15 +920,17 @@ class Registry:
             self.by_rank.append(v)
         return v, sign
 
-    def checked_index(self, symbol, index):
-        """The multi-index of a ``symbol`` variable, sorted; ValueError for a
-        direction outside the base, JetOrderCapError past the cap."""
+    def checked_index(self, symbol, component, index):
+        """The multi-index of the ``symbol`` variable of ``component``,
+        sorted; ValueError for a direction outside the base,
+        JetOrderCapError past the cap."""
         index = tuple(sorted(index))
         for lam in index:
             if not 0 <= lam < self.dim:
                 raise ValueError("jet direction %d out of range for dim %d" % (lam, self.dim))
         if len(index) > self.jet_order:
-            raise JetOrderCapError(symbol.name, index, self.jet_order)
+            raise JetOrderCapError(symbol.name, component, index,
+                                   self.jet_order)
         return index
 
     def var(self, name, component=(), index=()):

@@ -28,7 +28,8 @@ gamma block onto themselves; a parsed theory's memo starts with them, its
 two certificates (``gvc.parser._TheoryBuilder.certificates``), the only
 proof of a symmetry that ``gvc.symmetry`` accepts.  Those transpositions
 act on the slots that carry a direction, which ``gvc.grammar._directions``
-types from the statements the parser read.
+types from the binders' sites that the parser noted as it read the
+statements; the same sites give each ``sum`` its inferred ranges.
 
 Everything is exact rational arithmetic.  A number is born under the
 coefficient rule of ``algebra._rat``, an int when it is integral, and a
@@ -44,7 +45,7 @@ from operator import itemgetter, mul
 
 from .algebra import GvcError, GradedPoly, _add_into, _mul_terms, _rat, \
     _scale_terms
-from .grammar import ParseError
+from .grammar import JET, ParseError
 from .symmetry import direction_swap, orbit_step
 
 
@@ -218,61 +219,40 @@ class _Eval:
         self.table_signs = {} if table_signs is None else table_signs
         self.swaps = {} if swaps is None else swaps
 
-    def resolve(self, binders, body):
+    def resolve(self, binders, sites):
         """(binders, directed) of a ``sum``: its binders with each missing
-        range inferred from the slots its index sits in within ``body``,
-        where no inner ``sum`` binds it again, and whether each is a
+        range inferred from the registry slots named in its index's
+        ``sites`` (``gvc.grammar._Parser.sit``), and whether each is a
         direction: of range ``dim`` and in some jet or direction slot
         there."""
-        found, directed = self._reads([var for var, _rng in binders], body)
-        out = []
-        for var, rng in binders:
-            if rng is None:
-                if not found[var]:
-                    raise GvcError("cannot infer a range for index %r" % var)
-                if len(found[var]) > 1:
-                    raise GvcError("index %r is used with conflicting ranges "
-                                   "%s" % (var, sorted(found[var])))
-                rng, = found[var]
-            out.append((var, rng))
-        dim = self.reg.dim
-        return out, [rng == dim and var in directed for var, rng in out]
-
-    def _reads(self, names, body):
-        """({index: the ranges of the slots it sits in}, the indices that
-        sit in a jet or a direction slot) for the indices ``names`` within
-        ``body``, where no inner ``sum`` binds them again, in one scan."""
-        found, directed = {var: set() for var in names}, set()
-        todo, dim = [(body, ())], self.reg.dim
-        while todo:
-            n, hidden = todo.pop()
-            kind = n[0]
-            if kind == "ref":
-                sym = self.reg.symbols.get(n[1])
-                tab = self.reg.tables.get(n[1])
+        reg, dim, out, directed = self.reg, self.reg.dim, [], []
+        for (var, rng), at in zip(binders, sites):
+            found, moved = set(), False
+            for site in at:
+                if site is JET:
+                    found.add(dim)
+                    moved = True
+                    continue
+                name, i = site
+                sym = reg.symbols.get(name)
+                tab = reg.tables.get(name)
                 slots, moves = (sym.slots, sym.directions) \
                     if sym is not None else (tab.shape, tab.directions) \
                     if tab is not None else ((), ())
-                # zip stops at the arity: evaluation reports an over-indexed
-                # reference
-                for atom, rng, moved in zip(n[2], slots, moves):
-                    if atom[1] in found and atom[1] not in hidden:
-                        found[atom[1]].add(rng)
-                        if moved:
-                            directed.add(atom[1])
-                for atom in n[3]:
-                    if atom[1] in found and atom[1] not in hidden:
-                        found[atom[1]].add(dim)
-                        directed.add(atom[1])
-            elif kind == "add":
-                todo.extend((item, hidden) for _s, item in n[1])
-            elif kind == "mul":
-                todo.extend((item, hidden) for item in n[1])
-            elif kind in ("neg", "pow"):
-                todo.append((n[1], hidden))
-            elif kind == "sum":
-                todo.append((n[2], (*hidden, *(var for var, _rng in n[1]))))
-        return found, directed
+                # evaluation reports an over-indexed reference
+                if i < len(slots):
+                    found.add(slots[i])
+                    moved = moved or moves[i]
+            if rng is None:
+                if not found:
+                    raise GvcError("cannot infer a range for index %r" % var)
+                if len(found) > 1:
+                    raise GvcError("index %r is used with conflicting ranges "
+                                   "%s" % (var, sorted(found)))
+                rng, = found
+            out.append((var, rng))
+            directed.append(rng == dim and moved)
+        return out, directed
 
     # -- compilation -----------------------------------------------------------
 
@@ -290,37 +270,36 @@ class _Eval:
         """Compile one key statement once: the key's arity, then its value
         with the ``(index, range)`` binders around it, ``directed`` saying
         which are directions, and the key's own free indices, each running
-        over the first component slot it sits in, otherwise over the base
-        directions, and a direction when of range ``dim`` and in a jet or a
-        direction slot of the key or its value.  Returns a function of the
-        binders' values that yields ``(component, jets, value)`` for each
-        value of the free indices, the last varying fastest.  Components
-        come out canonical and jets sorted and checked like a variable's;
-        the value carries the symmetry sign, and keys the symmetry kills
-        are skipped.  An unclean value is still evaluated for each killed
-        key, after the live ones, so that no key hides an invalid reference
-        and the first error is one a live key meets.  ``signs`` is then the
-        value's, refused where the key's own indices break the rules of a
-        symmetry: sigma maps the rows at the binders' values v to e times
-        those at sigma v, the free indices being reindexed like a ``sum``'s
-        binders.  With no binders, a clean value that holds a sum is taken
-        at the first value of the free indices in each orbit of the swaps
-        it proves, and at any other value as e sigma of its step's: the
-        same keys, in the same order, with the same values."""
+        over the first slot it sits in, a component slot or the base
+        directions of a jet, and a direction when that slot is one: the
+        typing (``gvc.grammar._directions``) joins it with every slot and
+        jet the index sits in, in the key and its value.  Returns a function
+        of the binders' values that yields ``(component, jets, value)`` for
+        each value of the free indices, the last varying fastest.
+        Components come out canonical and jets sorted and checked like a
+        variable's; the value carries the symmetry sign, and keys the
+        symmetry kills are skipped.  An unclean value is still evaluated for
+        each killed key, after the live ones, so that no key hides an
+        invalid reference and the first error is one a live key meets.
+        ``signs`` is then the value's, refused where the key's own indices
+        break the rules of a symmetry: sigma maps the rows at the binders'
+        values v to e times those at sigma v, the free indices being
+        reindexed like a ``sum``'s binders.  With no binders, a clean value
+        that holds a sum is taken at the first value of the free indices in
+        each orbit of the swaps it proves, and at any other value as e sigma
+        of its step's: the same keys, in the same order, with the same
+        values."""
         if len(comps) != len(sym.slots):
             raise GvcError("%s expects %d component indices"
                            % (sym.name, len(sym.slots)))
-        free, bound, dim = {}, dict(binders), self.reg.dim
-        moves, moved = sym.directions + (True,) * len(jets), set()
+        free, free_directed, bound = {}, [], dict(binders)
+        moves, dim = sym.directions + (True,) * len(jets), self.reg.dim
         for atom, rng, move in zip(comps + jets, sym.slots + (dim,) * len(
                 jets), moves):
-            if atom[0] == "var" and atom[1] not in bound:
-                free.setdefault(atom[1], rng)
-                if move:
-                    moved.add(atom[1])
-        moved |= self._reads(list(free), node)[1]
-        free_directed = [rng == dim and var in moved
-                         for var, rng in free.items()]
+            if atom[0] == "var" and atom[1] not in bound and \
+                    atom[1] not in free:
+                free[atom[1]] = rng
+                free_directed.append(move)
         first = len(binders)
         scope = self._start(list(binders) + list(free.items()),
                             [*directed, *free_directed])
@@ -344,8 +323,9 @@ class _Eval:
                 at = indices(v)
                 hit = seen.get(at)
                 if hit is None:
-                    hit = seen[at] = canonicalize(at[:n]) + (
-                        checked_index(sym, at[n:]),)
+                    comp = canonicalize(at[:n])
+                    hit = seen[at] = comp + (
+                        checked_index(sym, comp[0], at[n:]),)
                 canon, sign, jet = hit
                 if sign == 0:
                     killed.append(v[first:end])
@@ -455,7 +435,7 @@ class _Eval:
                 self._fold(item, scope, sign * s) for s, item in node[1]))
             return _added(folds), any(polys), all(cleans), _agree(signs)
         if kind == "sum":
-            return self._sum(node[1], node[2], node[3], scope, sign)
+            return self._sum(*node[1:], scope, sign)
         parts = [self._factor(item, scope)
                  for item in (node[1] if kind == "mul" else [node])]
         if kind == "mul" or parts[0][1] != 2:
@@ -474,13 +454,13 @@ class _Eval:
             return 0
         return ref, True, clean, signs
 
-    def _sum(self, binders, body, tok, scope, sign):
+    def _sum(self, binders, body, tok, sites, scope, sign):
         """``_fold`` of ``sum(binders){body}``: each binding is written into
         the binders' slots, the last binder varying fastest.  A ``sum``
-        whose range cannot be inferred raises where it is evaluated, placed
-        at its token ``tok``."""
+        whose range cannot be inferred from its binders' ``sites`` raises
+        where it is evaluated, placed at its token ``tok``."""
         try:
-            binders, directed = self.resolve(binders, body)
+            binders, directed = self.resolve(binders, sites)
         except GvcError as exc:
             return _raiser(str(exc), tok), False, False, self.refused
         k, sums = len(binders), self.sums

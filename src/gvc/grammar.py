@@ -28,13 +28,15 @@ a key's jets follow its closing bracket.  ``_Parser.statements`` reads the
 source once, each statement whole with every check that depends on its
 tokens alone, for the builder (``gvc.parser``) and for the typing pass.
 
-The direction swaps of ``gvc.symmetry`` act on the slots that carry a
-direction, which one pass over the statements read decides before the first
-of them is evaluated (``_directions``).
+As it reads, the parser resolves each index to its innermost binder and
+notes the binder's sites, every slot and jet its index sits in
+(``_Parser.sit``).  The typing of the slots that carry a direction, which
+the swaps of ``gvc.symmetry`` act on, reads those lists before any
+statement is evaluated (``_directions``), and ``sum`` range inference as
+each statement is compiled; neither walks a tree.
 """
 from __future__ import annotations
 
-import itertools
 import sys
 from fractions import Fraction
 
@@ -116,8 +118,10 @@ def _tokenize(text):
 #   ("num", int or Fraction)         ("ref", name, comps, jets, token)
 #   ("neg", node)                    ("add", [(sign, node), ...])
 #   ("mul", [node, ...])             ("pow", node, int)
-#   ("sum", [(var, range-or-None)], node, token)
+#   ("sum", [(var, range-or-None)], node, token, [sites of each binder])
 # comps/jets entries: ("int", v) or ("var", name)
+# A site is (family or table name, slot position), or JET for a jet.
+JET = ("jet",)
 
 
 class _Parser:
@@ -125,6 +129,9 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        # each bound index -> the site list of its innermost binder; the
+        # site lists of the binders the statement being read opens
+        self.scope, self.opened = {}, []
 
     # -- token plumbing ------------------------------------------------------
 
@@ -160,6 +167,25 @@ class _Parser:
         node = parse()
         self.depth -= 1
         return node
+
+    def bind(self, frame):
+        """Open the scope ``frame``, {index: its list of sites}, whose indices
+        shadow those bound outside it, until the caller sets ``scope`` back
+        to the outer scope returned."""
+        outer = self.scope
+        self.scope = {**outer, **frame}
+        self.opened += frame.values()
+        return outer
+
+    def sit(self, name, comps, jets):
+        """Add the sites of the reference ``name[comps; jets]`` to the
+        innermost binder of each of its indices: ``(name, position)`` for a
+        component, JET for a jet.  An index that nothing binds has none."""
+        scope, n = self.scope, len(comps)
+        # a constant atom holds an int, which names no index
+        for i, atom in enumerate(comps + jets):
+            if atom[1] in scope:
+                scope[atom[1]].append((name, i) if i < n else JET)
 
     # -- expression grammar ----------------------------------------------------
 
@@ -211,12 +237,16 @@ class _Parser:
             binders = self.binders(ranged=False)
             self.expect(")")
             self.expect("{")
+            frame = {var: [] for var, _rng in binders}
+            outer = self.bind(frame)
             body = self.nested(tok, self.parse_expression)
+            self.scope = outer
             self.expect("}")
-            return ("sum", binders, body, tok)
+            return ("sum", binders, body, tok, [*frame.values()])
         if tok[0] == "NAME":
             self.next()
             comps, jets = self.parse_index_group()
+            self.sit(tok[1], comps, jets)
             return ("ref", tok[1], comps, jets, tok)
         self.error("expected an expression")
 
@@ -294,15 +324,18 @@ class _Parser:
 
     def statements(self):
         """The source read from start to end, one whole statement at a time:
-        the list of ``(first token, parts)`` of each statement read, and the
-        ParseError that stopped the reading, or None."""
-        out = []
+        the list of ``(first token, parts)`` of each statement read, the
+        site lists of every binder those statements open (``bind``), and
+        the ParseError that stopped the reading, or None."""
+        out, sites = [], []
         try:
             while not self.at("EOF"):
+                self.opened = []
                 out.append(self.statement())
+                sites += self.opened
         except ParseError as exc:
-            return out, exc
-        return out, None
+            return out, sites, exc
+        return out, sites, None
 
     def statement(self):
         """One statement up to its ``;`` or ``}`` as (its first token,
@@ -401,6 +434,9 @@ class _Parser:
         binders = self.binders(ranged=True, close=("]",))
         self.expect("]")
         self.expect("{")
+        # each binder sits in its ghost's slot
+        outer = self.bind({var: [(ghost[1], i)]
+                           for i, (var, _rng) in enumerate(binders)})
         rows, h_node = [], None
         while not self.at("}"):
             if self.at("NAME", "h"):
@@ -415,6 +451,7 @@ class _Parser:
                 self.expect(";")
                 continue
             rows.append(self.row())
+        self.scope = outer
         self.next()
         return stage, ghost, binders, rows, h_node
 
@@ -429,7 +466,8 @@ class _Parser:
 
     def row(self):
         """``( NAME[idx,...] ; jets ) = EXPR ;``, the key statement of
-        record and component blocks; a key's jets follow its bracket."""
+        record and component blocks; a key's jets follow its bracket.  The
+        key binds its free indices over itself and its value."""
         tok = self.expect("(")
         name = self.expect("NAME")[1]
         comps, jets = [], []
@@ -442,30 +480,30 @@ class _Parser:
             jets = self.items(self.index, close=(")",))
         self.expect(")")
         self.expect("=")
+        outer = self.bind({atom[1]: [] for atom in comps + jets
+                           if atom[0] == "var" and atom[1] not in self.scope})
+        self.sit(name, comps, jets)
         node = self.parse_expression()
+        self.scope = outer
         self.expect(";")
         return (tok, name, comps, jets, node)
 
 
-def _directions(statements):
+def _directions(statements, sites):
     """{family or table: whether each of its slots carries a base
-    direction}, read from ``statements`` (``_Parser.statements``) before
-    any of them is evaluated; a source that stops reading is typed from the
-    statements before its error.
+    direction}, read from ``statements`` and the ``sites`` of their binders
+    (``_Parser.statements``) before any statement is evaluated; a source
+    that stops reading is typed from the statements before its error.
 
-    A union-find joins each slot (family, position) with every index that
-    sits in it, and every index that sits in a jet with the jets.  Indices
-    are scoped as the statements bind them: each ``sum``'s binders, a
-    record block's binders (its ghost's slots), a key statement's free
-    indices.  A symmetric family joins its slots, and an antifield
-    ``X_bar`` reads X's.  A slot of range ``dim`` joined with the jets
-    carries a direction; no other does.  A name or ``dim`` declared twice is
-    read at its first declaration, as the builder reads it.  Any such
-    choice is sound (see ``gvc.symmetry``): this one makes sigma fix the
-    slots that no direction reaches, such as an internal index of range
-    ``dim``."""
-    root, shapes, bases, binder = {}, {}, set(), itertools.count()
-    refs, in_jets, dim = set(), set(), None  # (index, name, position), index
+    A union-find joins each binder with its sites (``_Parser.sit``), the
+    slots and jets its index sits in.  A symmetric family joins its slots,
+    and an antifield ``X_bar`` reads X's.  A slot of range ``dim`` joined
+    with the jets carries a direction; no other does.  A name or ``dim``
+    declared twice is read at its first declaration, as the builder reads
+    it.  Any such choice is sound (see ``gvc.symmetry``): this one makes
+    sigma fix the slots that no direction reaches, such as an internal
+    index of range ``dim``."""
+    root, shapes, bases, dim = {}, {}, set(), None
 
     def find(x):
         while (up := root.get(x, x)) != x:
@@ -475,35 +513,6 @@ def _directions(statements):
 
     def join(a, b):
         root[find(a)] = find(b)
-
-    def walk(node, scope):
-        todo = [(node, scope)]
-        while todo:
-            n, scope = todo.pop()
-            kind = n[0]
-            if kind == "ref":
-                refs.update((scope[a[1]], n[1], i) for i, a in enumerate(n[2])
-                            if a[1] in scope)
-                in_jets.update(scope[a[1]] for a in n[3] if a[1] in scope)
-            elif kind == "add":
-                todo.extend((item, scope) for _s, item in n[1])
-            elif kind == "mul":
-                todo.extend((item, scope) for item in n[1])
-            elif kind in ("neg", "pow"):
-                todo.append((n[1], scope))
-            elif kind == "sum":
-                inner = dict(scope)
-                inner.update((var, next(binder)) for var, _rng in n[1])
-                todo.append((n[2], inner))
-
-    def key(row, scope):
-        _tok, name, comps, jets, node = row
-        inner = dict(scope)
-        for a in comps + jets:
-            if a[0] == "var" and a[1] not in inner:
-                inner[a[1]] = next(binder)
-        walk(("ref", name, comps, jets, None), inner)
-        walk(node, inner)
     for tok, parts in statements:
         word = tok[1]
         if word == "dim" and dim is None:
@@ -516,30 +525,18 @@ def _directions(statements):
             bases.add(name)
             for i in range(1, len(slots) if symmetry else 0):
                 join((name, i), (name, 0))
-        elif word == "L":
-            walk(parts, {})
         elif word in ("ni", "stage"):
-            _stage, gtok, binders, rows, h_node = parts
-            ghost = gtok[1]
-            shapes.setdefault(ghost, [rng for _var, rng in binders])
-            bases.add(ghost)
-            scope = {var: (ghost, i) for i, (var, _r) in enumerate(binders)}
-            for row in rows:
-                key(row, scope)
-            if h_node is not None:
-                walk(h_node, scope)
-        elif word in ("gauge", "gamma", "alpha"):
-            for row in parts[1] if word == "alpha" else parts:
-                key(row, {})
-    for index, name, i in refs:
-        if name not in shapes and name.endswith("_bar") and \
-                name[:-4] in bases:
-            name = name[:-4]
-        join(index, (name, i))
-    jet = ("jet",)
-    for index in in_jets:
-        join(index, jet)
-    jet = find(jet)
+            _stage, gtok, binders, _rows, _h = parts
+            shapes.setdefault(gtok[1], [rng for _var, rng in binders])
+            bases.add(gtok[1])
+    for binder, at in enumerate(sites):
+        for site in at:
+            name = site[0]
+            if name not in shapes and name.endswith("_bar") and \
+                    name[:-4] in bases:
+                site = name[:-4], site[1]
+            join(binder, site)
+    jet = find(JET)
     return {name: tuple(n == dim and find((name, i)) == jet
                         for i, n in enumerate(shape))
             for name, shape in shapes.items()}

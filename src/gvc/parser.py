@@ -86,9 +86,10 @@ class _TheoryBuilder:
     def __init__(self, text, jet_order=None, default_jet_order=None):
         self.p = _Parser(text)
         # every statement read whole, the error that stopped the reading,
-        # and the direction slots of each family and table
-        self.statements, self.unread = self.p.statements()
-        self.directions = _directions(self.statements)
+        # and the direction slots of each family and table, typed from the
+        # sites of the statements' binders
+        self.statements, sites, self.unread = self.p.statements()
+        self.directions = _directions(self.statements, sites)
         self.jet_order = jet_order
         self.default_jet_order = default_jet_order
         self.reg = None

@@ -3,11 +3,11 @@
 A transposition sigma of two adjacent base directions lam and lam + 1 acts
 on every multi-index and on every component slot that carries a base
 direction (``DirectionSwap``), as the family's ``directions`` say; no other
-slot moves.  The parser types the slots from the statements it read
-(``gvc.grammar._directions``, from those before the error of a source that
-stops reading); a family declared through the API has the slots of range
-``dim``.  The typing
-has one proof obligation: it is consistent, that is each slot that carries
+slot moves.  The parser types the slots from the sites of each binder, the
+slots and jets its index sits in, which it notes as it reads the source
+(``gvc.grammar._directions``, from the statements before the error of a
+source that stops reading); a family declared through the API has the
+slots of range ``dim``.  The typing has one proof obligation: it is consistent, that is each slot that carries
 a direction has range ``dim`` (``Registry.typed`` refuses any other), a
 symmetric family's slots all carry one or none (``SymbolDecl``), and an
 antifield's are its base's.  Then sigma permutes the values of every such

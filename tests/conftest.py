@@ -12,7 +12,7 @@ import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import count, groupby, product
 
 import pytest
 from hypothesis import settings
@@ -20,12 +20,14 @@ from hypothesis import settings
 import gvc.brst
 import gvc.cli
 import gvc.evaluator
+import gvc.grammar
 import gvc.parser
 from gvc.algebra import GradedPoly, GvcError, _add_into, _mul_terms, \
     sorting_sign
 from gvc.jets import EvolutionaryDerivation, prolong_apply, total_derivative
 from gvc.noether import NoetherRecord
 from gvc.evaluator import _Eval
+from gvc.grammar import _Parser
 from gvc.parser import TheorySpec, parse_theory
 from gvc.symmetry import direction_swap
 from gvc.theories import build_fixture, load_builtin
@@ -569,7 +571,7 @@ class WalkerEval(_Eval):
             return self.eval(node[1], env, clean) ** node[2]
         if kind == "sum":
             try:
-                binders, _directed = self.resolve(node[1], node[2])
+                binders, _directed = self.resolve(node[1], node[4])
             except GvcError as exc:
                 # parse_expr reports where the sum is
                 raise gvc.evaluator._placed(exc, node[3])
@@ -617,7 +619,7 @@ class WalkerEval(_Eval):
                 canon, sign = sym.canonicalize(
                     _index_value(a, inner) for a in comps)
                 jet = self.reg.checked_index(
-                    sym, (_index_value(a, inner) for a in jets))
+                    sym, canon, (_index_value(a, inner) for a in jets))
                 if sign == 0:
                     killed.append(inner)
                     continue
@@ -638,6 +640,241 @@ def walker_eval():
         yield
     finally:
         gvc.parser._Eval = compiled
+
+
+# -- the walks that the parser's binder sites replaced, as oracles -----------
+
+def reference_directions(statements):
+    """The typing of ``gvc.grammar._directions`` by one walk of every
+    statement tree, with a scope dict of binders per ``sum``, record block
+    and key, as it was before the parser noted each binder's sites."""
+    root, shapes, bases, binder = {}, {}, set(), count()
+    refs, in_jets, dim = set(), set(), None  # (index, name, position), index
+
+    def find(x):
+        while (up := root.get(x, x)) != x:
+            root[x] = up = root.get(up, up)
+            x = up
+        return x
+
+    def join(a, b):
+        root[find(a)] = find(b)
+
+    def walk(node, scope):
+        todo = [(node, scope)]
+        while todo:
+            n, scope = todo.pop()
+            kind = n[0]
+            if kind == "ref":
+                refs.update((scope[a[1]], n[1], i) for i, a in enumerate(n[2])
+                            if a[1] in scope)
+                in_jets.update(scope[a[1]] for a in n[3] if a[1] in scope)
+            elif kind == "add":
+                todo.extend((item, scope) for _s, item in n[1])
+            elif kind == "mul":
+                todo.extend((item, scope) for item in n[1])
+            elif kind in ("neg", "pow"):
+                todo.append((n[1], scope))
+            elif kind == "sum":
+                inner = dict(scope)
+                inner.update((var, next(binder)) for var, _rng in n[1])
+                todo.append((n[2], inner))
+
+    def key(row, scope):
+        _tok, name, comps, jets, node = row
+        inner = dict(scope)
+        for a in comps + jets:
+            if a[0] == "var" and a[1] not in inner:
+                inner[a[1]] = next(binder)
+        walk(("ref", name, comps, jets, None), inner)
+        walk(node, inner)
+    for tok, parts in statements:
+        word = tok[1]
+        if word == "dim" and dim is None:
+            dim = parts
+        elif word == "table":
+            shapes.setdefault(parts[0], parts[1])
+        elif word == "field":
+            name, slots, symmetry, _ptok, _parity = parts
+            shapes.setdefault(name, slots)
+            bases.add(name)
+            for i in range(1, len(slots) if symmetry else 0):
+                join((name, i), (name, 0))
+        elif word == "L":
+            walk(parts, {})
+        elif word in ("ni", "stage"):
+            _stage, gtok, binders, rows, h_node = parts
+            ghost = gtok[1]
+            shapes.setdefault(ghost, [rng for _var, rng in binders])
+            bases.add(ghost)
+            scope = {var: (ghost, i) for i, (var, _r) in enumerate(binders)}
+            for row in rows:
+                key(row, scope)
+            if h_node is not None:
+                walk(h_node, scope)
+        elif word in ("gauge", "gamma", "alpha"):
+            for row in parts[1] if word == "alpha" else parts:
+                key(row, {})
+    for index, name, i in refs:
+        if name not in shapes and name.endswith("_bar") and \
+                name[:-4] in bases:
+            name = name[:-4]
+        join(index, (name, i))
+    jet = ("jet",)
+    for index in in_jets:
+        join(index, jet)
+    jet = find(jet)
+    return {name: tuple(n == dim and find((name, i)) == jet
+                        for i, n in enumerate(shape))
+            for name, shape in shapes.items()}
+
+
+def reference_reads(reg, names, body):
+    """({index: the ranges of the slots it sits in}, the indices that sit
+    in a jet or a direction slot) for the indices ``names`` within
+    ``body``, where no inner ``sum`` binds them again: one scan of the
+    tree, the registry read for each reference."""
+    found, directed = {var: set() for var in names}, set()
+    todo, dim = [(body, ())], reg.dim
+    while todo:
+        n, hidden = todo.pop()
+        kind = n[0]
+        if kind == "ref":
+            sym = reg.symbols.get(n[1])
+            tab = reg.tables.get(n[1])
+            slots, moves = (sym.slots, sym.directions) \
+                if sym is not None else (tab.shape, tab.directions) \
+                if tab is not None else ((), ())
+            # zip stops at the arity: evaluation reports an over-indexed
+            # reference
+            for atom, rng, moved in zip(n[2], slots, moves):
+                if atom[1] in found and atom[1] not in hidden:
+                    found[atom[1]].add(rng)
+                    if moved:
+                        directed.add(atom[1])
+            for atom in n[3]:
+                if atom[1] in found and atom[1] not in hidden:
+                    found[atom[1]].add(dim)
+                    directed.add(atom[1])
+        elif kind == "add":
+            todo.extend((item, hidden) for _s, item in n[1])
+        elif kind == "mul":
+            todo.extend((item, hidden) for item in n[1])
+        elif kind in ("neg", "pow"):
+            todo.append((n[1], hidden))
+        elif kind == "sum":
+            todo.append((n[2], (*hidden, *(var for var, _rng in n[1]))))
+    return found, directed
+
+
+def reference_resolve(reg, binders, body):
+    """``_Eval.resolve`` by a scan of the ``sum``'s ``body``
+    (``reference_reads``): (binders, directed), or the same error."""
+    found, directed = reference_reads(reg, [var for var, _rng in binders],
+                                      body)
+    out = []
+    for var, rng in binders:
+        if rng is None:
+            if not found[var]:
+                raise GvcError("cannot infer a range for index %r" % var)
+            if len(found[var]) > 1:
+                raise GvcError("index %r is used with conflicting ranges "
+                               "%s" % (var, sorted(found[var])))
+            rng, = found[var]
+        out.append((var, rng))
+    return out, [rng == reg.dim and var in directed for var, rng in out]
+
+
+def _resolved(resolve):
+    """What ``resolve()`` gives: (binders, directed), or its error."""
+    try:
+        return resolve()
+    except GvcError as exc:
+        return str(exc)
+
+
+class ReferenceEval(_Eval):
+    """``_Eval`` whose ``sum``s infer their ranges and directions by the
+    scan of each body (``reference_resolve``), not from the binder sites
+    that the parser notes: ``_sum`` hands ``resolve`` the body."""
+
+    def _sum(self, binders, body, tok, _sites, scope, sign):
+        return _Eval._sum(self, binders, body, tok, body, scope, sign)
+
+    def resolve(self, binders, body):
+        return reference_resolve(self.reg, binders, body)
+
+
+class SiteCheckedEval(_Eval):
+    """``_Eval`` that asserts, at each ``sum`` it compiles, that its binder
+    sites give the ranges and directions (or the error) of the scan of its
+    body, and at each key that its free indices are directions where the
+    key's slots and the scan of its value made them ones."""
+
+    def _sum(self, binders, body, tok, sites, scope, sign):
+        assert _resolved(lambda: self.resolve(binders, sites)) == _resolved(
+            lambda: reference_resolve(self.reg, binders, body)), binders
+        return _Eval._sum(self, binders, body, tok, sites, scope, sign)
+
+    def key(self, sym, comps, jets, node, binders, directed=()):
+        expand = _Eval.key(self, sym, comps, jets, node, binders, directed)
+        free, moved, dim = {}, set(), self.reg.dim
+        for atom, rng, move in zip(comps + jets,
+                                   sym.slots + (dim,) * len(jets),
+                                   sym.directions + (True,) * len(jets)):
+            if atom[0] == "var" and atom[1] not in dict(binders):
+                free.setdefault(atom[1], rng)
+                if move:
+                    moved.add(atom[1])
+        moved |= reference_reads(self.reg, list(free), node)[1]
+        first = len(binders)
+        assert self.directed[first:first + len(free)] == [
+            rng == dim and var in moved for var, rng in free.items()], free
+        return expand
+
+
+@contextmanager
+def _parsing_with(directions, evaluator):
+    """Parse with ``directions`` and ``evaluator`` in place of the typing
+    and of the compiled evaluator."""
+    typing, compiled = gvc.parser._directions, gvc.parser._Eval
+    gvc.parser._directions, gvc.parser._Eval = directions, evaluator
+    try:
+        yield
+    finally:
+        gvc.parser._directions, gvc.parser._Eval = typing, compiled
+
+
+def reference_typing():
+    """Parse with the oracles in place of the typing from binder sites
+    and of ``sum`` range inference from them."""
+    return _parsing_with(
+        lambda statements, _sites: reference_directions(statements),
+        ReferenceEval)
+
+
+def assert_sites_match_walks(text):
+    """Assert that the typing of ``text`` and every ``sum``'s ranges and
+    directions, and each key's free directions, are the oracles'."""
+    statements, sites, _error = _Parser(text).statements()
+    assert gvc.grammar._directions(statements, sites) == \
+        reference_directions(statements), text
+    with _parsing_with(gvc.parser._directions, SiteCheckedEval):
+        try:
+            parse_theory(text)
+        except GvcError:
+            pass
+
+
+def parse_outcome(text):
+    """The error ``parse_theory(text)`` raises, (message, line, column),
+    or L's ``pretty(5)`` and both certificates of the theory."""
+    try:
+        theory = parse_theory(text)
+    except GvcError as exc:
+        return str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return (theory.lagrangian.pretty(5), theory.derived["certificate"],
+            theory.derived["b certificate"])
 
 
 def in_global_order(p):

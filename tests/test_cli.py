@@ -275,7 +275,7 @@ def _assert_positioned_error(code, err, message):
     ("L = s;\nni c[] { (s; 3) = 1; }",
      "jet direction 3 out of range for dim 2 (line 8, column 10)"),
     ("L = s;\nni c[] { (s; 0,0,0,0,0) = 1; }",
-     "jet order 5 of s(0, 0, 0, 0, 0) exceeds the cap 4"),
+     "jet order 5 of s[;0,0,0,0,0] exceeds the cap 4"),
     # a constant index far past its slot is refused where it is met, by
     # the statement and by the key that hold it
     ("L = a[99999999999999999999;];", "component index "
@@ -305,7 +305,7 @@ def test_key_and_index_errors_exit_2(tmp_path, capsys, body, message):
     ("a[0,1]", "a expects 1 component indices, got (0, 1)"),
     ("a[7]", "component index 7 out of range 2 for a"),
     ("k[0,1;0]", "constant table 'k' cannot carry jet indices"),
-    ("s[;0,0,0,0,0]", "jet order 5 of s(0, 0, 0, 0, 0) exceeds the cap 4"),
+    ("s[;0,0,0,0,0]", "jet order 5 of s[;0,0,0,0,0] exceeds the cap 4"),
     ("a[m]", "unbound index 'm'"),
     ("sum(m){ 1 }", "cannot infer a range for index 'm'"),
 ], ids=["unknown", "arity", "range", "table-jets", "cap", "unbound",
@@ -334,7 +334,7 @@ _ANTISYM = _DECLS + "field B[2,2] antisym even;\n"
     ("L = s + k[0,0] * B[0,0;7];",
      "jet direction 7 out of range for dim 2 (line 8, column 1)"),
     ("L = s + 0 * B[1,1;0,0,0,0,0];",
-     "jet order 5 of B(0, 0, 0, 0, 0) exceeds the cap 4"),
+     "jet order 5 of B[1,1;0,0,0,0,0] exceeds the cap 4"),
     ("L = s;\nni c[] { (B[0,0]; 7) = 1; }",
      "jet direction 7 out of range for dim 2 (line 9, column 10)"),
     ("L = s;\ngauge { (B[i,m]) = a[m,0]; }",
@@ -925,6 +925,23 @@ def test_env_var_sets_the_default_jet_order(tmp_path, capsys, monkeypatch):
     code, rep = _json_report(capsys, ["verify", "--theory", str(path),
                                       "--check", "ni", "--jet-order", "6"])
     assert rep["jet_order"] == 6
+
+
+def test_the_cap_error_hints_only_at_what_raises_a_file_cap(
+        tmp_path, capsys, monkeypatch):
+    # a file's own jet_order statement overrides GVC_JET_ORDER, so the
+    # message names the variable as the theory writes it and hints at the
+    # flag alone; the flag lets the theory through
+    path = tmp_path / "capped.gvc"
+    path.write_text("dim 2;\njet_order 1;\nfield x[2] even;\n"
+                    "L = x[0;0,1];\n")
+    monkeypatch.setenv("GVC_JET_ORDER", "5")
+    argv = ["verify", "--theory", str(path), "--check", "ni"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: jet order 2 of x[0;0,1] exceeds the cap 1; raise the cap via "
+        "Registry(jet_order=...) or --jet-order (line 4, column 1)\n")
+    assert run(argv + ["--jet-order", "5"]) == 0
 
 
 def test_bad_env_var_is_reported(capsys, monkeypatch):

@@ -288,9 +288,9 @@ def test_parse_expr_reports_location():
 
 @pytest.mark.parametrize("text, message", [
     ("s + s[;0] +\n  nope", "unknown symbol 'nope' (line 2, column 3)"),
-    ("s\n+ s[;0]\n  - s[;0,0,0,0,0]", "jet order 5 of s(0, 0, 0, 0, 0) "
-     "exceeds the cap 4; raise the cap via Registry(jet_order=...) or the "
-     "--jet-order flag / GVC_JET_ORDER (line 3, column 5)"),
+    ("s\n+ s[;0]\n  - s[;0,0,0,0,0]", "jet order 5 of s[;0,0,0,0,0] "
+     "exceeds the cap 4; raise the cap via Registry(jet_order=...) or "
+     "--jet-order (line 3, column 5)"),
     ("s +\n s[;1]", "jet direction 1 out of range for dim 1 (line 2, "
      "column 2)"),
     ("s * k[2]", "index (2,) out of bounds for table k (line 1, column 5)"),
@@ -538,11 +538,11 @@ def test_a_source_that_stops_reading_is_typed_from_the_statements_before_it():
     # parse fails at the error
     text = "dim 3;\n" + _EPS3 + "L = %s;\n" % _CURL + \
         "ni c[g:3] { (x[g]) = ; }"
-    statements, error = _Parser(text).statements()
+    statements, sites, error = _Parser(text).statements()
     assert [tok[1] for tok, _parts in statements] == [
         "dim", "table", "field", "L"]
-    assert grammar._directions(statements) == {"e": (False, True, False),
-                                               "x": (False,)}
+    assert grammar._directions(statements, sites) == {
+        "e": (False, True, False), "x": (False,)}
     assert (error.line, error.col) == (5, 22)
     with pytest.raises(ParseError) as err:
         parse_theory(text)
@@ -563,7 +563,7 @@ def test_typing_the_statements_before_an_error_moves_no_error(
             parse_theory(source)
         return str(err.value), err.value.line, err.value.col
     typed = [failure(text[:cut] + "\nbogus;") for cut in cuts]
-    monkeypatch.setattr(parser, "_directions", lambda statements: {})
+    monkeypatch.setattr(parser, "_directions", lambda statements, sites: {})
     assert typed == [failure(text[:cut] + "\nbogus;") for cut in cuts]
 
 

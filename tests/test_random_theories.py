@@ -48,11 +48,11 @@ from gvc.noether import (_residuals, _stage_residuals, assemble_kt,
 from gvc.parser import ParseError, parse_theory
 from gvc.symmetry import direction_swap
 from gvc.variational import euler_lagrange
-from conftest import (both_routes, brst_operator, certified_swaps_hold,
-                      derivation_sum, extended_lagrangian, fraction_twin,
-                      label_signs, maps_to, nilpotency_residuals,
-                      parsed_text, prolong_oracle, two_routes,
-                      variational_pairing)
+from conftest import (assert_sites_match_walks, both_routes, brst_operator,
+                      certified_swaps_hold, derivation_sum,
+                      extended_lagrangian, fraction_twin, label_signs,
+                      maps_to, nilpotency_residuals, parsed_text,
+                      prolong_oracle, two_routes, variational_pairing)
 
 EVEN, ODD = ("x", "y"), ("p",)
 
@@ -481,3 +481,12 @@ def test_a_random_source_parses_as_the_tree_walker_parses_it(case):
     # walker neither: planted sources, their near misses and random ones
     # with odd fields give the same objects, certificates and errors
     both_routes(parsed_text(case[0]))
+
+
+@settings(max_examples=40)
+@given(st.one_of(theories(), _planted()))
+def test_a_random_source_types_and_infers_ranges_as_the_walks_do(case):
+    # the typing from the parser's binder sites, every sum's ranges and
+    # directions and every key's free directions are those of the tree
+    # walks they replaced (tests/test_binder_sites.py)
+    assert_sites_match_walks(case[0])
